@@ -47,7 +47,7 @@ __all__ = [
     "scaled_corrector_start",
 ]
 
-_CELL_OPT = OptimizerSpec(max_iters=2000, step_init=0.05, restarts=3)
+_CELL_OPT = OptimizerSpec(max_iters=2000, restarts=3)
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def solve_corrector_1d(
     _check_sandwich(cell_value, xi * xi, V.v_min, V.v_max)
 
     profile = _profile_from_path(traj.times, traj.nodes.copy(), np.array([xi]))
-    meta = {"n_nodes": n_nodes, "zero_profile_value": zero_profile_value}
+    meta = {"n_nodes": n_nodes, "zero_profile_value": zero_profile_value, **traj.meta}
     return CorrectorProfile(np.array([xi]), T, profile, cell_value, meta)
 
 
@@ -166,7 +166,7 @@ def solve_corrector_general(
     if value > L.c_upper * (1.0 + speed**r) + 1e-9 * scale:
         raise InvariantError("cell value above the declared upper growth bound")
     profile = _profile_from_path(traj.times, traj.nodes.copy(), xi)
-    return CorrectorProfile(xi, float(T), profile, value, {"n_nodes": n_nodes})
+    return CorrectorProfile(xi, float(T), profile, value, {"n_nodes": n_nodes, **traj.meta})
 
 
 def f_hom_asymptotic(
@@ -198,10 +198,12 @@ def f_hom_asymptotic(
 
     L = GeneralLagrangian.from_potential(V)
     values = []
+    converged = True
     for T in T_ladder:
         n_nodes = max(33, int(math.ceil(n_nodes_per_unit * T)) + 1)
         prof = solve_corrector_general(L, xi, T, n_nodes, opt, quad)
         values.append(prof.cell_value)
+        converged &= prof.meta["converged"]
         _check_sandwich(prof.cell_value, speed * speed, V.v_min, V.v_max)
     spread = abs(values[-1] - values[-2]) if len(values) > 1 else 0.0
     diagnostics = {
@@ -209,6 +211,7 @@ def f_hom_asymptotic(
         "T_ladder": T_ladder,
         "spread": spread,
         "monotone": all(b <= a + 1e-9 for a, b in zip(values, values[1:])),
+        "converged": converged,
     }
     return values[-1], diagnostics
 
@@ -405,19 +408,21 @@ def tabulate_f_hom(
     flat = mesh.reshape(-1, V.dimension)
     values = np.empty(flat.shape[0])
     failures = []
+    converged = True
     for i, point in enumerate(flat):
         speed = float(np.linalg.norm(point))
         try:
             if speed == 0.0:
                 values[i] = V.v_min
             elif method == "1d":
-                values[i] = solve_corrector_1d(
-                    V, float(point[0]), n_nodes, opt, quad
-                ).cell_value
+                prof = solve_corrector_1d(V, float(point[0]), n_nodes, opt, quad)
+                values[i] = prof.cell_value
+                converged &= prof.meta["converged"]
             else:
-                values[i], _ = f_hom_asymptotic(
+                values[i], diagnostics = f_hom_asymptotic(
                     V, point, T_ladder, n_nodes_per_unit, opt, quad
                 )
+                converged &= diagnostics["converged"]
         except (SolverError, InvariantError) as exc:
             failures.append((point.tolist(), str(exc)))
     if failures:
@@ -428,7 +433,7 @@ def tabulate_f_hom(
         values.reshape(mesh.shape[:-1]),
         V.v_min,
         False,
-        {"potential": V.name, "method": method},
+        {"potential": V.name, "method": method, "converged": converged},
     )
     count, worst = table.convexity_violations(convexity_tol)
     table.meta["convexity_violations"] = count

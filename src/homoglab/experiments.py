@@ -115,7 +115,6 @@ def make_initial_datum(name: str, dimension: int, **params) -> Callable:
 
 _SOLVER_DEFAULTS = {
     "max_iters": 1200,
-    "step_init": 0.05,
     "restarts": 2,
     "grad_tol": 1e-8,
     "quad_samples": 4,
@@ -337,7 +336,6 @@ class ExperimentConfig:
         s = self.data["solver"]
         return OptimizerSpec(
             max_iters=int(s["max_iters"]),
-            step_init=float(s["step_init"]),
             restarts=int(s["restarts"]),
             grad_tol=float(s["grad_tol"]),
             seed=self.seed,
@@ -347,7 +345,6 @@ class ExperimentConfig:
         s = self.data["solver"]
         return OptimizerSpec(
             max_iters=int(s["cell_max_iters"]),
-            step_init=float(s["step_init"]),
             restarts=max(3, int(s["restarts"])),
             grad_tol=float(s["grad_tol"]),
             seed=self.seed,
@@ -601,12 +598,12 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
                 u_f, min_f = minimize_bvp(
                     V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, quad, tuple(warm)
                 )
-                min_g = min_f
+                u_g, min_g = u_f, min_f
             else:
                 u_g, min_g = minimize_bvp(
                     V, W, eps, 0.0, 1.0, a0, xi, n_nodes, opt, quad, tuple(warm)
                 )
-                _, min_f = minimize_bvp(
+                u_f, min_f = minimize_bvp(
                     V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, quad,
                     tuple(warm) + (u_g,),
                 )
@@ -617,6 +614,7 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
                 "f_hom_target": float(target),
                 "gap_G": float(min_g - target),
                 "gap_F": float(min_f - target),
+                "converged": u_g.meta["converged"] and u_f.meta["converged"],
             }
         except HomoglabError as exc:
             return {"eps": float(eps), "error": f"{type(exc).__name__}: {exc}"}

@@ -34,7 +34,7 @@ __all__ = [
     "field_distance",
 ]
 
-_HJ_OPT = OptimizerSpec(max_iters=800, step_init=0.05, restarts=2)
+_HJ_OPT = OptimizerSpec(max_iters=800, restarts=2)
 
 
 @dataclass(frozen=True)
@@ -409,24 +409,22 @@ def solve_steady_hom(
     x_grid,
     opt: OptimizerSpec = _HJ_OPT,
 ) -> ValueField:
-    """Homogenized steady value: U == f(0)/lam, verified against competitors.
+    """Homogenized steady value: U == f(0)/lam, checked exactly on the table.
 
-    The tabulated f satisfies f(xi) >= |xi|^2 + f0 >= f0 with equality only
-    at 0 (sandwich), so among all paths the constant is optimal and the
-    closed form is exact. A small family of moving competitor paths (ramps
-    toward other table slopes, seeded smooth wiggles) is evaluated through
-    the table to confirm none improves on the constant.
+    A path's discounted homogenized action averages table values with weights
+    exp(-lam*t), and the multilinear table never dips below its smallest node,
+    so min(f.values) >= f0 makes the constant path optimal (else
+    InvariantError). `opt` is accepted for call compatibility; no solver runs.
     """
     if not lam > 0:
         raise InputError("lam must be positive")
     x_axes = _normalize_axes(x_grid, f.dimension, "x_grid")
     closed_form = f.f0 / lam
-
-    check = _steady_hom_crosscheck(f, lam, opt)
-    if check < closed_form - 1e-9 * max(1.0, abs(closed_form)):
+    table_min = float(np.min(f.values))
+    if not table_min >= f.f0:
         raise InvariantError(
-            f"a moving path beat the constant ({check} < {closed_form}); "
-            "the table is not minimized at slope 0"
+            f"the table dips to {table_min} below f(0) = {f.f0}; "
+            "it is not minimized at slope 0"
         )
 
     shape = tuple(ax.size for ax in x_axes)
@@ -439,33 +437,6 @@ def solve_steady_hom(
             "source": "hom",
             "lambda": lam,
             "closed_form": True,
-            "best_competitor": check,
+            "table_min": table_min,
         },
     )
-
-
-def _steady_hom_crosscheck(f: HomogenizedLagrangian, lam: float, opt: OptimizerSpec) -> float:
-    """Best discounted homogenized action over a family of competitor paths."""
-    from .trajectory import Trajectory, homogenized_action
-
-    horizon = 6.0 / lam
-    n = 48
-    times = np.linspace(0.0, horizon, n + 1)
-    hull = f.hull()
-    best = math.inf
-    rng = np.random.default_rng(np.random.SeedSequence((opt.seed, 97)))
-    for trial in range(24):
-        nodes = np.zeros((n + 1, f.dimension))
-        if trial > 0:
-            target = np.array(
-                [rng.uniform(0.45 * lo, 0.45 * hi) for lo, hi in hull]
-            )
-            ramp_end = rng.integers(4, n)
-            frac = np.clip(np.arange(n + 1) / ramp_end, 0.0, 1.0)
-            nodes = frac[:, None] * target[None, :] * horizon * 0.1
-        u = Trajectory(times, nodes)
-        try:
-            best = min(best, homogenized_action(u, f, lam))
-        except Exception:
-            continue
-    return best

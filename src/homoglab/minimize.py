@@ -2,8 +2,14 @@
 
 Two independent routes to the same minima live here, on purpose:
 
-* projected gradient descent with Armijo backtracking over trajectory nodes
-  (multi-start, deterministic seeding, boundary nodes pinned exactly), and
+* damped Newton over trajectory nodes (multi-start, deterministic seeding,
+  boundary nodes pinned exactly). Every discrete action here -- the
+  eps-action, the general-Lagrangian window action and the discounted
+  half-line action -- is one kernel with per-sample weights, whose Hessian
+  is block tridiagonal. All starts of all problems of a call are stacked into
+  one banded system, factored by a banded Cholesky per iteration, with a
+  diagonal shift where a Hessian is indefinite and Armijo backtracking from
+  the full step (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.4, 6);
 * backward dynamic programming over a state-time lattice, an anytime upper
   bound for d = 1 that never sees the optimizer's code paths.
 
@@ -19,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, InvariantError, SolverError
 from .potentials import GeneralLagrangian, PeriodicPotential, Perturbation
-from .quadrature import QuadratureSpec, midpoint_offsets
+from .quadrature import QuadratureSpec, exp_interval_weights, midpoint_offsets
 from .trajectory import Trajectory, action_G, discounted_action
 
 __all__ = [
@@ -36,8 +42,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OptimizerSpec:
+    """Settings of the damped-Newton minimizer.
+
+    Each start takes at most max_iters Newton steps. It stops early, converged,
+    once its gradient norm is at most grad_tol or its Newton decrement has
+    reached roundoff. It also stops, unconverged, when no step along the
+    Newton direction decreases the action, or when a converged start of its
+    problem is lower by more than ten times its Newton decrement. armijo_c is
+    the sufficient-decrease constant of the backtracking line search, which
+    always tries the full step first. The affine start and any warm starts
+    are joined by `restarts` random starts drawn from `seed`.
+    """
+
     max_iters: int = 400
-    step_init: float = 0.1
     armijo_c: float = 1e-4
     grad_tol: float = 1e-8
     restarts: int = 2
@@ -46,8 +63,6 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.max_iters < 1:
             raise InputError("max_iters must be >= 1")
-        if not self.step_init > 0:
-            raise InputError("step_init must be positive")
         if not 0 < self.armijo_c < 1:
             raise InputError("armijo_c must lie in (0, 1)")
         if not self.grad_tol > 0:
@@ -77,49 +92,189 @@ class DPGrid:
 
 
 # ---------------------------------------------------------------------------
-# Batched projected gradient descent with Armijo backtracking
+# The discrete action and its damped-Newton minimizer
 # ---------------------------------------------------------------------------
 
+# A Newton decrement g.H^-1.g at or below this multiple of max(1, |value|)
+# predicts a decrease the action's roundoff cannot resolve.
+_ROUNDOFF_DECREMENT = 1e-14
+# Backtracking halves the step at most this many times before giving up.
+_MAX_HALVINGS = 40
 
-def _descend(nodes0: np.ndarray, value_fn, grad_fn, free: np.ndarray, spec: OptimizerSpec):
-    """Monotone descent on a batch of node arrays; pinned nodes never move.
 
-    value_fn(batch) -> (B,); grad_fn(batch) -> ((B,), (B, N, d)) with the
-    gradient already zeroed on pinned nodes. Each batch element carries its
-    own step size: accepted steps grow it, rejections halve it and retry.
+class _Action:
+    """sum_i k_i |x_{i+1} - x_i|^2 + sum_{i,s} w_is f(p_is / eps) + tail * f(x_last / eps).
+
+    f = V + W; p_is = (1 - l_s) x_i + l_s x_{i+1} are the m midpoint samples of
+    interval i. The first node is pinned; the last one is pinned too unless
+    `last_free`, as on the half-line, where the path continues as a constant.
     """
-    x = np.array(nodes0, dtype=float)
-    vals, grads = grad_fn(x)
-    if not np.all(np.isfinite(vals)):
-        raise SolverError("objective not finite at a start trajectory")
-    gnorm2 = np.sum(grads * grads, axis=(1, 2))
-    step = np.full(x.shape[0], spec.step_init)
-    active = (gnorm2 > spec.grad_tol**2) & (step > 1e-16)
-    iters = 0
-    for _ in range(spec.max_iters):
-        if not np.any(active):
+
+    def __init__(self, V, W, eps, kinetic, weights, tail=0.0, last_free=False):
+        self.terms = [obj for obj in (V, W) if obj is not None]
+        self.eps = eps
+        self.kinetic = kinetic
+        self.weights = weights
+        self.offsets = midpoint_offsets(weights.shape[1])
+        self.tail = tail
+        self.last_free = last_free
+
+    @classmethod
+    def eps_action(cls, V, W, eps, times, m):
+        widths = np.diff(times)
+        return cls(V, W, eps, 1.0 / widths, np.repeat(widths[:, None] / m, m, axis=1))
+
+    def _f(self, y):
+        return sum((obj.evaluator(y) for obj in self.terms), np.zeros(y.shape[:-1]))
+
+    def _samples(self, x):
+        lam = self.offsets[None, None, :, None]
+        return (x[:, :-1, None, :] * (1 - lam) + x[:, 1:, None, :] * lam) / self.eps
+
+    def value(self, x, y=None):
+        """Action of each path of the batch x (B, N, d); y: its scaled samples, if known."""
+        y = self._samples(x) if y is None else y
+        diffs = x[:, 1:] - x[:, :-1]
+        out = np.sum(np.sum(diffs * diffs, axis=2) * self.kinetic, axis=1)
+        out += np.sum(self._f(y) * self.weights, axis=(1, 2))
+        if self.tail:
+            out += self.tail * self._f(x[:, -1] / self.eps)
+        return out
+
+    def derivatives(self, x):
+        """(value (B,), gradient (B, N, d), diagonal blocks (B, N, d, d), and the
+        blocks coupling node i to node i + 1 (B, N - 1, d, d))."""
+        eps, lam, eye = self.eps, self.offsets, np.eye(x.shape[2])
+        y = self._samples(x)
+        g = sum(obj.grad(y) for obj in self.terms) / eps
+        h = sum(obj.hess(y) for obj in self.terms) / eps**2
+        left, right = self.weights * (1 - lam), self.weights * lam
+        kin = 2 * self.kinetic[None, :, None] * (x[:, 1:] - x[:, :-1])
+        kin_block = 2 * self.kinetic[None, :, None, None] * eye
+        grad = np.zeros_like(x)
+        grad[:, :-1] = np.einsum("bnsk,ns->bnk", g, left) - kin
+        grad[:, 1:] += np.einsum("bnsk,ns->bnk", g, right) + kin
+        diag = np.zeros(x.shape + (x.shape[2],))
+        diag[:, :-1] = np.einsum("bnskl,ns->bnkl", h, left * (1 - lam)) + kin_block
+        diag[:, 1:] += np.einsum("bnskl,ns->bnkl", h, right * lam) + kin_block
+        off = np.einsum("bnskl,ns->bnkl", h, left * lam) - kin_block
+        if self.tail:
+            end = x[:, -1] / eps
+            grad[:, -1] += self.tail / eps * sum(obj.grad(end) for obj in self.terms)
+            diag[:, -1] += self.tail / eps**2 * sum(obj.hess(end) for obj in self.terms)
+        return self.value(x, y), grad, diag, off
+
+
+def _newton_steps(diag, off, grad):
+    """Solve (H_b + tau_b I) p_b = -g_b for every start b; return (p (B, n, d), -g.p (B,)).
+
+    H_b is block tridiagonal over the free nodes: diag (B, n, d, d), off
+    (B, n - 1, d, d). The B uncoupled systems form one banded matrix for one
+    banded Cholesky (LAPACK dpbtrf, as in scipy.linalg.cholesky_banded).
+    tau_b is 0 for a positive definite H_b, else raised as in Nocedal & Wright's
+    Algorithm 3.3, the factorization resuming at start b (its predecessors
+    are already factored).
+    """
+    from scipy.linalg import lapack
+
+    B, n, d = grad.shape
+    size = n * d
+    u = 2 * d - 1
+    bands = np.zeros((u + 1, B, n, d))
+    for k in range(d):
+        for col in range(d):
+            if col >= k:
+                bands[u - (col - k), :, :, col] = diag[:, :, k, col]
+            bands[u - (d + col - k), :, 1:, col] = off[:, :, k, col]
+    bands = bands.reshape(u + 1, B * size)
+    main = bands[u].reshape(B, size)
+    floor = 1e-3 * np.max(np.abs(main), axis=1) + np.finfo(float).tiny
+    low = np.min(main, axis=1)
+    tau = np.where(low > 0, 0.0, floor - low)
+    bands[u] += np.repeat(tau, size)
+
+    factor = np.empty_like(bands)
+    start = 0
+    while True:
+        chunk, info = lapack.dpbtrf(bands[:, start:])
+        if info == 0:
+            factor[:, start:] = chunk
             break
-        iters += 1
+        if info < 0:
+            raise SolverError(f"banded Cholesky rejected argument {-info}")
+        b = (start + info - 1) // size
+        head = b * size
+        factor[:, start:head] = chunk[:, : head - start]
+        bump = max(2 * tau[b], floor[b]) - tau[b]
+        tau[b] += bump
+        bands[u, head : head + size] += bump
+        start = head
+    steps, info = lapack.dpbtrs(factor, -grad.reshape(-1))
+    if info != 0:
+        raise SolverError(f"banded Cholesky solve failed (info {info})")
+    steps = steps.reshape(B, n, d)
+    return steps, -np.sum(steps * grad, axis=(1, 2))
+
+
+def _solve(action: _Action, starts, opt: OptimizerSpec):
+    """Damped Newton from starts (P problems, S starts, N, d); pinned nodes never move.
+
+    Returns, per problem, the best start's value, nodes and solver record
+    {iterations, grad_norm (free nodes, final point), converged}.
+    """
+    P, S, N, _ = starts.shape
+    x = starts.reshape((P * S,) + starts.shape[2:]).astype(float)
+    free = slice(1, N if action.last_free else N - 1)
+    values, gnorm = np.empty(P * S), np.empty(P * S)
+    iters = np.zeros(P * S, dtype=int)
+    converged = np.zeros(P * S, dtype=bool)
+    finished = np.zeros(P * S, dtype=bool)  # roundoff decrement, no decrease, or beaten
+    active = np.ones(P * S, dtype=bool)
+    for sweep in range(opt.max_iters + 1):
         idx = np.flatnonzero(active)
-        cand = x[idx] - step[idx, None, None] * grads[idx]
-        cand_vals = value_fn(cand)
-        accept = cand_vals <= vals[idx] - spec.armijo_c * step[idx] * gnorm2[idx]
-        accept &= np.isfinite(cand_vals)
-        acc = idx[accept]
-        rej = idx[~accept]
-        if acc.size:
-            x[acc] = cand[accept]
-            new_vals, new_grads = grad_fn(x[acc])
-            vals[acc] = new_vals
-            grads[acc] = new_grads
-            gnorm2[acc] = np.sum(new_grads * new_grads, axis=(1, 2))
-            step[acc] *= 1.5
-        step[rej] *= 0.5
-        active[idx] = (gnorm2[idx] > spec.grad_tol**2) & (step[idx] > 1e-16)
-    if not np.all(np.isfinite(vals)):
-        raise SolverError("descent produced non-finite action values")
-    _ = free
-    return x, vals, iters
+        f, grad, diag, off = action.derivatives(x[idx])
+        if not np.all(np.isfinite(f)):
+            raise SolverError("objective not finite at a start trajectory")
+        grad = grad[:, free]
+        values[idx] = f
+        gnorm[idx] = np.sqrt(np.sum(grad * grad, axis=(1, 2)))
+        converged[idx] |= gnorm[idx] <= opt.grad_tol
+        active[idx] = keep = ~(converged[idx] | finished[idx])
+        if sweep == opt.max_iters or not np.any(keep):
+            break
+        steps, dec = _newton_steps(diag[keep, free], off[keep, free.start : free.stop - 1], grad[keep])
+        idx, f = idx[keep], f[keep]
+        # A start that a converged start of its problem beats by more than ten
+        # times its own Newton decrement is near a worse stationary point: stop it.
+        lowest = np.where(converged, values, np.inf).reshape(P, S).min(axis=1)
+        finished[idx] = True
+        go = f <= lowest[idx // S] + 10 * dec
+        idx, f, steps, dec = idx[go], f[go], steps[go], dec[go]
+        iters[idx] += 1
+        at_roundoff = dec <= _ROUNDOFF_DECREMENT * np.maximum(1.0, np.abs(f))
+        converged[idx] |= at_roundoff
+        # A start stops after this step unless the line search accepts a
+        # step that is not the final roundoff-level one.
+        t = np.ones(idx.size)
+        pending = np.arange(idx.size)
+        for _ in range(_MAX_HALVINGS):
+            cand = x[idx[pending]]
+            cand[:, free] += t[pending, None, None] * steps[pending]
+            fc = action.value(cand)
+            decrease = np.where(at_roundoff[pending], 0.0, opt.armijo_c * t[pending] * dec[pending])
+            ok = np.isfinite(fc) & (fc <= f[pending] - decrease)
+            x[idx[pending[ok]]] = cand[ok]
+            finished[idx[pending[ok]]] = at_roundoff[pending[ok]]
+            pending = pending[~ok & ~at_roundoff[pending]]
+            if pending.size == 0:
+                break
+            t[pending] *= 0.5
+    best = np.argmin(values.reshape(P, S), axis=1) + S * np.arange(P)
+    stats = [
+        {"iterations": int(iters[k]), "grad_norm": float(gnorm[k]), "converged": bool(converged[k])}
+        for k in best
+    ]
+    return values[best], x[best], stats
 
 
 def _fourier_bump(rng, n_free: int, dim: int, scale: float) -> np.ndarray:
@@ -152,65 +307,16 @@ def _start_stack(times, a, b, warm_starts, restarts, seed, scale):
     return np.stack(starts, axis=0)
 
 
-def _combined_eval(V, W):
-    if V is not None and W is not None:
-        return (
-            lambda y: V.evaluator(y) + W.evaluator(y),
-            lambda y: _grad_of(V, y) + _grad_of(W, y),
-        )
-    obj = V if V is not None else W
-    if obj is None:
-        return (lambda y: np.zeros(y.shape[:-1]), lambda y: np.zeros_like(y))
-    return (obj.evaluator, lambda y: _grad_of(obj, y))
+def _check_window(t0, t1, eps):
+    if not t1 > t0:
+        raise InputError("need t1 > t0")
+    if not eps > 0:
+        raise InputError("eps must be positive")
 
 
-def _grad_of(obj, y):
-    if obj.gradient is not None:
-        return obj.gradient(y)
-    shape = y.shape
-    flat = y.reshape(-1, shape[-1])
-    from .potentials import _fd_gradient
-
-    return _fd_gradient(obj.evaluator, flat).reshape(shape)
-
-
-def _eps_action_objective(times, V, W, eps, m, free_slice):
-    """Objective/gradient closures for integral of |u'|^2 + (V+W)(u/eps)."""
-    widths = np.diff(times)
-    lam = midpoint_offsets(m)
-    f_eval, f_grad = _combined_eval(V, W)
-
-    def value_fn(batch):
-        diffs = batch[:, 1:] - batch[:, :-1]
-        kinetic = np.sum(np.sum(diffs * diffs, axis=2) / widths[None, :], axis=1)
-        pts = (
-            batch[:, :-1, None, :] * (1 - lam)[None, None, :, None]
-            + batch[:, 1:, None, :] * lam[None, None, :, None]
-        )
-        vals = f_eval(pts / eps)
-        pot = np.sum(np.sum(vals, axis=2) * (widths / m)[None, :], axis=1)
-        return kinetic + pot
-
-    def grad_fn(batch):
-        diffs = batch[:, 1:] - batch[:, :-1]
-        slopes = diffs / widths[None, :, None]
-        kinetic = np.sum(np.sum(diffs * diffs, axis=2) / widths[None, :], axis=1)
-        pts = (
-            batch[:, :-1, None, :] * (1 - lam)[None, None, :, None]
-            + batch[:, 1:, None, :] * lam[None, None, :, None]
-        )
-        vals = f_eval(pts / eps)
-        pot = np.sum(np.sum(vals, axis=2) * (widths / m)[None, :], axis=1)
-        dpts = f_grad(pts / eps) / eps
-        w_left = ((1 - lam) / m)[None, None, :, None] * widths[None, :, None, None]
-        w_right = (lam / m)[None, None, :, None] * widths[None, :, None, None]
-        grad = np.zeros_like(batch)
-        grad[:, :-1] += np.sum(dpts * w_left, axis=2) - 2 * slopes
-        grad[:, 1:] += np.sum(dpts * w_right, axis=2) + 2 * slopes
-        grad[:, ~free_slice] = 0.0
-        return kinetic + pot, grad
-
-    return value_fn, grad_fn
+def _certify(value, check, what):
+    if abs(check - value) > 1e-10 * max(1.0, abs(check)):
+        raise InvariantError(f"optimizer objective {value!r} and {what} {check!r} disagree")
 
 
 def minimize_bvp(
@@ -230,33 +336,30 @@ def minimize_bvp(
 
     Returns (trajectory, value); the value is re-evaluated through the
     trajectory module and certified against the internal objective to 1e-10.
+    The trajectory's meta holds the winning start's solver record
+    {iterations, grad_norm, converged}.
     """
     if V is None:
         raise InputError("a periodic potential is required (use the zero potential)")
+    return _minimize_pinned(V, W, eps, t0, t1, a, b, n_nodes, opt, quad, warm_starts)
+
+
+def _minimize_pinned(V, W, eps, t0, t1, a, b, n_nodes, opt, quad, warm_starts):
     if W is not None and W.zero_atom != 0.0:
         raise InputError("perturbations with a zero atom are handled by the DP oracles")
     if n_nodes < 2:
         raise InputError("need at least two nodes")
-    if not t1 > t0:
-        raise InputError("need t1 > t0")
-    if not eps > 0:
-        raise InputError("eps must be positive")
+    _check_window(t0, t1, eps)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     times = np.linspace(t0, t1, n_nodes)
-    free = np.ones(n_nodes, dtype=bool)
-    free[0] = free[-1] = False
     scale = 0.25 * (float(np.linalg.norm(b - a)) + 1.0)
     starts = _start_stack(times, a, b, warm_starts, opt.restarts, opt.seed, scale)
-    value_fn, grad_fn = _eps_action_objective(times, V, W, eps, quad.samples_per_interval, free)
-    final, vals, _ = _descend(starts, value_fn, grad_fn, free, opt)
-    best = int(np.argmin(vals))
-    traj = Trajectory(times, final[best])
+    action = _Action.eps_action(V, W, eps, times, quad.samples_per_interval)
+    values, nodes, stats = _solve(action, starts[None], opt)
+    traj = Trajectory(times, nodes[0], meta=stats[0])
     check = action_G(traj, V, W, eps, quad)
-    if abs(check - vals[best]) > 1e-10 * max(1.0, abs(check)):
-        raise InvariantError(
-            f"optimizer objective {vals[best]!r} and trajectory action {check!r} disagree"
-        )
+    _certify(values[0], check, "trajectory action")
     return traj, check
 
 
@@ -275,25 +378,20 @@ def minimize_bvp_batch(
 ):
     """minimize_bvp for many start points a sharing (t0, t1, b).
 
-    All problems and their restarts descend inside one batch. Per-problem
+    All problems and their restarts form one stacked Newton system. Per-problem
     warm starts (same count for every problem) are resampled onto the shared
     time grid with endpoints re-pinned. Returns (values (B,), nodes
     (B, n_nodes, d), times).
     """
     if W is not None and W.zero_atom != 0.0:
         raise InputError("perturbations with a zero atom are handled by the DP oracles")
-    if not t1 > t0:
-        raise InputError("need t1 > t0")
-    if not eps > 0:
-        raise InputError("eps must be positive")
+    _check_window(t0, t1, eps)
     a_batch = np.asarray(a_batch, dtype=float)
     if a_batch.ndim == 1:
         a_batch = a_batch[:, None]
     b = np.atleast_1d(np.asarray(b, dtype=float))
     n_problems = a_batch.shape[0]
     times = np.linspace(t0, t1, n_nodes)
-    free = np.ones(n_nodes, dtype=bool)
-    free[0] = free[-1] = False
 
     if warm_starts_per_problem is None:
         warm_starts_per_problem = [()] * n_problems
@@ -307,76 +405,9 @@ def minimize_bvp_batch(
     for a, warm in zip(a_batch, warm_starts_per_problem):
         scale = 0.25 * (float(np.linalg.norm(b - a)) + 1.0)
         stacks.append(_start_stack(times, a, b, warm, opt.restarts, opt.seed, scale))
-    n_starts = stacks[0].shape[0]
-    batch = np.concatenate(stacks, axis=0)
-
-    value_fn, grad_fn = _eps_action_objective(times, V, W, eps, quad.samples_per_interval, free)
-    final, vals, _ = _descend(batch, value_fn, grad_fn, free, opt)
-    vals = vals.reshape(n_problems, n_starts)
-    final = final.reshape(n_problems, n_starts, n_nodes, -1)
-    pick = np.argmin(vals, axis=1)
-    best_nodes = final[np.arange(n_problems), pick]
-    best_vals = vals[np.arange(n_problems), pick]
-    return best_vals, best_nodes, times
-
-
-def _lagrangian_objective(times, L: GeneralLagrangian, m, free_slice):
-    widths = np.diff(times)
-    lam = midpoint_offsets(m)
-
-    def _samples(batch):
-        pts = (
-            batch[:, :-1, None, :] * (1 - lam)[None, None, :, None]
-            + batch[:, 1:, None, :] * lam[None, None, :, None]
-        )
-        slopes = (batch[:, 1:] - batch[:, :-1]) / widths[None, :, None]
-        return pts, np.broadcast_to(slopes[:, :, None, :], pts.shape)
-
-    def value_fn(batch):
-        pts, vel = _samples(batch)
-        vals = L.evaluator(pts, vel)
-        return np.sum(np.sum(vals, axis=2) * (widths / m)[None, :], axis=1)
-
-    def grad_fn(batch):
-        pts, vel = _samples(batch)
-        vals = L.evaluator(pts, vel)
-        value = np.sum(np.sum(vals, axis=2) * (widths / m)[None, :], axis=1)
-        gx = _lagrangian_grad_x(L, pts, vel)
-        gxi = _lagrangian_grad_xi(L, pts, vel)
-        w_left = ((1 - lam) / m)[None, None, :, None] * widths[None, :, None, None]
-        w_right = (lam / m)[None, None, :, None] * widths[None, :, None, None]
-        grad = np.zeros_like(batch)
-        grad[:, :-1] += np.sum(gx * w_left - gxi / m, axis=2)
-        grad[:, 1:] += np.sum(gx * w_right + gxi / m, axis=2)
-        grad[:, ~free_slice] = 0.0
-        return value, grad
-
-    return value_fn, grad_fn
-
-
-def _lagrangian_grad_x(L, pts, vel, h: float = 1e-6):
-    if L.grad_x is not None:
-        return L.grad_x(pts, vel)
-    grad = np.empty_like(pts)
-    for axis in range(pts.shape[-1]):
-        plus, minus = pts.copy(), pts.copy()
-        plus[..., axis] += h
-        minus[..., axis] -= h
-        grad[..., axis] = (L.evaluator(plus, vel) - L.evaluator(minus, vel)) / (2 * h)
-    return grad
-
-
-def _lagrangian_grad_xi(L, pts, vel, h: float = 1e-6):
-    if L.grad_xi is not None:
-        return L.grad_xi(pts, vel)
-    grad = np.empty_like(vel)
-    vel = np.ascontiguousarray(vel)
-    for axis in range(vel.shape[-1]):
-        plus, minus = vel.copy(), vel.copy()
-        plus[..., axis] += h
-        minus[..., axis] -= h
-        grad[..., axis] = (L.evaluator(pts, plus) - L.evaluator(pts, minus)) / (2 * h)
-    return grad
+    action = _Action.eps_action(V, W, eps, times, quad.samples_per_interval)
+    values, nodes, _ = _solve(action, np.stack(stacks), opt)
+    return values, nodes, times
 
 
 def minimize_lagrangian_bvp(
@@ -390,22 +421,14 @@ def minimize_lagrangian_bvp(
     quad: QuadratureSpec = QuadratureSpec(),
     warm_starts: Sequence[Trajectory] = (),
 ):
-    """Minimize integral of L(u, u') with pinned endpoints; general Lagrangians."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    times = np.linspace(t0, t1, n_nodes)
-    free = np.ones(n_nodes, dtype=bool)
-    free[0] = free[-1] = False
-    scale = 0.25 * (float(np.linalg.norm(b - a)) + 1.0)
-    starts = _start_stack(times, a, b, warm_starts, opt.restarts, opt.seed, scale)
-    value_fn, grad_fn = _lagrangian_objective(times, L, quad.samples_per_interval, free)
-    final, vals, _ = _descend(starts, value_fn, grad_fn, free, opt)
-    best = int(np.argmin(vals))
-    traj = Trajectory(times, final[best])
-    check = float(value_fn(final[best][None])[0])
-    if abs(check - vals[best]) > 1e-10 * max(1.0, abs(check)):
-        raise InvariantError("lagrangian objective re-evaluation mismatch")
-    return traj, check
+    """Minimize integral of L(u, u') with pinned endpoints.
+
+    Solves, and certifies, like minimize_bvp at eps = 1 on the V and W that
+    GeneralLagrangian.from_potential records.
+    """
+    if L.V is None:
+        raise InputError("minimize_lagrangian_bvp needs a Lagrangian built by from_potential")
+    return _minimize_pinned(L.V, L.W, 1.0, t0, t1, a, b, n_nodes, opt, quad, warm_starts)
 
 
 def minimize_halfline(
@@ -425,6 +448,7 @@ def minimize_halfline(
     a bounded integrand is below exp(-5)/lam of its sup) and extended by a
     constant, whose exact tail cost is part of the objective. Warm starts:
     the constant path and dash-then-park moves to nearby low-potential points.
+    The trajectory's meta holds the tail weight and the solver record.
     """
     if W is not None and W.zero_atom != 0.0:
         raise InputError("perturbations with a zero atom are handled by the DP oracles")
@@ -432,66 +456,23 @@ def minimize_halfline(
         raise InputError("lam must be positive")
     if T_max < 5.0 / lam:
         raise InputError("T_max must be at least 5/lam")
-    if not eps > 0:
-        raise InputError("eps must be positive")
+    _check_window(0.0, T_max, eps)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.shape[0]
     times = np.linspace(0.0, T_max, n_nodes)
-    free = np.ones(n_nodes, dtype=bool)
-    free[0] = False
     m = quad.samples_per_interval
-    f_eval, f_grad = _combined_eval(V, W)
 
     widths = np.diff(times)
-    offs = midpoint_offsets(m)
     sub_edges = times[:-1, None] + widths[:, None] * np.concatenate(
         ([0.0], np.arange(1, m) / m, [1.0])
     )[None, :]
     anti = np.exp(-lam * sub_edges) / lam
-    sub_w = anti[:, :-1] - anti[:, 1:]
-    kin_w = np.exp(-lam * times) / lam
-    kin_w = kin_w[:-1] - kin_w[1:]
     tail_w = float(np.exp(-lam * T_max) / lam)
-
-    def value_fn(batch):
-        diffs = batch[:, 1:] - batch[:, :-1]
-        slopes2 = np.sum(diffs * diffs, axis=2) / widths[None, :] ** 2
-        kinetic = np.sum(slopes2 * kin_w[None, :], axis=1)
-        pts = (
-            batch[:, :-1, None, :] * (1 - offs)[None, None, :, None]
-            + batch[:, 1:, None, :] * offs[None, None, :, None]
-        )
-        pot = np.sum(f_eval(pts / eps) * sub_w[None, :, :], axis=(1, 2))
-        tail = f_eval(batch[:, -1, :] / eps) * tail_w
-        return kinetic + pot + tail
-
-    def grad_fn(batch):
-        diffs = batch[:, 1:] - batch[:, :-1]
-        slopes = diffs / widths[None, :, None]
-        slopes2 = np.sum(diffs * diffs, axis=2) / widths[None, :] ** 2
-        kinetic = np.sum(slopes2 * kin_w[None, :], axis=1)
-        pts = (
-            batch[:, :-1, None, :] * (1 - offs)[None, None, :, None]
-            + batch[:, 1:, None, :] * offs[None, None, :, None]
-        )
-        vals = f_eval(pts / eps)
-        pot = np.sum(vals * sub_w[None, :, :], axis=(1, 2))
-        tail_vals = f_eval(batch[:, -1, :] / eps)
-        value = kinetic + pot + tail_vals * tail_w
-
-        dpts = f_grad(pts / eps) / eps
-        grad = np.zeros_like(batch)
-        grad[:, :-1] += np.sum(dpts * ((1 - offs)[None, None, :, None] * sub_w[None, :, :, None]), axis=2)
-        grad[:, 1:] += np.sum(dpts * (offs[None, None, :, None] * sub_w[None, :, :, None]), axis=2)
-        kin_g = 2 * slopes * (kin_w / widths)[None, :, None]
-        grad[:, :-1] -= kin_g
-        grad[:, 1:] += kin_g
-        grad[:, -1] += f_grad(batch[:, -1, :] / eps) / eps * tail_w
-        grad[:, ~free] = 0.0
-        return value, grad
+    kinetic = exp_interval_weights(times, lam) / widths**2
+    action = _Action(V, W, eps, kinetic, anti[:, :-1] - anti[:, 1:], tail_w, last_free=True)
 
     starts = [np.repeat(x0[None, :], n_nodes, axis=0)]
-    for target in _park_candidates(V, W, eps, x0):
+    for target in _park_candidates(action, x0):
         path = np.repeat(target[None, :], n_nodes, axis=0)
         dash = max(2, int(0.05 * n_nodes))
         frac = np.linspace(0.0, 1.0, dash)[:, None]
@@ -503,28 +484,23 @@ def minimize_halfline(
         bumped[1:-1] += _fourier_bump(rng, n_nodes - 2, d, 0.25)
         bumped[-1] += rng.normal(0.0, 0.25, size=d)
         starts.append(bumped)
-    batch = np.stack(starts, axis=0)
 
-    final, vals, _ = _descend(batch, value_fn, grad_fn, free, opt)
-    best = int(np.argmin(vals))
-    traj = Trajectory(times, final[best], meta={"tail_weight": tail_w})
+    values, nodes, stats = _solve(action, np.stack(starts)[None], opt)
+    traj = Trajectory(times, nodes[0], meta={"tail_weight": tail_w, **stats[0]})
     check = discounted_action(traj, V, W, eps, lam, quad)
-    if abs(check - vals[best]) > 1e-10 * max(1.0, abs(check)):
-        raise InvariantError(
-            f"optimizer objective {vals[best]!r} and discounted action {check!r} disagree"
-        )
+    _certify(values[0], check, "discounted action")
     return traj, check
 
 
-def _park_candidates(V, W, eps, x0, count: int = 3):
+def _park_candidates(action: _Action, x0, count: int = 3):
     """Nearby points with small (V+W)(y/eps): targets for dash-then-park starts."""
     d = x0.shape[0]
+    eps = action.eps
     offsets = np.arange(-2, 3)
     mesh = np.meshgrid(*([offsets] * d), indexing="ij")
     shifts = np.stack([g.ravel() for g in mesh], axis=-1)
     anchors = eps * np.round(x0 / eps)[None, :] + eps * shifts
-    f_eval, _ = _combined_eval(V, W)
-    costs = f_eval(anchors / eps)
+    costs = action._f(anchors / eps)
     order = np.argsort(costs, kind="stable")[:count]
     return [anchors[i] for i in order]
 

@@ -40,8 +40,25 @@ def as_points(x, dimension: int) -> np.ndarray:
     return arr
 
 
+class _Differentiable:
+    """Derivatives of `evaluator`: declared closed forms, else central differences."""
+
+    def grad(self, x):
+        pts = as_points(x, self.dimension)
+        if self.gradient is not None:
+            return self.gradient(pts)
+        return _fd_gradient(self.evaluator, pts)
+
+    def hess(self, x):
+        """Hessian matrices, shape (..., d, d), at points of shape (..., d)."""
+        pts = as_points(x, self.dimension)
+        if self.hessian is not None:
+            return self.hessian(pts)
+        return _fd_hessian(self.grad, pts)
+
+
 @dataclass(frozen=True)
-class PeriodicPotential:
+class PeriodicPotential(_Differentiable):
     """Potential V with period 1 in every coordinate, v_min <= V <= v_max."""
 
     dimension: int
@@ -51,6 +68,7 @@ class PeriodicPotential:
     continuity_modulus: Optional[Callable] = None
     gradient: Optional[Callable] = None
     name: str = ""
+    hessian: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -61,12 +79,6 @@ class PeriodicPotential:
     def __call__(self, x):
         pts = as_points(x, self.dimension)
         return self.evaluator(pts)
-
-    def grad(self, x):
-        pts = as_points(x, self.dimension)
-        if self.gradient is not None:
-            return self.gradient(pts)
-        return _fd_gradient(self.evaluator, pts)
 
     def modulus(self, delta: float) -> float:
         if self.continuity_modulus is None:
@@ -89,7 +101,7 @@ class PeriodicPotential:
 
 
 @dataclass(frozen=True)
-class Perturbation:
+class Perturbation(_Differentiable):
     """Perturbation W with a declared sign class and size metadata.
 
     sup_bound bounds |W|; support_radius is the radius of a ball around the
@@ -109,6 +121,7 @@ class Perturbation:
     gradient: Optional[Callable] = None
     zero_atom: float = 0.0
     name: str = ""
+    hessian: Optional[Callable] = None
 
     def __post_init__(self):
         if self.sign_class not in SIGN_CLASSES:
@@ -119,12 +132,6 @@ class Perturbation:
     def __call__(self, x):
         pts = as_points(x, self.dimension)
         return self.evaluator(pts)
-
-    def grad(self, x):
-        pts = as_points(x, self.dimension)
-        if self.gradient is not None:
-            return self.gradient(pts)
-        return _fd_gradient(self.evaluator, pts)
 
     def upper_bound(self) -> float:
         """Pointwise upper bound for W including the atom."""
@@ -143,7 +150,8 @@ class GeneralLagrangian:
 
     The declared growth bounds c1*|xi|^r <= L(x, xi) <= c2*(1 + |xi|^r)
     are what the asymptotic cell formula needs; they are the caller's promise
-    and are re-checked against every solved cell value.
+    and are re-checked against every solved cell value. Lagrangians built by
+    `from_potential` carry their V and W, which is what the minimizers use.
     """
 
     dimension: int
@@ -151,8 +159,8 @@ class GeneralLagrangian:
     growth_exponent: float
     c_lower: float
     c_upper: float
-    grad_x: Optional[Callable] = None
-    grad_xi: Optional[Callable] = None
+    V: Optional[PeriodicPotential] = None
+    W: Optional[Perturbation] = None
     name: str = ""
 
     def __post_init__(self):
@@ -178,15 +186,6 @@ class GeneralLagrangian:
                 out = out + W.evaluator(x)
             return out
 
-        def grad_x(x, xi):
-            g = V.grad(x)
-            if W is not None:
-                g = g + W.grad(x)
-            return np.broadcast_to(g, np.broadcast_shapes(g.shape, xi.shape)).copy()
-
-        def grad_xi(x, xi):
-            return np.broadcast_to(2.0 * xi, np.broadcast_shapes(x.shape, xi.shape)).copy()
-
         low = V.v_min + (W.lower_bound() if W is not None else 0.0)
         high = V.v_max + (W.upper_bound() if W is not None else 0.0)
         if low < 0:
@@ -197,7 +196,7 @@ class GeneralLagrangian:
         c1 = 1.0
         c2 = max(1.0, 1.0 + max(high, 0.0))
         name = f"quadratic[{V.name}" + (f"+{W.name}]" if W is not None else "]")
-        return cls(V.dimension, evaluator, 2.0, c1, c2, grad_x, grad_xi, name)
+        return cls(V.dimension, evaluator, 2.0, c1, c2, V, W, name)
 
 
 def _fd_gradient(evaluator, pts: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -210,6 +209,18 @@ def _fd_gradient(evaluator, pts: np.ndarray, h: float = 1e-6) -> np.ndarray:
         minus[..., axis] -= h
         grad[..., axis] = (evaluator(plus) - evaluator(minus)) / (2 * h)
     return grad
+
+
+def _fd_hessian(gradient, pts: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Symmetrized central difference of a gradient, for objects without a closed form."""
+    hess = np.empty(pts.shape + (pts.shape[-1],))
+    for axis in range(pts.shape[-1]):
+        plus = pts.copy()
+        minus = pts.copy()
+        plus[..., axis] += h
+        minus[..., axis] -= h
+        hess[..., :, axis] = (gradient(plus) - gradient(minus)) / (2 * h)
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
 def eval_lagrangian(V: PeriodicPotential, W: Optional[Perturbation], x, xi):
@@ -424,6 +435,10 @@ def build_parabola_perturbation() -> Perturbation:
 # ---------------------------------------------------------------------------
 
 
+def _zero_hessian(x):
+    return np.zeros(x.shape + (x.shape[-1],))
+
+
 def _build_zero_potential(dimension: int) -> PeriodicPotential:
     return PeriodicPotential(
         dimension,
@@ -433,6 +448,7 @@ def _build_zero_potential(dimension: int) -> PeriodicPotential:
         continuity_modulus=lambda delta: 0.0,
         gradient=lambda x: np.zeros_like(x),
         name="zero",
+        hessian=_zero_hessian,
     )
 
 
@@ -446,6 +462,7 @@ def _build_constant_potential(dimension: int, value: float = 1.0) -> PeriodicPot
         continuity_modulus=lambda delta: 0.0,
         gradient=lambda x: np.zeros_like(x),
         name="constant",
+        hessian=_zero_hessian,
     )
 
 
@@ -458,6 +475,9 @@ def _build_sin2_potential(dimension: int) -> PeriodicPotential:
     def gradient(x):
         return np.pi * np.sin(2 * np.pi * x)
 
+    def hessian(x):
+        return (2 * np.pi**2 * np.cos(2 * np.pi * x))[..., None] * np.eye(dimension)
+
     lip = np.pi * np.sqrt(dimension)
     return PeriodicPotential(
         dimension,
@@ -467,6 +487,7 @@ def _build_sin2_potential(dimension: int) -> PeriodicPotential:
         continuity_modulus=lambda delta, _l=lip: _l * delta,
         gradient=gradient,
         name="sin2",
+        hessian=hessian,
     )
 
 
@@ -481,6 +502,9 @@ def _build_cos_sum_potential(dimension: int) -> PeriodicPotential:
     def gradient(x):
         return -np.pi / d * np.sin(2 * np.pi * x)
 
+    def hessian(x):
+        return (-2 * np.pi**2 / d * np.cos(2 * np.pi * x))[..., None] * np.eye(d)
+
     lip = np.pi / np.sqrt(d)
     return PeriodicPotential(
         dimension,
@@ -490,6 +514,7 @@ def _build_cos_sum_potential(dimension: int) -> PeriodicPotential:
         continuity_modulus=lambda delta, _l=lip: _l * delta,
         gradient=gradient,
         name="cos_sum",
+        hessian=hessian,
     )
 
 
@@ -503,6 +528,7 @@ def _build_zero_perturbation(dimension: int) -> Perturbation:
         support_radius=0.0,
         gradient=lambda x: np.zeros_like(x),
         name="zero",
+        hessian=_zero_hessian,
     )
 
 
@@ -518,6 +544,7 @@ def _build_constant_perturbation(dimension: int, value: float = 0.5) -> Perturba
         support_radius=np.inf,
         gradient=lambda x: np.zeros_like(x),
         name="constant",
+        hessian=_zero_hessian,
     )
 
 
@@ -534,6 +561,11 @@ def _build_runge_perturbation(dimension: int, amplitude: float = 1.0) -> Perturb
         denom = (1.0 + np.sum(x * x, axis=-1)) ** 2
         return -2.0 * amplitude * x / denom[..., None]
 
+    def hessian(x):
+        base = 1.0 + np.sum(x * x, axis=-1)[..., None, None]
+        outer = x[..., :, None] * x[..., None, :]
+        return amplitude * (8.0 * outer / base**3 - 2.0 * np.eye(x.shape[-1]) / base**2)
+
     return Perturbation(
         dimension,
         evaluator,
@@ -543,6 +575,7 @@ def _build_runge_perturbation(dimension: int, amplitude: float = 1.0) -> Perturb
         support_radius=np.inf,
         gradient=gradient,
         name="runge_decay",
+        hessian=hessian,
     )
 
 

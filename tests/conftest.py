@@ -14,13 +14,13 @@ def quad():
 @pytest.fixture(scope="session")
 def fast_opt():
     """Cheap optimizer for structural tests where accuracy is not the point."""
-    return OptimizerSpec(max_iters=400, step_init=0.05, restarts=1, seed=0)
+    return OptimizerSpec(max_iters=400, restarts=1, seed=0)
 
 
 @pytest.fixture(scope="session")
 def std_opt():
     """Production optimizer used by the calibrated comparisons."""
-    return OptimizerSpec(max_iters=2000, step_init=0.05, restarts=3, seed=2)
+    return OptimizerSpec(max_iters=2000, restarts=3, seed=2)
 
 
 @pytest.fixture(scope="session")

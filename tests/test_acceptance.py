@@ -52,7 +52,7 @@ REGISTRY_POTENTIALS = ("zero", "constant", "sin2", "cos_sum")
 @pytest.fixture(scope="module")
 def registry_tables_1d():
     axis = np.linspace(-2.0, 2.0, 9)
-    opt = OptimizerSpec(max_iters=1500, step_init=0.05, restarts=2, seed=3)
+    opt = OptimizerSpec(max_iters=1500, restarts=2, seed=3)
     return {
         name: tabulate_f_hom(make_potential(name, 1), axis, method="1d", opt=opt)
         for name in REGISTRY_POTENTIALS
@@ -62,7 +62,7 @@ def registry_tables_1d():
 @pytest.fixture(scope="module")
 def free_table_1d():
     axis = np.linspace(-3.0, 3.0, 25)
-    opt = OptimizerSpec(max_iters=400, step_init=0.05, restarts=1, seed=0)
+    opt = OptimizerSpec(max_iters=400, restarts=1, seed=0)
     return tabulate_f_hom(make_potential("zero", 1), axis, method="1d", opt=opt)
 
 
@@ -114,8 +114,8 @@ def test_criterion_01_cell_problem_sanity(registry_tables_1d):
 
 def test_criterion_02_oracle_equivalence_vs_dp():
     V = make_potential("sin2", 1)
-    opt = OptimizerSpec(max_iters=1200, step_init=0.05, restarts=2, seed=2)
-    cell_opt = OptimizerSpec(max_iters=2000, step_init=0.05, restarts=3, seed=2)
+    opt = OptimizerSpec(max_iters=1200, restarts=2, seed=2)
+    cell_opt = OptimizerSpec(max_iters=2000, restarts=3, seed=2)
     slopes_fine = np.linspace(-4.0, 4.0, 257)
     slopes_coarse = np.linspace(-4.0, 4.0, 129)
     worst_bvp = worst_cell = 0.0
@@ -210,9 +210,10 @@ def test_criterion_04_stability_ladder_sin2_runge():
     assert final_rel < 0.05
     for r in rows:
         assert r["min_G"] >= r["min_F"]
+        assert r["converged"], f"rung eps={r['eps']} did not converge"
     print(
         f"ACCEPTANCE 04 PASS — gaps {['%.4f' % g for g in gaps]}, "
-        f"final relative gap {final_rel:.2%} < 5%, min_G >= min_F at every rung"
+        f"final relative gap {final_rel:.2%} < 5%, min_G >= min_F and converged at every rung"
     )
 
 
@@ -330,7 +331,7 @@ def test_criterion_08_polar_bound():
 def test_criterion_09_almost_corrector_plan_invariants():
     V = make_potential("sin2", 2)
     xi = np.array([1.0, math.sqrt(2.0)])
-    opt = OptimizerSpec(max_iters=1200, step_init=0.05, restarts=2, seed=5)
+    opt = OptimizerSpec(max_iters=1200, restarts=2, seed=5)
     plan = build_almost_corrector(V, xi, 0.2, 3800.0, opt, QUAD)
     plan.validate()
     assert plan.shifts.size >= 20
@@ -370,7 +371,7 @@ def test_criterion_10_evolutionary_hj(free_table_1d):
     assert plane_err <= 1e-9
 
     V0 = make_potential("zero", 1)
-    opt = OptimizerSpec(max_iters=800, step_init=0.05, restarts=2, seed=4)
+    opt = OptimizerSpec(max_iters=800, restarts=2, seed=4)
     U_eps = solve_evolutionary_eps(V0, None, 0.1, Phi, (x,), t, (y,), opt=opt, quad=QUAD)
     sup_free, _ = field_distance(U_eps, U)
     assert sup_free <= 1e-3
@@ -429,7 +430,7 @@ def test_criterion_12_s_eps_lipschitz_in_time():
     W = make_perturbation("runge_decay", 1, amplitude=1.0)
     sample = np.linspace(-30.0, 30.0, 60001).reshape(-1, 1)
     M = float(np.max(V(sample) + W(sample)))
-    opt = OptimizerSpec(max_iters=800, step_init=0.05, restarts=2, seed=4)
+    opt = OptimizerSpec(max_iters=800, restarts=2, seed=4)
     eps = 0.1
     times = (0.25, 0.5, 1.0, 1.5)
     worst_margin = -np.inf

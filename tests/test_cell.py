@@ -47,7 +47,7 @@ def conserved_energy_value(v_fn, xi):
 
 @pytest.fixture(scope="module")
 def cell_opt():
-    return OptimizerSpec(max_iters=2000, step_init=0.05, restarts=3, seed=2)
+    return OptimizerSpec(max_iters=2000, restarts=3, seed=2)
 
 
 def test_corrector_matches_conservation_oracle(cell_opt, quad, sin2_1d):
@@ -146,3 +146,12 @@ def test_asymptotic_free_particle_exact(cell_opt, quad):
     V = make_potential("zero", 2)
     value, _ = f_hom_asymptotic(V, np.array([1.0, 1.0]), opt=cell_opt, quad=quad)
     assert value == pytest.approx(2.0, abs=1e-6)
+
+
+def test_sin2_table_converged_and_matches_conservation_oracle(quad, sin2_1d):
+    v = lambda w: np.sin(np.pi * w) ** 2
+    xi = np.linspace(-2.0, 2.0, 17)
+    table = tabulate_f_hom(sin2_1d, xi, quad=quad)
+    assert table.meta["converged"]
+    oracle = [conserved_energy_value(v, s) if s != 0.0 else 0.0 for s in xi]
+    np.testing.assert_allclose(table.values, oracle, rtol=0.0, atol=1e-4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from homoglab import (
+    HomogenizedLagrangian,
     InvariantError,
     OptimizerSpec,
     QuadratureSpec,
@@ -21,7 +22,7 @@ from homoglab import (
     tabulate_f_hom,
 )
 
-OPT = OptimizerSpec(max_iters=800, step_init=0.05, restarts=2, seed=4)
+OPT = OptimizerSpec(max_iters=800, restarts=2, seed=4)
 QUAD = QuadratureSpec()
 
 
@@ -104,6 +105,14 @@ def test_steady_hom_is_flat_minimum_over_discount(free_table):
     U = solve_steady_hom(free_table, lam, np.linspace(-1, 1, 7), opt=OPT)
     np.testing.assert_allclose(U.values, 0.0, atol=1e-12)
     assert U.t_grid is None
+    assert U.provenance["table_min"] == free_table.f0
+
+
+def test_steady_hom_rejects_table_below_f0():
+    axis = np.linspace(-1.0, 1.0, 3)
+    dipped = HomogenizedLagrangian((axis,), np.array([1.0, 0.5, -0.25]), 0.5)
+    with pytest.raises(InvariantError):
+        solve_steady_hom(dipped, 1.0, np.linspace(-1, 1, 3))
 
 
 def test_steady_eps_comparison_bounds_hold():

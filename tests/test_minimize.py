@@ -19,6 +19,7 @@ from homoglab import (
     minimize_halfline,
     minimize_lagrangian_bvp,
 )
+from homoglab.minimize import _newton_steps
 from homoglab.potentials import GeneralLagrangian
 
 
@@ -140,3 +141,49 @@ def test_general_lagrangian_bvp_matches_quadratic(std_opt, quad):
     u, val = minimize_lagrangian_bvp(L, 0.0, 1.0, np.zeros(2), np.array([1.0, 1.0]), 33, std_opt, quad)
     assert val == pytest.approx(2.0, abs=1e-6)
     np.testing.assert_allclose(u.nodes[-1], [1.0, 1.0], atol=1e-12)
+
+
+def _dense(diag, off):
+    n, d = diag.shape[:2]
+    H = np.zeros((n * d, n * d))
+    for i in range(n):
+        H[i * d : (i + 1) * d, i * d : (i + 1) * d] = diag[i]
+    for i in range(n - 1):
+        H[i * d : (i + 1) * d, (i + 1) * d : (i + 2) * d] = off[i]
+        H[(i + 1) * d : (i + 2) * d, i * d : (i + 1) * d] = off[i].T
+    return H
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_newton_steps_solve_each_shifted_system(d):
+    """Each start's step solves (H + tau I) p = -g with H + tau I positive
+    definite, tau = 0 when H already is, whatever its neighbours in the stack."""
+    rng = np.random.default_rng(d)
+    B, n = 4, 6
+    off = rng.uniform(-1.0, 1.0, size=(B, n - 1, d, d))
+    diag = rng.uniform(-0.5, 0.5, size=(B, n, d, d))
+    diag = diag + np.swapaxes(diag, -1, -2)
+    diag[[0, 2]] += 4.0 * d * np.eye(d)  # starts 0 and 2 diagonally dominant
+    diag[[1, 3]] -= 4.0 * np.eye(d)  # starts 1 and 3 indefinite
+    grad = rng.normal(size=(B, n, d))
+    steps, dec = _newton_steps(diag, off, grad)
+    for b in range(B):
+        H = _dense(diag[b], off[b])
+        p, g = steps[b].reshape(-1), grad[b].reshape(-1)
+        tau = -float((H @ p + g) @ p) / float(p @ p)
+        np.testing.assert_allclose(H @ p + tau * p, -g, atol=1e-9)
+        low = np.min(np.linalg.eigvalsh(H))
+        assert low + tau > 0
+        if b in (0, 2):
+            assert low > 0 and tau == pytest.approx(0.0, abs=1e-9)
+        else:
+            assert low < 0
+        assert dec[b] == pytest.approx(-float(g @ p))
+        assert dec[b] > 0
+
+
+def test_newton_records_convergence_of_the_winning_start(std_opt, quad, sin2_1d, runge_1d):
+    u, _ = minimize_bvp(sin2_1d, runge_1d, 0.05, 0.0, 1.0, 0.0, 1.0, 249, std_opt, quad)
+    assert u.meta["converged"]
+    assert u.meta["grad_norm"] <= 1e-8
+    assert 1 <= u.meta["iterations"] < 100

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homoglab import (
     ConfigError,
@@ -16,7 +18,16 @@ from homoglab import (
     make_potential,
     parabola_free_region,
 )
-from homoglab.potentials import PERTURBATION_BUILDERS, POTENTIAL_BUILDERS
+from homoglab.potentials import PERTURBATION_BUILDERS, POTENTIAL_BUILDERS, _fd_hessian
+
+SMOOTH_REGISTRY = [("potential", n) for n in ("zero", "constant", "sin2", "cos_sum")] + [
+    ("perturbation", n) for n in ("zero", "constant", "runge_decay")
+]
+
+
+def _registry_object(kind, name, dimension):
+    make = make_potential if kind == "potential" else make_perturbation
+    return make(name, dimension)
 
 
 def test_registry_contains_expected_names():
@@ -161,3 +172,18 @@ def test_integrability_exponent_is_replaceable():
     W3 = dataclasses.replace(W, integrability_exponent=3.0)
     assert W3.integrability_exponent == 3.0
     assert float(W3.evaluator(np.zeros((1, 2)))[0]) == 1.0
+
+
+@pytest.mark.parametrize("kind,name", SMOOTH_REGISTRY)
+@settings(max_examples=40, deadline=None)
+@given(
+    dimension=st.integers(1, 3),
+    coords=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+)
+def test_registry_hessian_matches_difference_of_gradient(kind, name, dimension, coords):
+    obj = _registry_object(kind, name, dimension)
+    assert obj.hessian is not None
+    pts = np.asarray(coords).reshape(2, 3)[:, :dimension]
+    hess = obj.hess(pts)
+    assert hess.shape == (2, dimension, dimension)
+    np.testing.assert_allclose(hess, _fd_hessian(obj.grad, pts), atol=1e-6)

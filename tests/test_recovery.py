@@ -22,7 +22,7 @@ from homoglab import (
 @pytest.fixture(scope="module")
 def plan2d():
     V = make_potential("sin2", 2)
-    opt = OptimizerSpec(max_iters=1200, step_init=0.05, restarts=2, seed=5)
+    opt = OptimizerSpec(max_iters=1200, restarts=2, seed=5)
     return build_almost_corrector(
         V, np.array([1.0, np.sqrt(2.0)]), delta=0.2, horizon=400.0,
         opt=opt, quad=QuadratureSpec(),
@@ -60,7 +60,7 @@ def test_recovery_action_bounded_by_perturbed_plan(plan2d, quad):
 
 
 def test_scaled_corrector_start_shape_and_endpoints(quad, sin2_1d):
-    opt = OptimizerSpec(max_iters=1500, step_init=0.05, restarts=2, seed=3)
+    opt = OptimizerSpec(max_iters=1500, restarts=2, seed=3)
     prof = solve_corrector_1d(sin2_1d, 1.0, opt=opt, quad=quad)
     start = scaled_corrector_start(prof, 0.1, 0.0, 1.0, 0.0, 1.0, 65)
     assert isinstance(start, Trajectory)
@@ -72,7 +72,7 @@ def test_scaled_corrector_start_shape_and_endpoints(quad, sin2_1d):
 
 def test_scaled_corrector_start_is_good_warm_start(quad, sin2_1d):
     """The rescaled cell profile lands near the homogenized action level."""
-    opt = OptimizerSpec(max_iters=1500, step_init=0.05, restarts=2, seed=3)
+    opt = OptimizerSpec(max_iters=1500, restarts=2, seed=3)
     prof = solve_corrector_1d(sin2_1d, 1.0, opt=opt, quad=quad)
     eps = 0.05
     start = scaled_corrector_start(prof, eps, 0.0, 1.0, 0.0, 1.0, 129)
