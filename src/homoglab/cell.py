@@ -28,7 +28,7 @@ from .errors import (
     SolverError,
 )
 from .minimize import OptimizerSpec, minimize_bvp, minimize_lagrangian_bvp
-from .potentials import GeneralLagrangian, PeriodicPotential, Perturbation, _transverse_basis, as_points
+from .potentials import GeneralLagrangian, PeriodicPotential, Perturbation, _householder_frame, as_points
 from .quadrature import QuadratureSpec
 from .trajectory import Trajectory, action_F, build_connector
 
@@ -768,7 +768,7 @@ def _tube_shift_candidates(direction: np.ndarray, eta_tube: float):
     d = direction.shape[0]
     if d == 1:
         return np.zeros((1, 1))
-    basis = _transverse_basis(direction / np.linalg.norm(direction))
+    basis = _householder_frame(direction / np.linalg.norm(direction))[:, 1:]
     coeffs_1d = np.linspace(-eta_tube, eta_tube, 9)
     mesh = np.meshgrid(*([coeffs_1d] * (d - 1)), indexing="ij")
     coeffs = np.stack([g.ravel() for g in mesh], axis=-1)
@@ -912,6 +912,14 @@ def scaled_corrector_start(
     times = np.linspace(float(t0), float(t1), int(n_nodes))
     lam = (times - times[0]) / (times[-1] - times[0])
     nodes = a[None, :] * (1 - lam)[:, None] + b[None, :] * lam[:, None]
+    nodes = nodes + scaled_oscillation(profile, eps, times)
+    nodes[0] = a
+    nodes[-1] = b
+    return Trajectory(times, nodes, meta={"eps": eps, "kind": "scaled_corrector"})
+
+
+def scaled_oscillation(profile: CorrectorProfile, eps: float, times) -> np.ndarray:
+    """eps * v(((t - t0)/eps) mod T) at the times: the corrector decoration (n, d)."""
     local = np.mod((times - times[0]) / eps, profile.T)
     osc = np.stack(
         [
@@ -920,7 +928,4 @@ def scaled_corrector_start(
         ],
         axis=-1,
     )
-    nodes = nodes + eps * osc
-    nodes[0] = a
-    nodes[-1] = b
-    return Trajectory(times, nodes, meta={"eps": eps, "kind": "scaled_corrector"})
+    return eps * osc

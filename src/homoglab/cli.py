@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="output directory (default: config output_dir, else '.')",
         )
         cmd.add_argument(
-            "--threads", type=int, default=1, help="parallel row workers (default 1)"
+            "--threads", type=int, default=1, help="ignored, rows run serially (must be >= 1)"
         )
         cmd.add_argument(
             "--seed", type=int, default=None, help="override the config seed"

@@ -1,18 +1,17 @@
 """Batch experiment harness: sweeps, controls, convergence reports, emission.
 
 Each runner takes an ExperimentConfig (one JSON document), executes its rows
-(optionally in parallel, order preserved), and returns a Report that writes
-report.json, rows.csv, and any value-field CSVs. Outputs are bit-identical
-across runs with the same config and seed: seeding is explicit, floats are
-emitted via repr, JSON keys are sorted, and nothing records wall-clock time.
+in order, and returns a Report that writes report.json, rows.csv, and any
+value-field CSVs. Outputs are bit-identical across runs with the same config
+and seed: seeding is explicit, floats are emitted via repr, JSON keys are
+sorted, and nothing records wall-clock time. Runners ignore their `threads`
+argument: a thread pool over rows measured slower than the serial loop.
 """
 
-import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -26,10 +25,10 @@ from .cell import (
     solve_corrector_1d,
     tabulate_f_hom,
 )
+from . import __version__ as PACKAGE_VERSION
 from .errors import ConfigError, HomoglabError, InputError, InvariantError
 from .fenchel import biconjugate_check, legendre_transform
 from .hj import (
-    ValueField,
     field_distance,
     solve_evolutionary_eps,
     solve_evolutionary_hom,
@@ -60,8 +59,6 @@ __all__ = [
     "run_fhom_table",
     "run_fenchel_tables",
 ]
-
-PACKAGE_VERSION = "0.1.0"
 
 _GAP_SLACK = 0.10
 
@@ -448,9 +445,6 @@ class Report:
     fields: tuple = ()
     extra_files: tuple = ()
 
-    def __post_init__(self):
-        pass
-
     def to_json(self) -> str:
         payload = {
             "experiment": self.experiment,
@@ -490,6 +484,7 @@ class Report:
         return [str(p) for p in written]
 
 
+@dataclass(frozen=True)
 class StabilityReport(Report):
     """Report whose rows must honor min_G >= min_F for nonnegative W."""
 
@@ -503,13 +498,6 @@ class StabilityReport(Report):
                     f"min_G < min_F at eps={row['eps']}: "
                     f"{row['min_G']} < {row['min_F']} with nonnegative W"
                 )
-
-
-def _map_rows(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _slack_decreasing(values, slack: float = _GAP_SLACK, floor: float = 1e-9) -> bool:
@@ -619,7 +607,7 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
         except HomoglabError as exc:
             return {"eps": float(eps), "error": f"{type(exc).__name__}: {exc}"}
 
-    rows = _map_rows(one_rung, ladder, threads)
+    rows = [one_rung(eps) for eps in ladder]
     valid = [r for r in rows if "error" not in r]
     gaps = [r["gap_G"] for r in valid]
     scale = max(abs(float(target)), 1e-12)
@@ -692,7 +680,7 @@ def run_negative_perturbation(cfg: ExperimentConfig, threads: int = 1) -> Report
         except HomoglabError as exc:
             return {"eps": float(eps), "error": f"{type(exc).__name__}: {exc}"}
 
-    rows = _map_rows(one_rung, cfg.eps_ladder, threads)
+    rows = [one_rung(eps) for eps in cfg.eps_ladder]
     valid = [r for r in rows if "error" not in r]
     values = [r["min_G"] for r in valid]
     pure_atom = W.support_radius == 0.0 and W.zero_atom < 0.0
@@ -775,7 +763,7 @@ def run_hj_convergence(cfg: ExperimentConfig, threads: int = 1) -> Report:
                 corrector=corrector,
             )
 
-    eps_fields = _map_rows(one_rung, cfg.eps_ladder, threads)
+    eps_fields = [one_rung(eps) for eps in cfg.eps_ladder]
     rows = []
     for eps, field_eps in zip(cfg.eps_ladder, eps_fields):
         sup_d, mean_d = field_distance(field_eps, u_hom)
@@ -855,7 +843,7 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
             curve = [cylinder_average(W, direction, tube_r, R, quad) for R in radii]
         return label, [float(v) for v in curve]
 
-    curves = _map_rows(one_direction, list(zip(labels, directions)), threads)
+    curves = [one_direction(item) for item in zip(labels, directions)]
 
     centers = np.stack(
         np.meshgrid(*[np.arange(-2.0, 2.5, 1.0)] * cfg.dimension, indexing="ij"),

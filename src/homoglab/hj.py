@@ -18,9 +18,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cell import CorrectorProfile, HomogenizedLagrangian, scaled_corrector_start
+from .cell import CorrectorProfile, HomogenizedLagrangian, scaled_oscillation
 from .errors import InputError, InvariantError, SolverError
-from .minimize import OptimizerSpec, minimize_bvp, minimize_bvp_batch, minimize_halfline
+from .minimize import OptimizerSpec, _Action, minimize_bvp, minimize_bvp_batch, minimize_halfline
 from .potentials import PeriodicPotential, Perturbation
 from .quadrature import QuadratureSpec
 
@@ -141,6 +141,16 @@ def _mesh_of(axes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _evolutionary_grids(x_grid, t_grid, y_grid, Phi, source):
+    """Checked (x axes, t grid, x mesh, y mesh, Phi on the y mesh) in source's dimension."""
+    x_axes = _normalize_axes(x_grid, source.dimension, "x_grid")
+    y_mesh = _mesh_of(_normalize_axes(y_grid, source.dimension, "y_grid"))
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
+        raise InputError("t_grid must be positive and increasing")
+    return x_axes, t_grid, _mesh_of(x_axes), y_mesh, np.asarray([float(Phi(y)) for y in y_mesh])
+
+
 def solve_evolutionary_hom(
     f: HomogenizedLagrangian,
     Phi: Callable,
@@ -154,14 +164,7 @@ def solve_evolutionary_hom(
     skipped; the skipped fraction is reported in provenance, and an empty
     admissible set at any (x, t) is an error naming the point.
     """
-    x_axes = _normalize_axes(x_grid, f.dimension, "x_grid")
-    y_axes = _normalize_axes(y_grid, f.dimension, "y_grid")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
-        raise InputError("t_grid must be positive and increasing")
-    x_mesh = _mesh_of(x_axes)
-    y_mesh = _mesh_of(y_axes)
-    phi_vals = np.asarray([float(Phi(y)) for y in y_mesh])
+    x_axes, t_grid, x_mesh, y_mesh, phi_vals = _evolutionary_grids(x_grid, t_grid, y_grid, Phi, f)
     hull = f.hull()
     lo = np.array([h[0] for h in hull])
     hi = np.array([h[1] for h in hull])
@@ -198,36 +201,37 @@ def solve_evolutionary_hom(
     )
 
 
-def _knot_path(times: np.ndarray, knot_t, knot_x) -> np.ndarray:
-    """Piecewise-linear nodes through (knot_t, knot_x) sampled at times."""
-    knot_t = np.asarray(knot_t, dtype=float)
-    knot_x = np.asarray(knot_x, dtype=float)
-    return np.stack(
-        [np.interp(times, knot_t, knot_x[:, k]) for k in range(knot_x.shape[1])],
-        axis=1,
-    )
+def _dash_paths(times, ys, x, start, stop) -> np.ndarray:
+    """Paths (K, n, d) resting at ys (K, d) until start, then moving uniformly to x
+    by stop and resting there; each row is np.interp through its knots, rounding included."""
+    t, y = times[None, :, None], ys[:, None, :]
+    s, e = np.reshape(start, (-1, 1, 1)), np.reshape(stop, (-1, 1, 1))
+    return np.where(t <= s, y, np.where(t >= e, x, (x - y) / (e - s) * (t - s) + y))
 
 
-def _structured_starts(times, y, x, eps, m_bound):
-    """Park-dash and dash-park competitors for the endpoint pair (y, x).
+def _candidate_paths(times, ys, x, dist, eps, m_bound, oscillation):
+    """Paths (K, n, d) from ys (K, d) to x: affine, park-dash, dash-park and, given
+    the eps-scaled corrector oscillation (n, d), the decorated affine path.
 
     The optimal oscillatory path often parks at a low-potential spot and
     crosses the expensive region in one short dash whose duration balances
-    kinetic cost |x-y|^2/tau against the crossing cost M*tau.
+    kinetic cost |x-y|^2/tau against the crossing cost M*tau; dist holds |x-y|.
     """
-    from .trajectory import Trajectory
-
     t0, t1 = float(times[0]), float(times[-1])
     span = t1 - t0
-    d = float(np.linalg.norm(x - y))
-    tau = min(0.5 * span, max(d / math.sqrt(max(m_bound, 1.0)), 4.0 * eps, 0.05 * span))
-    park_dash = _knot_path(times, [t0, t1 - tau, t1], np.stack([y, y, x]))
-    dash_park = _knot_path(times, [t0, t0 + tau, t1], np.stack([y, x, x]))
-    return (Trajectory(times, park_dash), Trajectory(times, dash_park))
+    dash = np.maximum(dist / math.sqrt(max(m_bound, 1.0)), 4.0 * eps)
+    tau = np.minimum(0.5 * span, np.maximum(dash, 0.05 * span))
+    lam = ((times - t0) / (t1 - t0))[None, :, None]
+    affine = ys[:, None, :] * (1 - lam) + x * lam
+    kinds = [affine, _dash_paths(times, ys, x, t1 - tau, t1), _dash_paths(times, ys, x, t0, t0 + tau)]
+    if oscillation is not None:
+        kinds.append(affine + oscillation)
+        kinds[-1][:, 0], kinds[-1][:, -1] = ys, x
+    return kinds
 
 
 def _admissible_y(x, y_mesh, t, m_bound, phi_range):
-    """Candidate mask from the a priori bound |x-y|^2 <= t*range(Phi) + t^2*M.
+    """Candidate mask from the a priori bound |x-y|^2 <= t*range(Phi) + t^2*M, and |x-y|.
 
     Any y beating the stay-at-x competitor must satisfy it because the kinetic
     term alone costs |x-y|^2/t; a 1.5 safety factor absorbs discretization.
@@ -237,7 +241,7 @@ def _admissible_y(x, y_mesh, t, m_bound, phi_range):
     ok = dist <= radius
     if not np.any(ok):
         ok[int(np.argmin(dist))] = True
-    return ok
+    return ok, dist
 
 
 def solve_evolutionary_eps(
@@ -256,26 +260,17 @@ def solve_evolutionary_eps(
 ) -> ValueField:
     """Oscillatory value function U_eps(x, t) = min over y of S_eps(y,x,t) + Phi(y).
 
-    Candidate y obey the a priori bound of _admissible_y. Each candidate is
-    scored by the action of its warm start (affine, plus the eps-scaled
-    corrector decoration when a profile is supplied) plus Phi(y); only the
-    prescreen_keep best scores go through full descent, in one vectorized
-    batch per (x, t). A kept candidate's start is already an admissible
-    competitor, so the prescreen never invalidates the certified upper bound;
-    it only determines where descent effort is spent.
+    Candidate y obey the a priori bound of _admissible_y. Each is scored by
+    the lowest action of its _candidate_paths plus Phi(y); only the
+    prescreen_keep best go through descent, whose starts include those paths.
+    Each time slice is one stacked minimize_bvp_batch solve: grid point x is
+    one problem, its kept y the candidate start points, Phi(y) their cost.
+    The prescreen only decides where descent effort is spent: every kept
+    start is an admissible competitor, so the certified upper bound stands.
     """
-    from .trajectory import Trajectory, action_G
-
     if prescreen_keep < 1:
         raise InputError("prescreen_keep must be >= 1")
-    x_axes = _normalize_axes(x_grid, V.dimension, "x_grid")
-    y_axes = _normalize_axes(y_grid, V.dimension, "y_grid")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
-        raise InputError("t_grid must be positive and increasing")
-    x_mesh = _mesh_of(x_axes)
-    y_mesh = _mesh_of(y_axes)
-    phi_vals = np.asarray([float(Phi(y)) for y in y_mesh])
+    x_axes, t_grid, x_mesh, y_mesh, phi_vals = _evolutionary_grids(x_grid, t_grid, y_grid, Phi, V)
 
     m_bound = V.v_max + (max(W.upper_bound(), 0.0) if W is not None else 0.0)
     phi_range = float(np.max(phi_vals) - np.min(phi_vals))
@@ -283,30 +278,31 @@ def solve_evolutionary_eps(
     values = np.empty((x_mesh.shape[0], t_grid.size))
     for j, t in enumerate(t_grid):
         nodes_count = n_nodes if n_nodes is not None else max(33, int(8 * t / eps) + 9)
-        for i, x in enumerate(x_mesh):
-            ok = _admissible_y(x, y_mesh, t, m_bound, phi_range)
-            ys = y_mesh[ok]
-            phis = phi_vals[ok]
-            times = np.linspace(0.0, t, nodes_count)
-            starts = []
-            scores = np.empty(ys.shape[0])
-            for k, y in enumerate(ys):
-                cand = [Trajectory.affine(y, x, 0.0, t, nodes_count - 1)]
-                cand.extend(_structured_starts(times, y, x, eps, m_bound))
-                if corrector is not None:
-                    cand.append(
-                        scaled_corrector_start(corrector, eps, 0.0, t, y, x, nodes_count)
-                    )
-                starts.append(tuple(cand))
-                scores[k] = (
-                    min(action_G(u, V, W, eps, quad) for u in cand) + phis[k]
-                )
-            keep = np.argsort(scores, kind="stable")[: min(prescreen_keep, ys.shape[0])]
-            warm = [starts[k] for k in keep]
-            vals, _, _ = minimize_bvp_batch(
-                V, W, eps, 0.0, t, ys[keep], x, nodes_count, opt, quad, warm
-            )
-            values[i, j] = float(np.min(vals + phis[keep]))
+        times = np.linspace(0.0, t, nodes_count)
+        action = _Action.eps_action(V, W, eps, times, quad.samples_per_interval)
+        osc = None if corrector is None else scaled_oscillation(corrector, eps, times)
+        starts, costs, warm = [], [], []
+        for x in x_mesh:
+            ok, dist = _admissible_y(x, y_mesh, t, m_bound, phi_range)
+            ys, phis = y_mesh[ok], phi_vals[ok]
+            kinds = _candidate_paths(times, ys, x, dist[ok], eps, m_bound, osc)
+            scores = np.min([action.value(u) for u in kinds], axis=0) + phis
+            keep = np.argsort(scores, kind="stable")[:prescreen_keep]
+            starts.append(ys[keep])
+            costs.append(phis[keep])
+            # The affine path is already the solver's first start.
+            warm.append(np.stack([u[keep] for u in kinds[1:]], axis=1))
+        # An x with fewer kept y repeats them: identical starts change no minimum.
+        width = max(c.size for c in costs)
+        a_batch, a_cost, warm = (
+            np.stack([np.resize(u, (width,) + u.shape[1:]) for u in group])
+            for group in (starts, costs, warm)
+        )
+        vals, nodes, _ = minimize_bvp_batch(
+            V, W, eps, 0.0, t, a_batch, x_mesh, nodes_count, opt, quad, warm, a_cost
+        )
+        winner = np.argmax(np.all(a_batch == nodes[:, None, 0], axis=2), axis=1)
+        values[:, j] = vals + a_cost[np.arange(x_mesh.shape[0]), winner]
 
     shape = tuple(ax.size for ax in x_axes) + (t_grid.size,)
     return ValueField(

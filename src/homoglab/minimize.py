@@ -48,10 +48,10 @@ class OptimizerSpec:
     once its gradient norm is at most grad_tol or its Newton decrement has
     reached roundoff. It also stops, unconverged, when no step along the
     Newton direction decreases the action, or when a converged start of its
-    problem is lower by more than ten times its Newton decrement. armijo_c is
-    the sufficient-decrease constant of the backtracking line search, which
-    always tries the full step first. The affine start and any warm starts
-    are joined by `restarts` random starts drawn from `seed`.
+    problem is lower (action plus start-point cost) by more than ten times its
+    Newton decrement. armijo_c is the sufficient-decrease constant of the
+    backtracking line search, which always tries the full step first. The
+    affine start and warm starts are joined by `restarts` seeded random ones.
     """
 
     max_iters: int = 400
@@ -173,7 +173,7 @@ def _newton_steps(diag, off, grad):
     banded Cholesky (LAPACK dpbtrf, as in scipy.linalg.cholesky_banded).
     tau_b is 0 for a positive definite H_b, else raised as in Nocedal & Wright's
     Algorithm 3.3, the factorization resuming at start b (its predecessors
-    are already factored).
+    are already factored, in place).
     """
     from scipy.linalg import lapack
 
@@ -193,21 +193,21 @@ def _newton_steps(diag, off, grad):
     tau = np.where(low > 0, 0.0, floor - low)
     bands[u] += np.repeat(tau, size)
 
-    factor = np.empty_like(bands)
+    # Factored in place; a failed start's (uncoupled) columns come back from bands.
+    factor = np.asfortranarray(bands)
     start = 0
     while True:
-        chunk, info = lapack.dpbtrf(bands[:, start:])
+        _, info = lapack.dpbtrf(factor[:, start:], overwrite_ab=1)
         if info == 0:
-            factor[:, start:] = chunk
             break
         if info < 0:
             raise SolverError(f"banded Cholesky rejected argument {-info}")
         b = (start + info - 1) // size
         head = b * size
-        factor[:, start:head] = chunk[:, : head - start]
         bump = max(2 * tau[b], floor[b]) - tau[b]
         tau[b] += bump
         bands[u, head : head + size] += bump
+        factor[:, head : head + size] = bands[:, head : head + size]
         start = head
     steps, info = lapack.dpbtrs(factor, -grad.reshape(-1))
     if info != 0:
@@ -216,14 +216,17 @@ def _newton_steps(diag, off, grad):
     return steps, -np.sum(steps * grad, axis=(1, 2))
 
 
-def _solve(action: _Action, starts, opt: OptimizerSpec):
+def _solve(action: _Action, starts, opt: OptimizerSpec, cost=None):
     """Damped Newton from starts (P problems, S starts, N, d); pinned nodes never move.
 
-    Returns, per problem, the best start's value, nodes and solver record
-    {iterations, grad_norm (free nodes, final point), converged}.
+    cost (P, S), zero if None, is added to each start's action wherever starts
+    are compared. Returns, per problem, the value (without cost), nodes and
+    solver record {iterations, grad_norm (free nodes, final point), converged}
+    of the start lowest in value + cost.
     """
     P, S, N, _ = starts.shape
     x = starts.reshape((P * S,) + starts.shape[2:]).astype(float)
+    cost = np.zeros(P * S) if cost is None else np.asarray(cost, dtype=float).reshape(-1)
     free = slice(1, N if action.last_free else N - 1)
     values, gnorm = np.empty(P * S), np.empty(P * S)
     iters = np.zeros(P * S, dtype=int)
@@ -244,11 +247,11 @@ def _solve(action: _Action, starts, opt: OptimizerSpec):
             break
         steps, dec = _newton_steps(diag[keep, free], off[keep, free.start : free.stop - 1], grad[keep])
         idx, f = idx[keep], f[keep]
-        # A start that a converged start of its problem beats by more than ten
-        # times its own Newton decrement is near a worse stationary point: stop it.
-        lowest = np.where(converged, values, np.inf).reshape(P, S).min(axis=1)
+        # A start that a converged start of its problem beats (in value + cost) by
+        # more than ten of its Newton decrements is near a worse stationary point: stop it.
+        lowest = np.where(converged, values + cost, np.inf).reshape(P, S).min(axis=1)
         finished[idx] = True
-        go = f <= lowest[idx // S] + 10 * dec
+        go = f + cost[idx] <= lowest[idx // S] + 10 * dec
         idx, f, steps, dec = idx[go], f[go], steps[go], dec[go]
         iters[idx] += 1
         at_roundoff = dec <= _ROUNDOFF_DECREMENT * np.maximum(1.0, np.abs(f))
@@ -269,7 +272,7 @@ def _solve(action: _Action, starts, opt: OptimizerSpec):
             if pending.size == 0:
                 break
             t[pending] *= 0.5
-    best = np.argmin(values.reshape(P, S), axis=1) + S * np.arange(P)
+    best = np.argmin((values + cost).reshape(P, S), axis=1) + S * np.arange(P)
     stats = [
         {"iterations": int(iters[k]), "grad_norm": float(gnorm[k]), "converged": bool(converged[k])}
         for k in best
@@ -277,34 +280,37 @@ def _solve(action: _Action, starts, opt: OptimizerSpec):
     return values[best], x[best], stats
 
 
-def _fourier_bump(rng, n_free: int, dim: int, scale: float) -> np.ndarray:
-    """Smooth random interior displacement vanishing at both ends."""
+def _fourier_bump(rng, n_free: int, dim: int, scale) -> np.ndarray:
+    """Smooth random interior displacements vanishing at both ends, one per entry
+    of scale (shape scale.shape + (n_free, dim)), each as if drawn alone."""
     tau = np.linspace(0.0, 1.0, n_free + 2)[1:-1]
-    out = np.zeros((n_free, dim))
+    scale = np.asarray(scale, dtype=float)
+    out = np.zeros(scale.shape + (n_free, dim))
     for j in range(1, 5):
-        coeff = rng.normal(0.0, scale / j, size=dim)
-        out += np.sin(j * np.pi * tau)[:, None] * coeff[None, :]
+        coeff = np.multiply.outer(scale / j, rng.standard_normal(size=dim))
+        out += np.sin(j * np.pi * tau)[:, None] * coeff[..., None, :]
     return out
 
 
-def _start_stack(times, a, b, warm_starts, restarts, seed, scale):
-    """Affine start, resampled warm starts, and seeded random perturbations."""
+def _start_stack(times, a, b, warm, restarts, seed):
+    """Starts (K, S, n, d) from a (K, d) to b (K, d): affine, the warm starts
+    (K, W, n, d) re-pinned, and seeded random perturbations of the affine one."""
     n = times.size
-    d = a.shape[0]
-    lam = (times - times[0]) / (times[-1] - times[0])
-    affine = a[None, :] * (1 - lam[:, None]) + b[None, :] * lam[:, None]
-    starts = [affine]
-    for w in warm_starts:
-        resampled = w.resample(times).nodes.copy()
-        resampled[0] = a
-        resampled[-1] = b
-        starts.append(resampled)
+    d = a.shape[1]
+    lam = ((times - times[0]) / (times[-1] - times[0]))[None, :, None]
+    affine = a[:, None, :] * (1 - lam) + b[:, None, :] * lam
+    warm = np.array(warm, dtype=float)
+    warm[:, :, 0] = a[:, None]
+    warm[:, :, -1] = b[:, None]
+    starts = [affine] + [warm[:, i] for i in range(warm.shape[1])]
+    # One vector norm per pair, as for a lone pair: the same bits in any dimension.
+    scale = np.array([0.25 * (float(np.linalg.norm(e - s)) + 1.0) for s, e in zip(a, b)])
     for k in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k, n)))
         bumped = affine.copy()
-        bumped[1:-1] += _fourier_bump(rng, n - 2, d, scale)
+        bumped[:, 1:-1] += _fourier_bump(rng, n - 2, d, scale)
         starts.append(bumped)
-    return np.stack(starts, axis=0)
+    return np.stack(starts, axis=1)
 
 
 def _check_window(t0, t1, eps):
@@ -345,18 +351,10 @@ def minimize_bvp(
 
 
 def _minimize_pinned(V, W, eps, t0, t1, a, b, n_nodes, opt, quad, warm_starts):
-    if W is not None and W.zero_atom != 0.0:
-        raise InputError("perturbations with a zero atom are handled by the DP oracles")
-    if n_nodes < 2:
-        raise InputError("need at least two nodes")
-    _check_window(t0, t1, eps)
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    times = np.linspace(t0, t1, n_nodes)
-    scale = 0.25 * (float(np.linalg.norm(b - a)) + 1.0)
-    starts = _start_stack(times, a, b, warm_starts, opt.restarts, opt.seed, scale)
-    action = _Action.eps_action(V, W, eps, times, quad.samples_per_interval)
-    values, nodes, stats = _solve(action, starts[None], opt)
+    values, nodes, times, stats = _solve_pinned(
+        V, W, eps, t0, t1, a[None], b, n_nodes, opt, quad, [warm_starts], None
+    )
     traj = Trajectory(times, nodes[0], meta=stats[0])
     check = action_G(traj, V, W, eps, quad)
     _certify(values[0], check, "trajectory action")
@@ -374,40 +372,68 @@ def minimize_bvp_batch(
     n_nodes: int,
     opt: OptimizerSpec,
     quad: QuadratureSpec = QuadratureSpec(),
-    warm_starts_per_problem: Optional[Sequence[Sequence[Trajectory]]] = None,
+    warm_starts_per_problem: Optional[Sequence] = None,
+    a_cost: Optional[np.ndarray] = None,
 ):
-    """minimize_bvp for many start points a sharing (t0, t1, b).
+    """minimize_bvp for P problems on one window, u(t1) = b (d,) or b[p] (P, d), in one solve.
 
-    All problems and their restarts form one stacked Newton system. Per-problem
-    warm starts (same count for every problem) are resampled onto the shared
-    time grid with endpoints re-pinned. Returns (values (B,), nodes
-    (B, n_nodes, d), times).
+    a_batch (P, d) pins u(t0) = a_batch[p]. A (P, K, d) a_batch gives K
+    candidate start points: problem p is then the minimum over k of the action
+    from a_batch[p, k] plus a_cost[p, k] (zero if None). Each candidate gets
+    the affine start, its warm starts (trajectories, resampled, or node arrays
+    on the grid; one sequence per problem, or per candidate for a 3-D a_batch,
+    all of one length; endpoints re-pinned) and the seeded restarts. Returns
+    (values (P,), nodes (P, n_nodes, d), times): the winner's action without
+    cost, and its nodes, whose first node is its start point exactly.
     """
+    values, nodes, times, _ = _solve_pinned(
+        V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm_starts_per_problem, a_cost
+    )
+    return values, nodes, times
+
+
+def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm, a_cost):
+    """minimize_bvp_batch, also returning the winning starts' solver records."""
     if W is not None and W.zero_atom != 0.0:
         raise InputError("perturbations with a zero atom are handled by the DP oracles")
+    if n_nodes < 2:
+        raise InputError("need at least two nodes")
     _check_window(t0, t1, eps)
     a_batch = np.asarray(a_batch, dtype=float)
-    if a_batch.ndim == 1:
-        a_batch = a_batch[:, None]
+    per_candidate = a_batch.ndim == 3
+    if not per_candidate:
+        a_batch = a_batch.reshape(len(a_batch), 1, -1)
+    n_problems, n_cand, d = a_batch.shape
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    n_problems = a_batch.shape[0]
+    if b.shape not in ((d,), (n_problems, d)):
+        raise InputError("b must have shape (d,) or (problems, d)")
+    b = np.broadcast_to(b, (n_problems, d))
+    cost = np.zeros((n_problems, n_cand)) if a_cost is None else np.asarray(a_cost, dtype=float)
+    if cost.shape != (n_problems, n_cand):
+        raise InputError("a_cost must have one entry per candidate start point")
     times = np.linspace(t0, t1, n_nodes)
 
-    if warm_starts_per_problem is None:
-        warm_starts_per_problem = [()] * n_problems
-    if len(warm_starts_per_problem) != n_problems:
-        raise InputError("need one warm-start list per problem")
-    counts = {len(w) for w in warm_starts_per_problem}
-    if len(counts) > 1:
+    if warm is None:
+        warm = [[()] * n_cand] * n_problems
+    elif not per_candidate:
+        warm = [[w] for w in warm]
+    if len(warm) != n_problems or any(len(w) != n_cand for w in warm):
+        raise InputError("need one warm-start list per problem (per candidate for 3-D a_batch)")
+    warm = [
+        [u.resample(times).nodes if isinstance(u, Trajectory) else u for u in w]
+        for ws in warm
+        for w in ws
+    ]
+    if len({len(w) for w in warm}) > 1:
         raise InputError("every problem must receive the same number of warm starts")
-
-    stacks = []
-    for a, warm in zip(a_batch, warm_starts_per_problem):
-        scale = 0.25 * (float(np.linalg.norm(b - a)) + 1.0)
-        stacks.append(_start_stack(times, a, b, warm, opt.restarts, opt.seed, scale))
+    warm = np.array(warm, dtype=float).reshape(len(warm), len(warm[0]), n_nodes, d)
+    ends = np.repeat(b, n_cand, axis=0)
+    starts = _start_stack(times, a_batch.reshape(-1, d), ends, warm, opt.restarts, opt.seed)
+    starts = starts.reshape((n_problems, -1) + starts.shape[2:])
     action = _Action.eps_action(V, W, eps, times, quad.samples_per_interval)
-    values, nodes, _ = _solve(action, np.stack(stacks), opt)
-    return values, nodes, times
+    per_start = np.repeat(cost, starts.shape[1] // n_cand, axis=1)
+    values, nodes, stats = _solve(action, starts, opt, per_start)
+    return values, nodes, times, stats
 
 
 def minimize_lagrangian_bvp(

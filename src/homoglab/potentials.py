@@ -17,7 +17,7 @@ Evaluators are vectorized over points: they take arrays of shape (..., d) and
 return shape (...). For d = 1 a bare (...) array is also accepted.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -259,21 +259,21 @@ def line_average(W: Perturbation, R: float, quad: QuadratureSpec) -> float:
     return float(np.sum(W.evaluator(pts[:, None])) * (2 * R / n) / R)
 
 
-def _transverse_basis(direction: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the hyperplane orthogonal to `direction` (unit)."""
+def _householder_frame(direction: np.ndarray) -> np.ndarray:
+    """Orthogonal matrix whose first column is the unit vector `direction`.
+
+    It is the Householder reflection mapping e_1 to `direction`, so its other
+    columns span the hyperplane orthogonal to it.
+    """
     d = direction.shape[0]
-    # Householder reflection mapping e_1 to `direction`; its other columns
-    # span the orthogonal complement.
     e1 = np.zeros(d)
     e1[0] = 1.0
     v = e1 - direction
     norm = np.linalg.norm(v)
     if norm < 1e-14:
-        frame = np.eye(d)
-    else:
-        v = v / norm
-        frame = np.eye(d) - 2.0 * np.outer(v, v)
-    return frame[:, 1:]
+        return np.eye(d)
+    v = v / norm
+    return np.eye(d) - 2.0 * np.outer(v, v)
 
 
 def cylinder_average(W: Perturbation, xi, r: float, R: float, quad: QuadratureSpec) -> float:
@@ -293,7 +293,7 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float, quad: QuadratureSp
     if norm == 0:
         raise InputError("xi must be a nonzero direction")
     axis = direction / norm
-    basis = _transverse_basis(axis)
+    basis = _householder_frame(axis)[:, 1:]
 
     d = W.dimension
     n_axis = max(64, int(np.ceil(2 * R * quad.samples_per_interval)))

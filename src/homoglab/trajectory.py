@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ExtrapolationError, InputError, InvariantError
-from .potentials import PeriodicPotential, Perturbation
+from .errors import InputError, InvariantError
+from .potentials import PeriodicPotential, Perturbation, _householder_frame
 from .quadrature import QuadratureSpec, exp_interval_weights, midpoint_offsets
 
 __all__ = [
@@ -183,17 +183,14 @@ def _jsonable(value):
 
 
 def interval_samples(times: np.ndarray, nodes: np.ndarray, m: int):
-    """Midpoint samples per interval: (points (n, m, d), sample times (n, m))."""
+    """Midpoint sample points per interval (n, m, d)."""
     lam = midpoint_offsets(m)
-    pts = nodes[:-1, None, :] * (1 - lam)[None, :, None] + nodes[1:, None, :] * lam[None, :, None]
-    widths = np.diff(times)
-    t_s = times[:-1, None] + widths[:, None] * lam[None, :]
-    return pts, t_s
+    return nodes[:-1, None, :] * (1 - lam)[None, :, None] + nodes[1:, None, :] * lam[None, :, None]
 
 
 def potential_term(times, nodes, fn, eps: float, m: int) -> float:
     """Composite midpoint integral of fn(u(t)/eps) dt along the path."""
-    pts, _ = interval_samples(times, nodes, m)
+    pts = interval_samples(times, nodes, m)
     vals = fn(pts / eps)
     widths = np.diff(times)
     return float(np.sum(np.sum(vals, axis=1) * (widths / m)))
@@ -278,7 +275,7 @@ def discounted_action(
     anti = np.exp(-lam * sub_edges) / lam
     weights = anti[:, :-1] - anti[:, 1:]
 
-    pts, _ = interval_samples(u.times, u.nodes, m)
+    pts = interval_samples(u.times, u.nodes, m)
     vals = fn(pts / eps)
     value = float(np.sum(vals * weights))
 
@@ -368,19 +365,6 @@ def _discounted_zero_measure(u: Trajectory, tol: float, lam: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _full_frame(direction: np.ndarray) -> np.ndarray:
-    """Orthogonal matrix whose first column is the given unit vector."""
-    d = direction.shape[0]
-    e1 = np.zeros(d)
-    e1[0] = 1.0
-    v = e1 - direction
-    norm = np.linalg.norm(v)
-    if norm < 1e-14:
-        return np.eye(d)
-    v = v / norm
-    return np.eye(d) - 2.0 * np.outer(v, v)
-
-
 def _cap_directions(dimension: int, count: int) -> np.ndarray:
     """Directions theta with theta_1 < -1/2 (local coordinates), midpoint grids."""
     if dimension == 2:
@@ -441,7 +425,7 @@ def build_connector(
     if r == 0.0:
         raise InputError("endpoints coincide")
 
-    frame = _full_frame((x0 - y0) / r)
+    frame = _householder_frame((x0 - y0) / r)
     mid = 0.5 * (x0 + y0)
     half = r ** (1.0 / alpha)
     side = _graded_side(half)

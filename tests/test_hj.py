@@ -91,6 +91,21 @@ def test_eps_solver_matches_hom_for_free_potential(free_table):
     assert sup <= 1e-3
 
 
+def test_evolutionary_eps_grid_points_do_not_interact():
+    """One stacked solve per time slice gives every x the value it gets alone,
+    bit for bit, also where an x has fewer admissible y than prescreen_keep."""
+    V = make_potential("sin2", 1)
+    Phi = make_initial_datum("abs_min", 1, cap=1.0)
+    x = np.array([-1.9, 0.0, 0.45])
+    t = np.array([0.5, 1.0])
+    y = np.linspace(-2.0, 2.0, 41)
+    args = dict(opt=OPT, quad=QUAD, prescreen_keep=20)
+    together = solve_evolutionary_eps(V, None, 0.2, Phi, x, t, y, **args)
+    for i in range(x.size):
+        alone = solve_evolutionary_eps(V, None, 0.2, Phi, x[i : i + 1], t, y, **args)
+        assert np.array_equal(together.values[i], alone.values[0])
+
+
 def test_s_eps_constant_shift_exact():
     V = make_potential("zero", 1)
     W = make_perturbation("constant", 1, value=0.5)

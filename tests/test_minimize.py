@@ -78,6 +78,36 @@ def test_bvp_batch_matches_single(std_opt, quad, sin2_1d):
         assert values[k] == pytest.approx(single, rel=1e-3, abs=1e-6)
 
 
+def test_bvp_batch_candidates_with_costs_match_independent_problems(std_opt, quad, sin2_1d):
+    """Stacking K candidate start points per problem, with costs, changes where
+    Newton work stops but not the minimum over the candidates."""
+    eps, n_nodes = 0.2, 49
+    a_batch = np.array([[[-0.3], [0.0], [0.4]], [[0.1], [0.5], [0.9]]])
+    b = np.array([[1.0], [0.6]])
+    cost = np.array([[0.0, 0.1, 2.0], [0.0, 1.0, 0.05]])  # the nearest start point is dear
+    times = np.linspace(0.0, 1.0, n_nodes)
+    warm = [
+        [[Trajectory(times, np.linspace(a[0], end[0], n_nodes) + 0.1 * np.sin(np.pi * times))]
+         for a in cands]
+        for cands, end in zip(a_batch, b)
+    ]
+    values, nodes, out_times = minimize_bvp_batch(
+        sin2_1d, None, eps, 0.0, 1.0, a_batch, b, n_nodes, std_opt, quad, warm, cost
+    )
+    single, _, _ = minimize_bvp_batch(
+        sin2_1d, None, eps, 0.0, 1.0, a_batch.reshape(-1, 1), np.repeat(b, 3, axis=0),
+        n_nodes, std_opt, quad, [w for ws in warm for w in ws],
+    )
+    single = single.reshape(2, 3)
+    for p in range(2):
+        (win,) = np.flatnonzero(a_batch[p, :, 0] == nodes[p, 0, 0])
+        assert win != np.argmin(single[p])
+        assert nodes[p, -1, 0] == b[p, 0]
+        assert values[p] + cost[p, win] == np.min(single[p] + cost[p])
+        check = action_G(Trajectory(out_times, nodes[p]), sin2_1d, None, eps, quad)
+        assert abs(check - values[p]) <= 1e-10 * max(1.0, abs(check))
+
+
 def test_bvp_value_certified_against_action(std_opt, quad, sin2_1d):
     u, val = minimize_bvp(sin2_1d, None, 0.2, 0.0, 1.0, 0.0, 1.0, 65, std_opt, quad)
     assert action_G(u, sin2_1d, None, 0.2, quad) == pytest.approx(val, abs=1e-9)
@@ -180,6 +210,35 @@ def test_stacked_newton_steps_solve_each_shifted_system(d):
             assert low < 0
         assert dec[b] == pytest.approx(-float(g @ p))
         assert dec[b] > 0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_newton_steps_double_the_shift_of_adjacent_indefinite_starts(d):
+    """Starts 1-3 have a positive main diagonal, so their shift starts at 0,
+    yet are indefinite: each retry must resume at its own start, from its
+    unfactored columns, with the shift doubled until the factorization holds."""
+    rng = np.random.default_rng(10 + d)
+    B, n = 5, 6
+    diag = np.broadcast_to(np.eye(d), (B, n, d, d)).copy()
+    off = np.broadcast_to(-1.5 * np.eye(d), (B, n - 1, d, d)).copy()
+    off[[0, 4]] *= 0.2  # starts 0 and 4 positive definite
+    grad = rng.normal(size=(B, n, d))
+    steps, dec = _newton_steps(diag, off, grad)
+    floor = 1e-3 + np.finfo(float).tiny
+    for b in range(B):
+        H = _dense(diag[b], off[b])
+        p, g = steps[b].reshape(-1), grad[b].reshape(-1)
+        tau = -float((H @ p + g) @ p) / float(p @ p)
+        low = np.min(np.linalg.eigvalsh(H))
+        if b in (0, 4):
+            assert low > 0 and tau == pytest.approx(0.0, abs=1e-9)
+        else:
+            assert low < 0 and tau > -low and tau >= 4 * floor
+            doublings = np.log2(tau / floor)
+            assert doublings == pytest.approx(round(doublings), abs=1e-6)
+        shifted = np.linalg.solve(H + tau * np.eye(n * d), -g)
+        np.testing.assert_allclose(p, shifted, rtol=1e-9, atol=1e-12)
+        assert dec[b] == pytest.approx(-float(g @ p))
 
 
 def test_newton_records_convergence_of_the_winning_start(std_opt, quad, sin2_1d, runge_1d):
