@@ -20,15 +20,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ErgodicWindowError,
-    ExtrapolationError,
-    InputError,
-    InvariantError,
-    SolverError,
-)
+from .errors import ErgodicWindowError, InputError, InvariantError, SolverError
+from .grid import GridTable, axes_of, lower_convex_envelope, mesh
 from .minimize import OptimizerSpec, minimize_bvp, minimize_lagrangian_bvp
-from .potentials import GeneralLagrangian, PeriodicPotential, Perturbation, _householder_frame, as_points
+from .potentials import GeneralLagrangian, PeriodicPotential, Perturbation, _householder_frame
 from .quadrature import QuadratureSpec
 from .trajectory import Trajectory, action_F, build_connector
 
@@ -36,7 +31,6 @@ __all__ = [
     "CorrectorProfile",
     "HomogenizedLagrangian",
     "AlmostCorrectorPlan",
-    "midpoint_convexity_report",
     "solve_corrector_1d",
     "solve_corrector_general",
     "f_hom_asymptotic",
@@ -221,7 +215,7 @@ def f_hom_asymptotic(
 # ---------------------------------------------------------------------------
 
 
-class HomogenizedLagrangian:
+class HomogenizedLagrangian(GridTable):
     """Multilinear interpolation table for a homogenized Lagrangian.
 
     axes: per-dimension symmetric grids containing 0; values: table of
@@ -231,62 +225,19 @@ class HomogenizedLagrangian:
     """
 
     def __init__(self, axes, values, f0: float, envelope_applied: bool = False, meta=None):
-        axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
-        values = np.asarray(values, dtype=float)
-        if values.shape != tuple(ax.size for ax in axes):
-            raise InputError("table shape does not match the axes")
-        for ax in axes:
-            if ax.size < 2 or np.any(np.diff(ax) <= 0):
-                raise InputError("axes must be strictly increasing with >= 2 points")
-        self.axes = axes
-        self.values = values
+        super().__init__(axes, values, meta)
         self.f0 = float(f0)
         self.envelope_applied = bool(envelope_applied)
-        self.meta = dict(meta or {})
-        from scipy.interpolate import RegularGridInterpolator
-
-        self._interp = RegularGridInterpolator(axes, values, method="linear", bounds_error=True)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.axes)
-
-    def hull(self):
-        return [(float(ax[0]), float(ax[-1])) for ax in self.axes]
-
-    def value(self, xi):
-        """f(xi), multilinear; accepts scalars, (d,) points or (..., d) arrays."""
-        pts = as_points(xi, self.dimension)
-        flat = pts.reshape(-1, self.dimension)
-        try:
-            out = self._interp(flat)
-        except ValueError:
-            bad = flat[_out_of_hull(flat, self.axes)][0]
-            raise ExtrapolationError(bad.tolist(), self.hull()) from None
-        if pts.shape == (1, self.dimension) and np.ndim(xi) <= 1:
-            return float(out[0])
-        return out.reshape(pts.shape[:-1])
-
-    def convexity_violations(self, tol: float = 1e-9):
-        """(count, worst) of midpoint-convexity defects over grid triples."""
-        return midpoint_convexity_report(self.axes, self.values, tol)
 
     def with_envelope(self) -> "HomogenizedLagrangian":
         """Replace values by their lower convex envelope (flagged)."""
-        env = _lower_convex_envelope(self.axes, self.values)
+        env = lower_convex_envelope(self.axes, self.values)
         meta = dict(self.meta)
         meta["envelope_max_drop"] = float(np.max(self.values - env))
         return HomogenizedLagrangian(self.axes, env, self.f0, True, meta)
 
     def to_json(self) -> str:
-        payload = {
-            "axes": [[float(v) for v in ax] for ax in self.axes],
-            "values": self.values.tolist(),
-            "f0": self.f0,
-            "envelope_applied": self.envelope_applied,
-            "meta": self.meta,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return super().to_json(f0=self.f0, envelope_applied=self.envelope_applied)
 
     @classmethod
     def from_json(cls, text: str) -> "HomogenizedLagrangian":
@@ -298,85 +249,6 @@ class HomogenizedLagrangian:
             payload["envelope_applied"],
             payload.get("meta"),
         )
-
-    def save(self, path):
-        with open(path, "w") as handle:
-            handle.write(self.to_json())
-
-    @classmethod
-    def load(cls, path) -> "HomogenizedLagrangian":
-        with open(path) as handle:
-            return cls.from_json(handle.read())
-
-
-def midpoint_convexity_report(axes, values, tol: float = 1e-9):
-    """(count, worst) of midpoint-convexity defects over a gridded table.
-
-    Checks f(mid) <= (f(a)+f(b))/2 + tol for all grid pairs whose index
-    midpoint is again a grid point; exact for uniform axes.
-    """
-    values = np.asarray(values, dtype=float)
-    idx_axes = [np.arange(np.asarray(ax).size) for ax in axes]
-    mesh = np.stack(np.meshgrid(*idx_axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    flat = values.reshape(-1)
-    pair_sum = mesh[:, None, :] + mesh[None, :, :]
-    even = np.all(pair_sum % 2 == 0, axis=-1)
-    i_idx, j_idx = np.nonzero(even)
-    keep = i_idx < j_idx
-    i_idx, j_idx = i_idx[keep], j_idx[keep]
-    mid_multi = (mesh[i_idx] + mesh[j_idx]) // 2
-    mid_flat = np.ravel_multi_index(mid_multi.T, values.shape)
-    defect = flat[mid_flat] - 0.5 * (flat[i_idx] + flat[j_idx])
-    worst = float(np.max(defect)) if defect.size else 0.0
-    count = int(np.sum(defect > tol))
-    return count, worst
-
-
-def _out_of_hull(flat, axes):
-    bad = np.zeros(flat.shape[0], dtype=bool)
-    for k, ax in enumerate(axes):
-        bad |= (flat[:, k] < ax[0]) | (flat[:, k] > ax[-1])
-    return bad
-
-
-def _lower_convex_envelope(axes, values) -> np.ndarray:
-    if len(axes) == 1:
-        return _envelope_1d(axes[0], values)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-    flat = values.reshape(-1)
-    lifted = np.column_stack([mesh, flat])
-    from scipy.spatial import ConvexHull, QhullError
-
-    try:
-        hull = ConvexHull(lifted)
-    except QhullError:
-        return values.copy()
-    eqs = hull.equations
-    lower = eqs[eqs[:, -2] < -1e-10]
-    if lower.shape[0] == 0:
-        return values.copy()
-    # facet plane: n . (xi, z) + b = 0  ->  z = -(b + n_xi . xi) / n_z
-    planes = -(lower[:, -1][:, None] + lower[:, :-2] @ mesh.T) / lower[:, -2][:, None]
-    env = np.max(planes, axis=0)
-    return np.minimum(flat, env).reshape(values.shape)
-
-
-def _envelope_1d(x, f) -> np.ndarray:
-    hull_x, hull_f = [], []
-    for xi, fi in zip(x, f):
-        while len(hull_x) >= 2:
-            cross = (hull_x[-1] - hull_x[-2]) * (fi - hull_f[-2]) - (
-                hull_f[-1] - hull_f[-2]
-            ) * (xi - hull_x[-2])
-            if cross <= 0:
-                hull_x.pop()
-                hull_f.pop()
-            else:
-                break
-        hull_x.append(float(xi))
-        hull_f.append(float(fi))
-    env = np.interp(x, hull_x, hull_f)
-    return np.minimum(f, env)
 
 
 def tabulate_f_hom(
@@ -403,9 +275,8 @@ def tabulate_f_hom(
         raise InputError("method must be '1d' or 'asymptotic'")
     if method == "1d" and V.dimension != 1:
         raise InputError("method '1d' requires a one-dimensional potential")
-    axes = _normalize_grid(grid, V.dimension)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    flat = mesh.reshape(-1, V.dimension)
+    axes = _slope_axes(grid, V.dimension)
+    flat = mesh(axes)
     values = np.empty(flat.shape[0])
     failures = []
     converged = True
@@ -430,7 +301,7 @@ def tabulate_f_hom(
 
     table = HomogenizedLagrangian(
         axes,
-        values.reshape(mesh.shape[:-1]),
+        values.reshape(tuple(ax.size for ax in axes)),
         V.v_min,
         False,
         {"potential": V.name, "method": method, "converged": converged},
@@ -446,18 +317,10 @@ def tabulate_f_hom(
     return table
 
 
-def _normalize_grid(grid, dimension: int):
-    if isinstance(grid, (tuple, list)) and grid and np.ndim(grid[0]) == 1:
-        axes = tuple(np.asarray(ax, dtype=float) for ax in grid)
-    else:
-        axes = (np.asarray(grid, dtype=float),)
-    if len(axes) != dimension:
-        raise InputError("grid dimensionality does not match the potential")
+def _slope_axes(grid, dimension: int):
+    """Checked slope axes: >= 3 points, symmetric under sign flip, containing 0, uniform."""
+    axes = axes_of(grid, dimension, "grid", 3)
     for ax in axes:
-        if ax.ndim != 1 or ax.size < 3:
-            raise InputError("each axis needs at least 3 points")
-        if np.any(np.diff(ax) <= 0):
-            raise InputError("axes must be strictly increasing")
         if not np.any(ax == 0.0):
             raise InputError("each axis must contain the slope 0")
         if np.max(np.abs(ax + ax[::-1])) > 1e-12:
@@ -770,8 +633,7 @@ def _tube_shift_candidates(direction: np.ndarray, eta_tube: float):
         return np.zeros((1, 1))
     basis = _householder_frame(direction / np.linalg.norm(direction))[:, 1:]
     coeffs_1d = np.linspace(-eta_tube, eta_tube, 9)
-    mesh = np.meshgrid(*([coeffs_1d] * (d - 1)), indexing="ij")
-    coeffs = np.stack([g.ravel() for g in mesh], axis=-1)
+    coeffs = mesh([coeffs_1d] * (d - 1))
     keep = np.linalg.norm(coeffs, axis=1) <= eta_tube + 1e-12
     coeffs = np.unique(coeffs[keep], axis=0)
     order = sorted(

@@ -28,6 +28,7 @@ from .cell import (
 from . import __version__ as PACKAGE_VERSION
 from .errors import ConfigError, HomoglabError, InputError, InvariantError
 from .fenchel import biconjugate_check, legendre_transform
+from .grid import mesh
 from .hj import (
     field_distance,
     solve_evolutionary_eps,
@@ -845,10 +846,7 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
 
     curves = [one_direction(item) for item in zip(labels, directions)]
 
-    centers = np.stack(
-        np.meshgrid(*[np.arange(-2.0, 2.5, 1.0)] * cfg.dimension, indexing="ij"),
-        axis=-1,
-    ).reshape(-1, cfg.dimension)
+    centers = mesh([np.arange(-2.0, 2.5, 1.0)] * cfg.dimension)
     exponent = float(grids["lp_exponent"])
     lp_value = lp_unif_estimate(W, exponent, centers, quad)
 
@@ -880,29 +878,33 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
 # ---------------------------------------------------------------------------
 
 
-def run_fhom_table(cfg: ExperimentConfig, threads: int = 1) -> Report:
-    """Tabulate the homogenized Lagrangian on the configured slope grid."""
-    V = cfg.potential()
+def _f_hom_table(cfg: ExperimentConfig):
+    """(table, method): f_hom on the configured slope grid, by the configured
+    method, else '1d' in d = 1 and 'asymptotic' above."""
     method = cfg.data["solver"]["method"]
     if method is None:
         method = "1d" if cfg.dimension == 1 else "asymptotic"
     f = tabulate_f_hom(
-        V,
+        cfg.potential(),
         cfg.xi_axes(),
         method=method,
         opt=cfg.cell_optimizer(),
         quad=cfg.quadrature(),
     )
-    mesh = np.stack(np.meshgrid(*f.axes, indexing="ij"), axis=-1).reshape(
-        -1, cfg.dimension
+    return f, method
+
+
+def _node_rows(table, coord: str, column: str) -> tuple:
+    """One row per grid node of the table: its coordinates coord_1..coord_d and value."""
+    return tuple(
+        {**{f"{coord}_{i + 1}": float(c) for i, c in enumerate(point)}, column: float(val)}
+        for point, val in zip(mesh(table.axes), table.values.reshape(-1))
     )
-    rows = tuple(
-        {
-            **{f"xi_{i + 1}": float(c) for i, c in enumerate(point)},
-            "f_hom": float(val),
-        }
-        for point, val in zip(mesh, f.values.reshape(-1))
-    )
+
+
+def run_fhom_table(cfg: ExperimentConfig, threads: int = 1) -> Report:
+    """Tabulate the homogenized Lagrangian on the configured slope grid."""
+    f, method = _f_hom_table(cfg)
     n_violations, worst_defect = f.convexity_violations()
     verdicts = {
         "f0": float(f.f0),
@@ -913,7 +915,7 @@ def run_fhom_table(cfg: ExperimentConfig, threads: int = 1) -> Report:
     }
     return Report(
         "fhom",
-        rows,
+        _node_rows(f, "xi", "f_hom"),
         verdicts,
         cfg.provenance("fhom"),
         extra_files=(("f_hom.json", f.to_json()),),
@@ -922,31 +924,11 @@ def run_fhom_table(cfg: ExperimentConfig, threads: int = 1) -> Report:
 
 def run_fenchel_tables(cfg: ExperimentConfig, threads: int = 1) -> Report:
     """Tabulate f_hom and its convex conjugate; certify the transform."""
-    V = cfg.potential()
-    method = cfg.data["solver"]["method"]
-    if method is None:
-        method = "1d" if cfg.dimension == 1 else "asymptotic"
-    f = tabulate_f_hom(
-        V,
-        cfg.xi_axes(),
-        method=method,
-        opt=cfg.cell_optimizer(),
-        quad=cfg.quadrature(),
-    )
+    f, _ = _f_hom_table(cfg)
     p_axes = cfg.p_axes()
     conjugate = legendre_transform(f, p_axes)
     gap = biconjugate_check(f, p_axes)
     defect = conjugate.fenchel_young_defect()
-    mesh = np.stack(np.meshgrid(*conjugate.axes, indexing="ij"), axis=-1).reshape(
-        -1, cfg.dimension
-    )
-    rows = tuple(
-        {
-            **{f"p_{i + 1}": float(c) for i, c in enumerate(point)},
-            "f_star": float(val),
-        }
-        for point, val in zip(mesh, conjugate.values.reshape(-1))
-    )
     n_violations, worst_defect = conjugate.convexity_violations()
     verdicts = {
         "biconjugate_gap": float(gap),
@@ -956,7 +938,7 @@ def run_fenchel_tables(cfg: ExperimentConfig, threads: int = 1) -> Report:
     }
     return Report(
         "fenchel",
-        rows,
+        _node_rows(conjugate, "p", "f_star"),
         verdicts,
         cfg.provenance("fenchel"),
         extra_files=(

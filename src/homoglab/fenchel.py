@@ -12,97 +12,28 @@ import json
 
 import numpy as np
 
-from .cell import HomogenizedLagrangian, midpoint_convexity_report
-from .errors import ExtrapolationError, InputError, InvariantError
+from .cell import HomogenizedLagrangian
+from .errors import InputError, InvariantError
+from .grid import GridTable, axes_of, mesh
 
 __all__ = ["ConjugateTable", "legendre_transform", "biconjugate_check"]
 
 
-class ConjugateTable:
+class ConjugateTable(GridTable):
     """Tabulated convex conjugate f*(p) = max over grid of <p, xi> - f(xi)."""
 
     def __init__(self, axes, values, source: HomogenizedLagrangian, meta=None):
-        axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
-        values = np.asarray(values, dtype=float)
-        if values.shape != tuple(ax.size for ax in axes):
-            raise InputError("conjugate table shape does not match the axes")
-        self.axes = axes
-        self.values = values
+        super().__init__(axes, values, meta)
         self.source = source
-        self.meta = dict(meta or {})
-        from scipy.interpolate import RegularGridInterpolator
-
-        self._interp = RegularGridInterpolator(axes, values, method="linear", bounds_error=True)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.axes)
-
-    def hull(self):
-        return [(float(ax[0]), float(ax[-1])) for ax in self.axes]
-
-    def value(self, p):
-        from .potentials import as_points
-
-        pts = as_points(p, self.dimension)
-        flat = pts.reshape(-1, self.dimension)
-        try:
-            out = self._interp(flat)
-        except ValueError:
-            bad = flat[0]
-            for row in flat:
-                if any(
-                    row[k] < ax[0] or row[k] > ax[-1] for k, ax in enumerate(self.axes)
-                ):
-                    bad = row
-                    break
-            raise ExtrapolationError(bad.tolist(), self.hull()) from None
-        if pts.shape == (1, self.dimension) and np.ndim(p) <= 1:
-            return float(out[0])
-        return out.reshape(pts.shape[:-1])
-
-    def convexity_violations(self, tol: float = 1e-9):
-        return midpoint_convexity_report(self.axes, self.values, tol)
 
     def fenchel_young_defect(self) -> float:
         """max over grid pairs of <p, xi> - f(xi) - f*(p); <= 0 certifies the inequality."""
-        p_mesh = _mesh(self.axes)
-        xi_mesh = _mesh(self.source.axes)
-        inner = p_mesh @ xi_mesh.T
+        inner = mesh(self.axes) @ mesh(self.source.axes).T
         defect = inner - self.source.values.reshape(-1)[None, :] - self.values.reshape(-1)[:, None]
         return float(np.max(defect))
 
     def to_json(self) -> str:
-        payload = {
-            "axes": [[float(v) for v in ax] for ax in self.axes],
-            "values": self.values.tolist(),
-            "source": json.loads(self.source.to_json()),
-            "meta": self.meta,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConjugateTable":
-        payload = json.loads(text)
-        source = HomogenizedLagrangian.from_json(json.dumps(payload["source"]))
-        return cls(payload["axes"], payload["values"], source, payload.get("meta"))
-
-
-def _mesh(axes) -> np.ndarray:
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-
-
-def _normalize_p_grid(p_grid, dimension: int):
-    if isinstance(p_grid, (tuple, list)) and p_grid and np.ndim(p_grid[0]) == 1:
-        axes = tuple(np.asarray(ax, dtype=float) for ax in p_grid)
-    else:
-        axes = (np.asarray(p_grid, dtype=float),)
-    if len(axes) != dimension:
-        raise InputError("p_grid dimensionality does not match the table")
-    for ax in axes:
-        if ax.ndim != 1 or ax.size < 2 or np.any(np.diff(ax) <= 0):
-            raise InputError("each p axis must be strictly increasing with >= 2 points")
-    return axes
+        return super().to_json(source=json.loads(self.source.to_json()))
 
 
 def legendre_transform(f: HomogenizedLagrangian, p_grid) -> ConjugateTable:
@@ -112,7 +43,7 @@ def legendre_transform(f: HomogenizedLagrangian, p_grid) -> ConjugateTable:
     discrete sup is attained at the slope-grid boundary and underestimates
     the true conjugate, so the offending p is rejected outright.
     """
-    axes = _normalize_p_grid(p_grid, f.dimension)
+    axes = axes_of(p_grid, f.dimension, "p_grid", 2)
     for k, (p_ax, xi_ax) in enumerate(zip(axes, f.axes)):
         limit = 2.0 * float(np.max(np.abs(xi_ax)))
         worst = float(np.max(np.abs(p_ax)))
@@ -121,9 +52,7 @@ def legendre_transform(f: HomogenizedLagrangian, p_grid) -> ConjugateTable:
                 f"momentum axis {k} reaches |p| = {worst}, beyond the reliable "
                 f"hull 2 * max|xi| = {limit}"
             )
-    p_mesh = _mesh(axes)
-    xi_mesh = _mesh(f.axes)
-    scores = p_mesh @ xi_mesh.T - f.values.reshape(-1)[None, :]
+    scores = mesh(axes) @ mesh(f.axes).T - f.values.reshape(-1)[None, :]
     values = np.max(scores, axis=1).reshape(tuple(ax.size for ax in axes))
     return ConjugateTable(axes, values, f, {"kind": "legendre_transform"})
 
@@ -137,9 +66,7 @@ def biconjugate_check(f: HomogenizedLagrangian, p_grid) -> float:
     (beyond roundoff); that one-sidedness is asserted here.
     """
     conj = legendre_transform(f, p_grid)
-    xi_mesh = _mesh(f.axes)
-    p_mesh = _mesh(conj.axes)
-    scores = xi_mesh @ p_mesh.T - conj.values.reshape(-1)[None, :]
+    scores = mesh(f.axes) @ mesh(conj.axes).T - conj.values.reshape(-1)[None, :]
     second = np.max(scores, axis=1)
     flat = f.values.reshape(-1)
     overshoot = float(np.max(second - flat))

@@ -20,6 +20,7 @@ import numpy as np
 
 from .cell import CorrectorProfile, HomogenizedLagrangian, scaled_oscillation
 from .errors import InputError, InvariantError, SolverError
+from .grid import axes_of, mesh
 from .minimize import OptimizerSpec, _Action, minimize_bvp, minimize_bvp_batch, minimize_halfline
 from .potentials import PeriodicPotential, Perturbation
 from .quadrature import QuadratureSpec
@@ -69,21 +70,19 @@ class ValueField:
         return len(self.x_axes)
 
     def x_mesh(self) -> np.ndarray:
-        return np.stack(np.meshgrid(*self.x_axes, indexing="ij"), axis=-1).reshape(
-            -1, self.dimension
-        )
+        return mesh(self.x_axes)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow([f"x_{i + 1}" for i in range(self.dimension)] + ["t", "value"])
-            mesh = self.x_mesh()
+            points = self.x_mesh()
             if self.t_grid is None:
-                for point, val in zip(mesh, self.values.reshape(-1)):
+                for point, val in zip(points, self.values.reshape(-1)):
                     writer.writerow([repr(float(c)) for c in point] + ["steady", repr(float(val))])
             else:
                 flat = self.values.reshape(-1, self.t_grid.size)
-                for point, row in zip(mesh, flat):
+                for point, row in zip(points, flat):
                     for t, val in zip(self.t_grid, row):
                         writer.writerow(
                             [repr(float(c)) for c in point]
@@ -119,23 +118,6 @@ def field_distance(a: ValueField, b: ValueField):
     return float(np.max(diff)), float(np.mean(diff))
 
 
-def _normalize_axes(grid, dimension: int, label: str):
-    if isinstance(grid, (tuple, list)) and grid and np.ndim(grid[0]) == 1:
-        axes = tuple(np.asarray(ax, dtype=float) for ax in grid)
-    else:
-        axes = (np.asarray(grid, dtype=float),)
-    if len(axes) != dimension:
-        raise InputError(f"{label} dimensionality mismatch")
-    for ax in axes:
-        if ax.ndim != 1 or ax.size < 1 or np.any(np.diff(ax) <= 0):
-            raise InputError(f"{label} axes must be strictly increasing")
-    return axes
-
-
-def _mesh_of(axes) -> np.ndarray:
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
-
-
 # ---------------------------------------------------------------------------
 # Evolutionary problems
 # ---------------------------------------------------------------------------
@@ -143,12 +125,12 @@ def _mesh_of(axes) -> np.ndarray:
 
 def _evolutionary_grids(x_grid, t_grid, y_grid, Phi, source):
     """Checked (x axes, t grid, x mesh, y mesh, Phi on the y mesh) in source's dimension."""
-    x_axes = _normalize_axes(x_grid, source.dimension, "x_grid")
-    y_mesh = _mesh_of(_normalize_axes(y_grid, source.dimension, "y_grid"))
+    x_axes = axes_of(x_grid, source.dimension, "x_grid")
+    y_mesh = mesh(axes_of(y_grid, source.dimension, "y_grid"))
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
         raise InputError("t_grid must be positive and increasing")
-    return x_axes, t_grid, _mesh_of(x_axes), y_mesh, np.asarray([float(Phi(y)) for y in y_mesh])
+    return x_axes, t_grid, mesh(x_axes), y_mesh, np.asarray([float(Phi(y)) for y in y_mesh])
 
 
 def solve_evolutionary_hom(
@@ -365,8 +347,8 @@ def solve_steady_eps(
     """
     if not lam > 0:
         raise InputError("lam must be positive")
-    x_axes = _normalize_axes(x_grid, V.dimension, "x_grid")
-    x_mesh = _mesh_of(x_axes)
+    x_axes = axes_of(x_grid, V.dimension, "x_grid")
+    x_mesh = mesh(x_axes)
     horizon = T_max if T_max is not None else 6.0 / lam
     nodes_count = n_nodes if n_nodes is not None else max(65, int(4 * horizon / eps) + 9)
 
@@ -414,7 +396,7 @@ def solve_steady_hom(
     """
     if not lam > 0:
         raise InputError("lam must be positive")
-    x_axes = _normalize_axes(x_grid, f.dimension, "x_grid")
+    x_axes = axes_of(x_grid, f.dimension, "x_grid")
     closed_form = f.f0 / lam
     table_min = float(np.min(f.values))
     if not table_min >= f.f0:

@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, InvariantError, SolverError
-from .potentials import GeneralLagrangian, PeriodicPotential, Perturbation
+from .grid import mesh
+from .potentials import GeneralLagrangian, PeriodicPotential, Perturbation, eval_potential
 from .quadrature import QuadratureSpec, exp_interval_weights, midpoint_offsets
 from .trajectory import Trajectory, action_G, discounted_action
 
@@ -87,9 +88,6 @@ class DPGrid:
     def states(self) -> np.ndarray:
         return np.linspace(self.x_lo, self.x_hi, self.n_x)
 
-    def refined(self) -> "DPGrid":
-        return DPGrid(self.x_lo, self.x_hi, 2 * self.n_x - 1, 2 * self.n_t - 1)
-
 
 # ---------------------------------------------------------------------------
 # The discrete action and its damped-Newton minimizer
@@ -111,6 +109,7 @@ class _Action:
     """
 
     def __init__(self, V, W, eps, kinetic, weights, tail=0.0, last_free=False):
+        self.V, self.W = V, W
         self.terms = [obj for obj in (V, W) if obj is not None]
         self.eps = eps
         self.kinetic = kinetic
@@ -125,7 +124,7 @@ class _Action:
         return cls(V, W, eps, 1.0 / widths, np.repeat(widths[:, None] / m, m, axis=1))
 
     def _f(self, y):
-        return sum((obj.evaluator(y) for obj in self.terms), np.zeros(y.shape[:-1]))
+        return eval_potential(self.V, self.W, y)
 
     def _samples(self, x):
         lam = self.offsets[None, None, :, None]
@@ -522,9 +521,7 @@ def _park_candidates(action: _Action, x0, count: int = 3):
     """Nearby points with small (V+W)(y/eps): targets for dash-then-park starts."""
     d = x0.shape[0]
     eps = action.eps
-    offsets = np.arange(-2, 3)
-    mesh = np.meshgrid(*([offsets] * d), indexing="ij")
-    shifts = np.stack([g.ravel() for g in mesh], axis=-1)
+    shifts = mesh([np.arange(-2, 3)] * d)
     anchors = eps * np.round(x0 / eps)[None, :] + eps * shifts
     costs = action._f(anchors / eps)
     order = np.argsort(costs, kind="stable")[:count]
@@ -550,11 +547,28 @@ def _default_slope_set(slope_bc: float, count: int = 41):
     return np.linspace(-span, span, count)
 
 
-def _stage_costs(V, W, eps, states):
-    cost = V.evaluator(states[:, None] / eps)
-    if W is not None:
-        cost = cost + W.evaluator(states[:, None] / eps)
-    return cost
+def _dp_step(value, weight, moves, slopes, cost, atom_cost):
+    """One backward lattice step: the best over moves k of the stage cost
+    weight * (s_k^2 + cost (+ atom_cost when staying, k = 0)) plus value at i + k."""
+    n_x = value.size
+    best = np.full(n_x, np.inf)
+    for k, s in zip(moves, slopes):
+        src_lo = max(0, -k)
+        src_hi = n_x - max(0, k)
+        if src_hi <= src_lo:
+            continue
+        stage = weight * (s * s + cost[src_lo:src_hi])
+        if k == 0 and atom_cost is not None:
+            stage = stage + weight * atom_cost[src_lo:src_hi]
+        cand = stage + value[src_lo + k : src_hi + k]
+        np.minimum(best[src_lo:src_hi], cand, out=best[src_lo:src_hi])
+    return best
+
+
+def _atom_cost(W, states):
+    """W's zero atom charged at the state 0, or None when W has no atom."""
+    atom = W.zero_atom if W is not None else 0.0
+    return None if atom == 0.0 else np.where(states == 0.0, atom, 0.0)
 
 
 def dp_oracle_1d(
@@ -588,29 +602,12 @@ def dp_oracle_1d(
         slope_set = _default_slope_set((b - a) / (t1 - t0))
     moves, slopes = _lattice_moves(slope_set, h, dx, grid.n_x)
 
-    cost = _stage_costs(V, W, eps, states)
-    atom = W.zero_atom if W is not None else 0.0
-    zero_idx = np.flatnonzero(states == 0.0)
-
+    cost = eval_potential(V, W, states[:, None] / eps)
+    atom_cost = _atom_cost(W, states)
     value = np.full(grid.n_x, np.inf)
     value[int(np.argmin(np.abs(states - b)))] = 0.0
-    stay_bonus = np.zeros(grid.n_x)
-    if atom != 0.0 and zero_idx.size:
-        stay_bonus[zero_idx] = atom
-
     for _ in range(grid.n_t - 1):
-        best = np.full(grid.n_x, np.inf)
-        for k, s in zip(moves, slopes):
-            src_lo = max(0, -k)
-            src_hi = grid.n_x - max(0, k)
-            if src_hi <= src_lo:
-                continue
-            stage = h * (s * s + cost[src_lo:src_hi])
-            if k == 0 and atom != 0.0:
-                stage = stage + h * stay_bonus[src_lo:src_hi]
-            cand = stage + value[src_lo + k : src_hi + k]
-            np.minimum(best[src_lo:src_hi], cand, out=best[src_lo:src_hi])
-        value = best
+        value = _dp_step(value, h, moves, slopes, cost, atom_cost)
 
     result = value[int(np.argmin(np.abs(states - a)))]
     if not np.isfinite(result):
@@ -644,31 +641,15 @@ def dp_oracle_halfline(
         slope_set = _default_slope_set(0.0)
     moves, slopes = _lattice_moves(slope_set, h, dx, grid.n_x)
 
-    cost = _stage_costs(V, W, eps, states)
-    atom = W.zero_atom if W is not None else 0.0
-    atom_cost = np.zeros(grid.n_x)
-    if atom != 0.0:
-        atom_cost[states == 0.0] = atom
-
+    cost = eval_potential(V, W, states[:, None] / eps)
+    atom_cost = _atom_cost(W, states)
     times = np.linspace(0.0, T_max, grid.n_t)
     anti = np.exp(-lam * times) / lam
     weights = anti[:-1] - anti[1:]
 
-    value = (cost + atom_cost) * (np.exp(-lam * T_max) / lam)
+    value = (cost if atom_cost is None else cost + atom_cost) * (np.exp(-lam * T_max) / lam)
     for step in range(grid.n_t - 2, -1, -1):
-        w = weights[step]
-        best = np.full(grid.n_x, np.inf)
-        for k, s in zip(moves, slopes):
-            src_lo = max(0, -k)
-            src_hi = grid.n_x - max(0, k)
-            if src_hi <= src_lo:
-                continue
-            stage = w * (s * s + cost[src_lo:src_hi])
-            if k == 0 and atom != 0.0:
-                stage = stage + w * atom_cost[src_lo:src_hi]
-            cand = stage + value[src_lo + k : src_hi + k]
-            np.minimum(best[src_lo:src_hi], cand, out=best[src_lo:src_hi])
-        value = best
+        value = _dp_step(value, weights[step], moves, slopes, cost, atom_cost)
 
     result = value[int(np.argmin(np.abs(states - x0)))]
     if not np.isfinite(result):

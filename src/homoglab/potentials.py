@@ -23,21 +23,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError
+from .grid import as_points, mesh
 from .quadrature import QuadratureSpec, midpoint_offsets, midpoints
 
 REGISTRY_VERSION = "1"
 
 SIGN_CLASSES = ("nonnegative", "nonpositive", "signed")
-
-
-def as_points(x, dimension: int) -> np.ndarray:
-    """Normalize sample points to shape (..., dimension)."""
-    arr = np.asarray(x, dtype=float)
-    if dimension == 1 and (arr.ndim == 0 or arr.shape[-1] != 1):
-        arr = arr[..., np.newaxis]
-    if arr.ndim == 0 or arr.shape[-1] != dimension:
-        raise InputError(f"expected points with last axis {dimension}, got shape {arr.shape}")
-    return arr
 
 
 class _Differentiable:
@@ -181,10 +172,7 @@ class GeneralLagrangian:
             raise InputError("V and W dimensions disagree")
 
         def evaluator(x, xi):
-            out = np.sum(xi * xi, axis=-1) + V.evaluator(x)
-            if W is not None:
-                out = out + W.evaluator(x)
-            return out
+            return np.sum(xi * xi, axis=-1) + eval_potential(V, W, x)
 
         low = V.v_min + (W.lower_bound() if W is not None else 0.0)
         high = V.v_max + (W.upper_bound() if W is not None else 0.0)
@@ -223,29 +211,28 @@ def _fd_hessian(gradient, pts: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
+def eval_potential(V: Optional[PeriodicPotential], W: Optional[Perturbation], y):
+    """(V + W)(y) at points y of shape (..., d), by the raw evaluators; an absent term is zero."""
+    if V is None or W is None:
+        term = W if V is None else V
+        return np.zeros(y.shape[:-1]) if term is None else term.evaluator(y)
+    return V.evaluator(y) + W.evaluator(y)
+
+
 def eval_lagrangian(V: PeriodicPotential, W: Optional[Perturbation], x, xi):
     """L(x, xi) = |xi|^2 + V(x) + W(x), broadcasting over both slots."""
-    pts = as_points(x, V.dimension)
+    if W is not None and W.dimension != V.dimension:
+        raise InputError("V and W dimensions disagree")
     vel = as_points(xi, V.dimension)
-    kinetic = np.sum(vel * vel, axis=-1)
-    value = kinetic + V.evaluator(pts)
-    if W is not None:
-        if W.dimension != V.dimension:
-            raise InputError("V and W dimensions disagree")
-        value = value + W.evaluator(pts)
-    return value
+    return np.sum(vel * vel, axis=-1) + eval_potential(V, W, as_points(x, V.dimension))
 
 
 def eval_hamiltonian(V: PeriodicPotential, W: Optional[Perturbation], x, p):
     """H(x, p) = |p|^2/4 - V(x) - W(x), the convex dual of eval_lagrangian."""
-    pts = as_points(x, V.dimension)
+    if W is not None and W.dimension != V.dimension:
+        raise InputError("V and W dimensions disagree")
     mom = as_points(p, V.dimension)
-    value = 0.25 * np.sum(mom * mom, axis=-1) - V.evaluator(pts)
-    if W is not None:
-        if W.dimension != V.dimension:
-            raise InputError("V and W dimensions disagree")
-        value = value - W.evaluator(pts)
-    return value
+    return 0.25 * np.sum(mom * mom, axis=-1) - eval_potential(V, W, as_points(x, V.dimension))
 
 
 def line_average(W: Perturbation, R: float, quad: QuadratureSpec) -> float:
@@ -303,9 +290,7 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float, quad: QuadratureSp
         offsets = midpoints(-r, r, n_cross)[:, None]
         cell = 2 * r / n_cross
     else:
-        grid_1d = midpoints(-r, r, n_cross)
-        mesh = np.meshgrid(*([grid_1d] * (d - 1)), indexing="ij")
-        offsets = np.stack([m.ravel() for m in mesh], axis=-1)
+        offsets = mesh([midpoints(-r, r, n_cross)] * (d - 1))
         keep = np.sum(offsets * offsets, axis=-1) < r * r
         offsets = offsets[keep]
         cell = (2 * r / n_cross) ** (d - 1)

@@ -26,9 +26,6 @@ class QuadratureSpec:
         if not (self.tolerance > 0):
             raise InputError("tolerance must be positive")
 
-    def refined(self, factor: int = 2) -> "QuadratureSpec":
-        return QuadratureSpec(self.samples_per_interval * factor, self.tolerance)
-
 
 def midpoint_offsets(m: int) -> np.ndarray:
     """Relative midpoint positions (s + 1/2)/m inside a unit interval."""

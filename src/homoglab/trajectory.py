@@ -6,22 +6,20 @@ midpoint sampling inside every interval, so a trajectory's action is a
 deterministic function of (nodes, times, QuadratureSpec) that optimizers can
 reproduce to machine precision.
 
-Uniform node layouts are the norm (`Trajectory.uniform`, `from_function`).
+Uniform node layouts are the norm (`Trajectory.affine`, optimizer grids).
 Graded layouts appear only in cusp connectors, whose profile (distance)^alpha
 has unbounded slope at the endpoints for alpha < 1: geometric clustering of
 nodes near the cusps makes the discrete kinetic integral approach its analytic
 value from below (linear interpolation never increases kinetic energy).
 """
 
-import csv
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import InputError, InvariantError
-from .potentials import PeriodicPotential, Perturbation, _householder_frame
+from .potentials import PeriodicPotential, Perturbation, _householder_frame, eval_potential
 from .quadrature import QuadratureSpec, exp_interval_weights, midpoint_offsets
 
 __all__ = [
@@ -60,21 +58,6 @@ class Trajectory:
         object.__setattr__(self, "nodes", nodes)
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def uniform(cls, t0: float, t1: float, nodes, meta: Optional[dict] = None) -> "Trajectory":
-        nodes = np.asarray(nodes, dtype=float)
-        count = nodes.shape[0]
-        if count < 2:
-            raise InputError("need at least two nodes")
-        times = np.linspace(t0, t1, count)
-        return cls(times, nodes, meta or {})
-
-    @classmethod
-    def from_function(cls, fn, t0: float, t1: float, n_intervals: int) -> "Trajectory":
-        times = np.linspace(t0, t1, n_intervals + 1)
-        nodes = np.asarray([fn(t) for t in times], dtype=float)
-        return cls(times, nodes)
 
     @classmethod
     def affine(cls, a, b, t0: float, t1: float, n_intervals: int = 1) -> "Trajectory":
@@ -130,52 +113,6 @@ class Trajectory:
         diffs = np.diff(self.nodes, axis=0)
         return float(np.sum(np.sum(diffs * diffs, axis=1) / self.widths))
 
-    # -- serialization -------------------------------------------------------
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t"] + [f"u_{i + 1}" for i in range(self.dimension)])
-            for t, row in zip(self.times, self.nodes):
-                writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-
-    @classmethod
-    def from_csv(cls, path) -> "Trajectory":
-        with open(path, newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader)
-            if not header or header[0] != "t":
-                raise InputError("trajectory CSV must start with a 't' column")
-            rows = [[float(v) for v in row] for row in reader if row]
-        data = np.asarray(rows, dtype=float)
-        return cls(data[:, 0], data[:, 1:])
-
-    def to_json(self) -> str:
-        meta = {k: _jsonable(v) for k, v in self.meta.items()}
-        payload = {
-            "times": [float(t) for t in self.times],
-            "nodes": [[float(v) for v in row] for row in self.nodes],
-            "meta": meta,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trajectory":
-        payload = json.loads(text)
-        return cls(
-            np.asarray(payload["times"], dtype=float),
-            np.asarray(payload["nodes"], dtype=float),
-            payload.get("meta", {}),
-        )
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
 
 # ---------------------------------------------------------------------------
 # Sampling helpers shared with the optimizers
@@ -194,16 +131,6 @@ def potential_term(times, nodes, fn, eps: float, m: int) -> float:
     vals = fn(pts / eps)
     widths = np.diff(times)
     return float(np.sum(np.sum(vals, axis=1) * (widths / m)))
-
-
-def _combined(V: Optional[PeriodicPotential], W: Optional[Perturbation]):
-    if V is not None and W is not None:
-        return lambda y: V.evaluator(y) + W.evaluator(y)
-    if V is not None:
-        return V.evaluator
-    if W is not None:
-        return W.evaluator
-    return lambda y: np.zeros(y.shape[:-1])
 
 
 def _check_dims(u: Trajectory, V, W):
@@ -266,7 +193,6 @@ def discounted_action(
         raise InputError("discounted actions start at t0 = 0")
     _check_dims(u, V, W)
     m = quad.samples_per_interval
-    fn = _combined(V, W)
 
     sub_edges = u.times[:-1, None] + np.diff(u.times)[:, None] * np.concatenate(
         ([0.0], np.arange(1, m) / m, [1.0])
@@ -276,7 +202,7 @@ def discounted_action(
     weights = anti[:, :-1] - anti[:, 1:]
 
     pts = interval_samples(u.times, u.nodes, m)
-    vals = fn(pts / eps)
+    vals = eval_potential(V, W, pts / eps)
     value = float(np.sum(vals * weights))
 
     slopes = u.slopes
@@ -285,7 +211,7 @@ def discounted_action(
 
     tail_weight = float(np.exp(-lam * u.t1) / lam)
     end = u.nodes[-1][None, :]
-    value += float(fn(end / eps)[0]) * tail_weight
+    value += float(eval_potential(V, W, end / eps)[0]) * tail_weight
 
     if W is not None and W.zero_atom != 0.0:
         value += W.zero_atom * _discounted_zero_measure(u, 0.0, lam)

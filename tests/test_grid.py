@@ -1,0 +1,67 @@
+"""The shared grid layer: axes check, ij mesh, and the table base of both tables."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from homoglab import ConjugateTable, ExtrapolationError, HomogenizedLagrangian, InputError
+from homoglab.grid import axes_of, mesh
+
+AXIS = np.linspace(-1.0, 1.0, 5)
+SOURCE = HomogenizedLagrangian((AXIS,), AXIS**2, 0.0)
+
+TABLES = {
+    "lagrangian": lambda axes, values: HomogenizedLagrangian(axes, values, 0.0),
+    "conjugate": lambda axes, values: ConjugateTable(axes, values, SOURCE),
+}
+
+
+@pytest.fixture(params=sorted(TABLES))
+def make_table(request):
+    return TABLES[request.param]
+
+
+def test_table_rejects_bad_axes_and_reads_nodes_exactly(make_table):
+    with pytest.raises(InputError):
+        make_table((AXIS[::-1],), AXIS**2)
+    with pytest.raises(InputError):
+        make_table((np.array([0.0]),), np.array([1.0]))
+
+    axes = (AXIS, np.array([0.0, 0.5, 2.0]))
+    values = np.random.default_rng(0).normal(size=(5, 3))
+    table = make_table(axes, values)
+    np.testing.assert_array_equal(table.value(mesh(axes)), values.reshape(-1))
+    assert table.value(np.array([0.5, 2.0])) == values[3, 2]
+
+    batch = np.array([[0.0, 1.0], [1.5, 0.0], [0.0, -1.0]])
+    with pytest.raises(ExtrapolationError) as info:
+        table.value(batch)
+    assert info.value.point == [1.5, 0.0]
+    assert info.value.hull == [(-1.0, 1.0), (0.0, 2.0)]
+
+
+_AXIS_POINTS = st.lists(
+    st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=4, unique=True
+).map(sorted)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_AXIS_POINTS, min_size=1, max_size=3), st.data())
+def test_mesh_order_and_axes_check(raw_axes, data):
+    axes = [np.array(points) for points in raw_axes]
+    d = len(axes)
+    expected = np.array(list(itertools.product(*axes))).reshape(-1, d)
+    np.testing.assert_array_equal(mesh(axes), expected)
+    for got, want in zip(axes_of(axes, d), axes):
+        np.testing.assert_array_equal(got, want)
+    for ax in axes:
+        np.testing.assert_array_equal(axes_of(ax, 1)[0], axes_of((ax,), 1)[0])
+
+    k = data.draw(st.integers(0, d - 1))
+    broken = list(axes)
+    broken[k] = np.append(axes[k], axes[k][0])  # repeats (size 1) or falls back
+    with pytest.raises(InputError):
+        axes_of(broken, d)
