@@ -724,10 +724,7 @@ def run_hj_convergence(cfg: ExperimentConfig, threads: int = 1) -> Report:
     opt = cfg.optimizer()
     quad = cfg.quadrature()
     x_axes = cfg.x_axes()
-    method = "1d" if cfg.dimension == 1 else "asymptotic"
-    f = tabulate_f_hom(
-        V, cfg.xi_axes(), method=method, opt=cfg.cell_optimizer(), quad=quad
-    )
+    f, _ = _f_hom_table(cfg)
 
     if cfg.lam is not None:
         mode = "steady"

@@ -47,7 +47,7 @@ def axes_of(grid, dimension: int, label: str = "grid", min_points: int = 1) -> t
     if len(axes) != dimension:
         raise InputError(f"{label} has {len(axes)} axes, expected {dimension}")
     for ax in axes:
-        if ax.ndim != 1 or ax.size < min_points or np.any(np.diff(ax) <= 0):
+        if ax.ndim != 1 or ax.size < min_points or not np.all(np.diff(ax) > 0):
             raise InputError(
                 f"each {label} axis must be strictly increasing with >= {min_points} points"
             )

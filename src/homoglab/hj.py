@@ -43,7 +43,8 @@ class ValueField:
     """Values of a HJ solution on a space grid (and time grid, if evolutionary).
 
     values has shape x_shape + (len(t_grid),) for evolutionary fields and
-    x_shape for steady ones (t_grid None). All values must be finite.
+    x_shape for steady ones (t_grid None). The x axes and t_grid must be
+    strictly increasing, and all values must be finite.
     """
 
     x_axes: tuple
@@ -52,10 +53,10 @@ class ValueField:
     provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        axes = tuple(np.asarray(ax, dtype=float) for ax in self.x_axes)
+        axes = axes_of(tuple(self.x_axes), len(self.x_axes), "x axes")
         object.__setattr__(self, "x_axes", axes)
         if self.t_grid is not None:
-            object.__setattr__(self, "t_grid", np.asarray(self.t_grid, dtype=float))
+            object.__setattr__(self, "t_grid", axes_of(self.t_grid, 1, "t_grid")[0])
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         expected = tuple(ax.size for ax in axes)
         if self.t_grid is not None:
@@ -111,8 +112,18 @@ class ValueField:
 
 
 def field_distance(a: ValueField, b: ValueField):
-    """(sup, mean) absolute distance between two fields on identical grids."""
-    if a.values.shape != b.values.shape:
+    """(sup, mean) absolute distance between two fields on identical grids.
+
+    Raises InputError unless both fields have equal x axes and equal time
+    grids (both None for steady fields).
+    """
+    same_x = len(a.x_axes) == len(b.x_axes) and all(map(np.array_equal, a.x_axes, b.x_axes))
+    same_t = (
+        np.array_equal(a.t_grid, b.t_grid)
+        if a.t_grid is not None and b.t_grid is not None
+        else a.t_grid is b.t_grid
+    )
+    if not (same_x and same_t):
         raise InputError("fields live on different grids")
     diff = np.abs(a.values - b.values)
     return float(np.max(diff)), float(np.mean(diff))

@@ -547,28 +547,71 @@ def _default_slope_set(slope_bc: float, count: int = 41):
     return np.linspace(-span, span, count)
 
 
-def _dp_step(value, weight, moves, slopes, cost, atom_cost):
-    """One backward lattice step: the best over moves k of the stage cost
-    weight * (s_k^2 + cost (+ atom_cost when staying, k = 0)) plus value at i + k."""
-    n_x = value.size
-    best = np.full(n_x, np.inf)
-    for k, s in zip(moves, slopes):
-        src_lo = max(0, -k)
-        src_hi = n_x - max(0, k)
-        if src_hi <= src_lo:
-            continue
-        stage = weight * (s * s + cost[src_lo:src_hi])
-        if k == 0 and atom_cost is not None:
-            stage = stage + weight * atom_cost[src_lo:src_hi]
-        cand = stage + value[src_lo + k : src_hi + k]
-        np.minimum(best[src_lo:src_hi], cand, out=best[src_lo:src_hi])
-    return best
+def _lattice_costs(V, W, eps, states):
+    """(V + W)(x / eps) at the states, and W's zero atom at the state 0 (None without one).
 
-
-def _atom_cost(W, states):
-    """W's zero atom charged at the state 0, or None when W has no atom."""
+    Raises SolverError when a state's cost is NaN or -inf. The sweep skips
+    states whose value is still +inf or that cannot reach the read-out state;
+    that is exact only while no stage cost can turn a +inf value into NaN.
+    A +inf cost stays a forbidden state.
+    """
+    cost = eval_potential(V, W, states[:, None] / eps)
     atom = W.zero_atom if W is not None else 0.0
-    return None if atom == 0.0 else np.where(states == 0.0, atom, 0.0)
+    atom_cost = None if atom == 0.0 else np.where(states == 0.0, atom, 0.0)
+    stay = cost if atom_cost is None else cost + atom_cost
+    bad = np.flatnonzero(~(stay > -np.inf))
+    if bad.size:
+        i = int(bad[0])
+        raise SolverError(
+            f"DP stage cost at state {i} (x = {float(states[i])!r}) is {float(stay[i])!r}"
+        )
+    return cost, atom_cost
+
+
+def _dp_sweep(value, lo, hi, target, moves, stages, n_steps, weights=None, atom=None):
+    """Run n_steps backward lattice steps from `value` (finite only on states
+    lo..hi; overwritten) and return the value at state `target`.
+
+    A step takes, at each state i, the best over moves k of the stage cost of
+    i plus the value at i + k. stages[m] holds move m's stage cost at every
+    state: as charged, or, given `weights` (one per step, in sweep order), to be
+    charged as weights[j] * stages[m] plus weights[j] * atom when staying.
+
+    Each step sweeps only its cone: the states whose value can be finite
+    (grown from lo..hi by the moves) and that can still reach `target` in the
+    steps left. Every other value stays +inf or is never read, so the result
+    equals the full-grid sweep's bit for bit.
+    """
+    n_x = value.size
+    moves = moves.tolist()  # Python ints: the window bounds are scalar arithmetic
+    kmin, kmax = moves[0], moves[-1]
+    best = np.empty(n_x)
+    cand = np.empty(n_x)
+    for j in range(n_steps):
+        left = n_steps - 1 - j
+        new_lo = max(lo - kmax, target + left * kmin, 0)
+        new_hi = min(hi - kmin, target + left * kmax, n_x - 1)
+        if new_hi < new_lo:
+            return np.inf
+        best[new_lo : new_hi + 1] = np.inf
+        for k, stage in zip(moves, stages):
+            i0 = max(new_lo, lo - k)
+            i1 = min(new_hi, hi - k) + 1
+            if i1 <= i0:
+                continue
+            c = cand[: i1 - i0]
+            if weights is None:
+                np.add(stage[i0:i1], value[i0 + k : i1 + k], out=c)
+            else:
+                np.multiply(weights[j], stage[i0:i1], out=c)
+                if k == 0 and atom is not None:
+                    np.add(c, weights[j] * atom[i0:i1], out=c)
+                np.add(c, value[i0 + k : i1 + k], out=c)
+            b = best[i0:i1]
+            np.minimum(b, c, out=b)
+        value, best = best, value
+        lo, hi = new_lo, new_hi
+    return value[target]
 
 
 def dp_oracle_1d(
@@ -589,7 +632,10 @@ def dp_oracle_1d(
     (V+W)(x/eps)) at the source state. Endpoints are pinned to the nearest
     grid states. A zero_atom on W is charged exactly for steps that stay at
     the state 0 (present on the grid whenever the range is symmetric with an
-    odd state count).
+    odd state count). Each stage cost is built once per move, and each step
+    sweeps only the reachable cone: the states already reachable from b that
+    can still reach a in the steps left. A NaN or -inf cost raises
+    SolverError; a +inf cost forbids its state.
     """
     if not t1 > t0:
         raise InputError("need t1 > t0")
@@ -602,14 +648,18 @@ def dp_oracle_1d(
         slope_set = _default_slope_set((b - a) / (t1 - t0))
     moves, slopes = _lattice_moves(slope_set, h, dx, grid.n_x)
 
-    cost = eval_potential(V, W, states[:, None] / eps)
-    atom_cost = _atom_cost(W, states)
+    cost, atom_cost = _lattice_costs(V, W, eps, states)
+    stages = []
+    for k, s in zip(moves, slopes):
+        stage = h * (s * s + cost)
+        if k == 0 and atom_cost is not None:
+            stage = stage + h * atom_cost
+        stages.append(stage)
     value = np.full(grid.n_x, np.inf)
-    value[int(np.argmin(np.abs(states - b)))] = 0.0
-    for _ in range(grid.n_t - 1):
-        value = _dp_step(value, h, moves, slopes, cost, atom_cost)
-
-    result = value[int(np.argmin(np.abs(states - a)))]
+    ib = int(np.argmin(np.abs(states - b)))
+    value[ib] = 0.0
+    ia = int(np.argmin(np.abs(states - a)))
+    result = _dp_sweep(value, ib, ib, ia, moves, stages, grid.n_t - 1)
     if not np.isfinite(result):
         raise SolverError("DP could not connect the boundary states with the given slopes")
     return float(result)
@@ -629,6 +679,9 @@ def dp_oracle_halfline(
 
     Stage weights are the exact integrals of exp(-lam*t) over each time slice,
     and the terminal value is the exact tail of sitting at the final state.
+    Each step sweeps only the reachable cone, the states that can still reach
+    x0 in the steps left. A NaN or -inf cost raises SolverError; a +inf cost
+    forbids its state.
     """
     if not lam > 0:
         raise InputError("lam must be positive")
@@ -641,17 +694,16 @@ def dp_oracle_halfline(
         slope_set = _default_slope_set(0.0)
     moves, slopes = _lattice_moves(slope_set, h, dx, grid.n_x)
 
-    cost = eval_potential(V, W, states[:, None] / eps)
-    atom_cost = _atom_cost(W, states)
+    cost, atom_cost = _lattice_costs(V, W, eps, states)
     times = np.linspace(0.0, T_max, grid.n_t)
     anti = np.exp(-lam * times) / lam
     weights = anti[:-1] - anti[1:]
 
     value = (cost if atom_cost is None else cost + atom_cost) * (np.exp(-lam * T_max) / lam)
-    for step in range(grid.n_t - 2, -1, -1):
-        value = _dp_step(value, weights[step], moves, slopes, cost, atom_cost)
-
-    result = value[int(np.argmin(np.abs(states - x0)))]
+    result = _dp_sweep(
+        value, 0, grid.n_x - 1, int(np.argmin(np.abs(states - x0))), moves,
+        [s * s + cost for s in slopes], grid.n_t - 1, weights[::-1], atom_cost,
+    )
     if not np.isfinite(result):
         raise SolverError("discounted DP found no admissible path")
     return float(result)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from homoglab import experiments
 from homoglab.errors import ConfigError, InputError, InvariantError
 from homoglab.experiments import (
     ExperimentConfig,
@@ -14,6 +15,7 @@ from homoglab.experiments import (
     run_condition_diagnostics,
     run_fenchel_tables,
     run_fhom_table,
+    run_hj_convergence,
     run_negative_perturbation,
     run_stability_sweep,
 )
@@ -289,6 +291,28 @@ def test_fenchel_runner_certifies_transform():
     assert star[2.0] == pytest.approx(1.0, abs=1e-9)  # sup(p*xi - xi^2) = p^2/4
     names = {name for name, _ in rep.extra_files}
     assert names == {"f_hom.json", "f_star.json"}
+
+
+def test_hj_runner_tabulates_by_the_configured_method(monkeypatch):
+    used = []
+    real = experiments.tabulate_f_hom
+
+    def spy(*args, **kwargs):
+        used.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "tabulate_f_hom", spy)
+    cfg = make_cfg(
+        experiment="hj",
+        perturbation={"name": "runge_decay"},
+        **{"lambda": 1.0},
+        eps_ladder=[0.2],
+        grids={"x": {"lo": -0.2, "hi": 0.2, "n": 3}, "xi": {"half_width": 2.0, "n": 5}},
+        solver={**FAST_SOLVER, "method": "asymptotic"},
+    )
+    rep = run_hj_convergence(cfg)
+    assert used == ["asymptotic"]
+    assert rep.provenance["solver"]["method"] == "asymptotic"
 
 
 # -- determinism -------------------------------------------------------------

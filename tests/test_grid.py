@@ -29,6 +29,8 @@ def test_table_rejects_bad_axes_and_reads_nodes_exactly(make_table):
         make_table((AXIS[::-1],), AXIS**2)
     with pytest.raises(InputError):
         make_table((np.array([0.0]),), np.array([1.0]))
+    with pytest.raises(InputError):
+        make_table((np.array([0.0, np.nan, 1.0]),), AXIS[:3])
 
     axes = (AXIS, np.array([0.0, 0.5, 2.0]))
     values = np.random.default_rng(0).normal(size=(5, 3))

@@ -5,6 +5,7 @@ import pytest
 
 from homoglab import (
     HomogenizedLagrangian,
+    InputError,
     InvariantError,
     OptimizerSpec,
     QuadratureSpec,
@@ -54,6 +55,29 @@ def test_value_field_rejects_nonfinite():
     bad = np.array([[0.0], [np.nan], [1.0]])
     with pytest.raises(InvariantError):
         ValueField((x,), t, bad, {})
+
+
+def test_value_fields_check_their_grids():
+    for bad_x, bad_t in [
+        ([1.0, 0.0, -1.0], None),
+        ([0.0, np.nan, 1.0], None),
+        ([0.0, 0.5, 1.0], [1.0, 0.5, 0.5]),
+    ]:
+        shape = (3,) if bad_t is None else (3, 3)
+        with pytest.raises(InputError):
+            ValueField((np.array(bad_x),), bad_t, np.zeros(shape), {})
+    values = np.zeros((2, 2))
+    field = ValueField((np.array([0.0, 1.0]),), np.array([0.5, 1.0]), values, {})
+    others = [
+        ValueField((np.array([5.0, 9.0]),), np.array([0.5, 1.0]), values, {}),
+        ValueField((np.array([0.0, 1.0]),), np.array([0.5, 2.0]), values, {}),
+        ValueField((np.array([0.0, 1.0]), np.array([0.0, 1.0])), None, values, {}),
+    ]
+    for other in others:
+        with pytest.raises(InputError, match="different grids"):
+            field_distance(field, other)
+        with pytest.raises(InputError, match="different grids"):
+            field_distance(other, field)
 
 
 def test_plane_wave_is_exact_for_homogenized_solver(free_table):

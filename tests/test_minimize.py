@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homoglab import (
     DPGrid,
@@ -18,9 +20,10 @@ from homoglab import (
     minimize_bvp_batch,
     minimize_halfline,
     minimize_lagrangian_bvp,
+    SolverError,
 )
-from homoglab.minimize import _newton_steps
-from homoglab.potentials import GeneralLagrangian
+from homoglab.minimize import _lattice_moves, _newton_steps
+from homoglab.potentials import GeneralLagrangian, Perturbation, eval_potential
 
 
 def test_bvp_free_particle_is_straight_line(std_opt, quad, zero_1d):
@@ -136,6 +139,138 @@ def test_dp_oracle_charges_negative_atom():
                        slope_set=np.linspace(-4, 4, 161))
     # parking at the origin collects the atom for the whole window
     assert val == pytest.approx(-1.0, abs=1e-9)
+
+
+def _naive_dp_step(value, weight, moves, slopes, cost, atom_cost):
+    """The full-grid lattice step: every state, every move, every step."""
+    n_x = value.size
+    best = np.full(n_x, np.inf)
+    for k, s in zip(moves, slopes):
+        src_lo = max(0, -k)
+        src_hi = n_x - max(0, k)
+        if src_hi <= src_lo:
+            continue
+        stage = weight * (s * s + cost[src_lo:src_hi])
+        if k == 0 and atom_cost is not None:
+            stage = stage + weight * atom_cost[src_lo:src_hi]
+        cand = stage + value[src_lo + k : src_hi + k]
+        np.minimum(best[src_lo:src_hi], cand, out=best[src_lo:src_hi])
+    return best
+
+
+def _naive_lattice(V, W, eps, grid, h, slope_set):
+    states = grid.states()
+    moves, slopes = _lattice_moves(slope_set, h, states[1] - states[0], grid.n_x)
+    cost = eval_potential(V, W, states[:, None] / eps)
+    atom = W.zero_atom if W is not None else 0.0
+    atom_cost = None if atom == 0.0 else np.where(states == 0.0, atom, 0.0)
+    return states, moves, slopes, cost, atom_cost
+
+
+def _naive_dp_1d(V, W, eps, a, b, grid, slope_set):
+    states, moves, slopes, cost, atom_cost = _naive_lattice(
+        V, W, eps, grid, 1.0 / (grid.n_t - 1), slope_set
+    )
+    value = np.full(grid.n_x, np.inf)
+    value[int(np.argmin(np.abs(states - b)))] = 0.0
+    for _ in range(grid.n_t - 1):
+        value = _naive_dp_step(value, 1.0 / (grid.n_t - 1), moves, slopes, cost, atom_cost)
+    return value[int(np.argmin(np.abs(states - a)))]
+
+
+def _naive_dp_halfline(V, W, eps, lam, x0, T_max, grid, slope_set):
+    states, moves, slopes, cost, atom_cost = _naive_lattice(
+        V, W, eps, grid, T_max / (grid.n_t - 1), slope_set
+    )
+    anti = np.exp(-lam * np.linspace(0.0, T_max, grid.n_t)) / lam
+    weights = anti[:-1] - anti[1:]
+    value = (cost if atom_cost is None else cost + atom_cost) * (np.exp(-lam * T_max) / lam)
+    for step in range(grid.n_t - 2, -1, -1):
+        value = _naive_dp_step(value, weights[step], moves, slopes, cost, atom_cost)
+    return value[int(np.argmin(np.abs(states - x0)))]
+
+
+def _forbidden_bands(x):
+    """A perturbation that is +inf (a forbidden state) on bands of x."""
+    return np.where(np.cos(3.0 * x[..., 0]) > 0.9, np.inf, 0.5 * np.sin(x[..., 0]))
+
+
+_DP_PERTURBATIONS = {
+    "none": None,
+    "runge": make_perturbation("runge_decay", 1, amplitude=1.0),
+    "atom": make_perturbation("neg_spike", 1, depth=1.0, width=0.0),
+    "spike_and_atom": make_perturbation("neg_spike", 1, depth=0.7, width=0.3),
+    "forbidden": Perturbation(1, _forbidden_bands, sign_class="signed", sup_bound=np.inf),
+}
+
+
+@st.composite
+def _slope_sets(draw):
+    kind = draw(st.sampled_from(["symmetric", "one_signed", "single"]))
+    top = draw(st.floats(0.1, 8.0))
+    if kind == "single":
+        return [draw(st.floats(-8.0, 8.0))]
+    count = draw(st.integers(2, 25))
+    if kind == "symmetric":
+        return np.linspace(-top, top, count)
+    low = draw(st.floats(0.0, top))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    return sign * np.linspace(low, top, count)
+
+
+def _outcome(solve):
+    """The solver's value, or the name of the error it raised."""
+    try:
+        value = solve()
+    except (InputError, SolverError) as exc:
+        return type(exc).__name__
+    return value if np.isfinite(value) else "SolverError"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_x=st.integers(3, 400),
+    n_t=st.integers(2, 60),
+    symmetric=st.booleans(),
+    perturbation=st.sampled_from(sorted(_DP_PERTURBATIONS)),
+    slope_set=_slope_sets(),
+    eps=st.sampled_from([0.05, 0.3, 1.0]),
+    lam=st.floats(0.3, 3.0),
+    T_max=st.floats(0.5, 5.0),
+    data=st.data(),
+)
+def test_swept_cone_dp_equals_the_full_lattice_bitwise(
+    n_x, n_t, symmetric, perturbation, slope_set, eps, lam, T_max, data
+):
+    grid = DPGrid(-1.0, 1.0, n_x, n_t) if symmetric else DPGrid(-0.7, 1.3, n_x, n_t)
+    V = make_potential("sin2", 1)
+    W = _DP_PERTURBATIONS[perturbation]
+    states = grid.states()
+    a, b, x0 = (float(states[data.draw(st.integers(0, n_x - 1))]) for _ in range(3))
+
+    got = _outcome(lambda: dp_oracle_1d(V, W, eps, 0.0, 1.0, a, b, grid, slope_set=slope_set))
+    want = _outcome(lambda: _naive_dp_1d(V, W, eps, a, b, grid, slope_set))
+    assert got == want
+    got = _outcome(
+        lambda: dp_oracle_halfline(V, W, eps, lam, x0, T_max, grid, slope_set=slope_set)
+    )
+    want = _outcome(lambda: _naive_dp_halfline(V, W, eps, lam, x0, T_max, grid, slope_set))
+    assert got == want
+
+
+def _nan_at_quarter(x):
+    return np.where(x[..., 0] == 0.25, np.nan, 0.0)
+
+
+def test_dp_oracles_reject_a_nan_stage_cost():
+    V = make_potential("zero", 1)
+    W = Perturbation(1, _nan_at_quarter, sign_class="signed")
+    # the NaN state 0.25 sits far outside the cone between a = b = -1.0
+    grid = DPGrid(-1.0, 1.0, 9, 3)
+    with pytest.raises(SolverError, match=r"state 5 \(x = 0\.25\) is nan"):
+        dp_oracle_1d(V, W, 1.0, 0.0, 1.0, -1.0, -1.0, grid, slope_set=[0.0])
+    with pytest.raises(SolverError, match=r"state 5 \(x = 0\.25\) is nan"):
+        dp_oracle_halfline(V, W, 1.0, 1.0, -1.0, 2.0, grid, slope_set=[0.0])
 
 
 def test_halfline_constant_potential_closed_form(std_opt, quad):
