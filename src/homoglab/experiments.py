@@ -717,7 +717,9 @@ def run_hj_convergence(cfg: ExperimentConfig, threads: int = 1) -> Report:
     Steady mode when lambda is configured; evolutionary mode when an initial
     datum is configured (lambda wins if both are present). Emits the
     homogenized field and one field per rung; verdicts ask the sup and mean
-    distances to decrease along the ladder with 10% slack.
+    distances to decrease along the ladder with 10% slack. Rows also carry
+    each eps-field's dp_sup_distance and all_converged, and the provenance
+    each rung's dp_lattice (see solve_steady_eps).
     """
     V = cfg.potential()
     W = cfg.perturbation()
@@ -729,17 +731,15 @@ def run_hj_convergence(cfg: ExperimentConfig, threads: int = 1) -> Report:
     if cfg.lam is not None:
         mode = "steady"
         u_hom = solve_steady_hom(f, cfg.lam, x_axes, opt)
-        solver_cfg = cfg.data["solver"]
-
-        def one_rung(eps: float):
-            t_max = solver_cfg["T_max"]
-            n_nodes = solver_cfg["n_nodes"]
-            return solve_steady_eps(
+        t_max, n_nodes = cfg.data["solver"]["T_max"], cfg.data["solver"]["n_nodes"]
+        eps_fields = [
+            solve_steady_eps(
                 V, W, eps, cfg.lam, x_axes, opt, quad,
                 None if t_max is None else float(t_max),
                 None if n_nodes is None else int(n_nodes),
             )
-
+            for eps in cfg.eps_ladder
+        ]
     else:
         mode = "evolutionary"
         Phi = cfg.initial_datum()
@@ -750,24 +750,16 @@ def run_hj_convergence(cfg: ExperimentConfig, threads: int = 1) -> Report:
         t_grid = cfg.t_grid()
         y_axes = cfg.y_axes()
         u_hom = solve_evolutionary_hom(f, Phi, x_axes, t_grid, y_axes)
-        corrector = None
-        if cfg.dimension == 1 and cfg.data["solver"]["warm_starts"]:
-            slope = float(cfg.xi[0]) if cfg.xi[0] != 0.0 else 1.0
-            corrector = solve_corrector_1d(V, slope, opt=cfg.cell_optimizer(), quad=quad)
+        eps_fields = [
+            solve_evolutionary_eps(V, W, eps, Phi, x_axes, t_grid, y_axes, opt, quad)
+            for eps in cfg.eps_ladder
+        ]
 
-        def one_rung(eps: float):
-            return solve_evolutionary_eps(
-                V, W, eps, Phi, x_axes, t_grid, y_axes, opt, quad,
-                corrector=corrector,
-            )
-
-    eps_fields = [one_rung(eps) for eps in cfg.eps_ladder]
     rows = []
     for eps, field_eps in zip(cfg.eps_ladder, eps_fields):
         sup_d, mean_d = field_distance(field_eps, u_hom)
-        rows.append(
-            {"eps": float(eps), "sup_distance": sup_d, "mean_distance": mean_d}
-        )
+        evidence = {k: field_eps.provenance[k] for k in ("dp_sup_distance", "all_converged")}
+        rows.append({"eps": float(eps), "sup_distance": sup_d, "mean_distance": mean_d, **evidence})
     sups = [r["sup_distance"] for r in rows]
     means = [r["mean_distance"] for r in rows]
     verdicts = {
@@ -779,7 +771,9 @@ def run_hj_convergence(cfg: ExperimentConfig, threads: int = 1) -> Report:
     fields = [("hom", u_hom)] + [
         (f"eps_{eps}", field_eps) for eps, field_eps in zip(cfg.eps_ladder, eps_fields)
     ]
-    return Report("hj", tuple(rows), verdicts, cfg.provenance("hj"), tuple(fields))
+    prov = cfg.provenance("hj")
+    prov["dp_lattice"] = {label: vf.provenance["dp_lattice"] for label, vf in fields[1:]}
+    return Report("hj", tuple(rows), verdicts, prov, tuple(fields))
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,34 @@ homogenized t * f((x-y)/t) or the oscillatory boundary-value minimum.
 Steady problems: discounted half-line minima, with the comparison bounds
 inf(V+W) <= lam * U <= sup(V+W) asserted at every grid point.
 
+The oscillatory (eps) fields are one-dimensional. Each runs one backward
+lattice DP sweep per eps (the discrete Lax-Oleinik formula; Falcone and
+Ferretti, Semi-Lagrangian Approximation Schemes for Linear and
+Hamilton-Jacobi Equations, SIAM 2013), backtracks one argmin path per grid
+point and polishes it with the damped-Newton minimizer.
+
 All fields carry provenance (eps or "hom", discount rate, solver settings)
 and serialize deterministically to CSV and JSON.
 """
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .cell import CorrectorProfile, HomogenizedLagrangian, scaled_oscillation
+from .cell import HomogenizedLagrangian
 from .errors import InputError, InvariantError, SolverError
 from .grid import axes_of, mesh
-from .minimize import OptimizerSpec, _Action, minimize_bvp, minimize_bvp_batch, minimize_halfline
+from .minimize import (
+    OptimizerSpec,
+    _lattice_seeds,
+    _seed_nodes,
+    minimize_bvp,
+    minimize_bvp_batch,
+    minimize_halfline,
+)
 from .potentials import PeriodicPotential, Perturbation
 from .quadrature import QuadratureSpec
 
@@ -194,49 +206,6 @@ def solve_evolutionary_hom(
     )
 
 
-def _dash_paths(times, ys, x, start, stop) -> np.ndarray:
-    """Paths (K, n, d) resting at ys (K, d) until start, then moving uniformly to x
-    by stop and resting there; each row is np.interp through its knots, rounding included."""
-    t, y = times[None, :, None], ys[:, None, :]
-    s, e = np.reshape(start, (-1, 1, 1)), np.reshape(stop, (-1, 1, 1))
-    return np.where(t <= s, y, np.where(t >= e, x, (x - y) / (e - s) * (t - s) + y))
-
-
-def _candidate_paths(times, ys, x, dist, eps, m_bound, oscillation):
-    """Paths (K, n, d) from ys (K, d) to x: affine, park-dash, dash-park and, given
-    the eps-scaled corrector oscillation (n, d), the decorated affine path.
-
-    The optimal oscillatory path often parks at a low-potential spot and
-    crosses the expensive region in one short dash whose duration balances
-    kinetic cost |x-y|^2/tau against the crossing cost M*tau; dist holds |x-y|.
-    """
-    t0, t1 = float(times[0]), float(times[-1])
-    span = t1 - t0
-    dash = np.maximum(dist / math.sqrt(max(m_bound, 1.0)), 4.0 * eps)
-    tau = np.minimum(0.5 * span, np.maximum(dash, 0.05 * span))
-    lam = ((times - t0) / (t1 - t0))[None, :, None]
-    affine = ys[:, None, :] * (1 - lam) + x * lam
-    kinds = [affine, _dash_paths(times, ys, x, t1 - tau, t1), _dash_paths(times, ys, x, t0, t0 + tau)]
-    if oscillation is not None:
-        kinds.append(affine + oscillation)
-        kinds[-1][:, 0], kinds[-1][:, -1] = ys, x
-    return kinds
-
-
-def _admissible_y(x, y_mesh, t, m_bound, phi_range):
-    """Candidate mask from the a priori bound |x-y|^2 <= t*range(Phi) + t^2*M, and |x-y|.
-
-    Any y beating the stay-at-x competitor must satisfy it because the kinetic
-    term alone costs |x-y|^2/t; a 1.5 safety factor absorbs discretization.
-    """
-    radius = 1.5 * math.sqrt(max(t * phi_range + t * t * m_bound, 1e-12))
-    dist = np.linalg.norm(y_mesh - x[None, :], axis=1)
-    ok = dist <= radius
-    if not np.any(ok):
-        ok[int(np.argmin(dist))] = True
-    return ok, dist
-
-
 def solve_evolutionary_eps(
     V: PeriodicPotential,
     W: Optional[Perturbation],
@@ -248,54 +217,37 @@ def solve_evolutionary_eps(
     opt: OptimizerSpec = _HJ_OPT,
     quad: QuadratureSpec = QuadratureSpec(),
     n_nodes: Optional[int] = None,
-    corrector: Optional[CorrectorProfile] = None,
-    prescreen_keep: int = 16,
 ) -> ValueField:
-    """Oscillatory value function U_eps(x, t) = min over y of S_eps(y,x,t) + Phi(y).
+    """Oscillatory value function U_eps(x, t) = min over y of y_grid of S_eps(y,x,t) + Phi(y).
 
-    Candidate y obey the a priori bound of _admissible_y. Each is scored by
-    the lowest action of its _candidate_paths plus Phi(y); only the
-    prescreen_keep best go through descent, whose starts include those paths.
-    Each time slice is one stacked minimize_bvp_batch solve: grid point x is
-    one problem, its kept y the candidate start points, Phi(y) their cost.
-    The prescreen only decides where descent effort is spent: every kept
-    start is an admissible competitor, so the certified upper bound stands.
+    One backward lattice sweep from Phi, finite only at the y of y_grid
+    (minimize._lattice_seeds), gives the lattice field at every time of
+    t_grid and an argmin y and path for every x. Each time slice is then one
+    stacked minimize_bvp_batch polish: grid point x is one problem, pinned to
+    its lattice argmin y, with the lattice path as the warm start next to the
+    affine one. Every value is the action of a concrete path from that y
+    plus Phi(y), so the certified upper bound stands. The provenance records
+    the lattice, its sup distance to the polished field (dp_sup_distance) and
+    whether every polish converged (all_converged). Needs d = 1.
     """
-    if prescreen_keep < 1:
-        raise InputError("prescreen_keep must be >= 1")
     x_axes, t_grid, x_mesh, y_mesh, phi_vals = _evolutionary_grids(x_grid, t_grid, y_grid, Phi, V)
-
-    m_bound = V.v_max + (max(W.upper_bound(), 0.0) if W is not None else 0.0)
-    phi_range = float(np.max(phi_vals) - np.min(phi_vals))
-
+    y = y_mesh[:, 0]
+    lattice, states, seeds = _lattice_seeds(
+        V, W, eps, x_mesh[:, 0], t_grid[-1], t_grid, y, phi_vals
+    )
+    polish = replace(opt, restarts=0)
     values = np.empty((x_mesh.shape[0], t_grid.size))
-    for j, t in enumerate(t_grid):
+    dp_distance, records = 0.0, []
+    for j, (t, (dp_values, path)) in enumerate(zip(t_grid, seeds)):
         nodes_count = n_nodes if n_nodes is not None else max(33, int(8 * t / eps) + 9)
-        times = np.linspace(0.0, t, nodes_count)
-        action = _Action.eps_action(V, W, eps, times, quad.samples_per_interval)
-        osc = None if corrector is None else scaled_oscillation(corrector, eps, times)
-        starts, costs, warm = [], [], []
-        for x in x_mesh:
-            ok, dist = _admissible_y(x, y_mesh, t, m_bound, phi_range)
-            ys, phis = y_mesh[ok], phi_vals[ok]
-            kinds = _candidate_paths(times, ys, x, dist[ok], eps, m_bound, osc)
-            scores = np.min([action.value(u) for u in kinds], axis=0) + phis
-            keep = np.argsort(scores, kind="stable")[:prescreen_keep]
-            starts.append(ys[keep])
-            costs.append(phis[keep])
-            # The affine path is already the solver's first start.
-            warm.append(np.stack([u[keep] for u in kinds[1:]], axis=1))
-        # An x with fewer kept y repeats them: identical starts change no minimum.
-        width = max(c.size for c in costs)
-        a_batch, a_cost, warm = (
-            np.stack([np.resize(u, (width,) + u.shape[1:]) for u in group])
-            for group in (starts, costs, warm)
+        ys = np.argmin(np.abs(y[None, :] - states[path[-1], None]), axis=1)
+        warm = _seed_nodes(states, path[::-1], np.linspace(0.0, t, nodes_count))
+        vals, _, _ = minimize_bvp_batch(
+            V, W, eps, 0.0, t, y_mesh[ys], x_mesh, nodes_count, polish, quad, warm[:, None],
+            records=records,
         )
-        vals, nodes, _ = minimize_bvp_batch(
-            V, W, eps, 0.0, t, a_batch, x_mesh, nodes_count, opt, quad, warm, a_cost
-        )
-        winner = np.argmax(np.all(a_batch == nodes[:, None, 0], axis=2), axis=1)
-        values[:, j] = vals + a_cost[np.arange(x_mesh.shape[0]), winner]
+        values[:, j] = vals + phi_vals[ys]
+        dp_distance = max(dp_distance, float(np.max(np.abs(values[:, j] - dp_values))))
 
     shape = tuple(ax.size for ax in x_axes) + (t_grid.size,)
     return ValueField(
@@ -306,9 +258,10 @@ def solve_evolutionary_eps(
             "kind": "evolutionary",
             "source": {"eps": eps},
             "n_nodes_rule": "8*t/eps+9" if n_nodes is None else n_nodes,
-            "corrector_decorated": corrector is not None,
             "y_count": int(y_mesh.shape[0]),
-            "prescreen_keep": prescreen_keep,
+            "dp_lattice": lattice,
+            "dp_sup_distance": dp_distance,
+            "all_converged": all(r["converged"] for r in records),
         },
     )
 
@@ -351,6 +304,12 @@ def solve_steady_eps(
 ) -> ValueField:
     """Discounted value U_eps(x) per grid point, with comparison bounds asserted.
 
+    One backward discounted lattice sweep gives the lattice value and an
+    argmin path at every grid point; minimize_halfline polishes each path next
+    to the constant one. The provenance records the lattice, its sup distance
+    to the polished field (dp_sup_distance) and whether every polish
+    converged (all_converged). Needs d = 1.
+
     The bounds inf(V+W) <= lam * U <= sup(V+W) are checked against the
     conservative enclosures v_min + inf W and v_max + sup W; a violation
     (which the exact discount weights make impossible for a correct solver
@@ -366,10 +325,18 @@ def solve_steady_eps(
     lower = V.v_min + (W.lower_bound() if W is not None else 0.0)
     upper = V.v_max + (W.upper_bound() if W is not None else 0.0)
 
+    lattice, states, [(dp_values, paths)] = _lattice_seeds(
+        V, W, eps, x_mesh[:, 0], horizon, [horizon], lam=lam
+    )
+    seeds = _seed_nodes(states, paths, np.linspace(0.0, horizon, nodes_count))
     values = np.empty(x_mesh.shape[0])
+    converged = []
     for i, x in enumerate(x_mesh):
-        _, val = minimize_halfline(V, W, eps, lam, x, horizon, nodes_count, opt, quad)
+        traj, val = minimize_halfline(
+            V, W, eps, lam, x, horizon, nodes_count, opt, quad, [seeds[i]]
+        )
         values[i] = val
+        converged.append(traj.meta["converged"])
         scale = max(1.0, abs(val) * lam)
         if lam * val < lower - 1e-9 * scale or lam * val > upper + 1e-9 * scale:
             raise SolverError(
@@ -388,6 +355,9 @@ def solve_steady_eps(
             "T_max": horizon,
             "n_nodes": nodes_count,
             "comparison_bounds": [lower, upper],
+            "dp_lattice": lattice,
+            "dp_sup_distance": float(np.max(np.abs(values - dp_values))),
+            "all_converged": all(converged),
         },
     )
 

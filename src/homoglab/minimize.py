@@ -11,20 +11,22 @@ Two independent routes to the same minima live here, on purpose:
   diagonal shift where a Hessian is indefinite and Armijo backtracking from
   the full step (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.4, 6);
 * backward dynamic programming over a state-time lattice, an anytime upper
-  bound for d = 1 that never sees the optimizer's code paths.
+  bound for d = 1 that never sees the optimizer's code paths. The same
+  sweep, recording each state's argmin move, also seeds the Newton polish
+  of the one-dimensional HJ fields with backtracked lattice paths.
 
 Optimizer results carry certified-upper-bound semantics: every reported value
 is the action of a concrete trajectory, re-evaluated through the trajectory
 module and required to agree with the optimizer's internal objective to 1e-10.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError, InvariantError, SolverError
-from .grid import mesh
 from .potentials import GeneralLagrangian, PeriodicPotential, Perturbation, eval_potential
 from .quadrature import QuadratureSpec, exp_interval_weights, midpoint_offsets
 from .trajectory import Trajectory, action_G, discounted_action
@@ -49,10 +51,10 @@ class OptimizerSpec:
     once its gradient norm is at most grad_tol or its Newton decrement has
     reached roundoff. It also stops, unconverged, when no step along the
     Newton direction decreases the action, or when a converged start of its
-    problem is lower (action plus start-point cost) by more than ten times its
-    Newton decrement. armijo_c is the sufficient-decrease constant of the
-    backtracking line search, which always tries the full step first. The
-    affine start and warm starts are joined by `restarts` seeded random ones.
+    problem is lower by more than ten times its Newton decrement. armijo_c is
+    the sufficient-decrease constant of the backtracking line search, which
+    always tries the full step first. The pinned solvers add `restarts` seeded
+    random starts to the affine and warm ones; minimize_halfline adds none.
     """
 
     max_iters: int = 400
@@ -215,17 +217,14 @@ def _newton_steps(diag, off, grad):
     return steps, -np.sum(steps * grad, axis=(1, 2))
 
 
-def _solve(action: _Action, starts, opt: OptimizerSpec, cost=None):
+def _solve(action: _Action, starts, opt: OptimizerSpec):
     """Damped Newton from starts (P problems, S starts, N, d); pinned nodes never move.
 
-    cost (P, S), zero if None, is added to each start's action wherever starts
-    are compared. Returns, per problem, the value (without cost), nodes and
-    solver record {iterations, grad_norm (free nodes, final point), converged}
-    of the start lowest in value + cost.
+    Returns, per problem, the value, nodes and solver record {iterations,
+    grad_norm (free nodes, final point), converged} of its lowest start.
     """
     P, S, N, _ = starts.shape
     x = starts.reshape((P * S,) + starts.shape[2:]).astype(float)
-    cost = np.zeros(P * S) if cost is None else np.asarray(cost, dtype=float).reshape(-1)
     free = slice(1, N if action.last_free else N - 1)
     values, gnorm = np.empty(P * S), np.empty(P * S)
     iters = np.zeros(P * S, dtype=int)
@@ -246,11 +245,11 @@ def _solve(action: _Action, starts, opt: OptimizerSpec, cost=None):
             break
         steps, dec = _newton_steps(diag[keep, free], off[keep, free.start : free.stop - 1], grad[keep])
         idx, f = idx[keep], f[keep]
-        # A start that a converged start of its problem beats (in value + cost) by
-        # more than ten of its Newton decrements is near a worse stationary point: stop it.
-        lowest = np.where(converged, values + cost, np.inf).reshape(P, S).min(axis=1)
+        # A start that a converged start of its problem beats by more than ten
+        # of its Newton decrements is near a worse stationary point: stop it.
+        lowest = np.where(converged, values, np.inf).reshape(P, S).min(axis=1)
         finished[idx] = True
-        go = f + cost[idx] <= lowest[idx // S] + 10 * dec
+        go = f <= lowest[idx // S] + 10 * dec
         idx, f, steps, dec = idx[go], f[go], steps[go], dec[go]
         iters[idx] += 1
         at_roundoff = dec <= _ROUNDOFF_DECREMENT * np.maximum(1.0, np.abs(f))
@@ -271,7 +270,7 @@ def _solve(action: _Action, starts, opt: OptimizerSpec, cost=None):
             if pending.size == 0:
                 break
             t[pending] *= 0.5
-    best = np.argmin((values + cost).reshape(P, S), axis=1) + S * np.arange(P)
+    best = np.argmin(values.reshape(P, S), axis=1) + S * np.arange(P)
     stats = [
         {"iterations": int(iters[k]), "grad_norm": float(gnorm[k]), "converged": bool(converged[k])}
         for k in best
@@ -352,7 +351,7 @@ def minimize_bvp(
 def _minimize_pinned(V, W, eps, t0, t1, a, b, n_nodes, opt, quad, warm_starts):
     a = np.atleast_1d(np.asarray(a, dtype=float))
     values, nodes, times, stats = _solve_pinned(
-        V, W, eps, t0, t1, a[None], b, n_nodes, opt, quad, [warm_starts], None
+        V, W, eps, t0, t1, a[None], b, n_nodes, opt, quad, [warm_starts]
     )
     traj = Trajectory(times, nodes[0], meta=stats[0])
     check = action_G(traj, V, W, eps, quad)
@@ -372,26 +371,27 @@ def minimize_bvp_batch(
     opt: OptimizerSpec,
     quad: QuadratureSpec = QuadratureSpec(),
     warm_starts_per_problem: Optional[Sequence] = None,
-    a_cost: Optional[np.ndarray] = None,
+    records: Optional[list] = None,
 ):
-    """minimize_bvp for P problems on one window, u(t1) = b (d,) or b[p] (P, d), in one solve.
+    """minimize_bvp for P problems on one window, u(t0) = a_batch[p] (P, d) and
+    u(t1) = b (d,) or b[p] (P, d), in one stacked solve.
 
-    a_batch (P, d) pins u(t0) = a_batch[p]. A (P, K, d) a_batch gives K
-    candidate start points: problem p is then the minimum over k of the action
-    from a_batch[p, k] plus a_cost[p, k] (zero if None). Each candidate gets
-    the affine start, its warm starts (trajectories, resampled, or node arrays
-    on the grid; one sequence per problem, or per candidate for a 3-D a_batch,
-    all of one length; endpoints re-pinned) and the seeded restarts. Returns
-    (values (P,), nodes (P, n_nodes, d), times): the winner's action without
-    cost, and its nodes, whose first node is its start point exactly.
+    Each problem gets the affine start, its warm starts (trajectories,
+    resampled, or node arrays on the grid; one sequence per problem, all of
+    one length; endpoints re-pinned) and the seeded restarts. Returns
+    (values (P,), nodes (P, n_nodes, d), times). Given a list as `records`,
+    the winners' solver records {iterations, grad_norm, converged} are
+    appended to it, one per problem.
     """
-    values, nodes, times, _ = _solve_pinned(
-        V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm_starts_per_problem, a_cost
+    values, nodes, times, stats = _solve_pinned(
+        V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm_starts_per_problem
     )
+    if records is not None:
+        records.extend(stats)
     return values, nodes, times
 
 
-def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm, a_cost):
+def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm):
     """minimize_bvp_batch, also returning the winning starts' solver records."""
     if W is not None and W.zero_atom != 0.0:
         raise InputError("perturbations with a zero atom are handled by the DP oracles")
@@ -399,39 +399,24 @@ def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm, a_cos
         raise InputError("need at least two nodes")
     _check_window(t0, t1, eps)
     a_batch = np.asarray(a_batch, dtype=float)
-    per_candidate = a_batch.ndim == 3
-    if not per_candidate:
-        a_batch = a_batch.reshape(len(a_batch), 1, -1)
-    n_problems, n_cand, d = a_batch.shape
+    a_batch = a_batch.reshape(len(a_batch), -1)
+    n_problems, d = a_batch.shape
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if b.shape not in ((d,), (n_problems, d)):
         raise InputError("b must have shape (d,) or (problems, d)")
     b = np.broadcast_to(b, (n_problems, d))
-    cost = np.zeros((n_problems, n_cand)) if a_cost is None else np.asarray(a_cost, dtype=float)
-    if cost.shape != (n_problems, n_cand):
-        raise InputError("a_cost must have one entry per candidate start point")
     times = np.linspace(t0, t1, n_nodes)
 
-    if warm is None:
-        warm = [[()] * n_cand] * n_problems
-    elif not per_candidate:
-        warm = [[w] for w in warm]
-    if len(warm) != n_problems or any(len(w) != n_cand for w in warm):
-        raise InputError("need one warm-start list per problem (per candidate for 3-D a_batch)")
-    warm = [
-        [u.resample(times).nodes if isinstance(u, Trajectory) else u for u in w]
-        for ws in warm
-        for w in ws
-    ]
+    warm = [()] * n_problems if warm is None else warm
+    if len(warm) != n_problems:
+        raise InputError("need one warm-start list per problem")
+    warm = [[u.resample(times).nodes if isinstance(u, Trajectory) else u for u in w] for w in warm]
     if len({len(w) for w in warm}) > 1:
         raise InputError("every problem must receive the same number of warm starts")
-    warm = np.array(warm, dtype=float).reshape(len(warm), len(warm[0]), n_nodes, d)
-    ends = np.repeat(b, n_cand, axis=0)
-    starts = _start_stack(times, a_batch.reshape(-1, d), ends, warm, opt.restarts, opt.seed)
-    starts = starts.reshape((n_problems, -1) + starts.shape[2:])
+    warm = np.array(warm, dtype=float).reshape(n_problems, len(warm[0]), n_nodes, d)
+    starts = _start_stack(times, a_batch, b, warm, opt.restarts, opt.seed)
     action = _Action.eps_action(V, W, eps, times, quad.samples_per_interval)
-    per_start = np.repeat(cost, starts.shape[1] // n_cand, axis=1)
-    values, nodes, stats = _solve(action, starts, opt, per_start)
+    values, nodes, stats = _solve(action, starts, opt)
     return values, nodes, times, stats
 
 
@@ -466,14 +451,18 @@ def minimize_halfline(
     n_nodes: int,
     opt: OptimizerSpec,
     quad: QuadratureSpec = QuadratureSpec(),
+    warm_starts: Sequence = (),
 ):
     """Minimize the discounted action over paths leaving x0, free far end.
 
     The path is truncated at T_max (must be >= 5/lam so the neglected tail of
     a bounded integrand is below exp(-5)/lam of its sup) and extended by a
-    constant, whose exact tail cost is part of the objective. Warm starts:
-    the constant path and dash-then-park moves to nearby low-potential points.
-    The trajectory's meta holds the tail weight and the solver record.
+    constant, whose exact tail cost is part of the objective. Starts: the
+    constant path and the warm starts (trajectories, resampled, or node
+    arrays on the grid; first node re-pinned to x0). Without warm starts, the
+    path backtracked from x0 through the discounted lattice DP (_lattice_seeds)
+    is the warm start; that needs d = 1. The trajectory's meta holds the tail
+    weight and the solver record.
     """
     if W is not None and W.zero_atom != 0.0:
         raise InputError("perturbations with a zero atom are handled by the DP oracles")
@@ -483,7 +472,6 @@ def minimize_halfline(
         raise InputError("T_max must be at least 5/lam")
     _check_window(0.0, T_max, eps)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    d = x0.shape[0]
     times = np.linspace(0.0, T_max, n_nodes)
     m = quad.samples_per_interval
 
@@ -496,36 +484,22 @@ def minimize_halfline(
     kinetic = exp_interval_weights(times, lam) / widths**2
     action = _Action(V, W, eps, kinetic, anti[:, :-1] - anti[:, 1:], tail_w, last_free=True)
 
+    if not len(warm_starts):
+        _, states, [(_, path)] = _lattice_seeds(V, W, eps, x0, T_max, [T_max], lam=lam)
+        warm_starts = _seed_nodes(states, path, times)
     starts = [np.repeat(x0[None, :], n_nodes, axis=0)]
-    for target in _park_candidates(action, x0):
-        path = np.repeat(target[None, :], n_nodes, axis=0)
-        dash = max(2, int(0.05 * n_nodes))
-        frac = np.linspace(0.0, 1.0, dash)[:, None]
-        path[:dash] = x0[None, :] * (1 - frac) + target[None, :] * frac
+    for u in warm_starts:
+        path = np.array(u.resample(times).nodes if isinstance(u, Trajectory) else u, dtype=float)
+        if path.shape != starts[0].shape:
+            raise InputError(f"warm start of shape {path.shape}, expected {starts[0].shape}")
+        path[0] = x0
         starts.append(path)
-    for k in range(opt.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((opt.seed, k, n_nodes)))
-        bumped = starts[0].copy()
-        bumped[1:-1] += _fourier_bump(rng, n_nodes - 2, d, 0.25)
-        bumped[-1] += rng.normal(0.0, 0.25, size=d)
-        starts.append(bumped)
 
     values, nodes, stats = _solve(action, np.stack(starts)[None], opt)
     traj = Trajectory(times, nodes[0], meta={"tail_weight": tail_w, **stats[0]})
     check = discounted_action(traj, V, W, eps, lam, quad)
     _certify(values[0], check, "discounted action")
     return traj, check
-
-
-def _park_candidates(action: _Action, x0, count: int = 3):
-    """Nearby points with small (V+W)(y/eps): targets for dash-then-park starts."""
-    d = x0.shape[0]
-    eps = action.eps
-    shifts = mesh([np.arange(-2, 3)] * d)
-    anchors = eps * np.round(x0 / eps)[None, :] + eps * shifts
-    costs = action._f(anchors / eps)
-    order = np.argsort(costs, kind="stable")[:count]
-    return [anchors[i] for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -568,9 +542,12 @@ def _lattice_costs(V, W, eps, states):
     return cost, atom_cost
 
 
-def _dp_sweep(value, lo, hi, target, moves, stages, n_steps, weights=None, atom=None):
+def _dp_sweep(
+    value, lo, hi, moves, stages, n_steps, target=None, weights=None, atom=None,
+    read_at=(), record=False,
+):
     """Run n_steps backward lattice steps from `value` (finite only on states
-    lo..hi; overwritten) and return the value at state `target`.
+    lo..hi; overwritten).
 
     A step takes, at each state i, the best over moves k of the stage cost of
     i plus the value at i + k. stages[m] holds move m's stage cost at every
@@ -578,23 +555,40 @@ def _dp_sweep(value, lo, hi, target, moves, stages, n_steps, weights=None, atom=
     charged as weights[j] * stages[m] plus weights[j] * atom when staying.
 
     Each step sweeps only its cone: the states whose value can be finite
-    (grown from lo..hi by the moves) and that can still reach `target` in the
-    steps left. Every other value stays +inf or is never read, so the result
-    equals the full-grid sweep's bit for bit.
+    (grown from lo..hi by the moves) and, given a `target` state, that can
+    still reach it in the steps left. With a target, only value[target] is
+    meaningful; without one every other state is +inf, as in the full-grid
+    sweep, whose results these equal bit for bit.
+
+    Returns (value after the last step, a copy of the value after each step
+    count in read_at, arg): given `record`, arg[j, i] (n_steps, n_x; the
+    smallest unsigned type) indexes the move state i takes at step j wherever
+    the value after step j is finite. Recording changes no value.
     """
     n_x = value.size
     moves = moves.tolist()  # Python ints: the window bounds are scalar arithmetic
     kmin, kmax = moves[0], moves[-1]
-    best = np.empty(n_x)
+    best = np.full(n_x, np.inf)
     cand = np.empty(n_x)
+    arg = np.empty((n_steps, n_x), np.min_scalar_type(len(moves))) if record else None
+    better = np.empty(n_x, dtype=bool) if record else None
+    reads = []
     for j in range(n_steps):
-        left = n_steps - 1 - j
-        new_lo = max(lo - kmax, target + left * kmin, 0)
-        new_hi = min(hi - kmin, target + left * kmax, n_x - 1)
+        new_lo = max(lo - kmax, 0)
+        new_hi = min(hi - kmin, n_x - 1)
+        if target is not None:
+            left = n_steps - 1 - j
+            new_lo = max(new_lo, target + left * kmin)
+            new_hi = min(new_hi, target + left * kmax)
         if new_hi < new_lo:
-            return np.inf
-        best[new_lo : new_hi + 1] = np.inf
-        for k, stage in zip(moves, stages):
+            value[:] = np.inf  # no state can be finite from here on
+            reads.extend(value.copy() for _ in range(len(read_at) - len(reads)))
+            break
+        if target is None:
+            best.fill(np.inf)
+        else:
+            best[new_lo : new_hi + 1] = np.inf
+        for m, (k, stage) in enumerate(zip(moves, stages)):
             i0 = max(new_lo, lo - k)
             i1 = min(new_hi, hi - k) + 1
             if i1 <= i0:
@@ -608,10 +602,19 @@ def _dp_sweep(value, lo, hi, target, moves, stages, n_steps, weights=None, atom=
                     np.add(c, weights[j] * atom[i0:i1], out=c)
                 np.add(c, value[i0 + k : i1 + k], out=c)
             b = best[i0:i1]
-            np.minimum(b, c, out=b)
+            if record:
+                # A finite value always comes from a strict improvement on +inf,
+                # so every finite state's move is written.
+                mask = np.less(c, b, out=better[: i1 - i0])
+                np.copyto(b, c, where=mask)
+                np.copyto(arg[j, i0:i1], m, where=mask)
+            else:
+                np.minimum(b, c, out=b)
         value, best = best, value
         lo, hi = new_lo, new_hi
-    return value[target]
+        if j + 1 in read_at:
+            reads.append(value.copy())
+    return value, reads, arg
 
 
 def dp_oracle_1d(
@@ -659,7 +662,7 @@ def dp_oracle_1d(
     ib = int(np.argmin(np.abs(states - b)))
     value[ib] = 0.0
     ia = int(np.argmin(np.abs(states - a)))
-    result = _dp_sweep(value, ib, ib, ia, moves, stages, grid.n_t - 1)
+    result = _dp_sweep(value, ib, ib, moves, stages, grid.n_t - 1, ia)[0][ia]
     if not np.isfinite(result):
         raise SolverError("DP could not connect the boundary states with the given slopes")
     return float(result)
@@ -700,10 +703,109 @@ def dp_oracle_halfline(
     weights = anti[:-1] - anti[1:]
 
     value = (cost if atom_cost is None else cost + atom_cost) * (np.exp(-lam * T_max) / lam)
+    ix = int(np.argmin(np.abs(states - x0)))
     result = _dp_sweep(
-        value, 0, grid.n_x - 1, int(np.argmin(np.abs(states - x0))), moves,
-        [s * s + cost for s in slopes], grid.n_t - 1, weights[::-1], atom_cost,
-    )
+        value, 0, grid.n_x - 1, moves, [s * s + cost for s in slopes], grid.n_t - 1, ix,
+        weights[::-1], atom_cost,
+    )[0][ix]
     if not np.isfinite(result):
         raise SolverError("discounted DP found no admissible path")
     return float(result)
+
+
+# ---------------------------------------------------------------------------
+# Lattice DP seeds of the HJ fields (d = 1)
+# ---------------------------------------------------------------------------
+
+# The seed lattice has eps/16 between states and a slope step dx/h of 1/16, so
+# its time step is at most eps. A move is charged the mean lattice cost along
+# its segment, so a fast move pays for what it crosses; the slope step keeps
+# the quantized kinetic cost of a path within t/1024 of the straight one's.
+_SEED_STATES_PER_EPS = 16
+_SEED_SLOPE_STEP = 1.0 / 16.0
+
+
+def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
+    """Backward lattice DP of a 1D HJ field at the points x (P,), and the
+    argmin state paths (n + 1, P) leaving them; R = sup - inf of V + W.
+
+    Given y and phi: by time reversal, min over y of S_eps(y, x, t) + phi(y)
+    is the least cost of a path leaving x for time t and paying phi where it
+    ends, so the sweep starts from phi at the y (all states) and is read out
+    at each t of read_at. A path from y beating the stay-at-x one has
+    |x - y|^2 / t <= range(phi) + t R, which with R bounds its slopes.
+    Given lam: the sweep starts from the tail cost of parking at T = horizon
+    and weights each step by its exact discount. Reaching distance D by time
+    1/lam costs lam D^2 / (e - 1), more than the gain R / lam of any path
+    once D > sqrt((e - 1) R) / lam, the margin around x; slopes reach sqrt(2 R).
+
+    Returns ({states, steps, moves}, states, [(values at x, paths) per read-out]).
+    """
+    if V.dimension != 1:
+        raise InputError("the lattice DP seeds of the HJ solvers need d = 1")
+    spread = V.v_max - V.v_min + (W.upper_bound() - W.lower_bound() if W is not None else 0.0)
+    if not math.isfinite(spread):
+        raise InputError("the lattice DP seeds need V + W with finite bounds")
+    dx = eps / _SEED_STATES_PER_EPS
+    if lam is None:
+        max_slope = math.sqrt(float(np.ptp(phi)) / read_at[0] + 2.0 * spread)
+        if y.size > 1:  # a whole fraction of the least y spacing: each y is one state
+            dx = float(np.min(np.diff(y))) / math.ceil(float(np.min(np.diff(y))) / dx)
+        origin, lo, hi = y[0], min(np.min(x), y[0]), max(np.max(x), y[-1])
+    else:
+        max_slope = math.sqrt(2.0 * spread)
+        margin = math.sqrt((math.e - 1.0) * spread) / lam
+        origin, lo, hi = 0.0, np.min(x) - margin, np.max(x) + margin
+    first = math.floor((lo - origin) / dx)
+    states = origin + dx * np.arange(first, max(math.ceil((hi - origin) / dx), first + 1) + 1)
+    cost, _ = _lattice_costs(V, W, eps, states)
+    if lam is None:
+        iy = np.rint((y - states[0]) / dx).astype(int)
+        value = np.full(states.size, np.inf)
+        value[iy] = phi
+        lo, hi = int(iy[0]), int(iy[-1])
+    else:
+        value = cost * (np.exp(-lam * horizon) / lam)
+        lo, hi = 0, states.size - 1
+
+    # Up to twice the fewest steps, the first count that puts every read-out on a step.
+    fewest = math.ceil(horizon * _SEED_SLOPE_STEP / dx)
+    on_steps = [n for n in range(fewest, 2 * fewest + 1) if all(
+        abs(t * n / horizon - round(t * n / horizon)) < 1e-9 for t in read_at)]
+    n_steps = on_steps[0] if on_steps else fewest
+    h = horizon / n_steps
+    reach = math.ceil(max_slope * h / dx)
+    moves, slopes = _lattice_moves(np.arange(-reach, reach + 1) * dx / h, h, dx, states.size)
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (cost[1:] + cost[:-1]))))
+    stages = []
+    for k, s in zip(moves.tolist(), slopes):
+        mean = cost
+        if k:
+            mean = np.full(states.size, np.inf)  # moves off the grid are never swept
+            src = slice(max(0, -k), states.size - max(0, k))
+            mean[src] = (cum[max(0, k) : states.size + min(0, k)] - cum[src]) / k
+        stages.append(s * s + mean if lam is not None else h * (s * s + mean))
+    weights = None
+    if lam is not None:
+        anti = np.exp(-lam * np.linspace(0.0, horizon, n_steps + 1)) / lam
+        weights = (anti[:-1] - anti[1:])[::-1]
+    counts = [max(1, round(t / h)) for t in read_at]
+    _, reads, arg = _dp_sweep(
+        value, lo, hi, moves, stages, n_steps, weights=weights, read_at=counts, record=True
+    )
+    start = np.rint((np.asarray(x) - states[0]) / dx).astype(int)
+    seeds = []
+    for n, read in zip(counts, reads):
+        path = np.empty((n + 1, start.size), dtype=int)
+        path[0] = start
+        for j in range(n):
+            path[j + 1] = path[j] + moves[arg[n - 1 - j, path[j]]]
+        seeds.append((read[start], path))
+    return {"states": states.size, "steps": n_steps, "moves": int(moves.size)}, states, seeds
+
+
+def _seed_nodes(states, path, times):
+    """State paths (n + 1, P) as node arrays (P, len(times), 1), the lattice
+    times stretched over [times[0], times[-1]]."""
+    knots = np.linspace(times[0], times[-1], path.shape[0])
+    return np.stack([np.interp(times, knots, states[p])[:, None] for p in path.T])

@@ -313,6 +313,11 @@ def test_hj_runner_tabulates_by_the_configured_method(monkeypatch):
     rep = run_hj_convergence(cfg)
     assert used == ["asymptotic"]
     assert rep.provenance["solver"]["method"] == "asymptotic"
+    # Each rung reports its lattice, its distance to it and the polish's convergence.
+    (row,) = rep.rows
+    assert row["all_converged"] is True
+    assert 0.0 <= row["dp_sup_distance"] < 0.1
+    assert set(rep.provenance["dp_lattice"]["eps_0.2"]) == {"states", "steps", "moves"}
 
 
 # -- determinism -------------------------------------------------------------

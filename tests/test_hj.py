@@ -10,11 +10,13 @@ from homoglab import (
     OptimizerSpec,
     QuadratureSpec,
     SolverError,
+    Trajectory,
     ValueField,
     field_distance,
     make_initial_datum,
     make_potential,
     make_perturbation,
+    minimize_halfline,
     s_eps,
     solve_evolutionary_eps,
     solve_evolutionary_hom,
@@ -22,6 +24,8 @@ from homoglab import (
     solve_steady_hom,
     tabulate_f_hom,
 )
+from homoglab import hj
+from homoglab.trajectory import action_G, discounted_action
 
 OPT = OptimizerSpec(max_iters=800, restarts=2, seed=4)
 QUAD = QuadratureSpec()
@@ -116,18 +120,72 @@ def test_eps_solver_matches_hom_for_free_potential(free_table):
 
 
 def test_evolutionary_eps_grid_points_do_not_interact():
-    """One stacked solve per time slice gives every x the value it gets alone,
-    bit for bit, also where an x has fewer admissible y than prescreen_keep."""
+    """One lattice sweep and one stacked solve per time slice give every x the
+    value it gets alone, bit for bit: the lattice does not depend on which x
+    are read out."""
     V = make_potential("sin2", 1)
     Phi = make_initial_datum("abs_min", 1, cap=1.0)
     x = np.array([-1.9, 0.0, 0.45])
     t = np.array([0.5, 1.0])
     y = np.linspace(-2.0, 2.0, 41)
-    args = dict(opt=OPT, quad=QUAD, prescreen_keep=20)
+    args = dict(opt=OPT, quad=QUAD)
     together = solve_evolutionary_eps(V, None, 0.2, Phi, x, t, y, **args)
     for i in range(x.size):
         alone = solve_evolutionary_eps(V, None, 0.2, Phi, x[i : i + 1], t, y, **args)
         assert np.array_equal(together.values[i], alone.values[0])
+
+
+def test_polished_values_never_exceed_their_lattice_seed_paths(monkeypatch):
+    """Every polish is seeded with a lattice path that joins its own ends to
+    within half a lattice step (eps/32 at most), and returns at most that
+    path's discrete action on its Newton grid, once re-pinned to the ends."""
+    V = make_potential("sin2", 1)
+    W = make_perturbation("runge_decay", 1, amplitude=1.0)
+    real_batch, real_halfline = hj.minimize_bvp_batch, hj.minimize_halfline
+    checked = []
+
+    def batch_spy(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm, **kwargs):
+        values, nodes, times = real_batch(
+            V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm, **kwargs
+        )
+        for value, a, end, (seed,) in zip(values, a_batch, b, warm):
+            seed = np.array(seed)
+            assert np.all(np.abs(seed[[0, -1]] - [a, end]) <= eps / 32 + 1e-12)
+            seed[0], seed[-1] = a, end
+            checked.append((value, action_G(Trajectory(times, seed), V, W, eps, quad)))
+        return values, nodes, times
+
+    def halfline_spy(V, W, eps, lam, x0, T_max, n_nodes, opt, quad, warm_starts):
+        traj, value = real_halfline(V, W, eps, lam, x0, T_max, n_nodes, opt, quad, warm_starts)
+        seed = np.array(warm_starts[0])
+        assert np.all(np.abs(seed[0] - x0) <= eps / 32 + 1e-12)
+        seed[0] = x0
+        seed_value = discounted_action(Trajectory(traj.times, seed), V, W, eps, lam, quad)
+        checked.append((value, seed_value))
+        return traj, value
+
+    monkeypatch.setattr(hj, "minimize_bvp_batch", batch_spy)
+    monkeypatch.setattr(hj, "minimize_halfline", halfline_spy)
+    Phi = make_initial_datum("abs_min", 1, cap=1.0)
+    x = np.linspace(-0.4, 0.4, 5)
+    t = np.array([0.5, 1.0])
+    solve_evolutionary_eps(V, W, 0.1, Phi, x, t, np.linspace(-2, 2, 81), OPT, QUAD)
+    solve_steady_eps(V, W, 0.1, 1.0, x, OPT, QUAD)
+    assert len(checked) == x.size * (t.size + 1)
+    for value, seed_value in checked:
+        assert value <= seed_value
+
+
+def test_hj_eps_fields_reject_two_dimensions():
+    V = make_potential("sin2", 2)
+    Phi = make_initial_datum("abs_min", 2, cap=1.0)
+    axes = (np.linspace(-0.2, 0.2, 3),) * 2
+    with pytest.raises(InputError, match="d = 1"):
+        solve_evolutionary_eps(V, None, 0.2, Phi, axes, np.array([0.5]), axes, OPT, QUAD)
+    with pytest.raises(InputError, match="d = 1"):
+        solve_steady_eps(V, None, 0.2, 1.0, axes, OPT, QUAD)
+    with pytest.raises(InputError, match="d = 1"):
+        minimize_halfline(V, None, 0.2, 1.0, np.zeros(2), 6.0, 65, OPT, QUAD)
 
 
 def test_s_eps_constant_shift_exact():

@@ -22,7 +22,7 @@ from homoglab import (
     minimize_lagrangian_bvp,
     SolverError,
 )
-from homoglab.minimize import _lattice_moves, _newton_steps
+from homoglab.minimize import _dp_sweep, _lattice_moves, _newton_steps
 from homoglab.potentials import GeneralLagrangian, Perturbation, eval_potential
 
 
@@ -79,36 +79,6 @@ def test_bvp_batch_matches_single(std_opt, quad, sin2_1d):
             sin2_1d, None, 0.2, 0.0, 1.0, a_batch[k], np.array([1.0]), 65, std_opt, quad
         )
         assert values[k] == pytest.approx(single, rel=1e-3, abs=1e-6)
-
-
-def test_bvp_batch_candidates_with_costs_match_independent_problems(std_opt, quad, sin2_1d):
-    """Stacking K candidate start points per problem, with costs, changes where
-    Newton work stops but not the minimum over the candidates."""
-    eps, n_nodes = 0.2, 49
-    a_batch = np.array([[[-0.3], [0.0], [0.4]], [[0.1], [0.5], [0.9]]])
-    b = np.array([[1.0], [0.6]])
-    cost = np.array([[0.0, 0.1, 2.0], [0.0, 1.0, 0.05]])  # the nearest start point is dear
-    times = np.linspace(0.0, 1.0, n_nodes)
-    warm = [
-        [[Trajectory(times, np.linspace(a[0], end[0], n_nodes) + 0.1 * np.sin(np.pi * times))]
-         for a in cands]
-        for cands, end in zip(a_batch, b)
-    ]
-    values, nodes, out_times = minimize_bvp_batch(
-        sin2_1d, None, eps, 0.0, 1.0, a_batch, b, n_nodes, std_opt, quad, warm, cost
-    )
-    single, _, _ = minimize_bvp_batch(
-        sin2_1d, None, eps, 0.0, 1.0, a_batch.reshape(-1, 1), np.repeat(b, 3, axis=0),
-        n_nodes, std_opt, quad, [w for ws in warm for w in ws],
-    )
-    single = single.reshape(2, 3)
-    for p in range(2):
-        (win,) = np.flatnonzero(a_batch[p, :, 0] == nodes[p, 0, 0])
-        assert win != np.argmin(single[p])
-        assert nodes[p, -1, 0] == b[p, 0]
-        assert values[p] + cost[p, win] == np.min(single[p] + cost[p])
-        check = action_G(Trajectory(out_times, nodes[p]), sin2_1d, None, eps, quad)
-        assert abs(check - values[p]) <= 1e-10 * max(1.0, abs(check))
 
 
 def test_bvp_value_certified_against_action(std_opt, quad, sin2_1d):
@@ -256,6 +226,68 @@ def test_swept_cone_dp_equals_the_full_lattice_bitwise(
     )
     want = _outcome(lambda: _naive_dp_halfline(V, W, eps, lam, x0, T_max, grid, slope_set))
     assert got == want
+
+
+def _full_grid_sweep(value, moves, stages, n_steps, weights):
+    """Every state, every move, every step: the values after each step."""
+    out = []
+    for j in range(n_steps):
+        best = np.full(value.size, np.inf)
+        for k, stage in zip(moves, stages):
+            for i in range(max(0, -k), value.size - max(0, k)):
+                c = stage[i] if weights is None else weights[j] * stage[i]
+                best[i] = min(best[i], c + value[i + k])
+        value = best
+        out.append(value)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n_x=st.integers(2, 40),
+    n_steps=st.integers(1, 12),
+    moves=st.lists(st.integers(-5, 5), min_size=1, max_size=6, unique=True).map(sorted),
+    discounted=st.booleans(),
+    data=st.data(),
+)
+def test_dp_sweep_reads_whole_fields_and_backtracks_their_costs(
+    n_x, n_steps, moves, discounted, data
+):
+    """Read-outs equal the full-grid sweep bit for bit, recording moves changes
+    no value, and the backtracked path from every finite state, its stage costs
+    re-summed from the far end, costs exactly that state's value."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stages = [np.where(rng.random(n_x) < 0.1, np.inf, rng.uniform(0.0, 2.0, n_x)) for _ in moves]
+    lo = data.draw(st.integers(0, n_x - 1))
+    hi = data.draw(st.integers(lo, n_x - 1))
+    start = np.full(n_x, np.inf)
+    start[lo : hi + 1] = rng.uniform(-1.0, 1.0, hi - lo + 1)
+    weights = rng.uniform(0.1, 1.0, n_steps) if discounted else None
+    read_at = sorted(data.draw(st.sets(st.integers(1, n_steps), min_size=1)))
+
+    want = _full_grid_sweep(start, moves, stages, n_steps, weights)
+    value, reads, arg = _dp_sweep(
+        start.copy(), lo, hi, np.array(moves), stages, n_steps, weights=weights,
+        read_at=read_at, record=True,
+    )
+    plain, plain_reads, no_arg = _dp_sweep(
+        start.copy(), lo, hi, np.array(moves), stages, n_steps, weights=weights, read_at=read_at
+    )
+    assert no_arg is None
+    assert np.array_equal(value, want[-1]) and np.array_equal(plain, want[-1])
+    for n, read, plain_read in zip(read_at, reads, plain_reads):
+        assert np.array_equal(read, want[n - 1]) and np.array_equal(plain_read, want[n - 1])
+        for i in np.flatnonzero(np.isfinite(read)):
+            path, taken = [int(i)], []
+            for j in range(n - 1, -1, -1):
+                m = int(arg[j, path[-1]])
+                taken.append((j, m, path[-1]))
+                path.append(path[-1] + moves[m])
+            total = start[path[-1]]
+            for j, m, state in reversed(taken):
+                c = stages[m][state] if weights is None else weights[j] * stages[m][state]
+                total = c + total
+            assert total == read[i]
 
 
 def _nan_at_quarter(x):
