@@ -7,6 +7,8 @@ through variational formulas, with independent dynamic-programming oracles
 for everything one-dimensional.
 """
 
+import types as _types
+
 __version__ = "0.1.0"  # set before the submodules import it
 
 from .errors import (
@@ -91,76 +93,8 @@ from .experiments import (
     run_stability_sweep,
 )
 
-__all__ = [
-    "AlmostCorrectorPlan",
-    "ConfigError",
-    "ConjugateTable",
-    "CorrectorProfile",
-    "DPGrid",
-    "ErgodicWindowError",
-    "ExperimentConfig",
-    "ExtrapolationError",
-    "GeneralLagrangian",
-    "HomogenizedLagrangian",
-    "HomoglabError",
-    "InputError",
-    "InvariantError",
-    "OptimizerSpec",
-    "PeriodicPotential",
-    "Perturbation",
-    "QuadratureSpec",
-    "REGISTRY_VERSION",
-    "Report",
-    "SolverError",
-    "StabilityReport",
-    "Trajectory",
-    "ValueField",
-    "action_F",
-    "action_G",
-    "biconjugate_check",
-    "build_almost_corrector",
-    "build_connector",
-    "build_recovery_trajectory",
-    "connector_kinetic_bound",
-    "cylinder_average",
-    "discounted_action",
-    "dp_oracle_1d",
-    "dp_oracle_halfline",
-    "ergodic_shift_finder",
-    "eval_hamiltonian",
-    "eval_lagrangian",
-    "exp_interval_weights",
-    "f_hom_asymptotic",
-    "field_distance",
-    "homogenized_action",
-    "legendre_transform",
-    "line_average",
-    "lp_unif_estimate",
-    "make_initial_datum",
-    "make_perturbation",
-    "make_potential",
-    "midpoint_convexity_report",
-    "minimize_bvp",
-    "minimize_bvp_batch",
-    "minimize_halfline",
-    "minimize_lagrangian_bvp",
-    "parabola_free_region",
-    "polar_bound_check",
-    "run_condition_diagnostics",
-    "run_fenchel_tables",
-    "run_fhom_table",
-    "run_hj_convergence",
-    "run_negative_perturbation",
-    "run_stability_sweep",
-    "s_eps",
-    "scaled_corrector_start",
-    "solve_corrector_1d",
-    "solve_corrector_general",
-    "solve_evolutionary_eps",
-    "solve_evolutionary_hom",
-    "solve_steady_eps",
-    "solve_steady_hom",
-    "tabulate_f_hom",
-    "zero_set_measure",
-    "__version__",
-]
+# The public names are exactly those imported above (not the submodules).
+__all__ = sorted(
+    name for name, obj in globals().items()
+    if not name.startswith("_") and not isinstance(obj, _types.ModuleType)
+) + ["__version__"]

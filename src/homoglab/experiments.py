@@ -11,7 +11,7 @@ argument: a thread pool over rows measured slower than the serial loop.
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -340,12 +340,10 @@ class ExperimentConfig:
         )
 
     def cell_optimizer(self) -> OptimizerSpec:
+        """optimizer() with the cell solves' iteration cap and at least 3 restarts."""
         s = self.data["solver"]
-        return OptimizerSpec(
-            max_iters=int(s["cell_max_iters"]),
-            restarts=max(3, int(s["restarts"])),
-            grad_tol=float(s["grad_tol"]),
-            seed=self.seed,
+        return replace(
+            self.optimizer(), max_iters=int(s["cell_max_iters"]), restarts=max(3, int(s["restarts"]))
         )
 
     def quadrature(self) -> QuadratureSpec:
@@ -360,32 +358,26 @@ class ExperimentConfig:
             int(n_t if n_t is not None else g["n_t"]),
         )
 
+    def _axes(self, key: str) -> tuple:
+        """The grid `key` (lo..hi, or symmetric half_width) repeated per dimension."""
+        g = self.data["grids"][key]
+        lo, hi = (-g["half_width"], g["half_width"]) if "half_width" in g else (g["lo"], g["hi"])
+        return (np.linspace(float(lo), float(hi), int(g["n"])),) * self.dimension
+
     def x_axes(self) -> tuple:
-        g = self.data["grids"]["x"]
-        axis = np.linspace(float(g["lo"]), float(g["hi"]), int(g["n"]))
-        return tuple(axis for _ in range(self.dimension))
+        return self._axes("x")
 
     def y_axes(self) -> tuple:
-        g = self.data["grids"]["y"]
-        axis = np.linspace(float(g["lo"]), float(g["hi"]), int(g["n"]))
-        return tuple(axis for _ in range(self.dimension))
+        return self._axes("y")
 
     def t_grid(self) -> np.ndarray:
         return np.asarray(self.data["grids"]["t"], dtype=float)
 
     def xi_axes(self):
-        g = self.data["grids"]["xi"]
-        axis = np.linspace(-float(g["half_width"]), float(g["half_width"]), int(g["n"]))
-        if self.dimension == 1:
-            return axis
-        return tuple(axis for _ in range(self.dimension))
+        return self._axes("xi")[0] if self.dimension == 1 else self._axes("xi")
 
     def p_axes(self):
-        g = self.data["grids"]["p"]
-        axis = np.linspace(-float(g["half_width"]), float(g["half_width"]), int(g["n"]))
-        if self.dimension == 1:
-            return axis
-        return tuple(axis for _ in range(self.dimension))
+        return self._axes("p")[0] if self.dimension == 1 else self._axes("p")
 
     def config_hash(self) -> str:
         canon = json.dumps(self.data, sort_keys=True, separators=(",", ":"))
@@ -469,20 +461,16 @@ class Report:
     def write(self, out_dir) -> list:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        written = []
         (out / "report.json").write_text(self.to_json() + "\n")
-        written.append(out / "report.json")
         (out / "rows.csv").write_text(self.rows_csv_text())
-        written.append(out / "rows.csv")
+        written = ["report.json", "rows.csv"]
         for label, vf in self.fields:
-            path = out / f"field_{label}.csv"
-            vf.to_csv(path)
-            written.append(path)
+            written.append(f"field_{label}.csv")
+            vf.to_csv(out / written[-1])
         for name, text in self.extra_files:
-            path = out / name
-            path.write_text(text if text.endswith("\n") else text + "\n")
-            written.append(path)
-        return [str(p) for p in written]
+            written.append(name)
+            (out / name).write_text(text if text.endswith("\n") else text + "\n")
+        return [str(out / name) for name in written]
 
 
 @dataclass(frozen=True)
@@ -700,9 +688,7 @@ def run_negative_perturbation(cfg: ExperimentConfig, threads: int = 1) -> Report
         "rows_failed": len(rows) - len(valid),
     }
     prov = cfg.provenance("negative")
-    prov["dp_grid"] = {
-        "x_lo": grid.x_lo, "x_hi": grid.x_hi, "n_x": grid.n_x, "n_t": grid.n_t
-    }
+    prov["dp_grid"] = asdict(grid)
     return Report("negative", tuple(rows), verdicts, prov)
 
 

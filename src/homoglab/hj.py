@@ -10,7 +10,8 @@ The oscillatory (eps) fields are one-dimensional. Each runs one backward
 lattice DP sweep per eps (the discrete Lax-Oleinik formula; Falcone and
 Ferretti, Semi-Lagrangian Approximation Schemes for Linear and
 Hamilton-Jacobi Equations, SIAM 2013), backtracks one argmin path per grid
-point and polishes it with the damped-Newton minimizer.
+point and polishes it, next to the nearby competitors the lattice cannot
+rank, with the damped-Newton minimizer.
 
 All fields carry provenance (eps or "hom", discount rate, solver settings)
 and serialize deterministically to CSV and JSON.
@@ -48,6 +49,9 @@ __all__ = [
 ]
 
 _HJ_OPT = OptimizerSpec(max_iters=800, restarts=2)
+# The evolutionary polish tries the lattice's argmin y and its y_grid
+# neighbours: the lattice's quantized kinetic cost can rank adjacent y wrongly.
+_Y_NEIGHBOURS = np.array([0, -1, 1])
 
 
 @dataclass(frozen=True)
@@ -223,12 +227,14 @@ def solve_evolutionary_eps(
     One backward lattice sweep from Phi, finite only at the y of y_grid
     (minimize._lattice_seeds), gives the lattice field at every time of
     t_grid and an argmin y and path for every x. Each time slice is then one
-    stacked minimize_bvp_batch polish: grid point x is one problem, pinned to
-    its lattice argmin y, with the lattice path as the warm start next to the
-    affine one. Every value is the action of a concrete path from that y
-    plus Phi(y), so the certified upper bound stands. The provenance records
-    the lattice, its sup distance to the polished field (dp_sup_distance) and
-    whether every polish converged (all_converged). Needs d = 1.
+    stacked minimize_bvp_batch polish: grid point x is three problems, pinned
+    to its lattice argmin y and to that y's neighbours in y_grid, each with
+    the lattice path tilted onto its y as the warm start next to the affine
+    one, and takes the least. Every value is the action of a concrete path
+    from a y plus Phi(y), so the certified upper bound stands. The provenance
+    records the lattice, its sup distance to the polished field
+    (dp_sup_distance) and whether every polish converged (all_converged).
+    Needs d = 1.
     """
     x_axes, t_grid, x_mesh, y_mesh, phi_vals = _evolutionary_grids(x_grid, t_grid, y_grid, Phi, V)
     y = y_mesh[:, 0]
@@ -241,12 +247,16 @@ def solve_evolutionary_eps(
     for j, (t, (dp_values, path)) in enumerate(zip(t_grid, seeds)):
         nodes_count = n_nodes if n_nodes is not None else max(33, int(8 * t / eps) + 9)
         ys = np.argmin(np.abs(y[None, :] - states[path[-1], None]), axis=1)
+        ys = np.clip(ys + _Y_NEIGHBOURS[:, None], 0, y.size - 1)
+        # The lattice path, tilted linearly onto each neighbour y.
+        tilt = (y[ys] - y[ys[0]])[:, :, None] * np.linspace(1.0, 0.0, nodes_count)
         warm = _seed_nodes(states, path[::-1], np.linspace(0.0, t, nodes_count))
+        warm = (warm[None, :, :, 0] + tilt).reshape(-1, 1, nodes_count, 1)
         vals, _, _ = minimize_bvp_batch(
-            V, W, eps, 0.0, t, y_mesh[ys], x_mesh, nodes_count, polish, quad, warm[:, None],
-            records=records,
+            V, W, eps, 0.0, t, y_mesh[ys.reshape(-1)], np.tile(x_mesh, (ys.shape[0], 1)),
+            nodes_count, polish, quad, warm, records=records,
         )
-        values[:, j] = vals + phi_vals[ys]
+        values[:, j] = np.min(vals.reshape(ys.shape) + phi_vals[ys], axis=0)
         dp_distance = max(dp_distance, float(np.max(np.abs(values[:, j] - dp_values))))
 
     shape = tuple(ax.size for ax in x_axes) + (t_grid.size,)
@@ -305,10 +315,13 @@ def solve_steady_eps(
     """Discounted value U_eps(x) per grid point, with comparison bounds asserted.
 
     One backward discounted lattice sweep gives the lattice value and an
-    argmin path at every grid point; minimize_halfline polishes each path next
-    to the constant one. The provenance records the lattice, its sup distance
-    to the polished field (dp_sup_distance) and whether every polish
-    converged (all_converged). Needs d = 1.
+    argmin path at every grid point x and at x -/+ eps, one period of
+    V(x / eps) away. minimize_halfline polishes x's path, the other two
+    re-pinned to x (they park in the neighbouring wells, which the lattice
+    cannot rank against x's when they lie closer than its error) and the
+    constant path. The provenance records the lattice, its sup distance to
+    the polished field (dp_sup_distance) and whether every polish converged
+    (all_converged). Needs d = 1.
 
     The bounds inf(V+W) <= lam * U <= sup(V+W) are checked against the
     conservative enclosures v_min + inf W and v_max + sup W; a violation
@@ -325,15 +338,17 @@ def solve_steady_eps(
     lower = V.v_min + (W.lower_bound() if W is not None else 0.0)
     upper = V.v_max + (W.upper_bound() if W is not None else 0.0)
 
+    starts = x_mesh[:, 0] + eps * np.array([0.0, -1.0, 1.0])[:, None]
     lattice, states, [(dp_values, paths)] = _lattice_seeds(
-        V, W, eps, x_mesh[:, 0], horizon, [horizon], lam=lam
+        V, W, eps, starts.reshape(-1), horizon, [horizon], lam=lam
     )
     seeds = _seed_nodes(states, paths, np.linspace(0.0, horizon, nodes_count))
+    seeds = seeds.reshape(starts.shape + (nodes_count, 1))
     values = np.empty(x_mesh.shape[0])
     converged = []
     for i, x in enumerate(x_mesh):
         traj, val = minimize_halfline(
-            V, W, eps, lam, x, horizon, nodes_count, opt, quad, [seeds[i]]
+            V, W, eps, lam, x, horizon, nodes_count, opt, quad, list(seeds[:, i])
         )
         values[i] = val
         converged.append(traj.meta["converged"])
@@ -356,7 +371,7 @@ def solve_steady_eps(
             "n_nodes": nodes_count,
             "comparison_bounds": [lower, upper],
             "dp_lattice": lattice,
-            "dp_sup_distance": float(np.max(np.abs(values - dp_values))),
+            "dp_sup_distance": float(np.max(np.abs(values - dp_values[: values.size]))),
             "all_converged": all(converged),
         },
     )

@@ -381,7 +381,8 @@ def minimize_bvp_batch(
     one length; endpoints re-pinned) and the seeded restarts. Returns
     (values (P,), nodes (P, n_nodes, d), times). Given a list as `records`,
     the winners' solver records {iterations, grad_norm, converged} are
-    appended to it, one per problem.
+    appended to it, one per problem (an out-parameter, so that callers and
+    the benchmark's tracing keep unpacking three values).
     """
     values, nodes, times, stats = _solve_pinned(
         V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm_starts_per_problem
@@ -561,9 +562,10 @@ def _dp_sweep(
     sweep, whose results these equal bit for bit.
 
     Returns (value after the last step, a copy of the value after each step
-    count in read_at, arg): given `record`, arg[j, i] (n_steps, n_x; the
-    smallest unsigned type) indexes the move state i takes at step j wherever
-    the value after step j is finite. Recording changes no value.
+    count in read_at (used without a target), arg): given `record`, arg[j, i]
+    (n_steps, n_x; the smallest unsigned type) indexes the move state i takes
+    at step j wherever the value after step j is finite. Recording changes no
+    value.
     """
     n_x = value.size
     moves = moves.tolist()  # Python ints: the window bounds are scalar arithmetic
@@ -571,7 +573,6 @@ def _dp_sweep(
     best = np.full(n_x, np.inf)
     cand = np.empty(n_x)
     arg = np.empty((n_steps, n_x), np.min_scalar_type(len(moves))) if record else None
-    better = np.empty(n_x, dtype=bool) if record else None
     reads = []
     for j in range(n_steps):
         new_lo = max(lo - kmax, 0)
@@ -580,9 +581,8 @@ def _dp_sweep(
             left = n_steps - 1 - j
             new_lo = max(new_lo, target + left * kmin)
             new_hi = min(new_hi, target + left * kmax)
-        if new_hi < new_lo:
-            value[:] = np.inf  # no state can be finite from here on
-            reads.extend(value.copy() for _ in range(len(read_at) - len(reads)))
+        if new_hi < new_lo:  # only with a target: no state can reach it any more
+            value[:] = np.inf
             break
         if target is None:
             best.fill(np.inf)
@@ -605,7 +605,7 @@ def _dp_sweep(
             if record:
                 # A finite value always comes from a strict improvement on +inf,
                 # so every finite state's move is written.
-                mask = np.less(c, b, out=better[: i1 - i0])
+                mask = c < b
                 np.copyto(b, c, where=mask)
                 np.copyto(arg[j, i0:i1], m, where=mask)
             else:
@@ -732,8 +732,9 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     Given y and phi: by time reversal, min over y of S_eps(y, x, t) + phi(y)
     is the least cost of a path leaving x for time t and paying phi where it
     ends, so the sweep starts from phi at the y (all states) and is read out
-    at each t of read_at. A path from y beating the stay-at-x one has
-    |x - y|^2 / t <= range(phi) + t R, which with R bounds its slopes.
+    at each t of read_at. A path from y beating the straight one from the y
+    nearest x, D away, has |x - y|^2 / t <= D^2 / t + range(phi) + t R,
+    which with R bounds its slopes; every x reaches its nearest y by read_at[0].
     Given lam: the sweep starts from the tail cost of parking at T = horizon
     and weights each step by its exact discount. Reaching distance D by time
     1/lam costs lam D^2 / (e - 1), more than the gain R / lam of any path
@@ -748,54 +749,55 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
         raise InputError("the lattice DP seeds need V + W with finite bounds")
     dx = eps / _SEED_STATES_PER_EPS
     if lam is None:
-        max_slope = math.sqrt(float(np.ptp(phi)) / read_at[0] + 2.0 * spread)
         if y.size > 1:  # a whole fraction of the least y spacing: each y is one state
             dx = float(np.min(np.diff(y))) / math.ceil(float(np.min(np.diff(y))) / dx)
         origin, lo, hi = y[0], min(np.min(x), y[0]), max(np.max(x), y[-1])
     else:
-        max_slope = math.sqrt(2.0 * spread)
         margin = math.sqrt((math.e - 1.0) * spread) / lam
         origin, lo, hi = 0.0, np.min(x) - margin, np.max(x) + margin
     first = math.floor((lo - origin) / dx)
     states = origin + dx * np.arange(first, max(math.ceil((hi - origin) / dx), first + 1) + 1)
+    start = np.rint((np.asarray(x) - states[0]) / dx).astype(int)
     cost, _ = _lattice_costs(V, W, eps, states)
     if lam is None:
         iy = np.rint((y - states[0]) / dx).astype(int)
         value = np.full(states.size, np.inf)
         value[iy] = phi
         lo, hi = int(iy[0]), int(iy[-1])
+        near = int(np.max(np.min(np.abs(start[:, None] - iy[None, :]), axis=1)))
+        t0 = read_at[0]
+        max_slope = math.sqrt((near * dx / t0) ** 2 + float(np.ptp(phi)) / t0 + 2.0 * spread)
     else:
         value = cost * (np.exp(-lam * horizon) / lam)
-        lo, hi = 0, states.size - 1
+        lo, hi, near = 0, states.size - 1, 0
+        max_slope = math.sqrt(2.0 * spread)
 
     # Up to twice the fewest steps, the first count that puts every read-out on a step.
     fewest = math.ceil(horizon * _SEED_SLOPE_STEP / dx)
-    on_steps = [n for n in range(fewest, 2 * fewest + 1) if all(
-        abs(t * n / horizon - round(t * n / horizon)) < 1e-9 for t in read_at)]
-    n_steps = on_steps[0] if on_steps else fewest
+    n_steps = next((n for n in range(fewest, 2 * fewest + 1) if all(
+        abs(t * n / horizon - round(t * n / horizon)) < 1e-9 for t in read_at)), fewest)
     h = horizon / n_steps
-    reach = math.ceil(max_slope * h / dx)
+    counts = [max(1, round(t / h)) for t in read_at]
+    reach = max(math.ceil(max_slope * h / dx), -(-near // counts[0]))
     moves, slopes = _lattice_moves(np.arange(-reach, reach + 1) * dx / h, h, dx, states.size)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (cost[1:] + cost[:-1]))))
     stages = []
     for k, s in zip(moves.tolist(), slopes):
-        mean = cost
-        if k:
-            mean = np.full(states.size, np.inf)  # moves off the grid are never swept
-            src = slice(max(0, -k), states.size - max(0, k))
-            mean[src] = (cum[max(0, k) : states.size + min(0, k)] - cum[src]) / k
+        mean = np.full(states.size, np.inf)  # moves off the grid are never swept
+        src = slice(max(0, -k), states.size - max(0, k))
+        mean[src] = (cum[max(0, k) : states.size + min(0, k)] - cum[src]) / k if k else cost
         stages.append(s * s + mean if lam is not None else h * (s * s + mean))
     weights = None
     if lam is not None:
         anti = np.exp(-lam * np.linspace(0.0, horizon, n_steps + 1)) / lam
         weights = (anti[:-1] - anti[1:])[::-1]
-    counts = [max(1, round(t / h)) for t in read_at]
     _, reads, arg = _dp_sweep(
         value, lo, hi, moves, stages, n_steps, weights=weights, read_at=counts, record=True
     )
-    start = np.rint((np.asarray(x) - states[0]) / dx).astype(int)
     seeds = []
     for n, read in zip(counts, reads):
+        if not np.all(np.isfinite(read[start])):
+            raise SolverError("the lattice DP reached no y from a grid point")
         path = np.empty((n + 1, start.size), dtype=int)
         path[0] = start
         for j in range(n):

@@ -17,7 +17,7 @@ Evaluators are vectorized over points: they take arrays of shape (..., d) and
 return shape (...). For d = 1 a bare (...) array is also accepted.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -425,16 +425,7 @@ def _zero_hessian(x):
 
 
 def _build_zero_potential(dimension: int) -> PeriodicPotential:
-    return PeriodicPotential(
-        dimension,
-        lambda x: np.zeros(x.shape[:-1]),
-        v_min=0.0,
-        v_max=0.0,
-        continuity_modulus=lambda delta: 0.0,
-        gradient=lambda x: np.zeros_like(x),
-        name="zero",
-        hessian=_zero_hessian,
-    )
+    return replace(_build_constant_potential(dimension, 0.0), name="zero")
 
 
 def _build_constant_potential(dimension: int, value: float = 1.0) -> PeriodicPotential:

@@ -138,7 +138,11 @@ def test_evolutionary_eps_grid_points_do_not_interact():
 def test_polished_values_never_exceed_their_lattice_seed_paths(monkeypatch):
     """Every polish is seeded with a lattice path that joins its own ends to
     within half a lattice step (eps/32 at most), and returns at most that
-    path's discrete action on its Newton grid, once re-pinned to the ends."""
+    path's discrete action on its Newton grid, once re-pinned to the ends.
+    So do the extra polishes: the evolutionary ones from the neighbouring y of
+    y_grid (the path tilted onto them), the steady ones from the lattice
+    paths of the points one period eps away (checked for the action bound
+    only)."""
     V = make_potential("sin2", 1)
     W = make_perturbation("runge_decay", 1, amplitude=1.0)
     real_batch, real_halfline = hj.minimize_bvp_batch, hj.minimize_halfline
@@ -157,11 +161,12 @@ def test_polished_values_never_exceed_their_lattice_seed_paths(monkeypatch):
 
     def halfline_spy(V, W, eps, lam, x0, T_max, n_nodes, opt, quad, warm_starts):
         traj, value = real_halfline(V, W, eps, lam, x0, T_max, n_nodes, opt, quad, warm_starts)
-        seed = np.array(warm_starts[0])
-        assert np.all(np.abs(seed[0] - x0) <= eps / 32 + 1e-12)
-        seed[0] = x0
-        seed_value = discounted_action(Trajectory(traj.times, seed), V, W, eps, lam, quad)
-        checked.append((value, seed_value))
+        assert np.all(np.abs(warm_starts[0][0] - x0) <= eps / 32 + 1e-12)
+        for seed in warm_starts:
+            seed = np.array(seed)
+            seed[0] = x0
+            seed_value = discounted_action(Trajectory(traj.times, seed), V, W, eps, lam, quad)
+            checked.append((value, seed_value))
         return traj, value
 
     monkeypatch.setattr(hj, "minimize_bvp_batch", batch_spy)
@@ -171,9 +176,55 @@ def test_polished_values_never_exceed_their_lattice_seed_paths(monkeypatch):
     t = np.array([0.5, 1.0])
     solve_evolutionary_eps(V, W, 0.1, Phi, x, t, np.linspace(-2, 2, 81), OPT, QUAD)
     solve_steady_eps(V, W, 0.1, 1.0, x, OPT, QUAD)
-    assert len(checked) == x.size * (t.size + 1)
+    assert len(checked) == x.size * (hj._Y_NEIGHBOURS.size * t.size + 3)
     for value, seed_value in checked:
         assert value <= seed_value
+
+
+def test_evolutionary_eps_reaches_y_off_the_grid_points():
+    """x between, and outside, the points of a coarse y_grid: with zero V and
+    a constant datum the lattice's slope bound must still let every x reach
+    its nearest y, and the field is the free particle's |x - y|^2 / t."""
+    V = make_potential("zero", 1)
+    Phi = make_initial_datum("plane_wave", 1, p=[0.0])
+    x = np.array([-0.9, -0.33, 0.1, 0.25, 1.7])
+    t = np.array([0.05, 0.5])
+    y = np.linspace(-1.0, 1.0, 5)
+    U = solve_evolutionary_eps(V, None, 0.1, Phi, x, t, y, OPT, QUAD)
+    near = np.min(np.abs(x[:, None] - y[None, :]), axis=1)
+    np.testing.assert_allclose(U.values, near[:, None] ** 2 / t[None, :], rtol=1e-9)
+    assert U.provenance["all_converged"]
+
+
+def test_free_particle_field_is_the_exact_minimum_over_y_grid():
+    """With V = 0 the straight path is optimal, so the field is the closed-form
+    minimum over y_grid of |x - y|^2 / t + Phi(y). The lattice's quantized
+    kinetic cost can rank the best y one grid step behind a neighbour; the
+    polish of the neighbouring y must recover it."""
+    V = make_potential("zero", 1)
+    x = np.linspace(-0.5, 0.5, 5)
+    t = np.array([0.5, 1.0])
+    y = np.linspace(-2.5, 2.5, 201)
+    for p in (0.8, 1.7):
+        Phi = make_initial_datum("plane_wave", 1, p=[p])
+        U = solve_evolutionary_eps(V, None, 0.1, Phi, x, t, y, OPT, QUAD)
+        exact = np.min((x[:, None, None] - y) ** 2 / t[:, None] + p * y, axis=2)
+        np.testing.assert_allclose(U.values, exact, rtol=0, atol=1e-12)
+
+
+def test_steady_polish_finds_the_farther_well():
+    """At eps = 0.05, x = -0.22 lies between the wells of V(x / eps) at -0.25
+    and -0.20. The lattice's path parks at -0.20; the decaying W makes the
+    farther well cheaper, and the lattice path from x - eps must find it: the
+    field is no higher than a polish started from a path parked at -0.25."""
+    V = make_potential("sin2", 1)
+    W = make_perturbation("runge_decay", 1, amplitude=1.0)
+    U = solve_steady_eps(V, W, 0.05, 1.0, np.array([-0.22, 0.22]), OPT, QUAD)
+    n_nodes, horizon = U.provenance["n_nodes"], U.provenance["T_max"]
+    for x, value in zip([-0.22, 0.22], U.values):
+        parked = np.full((n_nodes, 1), np.copysign(0.25, x))
+        _, reference = minimize_halfline(V, W, 0.05, 1.0, [x], horizon, n_nodes, OPT, QUAD, [parked])
+        assert value <= reference + 1e-12
 
 
 def test_hj_eps_fields_reject_two_dimensions():
