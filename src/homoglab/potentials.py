@@ -18,11 +18,12 @@ return shape (...). For d = 1 a bare (...) array is also accepted.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, InputError, InvariantError
+from .errors import ConfigError, InputError, InvariantError, SolverError
 from .grid import as_points, mesh
 from .quadrature import QuadratureSpec, midpoint_offsets, midpoints
 
@@ -312,7 +313,7 @@ def lp_unif_estimate(W: Perturbation, p: float, centers, quad: QuadratureSpec) -
     """max over the given centers y of integral of W^p over B_1(y).
 
     A bounded sample proxy for the uniform-L^p norm; the centers are the
-    caller's scan. Supports d <= 3.
+    caller's scan. Supports d <= 3. A NaN integral raises SolverError.
     """
     if not p > 0:
         raise InputError("p must be positive")
@@ -323,13 +324,14 @@ def lp_unif_estimate(W: Perturbation, p: float, centers, quad: QuadratureSpec) -
     pts_centers = pts_centers.reshape(-1, d)
 
     spi = quad.samples_per_interval
-    best = -np.inf
     if d == 1:
         n = max(128, 64 * spi)
         rel = midpoints(-1.0, 1.0, n)
-        for y in pts_centers:
+
+        def integral(y):
             vals = W.evaluator((y[0] + rel)[:, None])
-            best = max(best, float(np.sum(np.abs(vals) ** p) * (2.0 / n)))
+            return float(np.sum(np.abs(vals) ** p) * (2.0 / n))
+
     elif d == 2:
         n_rho = max(64, 16 * spi)
         n_th = max(128, 32 * spi)
@@ -338,9 +340,11 @@ def lp_unif_estimate(W: Perturbation, p: float, centers, quad: QuadratureSpec) -
         ct, st = np.cos(th), np.sin(th)
         ring = np.stack([np.outer(rho, ct), np.outer(rho, st)], axis=-1)  # (n_rho, n_th, 2)
         weight = rho[:, None] * (1.0 / n_rho) * (2 * np.pi / n_th)
-        for y in pts_centers:
+
+        def integral(y):
             vals = W.evaluator(ring + y[None, None, :])
-            best = max(best, float(np.sum(np.abs(vals) ** p * weight)))
+            return float(np.sum(np.abs(vals) ** p * weight))
+
     elif d == 3:
         n_rho = max(48, 12 * spi)
         n_th = max(64, 16 * spi)
@@ -353,11 +357,19 @@ def lp_unif_estimate(W: Perturbation, p: float, centers, quad: QuadratureSpec) -
             [P * np.sin(F) * np.cos(T), P * np.sin(F) * np.sin(T), P * np.cos(F)], axis=-1
         )
         weight = P * P * np.sin(F) * (1.0 / n_rho) * (2 * np.pi / n_th) * (np.pi / n_ph)
-        for y in pts_centers:
+
+        def integral(y):
             vals = W.evaluator(pts + y[None, None, None, :])
-            best = max(best, float(np.sum(np.abs(vals) ** p * weight)))
+            return float(np.sum(np.abs(vals) ** p * weight))
+
     else:
         raise InputError("lp_unif_estimate supports dimension <= 3")
+    best = -np.inf
+    for y in pts_centers:
+        value = integral(y)
+        if np.isnan(value):
+            raise SolverError(f"lp_unif_estimate: the integral of |W|^{p} over B_1({y.tolist()}) is NaN")
+        best = max(best, value)
     return best
 
 
@@ -368,6 +380,46 @@ def lp_unif_estimate(W: Perturbation, p: float, centers, quad: QuadratureSpec) -
 # ---------------------------------------------------------------------------
 
 
+# Levels whose windows `_tongue_windows` lists (2^16 windows at most). Points
+# at radius >= 2^17 are also tested at every higher level their radius reaches.
+_TABLE_TOP = 16
+# Padding of each listed window (rad): far above the rounding of its ends,
+# far below the narrowest listed window, 4^-16.
+_WINDOW_SLACK = 1e-12
+# Points per block of `parabola_free_region`; bounds its temporaries.
+_BLOCK = 4096
+# Rows 2*pi/2^k, 2^k, 4^-k and c_k = 4^-k 2^(k/2) of the tongue test, for
+# every level k a finite radius can reach.
+_LEVEL_CONSTANTS = np.array(
+    [[2 * np.pi / 2.0**k, 2.0**k, 4.0 ** (-k), 4.0 ** (-k) * 2.0 ** (k / 2.0)] for k in range(1024)]
+).T
+
+
+@lru_cache(maxsize=None)
+def _tongue_windows(top: int):
+    """(ends, cover): the angular windows of the tongue levels 2..top.
+
+    The level-k windows are [2*pi*h/2^k -/+ (4^{-k} + slack)], h odd, moved
+    into arctan2's range (-pi, pi]. `ends` holds all their ends in increasing
+    order, and cover[i] is the bitmask (bit k for level k) of the windows that
+    hold [ends[i-1], ends[i]). Windows of one level are disjoint, but those of
+    different levels overlap. Both arrays are read-only.
+    """
+    ends, steps = [], []
+    for k in range(2, top + 1):
+        centers = (2 * np.pi / 2.0**k) * np.arange(1.0, 2.0**k, 2.0)
+        centers[centers > np.pi] -= 2 * np.pi
+        half = 4.0 ** (-k) + _WINDOW_SLACK
+        ends += [centers - half, centers + half]
+        steps += [np.full(centers.size, 1 << k), np.full(centers.size, -(1 << k))]
+    ends, steps = np.concatenate(ends), np.concatenate(steps)
+    order = np.argsort(ends, kind="stable")
+    ends = ends[order]
+    cover = np.concatenate([[0], np.cumsum(steps[order])]).astype(np.int32)
+    ends.flags.writeable = cover.flags.writeable = False
+    return ends, cover
+
+
 def parabola_free_region(x: np.ndarray) -> np.ndarray:
     """Boolean mask of points inside some level-k tongue (where W vanishes).
 
@@ -376,25 +428,75 @@ def parabola_free_region(x: np.ndarray) -> np.ndarray:
     angular offset is below min(4^{-k}, c_k/sqrt(rho - 2^k + 1)) with
     c_k = 4^{-k} 2^{k/2}, so each tongue stays inside its 4^{-k} angular
     window while widening like sqrt(rho) in transverse size.
+
+    Each point is tested only at the levels whose angular window holds it.
+    One cached sorted table lists the windows of every level with 2^k <=
+    max|x_0| + max|x_1| (a bound on every radius), each padded by a slack far
+    above the rounding of its ends, and one `searchsorted` per point reads
+    off the levels that can hold it. Those (point, level) pairs then get the
+    exact per-level test, op for op, so the mask is the one of testing every
+    point at every level 2^k <= max rho: a point in a level-k tongue lies
+    within 4^{-k} of its center, the 2*pi - offset branch never applies for
+    k >= 2 (the offset to the nearest odd multiple is at most pi/2), and a
+    level above every radius marks nothing. Non-finite points raise
+    InputError.
     """
     pts = np.asarray(x, dtype=float)
-    rho = np.hypot(pts[..., 0], pts[..., 1])
-    theta = np.mod(np.arctan2(pts[..., 1], pts[..., 0]), 2 * np.pi)
-    free = np.zeros(rho.shape, dtype=bool)
-    rho_max = float(np.max(rho)) if rho.size else 0.0
-    k = 2
-    while 2.0**k <= rho_max:
-        base = 2 * np.pi / 2.0**k
-        h_near = 2.0 * np.round((theta / base - 1.0) / 2.0) + 1.0
-        gap = np.abs(theta - base * h_near)
-        gap = np.minimum(gap, 2 * np.pi - gap)
-        inside_radius = rho >= 2.0**k
-        c_k = 4.0 ** (-k) * 2.0 ** (k / 2.0)
-        with np.errstate(invalid="ignore"):
-            width = np.minimum(4.0 ** (-k), c_k / np.sqrt(np.maximum(rho - 2.0**k, 0.0) + 1.0))
-        free |= inside_radius & (gap <= width)
-        k += 1
+    flat = pts.reshape(-1, pts.shape[-1])
+    x0, x1 = flat[:, 0], flat[:, 1]
+    free = np.zeros(x0.shape, dtype=bool)
+    far = [float(np.max(np.abs(c))) if c.size else 0.0 for c in (x0, x1)]
+    if not np.isfinite(far).all():
+        bad = flat[np.argmin(np.isfinite(x0) & np.isfinite(x1))]
+        raise InputError(f"parabola_free_region needs finite points; got {bad.tolist()}")
+    reach = (far[0] + far[1]) * (1.0 + 2.0**-40)  # margin for the rounding of hypot
+    top = 1
+    while top < 1023 and 2.0 ** (top + 1) <= reach:
+        top += 1
+    if top >= 2:
+        for lo in range(0, x0.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            free[block] = _free_block(x0[block], x1[block], top)
+    return free.reshape(pts.shape[:-1])
+
+
+def _free_block(x0, x1, top: int) -> np.ndarray:
+    """parabola_free_region for the points (x0, x1), all of radius < 2^(top+1)."""
+    angle = np.arctan2(x1, x0)
+    ends, cover = _tongue_windows(min(top, _TABLE_TOP))
+    bits = cover.take(np.searchsorted(ends, angle, side="right"))
+    hit = np.flatnonzero(bits)
+    bits = bits.take(hit)
+    points, levels = [], []
+    while True:  # one pass per window holding a point, lowest level first
+        low = bits & -bits
+        points.append(hit)
+        levels.append(np.frexp(low)[1] - 1)  # low == 2^level
+        bits ^= low
+        more = np.flatnonzero(bits)
+        if not more.size:
+            break
+        hit, bits = hit.take(more), bits.take(more)
+    pt = np.concatenate(points)
+    free = np.zeros(x0.shape, dtype=bool)
+    free[pt[_in_tongue(angle.take(pt), x0.take(pt), x1.take(pt), np.concatenate(levels))]] = True
+    for k in range(_TABLE_TOP + 1, top + 1):  # too many windows to list
+        free |= _in_tongue(angle, x0, x1, np.full(x0.size, k))
     return free
+
+
+def _in_tongue(angle, x0, x1, level) -> np.ndarray:
+    """The per-level test: is each point (x0, x1), of arctan2 angle `angle`,
+    inside the tongue of its `level`?"""
+    base, step, cap, c_k = _LEVEL_CONSTANTS.take(level, axis=1)
+    theta = angle + np.where(angle < 0, 2 * np.pi, 0.0)  # np.mod(angle, 2*pi), bit for bit
+    rho = np.hypot(x0, x1)
+    h_near = 2.0 * np.round((theta / base - 1.0) / 2.0) + 1.0
+    gap = np.abs(theta - base * h_near)
+    gap = np.minimum(gap, 2 * np.pi - gap)
+    inside_radius = rho >= step
+    width = np.minimum(cap, c_k / np.sqrt(np.maximum(rho - step, 0.0) + 1.0))
+    return inside_radius & (gap <= width)
 
 
 def build_parabola_perturbation() -> Perturbation:

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from homoglab import (
     ConfigError,
     InputError,
+    Perturbation,
     QuadratureSpec,
+    SolverError,
     cylinder_average,
     line_average,
     lp_unif_estimate,
@@ -160,6 +162,110 @@ def test_parabola_free_region_geometry():
     assert float(W.evaluator(far_on_axis)[0]) == 0.0
     assert float(W.evaluator(far_generic)[0]) == 1.0
     assert W.sign_class == "nonnegative"
+
+
+def _reference_free_region(x):
+    """parabola_free_region by the plain loop: every point at every level 2^k <= max radius."""
+    pts = np.asarray(x, dtype=float)
+    rho = np.hypot(pts[..., 0], pts[..., 1])
+    theta = np.mod(np.arctan2(pts[..., 1], pts[..., 0]), 2 * np.pi)
+    free = np.zeros(rho.shape, dtype=bool)
+    rho_max = float(np.max(rho)) if rho.size else 0.0
+    k = 2
+    while 2.0**k <= rho_max:
+        base = 2 * np.pi / 2.0**k
+        h_near = 2.0 * np.round((theta / base - 1.0) / 2.0) + 1.0
+        gap = np.abs(theta - base * h_near)
+        gap = np.minimum(gap, 2 * np.pi - gap)
+        inside_radius = rho >= 2.0**k
+        c_k = 4.0 ** (-k) * 2.0 ** (k / 2.0)
+        with np.errstate(invalid="ignore"):
+            width = np.minimum(4.0 ** (-k), c_k / np.sqrt(np.maximum(rho - 2.0**k, 0.0) + 1.0))
+        free |= inside_radius & (gap <= width)
+        k += 1
+    return free
+
+
+def _polar(rho, angle):
+    return np.stack([rho * np.cos(angle), rho * np.sin(angle)], axis=-1)
+
+
+@st.composite
+def _tongue_probes(draw):
+    """Points at a level's tongue center, window edge or width, a few ulp either side,
+    at radii at, just below, just above and past 2^k. Levels 17 and 18 lie above
+    the window table."""
+    k = draw(st.integers(2, 18))
+    h = 2 * draw(st.integers(0, 2 ** (k - 1) - 1)) + 1
+    pow2 = 2.0**k
+    rho = draw(
+        st.sampled_from([np.nextafter(pow2, 0.0), pow2, np.nextafter(pow2, np.inf)])
+        | st.floats(pow2, 4 * pow2)
+    )
+    width = min(4.0 ** (-k), 4.0 ** (-k) * 2.0 ** (k / 2.0) / np.sqrt(max(rho - pow2, 0.0) + 1.0))
+    offset = draw(st.sampled_from([0.0, 4.0 ** (-k), width])) * draw(st.sampled_from([-1.0, 1.0]))
+    angle = 2 * np.pi / pow2 * h + offset
+    ulps = np.arange(-4, 5) * np.spacing(angle)
+    return _polar(rho, angle + ulps)
+
+
+@st.composite
+def _parabola_batches(draw):
+    parts = [np.zeros((0, 2))]
+    for _ in range(draw(st.integers(0, 3))):
+        parts.append(draw(_tongue_probes()))
+    n_uniform = draw(st.integers(0, 30))
+    if n_uniform:  # uniform in the disc of radius 2^14, mixed with small scales
+        radius = draw(st.lists(st.floats(0.0, 2.0**14), min_size=n_uniform, max_size=n_uniform))
+        scale = draw(st.lists(st.sampled_from([1e-3, 1.0, 1.0]), min_size=n_uniform, max_size=n_uniform))
+        angle = draw(st.lists(st.floats(-np.pi, 2 * np.pi), min_size=n_uniform, max_size=n_uniform))
+        parts.append(_polar(np.sqrt(np.asarray(radius) * 2.0**14) * scale, np.asarray(angle)))
+    batch = np.concatenate(parts)
+    order = draw(st.permutations(range(batch.shape[0])))
+    batch = batch[list(order)]
+    shape = draw(st.sampled_from([(-1, 2), (1, -1, 2), (-1, 1, 2)]))
+    return batch.reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parabola_batches())
+def test_parabola_free_region_equals_the_per_level_loop(pts):
+    got = parabola_free_region(pts)
+    want = _reference_free_region(pts)
+    assert got.dtype == bool and got.shape == want.shape == pts.shape[:-1]
+    assert (got == want).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_parabola_batches())
+def test_parabola_free_region_is_pointwise(pts):
+    flat = pts.reshape(-1, 2)
+    together = parabola_free_region(flat)
+    alone = [parabola_free_region(flat[i : i + 1])[0] for i in range(flat.shape[0])]
+    assert together.tolist() == alone
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0, 2)])
+def test_parabola_free_region_empty(shape):
+    assert parabola_free_region(np.zeros(shape)).shape == shape[:-1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_parabola_rejects_non_finite_points(bad):
+    W = make_perturbation("parabola_example", 2)
+    finite = np.array([[0.0, 5.0], [0.0, -40.0]])
+    assert W.evaluator(finite).tolist() == [0.0, 0.0]
+    with pytest.raises(InputError, match=r"\[(nan|-?inf), 0\.0\]"):
+        W.evaluator(np.vstack([finite, [[bad, 0.0]], [[1.0, bad]]]))
+
+
+def test_lp_unif_estimate_raises_on_nan_integral(quad):
+    W = Perturbation(2, lambda x: np.where(x[..., 0] < 0, np.nan, 1.0), "nonnegative", 1.0)
+    assert lp_unif_estimate(W, 2.0, [[5.0, 0.0]], quad) == pytest.approx(np.pi, rel=1e-2)
+    with pytest.raises(SolverError, match=r"\[-5\.0, 0\.0\]"):
+        lp_unif_estimate(W, 2.0, [[5.0, 0.0], [-5.0, 0.0]], quad)
+    with pytest.raises(SolverError):
+        lp_unif_estimate(W, 2.0, [[-5.0, 1.0], [-6.0, 0.0]], quad)
 
 
 def test_parabola_requires_dimension_two():
