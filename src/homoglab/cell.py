@@ -16,7 +16,6 @@ bounds for the perturbed functionals.
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +41,8 @@ __all__ = [
 ]
 
 _CELL_OPT = OptimizerSpec(max_iters=2000, restarts=3)
+# Midpoint-convexity defects above this send a table through its lower convex envelope.
+_CONVEXITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,8 @@ def _profile_from_path(times, nodes, xi) -> Trajectory:
 def solve_corrector_1d(
     V: PeriodicPotential,
     xi: float,
-    n_nodes: Optional[int] = None,
     opt: OptimizerSpec = _CELL_OPT,
     quad: QuadratureSpec = QuadratureSpec(),
-    warm_starts: Sequence[Trajectory] = (),
 ) -> CorrectorProfile:
     """One-dimensional periodic cell problem at slope xi != 0.
 
@@ -100,12 +99,9 @@ def solve_corrector_1d(
     if xi == 0.0:
         raise InputError("xi must be nonzero; the zero-slope value is v_min")
     T = 1.0 / abs(xi)
-    if n_nodes is None:
-        n_nodes = max(65, int(math.ceil(48 * T)) + 1)
+    n_nodes = max(65, int(math.ceil(48 * T)) + 1)
     target = math.copysign(1.0, xi)
-    traj, value = minimize_bvp(
-        V, None, 1.0, 0.0, T, 0.0, target, n_nodes, opt, quad, warm_starts
-    )
+    traj, value = minimize_bvp(V, None, 1.0, 0.0, T, 0.0, target, n_nodes, opt, quad)
     cell_value = abs(xi) * value
 
     affine = Trajectory.affine([0.0], [target], 0.0, T, n_nodes - 1)
@@ -131,10 +127,9 @@ def solve_corrector_general(
     L: GeneralLagrangian,
     xi,
     T: float,
-    n_nodes: Optional[int] = None,
+    n_nodes: int,
     opt: OptimizerSpec = _CELL_OPT,
     quad: QuadratureSpec = QuadratureSpec(),
-    warm_starts: Sequence[Trajectory] = (),
 ) -> CorrectorProfile:
     """Window cell problem (1/T) * min of integral of L(w, w') on [0, T].
 
@@ -146,11 +141,7 @@ def solve_corrector_general(
         raise InputError("xi dimension does not match the Lagrangian")
     if not T > 0:
         raise InputError("window length T must be positive")
-    if n_nodes is None:
-        n_nodes = max(33, int(math.ceil(16 * T)) + 1)
-    traj, total = minimize_lagrangian_bvp(
-        L, 0.0, T, np.zeros_like(xi), T * xi, n_nodes, opt, quad, warm_starts
-    )
+    traj, total = minimize_lagrangian_bvp(L, 0.0, T, np.zeros_like(xi), T * xi, n_nodes, opt, quad)
     value = total / T
     speed = float(np.linalg.norm(xi))
     r = L.growth_exponent
@@ -166,17 +157,16 @@ def solve_corrector_general(
 def f_hom_asymptotic(
     V: PeriodicPotential,
     xi,
-    T_ladder: Optional[Sequence[float]] = None,
-    n_nodes_per_unit: int = 16,
     opt: OptimizerSpec = _CELL_OPT,
     quad: QuadratureSpec = QuadratureSpec(),
 ):
     """Homogenized Lagrangian via growing windows; works in any dimension.
 
     Returns (value, diagnostics): the value at the largest window of the
-    ladder (default {8, 16, 32, 64}/|xi|) and per-window values with the
-    spread of the last two rungs. xi = 0 returns v_min exactly: the optimal
-    path parks at the potential's minimum, so no solve is needed.
+    ladder {8, 16, 32, 64}/|xi| (16 nodes per unit time, at least 33) and
+    per-window values with the spread of the last two rungs. xi = 0 returns
+    v_min exactly: the optimal path parks at the potential's minimum, so no
+    solve is needed.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape[0] != V.dimension:
@@ -184,26 +174,20 @@ def f_hom_asymptotic(
     speed = float(np.linalg.norm(xi))
     if speed == 0.0:
         return V.v_min, {"values": [V.v_min], "T_ladder": [], "spread": 0.0}
-    if T_ladder is None:
-        T_ladder = [T / speed for T in (8.0, 16.0, 32.0, 64.0)]
-    T_ladder = [float(T) for T in T_ladder]
-    if any(b <= a for a, b in zip(T_ladder, T_ladder[1:])) or not T_ladder:
-        raise InputError("T_ladder must be nonempty and increasing")
+    T_ladder = [T / speed for T in (8.0, 16.0, 32.0, 64.0)]
 
     L = GeneralLagrangian.from_potential(V)
     values = []
     converged = True
     for T in T_ladder:
-        n_nodes = max(33, int(math.ceil(n_nodes_per_unit * T)) + 1)
-        prof = solve_corrector_general(L, xi, T, n_nodes, opt, quad)
+        prof = solve_corrector_general(L, xi, T, max(33, int(math.ceil(16 * T)) + 1), opt, quad)
         values.append(prof.cell_value)
         converged &= prof.meta["converged"]
         _check_sandwich(prof.cell_value, speed * speed, V.v_min, V.v_max)
-    spread = abs(values[-1] - values[-2]) if len(values) > 1 else 0.0
     diagnostics = {
         "values": values,
         "T_ladder": T_ladder,
-        "spread": spread,
+        "spread": abs(values[-1] - values[-2]),
         "monotone": all(b <= a + 1e-9 for a, b in zip(values, values[1:])),
         "converged": converged,
     }
@@ -220,8 +204,8 @@ class HomogenizedLagrangian(GridTable):
 
     axes: per-dimension symmetric grids containing 0; values: table of
     certified upper-bound cell values with the slope-0 entry pinned to v_min.
-    Queries outside the grid hull raise ExtrapolationError. An optional lower
-    convex envelope pass is recorded in `envelope_applied`.
+    Queries outside the grid hull raise ExtrapolationError. A lower convex
+    envelope pass is recorded in `envelope_applied`.
     """
 
     def __init__(self, axes, values, f0: float, envelope_applied: bool = False, meta=None):
@@ -257,19 +241,14 @@ def tabulate_f_hom(
     method: str = "1d",
     opt: OptimizerSpec = _CELL_OPT,
     quad: QuadratureSpec = QuadratureSpec(),
-    T_ladder: Optional[Sequence[float]] = None,
-    n_nodes: Optional[int] = None,
-    n_nodes_per_unit: int = 16,
-    convexity_tol: float = 1e-6,
-    enforce_convexity: bool = True,
 ) -> HomogenizedLagrangian:
     """Tabulate the homogenized Lagrangian on a symmetric slope grid.
 
     The grid must contain 0 and be symmetric under sign flip per axis. The
-    slope-0 value is pinned to v_min. When midpoint-convexity violations
-    exceed convexity_tol and enforce_convexity is set, the lower convex
-    envelope is applied and flagged. Failures at individual grid points are
-    collected into a single SolverError listing the points.
+    slope-0 value is pinned to v_min. When midpoint-convexity defects exceed
+    1e-6, the lower convex envelope is applied and flagged. Failures at
+    individual grid points are collected into a single SolverError listing
+    the points.
     """
     if method not in ("1d", "asymptotic"):
         raise InputError("method must be '1d' or 'asymptotic'")
@@ -286,13 +265,11 @@ def tabulate_f_hom(
             if speed == 0.0:
                 values[i] = V.v_min
             elif method == "1d":
-                prof = solve_corrector_1d(V, float(point[0]), n_nodes, opt, quad)
+                prof = solve_corrector_1d(V, float(point[0]), opt, quad)
                 values[i] = prof.cell_value
                 converged &= prof.meta["converged"]
             else:
-                values[i], diagnostics = f_hom_asymptotic(
-                    V, point, T_ladder, n_nodes_per_unit, opt, quad
-                )
+                values[i], diagnostics = f_hom_asymptotic(V, point, opt, quad)
                 converged &= diagnostics["converged"]
         except (SolverError, InvariantError) as exc:
             failures.append((point.tolist(), str(exc)))
@@ -306,12 +283,12 @@ def tabulate_f_hom(
         False,
         {"potential": V.name, "method": method, "converged": converged},
     )
-    count, worst = table.convexity_violations(convexity_tol)
+    count, worst = table.convexity_violations(_CONVEXITY_TOL)
     table.meta["convexity_violations"] = count
     table.meta["convexity_worst"] = worst
-    if enforce_convexity and count > 0:
+    if count > 0:
         table = table.with_envelope()
-        post_count, post_worst = table.convexity_violations(convexity_tol)
+        post_count, post_worst = table.convexity_violations(_CONVEXITY_TOL)
         table.meta["convexity_violations"] = post_count
         table.meta["convexity_worst"] = post_worst
     return table
@@ -480,10 +457,10 @@ class AlmostCorrectorPlan:
         idx = np.clip(np.searchsorted(self.shifts, t, side="right") - 1, 0, None)
         return self.base_profile(t - self.shifts[idx])
 
-    def block_trajectory(self, i: int, samples_per_unit: int = 8) -> Trajectory:
-        """Path t*xi + p(t) across block i, finely resampled for quadrature."""
+    def block_trajectory(self, i: int) -> Trajectory:
+        """Path t*xi + p(t) across block i, resampled at 8 nodes per unit time."""
         Ti = float(self.shifts[i])
-        n = max(2, int(math.ceil(samples_per_unit * self.T)))
+        n = max(2, int(math.ceil(8 * self.T)))
         t = Ti + np.linspace(0.0, self.T, n + 1)
         nodes = t[:, None] * self.xi[None, :] + self.base_profile(t - Ti)
         return Trajectory(t, nodes)
@@ -496,16 +473,15 @@ def build_almost_corrector(
     horizon: float,
     opt: OptimizerSpec = _CELL_OPT,
     quad: QuadratureSpec = QuadratureSpec(),
-    max_pieces: int = 32,
-    n_nodes_per_unit: int = 8,
 ) -> AlmostCorrectorPlan:
     """Build the quasiperiodic almost-corrector plan for slope xi.
 
     eta comes from the continuity modulus (omega(eta) <= delta/2 < delta);
     the empirical hit spacing L sets the block length T = ceil((L+1)/delta);
-    the base block profile is the window cell solution at T, resampled to at
-    most max_pieces affine pieces; shifts are generated up to the horizon by
-    scanning each window [T_i + T + 1, T_i + T + L]. If some window has no
+    the base block profile is the window cell solution at T (8 nodes per unit
+    time, at least 33), resampled to at most 32 affine pieces; shifts are
+    generated up to the horizon by scanning each window [T_i + T + 1,
+    T_i + T + L]. If some window has no
     hit, the spacing estimate doubles and the construction restarts.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -529,10 +505,10 @@ def build_almost_corrector(
         raise SolverError("could not generate a consistent shift sequence")
 
     L = GeneralLagrangian.from_potential(V)
-    n_nodes = max(33, int(math.ceil(n_nodes_per_unit * T)) + 1)
+    n_nodes = max(33, int(math.ceil(8 * T)) + 1)
     base = solve_corrector_general(L, xi, T, n_nodes, opt, quad)
 
-    n_pieces = min(max_pieces, base.profile.n_intervals)
+    n_pieces = min(32, base.profile.n_intervals)
     breakpoints = np.linspace(0.0, T, n_pieces + 1)
     profile_values = base.profile(breakpoints)
     profile_values[0] = 0.0

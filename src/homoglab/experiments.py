@@ -11,6 +11,7 @@ argument: a thread pool over rows measured slower than the serial loop.
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional
@@ -139,6 +140,10 @@ _GRID_DEFAULTS = {
 
 _RECOVERY_DEFAULTS = {"delta": 0.2, "eta_tube": 0.25, "alpha": 0.75, "horizon": None}
 
+# Stand-in defaults giving the shape of the fields that default to None but
+# hold numbers when set.
+_NUMBER_SHAPES = {"n_nodes": 0, "T_max": 0.0, "horizon": 0.0, "directions": [[0.0]]}
+
 _TOP_KEYS = {
     "experiment",
     "dimension",
@@ -179,6 +184,33 @@ def _merged(defaults: dict, override: Optional[dict], label: str) -> dict:
     return out
 
 
+def _check_numbers(value, default, label: str):
+    """ConfigError unless value holds a finite number wherever default does."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{label} must be an object")
+        for key, sub in default.items():
+            sub = _NUMBER_SHAPES.get(key) if sub is None and value[key] is not None else sub
+            _check_numbers(value[key], sub, f"{label}.{key}")
+    elif isinstance(default, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{label} must be a list")
+        for item in value:
+            _check_numbers(item, default[0], label)
+    elif isinstance(default, numbers.Real) and not isinstance(default, bool):
+        _finite(value, label)
+
+
+def _finite(value, label: str) -> float:
+    """value as a float: a finite real number and not a bool, else a ConfigError."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{label} must be a finite number, got {value!r}")
+
+
 def _check_spec_block(block, label: str) -> Optional[dict]:
     if block is None:
         return None
@@ -215,7 +247,7 @@ class ExperimentConfig:
         data = {}
         data["experiment"] = raw.get("experiment")
         dimension = raw.get("dimension", 1)
-        if not isinstance(dimension, int) or dimension < 1:
+        if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
             raise ConfigError("dimension must be a positive integer")
         data["dimension"] = dimension
 
@@ -226,12 +258,16 @@ class ExperimentConfig:
         data["initial_datum"] = _check_spec_block(raw.get("initial_datum"), "initial_datum")
 
         xi = raw.get("xi", [1.0] + [0.0] * (dimension - 1))
-        xi = [float(v) for v in np.atleast_1d(np.asarray(xi, dtype=float))]
+        xi = xi if isinstance(xi, (list, tuple)) else [xi]
+        _check_numbers(xi, [0.0], "xi")
+        xi = [float(v) for v in xi]
         if len(xi) != dimension:
             raise ConfigError("xi must have one entry per dimension")
         data["xi"] = xi
 
-        ladder = [float(e) for e in raw.get("eps_ladder", [0.2, 0.1, 0.05])]
+        ladder = raw.get("eps_ladder", [0.2, 0.1, 0.05])
+        _check_numbers(ladder, [0.0], "eps_ladder")
+        ladder = [float(e) for e in ladder]
         if not ladder or any(e <= 0 for e in ladder):
             raise ConfigError("eps_ladder must be non-empty and positive")
         if any(b >= a for a, b in zip(ladder, ladder[1:])):
@@ -240,17 +276,17 @@ class ExperimentConfig:
 
         lam = raw.get("lambda")
         if lam is not None:
-            lam = float(lam)
+            lam = _finite(lam, "lambda")
             if lam <= 0:
                 raise ConfigError("lambda must be positive")
         data["lambda"] = lam
 
         seed = raw.get("seed", 0)
-        if not isinstance(seed, int) or seed < 0:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         data["seed"] = seed
 
-        threshold = float(raw.get("threshold", 0.05))
+        threshold = _finite(raw.get("threshold", 0.05), "threshold")
         if threshold <= 0:
             raise ConfigError("threshold must be positive")
         data["threshold"] = threshold
@@ -259,6 +295,9 @@ class ExperimentConfig:
         data["solver"] = _merged(_SOLVER_DEFAULTS, raw.get("solver"), "solver")
         data["grids"] = _merged(_GRID_DEFAULTS, raw.get("grids"), "grids")
         data["recovery"] = _merged(_RECOVERY_DEFAULTS, raw.get("recovery"), "recovery")
+        for key, defaults in (("solver", _SOLVER_DEFAULTS), ("grids", _GRID_DEFAULTS),
+                              ("recovery", _RECOVERY_DEFAULTS)):
+            _check_numbers(data[key], defaults, key)
 
         cfg = cls(data)
         cfg.potential()
@@ -349,14 +388,9 @@ class ExperimentConfig:
     def quadrature(self) -> QuadratureSpec:
         return QuadratureSpec(samples_per_interval=int(self.data["solver"]["quad_samples"]))
 
-    def dp_grid(self, n_t: Optional[int] = None) -> DPGrid:
+    def dp_grid(self) -> DPGrid:
         g = self.data["grids"]["dp"]
-        return DPGrid(
-            float(g["x_lo"]),
-            float(g["x_hi"]),
-            int(g["n_x"]),
-            int(n_t if n_t is not None else g["n_t"]),
-        )
+        return DPGrid(float(g["x_lo"]), float(g["x_hi"]), int(g["n_x"]), int(g["n_t"]))
 
     def _axes(self, key: str) -> tuple:
         """The grid `key` (lo..hi, or symmetric half_width) repeated per dimension."""

@@ -14,11 +14,10 @@ point and polishes it, next to the nearby competitors the lattice cannot
 rank, with the damped-Newton minimizer.
 
 All fields carry provenance (eps or "hom", discount rate, solver settings)
-and serialize deterministically to CSV and JSON.
+and serialize deterministically to CSV.
 """
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -105,26 +104,6 @@ class ValueField:
                             [repr(float(c)) for c in point]
                             + [repr(float(t)), repr(float(val))]
                         )
-
-    def to_json(self) -> str:
-        payload = {
-            "x_axes": [[float(v) for v in ax] for ax in self.x_axes],
-            "t_grid": None if self.t_grid is None else [float(t) for t in self.t_grid],
-            "values": self.values.tolist(),
-            "provenance": self.provenance,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ValueField":
-        payload = json.loads(text)
-        t_grid = payload["t_grid"]
-        return cls(
-            tuple(np.asarray(ax) for ax in payload["x_axes"]),
-            None if t_grid is None else np.asarray(t_grid),
-            np.asarray(payload["values"]),
-            payload.get("provenance", {}),
-        )
 
 
 def field_distance(a: ValueField, b: ValueField):
@@ -220,7 +199,6 @@ def solve_evolutionary_eps(
     y_grid,
     opt: OptimizerSpec = _HJ_OPT,
     quad: QuadratureSpec = QuadratureSpec(),
-    n_nodes: Optional[int] = None,
 ) -> ValueField:
     """Oscillatory value function U_eps(x, t) = min over y of y_grid of S_eps(y,x,t) + Phi(y).
 
@@ -230,10 +208,11 @@ def solve_evolutionary_eps(
     stacked minimize_bvp_batch polish: grid point x is three problems, pinned
     to its lattice argmin y and to that y's neighbours in y_grid, each with
     the lattice path tilted onto its y as the warm start next to the affine
-    one, and takes the least. Every value is the action of a concrete path
-    from a y plus Phi(y), so the certified upper bound stands. The provenance
-    records the lattice, its sup distance to the polished field
-    (dp_sup_distance) and whether every polish converged (all_converged).
+    one, and takes the least; a polish at time t has 8*t/eps + 9 nodes (at
+    least 33). Every value is the action of a concrete path from a y plus
+    Phi(y), so the certified upper bound stands. The provenance records the
+    lattice, its sup distance to the polished field (dp_sup_distance) and
+    whether every polish converged (all_converged).
     Needs d = 1.
     """
     x_axes, t_grid, x_mesh, y_mesh, phi_vals = _evolutionary_grids(x_grid, t_grid, y_grid, Phi, V)
@@ -245,7 +224,7 @@ def solve_evolutionary_eps(
     values = np.empty((x_mesh.shape[0], t_grid.size))
     dp_distance, records = 0.0, []
     for j, (t, (dp_values, path)) in enumerate(zip(t_grid, seeds)):
-        nodes_count = n_nodes if n_nodes is not None else max(33, int(8 * t / eps) + 9)
+        nodes_count = max(33, int(8 * t / eps) + 9)
         ys = np.argmin(np.abs(y[None, :] - states[path[-1], None]), axis=1)
         ys = np.clip(ys + _Y_NEIGHBOURS[:, None], 0, y.size - 1)
         # The lattice path, tilted linearly onto each neighbour y.
@@ -267,7 +246,7 @@ def solve_evolutionary_eps(
         provenance={
             "kind": "evolutionary",
             "source": {"eps": eps},
-            "n_nodes_rule": "8*t/eps+9" if n_nodes is None else n_nodes,
+            "n_nodes_rule": "8*t/eps+9",
             "y_count": int(y_mesh.shape[0]),
             "dp_lattice": lattice,
             "dp_sup_distance": dp_distance,
@@ -285,14 +264,12 @@ def s_eps(
     t: float,
     opt: OptimizerSpec = _HJ_OPT,
     quad: QuadratureSpec = QuadratureSpec(),
-    n_nodes: Optional[int] = None,
-    warm_starts=(),
 ) -> float:
-    """Minimal action from y at time 0 to x at time t (certified upper bound)."""
+    """Minimal action from y at time 0 to x at time t (certified upper bound),
+    on 8*t/eps + 9 nodes (at least 33)."""
     if not t > 0:
         raise InputError("t must be positive")
-    nodes_count = n_nodes if n_nodes is not None else max(33, int(8 * t / eps) + 9)
-    _, value = minimize_bvp(V, W, eps, 0.0, t, y, x, nodes_count, opt, quad, warm_starts)
+    _, value = minimize_bvp(V, W, eps, 0.0, t, y, x, max(33, int(8 * t / eps) + 9), opt, quad)
     return value
 
 

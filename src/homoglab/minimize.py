@@ -51,14 +51,13 @@ class OptimizerSpec:
     once its gradient norm is at most grad_tol or its Newton decrement has
     reached roundoff. It also stops, unconverged, when no step along the
     Newton direction decreases the action, or when a converged start of its
-    problem is lower by more than ten times its Newton decrement. armijo_c is
-    the sufficient-decrease constant of the backtracking line search, which
-    always tries the full step first. The pinned solvers add `restarts` seeded
-    random starts to the affine and warm ones; minimize_halfline adds none.
+    problem is lower by more than ten times its Newton decrement. The
+    backtracking line search always tries the full step first. The pinned
+    solvers add `restarts` seeded random starts to the affine and warm ones;
+    minimize_halfline adds none.
     """
 
     max_iters: int = 400
-    armijo_c: float = 1e-4
     grad_tol: float = 1e-8
     restarts: int = 2
     seed: int = 0
@@ -66,8 +65,6 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.max_iters < 1:
             raise InputError("max_iters must be >= 1")
-        if not 0 < self.armijo_c < 1:
-            raise InputError("armijo_c must lie in (0, 1)")
         if not self.grad_tol > 0:
             raise InputError("grad_tol must be positive")
         if self.restarts < 0:
@@ -100,6 +97,8 @@ class DPGrid:
 _ROUNDOFF_DECREMENT = 1e-14
 # Backtracking halves the step at most this many times before giving up.
 _MAX_HALVINGS = 40
+# The sufficient-decrease constant of the Armijo line search.
+_ARMIJO_C = 1e-4
 
 
 class _Action:
@@ -262,7 +261,7 @@ def _solve(action: _Action, starts, opt: OptimizerSpec):
             cand = x[idx[pending]]
             cand[:, free] += t[pending, None, None] * steps[pending]
             fc = action.value(cand)
-            decrease = np.where(at_roundoff[pending], 0.0, opt.armijo_c * t[pending] * dec[pending])
+            decrease = np.where(at_roundoff[pending], 0.0, _ARMIJO_C * t[pending] * dec[pending])
             ok = np.isfinite(fc) & (fc <= f[pending] - decrease)
             x[idx[pending[ok]]] = cand[ok]
             finished[idx[pending[ok]]] = at_roundoff[pending[ok]]
@@ -430,7 +429,6 @@ def minimize_lagrangian_bvp(
     n_nodes: int,
     opt: OptimizerSpec,
     quad: QuadratureSpec = QuadratureSpec(),
-    warm_starts: Sequence[Trajectory] = (),
 ):
     """Minimize integral of L(u, u') with pinned endpoints.
 
@@ -439,7 +437,7 @@ def minimize_lagrangian_bvp(
     """
     if L.V is None:
         raise InputError("minimize_lagrangian_bvp needs a Lagrangian built by from_potential")
-    return _minimize_pinned(L.V, L.W, 1.0, t0, t1, a, b, n_nodes, opt, quad, warm_starts)
+    return _minimize_pinned(L.V, L.W, 1.0, t0, t1, a, b, n_nodes, opt, quad, ())
 
 
 def minimize_halfline(

@@ -168,7 +168,7 @@ def action_G(
     _check_dims(u, None, W)
     value += potential_term(u.times, u.nodes, W.evaluator, eps, quad.samples_per_interval)
     if W.zero_atom != 0.0:
-        value += W.zero_atom * zero_set_measure(u, 0.0)
+        value += W.zero_atom * zero_set_measure(u)
     return value
 
 
@@ -214,7 +214,7 @@ def discounted_action(
     value += float(eval_potential(V, W, end / eps)[0]) * tail_weight
 
     if W is not None and W.zero_atom != 0.0:
-        value += W.zero_atom * _discounted_zero_measure(u, 0.0, lam)
+        value += W.zero_atom * _discounted_zero_measure(u, lam)
         if np.all(u.nodes[-1] == 0.0):
             value += W.zero_atom * tail_weight
     return value
@@ -246,8 +246,8 @@ def homogenized_action(u: Trajectory, f_table, lam: Optional[float] = None) -> f
 # ---------------------------------------------------------------------------
 
 
-def _zero_intervals(u: Trajectory, tol: float):
-    """Subintervals where |u(t)| <= tol, solved exactly per linear piece."""
+def _zero_intervals(u: Trajectory):
+    """Subintervals where u(t) = 0, solved exactly per linear piece."""
     out = []
     times, nodes = u.times, u.nodes
     for k in range(u.n_intervals):
@@ -256,7 +256,7 @@ def _zero_intervals(u: Trajectory, tol: float):
         v = (nodes[k + 1] - nodes[k]) / h
         a = float(v @ v)
         b = 2.0 * float(x @ v)
-        c = float(x @ x) - tol * tol
+        c = float(x @ x)
         if a == 0.0:
             if c <= 0.0:
                 out.append((times[k], times[k + 1]))
@@ -273,16 +273,14 @@ def _zero_intervals(u: Trajectory, tol: float):
     return out
 
 
-def zero_set_measure(u: Trajectory, tol: float = 0.0) -> float:
-    """Lebesgue measure of {t : |u(t)| <= tol}, exact for linear pieces."""
-    if tol < 0:
-        raise InputError("tol must be >= 0")
-    return float(sum(hi - lo for lo, hi in _zero_intervals(u, tol)))
+def zero_set_measure(u: Trajectory) -> float:
+    """Lebesgue measure of {t : u(t) = 0}, exact for linear pieces."""
+    return float(sum(hi - lo for lo, hi in _zero_intervals(u)))
 
 
-def _discounted_zero_measure(u: Trajectory, tol: float, lam: float) -> float:
+def _discounted_zero_measure(u: Trajectory, lam: float) -> float:
     return float(
-        sum((np.exp(-lam * lo) - np.exp(-lam * hi)) / lam for lo, hi in _zero_intervals(u, tol))
+        sum((np.exp(-lam * lo) - np.exp(-lam * hi)) / lam for lo, hi in _zero_intervals(u))
     )
 
 
@@ -322,16 +320,14 @@ def _graded_side(length: float, n_cells: int = 36, ratio: float = 0.75) -> np.nd
     return out
 
 
-def build_connector(
-    x0, y0, alpha: float, W: Perturbation, theta_samples: int = 32
-) -> Trajectory:
+def build_connector(x0, y0, alpha: float, W: Perturbation) -> Trajectory:
     """Short curve joining x0 to y0 through a low-W corridor.
 
     The curve leaves both endpoints along cusps |s|^alpha in a direction theta
     chosen from the cap {theta_1 < -1/2} (local frame aligned with x0 - y0) by
-    discrete minimization of the W line integral; the two cusp arcs meet on
-    the mid-hyperplane. Its kinetic integral is bounded by
-    connector_kinetic_bound(alpha, |x0-y0|) for every theta in the cap, with
+    discrete minimization of the W line integral over 32 cap directions; the
+    two cusp arcs meet on the mid-hyperplane. Its kinetic integral is bounded
+    by connector_kinetic_bound(alpha, |x0-y0|) for every theta in the cap, with
     the piecewise-linear interpolant always at or below the analytic value.
     Requires 1/2 < alpha < p/d for the declared integrability exponent p.
     """
@@ -361,7 +357,7 @@ def build_connector(
     times = np.concatenate((t_left, [0.0], t_right[1:]))
     times = np.unique(times)
 
-    thetas = _cap_directions(d, theta_samples)
+    thetas = _cap_directions(d, 32)
     best = None
     for idx, theta in enumerate(thetas):
         t_theta = -1.0 / (2.0 * theta[0])

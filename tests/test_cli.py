@@ -54,6 +54,26 @@ def test_bad_threads_is_a_config_error(tmp_path, capsys):
     assert code == cli.EXIT_CONFIG == 2
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"dimension": True},
+        {"seed": True},
+        {"xi": [float("nan")]},
+        {"eps_ladder": [float("nan")]},
+        {"lambda": float("inf")},
+        {"threshold": float("nan")},
+        {"solver": {"max_iters": "many"}},
+        {"grids": {"xi": {"n": "nine"}}},
+    ],
+)
+def test_malformed_values_are_config_errors(tmp_path, capsys, bad):
+    cfg = write_cfg(tmp_path, dict(FENCHEL_RAW, **bad))
+    code = cli.main(["fenchel", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unreachable_hj_grid_is_a_solver_failure(tmp_path, capsys):
     raw = {
         "experiment": "hj",

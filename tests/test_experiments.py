@@ -1,9 +1,12 @@
 """Experiment configs, runners, reports: validation, invariants, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homoglab import experiments
 from homoglab.errors import ConfigError, InputError, InvariantError
@@ -51,6 +54,16 @@ def make_cfg(**overrides):
         {"perturbation": {"name": "runge_decay", "params": {"width": 1.0}}},
         {"solver": {"no_such_knob": 1}},
         {"grids": {"no_such_grid": 1}},
+        {"xi": ["one"]},
+        {"eps_ladder": 0.1},
+        {"lambda": float("nan")},
+        {"threshold": float("inf")},
+        {"solver": {"T_max": "long"}},
+        {"grids": {"x": 5}},
+        {"grids": {"t": 0.5}},
+        {"grids": {"radii": [64, None]}},
+        {"grids": {"dp": {"n_x": float("inf")}}},
+        {"recovery": {"delta": "small"}},
     ],
 )
 def test_config_rejects_bad_documents(raw):
@@ -85,6 +98,33 @@ def test_config_hash_is_order_insensitive_and_default_filling():
     # the normalized document can be re-validated unchanged (CLI seed override path)
     again = ExperimentConfig.from_dict(dict(a.data))
     assert again.config_hash() == a.config_hash()
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _shuffled(obj, rnd):
+    """obj with the keys of every dict in it, nested ones included, in a random order."""
+    if isinstance(obj, dict):
+        keys = list(obj)
+        rnd.shuffle(keys)
+        return {k: _shuffled(obj[k], rnd) for k in keys}
+    if isinstance(obj, list):
+        return [_shuffled(v, rnd) for v in obj]
+    return obj
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(p.name for p in CONFIG_DIR.glob("*.json"))),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_config_hash_and_data_ignore_key_order(name, rnd):
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    cfg = ExperimentConfig.from_dict(raw)
+    permuted = ExperimentConfig.from_dict(_shuffled(raw, rnd))
+    assert permuted.data == cfg.data
+    assert permuted.config_hash() == cfg.config_hash()
 
 
 def test_config_roundtrips_through_json_file(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homoglab import (
     HomogenizedLagrangian,
@@ -47,6 +49,44 @@ def test_conjugate_order_reversal_exact():
     cf = legendre_transform(f, p)
     cb = legendre_transform(bigger, p)
     assert np.all(cb.values <= cf.values + 1e-12)
+
+
+@st.composite
+def random_tables(draw):
+    """A random table on a uniform symmetric slope grid in d = 1 or 2, and a
+    momentum grid inside its reliable hull."""
+    d = draw(st.integers(1, 2))
+    half = draw(st.floats(0.25, 4.0))
+    axes = tuple(np.linspace(-half, half, draw(st.integers(2, 9))) for _ in range(d))
+    size = int(np.prod([ax.size for ax in axes]))
+    finite = st.floats(-10.0, 10.0, allow_nan=False)
+    values = np.array(draw(st.lists(finite, min_size=size, max_size=size)))
+    values = values.reshape(tuple(ax.size for ax in axes))
+    p = (np.linspace(-2.0 * half, 2.0 * half, draw(st.integers(2, 17))),) * d
+    return axes, values, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=random_tables(), data=st.data())
+def test_order_reversal_holds_exactly_on_random_tables(table, data):
+    axes, values, p = table
+    size = values.size
+    bumps = data.draw(st.lists(st.floats(0.0, 5.0), min_size=size, max_size=size))
+    f = HomogenizedLagrangian(axes, values, f0=0.0)
+    g = HomogenizedLagrangian(axes, values + np.reshape(bumps, values.shape), f0=0.0)
+    # f <= g entrywise, and every rounding step of the discrete sup is monotone
+    assert np.all(legendre_transform(g, p).values <= legendre_transform(f, p).values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=random_tables(), c=st.floats(-10.0, 10.0))
+def test_shift_rule_holds_to_roundoff_on_random_tables(table, c):
+    axes, values, p = table
+    cf = legendre_transform(HomogenizedLagrangian(axes, values, f0=0.0), p).values
+    cg = legendre_transform(HomogenizedLagrangian(axes, values + c, f0=c), p).values
+    scale = 2.0 * np.max(np.abs(p[0])) * np.max(np.abs(axes[0])) * len(axes)
+    scale += np.max(np.abs(values)) + abs(c)
+    np.testing.assert_allclose(cg, cf - c, rtol=0.0, atol=8 * np.finfo(float).eps * scale)
 
 
 def test_conjugate_rejects_momenta_outside_reliable_hull():

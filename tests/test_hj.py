@@ -37,7 +37,7 @@ def free_table():
     return tabulate_f_hom(V, np.linspace(-3, 3, 25), method="1d", opt=OPT, quad=QUAD)
 
 
-def test_value_field_csv_and_json_roundtrip(tmp_path):
+def test_value_field_csv_layout(tmp_path):
     x = np.linspace(0.0, 1.0, 3)
     t = np.array([0.5, 1.0])
     vals = np.arange(6, dtype=float).reshape(3, 2)
@@ -47,10 +47,6 @@ def test_value_field_csv_and_json_roundtrip(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "x_1,t,value"
     assert len(lines) == 1 + vals.size
-    clone = ValueField.from_json(field.to_json())
-    np.testing.assert_array_equal(clone.values, vals)
-    sup, mean = field_distance(field, clone)
-    assert sup == 0.0 and mean == 0.0
 
 
 def test_value_field_rejects_nonfinite():
