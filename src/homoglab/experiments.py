@@ -144,6 +144,12 @@ _RECOVERY_DEFAULTS = {"delta": 0.2, "eta_tube": 0.25, "alpha": 0.75, "horizon": 
 # hold numbers when set.
 _NUMBER_SHAPES = {"n_nodes": 0, "T_max": 0.0, "horizon": 0.0, "directions": [[0.0]]}
 
+# Count fields of the solver and grid blocks, with the least value each allows.
+_COUNTS = {
+    "max_iters": 1, "restarts": 0, "quad_samples": 1, "nodes_per_period": 1,
+    "cell_max_iters": 1, "n_nodes": 1, "n": 1, "n_x": 1, "n_t": 1,
+}
+
 _TOP_KEYS = {
     "experiment",
     "dimension",
@@ -192,6 +198,8 @@ def _check_numbers(value, default, label: str):
         for key, sub in default.items():
             sub = _NUMBER_SHAPES.get(key) if sub is None and value[key] is not None else sub
             _check_numbers(value[key], sub, f"{label}.{key}")
+            if key in _COUNTS and value[key] is not None:
+                _check_count(value[key], _COUNTS[key], f"{label}.{key}")
     elif isinstance(default, list):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{label} must be a list")
@@ -199,6 +207,12 @@ def _check_numbers(value, default, label: str):
             _check_numbers(item, default[0], label)
     elif isinstance(default, numbers.Real) and not isinstance(default, bool):
         _finite(value, label)
+
+
+def _check_count(value, least: int, label: str):
+    """ConfigError unless the finite number value is a whole number >= least."""
+    if value != int(value) or value < least:
+        raise ConfigError(f"{label} must be a whole number >= {least}, got {value!r}")
 
 
 def _finite(value, label: str) -> float:
@@ -298,6 +312,8 @@ class ExperimentConfig:
         for key, defaults in (("solver", _SOLVER_DEFAULTS), ("grids", _GRID_DEFAULTS),
                               ("recovery", _RECOVERY_DEFAULTS)):
             _check_numbers(data[key], defaults, key)
+        if data["grids"]["directions"] == []:
+            raise ConfigError("grids.directions must list at least one direction")
 
         cfg = cls(data)
         cfg.potential()

@@ -432,11 +432,8 @@ def minimize_lagrangian_bvp(
 ):
     """Minimize integral of L(u, u') with pinned endpoints.
 
-    Solves, and certifies, like minimize_bvp at eps = 1 on the V and W that
-    GeneralLagrangian.from_potential records.
+    Solves, and certifies, like minimize_bvp at eps = 1 on L's V and W.
     """
-    if L.V is None:
-        raise InputError("minimize_lagrangian_bvp needs a Lagrangian built by from_potential")
     return _minimize_pinned(L.V, L.W, 1.0, t0, t1, a, b, n_nodes, opt, quad, ())
 
 

@@ -137,54 +137,35 @@ class Perturbation(_Differentiable):
 
 @dataclass(frozen=True)
 class GeneralLagrangian:
-    """Lagrangian L(x, xi), 1-periodic in x, with r-growth in the velocity.
+    """The Lagrangian L(x, xi) = |xi|^2 + V(x) + W(x) of a potential and an optional W.
 
-    The declared growth bounds c1*|xi|^r <= L(x, xi) <= c2*(1 + |xi|^r)
-    are what the asymptotic cell formula needs; they are the caller's promise
-    and are re-checked against every solved cell value. Lagrangians built by
-    `from_potential` carry their V and W, which is what the minimizers use.
+    Its window cell values lie in the sandwich |xi|^2 + [inf, sup] of V + W
+    (`potential_bounds`), which the cell solver re-checks on every value. A
+    V + W that can be negative is rejected: those problems belong to the DP
+    oracles.
     """
 
-    dimension: int
-    evaluator: Callable
-    growth_exponent: float
-    c_lower: float
-    c_upper: float
-    V: Optional[PeriodicPotential] = None
+    V: PeriodicPotential
     W: Optional[Perturbation] = None
-    name: str = ""
 
     def __post_init__(self):
-        if not self.growth_exponent > 1:
-            raise InputError("growth exponent must exceed 1")
-        if not (0 < self.c_lower <= self.c_upper):
-            raise InputError("need 0 < c_lower <= c_upper")
-
-    def __call__(self, x, xi):
-        pts = as_points(x, self.dimension)
-        vel = as_points(xi, self.dimension)
-        return self.evaluator(pts, vel)
-
-    @classmethod
-    def from_potential(cls, V: PeriodicPotential, W: Optional[Perturbation] = None):
-        """Wrap |xi|^2 + V(x) (+ W(x)) with its natural quadratic growth data."""
-        if W is not None and W.dimension != V.dimension:
+        if self.W is not None and self.W.dimension != self.V.dimension:
             raise InputError("V and W dimensions disagree")
-
-        def evaluator(x, xi):
-            return np.sum(xi * xi, axis=-1) + eval_potential(V, W, x)
-
-        low = V.v_min + (W.lower_bound() if W is not None else 0.0)
-        high = V.v_max + (W.upper_bound() if W is not None else 0.0)
-        if low < 0:
+        if self.potential_bounds()[0] < 0:
             raise InputError(
                 "signed potentials break the lower growth bound; "
                 "use the DP oracles for those problems"
             )
-        c1 = 1.0
-        c2 = max(1.0, 1.0 + max(high, 0.0))
-        name = f"quadratic[{V.name}" + (f"+{W.name}]" if W is not None else "]")
-        return cls(V.dimension, evaluator, 2.0, c1, c2, V, W, name)
+
+    def potential_bounds(self) -> tuple:
+        """(inf, sup) bounds of V + W, the perturbation's atom included."""
+        if self.W is None:
+            return self.V.v_min, self.V.v_max
+        return self.V.v_min + self.W.lower_bound(), self.V.v_max + self.W.upper_bound()
+
+    def evaluator(self, x, xi):
+        """L(x, xi), broadcasting over both slots (see eval_lagrangian)."""
+        return eval_lagrangian(self.V, self.W, x, xi)
 
 
 def _fd_gradient(evaluator, pts: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -4,8 +4,7 @@ Everything integrable in this package is sampled with the composite midpoint
 rule: it is exact for piecewise-linear integrands, second order for smooth
 ones, and never evaluates at interval endpoints (which keeps indicator-type
 perturbations well behaved on cell boundaries). The QuadratureSpec carries the
-per-interval resolution together with the tolerance used by refinement
-self-checks (halving the step must move the result by less than `tolerance`).
+per-interval resolution.
 """
 
 from dataclasses import dataclass
@@ -18,13 +17,10 @@ from .errors import InputError
 @dataclass(frozen=True)
 class QuadratureSpec:
     samples_per_interval: int = 4
-    tolerance: float = 1e-3
 
     def __post_init__(self):
         if self.samples_per_interval < 1:
             raise InputError("samples_per_interval must be >= 1")
-        if not (self.tolerance > 0):
-            raise InputError("tolerance must be positive")
 
 
 def midpoint_offsets(m: int) -> np.ndarray:
@@ -35,21 +31,6 @@ def midpoint_offsets(m: int) -> np.ndarray:
 def midpoints(a: float, b: float, n: int) -> np.ndarray:
     """Midpoints of n equal cells of [a, b]."""
     return a + (b - a) * midpoint_offsets(n)
-
-
-def midpoint_integrate(fn, a: float, b: float, n: int) -> float:
-    """Composite midpoint integral of a vectorized scalar function on [a, b]."""
-    if not b > a:
-        raise InputError("need b > a")
-    pts = midpoints(a, b, n)
-    return float(np.sum(fn(pts)) * (b - a) / n)
-
-
-def refinement_gap(fn, a: float, b: float, n: int) -> tuple[float, float]:
-    """Return (value at n cells, |value at 2n cells - value at n cells|)."""
-    coarse = midpoint_integrate(fn, a, b, n)
-    fine = midpoint_integrate(fn, a, b, 2 * n)
-    return coarse, abs(fine - coarse)
 
 
 def exp_interval_weights(times: np.ndarray, lam: float) -> np.ndarray:

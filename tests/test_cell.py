@@ -5,14 +5,20 @@ import pytest
 from scipy.integrate import quad as sp_quad
 from scipy.optimize import brentq
 
+import homoglab.cell
 from homoglab import (
     ExtrapolationError,
+    GeneralLagrangian,
     HomogenizedLagrangian,
     InputError,
+    InvariantError,
     OptimizerSpec,
+    Trajectory,
     f_hom_asymptotic,
+    make_perturbation,
     make_potential,
     solve_corrector_1d,
+    solve_corrector_general,
     tabulate_f_hom,
 )
 
@@ -90,6 +96,34 @@ def test_sandwich_bounds_on_table(cell_opt, quad, sin2_1d):
     upper = axis**2 + sin2_1d.v_max
     assert np.all(f.values >= lower - 1e-6)
     assert np.all(f.values <= upper + 1e-6)
+
+
+def test_general_corrector_rejects_values_above_the_sandwich(cell_opt, quad, monkeypatch):
+    V = make_potential("sin2", 1)
+    W = make_perturbation("constant", 1, value=0.5)
+    T = 4.0
+
+    def solver_above_the_sandwich(L, t0, t1, a, b, n_nodes, opt, quad):
+        # |xi|^2 + sup(V + W) = 1 + 1.5; the value is 0.5 above it
+        return Trajectory.affine(a, b, t0, t1, n_nodes - 1), 3.0 * T
+
+    monkeypatch.setattr(homoglab.cell, "minimize_lagrangian_bvp", solver_above_the_sandwich)
+    with pytest.raises(InvariantError, match="sandwich"):
+        solve_corrector_general(GeneralLagrangian(V, W), [1.0], T, 33, cell_opt, quad)
+
+
+def test_general_lagrangian_is_the_pair_V_W():
+    V = make_potential("sin2", 2)
+    W = make_perturbation("constant", 2, value=0.5)
+    L = GeneralLagrangian(V, W)
+    assert L.potential_bounds() == (0.0, 2.5)  # a nonnegative W is bounded below by 0
+    x = np.array([[0.25, 0.5], [1.0, 0.0]])
+    xi = np.array([[1.0, -2.0], [0.0, 0.5]])
+    np.testing.assert_array_equal(L.evaluator(x, xi), np.sum(xi * xi, axis=-1) + (V(x) + W(x)))
+    with pytest.raises(InputError):
+        GeneralLagrangian(V, make_perturbation("constant", 1, value=0.5))
+    with pytest.raises(InputError):
+        GeneralLagrangian(V, make_perturbation("constant", 2, value=-0.5))
 
 
 def test_table_pins_zero_slope_to_potential_minimum(cell_opt, quad):

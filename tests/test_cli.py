@@ -65,6 +65,17 @@ def test_bad_threads_is_a_config_error(tmp_path, capsys):
         {"threshold": float("nan")},
         {"solver": {"max_iters": "many"}},
         {"grids": {"xi": {"n": "nine"}}},
+        {"grids": {"xi": {"n": -3}}},
+        {"grids": {"p": {"n": 2.5}}},
+        {"grids": {"xi": {"n": 0}}},
+        {"grids": {"dp": {"n_x": 0}}},
+        {"grids": {"dp": {"n_t": 1.5}}},
+        {"solver": {"nodes_per_period": 0}},
+        {"solver": {"max_iters": 0}},
+        {"solver": {"restarts": -1}},
+        {"solver": {"quad_samples": 0.5}},
+        {"solver": {"cell_max_iters": 2.5}},
+        {"solver": {"n_nodes": 0}},
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, bad):
@@ -72,6 +83,21 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, bad):
     code = cli.main(["fenchel", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_empty_direction_list_is_a_config_error(tmp_path, capsys):
+    raw = {
+        "experiment": "conditions",
+        "dimension": 2,
+        "potential": {"name": "zero"},
+        "perturbation": {"name": "parabola_example"},
+        "grids": {"directions": []},
+    }
+    cfg = write_cfg(tmp_path, raw)
+    code = cli.main(["conditions", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "directions" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unreachable_hj_grid_is_a_solver_failure(tmp_path, capsys):

@@ -89,6 +89,15 @@ def test_shift_rule_holds_to_roundoff_on_random_tables(table, c):
     np.testing.assert_allclose(cg, cf - c, rtol=0.0, atol=8 * np.finfo(float).eps * scale)
 
 
+@settings(max_examples=150, deadline=None)
+@given(table=random_tables())
+def test_biconjugate_never_above_random_tables(table):
+    axes, values, p = table
+    # biconjugate_check raises InvariantError if f** rises above the table
+    gap = biconjugate_check(HomogenizedLagrangian(axes, values, f0=0.0), p)
+    assert gap >= 0.0
+
+
 def test_conjugate_rejects_momenta_outside_reliable_hull():
     f = quadratic_table()
     with pytest.raises(InputError):

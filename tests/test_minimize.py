@@ -334,7 +334,7 @@ def test_halfline_rejects_short_horizon(std_opt, quad, sin2_1d):
 
 def test_general_lagrangian_bvp_matches_quadratic(std_opt, quad):
     V = make_potential("zero", 2)
-    L = GeneralLagrangian.from_potential(V)
+    L = GeneralLagrangian(V)
     u, val = minimize_lagrangian_bvp(L, 0.0, 1.0, np.zeros(2), np.array([1.0, 1.0]), 33, std_opt, quad)
     assert val == pytest.approx(2.0, abs=1e-6)
     np.testing.assert_allclose(u.nodes[-1], [1.0, 1.0], atol=1e-12)

@@ -1,23 +1,15 @@
-"""Midpoint quadrature helpers: exactness, refinement, discount weights."""
+"""Midpoint quadrature helpers: sample layout, discount weights."""
 
 import numpy as np
 import pytest
 
 from homoglab import InputError, QuadratureSpec
-from homoglab.quadrature import (
-    exp_interval_weights,
-    midpoint_integrate,
-    midpoint_offsets,
-    midpoints,
-    refinement_gap,
-)
+from homoglab.quadrature import exp_interval_weights, midpoint_offsets, midpoints
 
 
 def test_quadrature_spec_validation():
     with pytest.raises(InputError):
         QuadratureSpec(samples_per_interval=0)
-    with pytest.raises(InputError):
-        QuadratureSpec(tolerance=-1.0)
 
 
 def test_midpoints_layout():
@@ -25,24 +17,6 @@ def test_midpoints_layout():
     np.testing.assert_allclose(m, [0.125, 0.375, 0.625, 0.875])
     off = midpoint_offsets(4)
     np.testing.assert_allclose(off, [0.125, 0.375, 0.625, 0.875])
-
-
-def test_midpoint_integrate_exact_for_linear():
-    val = midpoint_integrate(lambda x: 3.0 * x + 1.0, 0.0, 2.0, 7)
-    assert val == pytest.approx(8.0, abs=1e-12)
-
-
-def test_midpoint_integrate_converges_quadratically():
-    exact = 1.0 - np.cos(1.0)
-    coarse = abs(midpoint_integrate(np.sin, 0.0, 1.0, 8) - exact)
-    fine = abs(midpoint_integrate(np.sin, 0.0, 1.0, 32) - exact)
-    assert fine < coarse / 8.0
-
-
-def test_refinement_gap_reports_change():
-    val, gap = refinement_gap(lambda x: x * x, 0.0, 1.0, 16)
-    assert val == pytest.approx(1.0 / 3.0, abs=1e-3)
-    assert 0.0 <= gap < 1e-2
 
 
 def test_exp_interval_weights_sum_to_discount_mass():

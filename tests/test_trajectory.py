@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homoglab import (
     InputError,
@@ -23,6 +25,7 @@ from homoglab import (
     polar_bound_check,
     zero_set_measure,
 )
+from homoglab.trajectory import POLAR_BOUND_TOL
 
 
 def line(t0, t1, a, b, n=33):
@@ -59,6 +62,31 @@ def test_action_G_adds_perturbation_mass(quad):
     assert action_G(u, V, W, 0.1, quad) == pytest.approx(1.0 + 0.25, abs=1e-10)
     # W=None means the unperturbed functional
     assert action_G(u, V, None, 0.1, quad) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 2),
+    eps=st.floats(0.05, 1.0),
+    t0=st.floats(-2.0, 2.0),
+    length=st.floats(0.1, 4.0),
+    data=st.data(),
+)
+def test_action_G_invariant_under_time_reversal(d, eps, t0, length, data):
+    V = make_potential("sin2", d)
+    W = make_perturbation("runge_decay", d, amplitude=1.0)
+    n = data.draw(st.integers(2, 12))
+    steps = data.draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1))
+    times = t0 + length * np.concatenate(([0.0], np.cumsum(steps))) / np.sum(steps)
+    coords = st.floats(-3.0, 3.0, allow_nan=False)
+    nodes = np.array(data.draw(st.lists(coords, min_size=n * d, max_size=n * d))).reshape(n, d)
+    quad = QuadratureSpec()
+    u = Trajectory(times, nodes)
+    # s = t0 + t1 - t runs the same path backwards; the midpoint offsets of
+    # every interval are symmetric, so only rounding separates the two values
+    back = Trajectory((times[0] + times[-1] - times)[::-1], nodes[::-1])
+    value = action_G(u, V, W, eps, quad)
+    assert abs(action_G(back, V, W, eps, quad) - value) <= 1e-12 * max(1.0, abs(value))
 
 
 def test_action_periodicity_in_eps(quad):
@@ -144,7 +172,7 @@ def test_polar_bound_certifies(quad):
         make_perturbation("runge_decay", 2, amplitude=1.0), integrability_exponent=2.0
     )
     lhs, rhs = polar_bound_check(W, 0.6, 1.0, quad)
-    assert lhs <= rhs * (1.0 + quad.tolerance)
+    assert lhs <= rhs * (1.0 + POLAR_BOUND_TOL)
 
 
 def test_polar_bound_rejects_out_of_range_alpha(quad):
