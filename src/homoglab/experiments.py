@@ -834,7 +834,8 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
     Emits one row per (direction, R); classifies each direction's curve as
     zero / decaying / persistent / inconclusive and the whole perturbation as
     consistent with the zero-average tube condition, inconsistent, or
-    inconclusive. Directions default to the coordinate axes.
+    inconclusive. Directions default to the coordinate axes. Fewer than two
+    radii raise InputError: a one-point curve shows no trend.
     """
     W = cfg.perturbation()
     if W is None:
@@ -842,9 +843,9 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
     quad = cfg.quadrature()
     grids = cfg.data["grids"]
     radii = [float(r) for r in grids["radii"]]
-    if not radii or any(r <= 0 for r in radii) or any(
-        b <= a for a, b in zip(radii, radii[1:])
-    ):
+    if len(radii) < 2:  # no decay or persistence shows in a single value
+        raise InputError("radii needs at least two values to classify a curve")
+    if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InputError("radii must be positive and strictly increasing")
 
     if cfg.dimension == 1:

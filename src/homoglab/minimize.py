@@ -543,18 +543,27 @@ def _dp_sweep(
     read_at=(), record=False,
 ):
     """Run n_steps backward lattice steps from `value` (finite only on states
-    lo..hi; overwritten).
+    lo..hi; not modified).
 
     A step takes, at each state i, the best over moves k of the stage cost of
-    i plus the value at i + k. stages[m] holds move m's stage cost at every
-    state: as charged, or, given `weights` (one per step, in sweep order), to be
-    charged as weights[j] * stages[m] plus weights[j] * atom when staying.
+    i plus the value at i + k. stages (M, n_x) holds move m's stage cost at
+    every state: as charged, or, given `weights` (one per step, in sweep order,
+    >= 0; a zero weight needs finite stages, as 0 * inf is NaN), to be charged
+    as weights[j] * stages[m] plus weights[j] * atom when staying.
 
     Each step sweeps only its cone: the states whose value can be finite
     (grown from lo..hi by the moves) and, given a `target` state, that can
-    still reach it in the steps left. With a target, only value[target] is
-    meaningful; without one every other state is +inf, as in the full-grid
-    sweep, whose results these equal bit for bit.
+    still reach it in the steps left. With a target, only the returned value
+    at target is meaningful; without one every other state is +inf, as in the
+    full-grid sweep, whose results these equal bit for bit.
+
+    A step is one stacked min-plus operation: the candidates C[m, i] of all
+    moves over the cone are formed at once, the value at i + k read through a
+    sliding window over a +inf-padded value buffer (whose states outside the
+    previous cone are +inf, so they never win), and reduced over m by one
+    `min`. Recording takes the first move whose candidate equals it, the one
+    a strict `<` scan over the moves keeps. C lives in one scratch of at most
+    M x (widest cone) floats.
 
     Returns (value after the last step, a copy of the value after each step
     count in read_at (used without a target), arg): given `record`, arg[j, i]
@@ -563,11 +572,22 @@ def _dp_sweep(
     value.
     """
     n_x = value.size
-    moves = moves.tolist()  # Python ints: the window bounds are scalar arithmetic
-    kmin, kmax = moves[0], moves[-1]
-    best = np.full(n_x, np.inf)
-    cand = np.empty(n_x)
-    arg = np.empty((n_steps, n_x), np.min_scalar_type(len(moves))) if record else None
+    stages = np.asarray(stages)
+    ks = moves.tolist()  # Python ints: the window bounds are scalar arithmetic
+    kmin, kmax, n_moves = ks[0], ks[-1], len(ks)
+    pad = max(0, -kmin)  # state i of a value buffer sits at pad + i
+    bufs = np.full((2, pad + n_x + max(0, kmax)), np.inf)
+    bufs[0, pad + lo : pad + hi + 1] = value[lo : hi + 1]
+    # windows[b][r, i] is buffer b's state i + r - pad: move m reads row pad + ks[m]
+    windows = [np.lib.stride_tricks.sliding_window_view(buf, n_x) for buf in bufs]
+    rows = moves + pad
+    if kmax - kmin + 1 == n_moves:
+        rows = slice(kmin + pad, kmax + pad + 1)
+    stay = ks.index(0) if atom is not None and 0 in ks else None
+    scratch = np.empty(n_moves * n_x)
+    arg = np.empty((n_steps, n_x), np.min_scalar_type(n_moves)) if record else None
+    cur = 0
+    stale_lo, stale_hi = 0, -1  # the cone that the buffer written next holds
     reads = []
     for j in range(n_steps):
         new_lo = max(lo - kmax, 0)
@@ -577,39 +597,29 @@ def _dp_sweep(
             new_lo = max(new_lo, target + left * kmin)
             new_hi = min(new_hi, target + left * kmax)
         if new_hi < new_lo:  # only with a target: no state can reach it any more
-            value[:] = np.inf
-            break
-        if target is None:
-            best.fill(np.inf)
+            return np.full(n_x, np.inf), reads, arg
+        nxt = 1 - cur
+        bufs[nxt, pad + stale_lo : pad + stale_hi + 1] = np.inf
+        a, b = new_lo, new_hi + 1
+        c = scratch[: n_moves * (b - a)].reshape(n_moves, b - a)
+        window = windows[cur][rows, a:b]
+        if weights is None:
+            np.add(stages[:, a:b], window, out=c)
         else:
-            best[new_lo : new_hi + 1] = np.inf
-        for m, (k, stage) in enumerate(zip(moves, stages)):
-            i0 = max(new_lo, lo - k)
-            i1 = min(new_hi, hi - k) + 1
-            if i1 <= i0:
-                continue
-            c = cand[: i1 - i0]
-            if weights is None:
-                np.add(stage[i0:i1], value[i0 + k : i1 + k], out=c)
-            else:
-                np.multiply(weights[j], stage[i0:i1], out=c)
-                if k == 0 and atom is not None:
-                    np.add(c, weights[j] * atom[i0:i1], out=c)
-                np.add(c, value[i0 + k : i1 + k], out=c)
-            b = best[i0:i1]
-            if record:
-                # A finite value always comes from a strict improvement on +inf,
-                # so every finite state's move is written.
-                mask = c < b
-                np.copyto(b, c, where=mask)
-                np.copyto(arg[j, i0:i1], m, where=mask)
-            else:
-                np.minimum(b, c, out=b)
-        value, best = best, value
+            np.multiply(weights[j], stages[:, a:b], out=c)
+            if stay is not None:
+                np.add(c[stay], weights[j] * atom[a:b], out=c[stay])
+            np.add(c, window, out=c)
+        out = bufs[nxt, pad + a : pad + b]
+        np.min(c, axis=0, out=out)
+        if record:  # np.argmin along the moves would first copy C transposed
+            arg[j, a:b] = np.argmax(c == out, axis=0)
+        cur = nxt
+        stale_lo, stale_hi = lo, hi
         lo, hi = new_lo, new_hi
         if j + 1 in read_at:
-            reads.append(value.copy())
-    return value, reads, arg
+            reads.append(bufs[cur, pad : pad + n_x].copy())
+    return bufs[cur, pad : pad + n_x], reads, arg
 
 
 def dp_oracle_1d(
@@ -630,10 +640,10 @@ def dp_oracle_1d(
     (V+W)(x/eps)) at the source state. Endpoints are pinned to the nearest
     grid states. A zero_atom on W is charged exactly for steps that stay at
     the state 0 (present on the grid whenever the range is symmetric with an
-    odd state count). Each stage cost is built once per move, and each step
-    sweeps only the reachable cone: the states already reachable from b that
-    can still reach a in the steps left. A NaN or -inf cost raises
-    SolverError; a +inf cost forbids its state.
+    odd state count). The stage costs are built once, one row per move, and
+    each step sweeps only the reachable cone: the states already reachable
+    from b that can still reach a in the steps left. A NaN or -inf cost
+    raises SolverError; a +inf cost forbids its state.
     """
     if not t1 > t0:
         raise InputError("need t1 > t0")
@@ -647,12 +657,9 @@ def dp_oracle_1d(
     moves, slopes = _lattice_moves(slope_set, h, dx, grid.n_x)
 
     cost, atom_cost = _lattice_costs(V, W, eps, states)
-    stages = []
-    for k, s in zip(moves, slopes):
-        stage = h * (s * s + cost)
-        if k == 0 and atom_cost is not None:
-            stage = stage + h * atom_cost
-        stages.append(stage)
+    stages = h * ((slopes * slopes)[:, None] + cost)
+    if atom_cost is not None:
+        stages[moves == 0] += h * atom_cost
     value = np.full(grid.n_x, np.inf)
     ib = int(np.argmin(np.abs(states - b)))
     value[ib] = 0.0
@@ -700,7 +707,7 @@ def dp_oracle_halfline(
     value = (cost if atom_cost is None else cost + atom_cost) * (np.exp(-lam * T_max) / lam)
     ix = int(np.argmin(np.abs(states - x0)))
     result = _dp_sweep(
-        value, 0, grid.n_x - 1, moves, [s * s + cost for s in slopes], grid.n_t - 1, ix,
+        value, 0, grid.n_x - 1, moves, (slopes * slopes)[:, None] + cost, grid.n_t - 1, ix,
         weights[::-1], atom_cost,
     )[0][ix]
     if not np.isfinite(result):
@@ -776,12 +783,15 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     reach = max(math.ceil(max_slope * h / dx), -(-near // counts[0]))
     moves, slopes = _lattice_moves(np.arange(-reach, reach + 1) * dx / h, h, dx, states.size)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (cost[1:] + cost[:-1]))))
-    stages = []
-    for k, s in zip(moves.tolist(), slopes):
-        mean = np.full(states.size, np.inf)  # moves off the grid are never swept
+    # A move off the grid reads the sweep's +inf padding, so its stage is never
+    # charged; a finite one keeps 0 * stage from being NaN where a weight underflows.
+    stages = np.zeros((moves.size, states.size))
+    for m, k in enumerate(moves.tolist()):
         src = slice(max(0, -k), states.size - max(0, k))
-        mean[src] = (cum[max(0, k) : states.size + min(0, k)] - cum[src]) / k if k else cost
-        stages.append(s * s + mean if lam is not None else h * (s * s + mean))
+        stages[m, src] = (cum[max(0, k) : states.size + min(0, k)] - cum[src]) / k if k else cost
+    stages += (slopes * slopes)[:, None]
+    if lam is None:
+        stages *= h
     weights = None
     if lam is not None:
         anti = np.exp(-lam * np.linspace(0.0, horizon, n_steps + 1)) / lam

@@ -100,6 +100,22 @@ def test_empty_direction_list_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_a_single_radius_is_a_config_error(tmp_path, capsys):
+    """One radius cannot show a curve decaying or persisting, so no verdict is given."""
+    raw = {
+        "experiment": "conditions",
+        "dimension": 2,
+        "potential": {"name": "zero"},
+        "perturbation": {"name": "parabola_example"},
+        "grids": {"radii": [64], "directions": [[0.0, 1.0]]},
+    }
+    cfg = write_cfg(tmp_path, raw)
+    code = cli.main(["conditions", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "radii" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreachable_hj_grid_is_a_solver_failure(tmp_path, capsys):
     raw = {
         "experiment": "hj",

@@ -22,7 +22,7 @@ from homoglab import (
     minimize_lagrangian_bvp,
     SolverError,
 )
-from homoglab.minimize import _dp_sweep, _lattice_moves, _newton_steps
+from homoglab.minimize import _dp_sweep, _lattice_moves, _lattice_seeds, _newton_steps
 from homoglab.potentials import GeneralLagrangian, Perturbation, eval_potential
 
 
@@ -288,6 +288,140 @@ def test_dp_sweep_reads_whole_fields_and_backtracks_their_costs(
                 c = stages[m][state] if weights is None else weights[j] * stages[m][state]
                 total = c + total
             assert total == read[i]
+
+
+def _per_move_sweep(
+    value, lo, hi, moves, stages, n_steps, target=None, weights=None, atom=None,
+    read_at=(), record=False,
+):
+    """The swept-cone lattice DP one move at a time: a Python loop over the
+    moves of each step, each updating the best value by a strict `<`."""
+    n_x = value.size
+    moves = moves.tolist()
+    kmin, kmax = moves[0], moves[-1]
+    best = np.full(n_x, np.inf)
+    cand = np.empty(n_x)
+    arg = np.empty((n_steps, n_x), np.min_scalar_type(len(moves))) if record else None
+    reads = []
+    for j in range(n_steps):
+        new_lo = max(lo - kmax, 0)
+        new_hi = min(hi - kmin, n_x - 1)
+        if target is not None:
+            left = n_steps - 1 - j
+            new_lo = max(new_lo, target + left * kmin)
+            new_hi = min(new_hi, target + left * kmax)
+        if new_hi < new_lo:
+            value[:] = np.inf
+            break
+        if target is None:
+            best.fill(np.inf)
+        else:
+            best[new_lo : new_hi + 1] = np.inf
+        for m, (k, stage) in enumerate(zip(moves, stages)):
+            i0 = max(new_lo, lo - k)
+            i1 = min(new_hi, hi - k) + 1
+            if i1 <= i0:
+                continue
+            c = cand[: i1 - i0]
+            if weights is None:
+                np.add(stage[i0:i1], value[i0 + k : i1 + k], out=c)
+            else:
+                np.multiply(weights[j], stage[i0:i1], out=c)
+                if k == 0 and atom is not None:
+                    np.add(c, weights[j] * atom[i0:i1], out=c)
+                np.add(c, value[i0 + k : i1 + k], out=c)
+            b = best[i0:i1]
+            if record:
+                mask = c < b
+                np.copyto(b, c, where=mask)
+                np.copyto(arg[j, i0:i1], m, where=mask)
+            else:
+                np.minimum(b, c, out=b)
+        value, best = best, value
+        lo, hi = new_lo, new_hi
+        if j + 1 in read_at:
+            reads.append(value.copy())
+    return value, reads, arg
+
+
+@st.composite
+def _move_sets(draw):
+    """Sorted unique moves: a contiguous run, or any set (gaps, one sign, one move)."""
+    if draw(st.booleans()):
+        first = draw(st.integers(-6, 6))
+        return list(range(first, first + draw(st.integers(1, 9))))
+    return sorted(draw(st.sets(st.integers(-7, 7), min_size=1, max_size=7)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_x=st.integers(1, 50),
+    n_steps=st.integers(1, 14),
+    moves=_move_sets(),
+    discounted=st.booleans(),
+    with_atom=st.booleans(),
+    aimed=st.booleans(),
+    ties=st.booleans(),
+    data=st.data(),
+)
+def test_stacked_dp_step_equals_the_per_move_loop_bitwise(
+    n_x, n_steps, moves, discounted, with_atom, aimed, ties, data
+):
+    """The stacked sweep gives the per-move loop's value (at the target, given
+    one), its read-outs and, wherever a read value is finite, its moves. With
+    `ties`, every number is a multiple of 1/4, so equal candidates are common
+    and the first minimal move must win."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    def numbers(lo, hi, size):
+        return rng.integers(4 * lo, 4 * hi + 1, size) / 4 if ties else rng.uniform(lo, hi, size)
+
+    stages = np.where(rng.random((len(moves), n_x)) < 0.1, np.inf,
+                      numbers(0.0, 2.0, (len(moves), n_x)))
+    lo = data.draw(st.integers(0, n_x - 1))
+    hi = data.draw(st.integers(lo, n_x - 1))
+    start = np.full(n_x, np.inf)
+    start[lo : hi + 1] = np.where(rng.random(hi - lo + 1) < 0.2, np.inf,
+                                  numbers(-1.0, 1.0, hi - lo + 1))
+    weights = np.maximum(numbers(0.0, 1.0, n_steps), 0.05) if discounted else None
+    atom = numbers(-0.5, 0.5, n_x) if discounted and with_atom else None
+    target = data.draw(st.integers(0, n_x - 1)) if aimed else None
+    read_at = sorted(data.draw(st.sets(st.integers(1, n_steps), min_size=1)))
+    kwargs = dict(target=target, weights=weights, atom=atom, read_at=read_at)
+
+    want, want_reads, want_arg = _per_move_sweep(
+        start.copy(), lo, hi, np.array(moves), list(stages), n_steps, record=True, **kwargs
+    )
+    kept = start.copy()
+    value, reads, arg = _dp_sweep(start, lo, hi, np.array(moves), stages, n_steps,
+                                  record=True, **kwargs)
+    plain, plain_reads, _ = _dp_sweep(start, lo, hi, np.array(moves), stages, n_steps, **kwargs)
+    assert np.array_equal(start, kept)  # the sweep leaves its input alone
+    if target is None:
+        assert np.array_equal(value, want) and np.array_equal(plain, want)
+    else:
+        assert np.array_equal(value[target], want[target])
+        assert np.array_equal(plain[target], want[target])
+    assert len(reads) == len(plain_reads) == len(want_reads)
+    for n, read, plain_read, want_read in zip(read_at, reads, plain_reads, want_reads):
+        assert np.array_equal(read, plain_read)
+        finite = np.isfinite(read)
+        if target is None:  # outside the cone, the per-move loop keeps stale values
+            assert np.array_equal(read, want_read)
+        assert np.array_equal(read[finite], want_read[finite])
+        assert np.array_equal(arg[n - 1][finite], want_arg[n - 1][finite])
+
+
+def test_discounted_lattice_seeds_survive_underflowing_weights(sin2_1d):
+    """Past lam * t ~ 745 the step weights underflow to 0; the sweep still
+    charges nothing there, so a long horizon gives the short one's values."""
+    x = np.array([0.0, 0.1, 0.3])
+    long_run = _lattice_seeds(sin2_1d, None, 0.4, x, 800.0, [800.0], lam=1.0)
+    short_run = _lattice_seeds(sin2_1d, None, 0.4, x, 40.0, [40.0], lam=1.0)
+    assert long_run[0]["steps"] == 20 * short_run[0]["steps"]
+    (long_values, _), (short_values, _) = long_run[2][0], short_run[2][0]
+    assert np.all(np.isfinite(long_values))
+    np.testing.assert_allclose(long_values, short_values, rtol=0.0, atol=1e-12)
 
 
 def _nan_at_quarter(x):

@@ -259,6 +259,17 @@ def test_parabola_rejects_non_finite_points(bad):
         W.evaluator(np.vstack([finite, [[bad, 0.0]], [[1.0, bad]]]))
 
 
+def test_parabola_rejects_radii_above_2_to_the_40():
+    """Past radius 2^40 the float64 angle test is not trusted, so such points raise."""
+    edge = np.array([[0.0, 2.0**40], [0.0, -(2.0**40)], [2.0**39, 2.0**39]])
+    assert parabola_free_region(edge).tolist() == [True, True, True]
+    far = 2.0**41 * np.array([[np.cos(1.0), np.sin(1.0)]])
+    with pytest.raises(InputError, match="2\\^40"):
+        parabola_free_region(np.vstack([edge, far]))
+    with pytest.raises(InputError):
+        make_perturbation("parabola_example", 2).evaluator(np.array([[0.0, 2.0**41]]))
+
+
 def test_lp_unif_estimate_raises_on_nan_integral(quad):
     W = Perturbation(2, lambda x: np.where(x[..., 0] < 0, np.nan, 1.0), "nonnegative", 1.0)
     assert lp_unif_estimate(W, 2.0, [[5.0, 0.0]], quad) == pytest.approx(np.pi, rel=1e-2)
