@@ -63,6 +63,7 @@ from .cell import (
     HomogenizedLagrangian,
     build_almost_corrector,
     build_recovery_trajectory,
+    cell_value_1d,
     ergodic_shift_finder,
     f_hom_asymptotic,
     scaled_corrector_start,

@@ -1,10 +1,16 @@
 """Cell problems, homogenized Lagrangian tables, and recovery machinery.
 
-The homogenized Lagrangian is computed two ways: the one-dimensional periodic
-cell formula (minimize over one period, exact scaling by |xi|), and the
-asymptotic window formula in any dimension (normalized minimum over growing
-windows [0, T]). Both return certified upper bounds: every value is the
-action of an explicit admissible trajectory.
+The homogenized Lagrangian is computed three ways. `cell_value_1d` is the
+exact one-dimensional value from the conservation law of the cell flow.
+`solve_corrector_1d` solves the one-dimensional cell problem by Newton over
+one period; `tabulate_f_hom(method="1d")` uses it, and its profile
+warm-starts the d = 1 stability runs. `f_hom_asymptotic` (and so
+`tabulate_f_hom(method="asymptotic")`) works in any dimension: it sums
+`cell_value_1d` over the axes of a potential with an axis factor (every
+registry potential but `sin2_coupled` in d >= 2), and otherwise takes the
+normalized minimum over growing windows [0, T]. The Newton and window values
+are certified upper bounds: each is the action of an explicit admissible
+trajectory.
 
 On top of the tables, this module builds the quasiperiodic piecewise-affine
 almost-corrector plans (ergodic shifts aligning the potential's period along
@@ -30,6 +36,7 @@ __all__ = [
     "CorrectorProfile",
     "HomogenizedLagrangian",
     "AlmostCorrectorPlan",
+    "cell_value_1d",
     "solve_corrector_1d",
     "solve_corrector_general",
     "f_hom_asymptotic",
@@ -123,6 +130,132 @@ def _check_sandwich(value, kinetic, lo, hi, slack: float = 1e-9):
         )
 
 
+# Double-exponential rule over one period: t in [-6, 6] keeps the outermost
+# node e^-634 away from the minimizer and exp below overflow.
+_DE_T_MAX = 6.0
+# Steps 2^-3 .. 2^-10; two successive levels must agree to _CELL_TOL.
+_DE_LEVELS = range(3, 11)
+_CELL_TOL = 1e-13
+# Energies measured from -min v at or below this count as the bottom of the range.
+_E_FLOOR = 1e-300
+
+
+def cell_value_1d(v, xi) -> float:
+    """Exact homogenized value f_1(xi) of a 1-periodic potential v (vectorized).
+
+    On an optimal crossing of one period the energy E = w'^2 - v(w) is
+    constant, fixed by the period time T(E) = integral over [0, 1] of
+    dw / sqrt(E + v) = 1/|xi|. Then f_1 = |xi| * integral of
+    (E + 2v) / sqrt(E + v), computed as 2|xi| * integral of sqrt(E + v) - E:
+    equal at the root, and stationary in E there, so a root error enters
+    only to second order. f_1(0) = min v.
+
+    Flat bottom: when T(-min v) is finite (v - min v grows slower than
+    quadratically), slopes |xi| <= 1/T(-min v) have no root and
+    f_1 = min v + 2|xi| * integral of sqrt(v - min v). The same formula
+    serves a root below E = -min v + 1e-300, where it is exact to that size.
+
+    The integrals use a double-exponential rule clustered at the minimizer
+    of v, where the integrands peak. Its step halves until two successive
+    values agree to 1e-13 relative to max(1, f_1); otherwise SolverError.
+    It resolves one well per period: a second well of the same depth shows
+    up as levels that disagree. A v constant at every node gives
+    min v + xi^2 exactly. NumPy only.
+    """
+    speed = abs(float(xi))
+    w0, low = _factor_minimum(v)
+    if speed == 0.0:
+        return low
+    previous, gap = None, math.inf
+    for level in _DE_LEVELS:
+        nodes, weights = _period_nodes(w0, level)
+        u = np.maximum(v(nodes) - low, 0.0)
+        if not np.any(u):
+            return low + speed * speed
+        value = low + _energy_value(u, weights, speed)
+        if previous is not None:
+            gap = abs(value - previous)
+            if gap <= _CELL_TOL * max(1.0, abs(value)):
+                return value
+        previous = value
+    raise SolverError(
+        f"cell_value_1d at xi={xi}: the finest quadrature levels differ by {gap:.1e}"
+    )
+
+
+def _factor_minimum(v):
+    """(w0, v(w0)): the least value of v on a 2048-point scan of [0, 1), then
+    12 zooms of 33 points each around the best point, each window 16 times
+    narrower than the last."""
+    grid = np.arange(2048) / 2048.0
+    vals = v(grid)
+    k = int(np.argmin(vals))
+    w0, low = float(grid[k]), float(vals[k])
+    half = 1.0 / 2048.0
+    for _ in range(12):
+        cand = w0 + half * np.linspace(-1.0, 1.0, 33)
+        vals = v(cand)
+        k = int(np.argmin(vals))
+        if vals[k] < low:
+            w0, low = float(cand[k]), float(vals[k])
+        half /= 16.0
+    return w0, low
+
+
+def _period_nodes(w0: float, level: int):
+    """Nodes and weights of the double-exponential rule over one period.
+
+    The period runs from the minimizer w0 to w0 + 1, both ends at the
+    minimum, through x = 1/(1 + exp(-pi sinh t)) on the t grid of step
+    2^-level. A node at offset s from either end is evaluated at w0 + s or
+    w0 - s (v is 1-periodic), so no offset loses digits to w0 + 1 - s.
+    """
+    h = 2.0**-level
+    t = h * np.arange(1, int(_DE_T_MAX / h) + 1)
+    s = 1.0 / (1.0 + np.exp(np.pi * np.sinh(t)))
+    weight = h * np.pi * np.cosh(t) * s * (1.0 - s)
+    nodes = np.concatenate(([w0 + 0.5], w0 + s, w0 - s))
+    weights = np.concatenate(([h * np.pi / 4.0], weight, weight))
+    return nodes, weights
+
+
+def _energy_value(u, weights, speed: float) -> float:
+    """max over e >= 0 of 2*speed*A(e) - e, with A(e) = weights @ sqrt(e + u).
+
+    e = E + min v. The maximizer solves T(e) = weights @ (e + u)^-1/2 =
+    1/speed: safeguarded Newton in log e inside the bracket [1e-300, hi],
+    or e = 0 when T(1e-300) is already at most 1/speed (the flat bottom).
+    """
+    target = 1.0 / speed
+
+    def period(e):
+        return float(weights @ (1.0 / np.sqrt(e + u)))
+
+    energy = 0.0
+    if period(_E_FLOOR) > target:
+        hi = speed * speed  # T(e) <= 1/sqrt(e) up to the rule's rounding
+        while period(hi) > target:
+            hi *= 2.0
+        s_lo, s_hi = math.log(_E_FLOOR), math.log(hi)
+        s = s_hi
+        for _ in range(200):
+            e = math.exp(s)
+            r = 1.0 / np.sqrt(e + u)
+            excess = float(weights @ r) - target
+            if excess > 0.0:
+                s_lo = s
+            else:
+                s_hi = s
+            step = excess / (0.5 * float(weights @ (r * (e / (e + u)))))  # -dT/d(log e) > 0
+            if abs(step) <= 1e-13:
+                break
+            s = s + step if s_lo < s + step < s_hi else 0.5 * (s_lo + s_hi)
+        else:
+            raise SolverError(f"no period-time root found at slope {speed}")
+        energy = e
+    return 2.0 * speed * float(weights @ np.sqrt(energy + u)) - energy
+
+
 def solve_corrector_general(
     L: GeneralLagrangian,
     xi,
@@ -155,20 +288,27 @@ def f_hom_asymptotic(
     opt: OptimizerSpec = _CELL_OPT,
     quad: QuadratureSpec = QuadratureSpec(),
 ):
-    """Homogenized Lagrangian via growing windows; works in any dimension.
+    """Homogenized Lagrangian in any dimension: exact when V is separable.
 
-    Returns (value, diagnostics): the value at the largest window of the
+    Returns (value, diagnostics). xi = 0 returns v_min exactly: the optimal
+    path parks at the potential's minimum (method "minimum"). A V with an
+    axis factor v (V(x) = sum_i v(x_i)) returns sum_i cell_value_1d(v, xi_i)
+    (method "separable"), and nothing is solved. Any other V runs the window
     ladder {8, 16, 32, 64}/|xi| (16 nodes per unit time, at least 33) and
-    per-window values with the spread of the last two rungs. xi = 0 returns
-    v_min exactly: the optimal path parks at the potential's minimum, so no
-    solve is needed.
+    returns the value at the largest window (method "windows"). The
+    diagnostics hold the per-window values, the spread of the last two rungs,
+    whether the ladder is monotone and whether every solve converged; an
+    exact value reports itself as a one-rung ladder with spread 0.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape[0] != V.dimension:
         raise InputError("xi dimension does not match the potential")
     speed = float(np.linalg.norm(xi))
     if speed == 0.0:
-        return V.v_min, {"values": [V.v_min], "T_ladder": [], "spread": 0.0}
+        return V.v_min, _exact_diagnostics(V.v_min, "minimum")
+    if V.factor is not None:
+        value = float(sum(cell_value_1d(V.factor, s) for s in xi))
+        return value, _exact_diagnostics(value, "separable")
     T_ladder = [T / speed for T in (8.0, 16.0, 32.0, 64.0)]
 
     L = GeneralLagrangian(V)
@@ -184,8 +324,21 @@ def f_hom_asymptotic(
         "spread": abs(values[-1] - values[-2]),
         "monotone": all(b <= a + 1e-9 for a, b in zip(values, values[1:])),
         "converged": converged,
+        "method": "windows",
     }
     return values[-1], diagnostics
+
+
+def _exact_diagnostics(value: float, method: str) -> dict:
+    """f_hom_asymptotic's diagnostics for a value that needed no windows."""
+    return {
+        "values": [value],
+        "T_ladder": [],
+        "spread": 0.0,
+        "monotone": True,
+        "converged": True,
+        "method": method,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +391,14 @@ def tabulate_f_hom(
 ) -> HomogenizedLagrangian:
     """Tabulate the homogenized Lagrangian on a symmetric slope grid.
 
-    The grid must contain 0 and be symmetric under sign flip per axis. The
-    slope-0 value is pinned to v_min. When midpoint-convexity defects exceed
-    1e-6, the lower convex envelope is applied and flagged. Failures at
-    individual grid points are collected into a single SolverError listing
-    the points.
+    method "1d" solves one Newton cell problem per slope (d = 1 only);
+    method "asymptotic" calls `f_hom_asymptotic` per slope, so a potential
+    with an axis factor gets exact separable values and any other the
+    window ladder. The grid must contain 0 and be symmetric under sign flip
+    per axis. The slope-0 value is pinned to v_min. When midpoint-convexity
+    defects exceed 1e-6, the lower convex envelope is applied and flagged.
+    Failures at individual grid points are collected into a single
+    SolverError listing the points.
     """
     if method not in ("1d", "asymptotic"):
         raise InputError("method must be '1d' or 'asymptotic'")

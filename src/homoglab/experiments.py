@@ -21,6 +21,7 @@ import numpy as np
 from .cell import (
     build_almost_corrector,
     build_recovery_trajectory,
+    cell_value_1d,
     f_hom_asymptotic,
     scaled_corrector_start,
     solve_corrector_1d,
@@ -568,6 +569,12 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     additionally by the G-minimizer, which pins min_F <= min_G structurally.
     Verdicts: gap_G decreasing with 10% slack, final relative gap below the
     configured threshold.
+
+    The target f_hom(xi) is the Newton cell value in d = 1 and
+    `f_hom_asymptotic`'s value in d >= 2. Provenance names the path that made
+    it (`f_hom_method`: "corrector_1d", "separable" or "windows") and, for a
+    V with an axis factor, carries the exact separable value `f_hom_exact`;
+    in d = 1 the two then differ by the Newton solve's discretization error.
     """
     V = cfg.potential()
     W = cfg.perturbation()
@@ -590,9 +597,11 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     if cfg.dimension == 1:
         profile = solve_corrector_1d(V, float(xi[0]), opt=cfg.cell_optimizer(), quad=quad)
         target = profile.cell_value
+        method = "corrector_1d"
         plan = None
     else:
-        target, _ = f_hom_asymptotic(V, xi, opt=cfg.cell_optimizer(), quad=quad)
+        target, diagnostics = f_hom_asymptotic(V, xi, opt=cfg.cell_optimizer(), quad=quad)
+        method = diagnostics["method"]
         profile = None
         rec = cfg.data["recovery"]
         horizon = rec["horizon"]
@@ -660,6 +669,11 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     prov = cfg.provenance("stability")
     prov["w_nonnegative"] = True
     prov["f_hom_target"] = float(target)
+    prov["f_hom_method"] = method
+    if V.factor is not None:
+        prov["f_hom_exact"] = (
+            cell_value_1d(V.factor, float(xi[0])) if cfg.dimension == 1 else float(target)
+        )
     return StabilityReport("stability", tuple(rows), verdicts, prov)
 
 

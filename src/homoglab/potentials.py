@@ -51,7 +51,14 @@ class _Differentiable:
 
 @dataclass(frozen=True)
 class PeriodicPotential(_Differentiable):
-    """Potential V with period 1 in every coordinate, v_min <= V <= v_max."""
+    """Potential V with period 1 in every coordinate, v_min <= V <= v_max.
+
+    `factor`, when set, is a vectorized 1-periodic function v of one variable
+    with V(x) = sum_i v(x_i). Such a V is separable, so its homogenized value
+    is the sum of exact one-dimensional cell values (`cell.cell_value_1d`),
+    and `f_hom_asymptotic` returns that sum instead of solving windows. A V
+    without it goes through the windows.
+    """
 
     dimension: int
     evaluator: Callable
@@ -61,6 +68,7 @@ class PeriodicPotential(_Differentiable):
     gradient: Optional[Callable] = None
     name: str = ""
     hessian: Optional[Callable] = None
+    factor: Optional[Callable] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -532,7 +540,12 @@ def _build_constant_potential(dimension: int, value: float = 1.0) -> PeriodicPot
         gradient=lambda x: np.zeros_like(x),
         name="constant",
         hessian=_zero_hessian,
+        factor=lambda s, _v=value / dimension: np.full(np.shape(s), _v),
     )
+
+
+def _sin2_factor(s):
+    return np.sin(np.pi * s) ** 2
 
 
 def _build_sin2_potential(dimension: int) -> PeriodicPotential:
@@ -557,6 +570,58 @@ def _build_sin2_potential(dimension: int) -> PeriodicPotential:
         gradient=gradient,
         name="sin2",
         hessian=hessian,
+        factor=_sin2_factor,
+    )
+
+
+def _build_sin2_coupled_potential(dimension: int, c: float = 0.5) -> PeriodicPotential:
+    """V(x) = sum_i sin^2(pi x_i) + c * sum_i sin^2(pi (x_i - x_{i+1})), c >= 0.
+
+    The coupling runs over neighbouring axes i = 1..d-1, so d = 1 is sin2
+    itself (and keeps its axis factor). For d >= 2 V is not a sum of per-axis
+    terms: its homogenized value comes from the window ladder. It is at least
+    sin2's, since V >= sin2 pointwise, with equality on the diagonal slopes
+    (a, ..., a), where the coupling vanishes. Minima on the integer lattice.
+    """
+    c = float(c)
+    if not c >= 0.0:
+        raise ConfigError("sin2_coupled needs c >= 0")
+
+    def evaluator(x):
+        diff = x[..., :-1] - x[..., 1:]
+        return np.sum(np.sin(np.pi * x) ** 2, axis=-1) + c * np.sum(
+            np.sin(np.pi * diff) ** 2, axis=-1
+        )
+
+    def gradient(x):
+        pull = c * np.pi * np.sin(2 * np.pi * (x[..., :-1] - x[..., 1:]))
+        grad = np.pi * np.sin(2 * np.pi * x)
+        grad[..., :-1] += pull
+        grad[..., 1:] -= pull
+        return grad
+
+    def hessian(x):
+        curv = 2 * c * np.pi**2 * np.cos(2 * np.pi * (x[..., :-1] - x[..., 1:]))
+        diag = 2 * np.pi**2 * np.cos(2 * np.pi * x)
+        diag[..., :-1] += curv
+        diag[..., 1:] += curv
+        hess = diag[..., None] * np.eye(dimension)
+        i = np.arange(dimension - 1)
+        hess[..., i, i + 1] = -curv
+        hess[..., i + 1, i] = -curv
+        return hess
+
+    lip = np.pi * np.sqrt(dimension) * (1.0 + 2.0 * c)
+    return PeriodicPotential(
+        dimension,
+        evaluator,
+        v_min=0.0,
+        v_max=dimension + c * (dimension - 1),
+        continuity_modulus=lambda delta, _l=lip: _l * delta,
+        gradient=gradient,
+        name="sin2_coupled",
+        hessian=hessian,
+        factor=_sin2_factor if dimension == 1 else None,
     )
 
 
@@ -584,6 +649,7 @@ def _build_cos_sum_potential(dimension: int) -> PeriodicPotential:
         gradient=gradient,
         name="cos_sum",
         hessian=hessian,
+        factor=lambda s, _d=d: np.cos(np.pi * s) ** 2 / _d,
     )
 
 
@@ -720,6 +786,7 @@ POTENTIAL_BUILDERS = {
     "constant": _build_constant_potential,
     "sin2": _build_sin2_potential,
     "cos_sum": _build_cos_sum_potential,
+    "sin2_coupled": _build_sin2_coupled_potential,
 }
 
 PERTURBATION_BUILDERS = {

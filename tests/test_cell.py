@@ -1,7 +1,15 @@
 """Cell problems: homogenized values, tables, and the independent 1D oracle."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as sp_quad
 from scipy.optimize import brentq
 
@@ -13,7 +21,9 @@ from homoglab import (
     InputError,
     InvariantError,
     OptimizerSpec,
+    SolverError,
     Trajectory,
+    cell_value_1d,
     f_hom_asymptotic,
     make_perturbation,
     make_potential,
@@ -23,17 +33,34 @@ from homoglab import (
 )
 
 
+def _graded_breaks(v_fn):
+    """Breakpoints 4^-k (k = 1..25) to either side of v's least grid point.
+
+    Both integrands change on a scale sqrt(E) around the minimizer. Without
+    these breakpoints QUADPACK's error estimate misses that scale, and the
+    value is off by up to 6e-10 near |xi| = 0.15 (checked against mpmath).
+    """
+    grid = np.arange(4096) / 4096.0
+    w0 = grid[np.argmin(v_fn(grid))]
+    offsets = 4.0 ** -np.arange(1, 26)
+    pts = np.concatenate([w0 + offsets, w0 - offsets, [w0]]) % 1.0
+    return np.unique(pts[(pts > 0.0) & (pts < 1.0)])
+
+
 def conserved_energy_value(v_fn, xi):
     """Homogenized value in d=1 from the conservation law of the cell flow.
 
     On an optimal unit-period crossing the quantity w'^2 - v(w) is a constant
     E; the period-time constraint picks E, and the value integral follows by
-    substituting w' = sqrt(E + v(w)).
+    substituting w' = sqrt(E + v(w)). Assumes min v = 0.
     """
     speed = abs(float(xi))
+    breaks = _graded_breaks(v_fn)
 
     def period_time(E):
-        val, _ = sp_quad(lambda w: 1.0 / np.sqrt(E + v_fn(w)), 0.0, 1.0, limit=200)
+        val, _ = sp_quad(
+            lambda w: 1.0 / np.sqrt(E + v_fn(w)), 0.0, 1.0, limit=400, points=breaks
+        )
         return val - 1.0 / speed
 
     lo = 1e-12
@@ -46,7 +73,11 @@ def conserved_energy_value(v_fn, xi):
         hi *= 2.0
     E = brentq(period_time, lo, hi, xtol=1e-13)
     val, _ = sp_quad(
-        lambda w: (E + 2.0 * v_fn(w)) / np.sqrt(E + v_fn(w)), 0.0, 1.0, limit=200
+        lambda w: (E + 2.0 * v_fn(w)) / np.sqrt(E + v_fn(w)),
+        0.0,
+        1.0,
+        limit=400,
+        points=breaks,
     )
     return speed * val
 
@@ -163,17 +194,35 @@ def test_envelope_flag_and_violation_count():
     assert np.all(fixed.values <= dented + 1e-12)
 
 
-def test_asymptotic_matches_1d_for_separable_potential(cell_opt, quad):
-    V1 = make_potential("sin2", 1)
+def test_asymptotic_matches_1d_for_separable_potential():
     V2 = make_potential("sin2", 2)
     xi = np.array([1.0, 0.5])
-    one_d = (
-        solve_corrector_1d(V1, float(xi[0]), opt=cell_opt, quad=quad).cell_value
-        + solve_corrector_1d(V1, float(xi[1]), opt=cell_opt, quad=quad).cell_value
-    )
-    value, diagnostics = f_hom_asymptotic(V2, xi, opt=cell_opt, quad=quad)
-    assert value == pytest.approx(one_d, rel=0.02)
-    assert diagnostics["monotone"] or abs(value - one_d) / one_d < 0.02
+    value, diagnostics = f_hom_asymptotic(V2, xi)
+    assert value == cell_value_1d(V2.factor, 1.0) + cell_value_1d(V2.factor, 0.5)
+    assert diagnostics == {
+        "values": [value],
+        "T_ladder": [],
+        "spread": 0.0,
+        "monotone": True,
+        "converged": True,
+        "method": "separable",
+    }
+
+
+def test_asymptotic_windows_on_the_coupled_potential(cell_opt, quad):
+    # T * xi is a lattice vector on every rung, so each rung bounds
+    # f_hom(sin2_coupled) from above, and V >= sin2 pointwise puts that above
+    # the exact sin2 sum.
+    coupled = make_potential("sin2_coupled", 2)
+    assert coupled.factor is None
+    xi = np.array([1.0, 0.0])
+    value, diagnostics = f_hom_asymptotic(coupled, xi, opt=cell_opt, quad=quad)
+    assert diagnostics["method"] == "windows"
+    assert diagnostics["T_ladder"] == [8.0, 16.0, 32.0, 64.0]
+    assert diagnostics["converged"]
+    sin2_sum = conserved_energy_value(lambda w: np.sin(np.pi * w) ** 2, 1.0)
+    assert min(diagnostics["values"]) > sin2_sum
+    assert value == diagnostics["values"][-1]
 
 
 def test_asymptotic_free_particle_exact(cell_opt, quad):
@@ -189,3 +238,95 @@ def test_sin2_table_converged_and_matches_conservation_oracle(quad, sin2_1d):
     assert table.meta["converged"]
     oracle = [conserved_energy_value(v, s) if s != 0.0 else 0.0 for s in xi]
     np.testing.assert_allclose(table.values, oracle, rtol=0.0, atol=1e-4)
+
+
+# -- the exact one-dimensional cell value ---------------------------------------
+
+
+def _registry_factors():
+    return {
+        "sin2": make_potential("sin2", 1).factor,
+        "cos_sum d=1": make_potential("cos_sum", 1).factor,
+        "cos_sum d=2": make_potential("cos_sum", 2).factor,
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_registry_factors())),
+    speed=st.floats(0.05, 4.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_cell_value_1d_matches_the_scipy_oracle(name, speed, sign):
+    v = _registry_factors()[name]
+    xi = sign * speed
+    assert abs(cell_value_1d(v, xi) - conserved_energy_value(v, xi)) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(xi=st.floats(-8.0, 8.0), c=st.floats(0.0, 5.0))
+def test_cell_value_1d_of_a_constant_is_xi_squared_plus_c(xi, c):
+    assert cell_value_1d(lambda w: np.full(np.shape(w), c), xi) == xi * xi + c
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_registry_factors())), xi=st.floats(0.0, 6.0))
+def test_cell_value_1d_is_even_and_sandwiched(name, xi):
+    v = _registry_factors()[name]
+    value = cell_value_1d(v, xi)
+    assert cell_value_1d(v, -xi) == value
+    samples = v(np.linspace(0.0, 1.0, 4097))
+    assert xi * xi + samples.min() <= value <= xi * xi + samples.max()
+
+
+def test_cell_value_1d_flat_bottom_is_linear_below_the_critical_slope():
+    # v = |sin(pi w)| grows linearly from its minimum, so the period integral
+    # is finite at E = -min v: T0 = B(1/4, 1/2)/pi, and slopes up to
+    # xi_c = 1/T0 rest at the minimum part of the time, with value
+    # 2|xi| * integral of sqrt(v) = 2|xi| B(3/4, 1/2)/pi.
+    v = lambda w: np.abs(np.sin(np.pi * w))
+
+    def beta(a, b):
+        return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+    xi_c = math.pi / beta(0.25, 0.5)
+    slope = 2.0 * beta(0.75, 0.5) / math.pi
+    for xi in (0.1, 0.3, 0.5, xi_c):
+        assert cell_value_1d(v, xi) == pytest.approx(slope * xi, rel=1e-12, abs=0.0)
+    above = cell_value_1d(v, xi_c * (1.0 + 1e-6))
+    assert slope * xi_c < above <= slope * xi_c * (1.0 + 1e-6) + 1e-12
+    # Past xi_c the energy is positive and the value leaves the line.
+    assert cell_value_1d(v, 1.0) > slope + 1e-3
+    assert cell_value_1d(v, 1.0) == pytest.approx(conserved_energy_value(v, 1.0), abs=1e-10)
+
+
+def test_cell_value_1d_raises_where_the_levels_disagree():
+    # Two wells per period: the rule clusters its nodes at one of them only.
+    with pytest.raises(SolverError, match="levels differ"):
+        cell_value_1d(lambda w: np.sin(2 * np.pi * w) ** 2, 0.2)
+
+
+def test_cell_value_1d_needs_no_scipy():
+    code = (
+        "import sys, homoglab\n"
+        "homoglab.cell_value_1d(homoglab.make_potential('sin2', 1).factor, 0.7)\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(homoglab.cell.__file__).parents[1])},
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_sin2_table_in_d2_is_the_exact_separable_sum():
+    V = make_potential("sin2", 2)
+    axis = np.linspace(-2.0, 2.0, 9)
+    table = tabulate_f_hom(V, (axis, axis), method="asymptotic")
+    one_d = np.array([conserved_energy_value(V.factor, s) if s != 0.0 else 0.0 for s in axis])
+    reference = one_d[:, None] + one_d[None, :]
+    np.testing.assert_allclose(table.values, reference, rtol=0.0, atol=1e-10)
+    assert not table.envelope_applied

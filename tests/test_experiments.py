@@ -218,6 +218,27 @@ def test_stability_short_ladder_decreases_gap():
     assert rep.provenance["f_hom_target"] == pytest.approx(1.46910524, rel=2e-2)
 
 
+@pytest.mark.parametrize(
+    "potential,method", [("sin2", "separable"), ("sin2_coupled", "windows")]
+)
+def test_stability_provenance_names_the_target_path_in_2d(potential, method):
+    cfg = make_cfg(
+        dimension=2,
+        potential={"name": potential},
+        xi=[1.0, 0.0],
+        eps_ladder=[0.25],
+        seed=3,
+    )
+    prov = run_stability_sweep(cfg).provenance
+    assert prov["f_hom_method"] == method
+    if method == "separable":
+        assert prov["f_hom_exact"] == prov["f_hom_target"]
+        assert prov["f_hom_target"] == pytest.approx(1.4691052398909545, abs=1e-12)
+    else:
+        assert "f_hom_exact" not in prov
+        assert prov["f_hom_target"] > 1.4691052398909545
+
+
 def test_stability_rejects_signed_and_atom_perturbations():
     with pytest.raises(InputError):
         run_stability_sweep(make_cfg(perturbation={"name": "neg_spike"}))

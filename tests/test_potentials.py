@@ -20,9 +20,16 @@ from homoglab import (
     make_potential,
     parabola_free_region,
 )
-from homoglab.potentials import PERTURBATION_BUILDERS, POTENTIAL_BUILDERS, _fd_hessian
+from homoglab.potentials import (
+    PERTURBATION_BUILDERS,
+    POTENTIAL_BUILDERS,
+    _fd_gradient,
+    _fd_hessian,
+)
 
-SMOOTH_REGISTRY = [("potential", n) for n in ("zero", "constant", "sin2", "cos_sum")] + [
+SMOOTH_REGISTRY = [
+    ("potential", n) for n in ("zero", "constant", "sin2", "cos_sum", "sin2_coupled")
+] + [
     ("perturbation", n) for n in ("zero", "constant", "runge_decay")
 ]
 
@@ -72,6 +79,33 @@ def test_sin2_values_1d():
     x = np.array([[0.0], [0.25], [0.5]])
     np.testing.assert_allclose(V.evaluator(x), [0.0, 0.5, 1.0], atol=1e-12)
     assert V.v_min == 0.0 and V.v_max == 1.0
+
+
+@pytest.mark.parametrize("name", sorted(POTENTIAL_BUILDERS))
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_axis_factor_sums_to_the_potential(name, dimension):
+    V = make_potential(name, dimension)
+    if name == "sin2_coupled" and dimension > 1:
+        assert V.factor is None
+        return
+    pts = np.random.default_rng(1).uniform(-3, 3, size=(64, dimension))
+    np.testing.assert_allclose(
+        np.sum(V.factor(pts), axis=-1), V.evaluator(pts), rtol=0.0, atol=1e-14
+    )
+    assert dataclasses.replace(V, name="copy").factor is V.factor
+
+
+def test_sin2_coupled_values_and_bounds():
+    V = make_potential("sin2_coupled", 3, c=0.25)
+    x = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.25], [1.0, 2.0, -1.0]])
+    want = [0.0, 1.0 + 0.5 + 0.25 * (1.0 + 0.5), 0.0]
+    np.testing.assert_allclose(V.evaluator(x), want, atol=1e-12)
+    assert (V.v_min, V.v_max) == (0.0, 3.5)
+    one_d = make_potential("sin2_coupled", 1)
+    sin2 = make_potential("sin2", 1)
+    np.testing.assert_array_equal(one_d.evaluator(x[:, :1]), sin2.evaluator(x[:, :1]))
+    with pytest.raises(ConfigError):
+        make_potential("sin2_coupled", 2, c=-0.1)
 
 
 def test_perturbation_bounds_combine_pointwise_part_and_atom():
@@ -304,3 +338,15 @@ def test_registry_hessian_matches_difference_of_gradient(kind, name, dimension, 
     hess = obj.hess(pts)
     assert hess.shape == (2, dimension, dimension)
     np.testing.assert_allclose(hess, _fd_hessian(obj.grad, pts), atol=1e-6)
+
+
+@pytest.mark.parametrize("kind,name", SMOOTH_REGISTRY)
+@settings(max_examples=40, deadline=None)
+@given(
+    dimension=st.integers(1, 3),
+    coords=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+)
+def test_registry_gradient_matches_difference_of_values(kind, name, dimension, coords):
+    obj = _registry_object(kind, name, dimension)
+    pts = np.asarray(coords).reshape(2, 3)[:, :dimension]
+    np.testing.assert_allclose(obj.grad(pts), _fd_gradient(obj.evaluator, pts), atol=1e-6)
