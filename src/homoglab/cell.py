@@ -8,9 +8,11 @@ warm-starts the d = 1 stability runs. `f_hom_asymptotic` (and so
 `tabulate_f_hom(method="asymptotic")`) works in any dimension: it sums
 `cell_value_1d` over the axes of a potential with an axis factor (every
 registry potential but `sin2_coupled` in d >= 2), and otherwise takes the
-normalized minimum over growing windows [0, T]. The Newton and window values
-are certified upper bounds: each is the action of an explicit admissible
-trajectory.
+normalized minimum over growing windows [0, T]. A Newton value is a certified
+upper bound: it is the action of an explicit admissible periodic trajectory.
+A window value is one only when T * xi is a lattice vector (as on the
+coordinate axes); at other slopes the ladder can fall below f_hom and its
+`monotone` diagnostic may read False.
 
 On top of the tables, this module builds the quasiperiodic piecewise-affine
 almost-corrector plans (ergodic shifts aligning the potential's period along
@@ -58,7 +60,8 @@ class CorrectorProfile:
 
     `profile` holds v itself (vanishing at both window endpoints, exactly at
     the nodes); the minimizing path is t -> t*xi + v(t). `cell_value` is the
-    achieved normalized action, an upper bound for the homogenized value.
+    achieved normalized action: an upper bound for the homogenized value
+    when T*xi is a lattice vector, so the path extends periodically.
     """
 
     xi: np.ndarray
@@ -225,6 +228,10 @@ def _energy_value(u, weights, speed: float) -> float:
     e = E + min v. The maximizer solves T(e) = weights @ (e + u)^-1/2 =
     1/speed: safeguarded Newton in log e inside the bracket [1e-300, hi],
     or e = 0 when T(1e-300) is already at most 1/speed (the flat bottom).
+    A Newton step that leaves the bracket, or is more than half the last
+    step, becomes a bisection. Rounding near v's minimizer leaves some u at
+    exactly 0, so at small speed T grows like e^-1/2 and Newton in log e
+    alone would creep up by steps of 2.
     """
     target = 1.0 / speed
 
@@ -237,7 +244,7 @@ def _energy_value(u, weights, speed: float) -> float:
         while period(hi) > target:
             hi *= 2.0
         s_lo, s_hi = math.log(_E_FLOOR), math.log(hi)
-        s = s_hi
+        s, last = s_hi, math.inf
         for _ in range(200):
             e = math.exp(s)
             r = 1.0 / np.sqrt(e + u)
@@ -247,9 +254,12 @@ def _energy_value(u, weights, speed: float) -> float:
             else:
                 s_hi = s
             step = excess / (0.5 * float(weights @ (r * (e / (e + u)))))  # -dT/d(log e) > 0
-            if abs(step) <= 1e-13:
+            if abs(step) <= 1e-13 or s_hi - s_lo <= 1e-13 * abs(s):
                 break
-            s = s + step if s_lo < s + step < s_hi else 0.5 * (s_lo + s_hi)
+            if not (s_lo < s + step < s_hi and abs(step) <= 0.5 * last):
+                step = 0.5 * (s_lo + s_hi) - s
+            last = abs(step)
+            s += step
         else:
             raise SolverError(f"no period-time root found at slope {speed}")
         energy = e

@@ -575,6 +575,9 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     it (`f_hom_method`: "corrector_1d", "separable" or "windows") and, for a
     V with an axis factor, carries the exact separable value `f_hom_exact`;
     in d = 1 the two then differ by the Newton solve's discretization error.
+    A window target also records `f_hom_monotone`: window values bound f_hom
+    from above only when T * xi is a lattice vector, and a ladder that is not
+    monotone flags a slope where the target may sit below f_hom.
     """
     V = cfg.potential()
     W = cfg.perturbation()
@@ -670,6 +673,8 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     prov["w_nonnegative"] = True
     prov["f_hom_target"] = float(target)
     prov["f_hom_method"] = method
+    if method == "windows":
+        prov["f_hom_monotone"] = diagnostics["monotone"]
     if V.factor is not None:
         prov["f_hom_exact"] = (
             cell_value_1d(V.factor, float(xi[0])) if cfg.dimension == 1 else float(target)

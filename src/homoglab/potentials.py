@@ -574,8 +574,11 @@ def _build_sin2_potential(dimension: int) -> PeriodicPotential:
     )
 
 
-def _build_sin2_coupled_potential(dimension: int, c: float = 0.5) -> PeriodicPotential:
-    """V(x) = sum_i sin^2(pi x_i) + c * sum_i sin^2(pi (x_i - x_{i+1})), c >= 0.
+_SIN2_COUPLING = 0.5
+
+
+def _build_sin2_coupled_potential(dimension: int) -> PeriodicPotential:
+    """V(x) = sum_i sin^2(pi x_i) + c * sum_i sin^2(pi (x_i - x_{i+1})), c = 1/2.
 
     The coupling runs over neighbouring axes i = 1..d-1, so d = 1 is sin2
     itself (and keeps its axis factor). For d >= 2 V is not a sum of per-axis
@@ -583,9 +586,7 @@ def _build_sin2_coupled_potential(dimension: int, c: float = 0.5) -> PeriodicPot
     sin2's, since V >= sin2 pointwise, with equality on the diagonal slopes
     (a, ..., a), where the coupling vanishes. Minima on the integer lattice.
     """
-    c = float(c)
-    if not c >= 0.0:
-        raise ConfigError("sin2_coupled needs c >= 0")
+    c = _SIN2_COUPLING
 
     def evaluator(x):
         diff = x[..., :-1] - x[..., 1:]

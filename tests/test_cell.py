@@ -300,6 +300,20 @@ def test_cell_value_1d_flat_bottom_is_linear_below_the_critical_slope():
     assert cell_value_1d(v, 1.0) == pytest.approx(conserved_energy_value(v, 1.0), abs=1e-10)
 
 
+@pytest.mark.parametrize("name", sorted(_registry_factors()))
+@pytest.mark.parametrize("xi", [1e-4, 3e-3, 4.5e-3, 5.5e-3, 6.5e-3, 0.02])
+def test_cell_value_1d_at_small_slopes_is_the_flat_bottom_line(name, xi):
+    # The energy is of size exp(-pi/|xi|) here, so f_1 = 2|xi| * integral of
+    # sqrt(v) to rounding; each factor is a * sin^2 or a * cos^2, whose root
+    # mean is (2/pi) sqrt(a). At cos_sum's minimizer 1/2 rounding leaves
+    # nodes with v exactly at its minimum, so there the period time grows
+    # like e^-1/2 as the energy e falls, which the root search must handle.
+    v = _registry_factors()[name]
+    amplitude = float(v(np.array(0.5)) + v(np.array(0.0)))
+    root_mean = 2.0 / math.pi * math.sqrt(amplitude)
+    assert cell_value_1d(v, xi) == pytest.approx(2.0 * xi * root_mean, rel=1e-13, abs=0.0)
+
+
 def test_cell_value_1d_raises_where_the_levels_disagree():
     # Two wells per period: the rule clusters its nodes at one of them only.
     with pytest.raises(SolverError, match="levels differ"):

@@ -232,10 +232,12 @@ def test_stability_provenance_names_the_target_path_in_2d(potential, method):
     prov = run_stability_sweep(cfg).provenance
     assert prov["f_hom_method"] == method
     if method == "separable":
+        assert "f_hom_monotone" not in prov
         assert prov["f_hom_exact"] == prov["f_hom_target"]
         assert prov["f_hom_target"] == pytest.approx(1.4691052398909545, abs=1e-12)
     else:
         assert "f_hom_exact" not in prov
+        assert prov["f_hom_monotone"] is True
         assert prov["f_hom_target"] > 1.4691052398909545
 
 

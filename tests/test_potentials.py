@@ -96,16 +96,16 @@ def test_axis_factor_sums_to_the_potential(name, dimension):
 
 
 def test_sin2_coupled_values_and_bounds():
-    V = make_potential("sin2_coupled", 3, c=0.25)
+    V = make_potential("sin2_coupled", 3)
     x = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.25], [1.0, 2.0, -1.0]])
-    want = [0.0, 1.0 + 0.5 + 0.25 * (1.0 + 0.5), 0.0]
+    want = [0.0, 1.0 + 0.5 + 0.5 * (1.0 + 0.5), 0.0]
     np.testing.assert_allclose(V.evaluator(x), want, atol=1e-12)
-    assert (V.v_min, V.v_max) == (0.0, 3.5)
+    assert (V.v_min, V.v_max) == (0.0, 4.0)
     one_d = make_potential("sin2_coupled", 1)
     sin2 = make_potential("sin2", 1)
     np.testing.assert_array_equal(one_d.evaluator(x[:, :1]), sin2.evaluator(x[:, :1]))
     with pytest.raises(ConfigError):
-        make_potential("sin2_coupled", 2, c=-0.1)
+        make_potential("sin2_coupled", 2, c=0.25)
 
 
 def test_perturbation_bounds_combine_pointwise_part_and_atom():
