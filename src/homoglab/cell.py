@@ -10,9 +10,9 @@ warm-starts the d = 1 stability runs. `f_hom_asymptotic` (and so
 registry potential but `sin2_coupled` in d >= 2), and otherwise takes the
 normalized minimum over growing windows [0, T]. A Newton value is a certified
 upper bound: it is the action of an explicit admissible periodic trajectory.
-A window value is one only when T * xi is a lattice vector (as on the
-coordinate axes); at other slopes the ladder can fall below f_hom and its
-`monotone` diagnostic may read False.
+A window value is one only when T * xi is a lattice vector, which the ladder
+arranges for every xi with q * xi integral for some q <= 16; at other slopes
+the ladder can fall below f_hom and its `monotone` diagnostic may read False.
 
 On top of the tables, this module builds the quasiperiodic piecewise-affine
 almost-corrector plans (ergodic shifts aligning the potential's period along
@@ -304,8 +304,12 @@ def f_hom_asymptotic(
     path parks at the potential's minimum (method "minimum"). A V with an
     axis factor v (V(x) = sum_i v(x_i)) returns sum_i cell_value_1d(v, xi_i)
     (method "separable"), and nothing is solved. Any other V runs the window
-    ladder {8, 16, 32, 64}/|xi| (16 nodes per unit time, at least 33) and
-    returns the value at the largest window (method "windows"). The
+    ladder T_k = 2^k * T_0, k = 0..3 (16 nodes per unit time, at least 33),
+    and returns the value at the largest window (method "windows"). T_0 is
+    the least multiple of the lattice period tau (the least T > 0 with
+    T * xi in Z^d) at or above 8/|xi|, so every window bounds f_hom from
+    above; a xi that no q <= 16 makes integral has no such tau, and there
+    T_0 = 8/|xi|. The
     diagnostics hold the per-window values, the spread of the last two rungs,
     whether the ladder is monotone and whether every solve converged; an
     exact value reports itself as a one-rung ladder with spread 0.
@@ -319,7 +323,9 @@ def f_hom_asymptotic(
     if V.factor is not None:
         value = float(sum(cell_value_1d(V.factor, s) for s in xi))
         return value, _exact_diagnostics(value, "separable")
-    T_ladder = [T / speed for T in (8.0, 16.0, 32.0, 64.0)]
+    tau = _lattice_period(xi)
+    T0 = 8.0 / speed if tau is None else tau * math.ceil(8.0 / speed / tau - 1e-9)
+    T_ladder = [T0 * 2.0**k for k in range(4)]
 
     L = GeneralLagrangian(V)
     values = []
@@ -337,6 +343,16 @@ def f_hom_asymptotic(
         "method": "windows",
     }
     return values[-1], diagnostics
+
+
+def _lattice_period(xi: np.ndarray):
+    """Least T > 0 with T * xi in Z^d, for a xi that some q <= 16 makes
+    integral to 1e-12 (T = q / gcd(q * xi) for the least such q); else None."""
+    for q in range(1, 17):
+        n = np.round(q * xi)
+        if np.all(np.abs(q * xi - n) <= 1e-12):
+            return q / math.gcd(*(int(abs(k)) for k in n))
+    return None
 
 
 def _exact_diagnostics(value: float, method: str) -> dict:

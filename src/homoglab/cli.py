@@ -1,8 +1,9 @@
 """Command-line interface: run a configured experiment and emit its report.
 
-Usage: homoglab <subcommand> --config cfg.json --out dir [--threads N] [--seed S]
+Usage: homoglab <subcommand> --config cfg.json --out dir [--seed S]
 
-Subcommands: stability, negative, hj, conditions, fhom, fenchel.
+Subcommands: stability, negative, hj, conditions, fhom, fenchel. A config
+whose `experiment` names another subcommand is a configuration error.
 Exit codes: 0 success, 2 configuration error, 3 solver failure,
 4 invariant violation.
 """
@@ -52,9 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="output directory (default: config output_dir, else '.')",
         )
         cmd.add_argument(
-            "--threads", type=int, default=1, help="ignored, rows run serially (must be >= 1)"
-        )
-        cmd.add_argument(
             "--seed", type=int, default=None, help="override the config seed"
         )
     return parser
@@ -63,15 +61,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         cfg = ExperimentConfig.from_file(args.config)
+        experiment = cfg.data["experiment"]
+        if experiment is not None and experiment != args.command:
+            raise ConfigError(f"the config is for experiment {experiment!r}, not {args.command!r}")
         if args.seed is not None:
             data = dict(cfg.data)
             data["seed"] = args.seed
             cfg = ExperimentConfig.from_dict(data)
         runner, _ = _RUNNERS[args.command]
-        report = runner(cfg, threads=args.threads)
+        report = runner(cfg)
         out_dir = args.out or cfg.output_dir or "."
         written = report.write(out_dir)
         print(f"{args.command}: wrote {len(written)} files to {out_dir}")

@@ -6,6 +6,9 @@ value-field CSVs. Outputs are bit-identical across runs with the same config
 and seed: seeding is explicit, floats are emitted via repr, JSON keys are
 sorted, and nothing records wall-clock time. Runners ignore their `threads`
 argument: a thread pool over rows measured slower than the serial loop.
+
+Settings that no config varied are fixed in code, not read from it: the
+quadrature, the recovery construction, the L^p exponent, the f_hom method.
 """
 
 import hashlib
@@ -64,6 +67,12 @@ __all__ = [
 ]
 
 _GAP_SLACK = 0.10
+# Recovery construction of the d >= 2 stability runs (horizon: 4 / min eps).
+_RECOVERY_DELTA = 0.2
+_ETA_TUBE = 0.25
+_ALPHA = 0.75
+# Exponent of the uniform-L^p estimate in the condition diagnostics.
+_LP_EXPONENT = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +125,8 @@ def make_initial_datum(name: str, dimension: int, **params) -> Callable:
 _SOLVER_DEFAULTS = {
     "max_iters": 1200,
     "restarts": 2,
-    "grad_tol": 1e-8,
-    "quad_samples": 4,
     "nodes_per_period": 12,
     "cell_max_iters": 2000,
-    "method": None,
-    "n_nodes": None,
-    "T_max": None,
-    "warm_starts": True,
 }
 
 _GRID_DEFAULTS = {
@@ -135,20 +138,17 @@ _GRID_DEFAULTS = {
     "radii": [64.0, 256.0, 1024.0],
     "directions": None,
     "tube_radius": 1.0,
-    "lp_exponent": 2.0,
     "dp": {"x_lo": -1.0, "x_hi": 1.0, "n_x": 321, "n_t": 129},
 }
 
-_RECOVERY_DEFAULTS = {"delta": 0.2, "eta_tube": 0.25, "alpha": 0.75, "horizon": None}
-
 # Stand-in defaults giving the shape of the fields that default to None but
 # hold numbers when set.
-_NUMBER_SHAPES = {"n_nodes": 0, "T_max": 0.0, "horizon": 0.0, "directions": [[0.0]]}
+_NUMBER_SHAPES = {"directions": [[0.0]]}
 
 # Count fields of the solver and grid blocks, with the least value each allows.
 _COUNTS = {
-    "max_iters": 1, "restarts": 0, "quad_samples": 1, "nodes_per_period": 1,
-    "cell_max_iters": 1, "n_nodes": 1, "n": 1, "n_x": 1, "n_t": 1,
+    "max_iters": 1, "restarts": 0, "nodes_per_period": 1, "cell_max_iters": 1,
+    "n": 1, "n_x": 1, "n_t": 1,
 }
 
 _TOP_KEYS = {
@@ -165,7 +165,6 @@ _TOP_KEYS = {
     "output_dir",
     "solver",
     "grids",
-    "recovery",
 }
 
 
@@ -199,7 +198,7 @@ def _check_numbers(value, default, label: str):
         for key, sub in default.items():
             sub = _NUMBER_SHAPES.get(key) if sub is None and value[key] is not None else sub
             _check_numbers(value[key], sub, f"{label}.{key}")
-            if key in _COUNTS and value[key] is not None:
+            if key in _COUNTS:
                 _check_count(value[key], _COUNTS[key], f"{label}.{key}")
     elif isinstance(default, list):
         if not isinstance(value, (list, tuple)):
@@ -309,9 +308,7 @@ class ExperimentConfig:
         data["output_dir"] = raw.get("output_dir")
         data["solver"] = _merged(_SOLVER_DEFAULTS, raw.get("solver"), "solver")
         data["grids"] = _merged(_GRID_DEFAULTS, raw.get("grids"), "grids")
-        data["recovery"] = _merged(_RECOVERY_DEFAULTS, raw.get("recovery"), "recovery")
-        for key, defaults in (("solver", _SOLVER_DEFAULTS), ("grids", _GRID_DEFAULTS),
-                              ("recovery", _RECOVERY_DEFAULTS)):
+        for key, defaults in (("solver", _SOLVER_DEFAULTS), ("grids", _GRID_DEFAULTS)):
             _check_numbers(data[key], defaults, key)
         if data["grids"]["directions"] == []:
             raise ConfigError("grids.directions must list at least one direction")
@@ -391,7 +388,6 @@ class ExperimentConfig:
         return OptimizerSpec(
             max_iters=int(s["max_iters"]),
             restarts=int(s["restarts"]),
-            grad_tol=float(s["grad_tol"]),
             seed=self.seed,
         )
 
@@ -401,9 +397,6 @@ class ExperimentConfig:
         return replace(
             self.optimizer(), max_iters=int(s["cell_max_iters"]), restarts=max(3, int(s["restarts"]))
         )
-
-    def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(samples_per_interval=int(self.data["solver"]["quad_samples"]))
 
     def dp_grid(self) -> DPGrid:
         g = self.data["grids"]["dp"]
@@ -592,7 +585,7 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
         raise InputError("zero-atom perturbations are handled by the DP-based runners")
     xi = cfg.xi
     opt = cfg.optimizer()
-    quad = cfg.quadrature()
+    quad = QuadratureSpec()
     ladder = cfg.eps_ladder
     nodes_per_period = int(cfg.data["solver"]["nodes_per_period"])
     zero_w = _is_exact_zero(W)
@@ -606,45 +599,30 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
         target, diagnostics = f_hom_asymptotic(V, xi, opt=cfg.cell_optimizer(), quad=quad)
         method = diagnostics["method"]
         profile = None
-        rec = cfg.data["recovery"]
-        horizon = rec["horizon"]
-        if horizon is None:
-            horizon = 4.0 / min(ladder)
         plan = build_almost_corrector(
-            V, xi, float(rec["delta"]), float(horizon), cfg.cell_optimizer(), quad
+            V, xi, _RECOVERY_DELTA, 4.0 / min(ladder), cfg.cell_optimizer(), quad
         )
 
     def one_rung(eps: float) -> dict:
         try:
             n_nodes = max(65, int(nodes_per_period / eps) + 9)
-            warm = []
-            if cfg.data["solver"]["warm_starts"]:
-                if profile is not None:
-                    warm.append(
-                        scaled_corrector_start(
-                            profile, eps, 0.0, 1.0, np.zeros(1), xi, n_nodes
-                        )
-                    )
-                else:
-                    rec = cfg.data["recovery"]
-                    warm.append(
-                        build_recovery_trajectory(
-                            plan, W, eps, float(rec["eta_tube"]), float(rec["alpha"]), quad
-                        )
-                    )
+            if profile is not None:
+                warm = (scaled_corrector_start(profile, eps, 0.0, 1.0, np.zeros(1), xi, n_nodes),)
+            else:
+                warm = (build_recovery_trajectory(plan, W, eps, _ETA_TUBE, _ALPHA, quad),)
             a0 = np.zeros(cfg.dimension)
             if zero_w:
                 u_f, min_f = minimize_bvp(
-                    V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, quad, tuple(warm)
+                    V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, quad, warm
                 )
                 u_g, min_g = u_f, min_f
             else:
                 u_g, min_g = minimize_bvp(
-                    V, W, eps, 0.0, 1.0, a0, xi, n_nodes, opt, quad, tuple(warm)
+                    V, W, eps, 0.0, 1.0, a0, xi, n_nodes, opt, quad, warm
                 )
                 u_f, min_f = minimize_bvp(
                     V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, quad,
-                    tuple(warm) + (u_g,),
+                    warm + (u_g,),
                 )
             return {
                 "eps": float(eps),
@@ -779,21 +757,15 @@ def run_hj_convergence(cfg: ExperimentConfig, threads: int = 1) -> Report:
     V = cfg.potential()
     W = cfg.perturbation()
     opt = cfg.optimizer()
-    quad = cfg.quadrature()
+    quad = QuadratureSpec()
     x_axes = cfg.x_axes()
     f, _ = _f_hom_table(cfg)
 
     if cfg.lam is not None:
         mode = "steady"
         u_hom = solve_steady_hom(f, cfg.lam, x_axes, opt)
-        t_max, n_nodes = cfg.data["solver"]["T_max"], cfg.data["solver"]["n_nodes"]
         eps_fields = [
-            solve_steady_eps(
-                V, W, eps, cfg.lam, x_axes, opt, quad,
-                None if t_max is None else float(t_max),
-                None if n_nodes is None else int(n_nodes),
-            )
-            for eps in cfg.eps_ladder
+            solve_steady_eps(V, W, eps, cfg.lam, x_axes, opt, quad) for eps in cfg.eps_ladder
         ]
     else:
         mode = "evolutionary"
@@ -854,12 +826,15 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
     zero / decaying / persistent / inconclusive and the whole perturbation as
     consistent with the zero-average tube condition, inconsistent, or
     inconclusive. Directions default to the coordinate axes. Fewer than two
-    radii raise InputError: a one-point curve shows no trend.
+    radii raise InputError: a one-point curve shows no trend. So does a W
+    with a zero atom, which no line or tube average sees.
     """
     W = cfg.perturbation()
     if W is None:
         W = make_perturbation("zero", cfg.dimension)
-    quad = cfg.quadrature()
+    if W.zero_atom != 0.0:
+        raise InputError("pointwise averages cannot see a zero atom; use run_negative_perturbation")
+    quad = QuadratureSpec()
     grids = cfg.data["grids"]
     radii = [float(r) for r in grids["radii"]]
     if len(radii) < 2:  # no decay or persistence shows in a single value
@@ -894,8 +869,7 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
     curves = [one_direction(item) for item in zip(labels, directions)]
 
     centers = mesh([np.arange(-2.0, 2.5, 1.0)] * cfg.dimension)
-    exponent = float(grids["lp_exponent"])
-    lp_value = lp_unif_estimate(W, exponent, centers, quad)
+    lp_value = lp_unif_estimate(W, _LP_EXPONENT, centers, quad)
 
     rows = []
     classifications = {}
@@ -915,7 +889,7 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
         "per_direction": classifications,
         "classification": overall,
         "lp_unif_estimate": float(lp_value),
-        "lp_exponent": exponent,
+        "lp_exponent": _LP_EXPONENT,
     }
     return Report("conditions", tuple(rows), verdicts, cfg.provenance("conditions"))
 
@@ -926,18 +900,10 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
 
 
 def _f_hom_table(cfg: ExperimentConfig):
-    """(table, method): f_hom on the configured slope grid, by the configured
-    method, else '1d' in d = 1 and 'asymptotic' above."""
-    method = cfg.data["solver"]["method"]
-    if method is None:
-        method = "1d" if cfg.dimension == 1 else "asymptotic"
-    f = tabulate_f_hom(
-        cfg.potential(),
-        cfg.xi_axes(),
-        method=method,
-        opt=cfg.cell_optimizer(),
-        quad=cfg.quadrature(),
-    )
+    """(table, method): f_hom on the configured slope grid, by method '1d' in
+    d = 1 and 'asymptotic' above."""
+    method = "1d" if cfg.dimension == 1 else "asymptotic"
+    f = tabulate_f_hom(cfg.potential(), cfg.xi_axes(), method=method, opt=cfg.cell_optimizer())
     return f, method
 
 

@@ -286,8 +286,6 @@ def solve_steady_eps(
     x_grid,
     opt: OptimizerSpec = _HJ_OPT,
     quad: QuadratureSpec = QuadratureSpec(),
-    T_max: Optional[float] = None,
-    n_nodes: Optional[int] = None,
 ) -> ValueField:
     """Discounted value U_eps(x) per grid point, with comparison bounds asserted.
 
@@ -298,7 +296,8 @@ def solve_steady_eps(
     cannot rank against x's when they lie closer than its error) and the
     constant path. The provenance records the lattice, its sup distance to
     the polished field (dp_sup_distance) and whether every polish converged
-    (all_converged). Needs d = 1.
+    (all_converged), the horizon T_max = 6 / lam and the path's n_nodes =
+    max(65, 4 T_max / eps + 9). Needs d = 1.
 
     The bounds inf(V+W) <= lam * U <= sup(V+W) are checked against the
     conservative enclosures v_min + inf W and v_max + sup W; a violation
@@ -309,8 +308,8 @@ def solve_steady_eps(
         raise InputError("lam must be positive")
     x_axes = axes_of(x_grid, V.dimension, "x_grid")
     x_mesh = mesh(x_axes)
-    horizon = T_max if T_max is not None else 6.0 / lam
-    nodes_count = n_nodes if n_nodes is not None else max(65, int(4 * horizon / eps) + 9)
+    horizon = 6.0 / lam
+    nodes_count = max(65, int(4 * horizon / eps) + 9)
 
     lower = V.v_min + (W.lower_bound() if W is not None else 0.0)
     upper = V.v_max + (W.upper_bound() if W is not None else 0.0)

@@ -48,7 +48,7 @@ class OptimizerSpec:
     """Settings of the damped-Newton minimizer.
 
     Each start takes at most max_iters Newton steps. It stops early, converged,
-    once its gradient norm is at most grad_tol or its Newton decrement has
+    once its gradient norm is at most 1e-8 or its Newton decrement has
     reached roundoff. It also stops, unconverged, when no step along the
     Newton direction decreases the action, or when a converged start of its
     problem is lower by more than ten times its Newton decrement. The
@@ -58,15 +58,12 @@ class OptimizerSpec:
     """
 
     max_iters: int = 400
-    grad_tol: float = 1e-8
     restarts: int = 2
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InputError("max_iters must be >= 1")
-        if not self.grad_tol > 0:
-            raise InputError("grad_tol must be positive")
         if self.restarts < 0:
             raise InputError("restarts must be >= 0")
 
@@ -92,6 +89,8 @@ class DPGrid:
 # The discrete action and its damped-Newton minimizer
 # ---------------------------------------------------------------------------
 
+# A start whose gradient norm is at or below this has converged.
+_GRAD_TOL = 1e-8
 # A Newton decrement g.H^-1.g at or below this multiple of max(1, |value|)
 # predicts a decrease the action's roundoff cannot resolve.
 _ROUNDOFF_DECREMENT = 1e-14
@@ -238,7 +237,7 @@ def _solve(action: _Action, starts, opt: OptimizerSpec):
         grad = grad[:, free]
         values[idx] = f
         gnorm[idx] = np.sqrt(np.sum(grad * grad, axis=(1, 2)))
-        converged[idx] |= gnorm[idx] <= opt.grad_tol
+        converged[idx] |= gnorm[idx] <= _GRAD_TOL
         active[idx] = keep = ~(converged[idx] | finished[idx])
         if sweep == opt.max_iters or not np.any(keep):
             break

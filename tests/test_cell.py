@@ -225,6 +225,19 @@ def test_asymptotic_windows_on_the_coupled_potential(cell_opt, quad):
     assert value == diagnostics["values"][-1]
 
 
+@pytest.mark.parametrize("xi,T0", [([0.5, 0.5], 12.0), ([1.0, 1.0], 6.0)])
+def test_asymptotic_windows_are_lattice_aligned_on_the_diagonal(cell_opt, quad, xi, T0):
+    # The coupling vanishes on the diagonal, so f_hom(sin2_coupled) there is
+    # the sin2 sum; windows with T * xi off the lattice fell below it. T0 is
+    # the least multiple of the lattice period (2, then 1) at or above 8/|xi|.
+    coupled = make_potential("sin2_coupled", 2)
+    _, diagnostics = f_hom_asymptotic(coupled, np.array(xi), opt=cell_opt, quad=quad)
+    assert diagnostics["T_ladder"] == [T0, 2 * T0, 4 * T0, 8 * T0]
+    assert diagnostics["monotone"]
+    sin2_sum = 2 * cell_value_1d(make_potential("sin2", 1).factor, xi[0])
+    assert min(diagnostics["values"]) >= sin2_sum
+
+
 def test_asymptotic_free_particle_exact(cell_opt, quad):
     V = make_potential("zero", 2)
     value, _ = f_hom_asymptotic(V, np.array([1.0, 1.0]), opt=cell_opt, quad=quad)

@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes, outputs, seed override."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,10 +49,32 @@ def test_unknown_potential_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_bad_threads_is_a_config_error(tmp_path, capsys):
+def test_threads_is_not_an_option(tmp_path):
     cfg = write_cfg(tmp_path, FENCHEL_RAW)
-    code = cli.main(["fenchel", "--config", cfg, "--threads", "0"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fenchel", "--config", cfg, "--threads", "1"])
+    assert exc.value.code == 2
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize(
+    "command,config", [("conditions", "negative_spike"), ("fhom", "hj_steady")]
+)
+def test_config_for_another_experiment_is_a_config_error(tmp_path, capsys, command, config):
+    path = str(CONFIG_DIR / f"{config}.json")
+    code = cli.main([command, "--config", path, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG == 2
+    assert "experiment" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_without_an_experiment_runs_under_any_subcommand(tmp_path):
+    raw = {k: v for k, v in FENCHEL_RAW.items() if k != "experiment"}
+    cfg = write_cfg(tmp_path, raw)
+    assert cli.main(["fhom", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "f_hom.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -73,9 +96,13 @@ def test_bad_threads_is_a_config_error(tmp_path, capsys):
         {"solver": {"nodes_per_period": 0}},
         {"solver": {"max_iters": 0}},
         {"solver": {"restarts": -1}},
-        {"solver": {"quad_samples": 0.5}},
         {"solver": {"cell_max_iters": 2.5}},
-        {"solver": {"n_nodes": 0}},
+        # Retired settings, at the one value each ever took, are unknown keys.
+        {"solver": {"quad_samples": 4}},
+        {"solver": {"n_nodes": None}},
+        {"solver": {"grad_tol": 1e-8}},
+        {"grids": {"lp_exponent": 2.0}},
+        {"recovery": {}},
     ],
 )
 def test_malformed_values_are_config_errors(tmp_path, capsys, bad):
@@ -83,6 +110,7 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, bad):
     code = cli.main(["fenchel", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_empty_direction_list_is_a_config_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Experiment configs, runners, reports: validation, invariants, determinism."""
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -58,12 +59,23 @@ def make_cfg(**overrides):
         {"eps_ladder": 0.1},
         {"lambda": float("nan")},
         {"threshold": float("inf")},
-        {"solver": {"T_max": "long"}},
         {"grids": {"x": 5}},
         {"grids": {"t": 0.5}},
         {"grids": {"radii": [64, None]}},
         {"grids": {"dp": {"n_x": float("inf")}}},
-        {"recovery": {"delta": "small"}},
+        # Retired settings, each at the one value it ever took, are unknown keys.
+        {"solver": {"grad_tol": 1e-8}},
+        {"solver": {"quad_samples": 4}},
+        {"solver": {"method": None}},
+        {"solver": {"n_nodes": None}},
+        {"solver": {"T_max": None}},
+        {"solver": {"warm_starts": True}},
+        {"grids": {"lp_exponent": 2.0}},
+        {"recovery": {}},
+        {"recovery": {"delta": 0.2}},
+        {"recovery": {"eta_tube": 0.25}},
+        {"recovery": {"alpha": 0.75}},
+        {"recovery": {"horizon": None}},
     ],
 )
 def test_config_rejects_bad_documents(raw):
@@ -125,6 +137,19 @@ def test_config_hash_and_data_ignore_key_order(name, rnd):
     permuted = ExperimentConfig.from_dict(_shuffled(raw, rnd))
     assert permuted.data == cfg.data
     assert permuted.config_hash() == cfg.config_hash()
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_every_benchmark_config_parses(seed):
+    # Loaded from its file, read-only and without touching sys.path.
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.CALLS:
+        for _, runner, raw in workloads.configs(workload, seed):
+            ExperimentConfig.from_dict(raw)
+            assert callable(getattr(experiments, runner))
 
 
 def test_config_roundtrips_through_json_file(tmp_path):
@@ -309,6 +334,15 @@ def test_condition_diagnostics_runge_is_decaying():
     assert averages == sorted(averages, reverse=True)
 
 
+def test_condition_diagnostics_rejects_a_zero_atom():
+    # Line and tube averages sample W pointwise and would call an atom "zero".
+    cfg = ExperimentConfig.from_dict(
+        {"perturbation": {"name": "neg_spike", "params": {"depth": 1.0, "width": 0.0}}}
+    )
+    with pytest.raises(InputError, match="zero atom"):
+        run_condition_diagnostics(cfg)
+
+
 def test_condition_diagnostics_rejects_bad_radii():
     cfg = ExperimentConfig.from_dict(
         {"perturbation": {"name": "runge_decay"}, "grids": {"radii": [8.0, 4.0]}}
@@ -356,7 +390,7 @@ def test_fenchel_runner_certifies_transform():
     assert names == {"f_hom.json", "f_star.json"}
 
 
-def test_hj_runner_tabulates_by_the_configured_method(monkeypatch):
+def test_hj_runner_tabulates_by_the_1d_rule(monkeypatch):
     used = []
     real = experiments.tabulate_f_hom
 
@@ -371,11 +405,11 @@ def test_hj_runner_tabulates_by_the_configured_method(monkeypatch):
         **{"lambda": 1.0},
         eps_ladder=[0.2],
         grids={"x": {"lo": -0.2, "hi": 0.2, "n": 3}, "xi": {"half_width": 2.0, "n": 5}},
-        solver={**FAST_SOLVER, "method": "asymptotic"},
     )
     rep = run_hj_convergence(cfg)
-    assert used == ["asymptotic"]
-    assert rep.provenance["solver"]["method"] == "asymptotic"
+    # d = 1 tables are the Newton ones.
+    assert used == ["1d"]
+    assert rep.provenance["solver"] == FAST_SOLVER
     # Each rung reports its lattice, its distance to it and the polish's convergence.
     (row,) = rep.rows
     assert row["all_converged"] is True
