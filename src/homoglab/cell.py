@@ -3,9 +3,9 @@
 The homogenized Lagrangian is computed three ways. `cell_value_1d` is the
 exact one-dimensional value from the conservation law of the cell flow.
 `solve_corrector_1d` solves the one-dimensional cell problem by Newton over
-one period; `tabulate_f_hom(method="1d")` uses it, and its profile
-warm-starts the d = 1 stability runs. `f_hom_asymptotic` (and so
-`tabulate_f_hom(method="asymptotic")`) works in any dimension: it sums
+one period; `tabulate_f_hom` uses it in d = 1, and its profile warm-starts
+the d = 1 stability runs. `f_hom_asymptotic` (and so `tabulate_f_hom` in
+d >= 2) works in any dimension: it sums
 `cell_value_1d` over the axes of a potential with an axis factor (every
 registry potential but `sin2_coupled` in d >= 2), and otherwise takes the
 normalized minimum over growing windows [0, T]. A Newton value is a certified
@@ -93,7 +93,6 @@ def solve_corrector_1d(
     V: PeriodicPotential,
     xi: float,
     opt: OptimizerSpec = _CELL_OPT,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> CorrectorProfile:
     """One-dimensional periodic cell problem at slope xi != 0.
 
@@ -111,11 +110,11 @@ def solve_corrector_1d(
     T = 1.0 / abs(xi)
     n_nodes = max(65, int(math.ceil(48 * T)) + 1)
     target = math.copysign(1.0, xi)
-    traj, value = minimize_bvp(V, None, 1.0, 0.0, T, 0.0, target, n_nodes, opt, quad)
+    traj, value = minimize_bvp(V, None, 1.0, 0.0, T, 0.0, target, n_nodes, opt)
     cell_value = abs(xi) * value
 
     affine = Trajectory.affine([0.0], [target], 0.0, T, n_nodes - 1)
-    zero_profile_value = abs(xi) * action_F(affine, V, 1.0, quad)
+    zero_profile_value = abs(xi) * action_F(affine, V, 1.0)
     if cell_value > zero_profile_value + 1e-12 * max(1.0, abs(zero_profile_value)):
         raise InvariantError("descent returned a value above the zero-corrector bound")
     _check_sandwich(cell_value, xi * xi, V.v_min, V.v_max)
@@ -272,7 +271,6 @@ def solve_corrector_general(
     T: float,
     n_nodes: int,
     opt: OptimizerSpec = _CELL_OPT,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> CorrectorProfile:
     """Window cell problem (1/T) * min of integral of L(w, w') on [0, T].
 
@@ -285,7 +283,7 @@ def solve_corrector_general(
         raise InputError("xi dimension does not match the Lagrangian")
     if not T > 0:
         raise InputError("window length T must be positive")
-    traj, total = minimize_lagrangian_bvp(L, 0.0, T, np.zeros_like(xi), T * xi, n_nodes, opt, quad)
+    traj, total = minimize_lagrangian_bvp(L, 0.0, T, np.zeros_like(xi), T * xi, n_nodes, opt)
     value = total / T
     _check_sandwich(value, float(xi @ xi), *L.potential_bounds())
     profile = _profile_from_path(traj.times, traj.nodes.copy(), xi)
@@ -296,7 +294,6 @@ def f_hom_asymptotic(
     V: PeriodicPotential,
     xi,
     opt: OptimizerSpec = _CELL_OPT,
-    quad: QuadratureSpec = QuadratureSpec(),
 ):
     """Homogenized Lagrangian in any dimension: exact when V is separable.
 
@@ -331,7 +328,7 @@ def f_hom_asymptotic(
     values = []
     converged = True
     for T in T_ladder:
-        prof = solve_corrector_general(L, xi, T, max(33, int(math.ceil(16 * T)) + 1), opt, quad)
+        prof = solve_corrector_general(L, xi, T, max(33, int(math.ceil(16 * T)) + 1), opt)
         values.append(prof.cell_value)
         converged &= prof.meta["converged"]
     diagnostics = {
@@ -411,25 +408,20 @@ class HomogenizedLagrangian(GridTable):
 def tabulate_f_hom(
     V: PeriodicPotential,
     grid,
-    method: str = "1d",
     opt: OptimizerSpec = _CELL_OPT,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> HomogenizedLagrangian:
     """Tabulate the homogenized Lagrangian on a symmetric slope grid.
 
-    method "1d" solves one Newton cell problem per slope (d = 1 only);
-    method "asymptotic" calls `f_hom_asymptotic` per slope, so a potential
-    with an axis factor gets exact separable values and any other the
-    window ladder. The grid must contain 0 and be symmetric under sign flip
+    The dimension picks the method, recorded as meta["method"]: in d = 1
+    ("1d") one Newton cell problem per slope; in d >= 2 ("asymptotic")
+    `f_hom_asymptotic` per slope, so a potential with an axis factor gets
+    exact separable values and any other the window ladder. The grid must contain 0 and be symmetric under sign flip
     per axis. The slope-0 value is pinned to v_min. When midpoint-convexity
     defects exceed 1e-6, the lower convex envelope is applied and flagged.
     Failures at individual grid points are collected into a single
     SolverError listing the points.
     """
-    if method not in ("1d", "asymptotic"):
-        raise InputError("method must be '1d' or 'asymptotic'")
-    if method == "1d" and V.dimension != 1:
-        raise InputError("method '1d' requires a one-dimensional potential")
+    method = "1d" if V.dimension == 1 else "asymptotic"
     axes = _slope_axes(grid, V.dimension)
     flat = mesh(axes)
     values = np.empty(flat.shape[0])
@@ -441,11 +433,11 @@ def tabulate_f_hom(
             if speed == 0.0:
                 values[i] = V.v_min
             elif method == "1d":
-                prof = solve_corrector_1d(V, float(point[0]), opt, quad)
+                prof = solve_corrector_1d(V, float(point[0]), opt)
                 values[i] = prof.cell_value
                 converged &= prof.meta["converged"]
             else:
-                values[i], diagnostics = f_hom_asymptotic(V, point, opt, quad)
+                values[i], diagnostics = f_hom_asymptotic(V, point, opt)
                 converged &= diagnostics["converged"]
         except (SolverError, InvariantError) as exc:
             failures.append((point.tolist(), str(exc)))
@@ -648,7 +640,6 @@ def build_almost_corrector(
     delta: float,
     horizon: float,
     opt: OptimizerSpec = _CELL_OPT,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> AlmostCorrectorPlan:
     """Build the quasiperiodic almost-corrector plan for slope xi.
 
@@ -682,7 +673,7 @@ def build_almost_corrector(
 
     L = GeneralLagrangian(V)
     n_nodes = max(33, int(math.ceil(8 * T)) + 1)
-    base = solve_corrector_general(L, xi, T, n_nodes, opt, quad)
+    base = solve_corrector_general(L, xi, T, n_nodes, opt)
 
     n_pieces = min(32, base.profile.n_intervals)
     breakpoints = np.linspace(0.0, T, n_pieces + 1)
@@ -711,7 +702,7 @@ def build_almost_corrector(
         },
     )
     plan.meta["block_actions"] = [
-        action_F(plan.block_trajectory(i), V, 1.0, quad) / T
+        action_F(plan.block_trajectory(i), V, 1.0) / T
         for i in range(min(3, plan.shifts.size))
     ]
     return plan
@@ -811,7 +802,6 @@ def build_recovery_trajectory(
     eps: float,
     eta_tube: float,
     alpha: float,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> Trajectory:
     """Admissible competitor u on [0, 1] with u(0) = 0 and u(1) = xi exactly.
 
@@ -831,7 +821,7 @@ def build_recovery_trajectory(
         raise InputError("eps must be positive")
     if eta_tube < 0:
         raise InputError("eta_tube must be nonnegative")
-    m = quad.samples_per_interval
+    m = QuadratureSpec().samples_per_interval
     xi = plan.xi
     t_end = 1.0 / eps
     t_run = min(1.0, 0.25 * t_end)

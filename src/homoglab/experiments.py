@@ -51,7 +51,6 @@ from .potentials import (
     make_perturbation,
     make_potential,
 )
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "ExperimentConfig",
@@ -585,23 +584,20 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
         raise InputError("zero-atom perturbations are handled by the DP-based runners")
     xi = cfg.xi
     opt = cfg.optimizer()
-    quad = QuadratureSpec()
     ladder = cfg.eps_ladder
     nodes_per_period = int(cfg.data["solver"]["nodes_per_period"])
     zero_w = _is_exact_zero(W)
 
     if cfg.dimension == 1:
-        profile = solve_corrector_1d(V, float(xi[0]), opt=cfg.cell_optimizer(), quad=quad)
+        profile = solve_corrector_1d(V, float(xi[0]), opt=cfg.cell_optimizer())
         target = profile.cell_value
         method = "corrector_1d"
         plan = None
     else:
-        target, diagnostics = f_hom_asymptotic(V, xi, opt=cfg.cell_optimizer(), quad=quad)
+        target, diagnostics = f_hom_asymptotic(V, xi, opt=cfg.cell_optimizer())
         method = diagnostics["method"]
         profile = None
-        plan = build_almost_corrector(
-            V, xi, _RECOVERY_DELTA, 4.0 / min(ladder), cfg.cell_optimizer(), quad
-        )
+        plan = build_almost_corrector(V, xi, _RECOVERY_DELTA, 4.0 / min(ladder), cfg.cell_optimizer())
 
     def one_rung(eps: float) -> dict:
         try:
@@ -609,20 +605,19 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
             if profile is not None:
                 warm = (scaled_corrector_start(profile, eps, 0.0, 1.0, np.zeros(1), xi, n_nodes),)
             else:
-                warm = (build_recovery_trajectory(plan, W, eps, _ETA_TUBE, _ALPHA, quad),)
+                warm = (build_recovery_trajectory(plan, W, eps, _ETA_TUBE, _ALPHA),)
             a0 = np.zeros(cfg.dimension)
             if zero_w:
                 u_f, min_f = minimize_bvp(
-                    V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, quad, warm
+                    V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm
                 )
                 u_g, min_g = u_f, min_f
             else:
                 u_g, min_g = minimize_bvp(
-                    V, W, eps, 0.0, 1.0, a0, xi, n_nodes, opt, quad, warm
+                    V, W, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm
                 )
                 u_f, min_f = minimize_bvp(
-                    V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, quad,
-                    warm + (u_g,),
+                    V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm + (u_g,)
                 )
             return {
                 "eps": float(eps),
@@ -757,15 +752,14 @@ def run_hj_convergence(cfg: ExperimentConfig, threads: int = 1) -> Report:
     V = cfg.potential()
     W = cfg.perturbation()
     opt = cfg.optimizer()
-    quad = QuadratureSpec()
     x_axes = cfg.x_axes()
-    f, _ = _f_hom_table(cfg)
+    f = tabulate_f_hom(V, cfg.xi_axes(), cfg.cell_optimizer())
 
     if cfg.lam is not None:
         mode = "steady"
         u_hom = solve_steady_hom(f, cfg.lam, x_axes, opt)
         eps_fields = [
-            solve_steady_eps(V, W, eps, cfg.lam, x_axes, opt, quad) for eps in cfg.eps_ladder
+            solve_steady_eps(V, W, eps, cfg.lam, x_axes, opt) for eps in cfg.eps_ladder
         ]
     else:
         mode = "evolutionary"
@@ -778,7 +772,7 @@ def run_hj_convergence(cfg: ExperimentConfig, threads: int = 1) -> Report:
         y_axes = cfg.y_axes()
         u_hom = solve_evolutionary_hom(f, Phi, x_axes, t_grid, y_axes)
         eps_fields = [
-            solve_evolutionary_eps(V, W, eps, Phi, x_axes, t_grid, y_axes, opt, quad)
+            solve_evolutionary_eps(V, W, eps, Phi, x_axes, t_grid, y_axes, opt)
             for eps in cfg.eps_ladder
         ]
 
@@ -834,7 +828,6 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
         W = make_perturbation("zero", cfg.dimension)
     if W.zero_atom != 0.0:
         raise InputError("pointwise averages cannot see a zero atom; use run_negative_perturbation")
-    quad = QuadratureSpec()
     grids = cfg.data["grids"]
     radii = [float(r) for r in grids["radii"]]
     if len(radii) < 2:  # no decay or persistence shows in a single value
@@ -861,15 +854,15 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
     def one_direction(pair):
         label, direction = pair
         if cfg.dimension == 1:
-            curve = [line_average(W, R, quad) for R in radii]
+            curve = [line_average(W, R) for R in radii]
         else:
-            curve = [cylinder_average(W, direction, tube_r, R, quad) for R in radii]
+            curve = [cylinder_average(W, direction, tube_r, R) for R in radii]
         return label, [float(v) for v in curve]
 
     curves = [one_direction(item) for item in zip(labels, directions)]
 
     centers = mesh([np.arange(-2.0, 2.5, 1.0)] * cfg.dimension)
-    lp_value = lp_unif_estimate(W, _LP_EXPONENT, centers, quad)
+    lp_value = lp_unif_estimate(W, _LP_EXPONENT, centers)
 
     rows = []
     classifications = {}
@@ -899,14 +892,6 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
 # ---------------------------------------------------------------------------
 
 
-def _f_hom_table(cfg: ExperimentConfig):
-    """(table, method): f_hom on the configured slope grid, by method '1d' in
-    d = 1 and 'asymptotic' above."""
-    method = "1d" if cfg.dimension == 1 else "asymptotic"
-    f = tabulate_f_hom(cfg.potential(), cfg.xi_axes(), method=method, opt=cfg.cell_optimizer())
-    return f, method
-
-
 def _node_rows(table, coord: str, column: str) -> tuple:
     """One row per grid node of the table: its coordinates coord_1..coord_d and value."""
     return tuple(
@@ -917,14 +902,14 @@ def _node_rows(table, coord: str, column: str) -> tuple:
 
 def run_fhom_table(cfg: ExperimentConfig, threads: int = 1) -> Report:
     """Tabulate the homogenized Lagrangian on the configured slope grid."""
-    f, method = _f_hom_table(cfg)
+    f = tabulate_f_hom(cfg.potential(), cfg.xi_axes(), cfg.cell_optimizer())
     n_violations, worst_defect = f.convexity_violations()
     verdicts = {
         "f0": float(f.f0),
         "envelope_applied": bool(f.envelope_applied),
         "convexity_violations": int(n_violations),
         "worst_convexity_defect": float(worst_defect),
-        "method": method,
+        "method": f.meta["method"],
     }
     return Report(
         "fhom",
@@ -937,7 +922,7 @@ def run_fhom_table(cfg: ExperimentConfig, threads: int = 1) -> Report:
 
 def run_fenchel_tables(cfg: ExperimentConfig, threads: int = 1) -> Report:
     """Tabulate f_hom and its convex conjugate; certify the transform."""
-    f, _ = _f_hom_table(cfg)
+    f = tabulate_f_hom(cfg.potential(), cfg.xi_axes(), cfg.cell_optimizer())
     p_axes = cfg.p_axes()
     conjugate = legendre_transform(f, p_axes)
     gap = biconjugate_check(f, p_axes)

@@ -35,7 +35,6 @@ from .minimize import (
     minimize_halfline,
 )
 from .potentials import PeriodicPotential, Perturbation
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "ValueField",
@@ -198,7 +197,6 @@ def solve_evolutionary_eps(
     t_grid,
     y_grid,
     opt: OptimizerSpec = _HJ_OPT,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> ValueField:
     """Oscillatory value function U_eps(x, t) = min over y of y_grid of S_eps(y,x,t) + Phi(y).
 
@@ -233,7 +231,7 @@ def solve_evolutionary_eps(
         warm = (warm[None, :, :, 0] + tilt).reshape(-1, 1, nodes_count, 1)
         vals, _, _ = minimize_bvp_batch(
             V, W, eps, 0.0, t, y_mesh[ys.reshape(-1)], np.tile(x_mesh, (ys.shape[0], 1)),
-            nodes_count, polish, quad, warm, records=records,
+            nodes_count, polish, warm_starts_per_problem=warm, records=records,
         )
         values[:, j] = np.min(vals.reshape(ys.shape) + phi_vals[ys], axis=0)
         dp_distance = max(dp_distance, float(np.max(np.abs(values[:, j] - dp_values))))
@@ -263,13 +261,12 @@ def s_eps(
     x,
     t: float,
     opt: OptimizerSpec = _HJ_OPT,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Minimal action from y at time 0 to x at time t (certified upper bound),
     on 8*t/eps + 9 nodes (at least 33)."""
     if not t > 0:
         raise InputError("t must be positive")
-    _, value = minimize_bvp(V, W, eps, 0.0, t, y, x, max(33, int(8 * t / eps) + 9), opt, quad)
+    _, value = minimize_bvp(V, W, eps, 0.0, t, y, x, max(33, int(8 * t / eps) + 9), opt)
     return value
 
 
@@ -285,7 +282,6 @@ def solve_steady_eps(
     lam: float,
     x_grid,
     opt: OptimizerSpec = _HJ_OPT,
-    quad: QuadratureSpec = QuadratureSpec(),
 ) -> ValueField:
     """Discounted value U_eps(x) per grid point, with comparison bounds asserted.
 
@@ -324,7 +320,7 @@ def solve_steady_eps(
     converged = []
     for i, x in enumerate(x_mesh):
         traj, val = minimize_halfline(
-            V, W, eps, lam, x, horizon, nodes_count, opt, quad, list(seeds[:, i])
+            V, W, eps, lam, x, horizon, nodes_count, opt, warm_starts=list(seeds[:, i])
         )
         values[i] = val
         converged.append(traj.meta["converged"])

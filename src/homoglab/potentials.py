@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError, SolverError
 from .grid import as_points, mesh
-from .quadrature import QuadratureSpec, midpoint_offsets, midpoints
+from .quadrature import midpoint_offsets, midpoints
 
 REGISTRY_VERSION = "1"
 
@@ -224,13 +224,14 @@ def eval_hamiltonian(V: PeriodicPotential, W: Optional[Perturbation], x, p):
     return 0.25 * np.sum(mom * mom, axis=-1) - eval_potential(V, W, as_points(x, V.dimension))
 
 
-def line_average(W: Perturbation, R: float, quad: QuadratureSpec) -> float:
-    """(1/R) * integral of W over [-R, R]; the d = 1 decay diagnostic."""
+def line_average(W: Perturbation, R: float) -> float:
+    """(1/R) * integral of W over [-R, R]; the d = 1 decay diagnostic, on 4
+    midpoints per unit length (at least 64)."""
     if W.dimension != 1:
         raise InputError("line_average requires a one-dimensional perturbation")
     if not R > 0:
         raise InputError("R must be positive")
-    n = max(64, int(np.ceil(2 * R * quad.samples_per_interval)))
+    n = max(64, int(np.ceil(8 * R)))
     pts = midpoints(-R, R, n)
     return float(np.sum(W.evaluator(pts[:, None])) * (2 * R / n) / R)
 
@@ -252,12 +253,12 @@ def _householder_frame(direction: np.ndarray) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v)
 
 
-def cylinder_average(W: Perturbation, xi, r: float, R: float, quad: QuadratureSpec) -> float:
+def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     """(1/R) * integral of W over B_R intersected with the radius-r tube along xi.
 
     Product midpoint quadrature: transverse cells over the (d-1)-disc of
-    radius r, longitudinal cells along the chord of B_R at each transverse
-    offset. For W == c the d = 2 value is exact up to the O((r/R)^2) chord
+    radius r (16 per axis), longitudinal cells along the chord of B_R at each
+    transverse offset (4 per unit length, at least 64). For W == c the d = 2 value is exact up to the O((r/R)^2) chord
     correction, approaching 2*c*omega_{d-1}*r^{d-1} as R grows.
     """
     if W.dimension < 2:
@@ -272,8 +273,8 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float, quad: QuadratureSp
     basis = _householder_frame(axis)[:, 1:]
 
     d = W.dimension
-    n_axis = max(64, int(np.ceil(2 * R * quad.samples_per_interval)))
-    n_cross = max(8, 4 * quad.samples_per_interval)
+    n_axis = max(64, int(np.ceil(8 * R)))
+    n_cross = 16
 
     offsets = mesh([midpoints(-r, r, n_cross)] * (d - 1))
     offsets = offsets[np.sum(offsets * offsets, axis=-1) < r * r]
@@ -292,7 +293,7 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float, quad: QuadratureSp
     return total / R
 
 
-def lp_unif_estimate(W: Perturbation, p: float, centers, quad: QuadratureSpec) -> float:
+def lp_unif_estimate(W: Perturbation, p: float, centers) -> float:
     """max over the given centers y of integral of W^p over B_1(y).
 
     A bounded sample proxy for the uniform-L^p norm; the centers are the
@@ -306,9 +307,8 @@ def lp_unif_estimate(W: Perturbation, p: float, centers, quad: QuadratureSpec) -
         pts_centers = pts_centers[None, :]
     pts_centers = pts_centers.reshape(-1, d)
 
-    spi = quad.samples_per_interval
     if d == 1:
-        n = max(128, 64 * spi)
+        n = 256
         rel = midpoints(-1.0, 1.0, n)
 
         def integral(y):
@@ -316,8 +316,8 @@ def lp_unif_estimate(W: Perturbation, p: float, centers, quad: QuadratureSpec) -
             return float(np.sum(np.abs(vals) ** p) * (2.0 / n))
 
     elif d == 2:
-        n_rho = max(64, 16 * spi)
-        n_th = max(128, 32 * spi)
+        n_rho = 64
+        n_th = 128
         rho = midpoints(0.0, 1.0, n_rho)
         th = midpoints(0.0, 2 * np.pi, n_th)
         ct, st = np.cos(th), np.sin(th)
@@ -329,9 +329,9 @@ def lp_unif_estimate(W: Perturbation, p: float, centers, quad: QuadratureSpec) -
             return float(np.sum(np.abs(vals) ** p * weight))
 
     elif d == 3:
-        n_rho = max(48, 12 * spi)
-        n_th = max(64, 16 * spi)
-        n_ph = max(32, 8 * spi)
+        n_rho = 48
+        n_th = 64
+        n_ph = 32
         rho = midpoints(0.0, 1.0, n_rho)
         th = midpoints(0.0, 2 * np.pi, n_th)
         ph = midpoints(0.0, np.pi, n_ph)

@@ -3,8 +3,12 @@
 Everything integrable in this package is sampled with the composite midpoint
 rule: it is exact for piecewise-linear integrands, second order for smooth
 ones, and never evaluates at interval endpoints (which keeps indicator-type
-perturbations well behaved on cell boundaries). The QuadratureSpec carries the
-per-interval resolution.
+perturbations well behaved on cell boundaries). The resolution is fixed:
+QuadratureSpec's default of 4 samples per interval is the one value in use.
+Only the action layer (trajectory.action_F, action_G, discounted_action and
+the minimizers) still takes a QuadratureSpec; every function above it
+evaluates at that default, and fixed-size averaging grids spell out the
+counts it gives.
 """
 
 from dataclasses import dataclass

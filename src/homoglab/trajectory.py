@@ -139,7 +139,9 @@ def _check_dims(u: Trajectory, V, W):
             raise InputError("trajectory and potential dimensions disagree")
 
 
-def action_F(u: Trajectory, V: PeriodicPotential, eps: float, quad: QuadratureSpec) -> float:
+def action_F(
+    u: Trajectory, V: PeriodicPotential, eps: float, quad: QuadratureSpec = QuadratureSpec()
+) -> float:
     """Unperturbed action: integral of |u'|^2 + V(u/eps) over the window."""
     if eps <= 0:
         raise InputError("eps must be positive")
@@ -154,7 +156,7 @@ def action_G(
     V: PeriodicPotential,
     W: Optional[Perturbation],
     eps: float,
-    quad: QuadratureSpec,
+    quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Perturbed action: action_F plus the integral of W(u/eps).
 
@@ -178,7 +180,7 @@ def discounted_action(
     W: Optional[Perturbation],
     eps: float,
     lam: float,
-    quad: QuadratureSpec,
+    quad: QuadratureSpec = QuadratureSpec(),
 ) -> float:
     """Discounted action on [0, infinity) truncated at t1 with a constant tail.
 
@@ -358,6 +360,7 @@ def build_connector(x0, y0, alpha: float, W: Perturbation) -> Trajectory:
     times = np.unique(times)
 
     thetas = _cap_directions(d, 32)
+    m = QuadratureSpec().samples_per_interval
     best = None
     for idx, theta in enumerate(thetas):
         t_theta = -1.0 / (2.0 * theta[0])
@@ -375,7 +378,7 @@ def build_connector(x0, y0, alpha: float, W: Perturbation) -> Trajectory:
         nodes = mid[None, :] + nodes_loc @ frame.T
         nodes[0] = x0
         nodes[-1] = y0
-        w_val = potential_term(times, nodes, W.evaluator, 1.0, 4)
+        w_val = potential_term(times, nodes, W.evaluator, 1.0, m)
         if best is None or w_val < best[0]:
             best = (w_val, idx, nodes, theta)
 
@@ -430,7 +433,7 @@ SPHERE_MEASURE = {2: 2 * np.pi, 3: 4 * np.pi}
 POLAR_BOUND_TOL = 1e-3
 
 
-def polar_bound_check(W: Perturbation, alpha: float, r: float, quad: QuadratureSpec):
+def polar_bound_check(W: Perturbation, alpha: float, r: float):
     """Certify the polar-coordinate bound linking cusp line integrals to L^p mass.
 
     lhs = integral over the unit sphere of integral_0^{r^{1/alpha}}
@@ -438,8 +441,10 @@ def polar_bound_check(W: Perturbation, alpha: float, r: float, quad: QuadratureS
     |S^{d-1}|)^{1-1/p} * r^beta * (integral_{B_r} |W|^p)^{1/p} with beta =
     (p - alpha*d)/(alpha*p). The constant is the one produced by the Hoelder
     split with the change of variables rho = t^alpha (whose Jacobian
-    contributes the alpha^{-1/p}). Requires 1 < alpha*d < p. Raises
-    InvariantError if lhs exceeds rhs * (1 + POLAR_BOUND_TOL).
+    contributes the alpha^{-1/p}). Both sides use the midpoint rule on 512
+    radial cells and a sphere grid of 256 (d = 2) or 64 x 128 (d = 3) cells.
+    Requires 1 < alpha*d < p. Raises InvariantError if lhs exceeds
+    rhs * (1 + POLAR_BOUND_TOL).
     """
     d = W.dimension
     p = W.integrability_exponent
@@ -450,10 +455,9 @@ def polar_bound_check(W: Perturbation, alpha: float, r: float, quad: QuadratureS
     if r <= 0:
         raise InputError("r must be positive")
 
-    spi = quad.samples_per_interval
-    sphere_pts, sphere_wts = _sphere_grid(d, max(256, 64 * spi) if d == 2 else max(64, 16 * spi))
+    sphere_pts, sphere_wts = _sphere_grid(d, 256 if d == 2 else 64)
 
-    n_t = max(512, 128 * spi)
+    n_t = 512
     half = r ** (1.0 / alpha)
     t = (np.arange(n_t) + 0.5) / n_t * half
     radial = t**alpha
@@ -461,7 +465,7 @@ def polar_bound_check(W: Perturbation, alpha: float, r: float, quad: QuadratureS
     vals = W.evaluator(pts.reshape(-1, d)).reshape(n_t, -1)
     lhs = float(np.sum(vals * sphere_wts[None, :]) * (half / n_t))
 
-    n_rho = max(512, 128 * spi)
+    n_rho = 512
     rho = (np.arange(n_rho) + 0.5) / n_rho * r
     pts = rho[:, None, None] * sphere_pts[None, :, :]
     vals = np.abs(W.evaluator(pts.reshape(-1, d)).reshape(n_rho, -1)) ** p

@@ -56,7 +56,7 @@ def registry_tables_1d():
     axis = np.linspace(-2.0, 2.0, 9)
     opt = OptimizerSpec(max_iters=1500, restarts=2, seed=3)
     return {
-        name: tabulate_f_hom(make_potential(name, 1), axis, method="1d", opt=opt)
+        name: tabulate_f_hom(make_potential(name, 1), axis, opt=opt)
         for name in REGISTRY_POTENTIALS
     }
 
@@ -65,7 +65,7 @@ def registry_tables_1d():
 def free_table_1d():
     axis = np.linspace(-3.0, 3.0, 25)
     opt = OptimizerSpec(max_iters=400, restarts=1, seed=0)
-    return tabulate_f_hom(make_potential("zero", 1), axis, method="1d", opt=opt)
+    return tabulate_f_hom(make_potential("zero", 1), axis, opt=opt)
 
 
 def load_cfg(name):
@@ -94,7 +94,7 @@ def test_criterion_01_cell_problem_sanity(registry_tables_1d):
     t1 = time.monotonic()
     axis2 = np.linspace(-2.0, 2.0, 5)
     free2 = tabulate_f_hom(
-        make_potential("zero", 2), (axis2, axis2), method="asymptotic"
+        make_potential("zero", 2), (axis2, axis2)
     )
     mesh = np.stack(np.meshgrid(axis2, axis2, indexing="ij"), axis=-1)
     sq = np.sum(mesh**2, axis=-1)
@@ -150,7 +150,7 @@ def test_criterion_02_oracle_equivalence_vs_dp():
             assert rel < 0.02, f"bvp vs DP off by {rel:.2%} at xi={xi} eps={eps}"
 
         # cell leg: corrector value vs DP over one full winding (eps = 1)
-        profile = solve_corrector_1d(V, xi, opt=cell_opt, quad=QUAD)
+        profile = solve_corrector_1d(V, xi, opt=cell_opt)
         T = 1.0 / xi
         n_t = max(121, int(240 * T) + 1)
         dp_cell = dp_oracle_1d(
@@ -321,7 +321,7 @@ def test_criterion_08_polar_bound():
     for w_name, W in perturbations.items():
         for p_exp, alpha in ((2.0, 0.6), (3.0, 0.9)):
             Wp = dataclasses.replace(W, integrability_exponent=p_exp)
-            lhs, rhs = polar_bound_check(Wp, alpha, 1.0, QUAD)
+            lhs, rhs = polar_bound_check(Wp, alpha, 1.0)
             assert lhs <= rhs * 1.01, (
                 f"polar bound fails for {w_name} p={p_exp} alpha={alpha}: "
                 f"{lhs} > {rhs}"
@@ -341,7 +341,7 @@ def test_criterion_09_almost_corrector_plan_invariants():
     V = make_potential("sin2", 2)
     xi = np.array([1.0, math.sqrt(2.0)])
     opt = OptimizerSpec(max_iters=1200, restarts=2, seed=5)
-    plan = build_almost_corrector(V, xi, 0.2, 3800.0, opt, QUAD)
+    plan = build_almost_corrector(V, xi, 0.2, 3800.0, opt)
     plan.validate()
     assert plan.shifts.size >= 20
     assert plan.T >= (plan.l_delta + 1.0) / plan.delta
@@ -352,7 +352,7 @@ def test_criterion_09_almost_corrector_plan_invariants():
     frac = first20[:, None] * xi[None, :]
     dist = np.max(np.abs(frac - np.round(frac)), axis=1)
     assert np.all(dist < plan.eta)
-    plan_again = build_almost_corrector(V, xi, 0.2, 3800.0, opt, QUAD)
+    plan_again = build_almost_corrector(V, xi, 0.2, 3800.0, opt)
     np.testing.assert_array_equal(plan_again.shifts[:20], first20)
     print(
         f"ACCEPTANCE 09 PASS — {plan.shifts.size} shifts; T={plan.T:.2f} >= "
@@ -381,7 +381,7 @@ def test_criterion_10_evolutionary_hj(free_table_1d):
 
     V0 = make_potential("zero", 1)
     opt = OptimizerSpec(max_iters=800, restarts=2, seed=4)
-    U_eps = solve_evolutionary_eps(V0, None, 0.1, Phi, (x,), t, (y,), opt=opt, quad=QUAD)
+    U_eps = solve_evolutionary_eps(V0, None, 0.1, Phi, (x,), t, (y,), opt=opt)
     sup_free, _ = field_distance(U_eps, U)
     assert sup_free <= 1e-3
 
@@ -446,7 +446,7 @@ def test_criterion_12_s_eps_lipschitz_in_time():
     for y in (-0.8, 0.0, 0.6):
         for x in (-0.3, 0.2, 0.9):
             vals = {
-                t: s_eps(V, W, eps, np.array([y]), np.array([x]), t, opt=opt, quad=QUAD)
+                t: s_eps(V, W, eps, np.array([y]), np.array([x]), t, opt=opt)
                 for t in times
             }
             for i, t1 in enumerate(times):

@@ -87,60 +87,60 @@ def cell_opt():
     return OptimizerSpec(max_iters=2000, restarts=3, seed=2)
 
 
-def test_corrector_matches_conservation_oracle(cell_opt, quad, sin2_1d):
+def test_corrector_matches_conservation_oracle(cell_opt, sin2_1d):
     v = lambda w: np.sin(np.pi * w) ** 2
     for xi in (0.5, 1.0, 2.0):
         oracle = conserved_energy_value(v, xi)
-        prof = solve_corrector_1d(sin2_1d, xi, opt=cell_opt, quad=quad)
+        prof = solve_corrector_1d(sin2_1d, xi, opt=cell_opt)
         assert prof.cell_value == pytest.approx(oracle, rel=2e-3), f"xi={xi}"
 
 
-def test_corrector_even_in_slope(cell_opt, quad, sin2_1d):
-    plus = solve_corrector_1d(sin2_1d, 1.0, opt=cell_opt, quad=quad)
-    minus = solve_corrector_1d(sin2_1d, -1.0, opt=cell_opt, quad=quad)
+def test_corrector_even_in_slope(cell_opt, sin2_1d):
+    plus = solve_corrector_1d(sin2_1d, 1.0, opt=cell_opt)
+    minus = solve_corrector_1d(sin2_1d, -1.0, opt=cell_opt)
     assert plus.cell_value == pytest.approx(minus.cell_value, rel=1e-6)
 
 
-def test_corrector_profile_vanishes_at_window_ends(cell_opt, quad, sin2_1d):
-    prof = solve_corrector_1d(sin2_1d, 1.0, opt=cell_opt, quad=quad)
+def test_corrector_profile_vanishes_at_window_ends(cell_opt, sin2_1d):
+    prof = solve_corrector_1d(sin2_1d, 1.0, opt=cell_opt)
     assert float(prof.profile.nodes[0, 0]) == 0.0
     assert float(prof.profile.nodes[-1, 0]) == 0.0
     path = prof.path()
     assert float(path.nodes[-1, 0]) == pytest.approx(prof.T * 1.0, abs=1e-12)
 
 
-def test_free_potential_cell_value_is_squared_speed(cell_opt, quad, zero_1d):
+def test_free_potential_cell_value_is_squared_speed(cell_opt, zero_1d):
     for xi in (0.5, 1.5):
-        prof = solve_corrector_1d(zero_1d, xi, opt=cell_opt, quad=quad)
+        prof = solve_corrector_1d(zero_1d, xi, opt=cell_opt)
         assert prof.cell_value == pytest.approx(xi * xi, abs=1e-9)
 
 
-def test_corrector_rejects_zero_slope(cell_opt, quad, sin2_1d):
+def test_corrector_rejects_zero_slope(cell_opt, sin2_1d):
     with pytest.raises(InputError):
-        solve_corrector_1d(sin2_1d, 0.0, opt=cell_opt, quad=quad)
+        solve_corrector_1d(sin2_1d, 0.0, opt=cell_opt)
 
 
-def test_sandwich_bounds_on_table(cell_opt, quad, sin2_1d):
+def test_sandwich_bounds_on_table(cell_opt, sin2_1d):
     axis = np.linspace(-2.0, 2.0, 9)
-    f = tabulate_f_hom(sin2_1d, axis, method="1d", opt=cell_opt, quad=quad)
+    f = tabulate_f_hom(sin2_1d, axis, opt=cell_opt)
     lower = axis**2 + sin2_1d.v_min
     upper = axis**2 + sin2_1d.v_max
     assert np.all(f.values >= lower - 1e-6)
     assert np.all(f.values <= upper + 1e-6)
 
 
-def test_general_corrector_rejects_values_above_the_sandwich(cell_opt, quad, monkeypatch):
+def test_general_corrector_rejects_values_above_the_sandwich(cell_opt, monkeypatch):
     V = make_potential("sin2", 1)
     W = make_perturbation("constant", 1, value=0.5)
     T = 4.0
 
-    def solver_above_the_sandwich(L, t0, t1, a, b, n_nodes, opt, quad):
+    def solver_above_the_sandwich(L, t0, t1, a, b, n_nodes, opt):
         # |xi|^2 + sup(V + W) = 1 + 1.5; the value is 0.5 above it
         return Trajectory.affine(a, b, t0, t1, n_nodes - 1), 3.0 * T
 
     monkeypatch.setattr(homoglab.cell, "minimize_lagrangian_bvp", solver_above_the_sandwich)
     with pytest.raises(InvariantError, match="sandwich"):
-        solve_corrector_general(GeneralLagrangian(V, W), [1.0], T, 33, cell_opt, quad)
+        solve_corrector_general(GeneralLagrangian(V, W), [1.0], T, 33, cell_opt)
 
 
 def test_general_lagrangian_is_the_pair_V_W():
@@ -157,15 +157,15 @@ def test_general_lagrangian_is_the_pair_V_W():
         GeneralLagrangian(V, make_perturbation("constant", 2, value=-0.5))
 
 
-def test_table_pins_zero_slope_to_potential_minimum(cell_opt, quad):
+def test_table_pins_zero_slope_to_potential_minimum(cell_opt):
     V = make_potential("constant", 1, value=0.7)
-    f = tabulate_f_hom(V, np.linspace(-1, 1, 5), method="1d", opt=cell_opt, quad=quad)
+    f = tabulate_f_hom(V, np.linspace(-1, 1, 5), opt=cell_opt)
     assert f.f0 == 0.7
     assert f.value(0.0) == 0.7
 
 
-def test_table_interpolation_and_hull(cell_opt, quad, zero_1d):
-    f = tabulate_f_hom(zero_1d, np.linspace(-2, 2, 9), method="1d", opt=cell_opt, quad=quad)
+def test_table_interpolation_and_hull(cell_opt, zero_1d):
+    f = tabulate_f_hom(zero_1d, np.linspace(-2, 2, 9), opt=cell_opt)
     assert f.value(1.0) == pytest.approx(1.0, abs=1e-9)
     # midpoint of the chord between 1 and 1.5
     assert f.value(1.25) == pytest.approx((1.0 + 2.25) / 2.0, abs=1e-9)
@@ -174,8 +174,8 @@ def test_table_interpolation_and_hull(cell_opt, quad, zero_1d):
     assert f.hull() == [(-2.0, 2.0)]
 
 
-def test_table_json_roundtrip(cell_opt, quad, zero_1d):
-    f = tabulate_f_hom(zero_1d, np.linspace(-1, 1, 5), method="1d", opt=cell_opt, quad=quad)
+def test_table_json_roundtrip(cell_opt, zero_1d):
+    f = tabulate_f_hom(zero_1d, np.linspace(-1, 1, 5), opt=cell_opt)
     g = HomogenizedLagrangian.from_json(f.to_json())
     np.testing.assert_array_equal(g.values, f.values)
     assert g.f0 == f.f0 and g.envelope_applied == f.envelope_applied
@@ -209,14 +209,14 @@ def test_asymptotic_matches_1d_for_separable_potential():
     }
 
 
-def test_asymptotic_windows_on_the_coupled_potential(cell_opt, quad):
+def test_asymptotic_windows_on_the_coupled_potential(cell_opt):
     # T * xi is a lattice vector on every rung, so each rung bounds
     # f_hom(sin2_coupled) from above, and V >= sin2 pointwise puts that above
     # the exact sin2 sum.
     coupled = make_potential("sin2_coupled", 2)
     assert coupled.factor is None
     xi = np.array([1.0, 0.0])
-    value, diagnostics = f_hom_asymptotic(coupled, xi, opt=cell_opt, quad=quad)
+    value, diagnostics = f_hom_asymptotic(coupled, xi, opt=cell_opt)
     assert diagnostics["method"] == "windows"
     assert diagnostics["T_ladder"] == [8.0, 16.0, 32.0, 64.0]
     assert diagnostics["converged"]
@@ -226,28 +226,28 @@ def test_asymptotic_windows_on_the_coupled_potential(cell_opt, quad):
 
 
 @pytest.mark.parametrize("xi,T0", [([0.5, 0.5], 12.0), ([1.0, 1.0], 6.0)])
-def test_asymptotic_windows_are_lattice_aligned_on_the_diagonal(cell_opt, quad, xi, T0):
+def test_asymptotic_windows_are_lattice_aligned_on_the_diagonal(cell_opt, xi, T0):
     # The coupling vanishes on the diagonal, so f_hom(sin2_coupled) there is
     # the sin2 sum; windows with T * xi off the lattice fell below it. T0 is
     # the least multiple of the lattice period (2, then 1) at or above 8/|xi|.
     coupled = make_potential("sin2_coupled", 2)
-    _, diagnostics = f_hom_asymptotic(coupled, np.array(xi), opt=cell_opt, quad=quad)
+    _, diagnostics = f_hom_asymptotic(coupled, np.array(xi), opt=cell_opt)
     assert diagnostics["T_ladder"] == [T0, 2 * T0, 4 * T0, 8 * T0]
     assert diagnostics["monotone"]
     sin2_sum = 2 * cell_value_1d(make_potential("sin2", 1).factor, xi[0])
     assert min(diagnostics["values"]) >= sin2_sum
 
 
-def test_asymptotic_free_particle_exact(cell_opt, quad):
+def test_asymptotic_free_particle_exact(cell_opt):
     V = make_potential("zero", 2)
-    value, _ = f_hom_asymptotic(V, np.array([1.0, 1.0]), opt=cell_opt, quad=quad)
+    value, _ = f_hom_asymptotic(V, np.array([1.0, 1.0]), opt=cell_opt)
     assert value == pytest.approx(2.0, abs=1e-6)
 
 
-def test_sin2_table_converged_and_matches_conservation_oracle(quad, sin2_1d):
+def test_sin2_table_converged_and_matches_conservation_oracle(sin2_1d):
     v = lambda w: np.sin(np.pi * w) ** 2
     xi = np.linspace(-2.0, 2.0, 17)
-    table = tabulate_f_hom(sin2_1d, xi, quad=quad)
+    table = tabulate_f_hom(sin2_1d, xi)
     assert table.meta["converged"]
     oracle = [conserved_energy_value(v, s) if s != 0.0 else 0.0 for s in xi]
     np.testing.assert_allclose(table.values, oracle, rtol=0.0, atol=1e-4)
@@ -352,7 +352,7 @@ def test_cell_value_1d_needs_no_scipy():
 def test_sin2_table_in_d2_is_the_exact_separable_sum():
     V = make_potential("sin2", 2)
     axis = np.linspace(-2.0, 2.0, 9)
-    table = tabulate_f_hom(V, (axis, axis), method="asymptotic")
+    table = tabulate_f_hom(V, (axis, axis))
     one_d = np.array([conserved_energy_value(V.factor, s) if s != 0.0 else 0.0 for s in axis])
     reference = one_d[:, None] + one_d[None, :]
     np.testing.assert_allclose(table.values, reference, rtol=0.0, atol=1e-10)

@@ -8,7 +8,6 @@ from homoglab import (
     ErgodicWindowError,
     InvariantError,
     OptimizerSpec,
-    QuadratureSpec,
     build_almost_corrector,
     ergodic_shift_finder,
     make_potential,
@@ -57,8 +56,7 @@ def plan():
     V = make_potential("sin2", 2)
     opt = OptimizerSpec(max_iters=1200, restarts=2, seed=5)
     return build_almost_corrector(
-        V, np.array([1.0, np.sqrt(2.0)]), delta=0.2, horizon=400.0,
-        opt=opt, quad=QuadratureSpec(),
+        V, np.array([1.0, np.sqrt(2.0)]), delta=0.2, horizon=400.0, opt=opt
     )
 
 

@@ -395,8 +395,9 @@ def test_hj_runner_tabulates_by_the_1d_rule(monkeypatch):
     real = experiments.tabulate_f_hom
 
     def spy(*args, **kwargs):
-        used.append(kwargs["method"])
-        return real(*args, **kwargs)
+        table = real(*args, **kwargs)
+        used.append(table.meta["method"])
+        return table
 
     monkeypatch.setattr(experiments, "tabulate_f_hom", spy)
     cfg = make_cfg(

@@ -34,7 +34,7 @@ QUAD = QuadratureSpec()
 @pytest.fixture(scope="module")
 def free_table():
     V = make_potential("zero", 1)
-    return tabulate_f_hom(V, np.linspace(-3, 3, 25), method="1d", opt=OPT, quad=QUAD)
+    return tabulate_f_hom(V, np.linspace(-3, 3, 25), opt=OPT)
 
 
 def test_value_field_csv_layout(tmp_path):
@@ -109,7 +109,7 @@ def test_eps_solver_matches_hom_for_free_potential(free_table):
     x = np.linspace(-0.5, 0.5, 5)
     t = np.array([0.5, 1.0])
     y = np.linspace(-2.5, 2.5, 201)
-    U_eps = solve_evolutionary_eps(V, None, 0.1, Phi, x, t, y, opt=OPT, quad=QUAD)
+    U_eps = solve_evolutionary_eps(V, None, 0.1, Phi, x, t, y, opt=OPT)
     U_hom = solve_evolutionary_hom(free_table, Phi, x, t, y)
     sup, _ = field_distance(U_eps, U_hom)
     assert sup <= 1e-3
@@ -124,7 +124,7 @@ def test_evolutionary_eps_grid_points_do_not_interact():
     x = np.array([-1.9, 0.0, 0.45])
     t = np.array([0.5, 1.0])
     y = np.linspace(-2.0, 2.0, 41)
-    args = dict(opt=OPT, quad=QUAD)
+    args = dict(opt=OPT)
     together = solve_evolutionary_eps(V, None, 0.2, Phi, x, t, y, **args)
     for i in range(x.size):
         alone = solve_evolutionary_eps(V, None, 0.2, Phi, x[i : i + 1], t, y, **args)
@@ -144,24 +144,25 @@ def test_polished_values_never_exceed_their_lattice_seed_paths(monkeypatch):
     real_batch, real_halfline = hj.minimize_bvp_batch, hj.minimize_halfline
     checked = []
 
-    def batch_spy(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm, **kwargs):
+    def batch_spy(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, *, warm_starts_per_problem, **kw):
+        warm = warm_starts_per_problem
         values, nodes, times = real_batch(
-            V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm, **kwargs
+            V, W, eps, t0, t1, a_batch, b, n_nodes, opt, warm_starts_per_problem=warm, **kw
         )
         for value, a, end, (seed,) in zip(values, a_batch, b, warm):
             seed = np.array(seed)
             assert np.all(np.abs(seed[[0, -1]] - [a, end]) <= eps / 32 + 1e-12)
             seed[0], seed[-1] = a, end
-            checked.append((value, action_G(Trajectory(times, seed), V, W, eps, quad)))
+            checked.append((value, action_G(Trajectory(times, seed), V, W, eps)))
         return values, nodes, times
 
-    def halfline_spy(V, W, eps, lam, x0, T_max, n_nodes, opt, quad, warm_starts):
-        traj, value = real_halfline(V, W, eps, lam, x0, T_max, n_nodes, opt, quad, warm_starts)
+    def halfline_spy(V, W, eps, lam, x0, T_max, n_nodes, opt, *, warm_starts):
+        traj, value = real_halfline(V, W, eps, lam, x0, T_max, n_nodes, opt, warm_starts=warm_starts)
         assert np.all(np.abs(warm_starts[0][0] - x0) <= eps / 32 + 1e-12)
         for seed in warm_starts:
             seed = np.array(seed)
             seed[0] = x0
-            seed_value = discounted_action(Trajectory(traj.times, seed), V, W, eps, lam, quad)
+            seed_value = discounted_action(Trajectory(traj.times, seed), V, W, eps, lam)
             checked.append((value, seed_value))
         return traj, value
 
@@ -170,8 +171,8 @@ def test_polished_values_never_exceed_their_lattice_seed_paths(monkeypatch):
     Phi = make_initial_datum("abs_min", 1, cap=1.0)
     x = np.linspace(-0.4, 0.4, 5)
     t = np.array([0.5, 1.0])
-    solve_evolutionary_eps(V, W, 0.1, Phi, x, t, np.linspace(-2, 2, 81), OPT, QUAD)
-    solve_steady_eps(V, W, 0.1, 1.0, x, OPT, QUAD)
+    solve_evolutionary_eps(V, W, 0.1, Phi, x, t, np.linspace(-2, 2, 81), OPT)
+    solve_steady_eps(V, W, 0.1, 1.0, x, OPT)
     assert len(checked) == x.size * (hj._Y_NEIGHBOURS.size * t.size + 3)
     for value, seed_value in checked:
         assert value <= seed_value
@@ -186,7 +187,7 @@ def test_evolutionary_eps_reaches_y_off_the_grid_points():
     x = np.array([-0.9, -0.33, 0.1, 0.25, 1.7])
     t = np.array([0.05, 0.5])
     y = np.linspace(-1.0, 1.0, 5)
-    U = solve_evolutionary_eps(V, None, 0.1, Phi, x, t, y, OPT, QUAD)
+    U = solve_evolutionary_eps(V, None, 0.1, Phi, x, t, y, OPT)
     near = np.min(np.abs(x[:, None] - y[None, :]), axis=1)
     np.testing.assert_allclose(U.values, near[:, None] ** 2 / t[None, :], rtol=1e-9)
     assert U.provenance["all_converged"]
@@ -203,7 +204,7 @@ def test_free_particle_field_is_the_exact_minimum_over_y_grid():
     y = np.linspace(-2.5, 2.5, 201)
     for p in (0.8, 1.7):
         Phi = make_initial_datum("plane_wave", 1, p=[p])
-        U = solve_evolutionary_eps(V, None, 0.1, Phi, x, t, y, OPT, QUAD)
+        U = solve_evolutionary_eps(V, None, 0.1, Phi, x, t, y, OPT)
         exact = np.min((x[:, None, None] - y) ** 2 / t[:, None] + p * y, axis=2)
         np.testing.assert_allclose(U.values, exact, rtol=0, atol=1e-12)
 
@@ -215,7 +216,7 @@ def test_steady_polish_finds_the_farther_well():
     field is no higher than a polish started from a path parked at -0.25."""
     V = make_potential("sin2", 1)
     W = make_perturbation("runge_decay", 1, amplitude=1.0)
-    U = solve_steady_eps(V, W, 0.05, 1.0, np.array([-0.22, 0.22]), OPT, QUAD)
+    U = solve_steady_eps(V, W, 0.05, 1.0, np.array([-0.22, 0.22]), OPT)
     n_nodes, horizon = U.provenance["n_nodes"], U.provenance["T_max"]
     for x, value in zip([-0.22, 0.22], U.values):
         parked = np.full((n_nodes, 1), np.copysign(0.25, x))
@@ -228,9 +229,9 @@ def test_hj_eps_fields_reject_two_dimensions():
     Phi = make_initial_datum("abs_min", 2, cap=1.0)
     axes = (np.linspace(-0.2, 0.2, 3),) * 2
     with pytest.raises(InputError, match="d = 1"):
-        solve_evolutionary_eps(V, None, 0.2, Phi, axes, np.array([0.5]), axes, OPT, QUAD)
+        solve_evolutionary_eps(V, None, 0.2, Phi, axes, np.array([0.5]), axes, OPT)
     with pytest.raises(InputError, match="d = 1"):
-        solve_steady_eps(V, None, 0.2, 1.0, axes, OPT, QUAD)
+        solve_steady_eps(V, None, 0.2, 1.0, axes, OPT)
     with pytest.raises(InputError, match="d = 1"):
         minimize_halfline(V, None, 0.2, 1.0, np.zeros(2), 6.0, 65, OPT, QUAD)
 
@@ -238,8 +239,8 @@ def test_hj_eps_fields_reject_two_dimensions():
 def test_s_eps_constant_shift_exact():
     V = make_potential("zero", 1)
     W = make_perturbation("constant", 1, value=0.5)
-    base = s_eps(V, None, 0.1, np.array([0.0]), np.array([1.0]), 1.0, opt=OPT, quad=QUAD)
-    shifted = s_eps(V, W, 0.1, np.array([0.0]), np.array([1.0]), 1.0, opt=OPT, quad=QUAD)
+    base = s_eps(V, None, 0.1, np.array([0.0]), np.array([1.0]), 1.0, opt=OPT)
+    shifted = s_eps(V, W, 0.1, np.array([0.0]), np.array([1.0]), 1.0, opt=OPT)
     assert shifted - base == pytest.approx(0.5, abs=1e-8)
     assert base == pytest.approx(1.0, abs=1e-6)
 
@@ -264,7 +265,7 @@ def test_steady_eps_comparison_bounds_hold():
     W = make_perturbation("runge_decay", 1, amplitude=1.0)
     lam = 1.0
     x = np.linspace(-0.4, 0.4, 5)
-    U = solve_steady_eps(V, W, 0.1, lam, x, opt=OPT, quad=QUAD)
+    U = solve_steady_eps(V, W, 0.1, lam, x, opt=OPT)
     lower = (V.v_min + W.lower_bound()) / lam
     upper = (V.v_max + W.upper_bound()) / lam
     assert np.all(U.values >= lower - 1e-9)
@@ -275,7 +276,7 @@ def test_steady_constant_potential_closed_form():
     V = make_potential("constant", 1, value=0.8)
     lam = 0.5
     x = np.linspace(-1, 1, 5)
-    U = solve_steady_eps(V, None, 0.1, lam, x, opt=OPT, quad=QUAD)
+    U = solve_steady_eps(V, None, 0.1, lam, x, opt=OPT)
     np.testing.assert_allclose(U.values, 0.8 / lam, rtol=5e-3)
 
 
@@ -288,7 +289,7 @@ def test_park_extension_bound_along_time():
     M = float(np.max(V.evaluator(z[:, None]) + W.evaluator(z[:, None])))
     y, x = np.array([0.0]), np.array([0.6])
     ts = [0.5, 1.0, 1.5]
-    vals = [s_eps(V, W, eps, y, x, t, opt=OPT, quad=QUAD) for t in ts]
+    vals = [s_eps(V, W, eps, y, x, t, opt=OPT) for t in ts]
     for (t1, s1), (t2, s2) in zip(zip(ts, vals), zip(ts[1:], vals[1:])):
         assert s2 <= s1 + M * (t2 - t1) + 0.02 * max(abs(s1), 1.0)
 

@@ -11,7 +11,6 @@ from homoglab import (
     ConfigError,
     InputError,
     Perturbation,
-    QuadratureSpec,
     SolverError,
     cylinder_average,
     line_average,
@@ -142,45 +141,45 @@ def test_indicator_ball_support():
     assert W.support_radius == 0.5
 
 
-def test_line_average_decays_for_integrable_bump(quad):
+def test_line_average_decays_for_integrable_bump():
     W = make_perturbation("runge_decay", 1, amplitude=1.0)
-    a64 = line_average(W, 64.0, quad)
-    a512 = line_average(W, 512.0, quad)
+    a64 = line_average(W, 64.0)
+    a512 = line_average(W, 512.0)
     assert a512 < a64
     # the window is [-R, R] scaled by 1/R; total mass of 1/(1+y^2) is pi
     assert a512 * 512.0 == pytest.approx(np.pi, rel=0.05)
 
 
-def test_line_average_constant_is_flat(quad):
+def test_line_average_constant_is_flat():
     W = make_perturbation("constant", 1, value=0.7)
-    assert line_average(W, 64.0, quad) == pytest.approx(1.4, rel=1e-6)
-    assert line_average(W, 512.0, quad) == pytest.approx(1.4, rel=1e-6)
+    assert line_average(W, 64.0) == pytest.approx(1.4, rel=1e-6)
+    assert line_average(W, 512.0) == pytest.approx(1.4, rel=1e-6)
 
 
-def test_cylinder_average_constant_closed_form(quad):
+def test_cylinder_average_constant_closed_form():
     W = make_perturbation("constant", 2, value=1.0)
     # two-sided chord tube of half-width r: area 4*r*R up to the chord correction
     for r in (0.5, 1.0):
-        avg = cylinder_average(W, [1.0, 0.0], r, 512.0, quad)
+        avg = cylinder_average(W, [1.0, 0.0], r, 512.0)
         assert avg == pytest.approx(4.0 * r, rel=1e-3)
 
 
-def test_cylinder_average_rejects_bad_inputs(quad):
+def test_cylinder_average_rejects_bad_inputs():
     W = make_perturbation("constant", 2, value=1.0)
     with pytest.raises(InputError):
-        cylinder_average(W, [0.0, 0.0], 1.0, 64.0, quad)
+        cylinder_average(W, [0.0, 0.0], 1.0, 64.0)
     with pytest.raises(InputError):
-        cylinder_average(W, [1.0, 0.0], 2.0, 1.0, quad)
+        cylinder_average(W, [1.0, 0.0], 2.0, 1.0)
     W1 = make_perturbation("constant", 1, value=1.0)
     with pytest.raises(InputError):
-        cylinder_average(W1, [1.0], 0.5, 64.0, quad)
+        cylinder_average(W1, [1.0], 0.5, 64.0)
 
 
-def test_lp_unif_estimate_constant(quad):
+def test_lp_unif_estimate_constant():
     W = make_perturbation("constant", 2, value=1.0)
     centers = [np.zeros(2)]
     # unit-ball mass of W^2 is the ball area
-    assert lp_unif_estimate(W, 2.0, centers, quad) == pytest.approx(np.pi, rel=1e-2)
+    assert lp_unif_estimate(W, 2.0, centers) == pytest.approx(np.pi, rel=1e-2)
 
 
 def test_parabola_free_region_geometry():
@@ -304,13 +303,13 @@ def test_parabola_rejects_radii_above_2_to_the_40():
         make_perturbation("parabola_example", 2).evaluator(np.array([[0.0, 2.0**41]]))
 
 
-def test_lp_unif_estimate_raises_on_nan_integral(quad):
+def test_lp_unif_estimate_raises_on_nan_integral():
     W = Perturbation(2, lambda x: np.where(x[..., 0] < 0, np.nan, 1.0), "nonnegative", 1.0)
-    assert lp_unif_estimate(W, 2.0, [[5.0, 0.0]], quad) == pytest.approx(np.pi, rel=1e-2)
+    assert lp_unif_estimate(W, 2.0, [[5.0, 0.0]]) == pytest.approx(np.pi, rel=1e-2)
     with pytest.raises(SolverError, match=r"\[-5\.0, 0\.0\]"):
-        lp_unif_estimate(W, 2.0, [[5.0, 0.0], [-5.0, 0.0]], quad)
+        lp_unif_estimate(W, 2.0, [[5.0, 0.0], [-5.0, 0.0]])
     with pytest.raises(SolverError):
-        lp_unif_estimate(W, 2.0, [[-5.0, 1.0], [-6.0, 0.0]], quad)
+        lp_unif_estimate(W, 2.0, [[-5.0, 1.0], [-6.0, 0.0]])
 
 
 def test_parabola_requires_dimension_two():

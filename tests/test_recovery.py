@@ -6,7 +6,6 @@ import pytest
 from homoglab import (
     InputError,
     OptimizerSpec,
-    QuadratureSpec,
     Trajectory,
     action_F,
     action_G,
@@ -24,25 +23,24 @@ def plan2d():
     V = make_potential("sin2", 2)
     opt = OptimizerSpec(max_iters=1200, restarts=2, seed=5)
     return build_almost_corrector(
-        V, np.array([1.0, np.sqrt(2.0)]), delta=0.2, horizon=400.0,
-        opt=opt, quad=QuadratureSpec(),
+        V, np.array([1.0, np.sqrt(2.0)]), delta=0.2, horizon=400.0, opt=opt
     )
 
 
-def test_recovery_endpoints_pinned_to_affine(plan2d, quad):
+def test_recovery_endpoints_pinned_to_affine(plan2d):
     W = make_perturbation("runge_decay", 2, amplitude=1.0)
     for eps in (0.1, 0.05):
-        traj = build_recovery_trajectory(plan2d, W, eps, eta_tube=0.25, alpha=0.75, quad=quad)
+        traj = build_recovery_trajectory(plan2d, W, eps, eta_tube=0.25, alpha=0.75)
         xi = plan2d.xi
         np.testing.assert_allclose(traj.nodes[0], traj.times[0] * xi, atol=1e-9)
         np.testing.assert_allclose(traj.nodes[-1], traj.times[-1] * xi, atol=1e-9)
         assert traj.times[0] == 0.0
 
 
-def test_recovery_requires_nonnegative_perturbation(plan2d, quad):
+def test_recovery_requires_nonnegative_perturbation(plan2d):
     W = make_perturbation("constant", 2, value=-0.5)
     with pytest.raises(InputError):
-        build_recovery_trajectory(plan2d, W, 0.1, eta_tube=0.25, alpha=0.75, quad=quad)
+        build_recovery_trajectory(plan2d, W, 0.1, eta_tube=0.25, alpha=0.75)
 
 
 def test_recovery_action_bounded_by_perturbed_plan(plan2d, quad):
@@ -50,7 +48,7 @@ def test_recovery_action_bounded_by_perturbed_plan(plan2d, quad):
     V = make_potential("sin2", 2)
     W = make_perturbation("runge_decay", 2, amplitude=1.0)
     eps = 0.05
-    traj = build_recovery_trajectory(plan2d, W, eps, eta_tube=0.25, alpha=0.75, quad=quad)
+    traj = build_recovery_trajectory(plan2d, W, eps, eta_tube=0.25, alpha=0.75)
     span = float(traj.times[-1] - traj.times[0])
     perturbed = action_G(traj, V, W, eps, quad) / span
     base = plan2d.meta["cell_value_at_T"]
@@ -59,9 +57,9 @@ def test_recovery_action_bounded_by_perturbed_plan(plan2d, quad):
     assert perturbed <= base * 1.25 + 0.5
 
 
-def test_scaled_corrector_start_shape_and_endpoints(quad, sin2_1d):
+def test_scaled_corrector_start_shape_and_endpoints(sin2_1d):
     opt = OptimizerSpec(max_iters=1500, restarts=2, seed=3)
-    prof = solve_corrector_1d(sin2_1d, 1.0, opt=opt, quad=quad)
+    prof = solve_corrector_1d(sin2_1d, 1.0, opt=opt)
     start = scaled_corrector_start(prof, 0.1, 0.0, 1.0, 0.0, 1.0, 65)
     assert isinstance(start, Trajectory)
     assert start.times.size == 65
@@ -73,7 +71,7 @@ def test_scaled_corrector_start_shape_and_endpoints(quad, sin2_1d):
 def test_scaled_corrector_start_is_good_warm_start(quad, sin2_1d):
     """The rescaled cell profile lands near the homogenized action level."""
     opt = OptimizerSpec(max_iters=1500, restarts=2, seed=3)
-    prof = solve_corrector_1d(sin2_1d, 1.0, opt=opt, quad=quad)
+    prof = solve_corrector_1d(sin2_1d, 1.0, opt=opt)
     eps = 0.05
     start = scaled_corrector_start(prof, eps, 0.0, 1.0, 0.0, 1.0, 129)
     value = action_F(start, sin2_1d, eps, quad)

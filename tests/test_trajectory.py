@@ -134,7 +134,7 @@ def test_homogenized_action_of_affine_path():
     from homoglab import OptimizerSpec, tabulate_f_hom
 
     V = make_potential("zero", 1)
-    f = tabulate_f_hom(V, np.linspace(-2, 2, 9), method="1d",
+    f = tabulate_f_hom(V, np.linspace(-2, 2, 9),
                        opt=OptimizerSpec(seed=0, max_iters=200, restarts=1))
     u = line(0.0, 2.0, 0.0, 2.0)
     # slope 1 for 2 time units at f(1)=1
@@ -167,19 +167,19 @@ def test_connector_rejects_bad_alpha():
         build_connector(np.zeros(2), np.ones(2), 1.2, W)  # alpha >= p/d
 
 
-def test_polar_bound_certifies(quad):
+def test_polar_bound_certifies():
     W = dataclasses.replace(
         make_perturbation("runge_decay", 2, amplitude=1.0), integrability_exponent=2.0
     )
-    lhs, rhs = polar_bound_check(W, 0.6, 1.0, quad)
+    lhs, rhs = polar_bound_check(W, 0.6, 1.0)
     assert lhs <= rhs * (1.0 + POLAR_BOUND_TOL)
 
 
-def test_polar_bound_rejects_out_of_range_alpha(quad):
+def test_polar_bound_rejects_out_of_range_alpha():
     W = dataclasses.replace(
         make_perturbation("constant", 2, value=1.0), integrability_exponent=2.0
     )
     with pytest.raises(InputError):
-        polar_bound_check(W, 0.4, 1.0, quad)  # alpha*d <= 1
+        polar_bound_check(W, 0.4, 1.0)  # alpha*d <= 1
     with pytest.raises(InputError):
-        polar_bound_check(W, 1.1, 1.0, quad)  # alpha*d >= p
+        polar_bound_check(W, 1.1, 1.0)  # alpha*d >= p
