@@ -24,7 +24,6 @@ import numpy as np
 from .cell import (
     build_almost_corrector,
     build_recovery_trajectory,
-    cell_value_1d,
     f_hom_asymptotic,
     scaled_corrector_start,
     solve_corrector_1d,
@@ -235,6 +234,10 @@ def _check_spec_block(block, label: str) -> Optional[dict]:
     extra = set(block) - {"name", "params"}
     if extra:
         raise ConfigError(f"unknown {label} keys: {sorted(extra)}")
+    # Every registry parameter is a real number or a list of them.
+    for key, value in params.items():
+        for item in value if isinstance(value, (list, tuple)) else [value]:
+            _finite(item, f"{label}.params.{key}")
     return {"name": str(block["name"]), "params": params}
 
 
@@ -304,7 +307,10 @@ class ExperimentConfig:
             raise ConfigError("threshold must be positive")
         data["threshold"] = threshold
 
-        data["output_dir"] = raw.get("output_dir")
+        output_dir = raw.get("output_dir")
+        if output_dir is not None and not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a string or null, got {output_dir!r}")
+        data["output_dir"] = output_dir
         data["solver"] = _merged(_SOLVER_DEFAULTS, raw.get("solver"), "solver")
         data["grids"] = _merged(_GRID_DEFAULTS, raw.get("grids"), "grids")
         for key, defaults in (("solver", _SOLVER_DEFAULTS), ("grids", _GRID_DEFAULTS)):
@@ -447,14 +453,14 @@ def _pyify(obj):
         return {str(k): _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_pyify(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return _pyify(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 
@@ -557,18 +563,16 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     """Empirical homogenization-stability check for a nonnegative perturbation.
 
     Per rung: min_G from the perturbed minimization warm-started by the
-    corrector (d = 1) or the recovery competitor (d >= 2); min_F warm-started
-    additionally by the G-minimizer, which pins min_F <= min_G structurally.
-    Verdicts: gap_G decreasing with 10% slack, final relative gap below the
-    configured threshold.
+    corrector profile (d = 1, from `solve_corrector_1d`) or the recovery
+    competitor (d >= 2); min_F warm-started additionally by the G-minimizer,
+    which pins min_F <= min_G structurally. Verdicts: gap_G decreasing with
+    10% slack, final relative gap below the configured threshold.
 
-    The target f_hom(xi) is the Newton cell value in d = 1 and
-    `f_hom_asymptotic`'s value in d >= 2. Provenance names the path that made
-    it (`f_hom_method`: "corrector_1d", "separable" or "windows") and, for a
-    V with an axis factor, carries the exact separable value `f_hom_exact`;
-    in d = 1 the two then differ by the Newton solve's discretization error.
-    A window target also records `f_hom_monotone`: window values bound f_hom
-    from above only when T * xi is a lattice vector, and a ladder that is not
+    The target f_hom(xi) is `f_hom_asymptotic`'s value in every dimension.
+    Provenance names the path that made it (`f_hom_method`: "separable" for
+    the exact value of a V with an axis factor, else "windows"). A window
+    target also records `f_hom_monotone`: window values bound f_hom from
+    above only when T * xi is a lattice vector, and a ladder that is not
     monotone flags a slope where the target may sit below f_hom.
     """
     V = cfg.potential()
@@ -588,14 +592,11 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     nodes_per_period = int(cfg.data["solver"]["nodes_per_period"])
     zero_w = _is_exact_zero(W)
 
+    target, diagnostics = f_hom_asymptotic(V, xi, opt=cfg.cell_optimizer())
     if cfg.dimension == 1:
         profile = solve_corrector_1d(V, float(xi[0]), opt=cfg.cell_optimizer())
-        target = profile.cell_value
-        method = "corrector_1d"
         plan = None
     else:
-        target, diagnostics = f_hom_asymptotic(V, xi, opt=cfg.cell_optimizer())
-        method = diagnostics["method"]
         profile = None
         plan = build_almost_corrector(V, xi, _RECOVERY_DELTA, 4.0 / min(ladder), cfg.cell_optimizer())
 
@@ -645,13 +646,9 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     prov = cfg.provenance("stability")
     prov["w_nonnegative"] = True
     prov["f_hom_target"] = float(target)
-    prov["f_hom_method"] = method
-    if method == "windows":
+    prov["f_hom_method"] = diagnostics["method"]
+    if diagnostics["method"] == "windows":
         prov["f_hom_monotone"] = diagnostics["monotone"]
-    if V.factor is not None:
-        prov["f_hom_exact"] = (
-            cell_value_1d(V.factor, float(xi[0])) if cfg.dimension == 1 else float(target)
-        )
     return StabilityReport("stability", tuple(rows), verdicts, prov)
 
 

@@ -243,27 +243,44 @@ def test_stability_short_ladder_decreases_gap():
     assert rep.provenance["f_hom_target"] == pytest.approx(1.46910524, rel=2e-2)
 
 
+def test_report_json_writes_booleans_as_booleans():
+    cfg = make_cfg(
+        perturbation={"name": "runge_decay", "params": {"amplitude": 1.0}},
+        eps_ladder=[0.4, 0.2],
+        solver=dict(FAST_SOLVER, max_iters=600, restarts=2),
+        seed=11,
+    )
+    payload = json.loads(run_stability_sweep(cfg).to_json())
+    assert payload["verdicts"]["gap_decreasing"] is True
+    assert payload["verdicts"]["final_gap_below_threshold"] is False
+    assert payload["rows"][0]["converged"] is True
+    assert payload["provenance"]["w_nonnegative"] is True
+    assert type(payload["verdicts"]["rows_failed"]) is int
+
+
 @pytest.mark.parametrize(
     "potential,method", [("sin2", "separable"), ("sin2_coupled", "windows")]
 )
 def test_stability_provenance_names_the_target_path_in_2d(potential, method):
-    cfg = make_cfg(
-        dimension=2,
-        potential={"name": potential},
-        xi=[1.0, 0.0],
-        eps_ladder=[0.25],
-        seed=3,
-    )
-    prov = run_stability_sweep(cfg).provenance
-    assert prov["f_hom_method"] == method
-    if method == "separable":
-        assert "f_hom_monotone" not in prov
-        assert prov["f_hom_exact"] == prov["f_hom_target"]
-        assert prov["f_hom_target"] == pytest.approx(1.4691052398909545, abs=1e-12)
-    else:
+    """The target comes from f_hom_asymptotic in every dimension; the
+    separable sin2 is also checked in d = 1, where it is the same value."""
+    for dimension in (1, 2) if method == "separable" else (2,):
+        cfg = make_cfg(
+            dimension=dimension,
+            potential={"name": potential},
+            xi=[1.0] + [0.0] * (dimension - 1),
+            eps_ladder=[0.25],
+            seed=3,
+        )
+        prov = run_stability_sweep(cfg).provenance
+        assert prov["f_hom_method"] == method
         assert "f_hom_exact" not in prov
-        assert prov["f_hom_monotone"] is True
-        assert prov["f_hom_target"] > 1.4691052398909545
+        if method == "separable":
+            assert "f_hom_monotone" not in prov
+            assert prov["f_hom_target"] == pytest.approx(1.4691052398909545, abs=1e-12)
+        else:
+            assert prov["f_hom_monotone"] is True
+            assert prov["f_hom_target"] > 1.4691052398909545
 
 
 def test_stability_rejects_signed_and_atom_perturbations():
