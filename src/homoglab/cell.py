@@ -5,10 +5,10 @@ exact one-dimensional value from the conservation law of the cell flow.
 `solve_corrector_1d` solves the one-dimensional cell problem by Newton over
 one period; `tabulate_f_hom` uses it in d = 1, and its profile warm-starts
 the d = 1 stability runs. `f_hom_asymptotic` (and so `tabulate_f_hom` in
-d >= 2) works in any dimension: it sums
-`cell_value_1d` over the axes of a potential with an axis factor (every
-registry potential but `sin2_coupled` in d >= 2), and otherwise takes the
-normalized minimum over growing windows [0, T]. A Newton value is a certified
+d >= 2, and the stability target in every dimension) works in any
+dimension: it sums `cell_value_1d` over the axes of a potential with an
+axis factor (every registry potential but `sin2_coupled` in d >= 2), and
+otherwise takes the normalized minimum over growing windows [0, T]. A Newton value is a certified
 upper bound: it is the action of an explicit admissible periodic trajectory.
 A window value is one only when T * xi is a lattice vector, which the ladder
 arranges for every xi with q * xi integral for some q <= 16; at other slopes
@@ -415,11 +415,11 @@ def tabulate_f_hom(
     The dimension picks the method, recorded as meta["method"]: in d = 1
     ("1d") one Newton cell problem per slope; in d >= 2 ("asymptotic")
     `f_hom_asymptotic` per slope, so a potential with an axis factor gets
-    exact separable values and any other the window ladder. The grid must contain 0 and be symmetric under sign flip
-    per axis. The slope-0 value is pinned to v_min. When midpoint-convexity
-    defects exceed 1e-6, the lower convex envelope is applied and flagged.
-    Failures at individual grid points are collected into a single
-    SolverError listing the points.
+    exact separable values and any other the window ladder. The grid must
+    contain 0 and be symmetric under sign flip per axis. The slope-0 value
+    is pinned to v_min. When midpoint-convexity defects exceed 1e-6, the
+    lower convex envelope is applied and flagged. Failures at individual
+    grid points are collected into a single SolverError listing the points.
     """
     method = "1d" if V.dimension == 1 else "asymptotic"
     axes = _slope_axes(grid, V.dimension)

@@ -8,7 +8,10 @@ sorted, and nothing records wall-clock time. Runners ignore their `threads`
 argument: a thread pool over rows measured slower than the serial loop.
 
 Settings that no config varied are fixed in code, not read from it: the
-quadrature, the recovery construction, the L^p exponent, the f_hom method.
+recovery construction and the L^p exponent here, the quadrature resolution
+in quadrature.py, and the f_hom table method, which tabulate_f_hom picks
+from the dimension. The stability target comes from f_hom_asymptotic in
+every dimension.
 """
 
 import hashlib
@@ -598,7 +601,8 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
         plan = None
     else:
         profile = None
-        plan = build_almost_corrector(V, xi, _RECOVERY_DELTA, 4.0 / min(ladder), cfg.cell_optimizer())
+        horizon = 4.0 / min(ladder)
+        plan = build_almost_corrector(V, xi, _RECOVERY_DELTA, horizon, cfg.cell_optimizer())
 
     def one_rung(eps: float) -> dict:
         try:

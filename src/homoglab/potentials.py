@@ -258,8 +258,9 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
 
     Product midpoint quadrature: transverse cells over the (d-1)-disc of
     radius r (16 per axis), longitudinal cells along the chord of B_R at each
-    transverse offset (4 per unit length, at least 64). For W == c the d = 2 value is exact up to the O((r/R)^2) chord
-    correction, approaching 2*c*omega_{d-1}*r^{d-1} as R grows.
+    transverse offset (max(64, ceil(8 R)) per chord). For W == c the d = 2
+    value is exact up to the O((r/R)^2) chord correction, approaching
+    2*c*omega_{d-1}*r^{d-1} as R grows.
     """
     if W.dimension < 2:
         raise InputError("cylinder_average requires dimension >= 2")

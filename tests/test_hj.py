@@ -157,7 +157,9 @@ def test_polished_values_never_exceed_their_lattice_seed_paths(monkeypatch):
         return values, nodes, times
 
     def halfline_spy(V, W, eps, lam, x0, T_max, n_nodes, opt, *, warm_starts):
-        traj, value = real_halfline(V, W, eps, lam, x0, T_max, n_nodes, opt, warm_starts=warm_starts)
+        traj, value = real_halfline(
+            V, W, eps, lam, x0, T_max, n_nodes, opt, warm_starts=warm_starts
+        )
         assert np.all(np.abs(warm_starts[0][0] - x0) <= eps / 32 + 1e-12)
         for seed in warm_starts:
             seed = np.array(seed)
