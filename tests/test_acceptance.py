@@ -93,9 +93,7 @@ def test_criterion_01_cell_problem_sanity(registry_tables_1d):
 
     t1 = time.monotonic()
     axis2 = np.linspace(-2.0, 2.0, 5)
-    free2 = tabulate_f_hom(
-        make_potential("zero", 2), (axis2, axis2)
-    )
+    free2 = tabulate_f_hom(make_potential("zero", 2), (axis2, axis2))
     mesh = np.stack(np.meshgrid(axis2, axis2, indexing="ij"), axis=-1)
     sq = np.sum(mesh**2, axis=-1)
     err2 = np.max(np.abs(free2.values - sq))
