@@ -237,8 +237,11 @@ def _check_spec_block(block, label: str) -> Optional[dict]:
     extra = set(block) - {"name", "params"}
     if extra:
         raise ConfigError(f"unknown {label} keys: {sorted(extra)}")
-    # Every registry parameter is a real number or a list of them.
+    # Every registry parameter is a real number or a list of them; null leaves
+    # the builder's default in place.
     for key, value in params.items():
+        if value is None:
+            continue
         for item in value if isinstance(value, (list, tuple)) else [value]:
             _finite(item, f"{label}.params.{key}")
     return {"name": str(block["name"]), "params": params}

@@ -121,16 +121,6 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, bad):
     assert not (tmp_path / "o").exists()
 
 
-def test_non_string_output_dir_fails_before_the_run(tmp_path, capsys, monkeypatch):
-    """Without --out the config's output_dir is the target; a number there is
-    a config error before anything runs, not a crash after the run."""
-    cfg = write_cfg(tmp_path, dict(FENCHEL_RAW, output_dir=5))
-    monkeypatch.chdir(tmp_path)
-    assert cli.main(["fenchel", "--config", cfg]) == cli.EXIT_CONFIG == 2
-    assert "output_dir" in capsys.readouterr().err
-    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
-
-
 def test_empty_direction_list_is_a_config_error(tmp_path, capsys):
     raw = {
         "experiment": "conditions",

@@ -83,6 +83,13 @@ def test_config_rejects_bad_documents(raw):
         ExperimentConfig.from_dict(raw)
 
 
+def test_a_null_registry_parameter_keeps_the_builders_default():
+    cfg = ExperimentConfig.from_dict(
+        {"dimension": 2, "initial_datum": {"name": "plane_wave", "params": {"p": None}}}
+    )
+    assert cfg.initial_datum()([1.0, 2.0]) == 3.0
+
+
 def test_config_rejects_invalid_json_and_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json("{not json")

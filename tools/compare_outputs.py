@@ -1,17 +1,16 @@
 """Compare every output file of this checkout with those of another git revision.
 
-    python tools/compare_outputs.py REV [--seeds 7 8]
+    python tools/compare_outputs.py REV
 
 REV is extracted with `git archive` into a temporary directory, so the
 checkout and its working tree are left alone. Each side then writes its
-output tree with its own tools/write_outputs.py at the given seeds, and the
-two trees are compared file by file. Every file is listed as identical,
-changed, or present on one side only; the exit status is 1 if any file
-differs or is one-sided, else 0.
+output tree with its own tools/write_outputs.py at its default seeds, and the
+two trees are compared with `diff -rqs`, which lists every file as identical,
+differing, or present on one side only. The exit status is diff's: 1 if any
+file differs or is one-sided, else 0.
 """
 
 import argparse
-import filecmp
 import subprocess
 import sys
 import tempfile
@@ -29,50 +28,22 @@ def extract(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def write_tree(checkout: Path, out: Path, seeds) -> None:
+def write_tree(checkout: Path, out: Path) -> None:
     """Run the checkout's own tools/write_outputs.py into out."""
     script = checkout / "tools" / "write_outputs.py"
-    args = [sys.executable, str(script), str(out), "--seeds", *map(str, seeds)]
-    subprocess.run(args, check=True, stdout=subprocess.DEVNULL)
-
-
-def compare(base: Path, head: Path) -> dict:
-    """{relative path: "identical" | "changed" | "only in REV" | "only here"}."""
-    def files(root):
-        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
-
-    base_files, head_files = files(base), files(head)
-    status = {}
-    for name in sorted(base_files | head_files):
-        if name not in head_files:
-            status[name] = "only in REV"
-        elif name not in base_files:
-            status[name] = "only here"
-        elif filecmp.cmp(base / name, head / name, shallow=False):
-            status[name] = "identical"
-        else:
-            status[name] = "changed"
-    return status
+    subprocess.run([sys.executable, str(script), str(out)], check=True, stdout=subprocess.DEVNULL)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 8],
-                        help="workload seeds (default: 7 8)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp = Path(tmp)
         extract(args.rev, tmp / "rev")
-        write_tree(tmp / "rev", tmp / "out_rev", args.seeds)
-        write_tree(ROOT, tmp / "out_here", args.seeds)
-        status = compare(tmp / "out_rev", tmp / "out_here")
-    for name, kind in status.items():
-        print(f"{kind:12s} {name}")
-    counts = {kind: sum(1 for k in status.values() if k == kind)
-              for kind in ("identical", "changed", "only in REV", "only here")}
-    print(", ".join(f"{n} {kind}" for kind, n in counts.items()) + f" (REV = {args.rev})")
-    return 0 if counts["identical"] == len(status) else 1
+        write_tree(tmp / "rev", tmp / "out_rev")
+        write_tree(ROOT, tmp / "out_here")
+        return subprocess.run(["diff", "-rqs", "out_rev", "out_here"], cwd=tmp).returncode
 
 
 if __name__ == "__main__":
