@@ -28,7 +28,13 @@ import numpy as np
 
 from .errors import InputError, InvariantError, SolverError
 from .potentials import GeneralLagrangian, PeriodicPotential, Perturbation, eval_potential
-from .quadrature import QuadratureSpec, exp_interval_weights, midpoint_offsets
+from .quadrature import (
+    QuadratureSpec,
+    exp_interval_weights,
+    interval_samples,
+    midpoint_offsets,
+    sub_interval_edges,
+)
 from .trajectory import Trajectory, action_G, discounted_action
 
 __all__ = [
@@ -127,8 +133,7 @@ class _Action:
         return eval_potential(self.V, self.W, y)
 
     def _samples(self, x):
-        lam = self.offsets[None, None, :, None]
-        return (x[:, :-1, None, :] * (1 - lam) + x[:, 1:, None, :] * lam) / self.eps
+        return interval_samples(x, self.weights.shape[1]) / self.eps
 
     def value(self, x, y=None):
         """Action of each path of the batch x (B, N, d); y: its scaled samples, if known."""
@@ -468,16 +473,10 @@ def minimize_halfline(
     _check_window(0.0, T_max, eps)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     times = np.linspace(0.0, T_max, n_nodes)
-    m = quad.samples_per_interval
-
-    widths = np.diff(times)
-    sub_edges = times[:-1, None] + widths[:, None] * np.concatenate(
-        ([0.0], np.arange(1, m) / m, [1.0])
-    )[None, :]
-    anti = np.exp(-lam * sub_edges) / lam
+    weights = exp_interval_weights(sub_interval_edges(times, quad.samples_per_interval), lam)
     tail_w = float(np.exp(-lam * T_max) / lam)
-    kinetic = exp_interval_weights(times, lam) / widths**2
-    action = _Action(V, W, eps, kinetic, anti[:, :-1] - anti[:, 1:], tail_w, last_free=True)
+    kinetic = exp_interval_weights(times, lam) / np.diff(times) ** 2
+    action = _Action(V, W, eps, kinetic, weights, tail_w, last_free=True)
 
     if not len(warm_starts):
         _, states, [(_, path)] = _lattice_seeds(V, W, eps, x0, T_max, [T_max], lam=lam)
@@ -699,9 +698,7 @@ def dp_oracle_halfline(
     moves, slopes = _lattice_moves(slope_set, h, dx, grid.n_x)
 
     cost, atom_cost = _lattice_costs(V, W, eps, states)
-    times = np.linspace(0.0, T_max, grid.n_t)
-    anti = np.exp(-lam * times) / lam
-    weights = anti[:-1] - anti[1:]
+    weights = exp_interval_weights(np.linspace(0.0, T_max, grid.n_t), lam)
 
     value = (cost if atom_cost is None else cost + atom_cost) * (np.exp(-lam * T_max) / lam)
     ix = int(np.argmin(np.abs(states - x0)))
@@ -793,8 +790,7 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
         stages *= h
     weights = None
     if lam is not None:
-        anti = np.exp(-lam * np.linspace(0.0, horizon, n_steps + 1)) / lam
-        weights = (anti[:-1] - anti[1:])[::-1]
+        weights = exp_interval_weights(np.linspace(0.0, horizon, n_steps + 1), lam)[::-1]
     _, reads, arg = _dp_sweep(
         value, lo, hi, moves, stages, n_steps, weights=weights, read_at=counts, record=True
     )

@@ -11,7 +11,8 @@ integral averages:
 * line_average: (1/R) * integral of W over [-R, R] (d = 1),
 * cylinder_average: (1/R) * integral of W over B_R intersected with the tube
   of radius r around the line R*xi (d >= 2),
-* lp_unif_estimate: sup over centers y of integral of W^p over B_1(y).
+* lp_unif_estimate: sup over centers y of integral of |W|^p over B_1(y), on
+  one ball rule from quadrature.py in every dimension.
 
 Evaluators are vectorized over points: they take arrays of shape (..., d) and
 return shape (...). For d = 1 a bare (...) array is also accepted.
@@ -25,11 +26,14 @@ import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError, SolverError
 from .grid import as_points, mesh
-from .quadrature import midpoint_offsets, midpoints
+from .quadrature import ball_rule, midpoints
 
 REGISTRY_VERSION = "1"
 
 SIGN_CLASSES = ("nonnegative", "nonpositive", "signed")
+
+# The (radial cells, sphere resolution) of the uniform-L^p ball rule per dimension.
+_LP_BALL = {1: (128, 1), 2: (64, 128), 3: (48, 32)}
 
 
 class _Differentiable:
@@ -282,7 +286,7 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     cell = (2 * r / n_cross) ** (d - 1)
 
     total = 0.0
-    rel = midpoint_offsets(n_axis) * 2.0 - 1.0  # midpoints of [-1, 1]
+    rel = midpoints(-1.0, 1.0, n_axis)
     for z in offsets:
         half_chord = np.sqrt(max(R * R - float(z @ z), 0.0))
         if half_chord == 0.0:
@@ -295,62 +299,22 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
 
 
 def lp_unif_estimate(W: Perturbation, p: float, centers) -> float:
-    """max over the given centers y of integral of W^p over B_1(y).
+    """max over the given centers y of integral of |W|^p over B_1(y).
 
     A bounded sample proxy for the uniform-L^p norm; the centers are the
-    caller's scan. Supports d <= 3. A NaN integral raises SolverError.
+    caller's scan. Each integral is quadrature.ball_rule(d, *_LP_BALL[d]), so
+    d <= 3. A NaN integral raises SolverError.
     """
     if not p > 0:
         raise InputError("p must be positive")
     d = W.dimension
-    pts_centers = as_points(np.asarray(centers, dtype=float), d)
-    if pts_centers.ndim == 1:
-        pts_centers = pts_centers[None, :]
-    pts_centers = pts_centers.reshape(-1, d)
-
-    if d == 1:
-        n = 256
-        rel = midpoints(-1.0, 1.0, n)
-
-        def integral(y):
-            vals = W.evaluator((y[0] + rel)[:, None])
-            return float(np.sum(np.abs(vals) ** p) * (2.0 / n))
-
-    elif d == 2:
-        n_rho = 64
-        n_th = 128
-        rho = midpoints(0.0, 1.0, n_rho)
-        th = midpoints(0.0, 2 * np.pi, n_th)
-        ct, st = np.cos(th), np.sin(th)
-        ring = np.stack([np.outer(rho, ct), np.outer(rho, st)], axis=-1)  # (n_rho, n_th, 2)
-        weight = rho[:, None] * (1.0 / n_rho) * (2 * np.pi / n_th)
-
-        def integral(y):
-            vals = W.evaluator(ring + y[None, None, :])
-            return float(np.sum(np.abs(vals) ** p * weight))
-
-    elif d == 3:
-        n_rho = 48
-        n_th = 64
-        n_ph = 32
-        rho = midpoints(0.0, 1.0, n_rho)
-        th = midpoints(0.0, 2 * np.pi, n_th)
-        ph = midpoints(0.0, np.pi, n_ph)
-        P, T, F = np.meshgrid(rho, th, ph, indexing="ij")
-        pts = np.stack(
-            [P * np.sin(F) * np.cos(T), P * np.sin(F) * np.sin(T), P * np.cos(F)], axis=-1
-        )
-        weight = P * P * np.sin(F) * (1.0 / n_rho) * (2 * np.pi / n_th) * (np.pi / n_ph)
-
-        def integral(y):
-            vals = W.evaluator(pts + y[None, None, None, :])
-            return float(np.sum(np.abs(vals) ** p * weight))
-
-    else:
+    if d not in _LP_BALL:
         raise InputError("lp_unif_estimate supports dimension <= 3")
+    pts_centers = as_points(np.asarray(centers, dtype=float), d).reshape(-1, d)
+    pts, wts = ball_rule(d, *_LP_BALL[d])
     best = -np.inf
     for y in pts_centers:
-        value = integral(y)
+        value = float(np.sum(np.abs(W.evaluator(pts + y)) ** p * wts))
         if np.isnan(value):
             raise SolverError(f"lp_unif_estimate: the integral of |W|^{p} over B_1({y.tolist()}) is NaN")
         best = max(best, value)

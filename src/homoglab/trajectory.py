@@ -6,6 +6,9 @@ midpoint sampling inside every interval, so a trajectory's action is a
 deterministic function of (nodes, times, QuadratureSpec) that optimizers can
 reproduce to machine precision.
 
+The sample layout and the exact discount weights come from quadrature.py, as
+do the sphere and ball rules of the polar bound behind the cusp connectors.
+
 Uniform node layouts are the norm (`Trajectory.affine`, optimizer grids).
 Graded layouts appear only in cusp connectors, whose profile (distance)^alpha
 has unbounded slope at the endpoints for alpha < 1: geometric clustering of
@@ -20,7 +23,15 @@ import numpy as np
 
 from .errors import InputError, InvariantError
 from .potentials import PeriodicPotential, Perturbation, _householder_frame, eval_potential
-from .quadrature import QuadratureSpec, exp_interval_weights, midpoint_offsets
+from .quadrature import (
+    QuadratureSpec,
+    ball_rule,
+    exp_interval_weights,
+    interval_samples,
+    midpoints,
+    sphere_rule,
+    sub_interval_edges,
+)
 
 __all__ = [
     "Trajectory",
@@ -115,19 +126,13 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Sampling helpers shared with the optimizers
+# Action functionals
 # ---------------------------------------------------------------------------
-
-
-def interval_samples(times: np.ndarray, nodes: np.ndarray, m: int):
-    """Midpoint sample points per interval (n, m, d)."""
-    lam = midpoint_offsets(m)
-    return nodes[:-1, None, :] * (1 - lam)[None, :, None] + nodes[1:, None, :] * lam[None, :, None]
 
 
 def potential_term(times, nodes, fn, eps: float, m: int) -> float:
     """Composite midpoint integral of fn(u(t)/eps) dt along the path."""
-    pts = interval_samples(times, nodes, m)
+    pts = interval_samples(nodes, m)
     vals = fn(pts / eps)
     widths = np.diff(times)
     return float(np.sum(np.sum(vals, axis=1) * (widths / m)))
@@ -196,14 +201,9 @@ def discounted_action(
     _check_dims(u, V, W)
     m = quad.samples_per_interval
 
-    sub_edges = u.times[:-1, None] + np.diff(u.times)[:, None] * np.concatenate(
-        ([0.0], np.arange(1, m) / m, [1.0])
-    )[None, :]
     # exact exp weights on each of the m sub-slices of every interval
-    anti = np.exp(-lam * sub_edges) / lam
-    weights = anti[:, :-1] - anti[:, 1:]
-
-    pts = interval_samples(u.times, u.nodes, m)
+    weights = exp_interval_weights(sub_interval_edges(u.times, m), lam)
+    pts = interval_samples(u.nodes, m)
     vals = eval_potential(V, W, pts / eps)
     value = float(np.sum(vals * weights))
 
@@ -294,18 +294,15 @@ def _discounted_zero_measure(u: Trajectory, lam: float) -> float:
 def _cap_directions(dimension: int, count: int) -> np.ndarray:
     """Directions theta with theta_1 < -1/2 (local coordinates), midpoint grids."""
     if dimension == 2:
-        phi = 2 * np.pi / 3 + (np.arange(count) + 0.5) / count * (2 * np.pi / 3)
+        phi = midpoints(2 * np.pi / 3, 4 * np.pi / 3, count)
         return np.stack([np.cos(phi), np.sin(phi)], axis=1)
     if dimension == 3:
         n_psi = max(2, int(np.ceil(np.sqrt(count / 2))))
         n_az = max(2, int(np.ceil(count / n_psi)))
-        psi = (np.arange(n_psi) + 0.5) / n_psi * (np.pi / 3)
-        az = (np.arange(n_az) + 0.5) / n_az * (2 * np.pi)
-        thetas = []
-        for ps in psi:
-            for a in az:
-                thetas.append([-np.cos(ps), np.sin(ps) * np.cos(a), np.sin(ps) * np.sin(a)])
-        return np.asarray(thetas)
+        psi, az = midpoints(0.0, np.pi / 3, n_psi), midpoints(0.0, 2 * np.pi, n_az)
+        ps, a = np.meshgrid(psi, az, indexing="ij")
+        thetas = np.stack([-np.cos(ps), np.sin(ps) * np.cos(a), np.sin(ps) * np.sin(a)], axis=-1)
+        return thetas.reshape(-1, 3)
     raise InputError("connectors support dimension 2 or 3")
 
 
@@ -407,27 +404,6 @@ def build_connector(x0, y0, alpha: float, W: Perturbation) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _sphere_grid(dimension: int, resolution: int):
-    """Midpoint quadrature nodes and weights on the unit sphere."""
-    if dimension == 2:
-        th = (np.arange(resolution) + 0.5) / resolution * 2 * np.pi
-        pts = np.stack([np.cos(th), np.sin(th)], axis=1)
-        wts = np.full(resolution, 2 * np.pi / resolution)
-        return pts, wts
-    if dimension == 3:
-        n_ph = resolution
-        n_th = 2 * resolution
-        ph = (np.arange(n_ph) + 0.5) / n_ph * np.pi
-        th = (np.arange(n_th) + 0.5) / n_th * 2 * np.pi
-        P, T = np.meshgrid(ph, th, indexing="ij")
-        pts = np.stack(
-            [np.sin(P) * np.cos(T), np.sin(P) * np.sin(T), np.cos(P)], axis=-1
-        ).reshape(-1, 3)
-        wts = (np.sin(P) * (np.pi / n_ph) * (2 * np.pi / n_th)).reshape(-1)
-        return pts, wts
-    raise InputError("polar bound supports dimension 2 or 3")
-
-
 SPHERE_MEASURE = {2: 2 * np.pi, 3: 4 * np.pi}
 # Relative slack of the polar bound for the quadrature error of both sides.
 POLAR_BOUND_TOL = 1e-3
@@ -441,8 +417,9 @@ def polar_bound_check(W: Perturbation, alpha: float, r: float):
     |S^{d-1}|)^{1-1/p} * r^beta * (integral_{B_r} |W|^p)^{1/p} with beta =
     (p - alpha*d)/(alpha*p). The constant is the one produced by the Hoelder
     split with the change of variables rho = t^alpha (whose Jacobian
-    contributes the alpha^{-1/p}). Both sides use the midpoint rule on 512
-    radial cells and a sphere grid of 256 (d = 2) or 64 x 128 (d = 3) cells.
+    contributes the alpha^{-1/p}). Both sides use quadrature.sphere_rule with
+    256 (d = 2) or 64 x 128 (d = 3) cells, lhs on 512 midpoints in t and rhs
+    on ball_rule's 512 radial cells.
     Requires 1 < alpha*d < p. Raises InvariantError if lhs exceeds
     rhs * (1 + POLAR_BOUND_TOL).
     """
@@ -455,21 +432,16 @@ def polar_bound_check(W: Perturbation, alpha: float, r: float):
     if r <= 0:
         raise InputError("r must be positive")
 
-    sphere_pts, sphere_wts = _sphere_grid(d, 256 if d == 2 else 64)
-
+    n_sphere = 256 if d == 2 else 64
+    sphere_pts, sphere_wts = sphere_rule(d, n_sphere)
     n_t = 512
     half = r ** (1.0 / alpha)
-    t = (np.arange(n_t) + 0.5) / n_t * half
-    radial = t**alpha
-    pts = radial[:, None, None] * sphere_pts[None, :, :]
-    vals = W.evaluator(pts.reshape(-1, d)).reshape(n_t, -1)
+    radial = midpoints(0.0, half, n_t) ** alpha
+    vals = W.evaluator(radial[:, None, None] * sphere_pts[None, :, :])
     lhs = float(np.sum(vals * sphere_wts[None, :]) * (half / n_t))
 
-    n_rho = 512
-    rho = (np.arange(n_rho) + 0.5) / n_rho * r
-    pts = rho[:, None, None] * sphere_pts[None, :, :]
-    vals = np.abs(W.evaluator(pts.reshape(-1, d)).reshape(n_rho, -1)) ** p
-    lp_mass = float(np.sum(vals * sphere_wts[None, :] * rho[:, None] ** (d - 1)) * (r / n_rho))
+    ball_pts, ball_wts = ball_rule(d, 512, n_sphere)
+    lp_mass = float(np.sum(np.abs(W.evaluator(r * ball_pts)) ** p * ball_wts)) * r**d
 
     beta = (p - alpha * d) / (alpha * p)
     constant = alpha ** (-1.0 / p) * ((p - 1) / (p - alpha * d) * SPHERE_MEASURE[d]) ** (
