@@ -45,6 +45,7 @@ from .hj import (
 )
 from .minimize import DPGrid, OptimizerSpec, dp_oracle_1d, minimize_bvp
 from .potentials import (
+    LP_EXPONENT,
     Perturbation,
     REGISTRY_VERSION,
     cylinder_average,
@@ -72,8 +73,6 @@ _GAP_SLACK = 0.10
 _RECOVERY_DELTA = 0.2
 _ETA_TUBE = 0.25
 _ALPHA = 0.75
-# Exponent of the uniform-L^p estimate in the condition diagnostics.
-_LP_EXPONENT = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -866,7 +865,7 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
     curves = [one_direction(item) for item in zip(labels, directions)]
 
     centers = mesh([np.arange(-2.0, 2.5, 1.0)] * cfg.dimension)
-    lp_value = lp_unif_estimate(W, _LP_EXPONENT, centers)
+    lp_value = lp_unif_estimate(W, centers)
 
     rows = []
     classifications = {}
@@ -886,7 +885,7 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
         "per_direction": classifications,
         "classification": overall,
         "lp_unif_estimate": float(lp_value),
-        "lp_exponent": _LP_EXPONENT,
+        "lp_exponent": LP_EXPONENT,
     }
     return Report("conditions", tuple(rows), verdicts, cfg.provenance("conditions"))
 

@@ -11,8 +11,8 @@ integral averages:
 * line_average: (1/R) * integral of W over [-R, R] (d = 1),
 * cylinder_average: (1/R) * integral of W over B_R intersected with the tube
   of radius r around the line R*xi (d >= 2),
-* lp_unif_estimate: sup over centers y of integral of |W|^p over B_1(y), on
-  one ball rule from quadrature.py in every dimension.
+* lp_unif_estimate: sup over centers y of integral of |W|^p over B_1(y), with
+  p = LP_EXPONENT and one ball rule from quadrature.py in every dimension.
 
 Evaluators are vectorized over points: they take arrays of shape (..., d) and
 return shape (...). For d = 1 a bare (...) array is also accepted.
@@ -32,7 +32,9 @@ REGISTRY_VERSION = "1"
 
 SIGN_CLASSES = ("nonnegative", "nonpositive", "signed")
 
-# The (radial cells, sphere resolution) of the uniform-L^p ball rule per dimension.
+# The exponent p of the uniform-L^p estimate, and the (radial cells, sphere
+# resolution) of its ball rule in each dimension.
+LP_EXPONENT = 2.0
 _LP_BALL = {1: (128, 1), 2: (64, 128), 3: (48, 32)}
 
 
@@ -228,14 +230,23 @@ def eval_hamiltonian(V: PeriodicPotential, W: Optional[Perturbation], x, p):
     return 0.25 * np.sum(mom * mom, axis=-1) - eval_potential(V, W, as_points(x, V.dimension))
 
 
+def _chord_cells(R: float) -> int:
+    """Midpoints on a chord of length 2R: 4 per unit length, at least 64, at
+    most 2^24 (R <= 2^21; each chord array then holds 128 MiB)."""
+    n = max(64.0, np.ceil(8 * R))
+    if not n <= 2**24:
+        raise InputError(f"R = {R} needs {n:.0f} chord midpoints, over the limit 2^24 (R <= 2^21)")
+    return int(n)
+
+
 def line_average(W: Perturbation, R: float) -> float:
-    """(1/R) * integral of W over [-R, R]; the d = 1 decay diagnostic, on 4
-    midpoints per unit length (at least 64)."""
+    """(1/R) * integral of W over [-R, R]; the d = 1 decay diagnostic, on
+    _chord_cells(R) midpoints."""
     if W.dimension != 1:
         raise InputError("line_average requires a one-dimensional perturbation")
     if not R > 0:
         raise InputError("R must be positive")
-    n = max(64, int(np.ceil(8 * R)))
+    n = _chord_cells(R)
     pts = midpoints(-R, R, n)
     return float(np.sum(W.evaluator(pts[:, None])) * (2 * R / n) / R)
 
@@ -262,7 +273,7 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
 
     Product midpoint quadrature: transverse cells over the (d-1)-disc of
     radius r (16 per axis), longitudinal cells along the chord of B_R at each
-    transverse offset (max(64, ceil(8 R)) per chord). For W == c the d = 2
+    transverse offset (_chord_cells(R) per chord). For W == c the d = 2
     value is exact up to the O((r/R)^2) chord correction, approaching
     2*c*omega_{d-1}*r^{d-1} as R grows.
     """
@@ -278,7 +289,7 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     basis = _householder_frame(axis)[:, 1:]
 
     d = W.dimension
-    n_axis = max(64, int(np.ceil(8 * R)))
+    n_axis = _chord_cells(R)
     n_cross = 16
 
     offsets = mesh([midpoints(-r, r, n_cross)] * (d - 1))
@@ -298,15 +309,13 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     return total / R
 
 
-def lp_unif_estimate(W: Perturbation, p: float, centers) -> float:
-    """max over the given centers y of integral of |W|^p over B_1(y).
+def lp_unif_estimate(W: Perturbation, centers) -> float:
+    """max over the given centers y of integral of |W|^LP_EXPONENT over B_1(y).
 
     A bounded sample proxy for the uniform-L^p norm; the centers are the
     caller's scan. Each integral is quadrature.ball_rule(d, *_LP_BALL[d]), so
     d <= 3. A NaN integral raises SolverError.
     """
-    if not p > 0:
-        raise InputError("p must be positive")
     d = W.dimension
     if d not in _LP_BALL:
         raise InputError("lp_unif_estimate supports dimension <= 3")
@@ -314,9 +323,11 @@ def lp_unif_estimate(W: Perturbation, p: float, centers) -> float:
     pts, wts = ball_rule(d, *_LP_BALL[d])
     best = -np.inf
     for y in pts_centers:
-        value = float(np.sum(np.abs(W.evaluator(pts + y)) ** p * wts))
+        value = float(np.sum(np.abs(W.evaluator(pts + y)) ** LP_EXPONENT * wts))
         if np.isnan(value):
-            raise SolverError(f"lp_unif_estimate: the integral of |W|^{p} over B_1({y.tolist()}) is NaN")
+            raise SolverError(
+                f"lp_unif_estimate: the integral of |W|^{LP_EXPONENT} over B_1({y.tolist()}) is NaN"
+            )
         best = max(best, value)
     return best
 

@@ -152,6 +152,30 @@ def test_a_single_radius_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "dimension,perturbation,grids",
+    [(1, "runge_decay", {}), (2, "parabola_example", {"directions": [[0.0, 1.0]]})],
+)
+def test_a_radius_beyond_the_chord_limit_is_a_config_error(
+    tmp_path, capsys, dimension, perturbation, grids
+):
+    """R = 2^41 is finite, but its chord would need 2^44 midpoints (128 TiB);
+    the line (d = 1) and tube (d = 2) averages refuse it before allocating."""
+    raw = {
+        "experiment": "conditions",
+        "dimension": dimension,
+        "potential": {"name": "zero"},
+        "perturbation": {"name": perturbation},
+        "grids": dict(grids, radii=[64, 2.0**41]),
+    }
+    cfg = write_cfg(tmp_path, raw)
+    code = cli.main(["conditions", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    err = capsys.readouterr().err
+    assert "R = 2199023255552.0" in err and "2^24" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreachable_hj_grid_is_a_solver_failure(tmp_path, capsys):
     raw = {
         "experiment": "hj",

@@ -67,3 +67,25 @@ def test_mesh_order_and_axes_check(raw_axes, data):
     broken[k] = np.append(axes[k], axes[k][0])  # repeats (size 1) or falls back
     with pytest.raises(InputError):
         axes_of(broken, d)
+
+
+def test_lower_convex_envelope_in_two_dimensions():
+    """The d = 2 path (a Qhull lower hull): a dented table comes back at or
+    below itself and midpoint convex; a strictly convex one comes back unchanged."""
+    from homoglab.grid import lower_convex_envelope, midpoint_convexity_report
+
+    axes = (np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5))
+    xx, yy = np.meshgrid(*axes, indexing="ij")
+    convex = xx**2 + 0.5 * yy**2 + 0.25 * xx * yy
+    dented = convex.copy()
+    dented[1, 3] += 0.8
+    dented[3, 2] += 0.5
+    assert midpoint_convexity_report(axes, dented)[0] > 0
+
+    env = lower_convex_envelope(axes, dented)
+    assert env.shape == dented.shape
+    assert np.all(env <= dented)
+    assert env[1, 3] < dented[1, 3] - 0.5 and env[3, 2] < dented[3, 2] - 0.2
+    assert midpoint_convexity_report(axes, env)[0] == 0
+
+    np.testing.assert_allclose(lower_convex_envelope(axes, convex), convex, rtol=0, atol=1e-15)

@@ -7,7 +7,16 @@ import pytest
 
 import homoglab
 from homoglab import InputError, QuadratureSpec
-from homoglab.quadrature import exp_interval_weights, midpoint_offsets, midpoints
+from homoglab.potentials import _LP_BALL
+from homoglab.quadrature import (
+    ball_rule,
+    exp_interval_weights,
+    interval_samples,
+    midpoint_offsets,
+    midpoints,
+    sphere_rule,
+    sub_interval_edges,
+)
 
 
 def test_quadrature_spec_validation():
@@ -29,6 +38,68 @@ def test_exp_interval_weights_sum_to_discount_mass():
     assert w.shape == (400,)
     total = float(np.sum(w))
     assert total == pytest.approx((1.0 - np.exp(-lam * 5.0)) / lam, rel=1e-4)
+
+
+def test_exp_interval_weights_take_edges_along_the_last_axis():
+    rng = np.random.default_rng(3)
+    edges = np.cumsum(rng.uniform(0.01, 0.5, size=(6, 9)), axis=1)
+    w = exp_interval_weights(edges, 0.8)
+    assert w.shape == (6, 8)
+    for row, edge_row in zip(w, edges):
+        assert np.array_equal(row, exp_interval_weights(edge_row, 0.8))
+
+
+def test_sub_slice_weights_add_up_to_the_interval_weight():
+    times = np.concatenate(([0.0], np.cumsum(np.random.default_rng(4).uniform(0.05, 0.7, 40))))
+    lam = 0.6
+    edges = sub_interval_edges(times, 4)
+    assert edges.shape == (40, 5)
+    assert np.array_equal(edges[:, 0], times[:-1]) and np.array_equal(edges[:, -1], times[1:])
+    sub = exp_interval_weights(edges, lam)
+    whole = exp_interval_weights(times, lam)
+    np.testing.assert_allclose(np.sum(sub, axis=1), whole, rtol=1e-15, atol=0)
+
+
+def test_interval_samples_batch_equals_per_path_calls():
+    x = np.random.default_rng(5).normal(size=(3, 7, 2))
+    batch = interval_samples(x, 4)
+    assert batch.shape == (3, 6, 4, 2)
+    for path, samples in zip(x, batch):
+        assert np.array_equal(samples, interval_samples(path, 4))
+    np.testing.assert_allclose(batch[:, :, 1], x[:, :-1] * 0.625 + x[:, 1:] * 0.375, rtol=1e-15)
+
+
+def _midpoint_error(d):
+    """Relative error bound of the ball and sphere rules at the lp resolutions.
+
+    d = 1 and d = 2 are exact (a constant and a linear radial factor, equal
+    angle weights). In d = 3 the polar angles give pi^3 / (48 n^2) against
+    the integral 2 of sin, and the radial factor rho^2 h^2 / 4 against 1/3.
+    """
+    if d < 3:
+        return 1e-14
+    n_rho, n = _LP_BALL[3]
+    return np.pi**3 / (48 * n**2) + 1.0 / (4 * n_rho**2)
+
+
+@pytest.mark.parametrize(
+    "d,sphere,ball", [(1, 2.0, 2.0), (2, 2 * np.pi, np.pi), (3, 4 * np.pi, 4 * np.pi / 3)]
+)
+def test_sphere_and_ball_rules_measure_the_unit_sphere_and_ball(d, sphere, ball):
+    n_rho, n = _LP_BALL[d]
+    pts, wts = sphere_rule(d, n)
+    assert pts.shape == (wts.size, d)
+    np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=1e-15)
+    assert float(np.sum(wts)) == pytest.approx(sphere, rel=_midpoint_error(d))
+    pts, wts = ball_rule(d, n_rho, n)
+    assert pts.shape == (wts.size, d)
+    assert np.all(np.linalg.norm(pts, axis=1) < 1.0)
+    assert float(np.sum(wts)) == pytest.approx(ball, rel=_midpoint_error(d))
+
+
+def test_sphere_rule_rejects_dimension_four():
+    with pytest.raises(InputError):
+        sphere_rule(4, 8)
 
 
 # The action layer: the discrete actions and the minimizers that certify against them.

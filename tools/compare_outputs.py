@@ -4,7 +4,7 @@
 
 REV is extracted with `git archive` into a temporary directory, so the
 checkout and its working tree are left alone. Each side then writes its
-output tree with its own tools/write_outputs.py at its default seeds, and the
+output tree with its own tools/write_outputs.py at its workload seeds, and the
 two trees are compared with `diff -rqs`, which lists every file as identical,
 differing, or present on one side only. The exit status is diff's: 1 if any
 file differs or is one-sided, else 0.

@@ -3,15 +3,15 @@
 Run from anywhere; the homoglab sources of the checkout that holds this
 script are the ones imported:
 
-    python tools/write_outputs.py OUT --seeds 7 8
+    python tools/write_outputs.py OUT
 
 OUT/configs/<name>/ holds what `homoglab <experiment> --config
 configs/<name>.json --out OUT/configs/<name>` writes, for each of the shipped
 configs. OUT/workloads/<workload>-seed<S>/<label>/ holds the report that each
 runner call of a benchmark workload writes, for the configs bench/workloads.py
-generates at seed S (read from there, never changed). A change that claims to
-keep every output byte is checked by writing one tree from each checkout and
-comparing them with `diff -r`.
+generates at each seed S of SEEDS, 7 and 8 (read from there, never changed). A
+change that claims to keep every output byte is checked by writing one tree
+from each checkout and comparing them with `diff -r`.
 """
 
 import argparse
@@ -30,6 +30,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 from homoglab import cli, experiments  # noqa: E402
 import workloads  # noqa: E402
 
+# The workload seeds of the byte check.
+SEEDS = (7, 8)
+
 
 def write_configs(out: Path) -> int:
     """Run each shipped config through the CLI; returns the number of files written."""
@@ -44,10 +47,10 @@ def write_configs(out: Path) -> int:
     return count
 
 
-def write_workloads(out: Path, seeds) -> int:
+def write_workloads(out: Path) -> int:
     """Run each workload's runner calls at each seed; returns the number of files written."""
     count = 0
-    for seed in seeds:
+    for seed in SEEDS:
         for workload in workloads.CALLS:
             for label, runner, raw in workloads.configs(workload, seed):
                 cfg = experiments.ExperimentConfig.from_dict(raw)
@@ -59,13 +62,11 @@ def write_workloads(out: Path, seeds) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", type=Path, help="directory to write; must be absent or empty")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 8],
-                        help="workload seeds (default: 7 8)")
     args = parser.parse_args(argv)
     if args.out.exists() and any(args.out.iterdir()):
         parser.error(f"{args.out} is not empty")
     n_configs = write_configs(args.out)
-    n_workloads = write_workloads(args.out, args.seeds)
+    n_workloads = write_workloads(args.out)
     print(f"wrote {n_configs} config files and {n_workloads} workload files to {args.out}")
     return 0
 
