@@ -201,7 +201,6 @@ def discounted_action(
     _check_dims(u, V, W)
     m = quad.samples_per_interval
 
-    # exact exp weights on each of the m sub-slices of every interval
     weights = exp_interval_weights(sub_interval_edges(u.times, m), lam)
     pts = interval_samples(u.nodes, m)
     vals = eval_potential(V, W, pts / eps)

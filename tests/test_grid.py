@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homoglab import ConjugateTable, ExtrapolationError, HomogenizedLagrangian, InputError
-from homoglab.grid import axes_of, mesh
+from homoglab.grid import axes_of, lower_convex_envelope, mesh, midpoint_convexity_report
 
 AXIS = np.linspace(-1.0, 1.0, 5)
 SOURCE = HomogenizedLagrangian((AXIS,), AXIS**2, 0.0)
@@ -72,8 +72,6 @@ def test_mesh_order_and_axes_check(raw_axes, data):
 def test_lower_convex_envelope_in_two_dimensions():
     """The d = 2 path (a Qhull lower hull): a dented table comes back at or
     below itself and midpoint convex; a strictly convex one comes back unchanged."""
-    from homoglab.grid import lower_convex_envelope, midpoint_convexity_report
-
     axes = (np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5))
     xx, yy = np.meshgrid(*axes, indexing="ij")
     convex = xx**2 + 0.5 * yy**2 + 0.25 * xx * yy

@@ -182,21 +182,6 @@ def test_lp_unif_estimate_constant():
     assert lp_unif_estimate(W, centers) == pytest.approx(np.pi, rel=1e-2)
 
 
-@pytest.mark.parametrize("d,volume", [(1, 2.0), (2, np.pi), (3, 4 * np.pi / 3)])
-def test_lp_unif_estimate_of_unit_w_is_the_ball_volume(d, volume):
-    """|B^d| to within the ball rule's midpoint error (d = 3: the polar-angle
-    and radial errors at _LP_BALL's resolution, about 5e-4)."""
-    from homoglab.potentials import _LP_BALL
-
-    n_rho, n = _LP_BALL[d]
-    rel = 1e-14 if d < 3 else np.pi**3 / (48 * n**2) + 1.0 / (4 * n_rho**2)
-    W = make_perturbation("constant", d, value=1.0)
-    assert lp_unif_estimate(W, np.zeros((2, d))) == pytest.approx(volume, rel=rel)
-    W4 = make_perturbation("constant", 4, value=1.0)
-    with pytest.raises(InputError):
-        lp_unif_estimate(W4, np.zeros((1, 4)))
-
-
 def test_parabola_free_region_geometry():
     # a level-2 channel opens along the vertical axis at large radius
     far_on_axis = np.array([[0.0, 300.0]])

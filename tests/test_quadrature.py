@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import homoglab
-from homoglab import InputError, QuadratureSpec
+from homoglab import InputError, QuadratureSpec, lp_unif_estimate, make_perturbation
 from homoglab.potentials import _LP_BALL
 from homoglab.quadrature import (
     ball_rule,
@@ -86,6 +86,8 @@ def _midpoint_error(d):
     "d,sphere,ball", [(1, 2.0, 2.0), (2, 2 * np.pi, np.pi), (3, 4 * np.pi, 4 * np.pi / 3)]
 )
 def test_sphere_and_ball_rules_measure_the_unit_sphere_and_ball(d, sphere, ball):
+    """Both rules, and lp_unif_estimate of W = 1 on its ball rule, within the
+    midpoint error at the lp resolutions."""
     n_rho, n = _LP_BALL[d]
     pts, wts = sphere_rule(d, n)
     assert pts.shape == (wts.size, d)
@@ -95,11 +97,15 @@ def test_sphere_and_ball_rules_measure_the_unit_sphere_and_ball(d, sphere, ball)
     assert pts.shape == (wts.size, d)
     assert np.all(np.linalg.norm(pts, axis=1) < 1.0)
     assert float(np.sum(wts)) == pytest.approx(ball, rel=_midpoint_error(d))
+    W = make_perturbation("constant", d, value=1.0)
+    assert lp_unif_estimate(W, np.zeros((2, d))) == pytest.approx(ball, rel=_midpoint_error(d))
 
 
-def test_sphere_rule_rejects_dimension_four():
+def test_sphere_rule_and_lp_estimate_reject_dimension_four():
     with pytest.raises(InputError):
         sphere_rule(4, 8)
+    with pytest.raises(InputError):
+        lp_unif_estimate(make_perturbation("constant", 4, value=1.0), np.zeros((1, 4)))
 
 
 # The action layer: the discrete actions and the minimizers that certify against them.
