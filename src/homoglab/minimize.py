@@ -104,6 +104,8 @@ _ROUNDOFF_DECREMENT = 1e-14
 _MAX_HALVINGS = 40
 # The sufficient-decrease constant of the Armijo line search.
 _ARMIJO_C = 1e-4
+# Keeps the least shift of an indefinite Hessian positive when its diagonal is 0.
+_TINY = np.finfo(float).tiny
 
 
 class _Action:
@@ -120,9 +122,17 @@ class _Action:
         self.eps = eps
         self.kinetic = kinetic
         self.weights = weights
-        self.offsets = midpoint_offsets(weights.shape[1])
         self.tail = tail
         self.last_free = last_free
+        # The constants of the derivatives: the sample weights split between an
+        # interval's left and right node for the gradient, and their products
+        # for the Hessian's (left, left), (right, right) and (left, right) blocks.
+        lam = midpoint_offsets(weights.shape[1])
+        left, right = weights * (1 - lam), weights * lam
+        self.grad_weights = left, right
+        self.hess_weights = left * (1 - lam), right * lam, left * lam
+        self.kinetic2 = 2 * kinetic
+        self.kin_block = self.kinetic2[:, None, None] * np.eye(self.terms[0].dimension)
 
     @classmethod
     def eps_action(cls, V, W, eps, times, m):
@@ -132,41 +142,53 @@ class _Action:
     def _f(self, y):
         return eval_potential(self.V, self.W, y)
 
+    def _terms(self, derivative, y):
+        """V.derivative(y) + W.derivative(y), the W term only when W is given."""
+        out = getattr(self.terms[0], derivative)(y)
+        for obj in self.terms[1:]:
+            out = out + getattr(obj, derivative)(y)
+        return out
+
     def _samples(self, x):
         return interval_samples(x, self.weights.shape[1]) / self.eps
 
     def value(self, x, y=None):
-        """Action of each path of the batch x (B, N, d); y: its scaled samples, if known."""
+        """Action of each path of the batch x (B, N, d); y: its scaled samples, if known.
+
+        Each path's value depends on its own row alone, bit for bit, whatever
+        else is in the batch."""
         y = self._samples(x) if y is None else y
         diffs = x[:, 1:] - x[:, :-1]
-        out = np.sum(np.sum(diffs * diffs, axis=2) * self.kinetic, axis=1)
-        out += np.sum(self._f(y) * self.weights, axis=(1, 2))
+        out = ((diffs * diffs).sum(axis=2) * self.kinetic).sum(axis=1)
+        out += (self._f(y) * self.weights).sum(axis=(1, 2))
         if self.tail:
             out += self.tail * self._f(x[:, -1] / self.eps)
         return out
 
-    def derivatives(self, x):
+    def derivatives(self, x, value=None):
         """(value (B,), gradient (B, N, d), diagonal blocks (B, N, d, d), and the
-        blocks coupling node i to node i + 1 (B, N - 1, d, d))."""
-        eps, lam, eye = self.eps, self.offsets, np.eye(x.shape[2])
+        blocks coupling node i to node i + 1 (B, N - 1, d, d)). Given the
+        batch's `value` (as value(x) returned it), it is passed through
+        instead of being evaluated again."""
+        eps = self.eps
         y = self._samples(x)
-        g = sum(obj.grad(y) for obj in self.terms) / eps
-        h = sum(obj.hess(y) for obj in self.terms) / eps**2
-        left, right = self.weights * (1 - lam), self.weights * lam
-        kin = 2 * self.kinetic[None, :, None] * (x[:, 1:] - x[:, :-1])
-        kin_block = 2 * self.kinetic[None, :, None, None] * eye
+        g = self._terms("grad", y) / eps
+        h = self._terms("hess", y) / eps**2
+        left, right = self.grad_weights
+        left_left, right_right, left_right = self.hess_weights
+        kin = self.kinetic2[:, None] * (x[:, 1:] - x[:, :-1])
         grad = np.zeros_like(x)
         grad[:, :-1] = np.einsum("bnsk,ns->bnk", g, left) - kin
         grad[:, 1:] += np.einsum("bnsk,ns->bnk", g, right) + kin
         diag = np.zeros(x.shape + (x.shape[2],))
-        diag[:, :-1] = np.einsum("bnskl,ns->bnkl", h, left * (1 - lam)) + kin_block
-        diag[:, 1:] += np.einsum("bnskl,ns->bnkl", h, right * lam) + kin_block
-        off = np.einsum("bnskl,ns->bnkl", h, left * lam) - kin_block
+        diag[:, :-1] = np.einsum("bnskl,ns->bnkl", h, left_left) + self.kin_block
+        diag[:, 1:] += np.einsum("bnskl,ns->bnkl", h, right_right) + self.kin_block
+        off = np.einsum("bnskl,ns->bnkl", h, left_right) - self.kin_block
         if self.tail:
             end = x[:, -1] / eps
-            grad[:, -1] += self.tail / eps * sum(obj.grad(end) for obj in self.terms)
-            diag[:, -1] += self.tail / eps**2 * sum(obj.hess(end) for obj in self.terms)
-        return self.value(x, y), grad, diag, off
+            grad[:, -1] += self.tail / eps * self._terms("grad", end)
+            diag[:, -1] += self.tail / eps**2 * self._terms("hess", end)
+        return (self.value(x, y) if value is None else value), grad, diag, off
 
 
 def _newton_steps(diag, off, grad):
@@ -184,21 +206,23 @@ def _newton_steps(diag, off, grad):
     B, n, d = grad.shape
     size = n * d
     u = 2 * d - 1
-    bands = np.zeros((u + 1, B, n, d))
+    # LAPACK's upper band storage, Fortran-ordered: row u - (i - j) of column j
+    # holds H[i, j]. Column j = (b, node, col) is store[b, node, col].
+    store = np.zeros((B, n, d, u + 1))
     for k in range(d):
         for col in range(d):
             if col >= k:
-                bands[u - (col - k), :, :, col] = diag[:, :, k, col]
-            bands[u - (d + col - k), :, 1:, col] = off[:, :, k, col]
-    bands = bands.reshape(u + 1, B * size)
+                store[:, :, col, u - (col - k)] = diag[:, :, k, col]
+            store[:, 1:, col, u - (d + col - k)] = off[:, :, k, col]
+    bands = store.reshape(B * size, u + 1).T
     main = bands[u].reshape(B, size)
-    floor = 1e-3 * np.max(np.abs(main), axis=1) + np.finfo(float).tiny
-    low = np.min(main, axis=1)
+    floor = 1e-3 * np.abs(main).max(axis=1) + _TINY
+    low = main.min(axis=1)
     tau = np.where(low > 0, 0.0, floor - low)
-    bands[u] += np.repeat(tau, size)
+    main += tau[:, None]
 
     # Factored in place; a failed start's (uncoupled) columns come back from bands.
-    factor = np.asfortranarray(bands)
+    factor = bands.copy(order="F")
     start = 0
     while True:
         _, info = lapack.dpbtrf(factor[:, start:], overwrite_ab=1)
@@ -217,7 +241,7 @@ def _newton_steps(diag, off, grad):
     if info != 0:
         raise SolverError(f"banded Cholesky solve failed (info {info})")
     steps = steps.reshape(B, n, d)
-    return steps, -np.sum(steps * grad, axis=(1, 2))
+    return steps, -(steps * grad).sum(axis=(1, 2))
 
 
 def _solve(action: _Action, starts, opt: OptimizerSpec):
@@ -225,54 +249,63 @@ def _solve(action: _Action, starts, opt: OptimizerSpec):
 
     Returns, per problem, the value, nodes and solver record {iterations,
     grad_norm (free nodes, final point), converged} of its lowest start.
+
+    Each sweep evaluates the derivatives of the starts whose last step was
+    accepted, at the value the line search accepted. A start that stops
+    without moving (no decrease found, or beaten) keeps the value and
+    gradient norm of its last evaluation, which is its current point.
     """
     P, S, N, _ = starts.shape
     x = starts.reshape((P * S,) + starts.shape[2:]).astype(float)
     free = slice(1, N if action.last_free else N - 1)
-    values, gnorm = np.empty(P * S), np.empty(P * S)
+    values = action.value(x)
+    if not np.all(np.isfinite(values)):
+        raise SolverError("objective not finite at a start trajectory")
+    gnorm = np.empty(P * S)
     iters = np.zeros(P * S, dtype=int)
     converged = np.zeros(P * S, dtype=bool)
-    finished = np.zeros(P * S, dtype=bool)  # roundoff decrement, no decrease, or beaten
-    active = np.ones(P * S, dtype=bool)
+    idx = np.arange(P * S)  # the starts to evaluate: those whose last step was accepted
     for sweep in range(opt.max_iters + 1):
-        idx = np.flatnonzero(active)
-        f, grad, diag, off = action.derivatives(x[idx])
-        if not np.all(np.isfinite(f)):
-            raise SolverError("objective not finite at a start trajectory")
+        f = values[idx]
+        _, grad, diag, off = action.derivatives(x[idx], value=f)
         grad = grad[:, free]
-        values[idx] = f
-        gnorm[idx] = np.sqrt(np.sum(grad * grad, axis=(1, 2)))
-        converged[idx] |= gnorm[idx] <= _GRAD_TOL
-        active[idx] = keep = ~(converged[idx] | finished[idx])
-        if sweep == opt.max_iters or not np.any(keep):
+        gnorm[idx] = norms = np.sqrt((grad * grad).sum(axis=(1, 2)))
+        keep = ~(converged[idx] | (norms <= _GRAD_TOL))
+        converged[idx] = ~keep
+        if sweep == opt.max_iters or not keep.any():
             break
         steps, dec = _newton_steps(diag[keep, free], off[keep, free.start : free.stop - 1], grad[keep])
         idx, f = idx[keep], f[keep]
         # A start that a converged start of its problem beats by more than ten
         # of its Newton decrements is near a worse stationary point: stop it.
         lowest = np.where(converged, values, np.inf).reshape(P, S).min(axis=1)
-        finished[idx] = True
         go = f <= lowest[idx // S] + 10 * dec
         idx, f, steps, dec = idx[go], f[go], steps[go], dec[go]
         iters[idx] += 1
         at_roundoff = dec <= _ROUNDOFF_DECREMENT * np.maximum(1.0, np.abs(f))
         converged[idx] |= at_roundoff
-        # A start stops after this step unless the line search accepts a
-        # step that is not the final roundoff-level one.
-        t = np.ones(idx.size)
-        pending = np.arange(idx.size)
+        # Backtracking from the full step; a roundoff-level step is tried once,
+        # needing no decrease. An accepted start moves, with the value found
+        # here, and is evaluated in the next sweep (a roundoff-level one only
+        # for its gradient norm).
+        accepted = []
+        t = 1.0
         for _ in range(_MAX_HALVINGS):
-            cand = x[idx[pending]]
-            cand[:, free] += t[pending, None, None] * steps[pending]
+            cand = x[idx]
+            cand[:, free] += t * steps
             fc = action.value(cand)
-            decrease = np.where(at_roundoff[pending], 0.0, _ARMIJO_C * t[pending] * dec[pending])
-            ok = np.isfinite(fc) & (fc <= f[pending] - decrease)
-            x[idx[pending[ok]]] = cand[ok]
-            finished[idx[pending[ok]]] = at_roundoff[pending[ok]]
-            pending = pending[~ok & ~at_roundoff[pending]]
-            if pending.size == 0:
+            ok = np.isfinite(fc) & (fc <= f - np.where(at_roundoff, 0.0, _ARMIJO_C * t * dec))
+            won = idx[ok]
+            x[won], values[won] = cand[ok], fc[ok]
+            accepted.append(won)
+            rest = ~(ok | at_roundoff)
+            if not rest.any():
                 break
-            t[pending] *= 0.5
+            idx, f, steps, dec, at_roundoff = idx[rest], f[rest], steps[rest], dec[rest], at_roundoff[rest]
+            t *= 0.5
+        idx = np.sort(np.concatenate(accepted))
+        if not idx.size:
+            break
     best = np.argmin(values.reshape(P, S), axis=1) + S * np.arange(P)
     stats = [
         {"iterations": int(iters[k]), "grad_norm": float(gnorm[k]), "converged": bool(converged[k])}

@@ -280,9 +280,9 @@ def zero_set_measure(u: Trajectory) -> float:
 
 
 def _discounted_zero_measure(u: Trajectory, lam: float) -> float:
-    return float(
-        sum((np.exp(-lam * lo) - np.exp(-lam * hi)) / lam for lo, hi in _zero_intervals(u))
-    )
+    """Discounted time u spends at 0: the exact exp(-lam*t) weights of its zero intervals."""
+    edges = np.array(_zero_intervals(u), dtype=float).reshape(-1, 2)
+    return float(np.sum(exp_interval_weights(edges, lam)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Boundary-value minimizers against closed forms and the DP oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,8 +24,17 @@ from homoglab import (
     minimize_lagrangian_bvp,
     SolverError,
 )
-from homoglab.minimize import _dp_sweep, _lattice_moves, _lattice_seeds, _newton_steps
+from homoglab.minimize import (
+    _Action,
+    _dp_sweep,
+    _lattice_moves,
+    _lattice_seeds,
+    _newton_steps,
+    _solve,
+    _start_stack,
+)
 from homoglab.potentials import GeneralLagrangian, Perturbation, eval_potential
+from homoglab.quadrature import exp_interval_weights, sub_interval_edges
 
 
 def test_bvp_free_particle_is_straight_line(std_opt, quad, zero_1d):
@@ -547,3 +558,95 @@ def test_newton_records_convergence_of_the_winning_start(std_opt, quad, sin2_1d,
     assert u.meta["converged"]
     assert u.meta["grad_norm"] <= 1e-8
     assert 1 <= u.meta["iterations"] < 100
+
+
+# -- the Newton kernel's reuse of values ----------------------------------------
+
+
+def _kernel_action(d, with_w, halfline, eps, V=None):
+    """A pinned eps-action on [0, 2], or the half-line action (free last node,
+    constant tail) on [0, 5] at discount 1, over sin2 and optionally Runge W."""
+    V = make_potential("sin2", d) if V is None else V
+    W = make_perturbation("runge_decay", d, amplitude=1.0) if with_w else None
+    if not halfline:
+        return _Action.eps_action(V, W, eps, np.linspace(0.0, 2.0, 17), 4)
+    times = np.linspace(0.0, 5.0, 21)
+    weights = exp_interval_weights(sub_interval_edges(times, 4), 1.0)
+    kinetic = exp_interval_weights(times, 1.0) / np.diff(times) ** 2
+    return _Action(V, W, eps, kinetic, weights, float(np.exp(-5.0)), last_free=True)
+
+
+_kernel_cases = dict(
+    d=st.sampled_from([1, 2]),
+    with_w=st.booleans(),
+    halfline=st.booleans(),
+    eps=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_kernel_cases, rows=st.lists(st.booleans(), min_size=5, max_size=5))
+def test_action_rows_do_not_depend_on_the_rest_of_the_batch(d, with_w, halfline, eps, seed, rows):
+    """The value and derivatives of any sub-batch are the full batch's rows, bit
+    for bit. The solver relies on it: a start's accepted line-search value is its
+    value in the next sweep's batch, and a start that stops without moving keeps
+    the gradient norm of the batch it was last evaluated in."""
+    action = _kernel_action(d, with_w, halfline, eps)
+    x = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(5, action.kinetic.size + 1, d))
+    keep = np.array(rows)
+    full = action.derivatives(x)
+    assert np.array_equal(action.value(x), full[0])
+    assert np.array_equal(action.value(x[keep]), full[0][keep])
+    for part, whole in zip(action.derivatives(x[keep]), full):
+        assert np.array_equal(part, whole[keep])
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_kernel_cases)
+def test_derivatives_given_the_value_equal_the_full_evaluation(d, with_w, halfline, eps, seed):
+    action = _kernel_action(d, with_w, halfline, eps)
+    x = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(3, action.kinetic.size + 1, d))
+    for given_value, own in zip(action.derivatives(x, value=action.value(x)), action.derivatives(x)):
+        assert np.array_equal(given_value, own)
+
+
+@pytest.mark.parametrize("halfline", [False, True], ids=["pinned", "half-line"])
+@pytest.mark.parametrize("with_w", [False, True], ids=["V", "V+W"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_potential_pass_per_accepted_full_step(d, with_w, halfline):
+    """Counting V's evaluator over path samples: one pass for the starts, then
+    one per line-search trial, and none inside the derivatives, which take the
+    value the line search accepted. Started near its minimizer, where Newton
+    takes full steps, a solve makes one pass per step, not two."""
+    base = make_potential("sin2", d)
+    passes, in_derivatives = [], []
+
+    def counting(y, _evaluate=base.evaluator):
+        if y.ndim == 4:  # path samples; the half-line tail evaluates the last node alone
+            passes.append(bool(in_derivatives))
+        return _evaluate(y)
+
+    action = _kernel_action(d, with_w, halfline, 0.5, V=dataclasses.replace(base, evaluator=counting))
+    derivatives = action.derivatives
+
+    def tracked(*args, **kwargs):
+        in_derivatives.append(True)
+        try:
+            return derivatives(*args, **kwargs)
+        finally:
+            in_derivatives.pop()
+
+    action.derivatives = tracked
+    N, opt = action.kinetic.size + 1, OptimizerSpec(max_iters=50, restarts=0)
+    starts = _start_stack(
+        np.linspace(0.0, 1.0, N), np.zeros((1, d)), np.full((1, d), 0.7), np.zeros((1, 0, N, d)), 0, 0
+    )
+    _, nodes, _ = _solve(action, starts, opt)
+    near = nodes[:, None].copy()
+    near[..., 1:-1, :] += 1e-3 * np.sin(np.linspace(0.0, np.pi, N))[1:-1, None]
+    passes.clear()
+    _, _, [record] = _solve(action, near, opt)
+    assert record["converged"] and record["iterations"] >= 1
+    assert not any(passes)
+    assert len(passes) == record["iterations"] + 1

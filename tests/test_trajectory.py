@@ -25,7 +25,8 @@ from homoglab import (
     polar_bound_check,
     zero_set_measure,
 )
-from homoglab.trajectory import POLAR_BOUND_TOL
+from homoglab.quadrature import exp_interval_weights
+from homoglab.trajectory import POLAR_BOUND_TOL, _discounted_zero_measure
 
 
 def line(t0, t1, a, b, n=33):
@@ -128,6 +129,20 @@ def test_zero_set_measure():
     nodes = np.array([[0.0], [0.0], [1.0], [0.0]])
     u = Trajectory(t, nodes)
     assert zero_set_measure(u) == pytest.approx(1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    widths=st.lists(st.floats(0.05, 2.0), min_size=5, max_size=5),
+    lam=st.floats(0.01, 10.0),
+)
+def test_discounted_zero_measure_is_the_exact_weight_of_the_zero_intervals(widths, lam):
+    """The zero-atom term of discounted_action weighs the time spent at 0 with
+    exp_interval_weights, bit for bit, like every other discount weight."""
+    t = np.concatenate(([0.0], np.cumsum(widths)))
+    u = Trajectory(t, np.array([[1.0], [0.0], [0.0], [-1.0], [0.0], [0.0]]))
+    zero_edges = np.array([[t[1], t[2]], [t[4], t[5]]])
+    assert _discounted_zero_measure(u, lam) == float(np.sum(exp_interval_weights(zero_edges, lam)))
 
 
 def test_homogenized_action_of_affine_path():
