@@ -104,8 +104,6 @@ _ROUNDOFF_DECREMENT = 1e-14
 _MAX_HALVINGS = 40
 # The sufficient-decrease constant of the Armijo line search.
 _ARMIJO_C = 1e-4
-# Keeps the least shift of an indefinite Hessian positive when its diagonal is 0.
-_TINY = np.finfo(float).tiny
 
 
 class _Action:
@@ -216,7 +214,7 @@ def _newton_steps(diag, off, grad):
             store[:, 1:, col, u - (d + col - k)] = off[:, :, k, col]
     bands = store.reshape(B * size, u + 1).T
     main = bands[u].reshape(B, size)
-    floor = 1e-3 * np.abs(main).max(axis=1) + _TINY
+    floor = 1e-3 * np.abs(main).max(axis=1) + np.finfo(float).tiny
     low = main.min(axis=1)
     tau = np.where(low > 0, 0.0, floor - low)
     main += tau[:, None]

@@ -40,12 +40,11 @@ def midpoints(a: float, b: float, n: int) -> np.ndarray:
     return a + (b - a) * midpoint_offsets(n)
 
 
-@lru_cache(maxsize=16)
-def _sample_factors(n: int, m: int, d: int):
-    """The factors 1 - l_s and l_s of interval_samples, laid out (n * m, d) as
-    the samples of n intervals in d dimensions, read-only; the action layer
-    asks for the same few shapes on every evaluation."""
-    lam = np.broadcast_to(midpoint_offsets(m)[:, None], (n, m, d)).reshape(n * m, d)
+@lru_cache(maxsize=8)
+def _sample_factors(m: int):
+    """The columns 1 - l_s and l_s (m, 1) of interval_samples, read-only: the
+    action layer asks for them on every evaluation."""
+    lam = midpoint_offsets(m)[:, None]
     factors = (1 - lam, lam)
     for a in factors:
         a.flags.writeable = False
@@ -54,15 +53,9 @@ def _sample_factors(n: int, m: int, d: int):
 
 def interval_samples(nodes: np.ndarray, m: int) -> np.ndarray:
     """Midpoint sample points (..., n, m, d) of the piecewise-linear paths
-    nodes (..., n + 1, d): (1 - l_s) x_i + l_s x_{i+1} with l_s the m offsets.
-
-    Each node is repeated m times so that both products run over whole
-    contiguous rows; the result equals the broadcast formula bit for bit."""
-    n, d = nodes.shape[-2] - 1, nodes.shape[-1]
-    rest, lam = _sample_factors(n, m, d)
-    repeated = np.repeat(nodes, m, axis=-2)
-    samples = repeated[..., :-m, :] * rest + repeated[..., m:, :] * lam
-    return samples.reshape(nodes.shape[:-2] + (n, m, d))
+    nodes (..., n + 1, d): (1 - l_s) x_i + l_s x_{i+1} with l_s the m offsets."""
+    rest, lam = _sample_factors(m)
+    return nodes[..., :-1, None, :] * rest + nodes[..., 1:, None, :] * lam
 
 
 def sub_interval_edges(times: np.ndarray, m: int) -> np.ndarray:
