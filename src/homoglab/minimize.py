@@ -150,12 +150,12 @@ class _Action:
     def _samples(self, x):
         return interval_samples(x, self.weights.shape[1]) / self.eps
 
-    def value(self, x, y=None):
-        """Action of each path of the batch x (B, N, d); y: its scaled samples, if known.
+    def value(self, x):
+        """Action of each path of the batch x (B, N, d).
 
         Each path's value depends on its own row alone, bit for bit, whatever
         else is in the batch."""
-        y = self._samples(x) if y is None else y
+        y = self._samples(x)
         diffs = x[:, 1:] - x[:, :-1]
         out = ((diffs * diffs).sum(axis=2) * self.kinetic).sum(axis=1)
         out += (self._f(y) * self.weights).sum(axis=(1, 2))
@@ -163,11 +163,10 @@ class _Action:
             out += self.tail * self._f(x[:, -1] / self.eps)
         return out
 
-    def derivatives(self, x, value=None):
-        """(value (B,), gradient (B, N, d), diagonal blocks (B, N, d, d), and the
-        blocks coupling node i to node i + 1 (B, N - 1, d, d)). Given the
-        batch's `value` (as value(x) returned it), it is passed through
-        instead of being evaluated again."""
+    def derivatives(self, x):
+        """(gradient (B, N, d), diagonal blocks (B, N, d, d), and the blocks
+        coupling node i to node i + 1 (B, N - 1, d, d)) of the batch x. Like
+        value, each path's rows depend on its own row alone."""
         eps = self.eps
         y = self._samples(x)
         g = self._terms("grad", y) / eps
@@ -186,7 +185,7 @@ class _Action:
             end = x[:, -1] / eps
             grad[:, -1] += self.tail / eps * self._terms("grad", end)
             diag[:, -1] += self.tail / eps**2 * self._terms("hess", end)
-        return (self.value(x, y) if value is None else value), grad, diag, off
+        return grad, diag, off
 
 
 def _newton_steps(diag, off, grad):
@@ -213,11 +212,11 @@ def _newton_steps(diag, off, grad):
                 store[:, :, col, u - (col - k)] = diag[:, :, k, col]
             store[:, 1:, col, u - (d + col - k)] = off[:, :, k, col]
     bands = store.reshape(B * size, u + 1).T
-    main = bands[u].reshape(B, size)
+    main = store[..., u].reshape(B, size)
     floor = 1e-3 * np.abs(main).max(axis=1) + np.finfo(float).tiny
     low = main.min(axis=1)
     tau = np.where(low > 0, 0.0, floor - low)
-    main += tau[:, None]
+    store[..., u] += tau[:, None, None]
 
     # Factored in place; a failed start's (uncoupled) columns come back from bands.
     factor = bands.copy(order="F")
@@ -249,7 +248,8 @@ def _solve(action: _Action, starts, opt: OptimizerSpec):
     grad_norm (free nodes, final point), converged} of its lowest start.
 
     Each sweep evaluates the derivatives of the starts whose last step was
-    accepted, at the value the line search accepted. A start that stops
+    accepted; their values are the ones the line search accepted, not
+    evaluated again. A start that stops
     without moving (no decrease found, or beaten) keeps the value and
     gradient norm of its last evaluation, which is its current point.
     """
@@ -265,7 +265,7 @@ def _solve(action: _Action, starts, opt: OptimizerSpec):
     idx = np.arange(P * S)  # the starts to evaluate: those whose last step was accepted
     for sweep in range(opt.max_iters + 1):
         f = values[idx]
-        _, grad, diag, off = action.derivatives(x[idx], value=f)
+        grad, diag, off = action.derivatives(x[idx])
         grad = grad[:, free]
         gnorm[idx] = norms = np.sqrt((grad * grad).sum(axis=(1, 2)))
         keep = ~(converged[idx] | (norms <= _GRAD_TOL))

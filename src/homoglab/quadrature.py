@@ -14,7 +14,6 @@ and fixed-size averaging grids spell out the counts it gives.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -40,22 +39,11 @@ def midpoints(a: float, b: float, n: int) -> np.ndarray:
     return a + (b - a) * midpoint_offsets(n)
 
 
-@lru_cache(maxsize=8)
-def _sample_factors(m: int):
-    """The columns 1 - l_s and l_s (m, 1) of interval_samples, read-only: the
-    action layer asks for them on every evaluation."""
-    lam = midpoint_offsets(m)[:, None]
-    factors = (1 - lam, lam)
-    for a in factors:
-        a.flags.writeable = False
-    return factors
-
-
 def interval_samples(nodes: np.ndarray, m: int) -> np.ndarray:
     """Midpoint sample points (..., n, m, d) of the piecewise-linear paths
     nodes (..., n + 1, d): (1 - l_s) x_i + l_s x_{i+1} with l_s the m offsets."""
-    rest, lam = _sample_factors(m)
-    return nodes[..., :-1, None, :] * rest + nodes[..., 1:, None, :] * lam
+    lam = midpoint_offsets(m)[:, None]
+    return nodes[..., :-1, None, :] * (1 - lam) + nodes[..., 1:, None, :] * lam
 
 
 def sub_interval_edges(times: np.ndarray, m: int) -> np.ndarray:

@@ -4,8 +4,6 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import homoglab
 from homoglab import InputError, QuadratureSpec, lp_unif_estimate, make_perturbation
@@ -69,26 +67,6 @@ def test_interval_samples_batch_equals_per_path_calls():
     for path, samples in zip(x, batch):
         assert np.array_equal(samples, interval_samples(path, 4))
     np.testing.assert_allclose(batch[:, :, 1], x[:, :-1] * 0.625 + x[:, 1:] * 0.375, rtol=1e-15)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    lead=st.lists(st.integers(1, 3), max_size=2),
-    n=st.integers(1, 12),
-    m=st.integers(1, 6),
-    d=st.integers(1, 3),
-    seed=st.integers(0, 2**16),
-)
-def test_interval_samples_equal_the_midpoint_formula_bitwise(lead, n, m, d, seed):
-    """The cached factors give (1 - l_s) x_i + l_s x_{i+1} bit for bit, and a
-    caller that writes to its result changes no later call."""
-    x = np.random.default_rng(seed).normal(size=tuple(lead) + (n + 1, d))
-    lam = midpoint_offsets(m)[:, None]
-    expected = x[..., :-1, None, :] * (1 - lam) + x[..., 1:, None, :] * lam
-    assert np.array_equal(interval_samples(x, m), expected)
-    samples = interval_samples(x, m)
-    samples += 1.0  # the caller owns its result
-    assert np.array_equal(interval_samples(x, m), expected)
 
 
 def _midpoint_error(d):
