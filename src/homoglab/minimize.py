@@ -249,9 +249,9 @@ def _solve(action: _Action, starts, opt: OptimizerSpec):
 
     Each sweep evaluates the derivatives of the starts whose last step was
     accepted; their values are the ones the line search accepted, not
-    evaluated again. A start that stops
-    without moving (no decrease found, or beaten) keeps the value and
-    gradient norm of its last evaluation, which is its current point.
+    evaluated again. A start that stops without moving (no decrease found, or
+    beaten) keeps the value and gradient norm of its last evaluation, which
+    is its current point.
     """
     P, S, N, _ = starts.shape
     x = starts.reshape((P * S,) + starts.shape[2:]).astype(float)

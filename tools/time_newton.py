@@ -11,9 +11,11 @@ that their runner calls make is captured with its action and starts; once
 they are done, each captured solve is run again 5 times. One line per solve
 gives its size (nodes, dimension, problems x starts), its Newton sweeps, and
 the median of the 5 times in ms, whole and split into the action's
-derivatives, the banded Newton solves, the line search (every action value:
-the trial steps and the starts' first values) and the rest of `_solve` (its
-bookkeeping). No benchmark span isolates one solve, so this is how the Newton kernel is
+derivatives, the banded Newton solves, the line search (every action value
+outside `derivatives`: the trial steps and the starts' first values) and the
+rest of `_solve` (its bookkeeping). Each call is charged to its outermost
+part, so a value computed inside `derivatives` counts there. No
+benchmark span isolates one solve, so this is how the Newton kernel is
 measured on its own.
 """
 
@@ -59,19 +61,24 @@ def capture(seed):
 
 
 class _Split:
-    """Seconds spent in each timed part of one solve (the parts never call each other)."""
+    """Seconds spent in each part of one solve, each call charged to its outermost part."""
 
     def __init__(self):
         self.seconds = dict.fromkeys(PARTS[:3], 0.0)
         self.sweeps = 0
+        self._inside = False
 
     def timed(self, part, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
+            if self._inside:
+                return fn(*args, **kwargs)
+            self._inside = True
             tic = time.perf_counter()
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 self.seconds[part] += time.perf_counter() - tic
+                self._inside = False
                 self.sweeps += part == "derivatives"
 
         return wrapper
