@@ -43,7 +43,7 @@ from .hj import (
     solve_steady_eps,
     solve_steady_hom,
 )
-from .minimize import DPGrid, OptimizerSpec, dp_oracle_1d, minimize_bvp
+from .minimize import DPGrid, OptimizerSpec, check_newton_terms, dp_oracle_1d, minimize_bvp
 from .potentials import (
     LP_EXPONENT,
     Perturbation,
@@ -571,7 +571,8 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     corrector profile (d = 1, from `solve_corrector_1d`) or the recovery
     competitor (d >= 2); min_F warm-started additionally by the G-minimizer,
     which pins min_F <= min_G structurally. Verdicts: gap_G decreasing with
-    10% slack, final relative gap below the configured threshold.
+    10% slack, final relative gap below the configured threshold. A W that
+    Newton cannot take (check_newton_terms) raises InputError before any solve.
 
     The target f_hom(xi) is `f_hom_asymptotic`'s value in every dimension.
     Provenance names the path that made it (`f_hom_method`: "separable" for
@@ -589,8 +590,7 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
             "stability sweeps require a nonnegative perturbation; "
             "signed ones go through run_negative_perturbation"
         )
-    if W.zero_atom != 0.0:
-        raise InputError("zero-atom perturbations are handled by the DP-based runners")
+    check_newton_terms(V, W)
     xi = cfg.xi
     opt = cfg.optimizer()
     ladder = cfg.eps_ladder

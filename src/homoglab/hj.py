@@ -34,7 +34,7 @@ from .minimize import (
     minimize_bvp_batch,
     minimize_halfline,
 )
-from .potentials import PeriodicPotential, Perturbation
+from .potentials import PeriodicPotential, Perturbation, potential_bounds
 
 __all__ = [
     "ValueField",
@@ -307,8 +307,7 @@ def solve_steady_eps(
     horizon = 6.0 / lam
     nodes_count = max(65, int(4 * horizon / eps) + 9)
 
-    lower = V.v_min + (W.lower_bound() if W is not None else 0.0)
-    upper = V.v_max + (W.upper_bound() if W is not None else 0.0)
+    lower, upper = potential_bounds(V, W)
 
     starts = x_mesh[:, 0] + eps * np.array([0.0, -1.0, 1.0])[:, None]
     lattice, states, [(dp_values, paths)] = _lattice_seeds(

@@ -9,7 +9,9 @@ Two independent routes to the same minima live here, on purpose:
   is block tridiagonal. All starts of all problems of a call are stacked into
   one banded system, factored by a banded Cholesky per iteration, with a
   diagonal shift where a Hessian is indefinite and Armijo backtracking from
-  the full step (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.4, 6);
+  the full step (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.4, 6).
+  V and W enter through their declared closed-form gradients and Hessians;
+  check_newton_terms turns away any other V or W, and a zero atom;
 * backward dynamic programming over a state-time lattice, an anytime upper
   bound for d = 1 that never sees the optimizer's code paths. The same
   sweep, recording each state's argmin move, also seeds the Newton polish
@@ -27,7 +29,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InputError, InvariantError, SolverError
-from .potentials import GeneralLagrangian, PeriodicPotential, Perturbation, eval_potential
+from .potentials import (
+    GeneralLagrangian, PeriodicPotential, Perturbation, eval_potential, potential_bounds
+)
 from .quadrature import (
     QuadratureSpec,
     exp_interval_weights,
@@ -116,7 +120,9 @@ class _Action:
 
     def __init__(self, V, W, eps, kinetic, weights, tail=0.0, last_free=False):
         self.V, self.W = V, W
-        self.terms = [obj for obj in (V, W) if obj is not None]
+        terms = [obj for obj in (V, W) if obj is not None]
+        self.gradients = [obj.gradient for obj in terms]
+        self.hessians = [obj.hessian for obj in terms]
         self.eps = eps
         self.kinetic = kinetic
         self.weights = weights
@@ -130,7 +136,7 @@ class _Action:
         self.grad_weights = left, right
         self.hess_weights = left * (1 - lam), right * lam, left * lam
         self.kinetic2 = 2 * kinetic
-        self.kin_block = self.kinetic2[:, None, None] * np.eye(self.terms[0].dimension)
+        self.kin_block = self.kinetic2[:, None, None] * np.eye(terms[0].dimension)
 
     @classmethod
     def eps_action(cls, V, W, eps, times, m):
@@ -140,11 +146,12 @@ class _Action:
     def _f(self, y):
         return eval_potential(self.V, self.W, y)
 
-    def _terms(self, derivative, y):
-        """V.derivative(y) + W.derivative(y), the W term only when W is given."""
-        out = getattr(self.terms[0], derivative)(y)
-        for obj in self.terms[1:]:
-            out = out + getattr(obj, derivative)(y)
+    @staticmethod
+    def _sum(derivatives, y):
+        """The closed-form derivatives of V and W (when given) at y, added."""
+        out = derivatives[0](y)
+        for derivative in derivatives[1:]:
+            out = out + derivative(y)
         return out
 
     def _samples(self, x):
@@ -169,8 +176,8 @@ class _Action:
         value, each path's rows depend on its own row alone."""
         eps = self.eps
         y = self._samples(x)
-        g = self._terms("grad", y) / eps
-        h = self._terms("hess", y) / eps**2
+        g = self._sum(self.gradients, y) / eps
+        h = self._sum(self.hessians, y) / eps**2
         left, right = self.grad_weights
         left_left, right_right, left_right = self.hess_weights
         kin = self.kinetic2[:, None] * (x[:, 1:] - x[:, :-1])
@@ -183,8 +190,8 @@ class _Action:
         off = np.einsum("bnskl,ns->bnkl", h, left_right) - self.kin_block
         if self.tail:
             end = x[:, -1] / eps
-            grad[:, -1] += self.tail / eps * self._terms("grad", end)
-            diag[:, -1] += self.tail / eps**2 * self._terms("hess", end)
+            grad[:, -1] += self.tail / eps * self._sum(self.gradients, end)
+            diag[:, -1] += self.tail / eps**2 * self._sum(self.hessians, end)
         return grad, diag, off
 
 
@@ -345,6 +352,20 @@ def _start_stack(times, a, b, warm, restarts, seed):
     return np.stack(starts, axis=1)
 
 
+def check_newton_terms(V: Optional[PeriodicPotential], W: Optional[Perturbation]):
+    """Raise InputError unless the Newton minimizers can take V and W: each one
+    given declares a closed-form gradient and Hessian, and W has no zero atom.
+    The registry's indicator_ball, neg_spike and parabola_example perturbations
+    fail it; they are for the DP oracles."""
+    dp = "; use the DP oracles (dp_oracle_1d, dp_oracle_halfline)"
+    if W is not None and W.zero_atom != 0.0:
+        raise InputError("Newton cannot charge a zero atom" + dp)
+    for obj in (V, W):
+        if obj is not None and (obj.gradient is None or obj.hessian is None):
+            name = obj.name or type(obj).__name__
+            raise InputError(f"{name!r} declares no closed-form gradient and Hessian" + dp)
+
+
 def _check_window(t0, t1, eps):
     if not t1 > t0:
         raise InputError("need t1 > t0")
@@ -428,8 +449,7 @@ def minimize_bvp_batch(
 
 def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm):
     """minimize_bvp_batch, also returning the winning starts' solver records."""
-    if W is not None and W.zero_atom != 0.0:
-        raise InputError("perturbations with a zero atom are handled by the DP oracles")
+    check_newton_terms(V, W)
     if n_nodes < 2:
         raise InputError("need at least two nodes")
     _check_window(t0, t1, eps)
@@ -495,8 +515,7 @@ def minimize_halfline(
     is the warm start; that needs d = 1. The trajectory's meta holds the tail
     weight and the solver record.
     """
-    if W is not None and W.zero_atom != 0.0:
-        raise InputError("perturbations with a zero atom are handled by the DP oracles")
+    check_newton_terms(V, W)
     if not lam > 0:
         raise InputError("lam must be positive")
     if T_max < 5.0 / lam:
@@ -773,7 +792,8 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     """
     if V.dimension != 1:
         raise InputError("the lattice DP seeds of the HJ solvers need d = 1")
-    spread = V.v_max - V.v_min + (W.upper_bound() - W.lower_bound() if W is not None else 0.0)
+    lower, upper = potential_bounds(V, W)
+    spread = upper - lower
     if not math.isfinite(spread):
         raise InputError("the lattice DP seeds need V + W with finite bounds")
     dx = eps / _SEED_STATES_PER_EPS

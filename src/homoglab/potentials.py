@@ -38,32 +38,17 @@ LP_EXPONENT = 2.0
 _LP_BALL = {1: (128, 1), 2: (64, 128), 3: (48, 32)}
 
 
-class _Differentiable:
-    """Derivatives of `evaluator`: declared closed forms, else central differences."""
-
-    def grad(self, x):
-        pts = as_points(x, self.dimension)
-        if self.gradient is not None:
-            return self.gradient(pts)
-        return _fd_gradient(self.evaluator, pts)
-
-    def hess(self, x):
-        """Hessian matrices, shape (..., d, d), at points of shape (..., d)."""
-        pts = as_points(x, self.dimension)
-        if self.hessian is not None:
-            return self.hessian(pts)
-        return _fd_hessian(self.grad, pts)
-
-
 @dataclass(frozen=True)
-class PeriodicPotential(_Differentiable):
+class PeriodicPotential:
     """Potential V with period 1 in every coordinate, v_min <= V <= v_max.
 
     `factor`, when set, is a vectorized 1-periodic function v of one variable
     with V(x) = sum_i v(x_i). Such a V is separable, so its homogenized value
     is the sum of exact one-dimensional cell values (`cell.cell_value_1d`),
     and `f_hom_asymptotic` returns that sum instead of solving windows. A V
-    without it goes through the windows.
+    without it goes through the windows. `gradient` and `hessian` are the
+    closed forms of V's derivatives, shape (..., d) and (..., d, d) at points
+    (..., d); the Newton minimizers need both.
     """
 
     dimension: int
@@ -106,7 +91,7 @@ class PeriodicPotential(_Differentiable):
 
 
 @dataclass(frozen=True)
-class Perturbation(_Differentiable):
+class Perturbation:
     """Perturbation W with a declared sign class and size metadata.
 
     sup_bound bounds |W|; support_radius is the radius of a ball around the
@@ -114,7 +99,9 @@ class Perturbation(_Differentiable):
     integrability_exponent is the p declared for uniform-L^p diagnostics and
     connector constructions. zero_atom adds an atom of that value on the set
     {x = 0}: it is invisible to pointwise quadrature and is accounted exactly
-    through the time the trajectory spends at 0.
+    through the time the trajectory spends at 0. `gradient` and `hessian` are
+    closed forms as on PeriodicPotential; a W without them, or with an atom,
+    is for the DP oracles only.
     """
 
     dimension: int
@@ -173,37 +160,18 @@ class GeneralLagrangian:
 
     def potential_bounds(self) -> tuple:
         """(inf, sup) bounds of V + W, the perturbation's atom included."""
-        if self.W is None:
-            return self.V.v_min, self.V.v_max
-        return self.V.v_min + self.W.lower_bound(), self.V.v_max + self.W.upper_bound()
+        return potential_bounds(self.V, self.W)
 
     def evaluator(self, x, xi):
         """L(x, xi), broadcasting over both slots (see eval_lagrangian)."""
         return eval_lagrangian(self.V, self.W, x, xi)
 
 
-def _fd_gradient(evaluator, pts: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient for evaluators without closed forms."""
-    grad = np.empty_like(pts)
-    for axis in range(pts.shape[-1]):
-        plus = pts.copy()
-        minus = pts.copy()
-        plus[..., axis] += h
-        minus[..., axis] -= h
-        grad[..., axis] = (evaluator(plus) - evaluator(minus)) / (2 * h)
-    return grad
-
-
-def _fd_hessian(gradient, pts: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Symmetrized central difference of a gradient, for objects without a closed form."""
-    hess = np.empty(pts.shape + (pts.shape[-1],))
-    for axis in range(pts.shape[-1]):
-        plus = pts.copy()
-        minus = pts.copy()
-        plus[..., axis] += h
-        minus[..., axis] -= h
-        hess[..., :, axis] = (gradient(plus) - gradient(minus)) / (2 * h)
-    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+def potential_bounds(V: PeriodicPotential, W: Optional[Perturbation]) -> tuple:
+    """(inf, sup) bounds of V + W, W's atom included; an absent W is zero."""
+    if W is None:
+        return V.v_min, V.v_max
+    return V.v_min + W.lower_bound(), V.v_max + W.upper_bound()
 
 
 def eval_potential(V: Optional[PeriodicPotential], W: Optional[Perturbation], y):
@@ -501,22 +469,38 @@ def _zero_hessian(x):
     return np.zeros(x.shape + (x.shape[-1],))
 
 
+def _separable(dimension, name, v, dv, d2v, v_bounds, v_lip) -> PeriodicPotential:
+    """V(x) = sum_i v(x_i), every part of it built from the 1-periodic factor v.
+
+    dv and d2v are v's first and second derivatives, v_bounds = (min v, max v)
+    and v_lip is v's Lipschitz constant. The gradient is dv on each axis, the
+    Hessian diag(d2v) on an identity built once, the bounds d * v_bounds and
+    the modulus v_lip * sqrt(d) * delta.
+    """
+    eye = np.eye(dimension)
+    lip = v_lip * np.sqrt(dimension)
+    return PeriodicPotential(
+        dimension,
+        lambda x: np.sum(v(x), axis=-1),
+        v_min=dimension * v_bounds[0],
+        v_max=dimension * v_bounds[1],
+        continuity_modulus=lambda delta: lip * delta,
+        gradient=dv,
+        name=name,
+        hessian=lambda x: d2v(x)[..., None] * eye,
+        factor=v,
+    )
+
+
 def _build_zero_potential(dimension: int) -> PeriodicPotential:
     return replace(_build_constant_potential(dimension, 0.0), name="zero")
 
 
 def _build_constant_potential(dimension: int, value: float = 1.0) -> PeriodicPotential:
-    value = float(value)
-    return PeriodicPotential(
-        dimension,
-        lambda x, _v=value: np.full(x.shape[:-1], _v),
-        v_min=value,
-        v_max=value,
-        continuity_modulus=lambda delta: 0.0,
-        gradient=lambda x: np.zeros_like(x),
-        name="constant",
-        hessian=_zero_hessian,
-        factor=lambda s, _v=value / dimension: np.full(np.shape(s), _v),
+    share = float(value) / dimension
+    return _separable(
+        dimension, "constant", lambda s: np.full(np.shape(s), share), np.zeros_like,
+        np.zeros_like, (share, share), 0.0,
     )
 
 
@@ -526,27 +510,9 @@ def _sin2_factor(s):
 
 def _build_sin2_potential(dimension: int) -> PeriodicPotential:
     """V(x) = sum_i sin^2(pi x_i); minima on the integer lattice."""
-
-    def evaluator(x):
-        return np.sum(np.sin(np.pi * x) ** 2, axis=-1)
-
-    def gradient(x):
-        return np.pi * np.sin(2 * np.pi * x)
-
-    def hessian(x):
-        return (2 * np.pi**2 * np.cos(2 * np.pi * x))[..., None] * np.eye(dimension)
-
-    lip = np.pi * np.sqrt(dimension)
-    return PeriodicPotential(
-        dimension,
-        evaluator,
-        v_min=0.0,
-        v_max=float(dimension),
-        continuity_modulus=lambda delta, _l=lip: _l * delta,
-        gradient=gradient,
-        name="sin2",
-        hessian=hessian,
-        factor=_sin2_factor,
+    return _separable(
+        dimension, "sin2", _sin2_factor, lambda s: np.pi * np.sin(2 * np.pi * s),
+        lambda s: 2 * np.pi**2 * np.cos(2 * np.pi * s), (0.0, 1.0), np.pi,
     )
 
 
@@ -557,12 +523,16 @@ def _build_sin2_coupled_potential(dimension: int) -> PeriodicPotential:
     """V(x) = sum_i sin^2(pi x_i) + c * sum_i sin^2(pi (x_i - x_{i+1})), c = 1/2.
 
     The coupling runs over neighbouring axes i = 1..d-1, so d = 1 is sin2
-    itself (and keeps its axis factor). For d >= 2 V is not a sum of per-axis
-    terms: its homogenized value comes from the window ladder. It is at least
-    sin2's, since V >= sin2 pointwise, with equality on the diagonal slopes
+    itself, renamed. For d >= 2 V is not a sum of per-axis terms: its
+    homogenized value comes from the window ladder. It is at least sin2's,
+    since V >= sin2 pointwise, with equality on the diagonal slopes
     (a, ..., a), where the coupling vanishes. Minima on the integer lattice.
     """
+    if dimension == 1:
+        return replace(_build_sin2_potential(1), name="sin2_coupled")
     c = _SIN2_COUPLING
+    eye = np.eye(dimension)
+    i = np.arange(dimension - 1)
 
     def evaluator(x):
         diff = x[..., :-1] - x[..., 1:]
@@ -582,8 +552,7 @@ def _build_sin2_coupled_potential(dimension: int) -> PeriodicPotential:
         diag = 2 * np.pi**2 * np.cos(2 * np.pi * x)
         diag[..., :-1] += curv
         diag[..., 1:] += curv
-        hess = diag[..., None] * np.eye(dimension)
-        i = np.arange(dimension - 1)
+        hess = diag[..., None] * eye
         hess[..., i, i + 1] = -curv
         hess[..., i + 1, i] = -curv
         return hess
@@ -598,35 +567,15 @@ def _build_sin2_coupled_potential(dimension: int) -> PeriodicPotential:
         gradient=gradient,
         name="sin2_coupled",
         hessian=hessian,
-        factor=_sin2_factor if dimension == 1 else None,
     )
 
 
-def _build_cos_sum_potential(dimension: int) -> PeriodicPotential:
-    """V(x) = 1/2 + (1/(2d)) * sum_i cos(2 pi x_i), normalized into [0, 1]."""
-
-    d = dimension
-
-    def evaluator(x):
-        return 0.5 + np.sum(np.cos(2 * np.pi * x), axis=-1) / (2 * d)
-
-    def gradient(x):
-        return -np.pi / d * np.sin(2 * np.pi * x)
-
-    def hessian(x):
-        return (-2 * np.pi**2 / d * np.cos(2 * np.pi * x))[..., None] * np.eye(d)
-
-    lip = np.pi / np.sqrt(d)
-    return PeriodicPotential(
-        dimension,
-        evaluator,
-        v_min=0.0,
-        v_max=1.0,
-        continuity_modulus=lambda delta, _l=lip: _l * delta,
-        gradient=gradient,
-        name="cos_sum",
-        hessian=hessian,
-        factor=lambda s, _d=d: np.cos(np.pi * s) ** 2 / _d,
+def _build_cos_sum_potential(d: int) -> PeriodicPotential:
+    """V(x) = 1/2 + (1/(2d)) * sum_i cos(2 pi x_i) = sum_i cos^2(pi x_i) / d, in [0, 1]."""
+    return _separable(
+        d, "cos_sum", lambda s: np.cos(np.pi * s) ** 2 / d,
+        lambda s: -np.pi / d * np.sin(2 * np.pi * s),
+        lambda s: -2 * np.pi**2 / d * np.cos(2 * np.pi * s), (0.0, 1.0 / d), np.pi / d,
     )
 
 
@@ -666,6 +615,8 @@ def _build_runge_perturbation(dimension: int, amplitude: float = 1.0) -> Perturb
     if amplitude <= 0:
         raise ConfigError("runge_decay amplitude must be positive")
 
+    eye = np.eye(dimension)
+
     def evaluator(x):
         return amplitude / (1.0 + np.sum(x * x, axis=-1))
 
@@ -676,7 +627,7 @@ def _build_runge_perturbation(dimension: int, amplitude: float = 1.0) -> Perturb
     def hessian(x):
         base = 1.0 + np.sum(x * x, axis=-1)[..., None, None]
         outer = x[..., :, None] * x[..., None, :]
-        return amplitude * (8.0 * outer / base**3 - 2.0 * np.eye(x.shape[-1]) / base**2)
+        return amplitude * (8.0 * outer / base**3 - 2.0 * eye / base**2)
 
     return Perturbation(
         dimension,

@@ -221,25 +221,14 @@ def discounted_action(
     return value
 
 
-def homogenized_action(u: Trajectory, f_table, lam: Optional[float] = None) -> float:
-    """Action of the effective Lagrangian: sum of f(slope) * interval weight.
+def homogenized_action(u: Trajectory, f_table) -> float:
+    """Action of the effective Lagrangian: sum of f(slope) * interval width.
 
-    Piecewise-linear trajectories make this exact given the tabulated f: each
-    interval contributes f(slope) times its width (or times the exact
-    exponential weight when a discount rate is given, plus the constant-tail
-    term f(0) * exp(-lam*t1)/lam). Slopes outside the table hull raise
-    ExtrapolationError rather than clamping.
+    Piecewise-linear trajectories make this exact given the tabulated f.
+    Slopes outside the table hull raise ExtrapolationError rather than
+    clamping.
     """
-    slopes = u.slopes
-    vals = f_table.value(slopes)
-    if lam is None:
-        return float(np.sum(vals * u.widths))
-    if abs(u.t0) > 1e-12:
-        raise InputError("discounted actions start at t0 = 0")
-    kin_w = exp_interval_weights(u.times, lam)
-    value = float(np.sum(vals * kin_w))
-    value += f_table.f0 * float(np.exp(-lam * u.t1) / lam)
-    return value
+    return float(np.sum(f_table.value(u.slopes) * u.widths))
 
 
 # ---------------------------------------------------------------------------

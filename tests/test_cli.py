@@ -176,6 +176,36 @@ def test_a_radius_beyond_the_chord_limit_is_a_config_error(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment,raw",
+    [
+        ("stability", {"xi": [1.0], "eps_ladder": [0.2]}),
+        (
+            "hj",
+            {
+                "lambda": 1.0,
+                "eps_ladder": [0.2],
+                "grids": {"x": {"lo": -0.2, "hi": 0.2, "n": 3}, "xi": {"half_width": 2.0, "n": 9}},
+            },
+        ),
+    ],
+)
+def test_a_w_without_closed_form_derivatives_is_a_config_error(tmp_path, capsys, experiment, raw):
+    """Newton cannot take an indicator W; the run exits 2 and writes nothing."""
+    raw = dict(
+        raw,
+        experiment=experiment,
+        potential={"name": "sin2"},
+        perturbation={"name": "indicator_ball"},
+        solver={"max_iters": 200, "restarts": 1, "cell_max_iters": 400},
+    )
+    cfg = write_cfg(tmp_path, raw)
+    code = cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "closed-form gradient and Hessian" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreachable_hj_grid_is_a_solver_failure(tmp_path, capsys):
     raw = {
         "experiment": "hj",

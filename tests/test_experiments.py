@@ -300,6 +300,22 @@ def test_stability_rejects_signed_and_atom_perturbations():
         )
 
 
+@pytest.mark.parametrize(
+    "dimension,name", [(1, "indicator_ball"), (2, "indicator_ball"), (2, "parabola_example")]
+)
+def test_stability_rejects_a_w_without_closed_form_derivatives_before_any_solve(
+    monkeypatch, dimension, name
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the perturbation was checked")
+
+    for solver in ("f_hom_asymptotic", "solve_corrector_1d", "build_almost_corrector", "minimize_bvp"):
+        monkeypatch.setattr(experiments, solver, no_solve)
+    cfg = make_cfg(dimension=dimension, xi=[1.0] + [0.0] * (dimension - 1), perturbation={"name": name})
+    with pytest.raises(InputError, match="closed-form gradient and Hessian"):
+        run_stability_sweep(cfg)
+
+
 # -- negative runner ---------------------------------------------------------
 
 

@@ -104,6 +104,44 @@ def test_bvp_rejects_bad_window(std_opt, quad, sin2_1d):
         minimize_bvp(sin2_1d, None, -0.1, 0.0, 1.0, 0.0, 1.0, 33, std_opt, quad)
 
 
+@pytest.mark.parametrize(
+    "dimension,name,params",
+    [
+        (1, "indicator_ball", {}),
+        (2, "indicator_ball", {}),
+        (1, "neg_spike", {"depth": 1.0, "width": 0.5}),
+        (2, "parabola_example", {}),
+    ],
+)
+def test_newton_solvers_reject_a_w_without_closed_form_derivatives(
+    fast_opt, dimension, name, params
+):
+    V = make_potential("sin2", dimension)
+    W = make_perturbation(name, dimension, **params)
+    a, b = np.zeros(dimension), np.ones(dimension)
+    match = "no closed-form gradient and Hessian.*dp_oracle_1d"
+    with pytest.raises(InputError, match=match):
+        minimize_bvp(V, W, 0.2, 0.0, 1.0, a, b, 33, fast_opt)
+    with pytest.raises(InputError, match=match):
+        minimize_bvp_batch(V, W, 0.2, 0.0, 1.0, a[None], b, 33, fast_opt)
+    with pytest.raises(InputError, match=match):
+        minimize_halfline(V, W, 0.2, 1.0, a, 5.0, 33, fast_opt)
+
+
+def test_newton_solvers_reject_a_v_without_a_closed_form_hessian_and_a_zero_atom(fast_opt):
+    V = make_potential("sin2", 1)
+    bare = dataclasses.replace(V, hessian=None)
+    atom = make_perturbation("neg_spike", 1, depth=1.0, width=0.0)
+    a, b = np.zeros(1), np.ones(1)
+    for V_, W, match in ((bare, None, "'sin2' declares no"), (V, atom, "zero atom")):
+        with pytest.raises(InputError, match=match):
+            minimize_bvp(V_, W, 0.2, 0.0, 1.0, a, b, 33, fast_opt)
+        with pytest.raises(InputError, match=match):
+            minimize_bvp_batch(V_, W, 0.2, 0.0, 1.0, a[None], b, 33, fast_opt)
+        with pytest.raises(InputError, match=match):
+            minimize_halfline(V_, W, 0.2, 1.0, a, 5.0, 33, fast_opt)
+
+
 def test_dp_oracle_free_particle():
     V = make_potential("zero", 1)
     dp = dp_oracle_1d(V, None, 0.1, 0.0, 1.0, 0.0, 1.0,
