@@ -30,7 +30,9 @@ import numpy as np
 from .errors import ErgodicWindowError, InputError, InvariantError, SolverError
 from .grid import GridTable, axes_of, lower_convex_envelope, mesh
 from .minimize import OptimizerSpec, minimize_bvp, minimize_lagrangian_bvp
-from .potentials import GeneralLagrangian, PeriodicPotential, Perturbation, _householder_frame
+from .potentials import (
+    GeneralLagrangian, PeriodicPotential, Perturbation, _householder_frame, potential_bounds
+)
 from .quadrature import QuadratureSpec
 from .trajectory import Trajectory, action_F, build_connector
 
@@ -116,19 +118,21 @@ def solve_corrector_1d(
     affine = Trajectory.affine([0.0], [target], 0.0, T, n_nodes - 1)
     zero_profile_value = abs(xi) * action_F(affine, V, 1.0)
     if cell_value > zero_profile_value + 1e-12 * max(1.0, abs(zero_profile_value)):
-        raise InvariantError("descent returned a value above the zero-corrector bound")
-    _check_sandwich(cell_value, xi * xi, V.v_min, V.v_max)
+        raise InvariantError(f"descent at xi={xi} returned a value above the zero-corrector bound")
+    _check_sandwich(cell_value, xi, V.v_min, V.v_max)
 
     profile = _profile_from_path(traj.times, traj.nodes.copy(), np.array([xi]))
     meta = {"n_nodes": n_nodes, "zero_profile_value": zero_profile_value, **traj.meta}
     return CorrectorProfile(np.array([xi]), T, profile, cell_value, meta)
 
 
-def _check_sandwich(value, kinetic, lo, hi, slack: float = 1e-9):
+def _check_sandwich(value, xi, lo, hi, slack: float = 1e-9):
+    kinetic = float(np.dot(xi, xi))
     scale = max(1.0, abs(value))
     if value < kinetic + lo - slack * scale or value > kinetic + hi + slack * scale:
         raise InvariantError(
-            f"cell value {value} escapes the sandwich [{kinetic + lo}, {kinetic + hi}]"
+            f"cell value {value} at xi={xi} escapes the sandwich "
+            f"[{kinetic + lo}, {kinetic + hi}]"
         )
 
 
@@ -285,7 +289,7 @@ def solve_corrector_general(
         raise InputError("window length T must be positive")
     traj, total = minimize_lagrangian_bvp(L, 0.0, T, np.zeros_like(xi), T * xi, n_nodes, opt)
     value = total / T
-    _check_sandwich(value, float(xi @ xi), *L.potential_bounds())
+    _check_sandwich(value, xi, *potential_bounds(L.V, L.W))
     profile = _profile_from_path(traj.times, traj.nodes.copy(), xi)
     return CorrectorProfile(xi, float(T), profile, value, {"n_nodes": n_nodes, **traj.meta})
 
@@ -418,31 +422,25 @@ def tabulate_f_hom(
     exact separable values and any other the window ladder. The grid must
     contain 0 and be symmetric under sign flip per axis. The slope-0 value
     is pinned to v_min. When midpoint-convexity defects exceed 1e-6, the
-    lower convex envelope is applied and flagged. Failures at individual
-    grid points are collected into a single SolverError listing the points.
+    lower convex envelope is applied and flagged. The first slope whose solve
+    fails raises its error unchanged (SolverError or InvariantError).
     """
     method = "1d" if V.dimension == 1 else "asymptotic"
     axes = _slope_axes(grid, V.dimension)
     flat = mesh(axes)
     values = np.empty(flat.shape[0])
-    failures = []
     converged = True
     for i, point in enumerate(flat):
         speed = float(np.linalg.norm(point))
-        try:
-            if speed == 0.0:
-                values[i] = V.v_min
-            elif method == "1d":
-                prof = solve_corrector_1d(V, float(point[0]), opt)
-                values[i] = prof.cell_value
-                converged &= prof.meta["converged"]
-            else:
-                values[i], diagnostics = f_hom_asymptotic(V, point, opt)
-                converged &= diagnostics["converged"]
-        except (SolverError, InvariantError) as exc:
-            failures.append((point.tolist(), str(exc)))
-    if failures:
-        raise SolverError(f"tabulation failed at {len(failures)} grid points: {failures}")
+        if speed == 0.0:
+            values[i] = V.v_min
+        elif method == "1d":
+            prof = solve_corrector_1d(V, float(point[0]), opt)
+            values[i] = prof.cell_value
+            converged &= prof.meta["converged"]
+        else:
+            values[i], diagnostics = f_hom_asymptotic(V, point, opt)
+            converged &= diagnostics["converged"]
 
     table = HomogenizedLagrangian(
         axes,
@@ -762,10 +760,6 @@ def _plan_pieces(plan: AlmostCorrectorPlan, t_end: float):
         gap_b = shifts[i + 1] if i + 1 < shifts.size else t_end
         if gap_a < t_end and gap_b > gap_a:
             pieces.append((gap_a, min(gap_b, t_end), np.zeros_like(xi)))
-    if shifts.size and shifts[-1] + plan.T < t_end:
-        last_end = pieces[-1][1]
-        if last_end < t_end:
-            pieces.append((last_end, t_end, np.zeros_like(xi)))
     return [(a, b, s) for (a, b, s) in pieces if b - a > 1e-12]
 
 
@@ -916,20 +910,9 @@ def scaled_corrector_start(
     times = np.linspace(float(t0), float(t1), int(n_nodes))
     lam = (times - times[0]) / (times[-1] - times[0])
     nodes = a[None, :] * (1 - lam)[:, None] + b[None, :] * lam[:, None]
-    nodes = nodes + scaled_oscillation(profile, eps, times)
+    local = np.mod((times - times[0]) / eps, profile.T)
+    for k in range(profile.profile.dimension):
+        nodes[:, k] += eps * np.interp(local, profile.profile.times, profile.profile.nodes[:, k])
     nodes[0] = a
     nodes[-1] = b
     return Trajectory(times, nodes, meta={"eps": eps, "kind": "scaled_corrector"})
-
-
-def scaled_oscillation(profile: CorrectorProfile, eps: float, times) -> np.ndarray:
-    """eps * v(((t - t0)/eps) mod T) at the times: the corrector decoration (n, d)."""
-    local = np.mod((times - times[0]) / eps, profile.T)
-    osc = np.stack(
-        [
-            np.interp(local, profile.profile.times, profile.profile.nodes[:, k])
-            for k in range(profile.profile.dimension)
-        ],
-        axis=-1,
-    )
-    return eps * osc

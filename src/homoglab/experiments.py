@@ -33,7 +33,7 @@ from .cell import (
     tabulate_f_hom,
 )
 from . import __version__ as PACKAGE_VERSION
-from .errors import ConfigError, HomoglabError, InputError, InvariantError
+from .errors import ConfigError, InputError, InvariantError
 from .fenchel import biconjugate_check, legendre_transform
 from .grid import mesh
 from .hj import (
@@ -533,8 +533,6 @@ class StabilityReport(Report):
 
     def __post_init__(self):
         for row in self.rows:
-            if "error" in row:
-                continue
             slack = 1e-9 * max(1.0, abs(row["min_F"]))
             if row["min_G"] < row["min_F"] - slack:
                 raise InvariantError(
@@ -553,12 +551,6 @@ def _slack_decreasing(values, slack: float = _GAP_SLACK, floor: float = 1e-9) ->
     )
 
 
-def _is_exact_zero(W: Optional[Perturbation]) -> bool:
-    return W is None or (
-        W.upper_bound() == 0.0 and W.lower_bound() == 0.0 and W.zero_atom == 0.0
-    )
-
-
 # ---------------------------------------------------------------------------
 # Stability sweep
 # ---------------------------------------------------------------------------
@@ -573,6 +565,8 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     which pins min_F <= min_G structurally. Verdicts: gap_G decreasing with
     10% slack, final relative gap below the configured threshold. A W that
     Newton cannot take (check_newton_terms) raises InputError before any solve.
+    A rung that fails raises its own SolverError or InvariantError, so the
+    verdicts always judge the whole ladder; `rows_failed` is always 0.
 
     The target f_hom(xi) is `f_hom_asymptotic`'s value in every dimension.
     Provenance names the path that made it (`f_hom_method`: "separable" for
@@ -595,7 +589,8 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     opt = cfg.optimizer()
     ladder = cfg.eps_ladder
     nodes_per_period = int(cfg.data["solver"]["nodes_per_period"])
-    zero_w = _is_exact_zero(W)
+    # exact: W is nonnegative and check_newton_terms has turned away any atom
+    zero_w = W.upper_bound() == 0.0
 
     target, diagnostics = f_hom_asymptotic(V, xi, opt=cfg.cell_optimizer())
     if cfg.dimension == 1:
@@ -606,27 +601,26 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
         horizon = 4.0 / min(ladder)
         plan = build_almost_corrector(V, xi, _RECOVERY_DELTA, horizon, cfg.cell_optimizer())
 
-    def one_rung(eps: float) -> dict:
-        try:
-            n_nodes = max(65, int(nodes_per_period / eps) + 9)
-            if profile is not None:
-                warm = (scaled_corrector_start(profile, eps, 0.0, 1.0, np.zeros(1), xi, n_nodes),)
-            else:
-                warm = (build_recovery_trajectory(plan, W, eps, _ETA_TUBE, _ALPHA),)
-            a0 = np.zeros(cfg.dimension)
-            if zero_w:
-                u_f, min_f = minimize_bvp(
-                    V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm
-                )
-                u_g, min_g = u_f, min_f
-            else:
-                u_g, min_g = minimize_bvp(
-                    V, W, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm
-                )
-                u_f, min_f = minimize_bvp(
-                    V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm + (u_g,)
-                )
-            return {
+    rows = []
+    a0 = np.zeros(cfg.dimension)
+    for eps in ladder:
+        n_nodes = max(65, int(nodes_per_period / eps) + 9)
+        if profile is not None:
+            warm = (scaled_corrector_start(profile, eps, 0.0, 1.0, np.zeros(1), xi, n_nodes),)
+        else:
+            warm = (build_recovery_trajectory(plan, W, eps, _ETA_TUBE, _ALPHA),)
+        if zero_w:
+            u_f, min_f = minimize_bvp(
+                V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm
+            )
+            u_g, min_g = u_f, min_f
+        else:
+            u_g, min_g = minimize_bvp(V, W, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm)
+            u_f, min_f = minimize_bvp(
+                V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm + (u_g,)
+            )
+        rows.append(
+            {
                 "eps": float(eps),
                 "min_G": float(min_g),
                 "min_F": float(min_f),
@@ -635,19 +629,14 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
                 "gap_F": float(min_f - target),
                 "converged": u_g.meta["converged"] and u_f.meta["converged"],
             }
-        except HomoglabError as exc:
-            return {"eps": float(eps), "error": f"{type(exc).__name__}: {exc}"}
-
-    rows = [one_rung(eps) for eps in ladder]
-    valid = [r for r in rows if "error" not in r]
-    gaps = [r["gap_G"] for r in valid]
+        )
+    gaps = [r["gap_G"] for r in rows]
     scale = max(abs(float(target)), 1e-12)
     verdicts = {
-        "gap_decreasing": bool(valid) and _slack_decreasing(gaps),
-        "final_gap_below_threshold": bool(valid)
-        and abs(gaps[-1]) / scale < cfg.threshold,
-        "final_relative_gap": (abs(gaps[-1]) / scale) if valid else None,
-        "rows_failed": len(rows) - len(valid),
+        "gap_decreasing": _slack_decreasing(gaps),
+        "final_gap_below_threshold": abs(gaps[-1]) / scale < cfg.threshold,
+        "final_relative_gap": abs(gaps[-1]) / scale,
+        "rows_failed": 0,  # a failing rung raises; the key stays in every report
     }
     prov = cfg.provenance("stability")
     prov["w_nonnegative"] = True
@@ -671,7 +660,8 @@ def run_negative_perturbation(cfg: ExperimentConfig, threads: int = 1) -> Report
     zero-set bonus of size inf W; it is computed by the same DP with the
     continuous perturbation replaced by a pure atom at 0, so both sides of
     the comparison share one discretization. A pure-atom W (support radius 0)
-    must produce bitwise eps-independent rungs.
+    must produce bitwise eps-independent rungs. A rung that fails raises its
+    own error, so the verdicts judge the whole ladder; `rows_failed` is 0.
     """
     if cfg.dimension != 1:
         raise InputError("the negative-perturbation runner is one-dimensional")
@@ -702,35 +692,29 @@ def run_negative_perturbation(cfg: ExperimentConfig, threads: int = 1) -> Report
     )
     limit_value = dp_oracle_1d(V, limit_bonus, 1.0, 0.0, 1.0, 0.0, 0.0, grid)
 
-    def one_rung(eps: float) -> dict:
-        try:
-            value = dp_oracle_1d(V, W, eps, 0.0, 1.0, 0.0, 0.0, grid)
-            return {
-                "eps": float(eps),
-                "min_G": float(value),
-                "limit_value": float(limit_value),
-                "gap": float(value - limit_value),
-            }
-        except HomoglabError as exc:
-            return {"eps": float(eps), "error": f"{type(exc).__name__}: {exc}"}
-
-    rows = [one_rung(eps) for eps in cfg.eps_ladder]
-    valid = [r for r in rows if "error" not in r]
-    values = [r["min_G"] for r in valid]
+    values = [float(dp_oracle_1d(V, W, eps, 0.0, 1.0, 0.0, 0.0, grid)) for eps in cfg.eps_ladder]
+    rows = [
+        {
+            "eps": float(eps),
+            "min_G": value,
+            "limit_value": float(limit_value),
+            "gap": float(value - limit_value),
+        }
+        for eps, value in zip(cfg.eps_ladder, values)
+    ]
     pure_atom = W.support_radius == 0.0 and W.zero_atom < 0.0
-    spread = (max(values) - min(values)) if values else math.inf
-    if pure_atom and valid and spread > 1e-12:
+    spread = max(values) - min(values)
+    if pure_atom and spread > 1e-12:
         raise InvariantError(
             f"a pure zero-atom perturbation must be eps-independent; spread {spread}"
         )
     scale = max(abs(float(limit_value)), 1e-12)
     verdicts = {
-        "eps_independent": bool(valid) and spread <= 1e-12,
-        "value_spread": float(spread) if valid else None,
-        "final_within_5pct": bool(valid)
-        and abs(values[-1] - limit_value) / scale <= 0.05,
+        "eps_independent": spread <= 1e-12,
+        "value_spread": float(spread),
+        "final_within_5pct": abs(values[-1] - limit_value) / scale <= 0.05,
         "limit_value": float(limit_value),
-        "rows_failed": len(rows) - len(valid),
+        "rows_failed": 0,  # a failing rung raises; the key stays in every report
     }
     prov = cfg.provenance("negative")
     prov["dp_grid"] = asdict(grid)
@@ -838,9 +822,9 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
     if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
         raise InputError("radii must be positive and strictly increasing")
 
+    tube_r = float(grids["tube_radius"])
     if cfg.dimension == 1:
-        directions = [np.array([1.0])]
-        labels = ["line"]
+        curves = [("line", [float(line_average(W, R)) for R in radii])]
     else:
         raw_dirs = grids["directions"]
         if raw_dirs is None:
@@ -852,17 +836,10 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
                 raise InputError("each direction must be a nonzero vector of length d")
             directions.append(arr / np.linalg.norm(arr))
             labels.append(";".join(repr(float(v)) for v in arr))
-    tube_r = float(grids["tube_radius"])
-
-    def one_direction(pair):
-        label, direction = pair
-        if cfg.dimension == 1:
-            curve = [line_average(W, R) for R in radii]
-        else:
-            curve = [cylinder_average(W, direction, tube_r, R) for R in radii]
-        return label, [float(v) for v in curve]
-
-    curves = [one_direction(item) for item in zip(labels, directions)]
+        curves = [
+            (label, [float(cylinder_average(W, direction, tube_r, R)) for R in radii])
+            for label, direction in zip(labels, directions)
+        ]
 
     centers = mesh([np.arange(-2.0, 2.5, 1.0)] * cfg.dimension)
     lp_value = lp_unif_estimate(W, centers)

@@ -152,15 +152,11 @@ class GeneralLagrangian:
     def __post_init__(self):
         if self.W is not None and self.W.dimension != self.V.dimension:
             raise InputError("V and W dimensions disagree")
-        if self.potential_bounds()[0] < 0:
+        if potential_bounds(self.V, self.W)[0] < 0:
             raise InputError(
                 "signed potentials break the lower growth bound; "
                 "use the DP oracles for those problems"
             )
-
-    def potential_bounds(self) -> tuple:
-        """(inf, sup) bounds of V + W, the perturbation's atom included."""
-        return potential_bounds(self.V, self.W)
 
     def evaluator(self, x, xi):
         """L(x, xi), broadcasting over both slots (see eval_lagrangian)."""

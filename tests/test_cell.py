@@ -1,5 +1,6 @@
 """Cell problems: homogenized values, tables, and the independent 1D oracle."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -31,6 +32,7 @@ from homoglab import (
     solve_corrector_general,
     tabulate_f_hom,
 )
+from homoglab.potentials import potential_bounds
 
 
 def _graded_breaks(v_fn):
@@ -137,6 +139,26 @@ def test_sandwich_bounds_on_table(cell_opt, sin2_1d):
     assert np.all(f.values <= upper + 1e-6)
 
 
+def test_table_raises_the_first_failing_slopes_own_error(cell_opt, sin2_1d, monkeypatch):
+    """No relabelling as SolverError: an invariant violation at one slope ends
+    the tabulation as an InvariantError that names the slope."""
+    real = homoglab.cell.solve_corrector_1d
+
+    def solver(V, xi, opt):
+        if xi == 0.5:
+            raise InvariantError(f"synthetic violation at xi={xi}")
+        return real(V, xi, opt)
+
+    monkeypatch.setattr(homoglab.cell, "solve_corrector_1d", solver)
+    with pytest.raises(InvariantError, match="xi=0.5"):
+        tabulate_f_hom(sin2_1d, np.linspace(-1, 1, 5), opt=cell_opt)
+    monkeypatch.undo()
+    # A declared v_min above the true one puts every cell value under the sandwich.
+    liar = dataclasses.replace(sin2_1d, v_min=0.6)
+    with pytest.raises(InvariantError, match="at xi=-1.0 escapes the sandwich"):
+        tabulate_f_hom(liar, np.linspace(-1, 1, 5), opt=cell_opt)
+
+
 def test_general_corrector_rejects_values_above_the_sandwich(cell_opt, monkeypatch):
     V = make_potential("sin2", 1)
     W = make_perturbation("constant", 1, value=0.5)
@@ -155,7 +177,7 @@ def test_general_lagrangian_is_the_pair_V_W():
     V = make_potential("sin2", 2)
     W = make_perturbation("constant", 2, value=0.5)
     L = GeneralLagrangian(V, W)
-    assert L.potential_bounds() == (0.0, 2.5)  # a nonnegative W is bounded below by 0
+    assert potential_bounds(L.V, L.W) == (0.0, 2.5)  # a nonnegative W is bounded below by 0
     x = np.array([[0.25, 0.5], [1.0, 0.0]])
     xi = np.array([[1.0, -2.0], [0.0, 0.5]])
     np.testing.assert_array_equal(L.evaluator(x, xi), np.sum(xi * xi, axis=-1) + (V(x) + W(x)))

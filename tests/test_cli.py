@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from homoglab import cli
+import homoglab.cell
+from homoglab import cli, experiments
 from homoglab.errors import InvariantError, SolverError
 
 
@@ -244,6 +245,47 @@ def test_solver_error_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "fenchel", (exploding_runner, "stub"))
     cfg = write_cfg(tmp_path, FENCHEL_RAW)
     assert cli.main(["fenchel", "--config", cfg]) == cli.EXIT_SOLVER == 3
+
+
+@pytest.mark.parametrize(
+    "error,code", [(SolverError, cli.EXIT_SOLVER), (InvariantError, cli.EXIT_INVARIANT)]
+)
+def test_a_failing_stability_rung_sets_the_exit_code(tmp_path, capsys, monkeypatch, error, code):
+    """The finest rung fails: the run exits 3 or 4 and writes no report."""
+    real = experiments.minimize_bvp
+
+    def solver(V, W, eps, *args, **kwargs):
+        if eps == 0.1:
+            raise error("synthetic rung failure")
+        return real(V, W, eps, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "minimize_bvp", solver)
+    raw = {
+        "experiment": "stability",
+        "potential": {"name": "sin2"},
+        "eps_ladder": [0.4, 0.2, 0.1],
+        "solver": {"max_iters": 300, "restarts": 1, "cell_max_iters": 600, "nodes_per_period": 8},
+    }
+    cfg = write_cfg(tmp_path, raw)
+    assert cli.main(["stability", "--config", cfg, "--out", str(tmp_path / "o")]) == code
+    assert "synthetic rung failure" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_failing_slope_keeps_its_invariant_exit_code(tmp_path, capsys, monkeypatch):
+    """An InvariantError at one slope of an fhom table exits 4, not 3."""
+    real = homoglab.cell.solve_corrector_1d
+
+    def solver(V, xi, opt):
+        if xi == 1.0:
+            raise InvariantError(f"synthetic violation at xi={xi}")
+        return real(V, xi, opt)
+
+    monkeypatch.setattr(homoglab.cell, "solve_corrector_1d", solver)
+    cfg = write_cfg(tmp_path, dict(FENCHEL_RAW, experiment="fhom"))
+    assert cli.main(["fhom", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "synthetic violation at xi=1.0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_seed_override_changes_provenance(tmp_path):

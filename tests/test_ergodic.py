@@ -12,6 +12,7 @@ from homoglab import (
     ergodic_shift_finder,
     make_potential,
 )
+from homoglab.cell import _plan_pieces
 
 
 def lattice_distance(t, xi):
@@ -98,3 +99,25 @@ def test_plan_validation_rejects_bad_spacing(plan):
             plan.slopes,
             plan.profile_values,
         )
+
+
+def test_plan_pieces_tile_the_window_past_the_last_block():
+    """Blocks at shifts 0 and 5 (T = 4) and t_end = 12: the gap after the
+    last block is the final piece, and the pieces tile [0, 12] exactly."""
+    plan = AlmostCorrectorPlan(
+        np.array([1.0]),
+        delta=0.5,
+        eta=0.1,
+        l_delta=1.0,
+        T=4.0,
+        shifts=np.array([0.0, 5.0]),
+        breakpoints=np.array([0.0, 2.0, 4.0]),
+        slopes=np.array([[0.5], [-0.5]]),
+        profile_values=np.array([[0.0], [1.0], [0.0]]),
+    )
+    pieces = _plan_pieces(plan, 12.0)
+    starts = [a for a, _, _ in pieces]
+    ends = [b for _, b, _ in pieces]
+    assert starts == [0.0, 2.0, 4.0, 5.0, 7.0, 9.0]
+    assert ends == starts[1:] + [12.0]
+    assert [float(s[0]) for _, _, s in pieces] == [0.5, -0.5, 0.0, 0.5, -0.5, 0.0]

@@ -1,5 +1,6 @@
 """Experiment configs, runners, reports: validation, invariants, determinism."""
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homoglab.cell
 from homoglab import experiments
-from homoglab.errors import ConfigError, InputError, InvariantError
+from homoglab.errors import ConfigError, InputError, InvariantError, SolverError
 from homoglab.experiments import (
     ExperimentConfig,
     Report,
@@ -316,6 +318,27 @@ def test_stability_rejects_a_w_without_closed_form_derivatives_before_any_solve(
         run_stability_sweep(cfg)
 
 
+def fail_at_eps(monkeypatch, name, eps, error):
+    """Replace experiments.<name> by the real solver, except that a call at
+    this eps raises `error`."""
+    real = getattr(experiments, name)
+
+    def solver(V, W, rung_eps, *args, **kwargs):
+        if rung_eps == eps:
+            raise error(f"synthetic failure at eps={rung_eps}")
+        return real(V, W, rung_eps, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, name, solver)
+
+
+@pytest.mark.parametrize("error", [SolverError, InvariantError])
+def test_a_failing_stability_rung_raises_its_own_error(monkeypatch, error):
+    """The finest rung's failure ends the sweep; no verdict is judged on the rest."""
+    fail_at_eps(monkeypatch, "minimize_bvp", 0.1, error)
+    with pytest.raises(error, match="eps=0.1"):
+        run_stability_sweep(make_cfg(eps_ladder=[0.4, 0.2, 0.1]))
+
+
 # -- negative runner ---------------------------------------------------------
 
 
@@ -339,6 +362,13 @@ def test_negative_pure_atom_is_eps_independent():
     assert rep.verdicts["final_within_5pct"] is True
     # loop boundary, zero base potential: value is the pure atom bonus -depth
     assert rep.verdicts["limit_value"] == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_a_failing_negative_rung_raises_its_own_error(monkeypatch):
+    # The limit value is a call at eps = 1, outside the ladder [0.2, 0.1].
+    fail_at_eps(monkeypatch, "dp_oracle_1d", 0.1, SolverError)
+    with pytest.raises(SolverError, match="eps=0.1"):
+        run_negative_perturbation(negative_cfg())
 
 
 def test_negative_runner_rejects_wrong_inputs():
@@ -410,6 +440,39 @@ def test_fhom_runner_free_potential_table():
     assert values[1.0] == pytest.approx(1.0, abs=1e-9)
     assert values[-0.5] == pytest.approx(0.25, abs=1e-9)
     assert any(name == "f_hom.json" for name, _ in rep.extra_files)
+
+
+def test_fhom_runner_repairs_a_nonconvex_table_with_its_envelope(monkeypatch):
+    """One slope's cell value sits 1e-3 high; the runner's table is the lower
+    convex envelope: flagged, convex, and nowhere above the solved values.
+    sin2's f_hom is nearly linear for |xi| <= 0.375, so the bump at 0.25 is
+    a midpoint defect of about 1e-3."""
+    real = homoglab.cell.solve_corrector_1d
+    solved = {0.0: 0.0}
+
+    def bumped(V, xi, opt):
+        prof = real(V, xi, opt)
+        if xi == 0.25:
+            prof = dataclasses.replace(prof, cell_value=prof.cell_value + 1e-3)
+        solved[xi] = prof.cell_value
+        return prof
+
+    monkeypatch.setattr(homoglab.cell, "solve_corrector_1d", bumped)
+    cfg = ExperimentConfig.from_dict(
+        {
+            "potential": {"name": "sin2"},
+            "grids": {"xi": {"half_width": 0.5, "n": 9}},
+            "solver": dict(FAST_SOLVER),
+        }
+    )
+    rep = run_fhom_table(cfg)
+    assert rep.verdicts["envelope_applied"] is True
+    assert rep.verdicts["convexity_violations"] == 0
+    meta = json.loads(dict(rep.extra_files)["f_hom.json"])["meta"]
+    assert meta["envelope_max_drop"] > 0
+    assert len(solved) == len(rep.rows) == 9
+    for row in rep.rows:
+        assert row["f_hom"] <= solved[row["xi_1"]]
 
 
 def test_fenchel_runner_certifies_transform():

@@ -183,14 +183,15 @@ def test_homogenized_action_of_affine_path():
 
 
 def test_connector_endpoints_and_kinetic_bound(rng):
-    W = dataclasses.replace(
-        make_perturbation("runge_decay", 2, amplitude=1.0), integrability_exponent=2.0
-    )
-    for alpha in (0.6, 0.9):
+    # p = 2, so alpha < p/d: up to 1 in d = 2, up to 2/3 in d = 3
+    for d, alpha in ((2, 0.6), (2, 0.9), (3, 0.6)):
+        W = dataclasses.replace(
+            make_perturbation("runge_decay", d, amplitude=1.0), integrability_exponent=2.0
+        )
         for r in (0.5, 2.0):
-            direction = rng.normal(size=2)
+            direction = rng.normal(size=d)
             direction /= np.linalg.norm(direction)
-            x0 = rng.normal(size=2)
+            x0 = rng.normal(size=d)
             y0 = x0 + r * direction
             gamma = build_connector(x0, y0, alpha, W)
             np.testing.assert_allclose(gamma.nodes[0], x0, atol=1e-12)
