@@ -4,11 +4,14 @@ Slope tables, momentum tables and value fields all live on products of
 strictly increasing 1-D axes. This module owns how such axes are read and
 checked, how they are flattened into points (`ij` order: the last axis varies
 fastest, as in itertools.product), and the multilinear table that the
-homogenized Lagrangian and its Legendre conjugate share. It imports nothing
-from the package but its errors, so every other module may use it.
+homogenized Lagrangian and its Legendre conjugate share, which checks its hull
+and then looks its points up in NumPy. It imports nothing from the package but
+its errors, so every other module may use it.
 """
 
+import itertools
 import json
+import math
 
 import numpy as np
 
@@ -63,7 +66,7 @@ class GridTable:
     """Multilinear interpolation table on the product of strictly increasing axes.
 
     axes: one axis (>= 2 points) per dimension of values. Queries outside the
-    grid hull raise ExtrapolationError rather than extrapolate.
+    grid hull (or NaN) raise ExtrapolationError rather than extrapolate.
     """
 
     def __init__(self, axes, values, meta=None):
@@ -74,9 +77,6 @@ class GridTable:
         self.axes = axes
         self.values = values
         self.meta = dict(meta or {})
-        from scipy.interpolate import RegularGridInterpolator
-
-        self._interp = RegularGridInterpolator(axes, values, method="linear", bounds_error=True)
 
     @property
     def dimension(self) -> int:
@@ -89,15 +89,29 @@ class GridTable:
         """Table at points (..., d), or bare (...) in d = 1; an array of shape (...).
 
         A single point, given as a scalar or a (d,) vector, gives a 0-d array.
+        The first point outside the hull, or with a NaN, raises
+        ExtrapolationError before any is evaluated. Axis k reads cell i, the
+        count of inner knots ax[1:-1] at or below p_k (ax[-1] is in the last
+        cell), at offset y_k = (p_k - ax[i]) / (ax[i+1] - ax[i]). The value
+        adds, from 0 and last axis fastest, each corner's value times the
+        product of its weights (1 - y_k at the left knot, y_k at the right):
+        the generic rule of scipy's linear RegularGridInterpolator.
         """
         pts = as_points(x, self.dimension)
         flat = pts.reshape(-1, self.dimension)
-        try:
-            out = self._interp(flat)
-        except ValueError:
-            lo, hi = np.array(self.hull()).T
-            inside = np.all((flat >= lo) & (flat <= hi), axis=1)
-            raise ExtrapolationError(flat[~inside][0].tolist(), self.hull()) from None
+        lo, hi = np.array(self.hull()).T
+        outside = ~np.all((flat >= lo) & (flat <= hi), axis=1)
+        if outside.any():
+            raise ExtrapolationError(flat[outside][0].tolist(), self.hull())
+        cells = []
+        for ax, p in zip(self.axes, flat.T):
+            i = np.searchsorted(ax[1:-1], p, side="right")
+            y = (p - ax[i]) / np.diff(ax)[i]
+            cells.append(((i, 1 - y), (i + 1, y)))
+        out = 0.0
+        for corner in itertools.product(*cells):
+            index, weights = zip(*corner)
+            out = out + self.values[index] * math.prod(weights)
         return out.reshape(pts.shape[:-1])
 
     def convexity_violations(self, tol: float = 1e-9):

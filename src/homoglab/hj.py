@@ -147,31 +147,27 @@ def solve_evolutionary_hom(
 ) -> ValueField:
     """U(x, t) = min over y of t * f((x - y) / t) + Phi(y), exact discrete min.
 
-    Candidate y whose slope (x - y)/t falls outside the tabulated hull are
-    skipped; the skipped fraction is reported in provenance, and an empty
-    admissible set at any (x, t) is an error naming the point.
+    Every slope (x - y)/t of every (t, x, y) is formed at once, and the
+    admissible ones, inside the tabulated hull, are read in one table query.
+    The others are skipped; the skipped fraction is reported in provenance,
+    and an empty admissible set is an error naming the first such (x, t),
+    times before grid points.
     """
     x_axes, t_grid, x_mesh, y_mesh, phi_vals = _evolutionary_grids(x_grid, t_grid, y_grid, Phi, f)
-    hull = f.hull()
-    lo = np.array([h[0] for h in hull])
-    hi = np.array([h[1] for h in hull])
-
-    values = np.empty((x_mesh.shape[0], t_grid.size))
-    skipped_total = 0
-    candidates_total = 0
-    for j, t in enumerate(t_grid):
-        for i, x in enumerate(x_mesh):
-            slopes = (x[None, :] - y_mesh) / t
-            ok = np.all((slopes >= lo[None, :]) & (slopes <= hi[None, :]), axis=1)
-            candidates_total += slopes.shape[0]
-            skipped_total += int(np.sum(~ok))
-            if not np.any(ok):
-                raise SolverError(
-                    f"no admissible y for x={x.tolist()}, t={t}: "
-                    "enlarge y_grid or the tabulated slope hull"
-                )
-            scores = t * f.value(slopes[ok]) + phi_vals[ok]
-            values[i, j] = float(np.min(scores))
+    lo, hi = np.array(f.hull()).T
+    slopes = (x_mesh[:, None, None] - y_mesh[None, None]) / t_grid[None, :, None, None]
+    ok = np.all((slopes >= lo) & (slopes <= hi), axis=-1)  # (x, t, y)
+    empty = np.argwhere(~ok.any(axis=2).T)
+    if empty.size:
+        j, i = empty[0]
+        raise SolverError(
+            f"no admissible y for x={x_mesh[i].tolist()}, t={t_grid[j]}: "
+            "enlarge y_grid or the tabulated slope hull"
+        )
+    scores = np.full(ok.shape, np.inf)
+    _, t_at, y_at = np.nonzero(ok)
+    scores[ok] = t_grid[t_at] * f.value(slopes[ok]) + phi_vals[y_at]
+    values = scores.min(axis=2)
 
     shape = tuple(ax.size for ax in x_axes) + (t_grid.size,)
     return ValueField(
@@ -182,7 +178,7 @@ def solve_evolutionary_hom(
             "kind": "evolutionary",
             "source": "hom",
             "y_count": int(y_mesh.shape[0]),
-            "skipped_fraction": skipped_total / max(1, candidates_total),
+            "skipped_fraction": int(np.sum(~ok)) / max(1, ok.size),
             "f_envelope_applied": f.envelope_applied,
         },
     )

@@ -23,7 +23,7 @@ module and required to agree with the optimizer's internal objective to 1e-10.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -195,7 +195,27 @@ class _Action:
         return grad, diag, off
 
 
-def _newton_steps(diag, off, grad):
+@dataclass(frozen=True)
+class _Problems:
+    """What names the problems of a solve in an error message: eps, the window
+    [t0, t1] and the end values a (P, d) and b (P, d), None for a free far end."""
+
+    eps: float
+    t0: float
+    t1: float
+    a: np.ndarray
+    b: Optional[np.ndarray] = None
+
+    def __getitem__(self, p):
+        return replace(self, a=self.a[p], b=None if self.b is None else self.b[p])
+
+    def __str__(self):
+        ends = "" if self.b is None else f", b={self.b.tolist()}"
+        window = f"[{float(self.t0)!r}, {float(self.t1)!r}]"
+        return f"eps={float(self.eps)!r}, window {window}, a={self.a.tolist()}{ends}"
+
+
+def _newton_steps(diag, off, grad, problems):
     """Solve (H_b + tau_b I) p_b = -g_b for every start b; return (p (B, n, d), -g.p (B,)).
 
     H_b is block tridiagonal over the free nodes: diag (B, n, d, d), off
@@ -203,7 +223,7 @@ def _newton_steps(diag, off, grad):
     banded Cholesky (LAPACK dpbtrf, as in scipy.linalg.cholesky_banded).
     tau_b is 0 for a positive definite H_b, else raised as in Nocedal & Wright's
     Algorithm 3.3, the factorization resuming at start b (its predecessors
-    are already factored, in place).
+    are already factored, in place). `problems` names them in an error.
     """
     from scipy.linalg import lapack
 
@@ -233,7 +253,7 @@ def _newton_steps(diag, off, grad):
         if info == 0:
             break
         if info < 0:
-            raise SolverError(f"banded Cholesky rejected argument {-info}")
+            raise SolverError(f"banded Cholesky rejected argument {-info} ({problems})")
         b = (start + info - 1) // size
         head = b * size
         bump = max(2 * tau[b], floor[b]) - tau[b]
@@ -243,13 +263,14 @@ def _newton_steps(diag, off, grad):
         start = head
     steps, info = lapack.dpbtrs(factor, -grad.reshape(-1))
     if info != 0:
-        raise SolverError(f"banded Cholesky solve failed (info {info})")
+        raise SolverError(f"banded Cholesky solve failed (info {info}; {problems})")
     steps = steps.reshape(B, n, d)
     return steps, -(steps * grad).sum(axis=(1, 2))
 
 
-def _solve(action: _Action, starts, opt: OptimizerSpec):
-    """Damped Newton from starts (P problems, S starts, N, d); pinned nodes never move.
+def _solve(action: _Action, starts, opt: OptimizerSpec, problems: _Problems):
+    """Damped Newton from starts (P problems, S starts, N, d), named by `problems`
+    in an error; pinned nodes never move.
 
     Returns, per problem, the value, nodes and solver record {iterations,
     grad_norm (free nodes, final point), converged} of its lowest start.
@@ -265,7 +286,8 @@ def _solve(action: _Action, starts, opt: OptimizerSpec):
     free = slice(1, N if action.last_free else N - 1)
     values = action.value(x)
     if not np.all(np.isfinite(values)):
-        raise SolverError("objective not finite at a start trajectory")
+        p = int(np.flatnonzero(~np.isfinite(values))[0]) // S
+        raise SolverError(f"objective not finite at a start trajectory ({problems[p]})")
     gnorm = np.empty(P * S)
     iters = np.zeros(P * S, dtype=int)
     converged = np.zeros(P * S, dtype=bool)
@@ -279,7 +301,9 @@ def _solve(action: _Action, starts, opt: OptimizerSpec):
         converged[idx] = ~keep
         if sweep == opt.max_iters or not keep.any():
             break
-        steps, dec = _newton_steps(diag[keep, free], off[keep, free.start : free.stop - 1], grad[keep])
+        steps, dec = _newton_steps(
+            diag[keep, free], off[keep, free.start : free.stop - 1], grad[keep], problems
+        )
         idx, f = idx[keep], f[keep]
         # A start that a converged start of its problem beats by more than ten
         # of its Newton decrements is near a worse stationary point: stop it.
@@ -373,9 +397,11 @@ def _check_window(t0, t1, eps):
         raise InputError("eps must be positive")
 
 
-def _certify(value, check, what):
+def _certify(value, check, what, problem):
     if abs(check - value) > 1e-10 * max(1.0, abs(check)):
-        raise InvariantError(f"optimizer objective {value!r} and {what} {check!r} disagree")
+        raise InvariantError(
+            f"optimizer objective {value!r} and {what} {check!r} disagree ({problem})"
+        )
 
 
 def minimize_bvp(
@@ -410,7 +436,7 @@ def _minimize_pinned(V, W, eps, t0, t1, a, b, n_nodes, opt, quad, warm_starts):
     )
     traj = Trajectory(times, nodes[0], meta=stats[0])
     check = action_G(traj, V, W, eps, quad)
-    _certify(values[0], check, "trajectory action")
+    _certify(values[0], check, "trajectory action", _Problems(eps, t0, t1, *nodes[0, [0, -1]]))
     return traj, check
 
 
@@ -471,7 +497,7 @@ def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm):
     warm = np.array(warm, dtype=float).reshape(n_problems, len(warm[0]), n_nodes, d)
     starts = _start_stack(times, a_batch, b, warm, opt.restarts, opt.seed)
     action = _Action.eps_action(V, W, eps, times, quad.samples_per_interval)
-    values, nodes, stats = _solve(action, starts, opt)
+    values, nodes, stats = _solve(action, starts, opt, _Problems(eps, t0, t1, a_batch, b))
     return values, nodes, times, stats
 
 
@@ -539,10 +565,11 @@ def minimize_halfline(
         path[0] = x0
         starts.append(path)
 
-    values, nodes, stats = _solve(action, np.stack(starts)[None], opt)
+    problems = _Problems(eps, 0.0, T_max, x0[None])
+    values, nodes, stats = _solve(action, np.stack(starts)[None], opt, problems)
     traj = Trajectory(times, nodes[0], meta={"tail_weight": tail_w, **stats[0]})
     check = discounted_action(traj, V, W, eps, lam, quad)
-    _certify(values[0], check, "discounted action")
+    _certify(values[0], check, "discounted action", problems[0])
     return traj, check
 
 
@@ -581,7 +608,8 @@ def _lattice_costs(V, W, eps, states):
     if bad.size:
         i = int(bad[0])
         raise SolverError(
-            f"DP stage cost at state {i} (x = {float(states[i])!r}) is {float(stay[i])!r}"
+            f"DP stage cost at eps={float(eps)!r}, state {i} (x = {float(states[i])!r}) "
+            f"is {float(stay[i])!r}"
         )
     return cost, atom_cost
 

@@ -1,14 +1,25 @@
 """The shared grid layer: axes check, ij mesh, and the table base of both tables."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homoglab
 from homoglab import ConjugateTable, ExtrapolationError, HomogenizedLagrangian, InputError
-from homoglab.grid import axes_of, lower_convex_envelope, mesh, midpoint_convexity_report
+from homoglab.grid import (
+    GridTable,
+    axes_of,
+    lower_convex_envelope,
+    mesh,
+    midpoint_convexity_report,
+)
 
 AXIS = np.linspace(-1.0, 1.0, 5)
 SOURCE = HomogenizedLagrangian((AXIS,), AXIS**2, 0.0)
@@ -67,6 +78,71 @@ def test_mesh_order_and_axes_check(raw_axes, data):
     broken[k] = np.append(axes[k], axes[k][0])  # repeats (size 1) or falls back
     with pytest.raises(InputError):
         axes_of(broken, d)
+
+
+_TABLE_AXIS = st.lists(
+    st.floats(-10.0, 10.0, allow_nan=False), min_size=2, max_size=5, unique=True
+).map(lambda points: np.array(sorted(points)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TABLE_AXIS, min_size=1, max_size=3), st.integers(0, 2**32 - 1), st.data())
+def test_table_lookup_is_scipys_linear_interpolator(axes, seed, data):
+    """GridTable.value against scipy's RegularGridInterpolator (linear), at
+    knots, both hull ends and points between: the same bits in d = 1 and
+    d = 3; in d = 2, whose scipy kernel groups the weight products otherwise,
+    within 8 eps max|values|. A NaN or out-of-hull point raises
+    ExtrapolationError naming the first such point and the hull."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    d = len(axes)
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=[ax.size for ax in axes]) * 10.0 ** rng.uniform(-3.0, 3.0)
+    coordinate = [st.one_of(st.sampled_from(list(ax)), st.floats(ax[0], ax[-1])) for ax in axes]
+    points = np.array(data.draw(st.lists(st.tuples(*coordinate), min_size=1, max_size=8)))
+    table = GridTable(axes, values)
+    got = table.value(points)
+    want = RegularGridInterpolator(axes, values, method="linear")(points)
+    if d == 2:
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(values))
+    else:
+        assert np.array_equal(got, want)
+
+    k = data.draw(st.integers(0, d - 1))
+    bad = data.draw(st.sampled_from([np.nan, axes[k][0] - 1.0, axes[k][-1] + 0.5]))
+    first, second = points[0].copy(), points[-1].copy()
+    first[k] = bad
+    second[k] = np.nan
+    at = data.draw(st.integers(0, len(points)))
+    batch = np.insert(points, at, [first, second], axis=0)
+    with pytest.raises(ExtrapolationError) as info:
+        table.value(batch)
+    np.testing.assert_array_equal(info.value.point, first)
+    assert info.value.hull == table.hull()
+
+
+def test_tables_and_the_homogenized_field_need_no_scipy():
+    """Building and querying both tables, and the homogenized HJ field on the
+    Lagrangian one, import no scipy module."""
+    code = (
+        "import sys, numpy as np, homoglab as h\n"
+        "xi = np.linspace(-2.0, 2.0, 9)\n"
+        "f = h.HomogenizedLagrangian((xi,), xi**2, 0.0)\n"
+        "f.value(np.linspace(-2.0, 2.0, 7))\n"
+        "h.legendre_transform(f, np.linspace(-3.0, 3.0, 7)).value([0.5, -1.0])\n"
+        "Phi = h.make_initial_datum('quadratic', 1, a=1.0)\n"
+        "x, y = np.linspace(-0.5, 0.5, 5), np.linspace(-1.0, 1.0, 21)\n"
+        "h.solve_evolutionary_hom(f, Phi, x, [0.5, 1.0], y)\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(homoglab.__file__).parents[1])},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_lower_convex_envelope_in_two_dimensions():

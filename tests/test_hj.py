@@ -25,6 +25,7 @@ from homoglab import (
     tabulate_f_hom,
 )
 from homoglab import hj
+from homoglab.grid import mesh
 from homoglab.trajectory import action_G, discounted_action
 
 OPT = OptimizerSpec(max_iters=800, restarts=2, seed=4)
@@ -296,11 +297,48 @@ def test_park_extension_bound_along_time():
         assert s2 <= s1 + M * (t2 - t1) + 0.02 * max(abs(s1), 1.0)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_evolutionary_hom_is_the_per_point_loop(d):
+    """The one table query over every admissible (t, x, y) gives the minima
+    and the skipped fraction of a loop over (t, x) pairs, bit for bit."""
+    rng = np.random.default_rng(d)
+    axes = tuple(np.linspace(-1.5, 1.0, 6) for _ in range(d))
+    f = HomogenizedLagrangian(axes, rng.uniform(0.0, 2.0, size=(6,) * d), 0.0)
+
+    def Phi(y):
+        return float(np.sum(np.sin(3.0 * y)))
+
+    x_axes = tuple(np.linspace(-0.5, 0.5, 4) for _ in range(d))
+    y_axes = tuple(np.linspace(-1.0, 1.0, 9) for _ in range(d))
+    t = np.array([0.5, 1.0, 2.0])
+    field = solve_evolutionary_hom(f, Phi, x_axes, t, y_axes)
+
+    lo, hi = np.array(f.hull()).T
+    xs, ys = mesh(x_axes), mesh(y_axes)
+    phi = np.array([Phi(y) for y in ys])
+    want, skipped = np.empty((len(xs), t.size)), 0
+    for j, tj in enumerate(t):
+        for i, x in enumerate(xs):
+            slopes = (x - ys) / tj
+            ok = np.all((slopes >= lo) & (slopes <= hi), axis=1)
+            skipped += int(np.sum(~ok))
+            want[i, j] = np.min(tj * f.value(slopes[ok]) + phi[ok])
+    assert skipped > 0
+    assert np.array_equal(field.values.reshape(want.shape), want)
+    assert field.provenance["skipped_fraction"] == skipped / want.size / len(ys)
+
+
 def test_evolutionary_hom_empty_hull_raises(free_table):
+    """The error names the first (x, t) with no admissible y, times first."""
     Phi = make_initial_datum("plane_wave", 1, p=[1.0])
-    # every (x - y)/t lands outside the tabulated slope hull
-    x = np.array([50.0])
-    t = np.array([1.0])
+    # at x = 50 every (x - y)/t lands outside the tabulated slope hull [-3, 3]
+    x = np.array([0.0, 50.0])
+    t = np.array([1.0, 2.0])
     y = np.linspace(-1.0, 1.0, 11)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError, match=r"no admissible y for x=\[50\.0\], t=1\.0:"):
         solve_evolutionary_hom(free_table, Phi, x, t, y)
+    # A hull [1, 3] away from 0 and y = 0 alone: x = 1 has none at t = 2 and
+    # x = 6 none at t = 1, which comes first.
+    shifted = HomogenizedLagrangian((np.array([1.0, 3.0]),), np.array([1.0, 9.0]), 0.0)
+    with pytest.raises(SolverError, match=r"no admissible y for x=\[6\.0\], t=1\.0:"):
+        solve_evolutionary_hom(shifted, Phi, np.array([1.0, 6.0]), t, np.array([0.0]))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from homoglab import (
     DPGrid,
     InputError,
+    InvariantError,
     OptimizerSpec,
     QuadratureSpec,
     Trajectory,
@@ -24,8 +25,10 @@ from homoglab import (
     minimize_lagrangian_bvp,
     SolverError,
 )
+from homoglab import minimize
 from homoglab.minimize import (
     _Action,
+    _Problems,
     _dp_sweep,
     _lattice_moves,
     _lattice_seeds,
@@ -546,7 +549,7 @@ def test_stacked_newton_steps_solve_each_shifted_system(d):
     diag[[0, 2]] += 4.0 * d * np.eye(d)  # starts 0 and 2 diagonally dominant
     diag[[1, 3]] -= 4.0 * np.eye(d)  # starts 1 and 3 indefinite
     grad = rng.normal(size=(B, n, d))
-    steps, dec = _newton_steps(diag, off, grad)
+    steps, dec = _newton_steps(diag, off, grad, _Problems(1.0, 0.0, 1.0, np.zeros((B, d))))
     for b in range(B):
         H = _dense(diag[b], off[b])
         p, g = steps[b].reshape(-1), grad[b].reshape(-1)
@@ -573,7 +576,7 @@ def test_newton_steps_double_the_shift_of_adjacent_indefinite_starts(d):
     off = np.broadcast_to(-1.5 * np.eye(d), (B, n - 1, d, d)).copy()
     off[[0, 4]] *= 0.2  # starts 0 and 4 positive definite
     grad = rng.normal(size=(B, n, d))
-    steps, dec = _newton_steps(diag, off, grad)
+    steps, dec = _newton_steps(diag, off, grad, _Problems(1.0, 0.0, 1.0, np.zeros((B, d))))
     floor = 1e-3 + np.finfo(float).tiny
     for b in range(B):
         H = _dense(diag[b], off[b])
@@ -589,6 +592,46 @@ def test_newton_steps_double_the_shift_of_adjacent_indefinite_starts(d):
         shifted = np.linalg.solve(H + tau * np.eye(n * d), -g)
         np.testing.assert_allclose(p, shifted, rtol=1e-9, atol=1e-12)
         assert dec[b] == pytest.approx(-float(g @ p))
+
+
+def _nan_potential(d):
+    return dataclasses.replace(
+        make_potential("sin2", d), evaluator=lambda y: np.full(y.shape[:-1], np.nan)
+    )
+
+
+def test_newton_errors_name_eps_window_and_ends(fast_opt, quad):
+    """A failing solve says which problem it was: eps, the window and the end
+    values, so a failing stability rung or table slope can be told from stderr."""
+    V = _nan_potential(1)
+    with pytest.raises(SolverError) as info:
+        minimize_bvp(V, None, 0.25, 0.0, 2.0, 0.5, 1.5, 17, fast_opt, quad)
+    assert "(eps=0.25, window [0.0, 2.0], a=[0.5], b=[1.5])" in str(info.value)
+    # the batch names the problem of the first non-finite start
+    a_batch = np.array([[-1.0], [0.0]])
+    with pytest.raises(SolverError) as info:
+        minimize_bvp_batch(V, None, 0.5, 1.0, 3.0, a_batch, 2.0, 17, fast_opt, quad)
+    assert "(eps=0.5, window [1.0, 3.0], a=[-1.0], b=[2.0])" in str(info.value)
+    with pytest.raises(SolverError) as info:
+        minimize_halfline(
+            V, None, 0.5, 1.0, 0.25, 6.0, 33, fast_opt, quad, warm_starts=[np.zeros((33, 1))]
+        )
+    assert str(info.value).endswith("(eps=0.5, window [0.0, 6.0], a=[0.25])")
+    with pytest.raises(SolverError, match="eps=0.5"):  # the lattice that seeds it
+        minimize_halfline(V, None, 0.5, 1.0, 0.25, 6.0, 33, fast_opt, quad)
+
+
+@pytest.mark.parametrize("halfline", [False, True], ids=["pinned", "half-line"])
+def test_a_failed_certificate_names_its_problem(monkeypatch, fast_opt, quad, sin2_1d, halfline):
+    name = "discounted_action" if halfline else "action_G"
+    check = getattr(minimize, name)
+    monkeypatch.setattr(minimize, name, lambda *args: check(*args) + 1.0)
+    with pytest.raises(InvariantError) as info:
+        if halfline:
+            minimize_halfline(sin2_1d, None, 0.5, 1.0, 0.25, 6.0, 33, fast_opt, quad)
+        else:
+            minimize_bvp(sin2_1d, None, 0.5, 0.0, 6.0, 0.25, 1.0, 33, fast_opt, quad)
+    assert "disagree (eps=0.5, window [0.0, 6.0], a=[0.25]" in str(info.value)
 
 
 def test_newton_records_convergence_of_the_winning_start(std_opt, quad, sin2_1d, runge_1d):
@@ -669,11 +712,12 @@ def test_one_potential_pass_per_accepted_full_step(d, with_w, halfline):
     starts = _start_stack(
         np.linspace(0.0, 1.0, N), np.zeros((1, d)), np.full((1, d), 0.7), np.zeros((1, 0, N, d)), 0, 0
     )
-    _, nodes, _ = _solve(action, starts, opt)
+    problems = _Problems(0.5, 0.0, 1.0, np.zeros((1, d)), np.full((1, d), 0.7))
+    _, nodes, _ = _solve(action, starts, opt, problems)
     near = nodes[:, None].copy()
     near[..., 1:-1, :] += 1e-3 * np.sin(np.linspace(0.0, np.pi, N))[1:-1, None]
     passes.clear()
-    _, _, [record] = _solve(action, near, opt)
+    _, _, [record] = _solve(action, near, opt, problems)
     assert record["converged"] and record["iterations"] >= 1
     assert not any(passes)
     assert len(passes) == record["iterations"] + 1

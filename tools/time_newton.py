@@ -42,12 +42,13 @@ PARTS = ("derivatives", "band solve", "line search", "bookkeeping")
 
 
 def capture(seed):
-    """Run the workloads' runner calls; returns [(call label, action, starts, opt)], one per solve."""
+    """Run the workloads' runner calls; returns [(call label, action, starts, opt, problems)],
+    one per solve."""
     solve, calls, label = minimize._solve, [], None
 
-    def recording(action, starts, opt):
-        calls.append((label, action, starts.copy(), opt))
-        return solve(action, starts, opt)
+    def recording(action, starts, opt, problems):
+        calls.append((label, action, starts.copy(), opt, problems))
+        return solve(action, starts, opt, problems)
 
     minimize._solve = recording
     try:
@@ -84,7 +85,7 @@ class _Split:
         return wrapper
 
 
-def time_solve(action, starts, opt):
+def time_solve(action, starts, opt, problems):
     """One timed run of a captured solve: ({part: seconds, with bookkeeping}, sweeps)."""
     split = _Split()
     steps = minimize._newton_steps
@@ -93,7 +94,7 @@ def time_solve(action, starts, opt):
     minimize._newton_steps = split.timed("band solve", steps)
     try:
         tic = time.perf_counter()
-        minimize._solve(action, starts, opt)
+        minimize._solve(action, starts, opt, problems)
         total = time.perf_counter() - tic
     finally:
         minimize._newton_steps = steps
@@ -109,8 +110,8 @@ def main(argv=None) -> int:
     columns = ("total",) + PARTS
     print(f"{'call':<24} {'nodes':>5} {'d':>2} {'P x S':>7} {'sweeps':>6}  "
           + " ".join(f"{c:>11}" for c in columns) + "  (median ms)")
-    for label, action, starts, opt in capture(args.seed):
-        runs = [time_solve(action, starts, opt) for _ in range(REPEATS)]
+    for label, action, starts, opt, problems in capture(args.seed):
+        runs = [time_solve(action, starts, opt, problems) for _ in range(REPEATS)]
         P, S, N, d = starts.shape
         medians = [1e3 * statistics.median(r[0][c] for r in runs) for c in columns]
         print(f"{label:<24} {N:>5} {d:>2} {f'{P}x{S}':>7} {runs[0][1]:>6}  "
