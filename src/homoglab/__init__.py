@@ -45,7 +45,6 @@ from .trajectory import (
     discounted_action,
     homogenized_action,
     polar_bound_check,
-    zero_set_measure,
 )
 from .minimize import (
     DPGrid,

@@ -147,27 +147,30 @@ def solve_evolutionary_hom(
 ) -> ValueField:
     """U(x, t) = min over y of t * f((x - y) / t) + Phi(y), exact discrete min.
 
-    Every slope (x - y)/t of every (t, x, y) is formed at once, and the
-    admissible ones, inside the tabulated hull, are read in one table query.
-    The others are skipped; the skipped fraction is reported in provenance,
-    and an empty admissible set is an error naming the first such (x, t),
-    times before grid points.
+    Each time slice forms its slopes (x - y)/t at once and reads the
+    admissible ones, inside the tabulated hull, in one table query, so memory
+    grows with the x and y grids but not with the times. The others are
+    skipped; the skipped fraction is reported in provenance, and an empty
+    admissible set is an error naming the first such (x, t), times before
+    grid points.
     """
     x_axes, t_grid, x_mesh, y_mesh, phi_vals = _evolutionary_grids(x_grid, t_grid, y_grid, Phi, f)
     lo, hi = np.array(f.hull()).T
-    slopes = (x_mesh[:, None, None] - y_mesh[None, None]) / t_grid[None, :, None, None]
-    ok = np.all((slopes >= lo) & (slopes <= hi), axis=-1)  # (x, t, y)
-    empty = np.argwhere(~ok.any(axis=2).T)
-    if empty.size:
-        j, i = empty[0]
-        raise SolverError(
-            f"no admissible y for x={x_mesh[i].tolist()}, t={t_grid[j]}: "
-            "enlarge y_grid or the tabulated slope hull"
-        )
-    scores = np.full(ok.shape, np.inf)
-    _, t_at, y_at = np.nonzero(ok)
-    scores[ok] = t_grid[t_at] * f.value(slopes[ok]) + phi_vals[y_at]
-    values = scores.min(axis=2)
+    values = np.empty((x_mesh.shape[0], t_grid.size))
+    skipped = 0
+    for j, t in enumerate(t_grid):
+        slopes = (x_mesh[:, None] - y_mesh[None]) / t
+        ok = np.all((slopes >= lo) & (slopes <= hi), axis=-1)  # (x, y)
+        empty = np.flatnonzero(~ok.any(axis=1))
+        if empty.size:
+            raise SolverError(
+                f"no admissible y for x={x_mesh[empty[0]].tolist()}, t={t}: "
+                "enlarge y_grid or the tabulated slope hull"
+            )
+        scores = np.full(ok.shape, np.inf)
+        scores[ok] = t * f.value(slopes[ok]) + phi_vals[np.nonzero(ok)[1]]
+        values[:, j] = scores.min(axis=1)
+        skipped += int(np.sum(~ok))
 
     shape = tuple(ax.size for ax in x_axes) + (t_grid.size,)
     return ValueField(
@@ -178,7 +181,7 @@ def solve_evolutionary_hom(
             "kind": "evolutionary",
             "source": "hom",
             "y_count": int(y_mesh.shape[0]),
-            "skipped_fraction": int(np.sum(~ok)) / max(1, ok.size),
+            "skipped_fraction": skipped / max(1, values.size * y_mesh.shape[0]),
             "f_envelope_applied": f.envelope_applied,
         },
     )

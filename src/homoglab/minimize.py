@@ -13,13 +13,15 @@ Two independent routes to the same minima live here, on purpose:
   V and W enter through their declared closed-form gradients and Hessians;
   check_newton_terms turns away any other V or W, and a zero atom;
 * backward dynamic programming over a state-time lattice, an anytime upper
-  bound for d = 1 that never sees the optimizer's code paths. The same
-  sweep, recording each state's argmin move, also seeds the Newton polish
-  of the one-dimensional HJ fields with backtracked lattice paths.
+  bound for d = 1 that never sees the optimizer's code paths, and the only
+  solver that charges a zero atom. The same sweep, recording each state's
+  argmin move, also gives the HJ fields the lattice paths they pass to the
+  Newton polish as warm starts.
 
-Optimizer results carry certified-upper-bound semantics: every reported value
-is the action of a concrete trajectory, re-evaluated through the trajectory
-module and required to agree with the optimizer's internal objective to 1e-10.
+Optimizer results carry certified-upper-bound semantics: every reported value,
+each batch winner's included, is the action of a concrete trajectory,
+re-evaluated through the trajectory module and required to agree with the
+optimizer's internal objective to 1e-10.
 """
 
 import math
@@ -39,7 +41,7 @@ from .quadrature import (
     midpoint_offsets,
     sub_interval_edges,
 )
-from .trajectory import Trajectory, action_G, discounted_action
+from .trajectory import Trajectory, _check_no_atom, action_G, discounted_action
 
 __all__ = [
     "OptimizerSpec",
@@ -305,6 +307,9 @@ def _solve(action: _Action, starts, opt: OptimizerSpec, problems: _Problems):
             diag[keep, free], off[keep, free.start : free.stop - 1], grad[keep], problems
         )
         idx, f = idx[keep], f[keep]
+        if not np.all(np.isfinite(dec)):  # a NaN or inf gradient or Hessian ends here
+            p = int(idx[np.flatnonzero(~np.isfinite(dec))[0]]) // S
+            raise SolverError(f"Newton decrement not finite ({problems[p]})")
         # A start that a converged start of its problem beats by more than ten
         # of its Newton decrements is near a worse stationary point: stop it.
         lowest = np.where(converged, values, np.inf).reshape(P, S).min(axis=1)
@@ -378,12 +383,11 @@ def _start_stack(times, a, b, warm, restarts, seed):
 
 def check_newton_terms(V: Optional[PeriodicPotential], W: Optional[Perturbation]):
     """Raise InputError unless the Newton minimizers can take V and W: each one
-    given declares a closed-form gradient and Hessian, and W has no zero atom.
-    The registry's indicator_ball, neg_spike and parabola_example perturbations
-    fail it; they are for the DP oracles."""
+    given declares a closed-form gradient and Hessian, and W has no zero atom,
+    which only the DP oracles charge. The registry's indicator_ball, neg_spike
+    and parabola_example perturbations fail it; they are for the DP oracles."""
+    _check_no_atom(W)
     dp = "; use the DP oracles (dp_oracle_1d, dp_oracle_halfline)"
-    if W is not None and W.zero_atom != 0.0:
-        raise InputError("Newton cannot charge a zero atom" + dp)
     for obj in (V, W):
         if obj is not None and (obj.gradient is None or obj.hessian is None):
             name = obj.name or type(obj).__name__
@@ -397,11 +401,13 @@ def _check_window(t0, t1, eps):
         raise InputError("eps must be positive")
 
 
-def _certify(value, check, what, problem):
-    if abs(check - value) > 1e-10 * max(1.0, abs(check)):
-        raise InvariantError(
-            f"optimizer objective {value!r} and {what} {check!r} disagree ({problem})"
-        )
+def _certify(values, checks, what, problems):
+    """InvariantError naming the first problem whose value and check differ beyond 1e-10."""
+    for p, (value, check) in enumerate(zip(values, checks)):
+        if abs(check - value) > 1e-10 * max(1.0, abs(check)):
+            raise InvariantError(
+                f"optimizer objective {value!r} and {what} {check!r} disagree ({problems[p]})"
+            )
 
 
 def minimize_bvp(
@@ -424,20 +430,15 @@ def minimize_bvp(
     The trajectory's meta holds the winning start's solver record
     {iterations, grad_norm, converged}.
     """
-    if V is None:
-        raise InputError("a periodic potential is required (use the zero potential)")
     return _minimize_pinned(V, W, eps, t0, t1, a, b, n_nodes, opt, quad, warm_starts)
 
 
 def _minimize_pinned(V, W, eps, t0, t1, a, b, n_nodes, opt, quad, warm_starts):
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    values, nodes, times, stats = _solve_pinned(
+    _, certified, nodes, times, stats = _solve_pinned(
         V, W, eps, t0, t1, a[None], b, n_nodes, opt, quad, [warm_starts]
     )
-    traj = Trajectory(times, nodes[0], meta=stats[0])
-    check = action_G(traj, V, W, eps, quad)
-    _certify(values[0], check, "trajectory action", _Problems(eps, t0, t1, *nodes[0, [0, -1]]))
-    return traj, check
+    return Trajectory(times, nodes[0], meta=stats[0]), certified[0]
 
 
 def minimize_bvp_batch(
@@ -460,12 +461,13 @@ def minimize_bvp_batch(
     Each problem gets the affine start, its warm starts (trajectories,
     resampled, or node arrays on the grid; one sequence per problem, all of
     one length; endpoints re-pinned) and the seeded restarts. Returns
-    (values (P,), nodes (P, n_nodes, d), times). Given a list as `records`,
+    (values (P,), nodes (P, n_nodes, d), times), each value the solver's own
+    and certified like minimize_bvp's. Given a list as `records`,
     the winners' solver records {iterations, grad_norm, converged} are
     appended to it, one per problem (an out-parameter, so that callers and
     the benchmark's tracing keep unpacking three values).
     """
-    values, nodes, times, stats = _solve_pinned(
+    values, _, nodes, times, stats = _solve_pinned(
         V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm_starts_per_problem
     )
     if records is not None:
@@ -474,7 +476,11 @@ def minimize_bvp_batch(
 
 
 def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm):
-    """minimize_bvp_batch, also returning the winning starts' solver records."""
+    """minimize_bvp_batch: (the solver's values, the certified ones, nodes,
+    times, the winning starts' solver records). Each winner is re-evaluated
+    through action_G, which must agree with the solver's value to 1e-10."""
+    if V is None:
+        raise InputError("a periodic potential is required (use the zero potential)")
     check_newton_terms(V, W)
     if n_nodes < 2:
         raise InputError("need at least two nodes")
@@ -491,14 +497,25 @@ def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm):
     warm = [()] * n_problems if warm is None else warm
     if len(warm) != n_problems:
         raise InputError("need one warm-start list per problem")
-    warm = [[u.resample(times).nodes if isinstance(u, Trajectory) else u for u in w] for w in warm]
+    warm = [[_warm_nodes(u, times, (n_nodes, d)) for u in w] for w in warm]
     if len({len(w) for w in warm}) > 1:
         raise InputError("every problem must receive the same number of warm starts")
     warm = np.array(warm, dtype=float).reshape(n_problems, len(warm[0]), n_nodes, d)
     starts = _start_stack(times, a_batch, b, warm, opt.restarts, opt.seed)
     action = _Action.eps_action(V, W, eps, times, quad.samples_per_interval)
-    values, nodes, stats = _solve(action, starts, opt, _Problems(eps, t0, t1, a_batch, b))
-    return values, nodes, times, stats
+    problems = _Problems(eps, t0, t1, a_batch, b)
+    values, nodes, stats = _solve(action, starts, opt, problems)
+    certified = [action_G(Trajectory(times, x), V, W, eps, quad) for x in nodes]
+    _certify(values, certified, "trajectory action", problems)
+    return values, certified, nodes, times, stats
+
+
+def _warm_nodes(u, times, shape):
+    """A new array of a warm start's nodes on `times`, checked to have `shape`."""
+    path = np.array(u.resample(times).nodes if isinstance(u, Trajectory) else u, dtype=float)
+    if path.shape != shape:
+        raise InputError(f"warm start of shape {path.shape}, expected {shape}")
+    return path
 
 
 def minimize_lagrangian_bvp(
@@ -536,10 +553,8 @@ def minimize_halfline(
     a bounded integrand is below exp(-5)/lam of its sup) and extended by a
     constant, whose exact tail cost is part of the objective. Starts: the
     constant path and the warm starts (trajectories, resampled, or node
-    arrays on the grid; first node re-pinned to x0). Without warm starts, the
-    path backtracked from x0 through the discounted lattice DP (_lattice_seeds)
-    is the warm start; that needs d = 1. The trajectory's meta holds the tail
-    weight and the solver record.
+    arrays on the grid; first node re-pinned to x0), and nothing else. The
+    trajectory's meta holds the tail weight and the solver record.
     """
     check_newton_terms(V, W)
     if not lam > 0:
@@ -554,14 +569,9 @@ def minimize_halfline(
     kinetic = exp_interval_weights(times, lam) / np.diff(times) ** 2
     action = _Action(V, W, eps, kinetic, weights, tail_w, last_free=True)
 
-    if not len(warm_starts):
-        _, states, [(_, path)] = _lattice_seeds(V, W, eps, x0, T_max, [T_max], lam=lam)
-        warm_starts = _seed_nodes(states, path, times)
     starts = [np.repeat(x0[None, :], n_nodes, axis=0)]
     for u in warm_starts:
-        path = np.array(u.resample(times).nodes if isinstance(u, Trajectory) else u, dtype=float)
-        if path.shape != starts[0].shape:
-            raise InputError(f"warm start of shape {path.shape}, expected {starts[0].shape}")
+        path = _warm_nodes(u, times, starts[0].shape)
         path[0] = x0
         starts.append(path)
 
@@ -569,7 +579,7 @@ def minimize_halfline(
     values, nodes, stats = _solve(action, np.stack(starts)[None], opt, problems)
     traj = Trajectory(times, nodes[0], meta={"tail_weight": tail_w, **stats[0]})
     check = discounted_action(traj, V, W, eps, lam, quad)
-    _certify(values[0], check, "discounted action", problems[0])
+    _certify(values, [check], "discounted action", problems)
     return traj, check
 
 

@@ -98,10 +98,10 @@ class Perturbation:
     origin containing the support (inf for global support);
     integrability_exponent is the p declared for uniform-L^p diagnostics and
     connector constructions. zero_atom adds an atom of that value on the set
-    {x = 0}: it is invisible to pointwise quadrature and is accounted exactly
-    through the time the trajectory spends at 0. `gradient` and `hessian` are
-    closed forms as on PeriodicPotential; a W without them, or with an atom,
-    is for the DP oracles only.
+    {x = 0}: pointwise samples never see it, so the path actions refuse it
+    and only the lattice DP oracles charge it, on steps that stay at 0.
+    `gradient` and `hessian` are closed forms as on PeriodicPotential; a W
+    without them, or with an atom, is for the DP oracles only.
     """
 
     dimension: int

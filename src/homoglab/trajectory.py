@@ -39,7 +39,6 @@ __all__ = [
     "action_G",
     "discounted_action",
     "homogenized_action",
-    "zero_set_measure",
     "build_connector",
     "connector_kinetic_bound",
     "polar_bound_check",
@@ -144,6 +143,11 @@ def _check_dims(u: Trajectory, V, W):
             raise InputError("trajectory and potential dimensions disagree")
 
 
+def _check_no_atom(W):
+    if W is not None and W.zero_atom != 0.0:
+        raise InputError("a path cannot charge a zero atom; use dp_oracle_1d, dp_oracle_halfline")
+
+
 def action_F(
     u: Trajectory, V: PeriodicPotential, eps: float, quad: QuadratureSpec = QuadratureSpec()
 ) -> float:
@@ -165,18 +169,15 @@ def action_G(
 ) -> float:
     """Perturbed action: action_F plus the integral of W(u/eps).
 
-    A zero_atom on W contributes atom * |{t : u(t) = 0}| exactly, via the
-    piecewise-linear zero set (u(t)/eps = 0 iff u(t) = 0, so the atom term
-    does not depend on eps).
+    A W with a zero atom raises InputError: pointwise samples never see it,
+    and only the lattice DP oracles charge it.
     """
     value = action_F(u, V, eps, quad)
     if W is None:
         return value
     _check_dims(u, None, W)
-    value += potential_term(u.times, u.nodes, W.evaluator, eps, quad.samples_per_interval)
-    if W.zero_atom != 0.0:
-        value += W.zero_atom * zero_set_measure(u)
-    return value
+    _check_no_atom(W)
+    return value + potential_term(u.times, u.nodes, W.evaluator, eps, quad.samples_per_interval)
 
 
 def discounted_action(
@@ -192,13 +193,15 @@ def discounted_action(
     The path is extended by u(t) = u(t1) for t > t1, contributing the exact
     tail (V+W)(u(t1)/eps) * exp(-lam*t1)/lam. Discount weights are exact
     interval integrals of exp(-lam*t), so constants integrate to value/lam
-    exactly and the comparison bounds hold without quadrature slack.
+    exactly and the comparison bounds hold without quadrature slack. A W with
+    a zero atom raises InputError, as in action_G.
     """
     if eps <= 0:
         raise InputError("eps must be positive")
     if abs(u.t0) > 1e-12:
         raise InputError("discounted actions start at t0 = 0")
     _check_dims(u, V, W)
+    _check_no_atom(W)
     m = quad.samples_per_interval
 
     weights = exp_interval_weights(sub_interval_edges(u.times, m), lam)
@@ -213,11 +216,6 @@ def discounted_action(
     tail_weight = float(np.exp(-lam * u.t1) / lam)
     end = u.nodes[-1][None, :]
     value += float(eval_potential(V, W, end / eps)[0]) * tail_weight
-
-    if W is not None and W.zero_atom != 0.0:
-        value += W.zero_atom * _discounted_zero_measure(u, lam)
-        if np.all(u.nodes[-1] == 0.0):
-            value += W.zero_atom * tail_weight
     return value
 
 
@@ -229,49 +227,6 @@ def homogenized_action(u: Trajectory, f_table) -> float:
     clamping.
     """
     return float(np.sum(f_table.value(u.slopes) * u.widths))
-
-
-# ---------------------------------------------------------------------------
-# Zero set of a piecewise-linear path (exact)
-# ---------------------------------------------------------------------------
-
-
-def _zero_intervals(u: Trajectory):
-    """Subintervals where u(t) = 0, solved exactly per linear piece."""
-    out = []
-    times, nodes = u.times, u.nodes
-    for k in range(u.n_intervals):
-        h = times[k + 1] - times[k]
-        x = nodes[k]
-        v = (nodes[k + 1] - nodes[k]) / h
-        a = float(v @ v)
-        b = 2.0 * float(x @ v)
-        c = float(x @ x)
-        if a == 0.0:
-            if c <= 0.0:
-                out.append((times[k], times[k + 1]))
-            continue
-        disc = b * b - 4 * a * c
-        if disc < 0.0:
-            continue
-        root = np.sqrt(disc)
-        lo = (-b - root) / (2 * a)
-        hi = (-b + root) / (2 * a)
-        lo, hi = max(lo, 0.0), min(hi, h)
-        if hi > lo:
-            out.append((times[k] + lo, times[k] + hi))
-    return out
-
-
-def zero_set_measure(u: Trajectory) -> float:
-    """Lebesgue measure of {t : u(t) = 0}, exact for linear pieces."""
-    return float(sum(hi - lo for lo, hi in _zero_intervals(u)))
-
-
-def _discounted_zero_measure(u: Trajectory, lam: float) -> float:
-    """Discounted time u spends at 0: the exact exp(-lam*t) weights of its zero intervals."""
-    edges = np.array(_zero_intervals(u), dtype=float).reshape(-1, 2)
-    return float(np.sum(exp_interval_weights(edges, lam)))
 
 
 # ---------------------------------------------------------------------------

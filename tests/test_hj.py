@@ -235,8 +235,6 @@ def test_hj_eps_fields_reject_two_dimensions():
         solve_evolutionary_eps(V, None, 0.2, Phi, axes, np.array([0.5]), axes, OPT)
     with pytest.raises(InputError, match="d = 1"):
         solve_steady_eps(V, None, 0.2, 1.0, axes, OPT)
-    with pytest.raises(InputError, match="d = 1"):
-        minimize_halfline(V, None, 0.2, 1.0, np.zeros(2), 6.0, 65, OPT, QUAD)
 
 
 def test_s_eps_constant_shift_exact():
@@ -299,8 +297,8 @@ def test_park_extension_bound_along_time():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_evolutionary_hom_is_the_per_point_loop(d):
-    """The one table query over every admissible (t, x, y) gives the minima
-    and the skipped fraction of a loop over (t, x) pairs, bit for bit."""
+    """One table query per time slice, over its admissible (x, y), gives the
+    minima and the skipped fraction of a loop over (t, x) pairs, bit for bit."""
     rng = np.random.default_rng(d)
     axes = tuple(np.linspace(-1.5, 1.0, 6) for _ in range(d))
     f = HomogenizedLagrangian(axes, rng.uniform(0.0, 2.0, size=(6,) * d), 0.0)

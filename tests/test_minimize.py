@@ -33,6 +33,7 @@ from homoglab.minimize import (
     _lattice_moves,
     _lattice_seeds,
     _newton_steps,
+    _seed_nodes,
     _solve,
     _start_stack,
 )
@@ -503,7 +504,12 @@ def test_halfline_constant_potential_closed_form(std_opt, quad):
 def test_halfline_matches_dp(std_opt, quad, sin2_1d):
     lam = 1.0
     x0 = 0.3
-    _, value = minimize_halfline(sin2_1d, None, 0.2, lam, np.array([x0]), 8.0, 161, std_opt, quad)
+    # warm-started from the lattice path, as solve_steady_eps seeds it
+    _, states, [(_, path)] = _lattice_seeds(sin2_1d, None, 0.2, np.array([x0]), 8.0, [8.0], lam=lam)
+    seed = _seed_nodes(states, path, np.linspace(0.0, 8.0, 161))
+    _, value = minimize_halfline(
+        sin2_1d, None, 0.2, lam, np.array([x0]), 8.0, 161, std_opt, quad, warm_starts=seed
+    )
     dp = dp_oracle_halfline(sin2_1d, None, 0.2, lam, x0, 8.0,
                             DPGrid(x0 - 1.2, x0 + 1.2, 2561, 481),
                             slope_set=np.linspace(-4, 4, 257))
@@ -511,6 +517,15 @@ def test_halfline_matches_dp(std_opt, quad, sin2_1d):
     # least as sharp as the lattice and not stray far below it
     assert value <= dp + 1e-3
     assert value == pytest.approx(dp, rel=0.06)
+
+
+def test_halfline_runs_in_two_dimensions_from_the_constant_start(fast_opt, quad):
+    """With no warm start the constant path is the only start, in any d: for
+    V = 1 it is optimal, and the exact discount weights make its action 1/lam."""
+    V = make_potential("constant", 2, value=1.0)
+    traj, value = minimize_halfline(V, None, 0.2, 0.5, np.array([0.3, -0.1]), 12.0, 33, fast_opt, quad)
+    assert value == pytest.approx(2.0, rel=1e-14)
+    assert np.all(traj.nodes == [0.3, -0.1])
 
 
 def test_halfline_rejects_short_horizon(std_opt, quad, sin2_1d):
@@ -617,21 +632,61 @@ def test_newton_errors_name_eps_window_and_ends(fast_opt, quad):
             V, None, 0.5, 1.0, 0.25, 6.0, 33, fast_opt, quad, warm_starts=[np.zeros((33, 1))]
         )
     assert str(info.value).endswith("(eps=0.5, window [0.0, 6.0], a=[0.25])")
-    with pytest.raises(SolverError, match="eps=0.5"):  # the lattice that seeds it
+    with pytest.raises(SolverError, match="eps=0.5"):  # the constant start alone
         minimize_halfline(V, None, 0.5, 1.0, 0.25, 6.0, 33, fast_opt, quad)
 
 
-@pytest.mark.parametrize("halfline", [False, True], ids=["pinned", "half-line"])
-def test_a_failed_certificate_names_its_problem(monkeypatch, fast_opt, quad, sin2_1d, halfline):
-    name = "discounted_action" if halfline else "action_G"
+def test_a_non_finite_newton_decrement_names_its_problem(fast_opt, quad, sin2_1d):
+    """A NaN Hessian makes every Newton decrement NaN: the solve fails, naming
+    its problem, rather than report its starts as minima."""
+    V = dataclasses.replace(sin2_1d, hessian=lambda y: np.full(y.shape + (1,), np.nan))
+    with pytest.raises(SolverError, match=r"decrement not finite \(eps=0.25, window \[0.0, 2.0\]"):
+        minimize_bvp(V, None, 0.25, 0.0, 2.0, 0.5, 1.5, 17, fast_opt, quad)
+    with pytest.raises(SolverError, match=r"decrement not finite \(eps=0.5, .*a=\[-1.0\]"):
+        minimize_bvp_batch(V, None, 0.5, 1.0, 3.0, np.array([[-1.0], [0.0]]), 2.0, 17, fast_opt)
+    with pytest.raises(SolverError, match=r"decrement not finite \(eps=0.5, window \[0.0, 6.0\]"):
+        minimize_halfline(
+            V, None, 0.5, 1.0, 0.25, 6.0, 33, fast_opt, quad, warm_starts=[np.ones((33, 1))]
+        )
+
+
+def test_pinned_solvers_check_warm_start_shapes(fast_opt, quad):
+    V = make_potential("sin2", 1)
+    match = r"warm start of shape \(5,\), expected \(33, 1\)"
+    with pytest.raises(InputError, match=match):
+        minimize_bvp(V, None, 0.5, 0.0, 1.0, 0.0, 1.0, 33, fast_opt, quad, [np.zeros(5)])
+    with pytest.raises(InputError, match=match):
+        minimize_bvp_batch(
+            V, None, 0.5, 0.0, 1.0, np.zeros((2, 1)), 1.0, 33, fast_opt, quad, [[np.zeros(5)]] * 2
+        )
+
+
+def test_the_batch_needs_a_potential(fast_opt, runge_1d):
+    """action_G, which certifies every winner, cannot evaluate a missing V."""
+    with pytest.raises(InputError, match="periodic potential is required"):
+        minimize_bvp_batch(None, runge_1d, 0.5, 0.0, 1.0, np.zeros((1, 1)), 1.0, 33, fast_opt)
+
+
+@pytest.mark.parametrize("kind", ["pinned", "batch", "half-line"])
+def test_a_failed_certificate_names_its_problem(monkeypatch, fast_opt, quad, sin2_1d, kind):
+    """The check is off only for paths leaving 0.25, so the batch must name
+    that problem, its second, and not its first."""
+    name = "discounted_action" if kind == "half-line" else "action_G"
     check = getattr(minimize, name)
-    monkeypatch.setattr(minimize, name, lambda *args: check(*args) + 1.0)
+    monkeypatch.setattr(
+        minimize, name, lambda u, *args: check(u, *args) + float(u.nodes[0, 0] == 0.25)
+    )
     with pytest.raises(InvariantError) as info:
-        if halfline:
+        if kind == "half-line":
             minimize_halfline(sin2_1d, None, 0.5, 1.0, 0.25, 6.0, 33, fast_opt, quad)
-        else:
+        elif kind == "pinned":
             minimize_bvp(sin2_1d, None, 0.5, 0.0, 6.0, 0.25, 1.0, 33, fast_opt, quad)
+        else:
+            a_batch = np.array([[0.0], [0.25]])
+            minimize_bvp_batch(sin2_1d, None, 0.5, 0.0, 6.0, a_batch, [[1.0], [1.5]], 33, fast_opt)
     assert "disagree (eps=0.5, window [0.0, 6.0], a=[0.25]" in str(info.value)
+    if kind != "half-line":
+        assert str(info.value).endswith("a=[0.25], b=[1.5])" if kind == "batch" else "b=[1.0])")
 
 
 def test_newton_records_convergence_of_the_winning_start(std_opt, quad, sin2_1d, runge_1d):

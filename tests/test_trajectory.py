@@ -23,10 +23,8 @@ from homoglab import (
     make_perturbation,
     make_potential,
     polar_bound_check,
-    zero_set_measure,
 )
-from homoglab.quadrature import exp_interval_weights
-from homoglab.trajectory import POLAR_BOUND_TOL, _discounted_zero_measure
+from homoglab.trajectory import POLAR_BOUND_TOL
 
 
 def line(t0, t1, a, b, n=33):
@@ -124,27 +122,6 @@ def test_eval_lagrangian_hamiltonian_duality():
     assert lag + ham == pytest.approx(float(p @ xi), abs=1e-12)
 
 
-def test_zero_set_measure():
-    t = np.array([0.0, 1.0, 2.0, 3.0])
-    nodes = np.array([[0.0], [0.0], [1.0], [0.0]])
-    u = Trajectory(t, nodes)
-    assert zero_set_measure(u) == pytest.approx(1.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    widths=st.lists(st.floats(0.05, 2.0), min_size=5, max_size=5),
-    lam=st.floats(0.01, 10.0),
-)
-def test_discounted_zero_measure_is_the_exact_weight_of_the_zero_intervals(widths, lam):
-    """The zero-atom term of discounted_action weighs the time spent at 0 with
-    exp_interval_weights, bit for bit, like every other discount weight."""
-    t = np.concatenate(([0.0], np.cumsum(widths)))
-    u = Trajectory(t, np.array([[1.0], [0.0], [0.0], [-1.0], [0.0], [0.0]]))
-    zero_edges = np.array([[t[1], t[2]], [t[4], t[5]]])
-    assert _discounted_zero_measure(u, lam) == float(np.sum(exp_interval_weights(zero_edges, lam)))
-
-
 _ATOM = make_perturbation("neg_spike", 1, depth=0.75, width=0.0)  # W = -0.75 on {x = 0}
 # Paths at rest at 0 on [1, 2]: one leaves again, the other ends there.
 _LEAVES = Trajectory(np.array([0.0, 1.0, 2.0, 3.0]), np.array([[1.0], [0.0], [0.0], [2.0]]))
@@ -152,23 +129,14 @@ _ENDS = Trajectory(np.array([0.0, 1.0, 2.0]), np.array([[1.0], [0.0], [0.0]]))
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.1])
-def test_action_G_charges_the_zero_atom_for_the_time_at_0(eps):
+def test_path_actions_refuse_a_zero_atom(eps):
+    """Pointwise samples never see an atom; only the DP oracles charge it."""
     V = make_potential("zero", 1)
-    # kinetic 1 + 0 + 4 (and 1 + 0), minus 0.75 for the unit time at 0
-    assert action_G(_LEAVES, V, _ATOM, eps) == 5.0 - 0.75
-    assert action_G(_ENDS, V, _ATOM, eps) == 1.0 - 0.75
-
-
-@pytest.mark.parametrize("eps", [1.0, 0.1])
-def test_discounted_action_charges_the_zero_atom_for_the_discounted_time_at_0(eps):
-    V = make_potential("zero", 1)
-    e1, e2, e3 = np.exp(-1.0), np.exp(-2.0), np.exp(-3.0)
-    # lam = 1: the kinetic terms weigh (1 - e^-1) and e^-2 - e^-3, the rest at 0 e^-1 - e^-2
-    want = (1.0 - e1) + 4.0 * (e2 - e3) - 0.75 * (e1 - e2)
-    assert discounted_action(_LEAVES, V, _ATOM, eps, 1.0) == pytest.approx(want, rel=1e-15)
-    # ending at 0, the path stays there for ever: the atom weighs e^-1 in all
-    want = (1.0 - e1) - 0.75 * e1
-    assert discounted_action(_ENDS, V, _ATOM, eps, 1.0) == pytest.approx(want, rel=1e-15)
+    for u in (_LEAVES, _ENDS):
+        with pytest.raises(InputError, match="zero atom; use dp_oracle_1d, dp_oracle_halfline"):
+            action_G(u, V, _ATOM, eps)
+        with pytest.raises(InputError, match="zero atom; use dp_oracle_1d, dp_oracle_halfline"):
+            discounted_action(u, V, _ATOM, eps, 1.0)
 
 
 def test_homogenized_action_of_affine_path():
