@@ -129,12 +129,21 @@ _ENDS = Trajectory(np.array([0.0, 1.0, 2.0]), np.array([[1.0], [0.0], [0.0]]))
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.1])
-def test_path_actions_refuse_a_zero_atom(eps):
-    """Pointwise samples never see an atom; only the DP oracles charge it."""
+def test_action_G_charges_the_zero_atom_for_the_time_at_0(eps):
+    """The time at 0 is charged only by the DP oracles: pointwise samples
+    never see an atom, so action_G refuses one and names them."""
     V = make_potential("zero", 1)
     for u in (_LEAVES, _ENDS):
         with pytest.raises(InputError, match="zero atom; use dp_oracle_1d, dp_oracle_halfline"):
             action_G(u, V, _ATOM, eps)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1])
+def test_discounted_action_charges_the_zero_atom_for_the_discounted_time_at_0(eps):
+    """As for action_G: the discounted time at 0 is charged only by the DP
+    oracles, so discounted_action refuses a zero atom and names them."""
+    V = make_potential("zero", 1)
+    for u in (_LEAVES, _ENDS):
         with pytest.raises(InputError, match="zero atom; use dp_oracle_1d, dp_oracle_halfline"):
             discounted_action(u, V, _ATOM, eps, 1.0)
 
