@@ -50,6 +50,9 @@ _HJ_OPT = OptimizerSpec(max_iters=800, restarts=2)
 # The evolutionary polish tries the lattice's argmin y and its y_grid
 # neighbours: the lattice's quantized kinetic cost can rank adjacent y wrongly.
 _Y_NEIGHBOURS = np.array([0, -1, 1])
+# x grid points per block of a homogenized time slice: its (x, y) slope
+# temporaries hold _X_BLOCK * len(y_grid) * d floats, whatever the x grid.
+_X_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -147,30 +150,32 @@ def solve_evolutionary_hom(
 ) -> ValueField:
     """U(x, t) = min over y of t * f((x - y) / t) + Phi(y), exact discrete min.
 
-    Each time slice forms its slopes (x - y)/t at once and reads the
-    admissible ones, inside the tabulated hull, in one table query, so memory
-    grows with the x and y grids but not with the times. The others are
-    skipped; the skipped fraction is reported in provenance, and an empty
-    admissible set is an error naming the first such (x, t), times before
-    grid points.
+    Each time slice is taken in blocks of _X_BLOCK grid points x. A block
+    forms its slopes (x - y)/t at once and reads the admissible ones, inside
+    the tabulated hull, in one table query, so memory grows with the y grid
+    but not with the x grid or the times. The others are skipped; the skipped
+    fraction is reported in provenance, and an empty admissible set is an
+    error naming the first such (x, t), times before grid points.
     """
     x_axes, t_grid, x_mesh, y_mesh, phi_vals = _evolutionary_grids(x_grid, t_grid, y_grid, Phi, f)
     lo, hi = np.array(f.hull()).T
     values = np.empty((x_mesh.shape[0], t_grid.size))
     skipped = 0
     for j, t in enumerate(t_grid):
-        slopes = (x_mesh[:, None] - y_mesh[None]) / t
-        ok = np.all((slopes >= lo) & (slopes <= hi), axis=-1)  # (x, y)
-        empty = np.flatnonzero(~ok.any(axis=1))
-        if empty.size:
-            raise SolverError(
-                f"no admissible y for x={x_mesh[empty[0]].tolist()}, t={t}: "
-                "enlarge y_grid or the tabulated slope hull"
-            )
-        scores = np.full(ok.shape, np.inf)
-        scores[ok] = t * f.value(slopes[ok]) + phi_vals[np.nonzero(ok)[1]]
-        values[:, j] = scores.min(axis=1)
-        skipped += int(np.sum(~ok))
+        for start in range(0, x_mesh.shape[0], _X_BLOCK):
+            block = slice(start, start + _X_BLOCK)
+            slopes = (x_mesh[block, None] - y_mesh[None]) / t
+            ok = np.all((slopes >= lo) & (slopes <= hi), axis=-1)  # (x, y)
+            empty = np.flatnonzero(~ok.any(axis=1))
+            if empty.size:
+                raise SolverError(
+                    f"no admissible y for x={x_mesh[start + empty[0]].tolist()}, t={t}: "
+                    "enlarge y_grid or the tabulated slope hull"
+                )
+            scores = np.full(ok.shape, np.inf)
+            scores[ok] = t * f.value(slopes[ok]) + phi_vals[np.nonzero(ok)[1]]
+            values[block, j] = scores.min(axis=1)
+            skipped += int(np.sum(~ok))
 
     shape = tuple(ax.size for ax in x_axes) + (t_grid.size,)
     return ValueField(

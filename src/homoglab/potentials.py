@@ -196,7 +196,8 @@ def eval_hamiltonian(V: PeriodicPotential, W: Optional[Perturbation], x, p):
 
 def _chord_cells(R: float) -> int:
     """Midpoints on a chord of length 2R: 4 per unit length, at least 64, at
-    most 2^24 (R <= 2^21; each chord array then holds 128 MiB)."""
+    most 2^24 (R <= 2^21; a chord's 1D array of positions then holds 128 MiB,
+    and cylinder_average's (n, d) point buffer 128*d MiB)."""
     n = max(64.0, np.ceil(8 * R))
     if not n <= 2**24:
         raise InputError(f"R = {R} needs {n:.0f} chord midpoints, over the limit 2^24 (R <= 2^21)")
@@ -240,6 +241,12 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     transverse offset (_chord_cells(R) per chord). For W == c the d = 2
     value is exact up to the O((r/R)^2) chord correction, approaching
     2*c*omega_{d-1}*r^{d-1} as R grows.
+
+    W is evaluated once per chord, on one (n, d) buffer that every chord
+    refills column by column with t * axis_j + (basis @ z)_j, the same two
+    roundings per element as a freshly built chord. One chord per call keeps
+    a call's points at nearly one angle, which parabola_free_region's
+    per-block table slice relies on for its speed.
     """
     if W.dimension < 2:
         raise InputError("cylinder_average requires dimension >= 2")
@@ -262,12 +269,16 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
 
     total = 0.0
     rel = midpoints(-1.0, 1.0, n_axis)
+    pts = np.empty((n_axis, d))
     for z in offsets:
         half_chord = np.sqrt(max(R * R - float(z @ z), 0.0))
         if half_chord == 0.0:
             continue
         t = rel * half_chord
-        pts = t[:, None] * axis[None, :] + (basis @ z)[None, :]
+        shift = basis @ z
+        for j in range(d):  # column by column: a broadcast (n, d) fill is 6x slower at d = 2
+            np.multiply(t, axis[j], out=pts[:, j])
+            pts[:, j] += shift[j]
         vals = W.evaluator(pts)
         total += float(np.sum(vals)) * (2 * half_chord / n_axis) * cell
     return total / R
@@ -363,15 +374,19 @@ def parabola_free_region(x: np.ndarray) -> np.ndarray:
     Each point is tested only at the levels whose angular window holds it.
     One cached sorted table lists the windows of every level with 2^k <=
     max|x_0| + max|x_1| (a bound on every radius), each padded by a slack far
-    above the rounding of its ends, and one `searchsorted` per point reads
-    off the levels that can hold it. Those (point, level) pairs then get the
-    exact per-level test, op for op, so the mask is the one of testing every
-    point at every level 2^k <= max rho: a point in a level-k tongue lies
-    within 4^{-k} of its center, the 2*pi - offset branch never applies for
-    k >= 2 (the offset to the nearest odd multiple is at most pi/2), and a
-    level above every radius marks nothing. Non-finite points, and points of
-    radius above 2^40 (where the float64 angle test stops being exact),
-    raise InputError.
+    above the rounding of its ends. Points go in blocks of _BLOCK, and each
+    block reads the table only between the ends at its least and greatest
+    angle: the ends below that slice are at or below every angle of the
+    block, those past it above every one, so a `searchsorted` in the slice
+    plus its start is the one over the whole table, and a slice with no end
+    gives every point the same levels without a search. The (point, level)
+    pairs then get the exact per-level test, op for op, so the mask is the
+    one of testing every point at every level 2^k <= max rho: a point in a
+    level-k tongue lies within 4^{-k} of its center, the 2*pi - offset
+    branch never applies for k >= 2 (the offset to the nearest odd multiple
+    is at most pi/2), and a level above every radius marks nothing.
+    Non-finite points, and points of radius above 2^40 (where the float64
+    angle test stops being exact), raise InputError.
     """
     pts = np.asarray(x, dtype=float)
     flat = pts.reshape(-1, pts.shape[-1])
@@ -400,36 +415,37 @@ def parabola_free_region(x: np.ndarray) -> np.ndarray:
 
 
 def _free_block(x0, x1, top: int) -> np.ndarray:
-    """parabola_free_region for the points (x0, x1), all of radius < 2^(top+1)."""
+    """parabola_free_region for the points (x0, x1), all of radius < 2^(top+1).
+
+    The table is sliced to the block's angle range: lo ends lie at or below
+    its least angle and those from hi on above its greatest, so a point's
+    count of ends at or below its angle is lo plus its count in ends[lo:hi].
+    With hi == lo no end falls inside the range, and every point has cover[lo].
+    """
     angle = np.arctan2(x1, x0)
+    theta = angle + np.where(angle < 0, 2 * np.pi, 0.0)  # np.mod(angle, 2*pi), bit for bit
+    rho = np.hypot(x0, x1)
     ends, cover = _tongue_windows(min(top, _TABLE_TOP))
-    bits = cover.take(np.searchsorted(ends, angle, side="right"))
-    hit = np.flatnonzero(bits)
-    bits = bits.take(hit)
-    points, levels = [], []
-    while True:  # one pass per window holding a point, lowest level first
-        low = bits & -bits
-        points.append(hit)
-        levels.append(np.frexp(low)[1] - 1)  # low == 2^level
-        bits ^= low
-        more = np.flatnonzero(bits)
-        if not more.size:
-            break
-        hit, bits = hit.take(more), bits.take(more)
-    pt = np.concatenate(points)
+    lo, hi = np.searchsorted(ends, [angle.min(), angle.max()], side="right")
+    if hi == lo:
+        bits = cover[lo : lo + 1]
+    else:
+        bits = cover.take(lo + np.searchsorted(ends[lo:hi], angle, side="right"))
+    listed = int(np.bitwise_or.reduce(bits))  # the levels whose windows hold some point
     free = np.zeros(x0.shape, dtype=bool)
-    free[pt[_in_tongue(angle.take(pt), x0.take(pt), x1.take(pt), np.concatenate(levels))]] = True
-    for k in range(_TABLE_TOP + 1, top + 1):  # too many windows to list
-        free |= _in_tongue(angle, x0, x1, np.full(x0.size, k))
+    for k in range(2, top + 1):
+        if k > _TABLE_TOP or (hi == lo and listed >> k & 1):  # unlisted, or one cover for all
+            free |= _in_tongue(theta, rho, k)
+        elif listed >> k & 1:
+            pt = np.flatnonzero(bits & (1 << k))
+            free[pt[_in_tongue(theta.take(pt), rho.take(pt), k)]] = True
     return free
 
 
-def _in_tongue(angle, x0, x1, level) -> np.ndarray:
-    """The per-level test: is each point (x0, x1), of arctan2 angle `angle`,
-    inside the tongue of its `level`?"""
-    base, step, cap, c_k = _LEVEL_CONSTANTS.take(level, axis=1)
-    theta = angle + np.where(angle < 0, 2 * np.pi, 0.0)  # np.mod(angle, 2*pi), bit for bit
-    rho = np.hypot(x0, x1)
+def _in_tongue(theta, rho, k: int) -> np.ndarray:
+    """The level-k test: is each point, of radius rho and of angle theta (its
+    arctan2 angle, plus 2*pi where negative), inside a level-k tongue?"""
+    base, step, cap, c_k = _LEVEL_CONSTANTS[:, k]
     h_near = 2.0 * np.round((theta / base - 1.0) / 2.0) + 1.0
     gap = np.abs(theta - base * h_near)
     gap = np.minimum(gap, 2 * np.pi - gap)

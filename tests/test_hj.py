@@ -326,6 +326,31 @@ def test_evolutionary_hom_is_the_per_point_loop(d):
     assert field.provenance["skipped_fraction"] == skipped / want.size / len(ys)
 
 
+@pytest.mark.parametrize("x_block", [1, 3, 5])
+def test_evolutionary_hom_blocks_of_x_keep_values_and_error_order(monkeypatch, x_block):
+    """Blocks of x that split the grid unevenly give the one-block field bit
+    for bit, and still name the first empty (x, t) times first."""
+    axes = tuple(np.linspace(-1.5, 1.0, 6) for _ in range(2))
+    f = HomogenizedLagrangian(axes, np.random.default_rng(3).uniform(0.0, 2.0, size=(6, 6)), 0.0)
+
+    def Phi(y):
+        return float(np.sum(np.sin(3.0 * y)))
+
+    x_axes = tuple(np.linspace(-0.5, 0.5, 4) for _ in range(2))
+    y_axes = tuple(np.linspace(-1.0, 1.0, 9) for _ in range(2))
+    grids = (x_axes, np.array([0.5, 1.0, 2.0]), y_axes)
+    whole = solve_evolutionary_hom(f, Phi, *grids)
+    monkeypatch.setattr(hj, "_X_BLOCK", x_block)
+    split = solve_evolutionary_hom(f, Phi, *grids)
+    assert np.array_equal(split.values, whole.values)
+    assert split.provenance == whole.provenance
+    # x = 1 has no admissible y at t = 2 and x = 6 none at t = 1, in another block
+    shifted = HomogenizedLagrangian((np.array([1.0, 3.0]),), np.array([1.0, 9.0]), 0.0)
+    x = np.array([1.0, 1.5, 2.0, 2.5, 3.0, 6.0])
+    with pytest.raises(SolverError, match=r"no admissible y for x=\[6\.0\], t=1\.0:"):
+        solve_evolutionary_hom(shifted, Phi, x, np.array([1.0, 2.0]), np.array([0.0]))
+
+
 def test_evolutionary_hom_empty_hull_raises(free_table):
     """The error names the first (x, t) with no admissible y, times first."""
     Phi = make_initial_datum("plane_wave", 1, p=[1.0])

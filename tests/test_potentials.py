@@ -19,7 +19,15 @@ from homoglab import (
     make_potential,
     parabola_free_region,
 )
-from homoglab.potentials import PERTURBATION_BUILDERS, POTENTIAL_BUILDERS
+from homoglab.grid import mesh
+from homoglab.potentials import (
+    _WINDOW_SLACK,
+    PERTURBATION_BUILDERS,
+    POTENTIAL_BUILDERS,
+    _chord_cells,
+    _householder_frame,
+)
+from homoglab.quadrature import midpoints
 
 SMOOTH_REGISTRY = [
     ("potential", n) for n in ("zero", "constant", "sin2", "cos_sum", "sin2_coupled")
@@ -192,6 +200,37 @@ def test_cylinder_average_rejects_bad_inputs():
         cylinder_average(W1, [1.0], 0.5, 64.0)
 
 
+def _reference_cylinder_average(W, xi, r, R):
+    """cylinder_average by the plain per-chord loop, each chord's points built afresh."""
+    axis = np.asarray(xi, dtype=float) / np.linalg.norm(xi)
+    basis = _householder_frame(axis)[:, 1:]
+    n_axis, n_cross = _chord_cells(R), 16
+    offsets = mesh([midpoints(-r, r, n_cross)] * (W.dimension - 1))
+    offsets = offsets[np.sum(offsets * offsets, axis=-1) < r * r]
+    cell = (2 * r / n_cross) ** (W.dimension - 1)
+    total = 0.0
+    rel = midpoints(-1.0, 1.0, n_axis)
+    for z in offsets:
+        half_chord = np.sqrt(max(R * R - float(z @ z), 0.0))
+        if half_chord == 0.0:
+            continue
+        t = rel * half_chord
+        pts = t[:, None] * axis[None, :] + (basis @ z)[None, :]
+        total += float(np.sum(W.evaluator(pts))) * (2 * half_chord / n_axis) * cell
+    return total / R
+
+
+@pytest.mark.parametrize("R", [64.0, 1024.0])
+@pytest.mark.parametrize(
+    "name, d", [("parabola_example", 2), ("runge_decay", 2), ("constant", 2), ("runge_decay", 3)]
+)
+def test_cylinder_average_is_the_per_chord_loop_bit_for_bit(name, d, R):
+    W = make_perturbation(name, d)
+    for xi in ([0.0, 1.0], [-1.0, 0.0], [np.cos(1.0), np.sin(1.0)]):
+        xi = xi + [0.0] * (d - 2)
+        assert cylinder_average(W, xi, 0.5, R) == _reference_cylinder_average(W, xi, 0.5, R)
+
+
 def test_lp_unif_estimate_constant():
     W = make_perturbation("constant", 2, value=1.0)
     centers = [np.zeros(2)]
@@ -275,6 +314,34 @@ def _parabola_batches(draw):
     batch = batch[list(order)]
     shape = draw(st.sampled_from([(-1, 2), (1, -1, 2), (-1, 1, 2)]))
     return batch.reshape(shape)
+
+
+@st.composite
+def _chord_batches(draw):
+    """Points along one chord, as cylinder_average lays them out. The chord
+    crosses radius rho at an angle a (a tongue center, a window end give or
+    take a few ulps, a generic angle, or pi), heading out from the origin,
+    across, along (0, 1), along (-1, 0) or generically. So a block's angles
+    span one window, none, a window end, or (through the origin, or across
+    the negative x axis where arctan2 jumps from pi to -pi) most of the
+    circle. Radii past 2^17 reach levels above the window table."""
+    k = draw(st.integers(2, 18))
+    center = 2 * np.pi / 2.0**k * (2 * draw(st.integers(0, 2 ** (k - 1) - 1)) + 1)
+    half = 4.0 ** (-k) + _WINDOW_SLACK
+    a = draw(st.sampled_from([center, center - half, center + half, 1.0, np.pi]))
+    a += draw(st.integers(-3, 3)) * np.spacing(a)
+    heading = draw(st.sampled_from([a, a + np.pi / 2, np.pi / 2, np.pi, 1.0]))
+    rho = draw(st.floats(4.0, 2.0**14) | st.sampled_from([1.5 * 2.0**17, 2.0**19]))
+    reach = draw(st.sampled_from([1e-3, 1.0, rho]))
+    t = np.linspace(-reach, reach, draw(st.integers(1, 300)))
+    cross = rho * np.array([np.cos(a), np.sin(a)])
+    return cross + t[:, None] * np.array([np.cos(heading), np.sin(heading)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chord_batches())
+def test_parabola_free_region_on_chords_equals_the_per_level_loop(pts):
+    assert (parabola_free_region(pts) == _reference_free_region(pts)).all()
 
 
 @settings(max_examples=200, deadline=None)
