@@ -348,10 +348,11 @@ def f_hom_asymptotic(
 
 def _lattice_period(xi: np.ndarray):
     """Least T > 0 with T * xi in Z^d, for a xi that some q <= 16 makes
-    integral to 1e-12 (T = q / gcd(q * xi) for the least such q); else None."""
+    integral to 1e-12 (T = q / gcd(q * xi) for the least such q, skipping a q
+    that rounds q * xi to zero); else None."""
     for q in range(1, 17):
         n = np.round(q * xi)
-        if np.all(np.abs(q * xi - n) <= 1e-12):
+        if np.any(n) and np.all(np.abs(q * xi - n) <= 1e-12):
             return q / math.gcd(*(int(abs(k)) for k in n))
     return None
 
@@ -536,23 +537,6 @@ def _estimate_hit_spacing(xi: np.ndarray, eta: float) -> float:
     raise SolverError("could not observe enough ergodic hits to estimate spacing")
 
 
-def _eta_from_modulus(V: PeriodicPotential, delta: float, eta_max: float = 0.25) -> float:
-    """Largest eta <= eta_max with omega(eta) <= delta/2, by bisection."""
-    target = delta / 2.0
-    if V.modulus(eta_max) <= target:
-        return eta_max
-    lo, hi = 0.0, eta_max
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if V.modulus(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    if lo == 0.0:
-        raise SolverError("continuity modulus admits no positive eta for this delta")
-    return lo
-
-
 @dataclass
 class AlmostCorrectorPlan:
     """Quasiperiodic piecewise-affine corrector surrogate.
@@ -641,7 +625,8 @@ def build_almost_corrector(
 ) -> AlmostCorrectorPlan:
     """Build the quasiperiodic almost-corrector plan for slope xi.
 
-    eta comes from the continuity modulus (omega(eta) <= delta/2 < delta);
+    eta is the largest value <= 1/4 with lip * eta <= delta/2 < delta, for V's
+    Lipschitz constant lip (V.lipschitz; InputError when V declares none);
     the empirical hit spacing L sets the block length T = ceil((L+1)/delta);
     the base block profile is the window cell solution at T (8 nodes per unit
     time, at least 33), resampled to at most 32 affine pieces; shifts are
@@ -655,7 +640,9 @@ def build_almost_corrector(
         raise InputError("xi must be nonzero")
     if not delta > 0:
         raise InputError("delta must be positive")
-    eta = _eta_from_modulus(V, delta)
+    if V.lipschitz is None:
+        raise InputError(f"potential {V.name!r} declares no Lipschitz constant")
+    eta = min(0.25, delta / 2.0 / V.lipschitz) if V.lipschitz > 0 else 0.25
     l_delta = _estimate_hit_spacing(xi, eta)
 
     for _ in range(3):

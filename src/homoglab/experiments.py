@@ -48,6 +48,7 @@ from .potentials import (
     LP_EXPONENT,
     Perturbation,
     REGISTRY_VERSION,
+    build_from_registry,
     cylinder_average,
     line_average,
     lp_unif_estimate,
@@ -106,16 +107,7 @@ INITIAL_DATUM_BUILDERS = {
 
 def make_initial_datum(name: str, dimension: int, **params) -> Callable:
     """Build a registry initial datum; unknown names are configuration errors."""
-    try:
-        builder = INITIAL_DATUM_BUILDERS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown initial datum {name!r}; known: {sorted(INITIAL_DATUM_BUILDERS)}"
-        ) from None
-    try:
-        return builder(dimension, **params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for initial datum {name!r}: {exc}") from None
+    return build_from_registry("initial datum", INITIAL_DATUM_BUILDERS, name, dimension, **params)
 
 
 # ---------------------------------------------------------------------------

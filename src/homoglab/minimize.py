@@ -482,8 +482,8 @@ def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm):
     if V is None:
         raise InputError("a periodic potential is required (use the zero potential)")
     check_newton_terms(V, W)
-    if n_nodes < 2:
-        raise InputError("need at least two nodes")
+    if not 2 <= n_nodes <= 2**20:
+        raise InputError(f"need 2 to 2^20 nodes, got {n_nodes} (eps={eps}, window [{t0}, {t1}])")
     _check_window(t0, t1, eps)
     a_batch = np.asarray(a_batch, dtype=float)
     a_batch = a_batch.reshape(len(a_batch), -1)

@@ -48,14 +48,15 @@ class PeriodicPotential:
     and `f_hom_asymptotic` returns that sum instead of solving windows. A V
     without it goes through the windows. `gradient` and `hessian` are the
     closed forms of V's derivatives, shape (..., d) and (..., d, d) at points
-    (..., d); the Newton minimizers need both.
+    (..., d); the Newton minimizers need both. `lipschitz` is a Lipschitz
+    constant of V, which the almost-corrector construction needs.
     """
 
     dimension: int
     evaluator: Callable
     v_min: float
     v_max: float
-    continuity_modulus: Optional[Callable] = None
+    lipschitz: Optional[float] = None
     gradient: Optional[Callable] = None
     name: str = ""
     hessian: Optional[Callable] = None
@@ -70,11 +71,6 @@ class PeriodicPotential:
     def __call__(self, x):
         pts = as_points(x, self.dimension)
         return self.evaluator(pts)
-
-    def modulus(self, delta: float) -> float:
-        if self.continuity_modulus is None:
-            raise InputError(f"potential {self.name!r} declares no continuity modulus")
-        return float(self.continuity_modulus(delta))
 
     def check_periodicity(self):
         """Sample V(x + e_i) - V(x) at 100 seeded random points; raise beyond 1e-12."""
@@ -487,16 +483,15 @@ def _separable(dimension, name, v, dv, d2v, v_bounds, v_lip) -> PeriodicPotentia
     dv and d2v are v's first and second derivatives, v_bounds = (min v, max v)
     and v_lip is v's Lipschitz constant. The gradient is dv on each axis, the
     Hessian diag(d2v) on an identity built once, the bounds d * v_bounds and
-    the modulus v_lip * sqrt(d) * delta.
+    the Lipschitz constant v_lip * sqrt(d).
     """
     eye = np.eye(dimension)
-    lip = v_lip * np.sqrt(dimension)
     return PeriodicPotential(
         dimension,
         lambda x: np.sum(v(x), axis=-1),
         v_min=dimension * v_bounds[0],
         v_max=dimension * v_bounds[1],
-        continuity_modulus=lambda delta: lip * delta,
+        lipschitz=v_lip * np.sqrt(dimension),
         gradient=dv,
         name=name,
         hessian=lambda x: d2v(x)[..., None] * eye,
@@ -569,13 +564,12 @@ def _build_sin2_coupled_potential(dimension: int) -> PeriodicPotential:
         hess[..., i + 1, i] = -curv
         return hess
 
-    lip = np.pi * np.sqrt(dimension) * (1.0 + 2.0 * c)
     return PeriodicPotential(
         dimension,
         evaluator,
         v_min=0.0,
         v_max=dimension + c * (dimension - 1),
-        continuity_modulus=lambda delta, _l=lip: _l * delta,
+        lipschitz=np.pi * np.sqrt(dimension) * (1.0 + 2.0 * c),
         gradient=gradient,
         name="sin2_coupled",
         hessian=hessian,
@@ -745,31 +739,26 @@ def _checked_parabola(dimension: int) -> Perturbation:
     return build_parabola_perturbation()
 
 
+def build_from_registry(kind: str, builders: dict, name: str, dimension: int, /, **params):
+    """builders[name](dimension, **params); an unknown name or a TypeError of
+    the builder is a ConfigError that names the kind of object and the name."""
+    try:
+        builder = builders[name]
+    except KeyError:
+        raise ConfigError(f"unknown {kind} {name!r}; known: {sorted(builders)}") from None
+    try:
+        return builder(dimension, **params)
+    except TypeError as exc:
+        raise ConfigError(f"bad parameters for {kind} {name!r}: {exc}") from None
+
+
 def make_potential(name: str, dimension: int, **params) -> PeriodicPotential:
     """Build a registry potential; unknown names are configuration errors."""
-    try:
-        builder = POTENTIAL_BUILDERS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown potential {name!r}; known: {sorted(POTENTIAL_BUILDERS)}"
-        ) from None
-    try:
-        potential = builder(dimension, **params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for potential {name!r}: {exc}") from None
+    potential = build_from_registry("potential", POTENTIAL_BUILDERS, name, dimension, **params)
     potential.check_periodicity()
     return potential
 
 
 def make_perturbation(name: str, dimension: int, **params) -> Perturbation:
     """Build a registry perturbation; unknown names are configuration errors."""
-    try:
-        builder = PERTURBATION_BUILDERS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown perturbation {name!r}; known: {sorted(PERTURBATION_BUILDERS)}"
-        ) from None
-    try:
-        return builder(dimension, **params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for perturbation {name!r}: {exc}") from None
+    return build_from_registry("perturbation", PERTURBATION_BUILDERS, name, dimension, **params)

@@ -268,6 +268,13 @@ def test_asymptotic_windows_are_lattice_aligned_on_the_diagonal(cell_opt, xi, T0
     assert min(diagnostics["values"]) >= sin2_sum
 
 
+@pytest.mark.parametrize("xi,period", [([1e-13, 0.0], None), ([0.5, 0.0], 2.0)])
+def test_lattice_period_skips_multiples_that_round_to_zero(xi, period):
+    # Every q * (1e-13, 0) rounds to the zero vector, so no q <= 16 gives a
+    # period (the gcd of zeros divided by zero before); (0.5, 0) finds q = 2.
+    assert homoglab.cell._lattice_period(np.array(xi)) == period
+
+
 def test_asymptotic_free_particle_exact(cell_opt):
     V = make_potential("zero", 2)
     value, _ = f_hom_asymptotic(V, np.array([1.0, 1.0]), opt=cell_opt)

@@ -207,6 +207,32 @@ def test_a_w_without_closed_form_derivatives_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "dimension,potential,xi_grid,nodes",
+    [
+        (1, "sin2", {"half_width": 1e-9}, "48000000001"),
+        (2, "sin2_coupled", {"half_width": 1e-12, "n": 3}, "90509667991880"),
+    ],
+)
+def test_a_slope_too_small_for_a_cell_window_is_a_config_error(
+    tmp_path, capsys, dimension, potential, xi_grid, nodes
+):
+    """A slope of 1e-9 would need a cell window of 4.8e10 Newton nodes (384 GB);
+    in d = 2 no lattice period exists and the window is longer still. Both are
+    refused before any array is built."""
+    raw = {
+        "experiment": "fhom",
+        "dimension": dimension,
+        "potential": {"name": potential},
+        "grids": {"xi": xi_grid},
+    }
+    cfg = write_cfg(tmp_path, raw)
+    code = cli.main(["fhom", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert f"need 2 to 2^20 nodes, got {nodes}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreachable_hj_grid_is_a_solver_failure(tmp_path, capsys):
     raw = {
         "experiment": "hj",

@@ -1,11 +1,14 @@
 """Ergodic shift search and the quasiperiodic almost-corrector plan."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from homoglab import (
     AlmostCorrectorPlan,
     ErgodicWindowError,
+    InputError,
     InvariantError,
     OptimizerSpec,
     build_almost_corrector,
@@ -68,6 +71,17 @@ def test_plan_invariants(plan):
     assert np.all(spacing >= plan.T + 1.0)
     assert np.all(spacing <= plan.T + plan.l_delta)
     assert np.all(lattice_distance(plan.shifts, plan.xi) < plan.eta)
+
+
+def test_plan_eta_is_the_lipschitz_bound(plan):
+    # V = sin2 in d = 2 is (pi * sqrt 2)-Lipschitz: eta = (delta / 2) / lip.
+    assert plan.eta == 0.2 / 2.0 / (np.pi * np.sqrt(2.0))
+
+
+def test_a_potential_without_a_lipschitz_constant_is_refused():
+    V = dataclasses.replace(make_potential("sin2", 2), lipschitz=None)
+    with pytest.raises(InputError, match="declares no Lipschitz constant"):
+        build_almost_corrector(V, np.array([1.0, np.sqrt(2.0)]), delta=0.2, horizon=400.0)
 
 
 def test_plan_profile_vanishes_between_blocks(plan):

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homoglab.cell
-from homoglab import experiments
+from homoglab import experiments, minimize
 from homoglab.errors import ConfigError, InputError, InvariantError, SolverError
 from homoglab.experiments import (
     ExperimentConfig,
@@ -159,6 +160,23 @@ def test_every_benchmark_config_parses(seed):
         for _, runner, raw in workloads.configs(workload, seed):
             ExperimentConfig.from_dict(raw)
             assert callable(getattr(experiments, runner))
+
+
+def test_the_layer_timer_captures_every_kernel_and_restores_it(monkeypatch):
+    # Loaded from its file; it prepends src/ and bench/ to sys.path, which
+    # monkeypatch restores. One capture pass, no timed replays.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parent.parent / "tools" / "time_layers.py"
+    spec = importlib.util.spec_from_file_location("time_layers", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    originals = (minimize._dp_sweep, minimize._solve, experiments.cylinder_average)
+    calls = tool.capture(7)
+    assert sorted(calls) == ["_dp_sweep", "_solve", "cylinder_average"]
+    assert all(calls.values())
+    labels = {label.split("/")[0] for kernel in calls.values() for label, _ in kernel}
+    assert labels == {"tables", "stability", "hj", "lattice"}
+    assert (minimize._dp_sweep, minimize._solve, experiments.cylinder_average) == originals
 
 
 def test_config_roundtrips_through_json_file(tmp_path):

@@ -1,0 +1,212 @@
+"""Time each lattice DP sweep, damped-Newton solve and tube average that the benchmark workloads run.
+
+Run from anywhere; the homoglab sources of the checkout that holds this
+script are the ones imported:
+
+    python tools/time_layers.py --seed 7
+
+The workload configs are generated by bench/workloads.py at the given seed
+(read from there, never changed). One pass over the runner calls of all four
+workloads captures every call of three kernels:
+
+- `homoglab.minimize._dp_sweep`, with a copy of its start value;
+- `homoglab.minimize._solve`, with its action and a copy of its starts;
+- `homoglab.experiments.cylinder_average`, the binding the conditions runner
+  calls.
+
+Once the pass is done, each captured call is run again 5 times, and one table
+per kernel gives one line per call:
+
+- a DP sweep's size (states, moves, steps), which of target / weights /
+  record it used, and the median time in ms;
+- a Newton solve's size (nodes, dimension, problems x starts), its Newton
+  sweeps, and the median time in ms, whole and split into the action's
+  derivatives, the banded Newton solves, the line search (every action value
+  outside `derivatives`: the trial steps and the starts' first values) and
+  the rest of `_solve` (its bookkeeping). Each call is charged to its
+  outermost part, so a value computed inside `derivatives` counts there;
+- a tube average's direction, R, the number of points its chords hand to W,
+  the median time in ms and that median per point in ns.
+
+No benchmark span isolates one sweep or one solve, and the
+`potentials.cylinder_average` span sums a workload's calls, so this is how
+each of these layers is measured on its own.
+"""
+
+import argparse
+import dataclasses
+import inspect
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The benchmark pins BLAS to one thread; so does this script, before NumPy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from homoglab import experiments, minimize, potentials  # noqa: E402
+import workloads  # noqa: E402
+
+WORKLOADS = ("tables", "stability", "hj", "lattice")
+REPEATS = 5
+# (module, name, the arguments copied when captured, as the kernel may change them)
+KERNELS = (
+    (minimize, "_dp_sweep", ("value",)),
+    (minimize, "_solve", ("starts",)),
+    (experiments, "cylinder_average", ()),
+)
+PARTS = ("derivatives", "band solve", "line search", "bookkeeping")
+
+
+def capture(seed):
+    """Run the workloads' runner calls once; returns {kernel name: [(call label,
+    {argument: value})]}, one entry per call, in call order."""
+    calls = {name: [] for _, name, _ in KERNELS}
+    originals = [getattr(module, name) for module, name, _ in KERNELS]
+    label = None
+
+    def recording(name, kernel, copied):
+        signature = inspect.signature(kernel)
+
+        def wrapper(*args, **kwargs):
+            arguments = signature.bind(*args, **kwargs)
+            arguments.apply_defaults()
+            call = dict(arguments.arguments)
+            call.update({key: call[key].copy() for key in copied})
+            calls[name].append((label, call))
+            return kernel(*args, **kwargs)
+
+        return wrapper
+
+    for (module, name, copied), kernel in zip(KERNELS, originals):
+        setattr(module, name, recording(name, kernel, copied))
+    try:
+        for workload in WORKLOADS:
+            for config, runner, raw in workloads.configs(workload, seed):
+                label = f"{workload}/{config}"
+                getattr(experiments, runner)(experiments.ExperimentConfig.from_dict(raw), threads=1)
+    finally:
+        for (module, name, _), kernel in zip(KERNELS, originals):
+            setattr(module, name, kernel)
+    return calls
+
+
+def median_ms(kernel, arguments):
+    """The median over REPEATS runs of kernel(**arguments()), in ms; arguments
+    is called before each run, outside the timing."""
+    times = []
+    for _ in range(REPEATS):
+        kwargs = arguments()
+        tic = time.perf_counter()
+        kernel(**kwargs)
+        times.append(time.perf_counter() - tic)
+    return 1e3 * statistics.median(times)
+
+
+def print_sweeps(calls):
+    print(f"{'call':<24} {'n_x':>6} {'moves':>5} {'steps':>5}  target weights record  median_ms")
+    for label, call in calls:
+        median = median_ms(minimize._dp_sweep, lambda: dict(call, value=call["value"].copy()))
+        flags = [call["target"] is not None, call["weights"] is not None, call["record"]]
+        print(
+            f"{label:<24} {call['value'].size:>6} {call['moves'].size:>5} {call['n_steps']:>5}  "
+            + " ".join(f"{'yes' if flag else 'no':>{len(name)}}"
+                       for flag, name in zip(flags, ("target", "weights", "record")))
+            + f"  {median:>9.2f}"
+        )
+
+
+class _Split:
+    """Seconds spent in each part of one solve, each call charged to its outermost part."""
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(PARTS[:3], 0.0)
+        self.sweeps = 0
+        self._inside = False
+
+    def timed(self, part, fn):
+        def wrapper(*args, **kwargs):
+            if self._inside:
+                return fn(*args, **kwargs)
+            self._inside = True
+            tic = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.seconds[part] += time.perf_counter() - tic
+                self._inside = False
+                self.sweeps += part == "derivatives"
+
+        return wrapper
+
+
+def time_solve(action, starts, opt, problems):
+    """One timed run of a captured solve: ({part: seconds, with bookkeeping}, sweeps)."""
+    split = _Split()
+    steps = minimize._newton_steps
+    action.derivatives = split.timed("derivatives", action.derivatives)
+    action.value = split.timed("line search", action.value)
+    minimize._newton_steps = split.timed("band solve", steps)
+    try:
+        tic = time.perf_counter()
+        minimize._solve(action, starts, opt, problems)
+        total = time.perf_counter() - tic
+    finally:
+        minimize._newton_steps = steps
+        del action.derivatives, action.value
+    split.seconds["bookkeeping"] = total - sum(split.seconds.values())
+    return dict(split.seconds, total=total), split.sweeps
+
+
+def print_solves(calls):
+    columns = ("total",) + PARTS
+    print(f"{'call':<24} {'nodes':>5} {'d':>2} {'P x S':>7} {'sweeps':>6}  "
+          + " ".join(f"{c:>11}" for c in columns) + "  (median ms)")
+    for label, call in calls:
+        runs = [time_solve(**call) for _ in range(REPEATS)]
+        P, S, N, d = call["starts"].shape
+        medians = [1e3 * statistics.median(r[0][c] for r in runs) for c in columns]
+        print(f"{label:<24} {N:>5} {d:>2} {f'{P}x{S}':>7} {runs[0][1]:>6}  "
+              + " ".join(f"{m:>11.3f}" for m in medians))
+
+
+def points_of(W, xi, r, R):
+    """The number of points one call hands to W's evaluator."""
+    seen = [0]
+
+    def counting(x):
+        seen[0] += x.shape[0]
+        return W.evaluator(x)
+
+    potentials.cylinder_average(dataclasses.replace(W, evaluator=counting), xi, r, R)
+    return seen[0]
+
+
+def print_tubes(calls):
+    print(f"{'call':<20} {'direction':>22} {'R':>6} {'points':>8}  median_ms  ns/point")
+    for label, call in calls:
+        median = median_ms(potentials.cylinder_average, lambda: call)
+        points = points_of(**call)
+        direction = "(" + ", ".join(f"{v:.4f}" for v in call["xi"]) + ")"
+        print(f"{label:<20} {direction:>22} {call['R']:>6g} {points:>8}  {median:>9.2f}"
+              f"  {1e6 * median / points:>8.1f}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=7, help="workload seed (default: 7)")
+    args = parser.parse_args(argv)
+    calls = capture(args.seed)
+    print_sweeps(calls["_dp_sweep"])
+    print_solves(calls["_solve"])
+    print_tubes(calls["cylinder_average"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
