@@ -43,7 +43,9 @@ from .hj import (
     solve_steady_eps,
     solve_steady_hom,
 )
-from .minimize import DPGrid, OptimizerSpec, check_newton_terms, dp_oracle_1d, minimize_bvp
+from .minimize import (
+    DPGrid, OptimizerSpec, check_newton_terms, check_node_count, dp_oracle_1d, minimize_bvp
+)
 from .potentials import (
     LP_EXPONENT,
     Perturbation,
@@ -556,7 +558,9 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     competitor (d >= 2); min_F warm-started additionally by the G-minimizer,
     which pins min_F <= min_G structurally. Verdicts: gap_G decreasing with
     10% slack, final relative gap below the configured threshold. A W that
-    Newton cannot take (check_newton_terms) raises InputError before any solve.
+    Newton cannot take (check_newton_terms), or an eps whose rung would need
+    more than 2^20 nodes (check_node_count), raises InputError before any
+    solve or warm start is built.
     A rung that fails raises its own SolverError or InvariantError, so the
     verdicts always judge the whole ladder; `rows_failed` is always 0.
 
@@ -581,6 +585,9 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     opt = cfg.optimizer()
     ladder = cfg.eps_ladder
     nodes_per_period = int(cfg.data["solver"]["nodes_per_period"])
+    node_counts = [max(65, int(nodes_per_period / eps) + 9) for eps in ladder]
+    for eps, n_nodes in zip(ladder, node_counts):
+        check_node_count(n_nodes, eps, 0.0, 1.0)
     # exact: W is nonnegative and check_newton_terms has turned away any atom
     zero_w = W.upper_bound() == 0.0
 
@@ -595,8 +602,7 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
 
     rows = []
     a0 = np.zeros(cfg.dimension)
-    for eps in ladder:
-        n_nodes = max(65, int(nodes_per_period / eps) + 9)
+    for eps, n_nodes in zip(ladder, node_counts):
         if profile is not None:
             warm = (scaled_corrector_start(profile, eps, 0.0, 1.0, np.zeros(1), xi, n_nodes),)
         else:

@@ -394,6 +394,13 @@ def check_newton_terms(V: Optional[PeriodicPotential], W: Optional[Perturbation]
             raise InputError(f"{name!r} declares no closed-form gradient and Hessian" + dp)
 
 
+def check_node_count(n_nodes, eps, t0, t1):
+    """Raise InputError, naming eps and the window [t0, t1], unless a pinned
+    path has 2 to 2^20 nodes; callers check before they build any node array."""
+    if not 2 <= n_nodes <= 2**20:
+        raise InputError(f"need 2 to 2^20 nodes, got {n_nodes} (eps={eps}, window [{t0}, {t1}])")
+
+
 def _check_window(t0, t1, eps):
     if not t1 > t0:
         raise InputError("need t1 > t0")
@@ -482,8 +489,7 @@ def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm):
     if V is None:
         raise InputError("a periodic potential is required (use the zero potential)")
     check_newton_terms(V, W)
-    if not 2 <= n_nodes <= 2**20:
-        raise InputError(f"need 2 to 2^20 nodes, got {n_nodes} (eps={eps}, window [{t0}, {t1}])")
+    check_node_count(n_nodes, eps, t0, t1)
     _check_window(t0, t1, eps)
     a_batch = np.asarray(a_batch, dtype=float)
     a_batch = a_batch.reshape(len(a_batch), -1)
@@ -624,9 +630,18 @@ def _lattice_costs(V, W, eps, states):
     return cost, atom_cost
 
 
+# A bounded sweep tests its cone every this many steps. A test costs about
+# what a min-plus step costs on a cone a few thousand state-moves wide, while
+# the cone grows by only kmax - kmin states a step between tests. Of 1, 2, 4,
+# 8 and 16, testing every step was the slowest on four sweeps that prune
+# nearly all, most, or a third of their cone, and 8 was within 3% of the
+# fastest on each.
+_PRUNE_EVERY = 8
+
+
 def _dp_sweep(
     value, lo, hi, moves, stages, n_steps, target=None, weights=None, atom=None,
-    read_at=(), record=False,
+    read_at=(), record=False, bound=None,
 ):
     """Run n_steps backward lattice steps from `value` (finite only on states
     lo..hi; not modified).
@@ -642,6 +657,15 @@ def _dp_sweep(
     still reach it in the steps left. With a target, only the returned value
     at target is meaningful; without one every other state is +inf, as in the
     full-grid sweep, whose results these equal bit for bit.
+
+    A target sweep may also take a `bound` (limit, kinetic, rate), given by
+    dp_oracle_1d: with left > 0 steps still to sweep, the steps that lead from
+    target to a state i cost at least kinetic * (i - target)^2 / left +
+    left * rate, and some path costs at most limit. Every _PRUNE_EVERY steps,
+    when left is a multiple of it, the cone shrinks to its first and last
+    state whose value plus that lower bound is at most limit, and the states
+    dropped are set to +inf. No state of an optimal path can fail the test
+    (see dp_oracle_1d), so the value at target is the same float.
 
     A step is one stacked min-plus operation: the candidates C[m, i] of all
     moves over the cone are formed at once, the value at i + k read through a
@@ -672,6 +696,9 @@ def _dp_sweep(
     stay = ks.index(0) if atom is not None and 0 in ks else None
     scratch = np.empty(n_moves * n_x)
     arg = np.empty((n_steps, n_x), np.min_scalar_type(n_moves)) if record else None
+    if bound is not None:
+        limit, kinetic, rate = bound
+        square = (np.arange(n_x, dtype=float) - target) ** 2
     cur = 0
     stale_lo, stale_hi = 0, -1  # the cone that the buffer written next holds
     reads = []
@@ -700,6 +727,17 @@ def _dp_sweep(
         np.min(c, axis=0, out=out)
         if record:  # np.argmin along the moves would first copy C transposed
             arg[j, a:b] = np.argmax(c == out, axis=0)
+        if bound is not None and left > 0 and left % _PRUNE_EVERY == 0:
+            # Where nothing is dropped, testing the two ends is enough.
+            room = limit - left * rate
+            scale = kinetic / left
+            if not (out[0] + scale * square[a] <= room and out[-1] + scale * square[b - 1] <= room):
+                kept = np.flatnonzero(out + scale * square[a:b] <= room)
+                if kept.size == 0:  # the states of the path that gave limit pass
+                    raise InvariantError("the DP bound dropped every state of the cone")
+                out[: kept[0]] = np.inf
+                out[kept[-1] + 1 :] = np.inf
+                new_lo, new_hi = a + int(kept[0]), a + int(kept[-1])
         cur = nxt
         stale_lo, stale_hi = lo, hi
         lo, hi = new_lo, new_hi
@@ -730,6 +768,18 @@ def dp_oracle_1d(
     each step sweeps only the reachable cone: the states already reachable
     from b that can still reach a in the steps left. A NaN or -inf cost
     raises SolverError; a +inf cost forbids its state.
+
+    The sweep is also bound-pruned (see _dp_sweep). Its limit is the cost of
+    the straight lattice path from a to b (_straight_path_cost) plus a margin
+    of 1e-9 (n_steps * stage size + 1); without that path (a move it needs is
+    not admissible, or it crosses a +inf state) nothing is pruned. The r steps
+    from a to a state i cost at least (dx^2 / h) (i - ia)^2 / r, by Jensen on
+    the kinetic sum, plus r h min(cost, cost + atom). Along an optimal path,
+    value plus bound is at most the optimum, which is at most the straight
+    path's cost; rounding moves either side by far less than the margin. So
+    no state of an optimal path is dropped. Dropping other states can only
+    raise values, and each state of that path keeps its optimal move, so the
+    value at a is the one the full cone gives, bit for bit, ties included.
     """
     if not t1 > t0:
         raise InputError("need t1 > t0")
@@ -750,10 +800,34 @@ def dp_oracle_1d(
     ib = int(np.argmin(np.abs(states - b)))
     value[ib] = 0.0
     ia = int(np.argmin(np.abs(states - a)))
-    result = _dp_sweep(value, ib, ib, moves, stages, grid.n_t - 1, ia)[0][ia]
+    n_steps = grid.n_t - 1
+    bound = None
+    limit = _straight_path_cost(moves, stages, ia, ib, n_steps)
+    if math.isfinite(limit):
+        atom = 0.0 if atom_cost is None else atom_cost
+        # The stage size: no part of a stage (h slope^2, h cost, h atom) is
+        # larger, so a stage whose parts cancel still has its rounding covered.
+        size = np.max(slopes * slopes) + np.max(np.abs(cost[np.isfinite(cost)]))
+        size = h * float(size + np.max(np.abs(atom)))
+        rate = h * float(np.min(cost + np.minimum(atom, 0.0)))
+        bound = (limit + 1e-9 * (n_steps * size + 1.0), dx * dx / h, rate)
+    result = _dp_sweep(value, ib, ib, moves, stages, n_steps, ia, bound=bound)[0][ia]
     if not np.isfinite(result):
         raise SolverError("DP could not connect the boundary states with the given slopes")
     return float(result)
+
+
+def _straight_path_cost(moves, stages, ia, ib, n_steps) -> float:
+    """The cost of the straight lattice path from state ia to ib: after s steps
+    it is at ia + floor(s (ib - ia) / n_steps), so it takes moves q and q + 1,
+    q = floor((ib - ia) / n_steps). +inf if one of its moves is not in `moves`
+    or it crosses a +inf stage."""
+    at = ia + np.arange(n_steps + 1) * (ib - ia) // n_steps
+    ks = np.diff(at)
+    m = np.minimum(np.searchsorted(moves, ks), moves.size - 1)
+    if not np.array_equal(moves[m], ks):
+        return math.inf
+    return float(np.sum(stages[m, at[:-1]]))
 
 
 def dp_oracle_halfline(
@@ -826,6 +900,10 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     1/lam costs lam D^2 / (e - 1), more than the gain R / lam of any path
     once D > sqrt((e - 1) R) / lam, the margin around x; slopes reach sqrt(2 R).
 
+    A lattice whose move record (states x steps) may hold more than 2^28
+    entries is refused with an InputError naming eps, before any array is
+    built.
+
     Returns ({states, steps, moves}, states, [(values at x, paths) per read-out]).
     """
     if V.dimension != 1:
@@ -842,6 +920,13 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     else:
         margin = math.sqrt((math.e - 1.0) * spread) / lam
         origin, lo, hi = 0.0, np.min(x) - margin, np.max(x) + margin
+    # At most (hi - lo) / dx + 3 states and twice the fewest steps (below).
+    size = ((hi - lo) / dx + 3.0) * 2.0 * (horizon * _SEED_SLOPE_STEP / dx + 1.0)
+    if not size <= 2**28:
+        raise InputError(
+            f"the lattice DP seeds at eps={eps!r} may need {size:.3g} states x steps, "
+            "more than 2^28"
+        )
     first = math.floor((lo - origin) / dx)
     states = origin + dx * np.arange(first, max(math.ceil((hi - origin) / dx), first + 1) + 1)
     start = np.rint((np.asarray(x) - states[0]) / dx).astype(int)

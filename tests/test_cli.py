@@ -233,6 +233,36 @@ def test_a_slope_too_small_for_a_cell_window_is_a_config_error(
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment,raw,message",
+    [
+        (
+            "stability",
+            {"potential": {"name": "sin2"}, "perturbation": {"name": "runge_decay"}, "xi": [1.0]},
+            "need 2 to 2^20 nodes, got 12000000009 (eps=1e-09, window [0.0, 1.0])",
+        ),
+        (
+            "hj",
+            {
+                "potential": {"name": "zero"},
+                "lambda": 1.0,
+                "grids": {"x": {"lo": -0.2, "hi": 0.2, "n": 3}, "xi": {"half_width": 2.0, "n": 9}},
+            },
+            "the lattice DP seeds at eps=1e-09 may need",
+        ),
+    ],
+)
+def test_a_tiny_eps_is_a_config_error(tmp_path, capsys, experiment, raw, message):
+    """At eps = 1e-9 a stability rung would need 1.2e10 Newton nodes, and the
+    HJ field's seed lattice about 4e19 states x steps. Both are refused,
+    naming eps, before any array of that size is built."""
+    cfg = write_cfg(tmp_path, dict(raw, experiment=experiment, eps_ladder=[1e-9]))
+    code = cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unreachable_hj_grid_is_a_solver_failure(tmp_path, capsys):
     raw = {
         "experiment": "hj",

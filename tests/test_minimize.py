@@ -281,6 +281,118 @@ def test_swept_cone_dp_equals_the_full_lattice_bitwise(
     assert got == want
 
 
+def _oracle_sweep(monkeypatch, *args, **kwargs):
+    """The arguments of the one sweep dp_oracle_1d(*args, **kwargs) runs, and
+    its outcome (see _outcome); no arguments if it raised before sweeping."""
+    calls = []
+
+    def capturing(*sweep_args, **sweep_kwargs):
+        calls.append((sweep_args, sweep_kwargs))
+        return _dp_sweep(*sweep_args, **sweep_kwargs)
+
+    monkeypatch.setattr(minimize, "_dp_sweep", capturing)
+    outcome = _outcome(lambda: dp_oracle_1d(*args, **kwargs))
+    assert len(calls) <= 1
+    return (calls[0] if calls else None), outcome
+
+
+def _forward_costs(moves, stages, ia, n_steps):
+    """F[r, i]: the least cost of an r-step lattice path from state ia to state
+    i (r = 0..n_steps), over the full grid, one move at a time."""
+    n_x = stages.shape[1]
+    F = np.full((n_steps + 1, n_x), np.inf)
+    F[0, ia] = 0.0
+    for r in range(n_steps):
+        for m, k in enumerate(moves.tolist()):
+            src = slice(max(0, -k), n_x - max(0, k))
+            dst = slice(max(0, k), n_x + min(0, k))
+            np.minimum(F[r + 1, dst], F[r, src] + stages[m, src], out=F[r + 1, dst])
+    return F
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_x=st.integers(3, 80),
+    n_t=st.integers(2, 40),
+    symmetric=st.booleans(),
+    perturbation=st.sampled_from(sorted(_DP_PERTURBATIONS)),
+    slope_set=_slope_sets(),
+    moves=st.none() | st.tuples(st.integers(-6, 0), st.integers(0, 6)),
+    eps=st.sampled_from([0.05, 0.3, 1.0]),
+    data=st.data(),
+)
+def test_the_dp_bound_holds_on_every_lattice_path(
+    n_x, n_t, symmetric, perturbation, slope_set, moves, eps, data
+):
+    """dp_oracle_1d's bound is sound: the straight path's cost is at least the
+    optimum, and at every step count r and state i, kinetic (i - ia)^2 / r +
+    r rate is at most the least cost of reaching i from a in r steps. Both
+    hold to a thousandth of the margin the sweep adds to the straight cost.
+    Without a finite straight path there is no bound. A symmetric grid has
+    an odd state count, so its state 0 carries the atoms. Given `moves`, the
+    slopes make every move from its first to its last entry, so a straight
+    path mostly exists."""
+    n_x += symmetric and n_x % 2 == 0
+    grid = DPGrid(-1.0, 1.0, n_x, n_t) if symmetric else DPGrid(-0.7, 1.3, n_x, n_t)
+    states = grid.states()
+    if moves is not None:  # the slope of move k is k dx / h, with h = 1 / (n_t - 1)
+        slope_set = np.arange(moves[0], moves[1] + 1) * (states[1] - states[0]) * (n_t - 1)
+    V = make_potential("sin2", 1)
+    W = _DP_PERTURBATIONS[perturbation]
+    a, b = (float(states[data.draw(st.integers(0, n_x - 1))]) for _ in range(2))
+    with pytest.MonkeyPatch.context() as patch:
+        call, _ = _oracle_sweep(patch, V, W, eps, 0.0, 1.0, a, b, grid, slope_set=slope_set)
+    if call is None:  # no admissible move: refused before any sweep
+        return
+    (_, ib, _, moves, stages, n_steps, ia), kwargs = call
+    straight = minimize._straight_path_cost(moves, stages, ia, ib, n_steps)
+    if kwargs["bound"] is None:
+        assert straight == np.inf
+        return
+    limit, kinetic, rate = kwargs["bound"]
+    assert np.isfinite(straight) and limit > straight
+    slack = 1e-3 * (limit - straight)
+    F = _forward_costs(moves, stages, ia, n_steps)
+    assert straight >= F[n_steps, ib] - slack
+    r = np.arange(1, n_steps + 1)[:, None]
+    lower = kinetic * (np.arange(n_x) - ia) ** 2 / r + r * rate
+    assert np.all(lower <= F[1:] + slack)
+
+
+@pytest.mark.parametrize(
+    "V,W,a,b,grid",
+    [
+        pytest.param("zero", None, 0.25, 0.25, DPGrid(-1.0, 1.0, 65, 17), id="zero V, a = b"),
+        pytest.param(
+            "zero", "atom", 0.0, 0.0, DPGrid(-2.0, 2.0, 129, 33), id="pure atom, exact sums"
+        ),
+        pytest.param(
+            "zero", "atom", 0.0, 0.0, DPGrid(-2.0, 2.0, 12801, 1281), id="pure atom, negative run"
+        ),
+        pytest.param("flat", None, -0.5, 0.25, DPGrid(-1.0, 1.0, 65, 17), id="flat, tied paths"),
+    ],
+)
+def test_the_bounded_sweep_keeps_the_value_where_paths_tie(monkeypatch, V, W, a, b, grid):
+    """The straight path is optimal, and the bounded sweep returns the
+    unbounded sweep's float. With zero V or a pure atom, each state of the
+    straight path meets the pruning test with equality, before the margin. In
+    the flat case 12870 orders of the moves 1 and 2 cost the same. On the
+    grids with power-of-two steps every sum is exact, so the straight cost
+    equals the optimum."""
+    V = make_potential("constant", 1, value=0.5) if V == "flat" else make_potential(V, 1)
+    W = _DP_PERTURBATIONS[W] if W else None
+    call, value = _oracle_sweep(monkeypatch, V, W, 1.0, 0.0, 1.0, a, b, grid)
+    (start, ib, _, moves, stages, n_steps, ia), kwargs = call
+    assert kwargs["bound"] is not None
+    plain = _dp_sweep(start, ib, ib, moves, stages, n_steps, ia)[0][ia]
+    assert repr(value) == repr(float(plain))
+    straight = minimize._straight_path_cost(moves, stages, ia, ib, n_steps)
+    if grid.n_t - 1 in (16, 32):
+        assert straight == value
+    else:  # pairwise and step-by-step sums of -1/1280 differ in the last bits
+        assert abs(straight - value) < 1e-12
+
+
 def _full_grid_sweep(value, moves, stages, n_steps, weights):
     """Every state, every move, every step: the values after each step."""
     out = []

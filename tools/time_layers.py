@@ -18,7 +18,7 @@ Once the pass is done, each captured call is run again 5 times, and one table
 per kernel gives one line per call:
 
 - a DP sweep's size (states, moves, steps), which of target / weights /
-  record it used, and the median time in ms;
+  record / bound it used, and the median time in ms;
 - a Newton solve's size (nodes, dimension, problems x starts), its Newton
   sweeps, and the median time in ms, whole and split into the action's
   derivatives, the banded Newton solves, the line search (every action value
@@ -109,14 +109,15 @@ def median_ms(kernel, arguments):
 
 
 def print_sweeps(calls):
-    print(f"{'call':<24} {'n_x':>6} {'moves':>5} {'steps':>5}  target weights record  median_ms")
+    names = ("target", "weights", "record", "bound")
+    print(f"{'call':<24} {'n_x':>6} {'moves':>5} {'steps':>5}  {' '.join(names)}  median_ms")
     for label, call in calls:
         median = median_ms(minimize._dp_sweep, lambda: dict(call, value=call["value"].copy()))
-        flags = [call["target"] is not None, call["weights"] is not None, call["record"]]
+        flags = (call["target"] is not None, call["weights"] is not None, call["record"],
+                 call["bound"] is not None)
         print(
             f"{label:<24} {call['value'].size:>6} {call['moves'].size:>5} {call['n_steps']:>5}  "
-            + " ".join(f"{'yes' if flag else 'no':>{len(name)}}"
-                       for flag, name in zip(flags, ("target", "weights", "record")))
+            + " ".join(f"{'yes' if flag else 'no':>{len(name)}}" for flag, name in zip(flags, names))
             + f"  {median:>9.2f}"
         )
 
