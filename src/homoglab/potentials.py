@@ -229,6 +229,11 @@ def _householder_frame(direction: np.ndarray) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v)
 
 
+# Points cylinder_average hands to W in one call: as many whole chords as fit
+# (one chord when a chord alone is longer).
+_CALL_POINTS = 2**15
+
+
 def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     """(1/R) * integral of W over B_R intersected with the radius-r tube along xi.
 
@@ -238,11 +243,14 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     value is exact up to the O((r/R)^2) chord correction, approaching
     2*c*omega_{d-1}*r^{d-1} as R grows.
 
-    W is evaluated once per chord, on one (n, d) buffer that every chord
-    refills column by column with t * axis_j + (basis @ z)_j, the same two
-    roundings per element as a freshly built chord. One chord per call keeps
-    a call's points at nearly one angle, which parabola_free_region's
-    per-block table slice relies on for its speed.
+    Chords go to W in groups: one (m * n, d) buffer holds as many whole chords
+    of n points as fit in _CALL_POINTS, filled with t * axis_j + (basis @ z)_j,
+    the same two roundings per element as a freshly built chord. The buffer
+    is column-major, so each coordinate is one contiguous array to fill and
+    to read. W is called once per group, and each chord's own slice of the
+    values is summed and weighted in chord order, so the total is the
+    per-chord loop's float for every W whose value at a point does not depend
+    on the other points of the call.
     """
     if W.dimension < 2:
         raise InputError("cylinder_average requires dimension >= 2")
@@ -262,21 +270,26 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     offsets = mesh([midpoints(-r, r, n_cross)] * (d - 1))
     offsets = offsets[np.sum(offsets * offsets, axis=-1) < r * r]
     cell = (2 * r / n_cross) ** (d - 1)
+    # one z at a time, with the roundings of a chord built on its own
+    half_chords = np.sqrt([max(R * R - float(z @ z), 0.0) for z in offsets])
+    shifts = np.array([basis @ z for z in offsets])
 
     total = 0.0
     rel = midpoints(-1.0, 1.0, n_axis)
-    pts = np.empty((n_axis, d))
-    for z in offsets:
-        half_chord = np.sqrt(max(R * R - float(z @ z), 0.0))
-        if half_chord == 0.0:
-            continue
-        t = rel * half_chord
-        shift = basis @ z
-        for j in range(d):  # column by column: a broadcast (n, d) fill is 6x slower at d = 2
-            np.multiply(t, axis[j], out=pts[:, j])
-            pts[:, j] += shift[j]
-        vals = W.evaluator(pts)
-        total += float(np.sum(vals)) * (2 * half_chord / n_axis) * cell
+    group = max(1, _CALL_POINTS // n_axis)
+    columns = np.empty((d, min(group, len(offsets)) * n_axis))
+    for first in range(0, len(offsets), group):
+        chords = slice(first, first + group)
+        m = min(group, len(offsets) - first)
+        t = rel * half_chords[chords, None]
+        for j in range(d):
+            column = columns[j, : m * n_axis].reshape(m, n_axis)
+            np.multiply(t, axis[j], out=column)
+            column += shifts[chords, j, None]
+        vals = W.evaluator(columns[:, : m * n_axis].T)
+        for i, half_chord in enumerate(half_chords[chords]):
+            chord_sum = float(np.sum(vals[i * n_axis : (i + 1) * n_axis]))
+            total += chord_sum * (2 * half_chord / n_axis) * cell
     return total / R
 
 
@@ -316,8 +329,18 @@ _TABLE_TOP = 16
 # Padding of each listed window (rad): far above the rounding of its ends,
 # far below the narrowest listed window, 4^-16.
 _WINDOW_SLACK = 1e-12
-# Points per block of `parabola_free_region`; bounds its temporaries.
+# Points per chunk of `parabola_free_region`, and per block of its exact test;
+# they bound its temporaries.
+_CHUNK = 2**16
 _BLOCK = 4096
+# Consecutive points per row of `parabola_free_region`'s row test; a divisor
+# of _CHUNK.
+_ROW = 256
+# Margins of the row test: absolute on gaps (rad), relative on radii and
+# widths. Both are far above the rounding of any computed angle, gap, radius
+# or width, and far below a tongue's width at any level a radius <= 2^40 reaches.
+_GAP_MARGIN = 1e-12
+_REL_MARGIN = 1e-12
 # The largest radius the float64 tongue test is trusted at. Past about 2^44
 # the angle's ulp nears the level spacing 2*pi/2^k, and random directions start
 # to read as inside a tongue (0.3% at 2^44, 14% at 2^50; none at 2^40).
@@ -365,22 +388,15 @@ def parabola_free_region(x: np.ndarray) -> np.ndarray:
     at radius rho belongs to the level-k tongue when rho >= 2^k and its
     angular offset is below min(4^{-k}, c_k/sqrt(rho - 2^k + 1)) with
     c_k = 4^{-k} 2^{k/2}, so each tongue stays inside its 4^{-k} angular
-    window while widening like sqrt(rho) in transverse size.
+    window while widening like sqrt(rho) in transverse size. The mask is the
+    one of testing every point at every level 2^k <= max rho, bit for bit.
 
-    Each point is tested only at the levels whose angular window holds it.
-    One cached sorted table lists the windows of every level with 2^k <=
-    max|x_0| + max|x_1| (a bound on every radius), each padded by a slack far
-    above the rounding of its ends. Points go in blocks of _BLOCK, and each
-    block reads the table only between the ends at its least and greatest
-    angle: the ends below that slice are at or below every angle of the
-    block, those past it above every one, so a `searchsorted` in the slice
-    plus its start is the one over the whole table, and a slice with no end
-    gives every point the same levels without a search. The (point, level)
-    pairs then get the exact per-level test, op for op, so the mask is the
-    one of testing every point at every level 2^k <= max rho: a point in a
-    level-k tongue lies within 4^{-k} of its center, the 2*pi - offset
-    branch never applies for k >= 2 (the offset to the nearest odd multiple
-    is at most pi/2), and a level above every radius marks nothing.
+    The levels tested are 2..top, the last with 2^top <= max|x_0| + max|x_1|
+    (a bound on every radius); a level above every radius marks nothing.
+    Points go in chunks of _CHUNK, cut into rows of _ROW consecutive points,
+    and `_settled_rows` decides whole rows from their angle and radius bounds:
+    all free, none free, or open. Only the points of open rows, and of a last
+    partial row, get the exact test of `_free_block`, in blocks of _BLOCK.
     Non-finite points, and points of radius above 2^40 (where the float64
     angle test stops being exact), raise InputError.
     """
@@ -404,23 +420,102 @@ def parabola_free_region(x: np.ndarray) -> np.ndarray:
     while top < _MAX_LEVEL and 2.0 ** (top + 1) <= reach:
         top += 1
     if top >= 2:
-        for lo in range(0, x0.size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            free[block] = _free_block(x0[block], x1[block], top)
+        for lo in range(0, x0.size, _CHUNK):
+            chunk = slice(lo, lo + _CHUNK)
+            free[chunk] = _free_chunk(x0[chunk], x1[chunk], top)
     return free.reshape(pts.shape[:-1])
 
 
-def _free_block(x0, x1, top: int) -> np.ndarray:
-    """parabola_free_region for the points (x0, x1), all of radius < 2^(top+1).
-
-    The table is sliced to the block's angle range: lo ends lie at or below
-    its least angle and those from hi on above its greatest, so a point's
-    count of ends at or below its angle is lo plus its count in ends[lo:hi].
-    With hi == lo no end falls inside the range, and every point has cover[lo].
-    """
+def _free_chunk(x0, x1, top: int) -> np.ndarray:
+    """The mask for the points (x0, x1), all of radius < 2^(top+1): rows that
+    `_settled_rows` decides, and the rest by `_free_block` in blocks of _BLOCK."""
     angle = np.arctan2(x1, x0)
+    free = np.zeros(angle.shape, dtype=bool)
+    open_pts = np.ones(angle.shape, dtype=bool)
+    rows = angle.size // _ROW
+    if rows:
+        all_free, none_free = _settled_rows(angle, x0, x1, rows, top)
+        free[: rows * _ROW].reshape(rows, _ROW)[all_free] = True
+        open_pts[: rows * _ROW].reshape(rows, _ROW)[all_free | none_free] = False
+    todo = np.flatnonzero(open_pts)
+    for lo in range(0, todo.size, _BLOCK):
+        pt = todo[lo : lo + _BLOCK]
+        free[pt] = _free_block(angle[pt], np.hypot(x0[pt], x1[pt]), top)
+    return free
+
+
+def _settled_rows(angle, x0, x1, rows: int, top: int):
+    """(all_free, none_free): the rows of _ROW consecutive points whose every
+    point is free, and those whose no point is, at the levels 2..top.
+
+    A row's angles [a, b] are its least and greatest theta (its arctan2
+    angle, plus 2*pi where negative), and its radii lie in [rho_lo, rho_hi]:
+    the distances from the origin to the nearest and the farthest point of
+    its bounding box, widened by _REL_MARGIN.
+
+    All free: at some level k, a and b have the same nearest center (each
+    step of `_nearest_center` is nondecreasing in theta, so every angle
+    between them has it too), rho_lo >= 2^k, and the larger of the two ends'
+    gaps, the largest gap of the row, plus _GAP_MARGIN is below the width at
+    rho_hi less _REL_MARGIN of it (`_width` decreases with the radius).
+
+    None free: at every level k, rho_hi < 2^k, or no odd h has 2*pi*h/2^k in
+    [a - w, b + w], where w is the width at rho_lo, plus _REL_MARGIN of it
+    and _GAP_MARGIN; the test is run in units of 2*pi/2^k.
+
+    A row with angles of both signs has no such [a, b], as theta wraps at
+    angle 0, and is neither.
+
+    Both tests use the steps of `_in_tongue`, and the margins cover every
+    rounding by which a bound could differ from that per-point test, so a
+    settled row gets its mask.
+    """
+    n = rows * _ROW
+    angles = angle[:n].reshape(rows, _ROW)
+    least, most = angles.min(axis=1), angles.max(axis=1)
+    wraps = (least < 0) & (most >= 0)
+    # theta is angle + 2*pi for negative angles, a nondecreasing map on each sign
+    a = (least + np.where(least < 0, 2 * np.pi, 0.0))[:, None]
+    b = (most + np.where(most < 0, 2 * np.pi, 0.0))[:, None]
+    near, distant = [], []
+    for c in (x0, x1):
+        c = c[:n].reshape(rows, _ROW)
+        lo, hi = c.min(axis=1), c.max(axis=1)
+        near.append(np.maximum(np.maximum(lo, -hi), 0.0))  # 0 when the row spans 0
+        distant.append(np.maximum(-lo, hi))
+    rho_lo = (np.hypot(*near) * (1.0 - _REL_MARGIN))[:, None]
+    rho_hi = (np.hypot(*distant) * (1.0 + _REL_MARGIN))[:, None]
+    level = _LEVEL_CONSTANTS[:, 2 : top + 1]
+    base, step = level[:2]
+
+    narrowest = _width(rho_hi, *level[1:]) * (1.0 - _REL_MARGIN)
+    widest = _width(rho_lo, *level[1:]) * (1.0 + _REL_MARGIN) + _GAP_MARGIN
+    (h_a, gap_a), (h_b, gap_b) = _nearest_center(a, base), _nearest_center(b, base)
+    all_free = (h_a == h_b) & (rho_lo >= step) & (np.maximum(gap_a, gap_b) + _GAP_MARGIN < narrowest)
+    # (h - 1)/2 of the first odd h >= (a - widest)/base and of the last <= (b + widest)/base
+    first_h = np.ceil(((a - widest) / base - 1.0) / 2.0)
+    last_h = np.floor(((b + widest) / base - 1.0) / 2.0)
+    none_free = (rho_hi < step) | (first_h > last_h)
+    return all_free.any(axis=1) & ~wraps, none_free.all(axis=1) & ~wraps
+
+
+def _free_block(angle, rho, top: int) -> np.ndarray:
+    """The mask for points of arctan2 angle `angle` and radius rho < 2^(top+1):
+    each point is tested only at the levels whose angular window holds it.
+
+    One cached sorted table lists the windows of every level 2..min(top,
+    _TABLE_TOP), each padded by a slack far above the rounding of its ends.
+    The block reads it only between the ends at its least and greatest angle:
+    lo ends lie at or below its least angle and those from hi on above its
+    greatest, so a point's count of ends at or below its angle is lo plus its
+    count in ends[lo:hi]. With hi == lo no end falls inside the range, and
+    every point has cover[lo]. The (point, level) pairs then get the exact
+    per-level test, op for op: a point in a level-k tongue lies within 4^{-k}
+    of its center, the 2*pi - offset branch never applies for k >= 2 (the
+    offset to the nearest odd multiple is at most pi/2), and a level above
+    every radius marks nothing.
+    """
     theta = angle + np.where(angle < 0, 2 * np.pi, 0.0)  # np.mod(angle, 2*pi), bit for bit
-    rho = np.hypot(x0, x1)
     ends, cover = _tongue_windows(min(top, _TABLE_TOP))
     lo, hi = np.searchsorted(ends, [angle.min(), angle.max()], side="right")
     if hi == lo:
@@ -428,7 +523,7 @@ def _free_block(x0, x1, top: int) -> np.ndarray:
     else:
         bits = cover.take(lo + np.searchsorted(ends[lo:hi], angle, side="right"))
     listed = int(np.bitwise_or.reduce(bits))  # the levels whose windows hold some point
-    free = np.zeros(x0.shape, dtype=bool)
+    free = np.zeros(angle.shape, dtype=bool)
     for k in range(2, top + 1):
         if k > _TABLE_TOP or (hi == lo and listed >> k & 1):  # unlisted, or one cover for all
             free |= _in_tongue(theta, rho, k)
@@ -442,12 +537,22 @@ def _in_tongue(theta, rho, k: int) -> np.ndarray:
     """The level-k test: is each point, of radius rho and of angle theta (its
     arctan2 angle, plus 2*pi where negative), inside a level-k tongue?"""
     base, step, cap, c_k = _LEVEL_CONSTANTS[:, k]
-    h_near = 2.0 * np.round((theta / base - 1.0) / 2.0) + 1.0
-    gap = np.abs(theta - base * h_near)
+    gap = _nearest_center(theta, base)[1]
     gap = np.minimum(gap, 2 * np.pi - gap)
-    inside_radius = rho >= step
-    width = np.minimum(cap, c_k / np.sqrt(np.maximum(rho - step, 0.0) + 1.0))
-    return inside_radius & (gap <= width)
+    return (rho >= step) & (gap <= _width(rho, step, cap, c_k))
+
+
+def _nearest_center(theta, base):
+    """(h, gap): the odd h whose center base * h is nearest the angle theta,
+    and theta's distance |theta - base * h| to it."""
+    h = 2.0 * np.round((theta / base - 1.0) / 2.0) + 1.0
+    return h, np.abs(theta - base * h)
+
+
+def _width(rho, step, cap, c_k):
+    """The half-width min(4^-k, c_k / sqrt(rho - 2^k + 1)) of a level-k tongue
+    at radius rho (its cap when rho < 2^k), from the level's constants."""
+    return np.minimum(cap, c_k / np.sqrt(np.maximum(rho - step, 0.0) + 1.0))
 
 
 def build_parabola_perturbation() -> Perturbation:

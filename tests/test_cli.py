@@ -137,6 +137,23 @@ def test_empty_direction_list_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("direction", [[0.0, 0.0], [1.0]])
+def test_a_zero_or_short_direction_is_a_config_error(tmp_path, capsys, direction):
+    """A tube needs a nonzero axis in R^d; the bad direction comes after a good one."""
+    raw = {
+        "experiment": "conditions",
+        "dimension": 2,
+        "potential": {"name": "zero"},
+        "perturbation": {"name": "parabola_example"},
+        "grids": {"radii": [64, 256], "directions": [[0.0, 1.0], direction]},
+    }
+    cfg = write_cfg(tmp_path, raw)
+    code = cli.main(["conditions", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "each direction must be a nonzero vector of length d" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_single_radius_is_a_config_error(tmp_path, capsys):
     """One radius cannot show a curve decaying or persisting, so no verdict is given."""
     raw = {

@@ -18,9 +18,11 @@ from homoglab import (
     make_perturbation,
     make_potential,
     parabola_free_region,
+    potentials,
 )
 from homoglab.grid import mesh
 from homoglab.potentials import (
+    _ROW,
     _WINDOW_SLACK,
     PERTURBATION_BUILDERS,
     POTENTIAL_BUILDERS,
@@ -220,13 +222,28 @@ def _reference_cylinder_average(W, xi, r, R):
     return total / R
 
 
-@pytest.mark.parametrize("R", [64.0, 1024.0])
+# The tube directions of the benchmark's lattice workload (bench/workloads.py);
+# the last one is (cos 1, sin 1).
+WORKLOAD_DIRECTIONS = [
+    [0.0, 1.0],
+    [0.0, -1.0],
+    [0.7071067811865476, 0.7071067811865476],
+    [-0.7071067811865476, 0.7071067811865476],
+    [0.5403023058681398, 0.8414709848078965],
+]
+
+
+@pytest.mark.parametrize("R", [64.0, 1024.0, 4096.0])
 @pytest.mark.parametrize(
     "name, d", [("parabola_example", 2), ("runge_decay", 2), ("constant", 2), ("runge_decay", 3)]
 )
 def test_cylinder_average_is_the_per_chord_loop_bit_for_bit(name, d, R):
+    """Whole chords share a W call (up to 64 chords of 512 points at R = 64,
+    one chord of 32768 at R = 4096), yet each chord is summed alone, in its
+    own order. A 0/1 W hides the order of a sum; the continuous runge_decay,
+    whose last bits depend on it, is the case that checks it."""
     W = make_perturbation(name, d)
-    for xi in ([0.0, 1.0], [-1.0, 0.0], [np.cos(1.0), np.sin(1.0)]):
+    for xi in ([-1.0, 0.0], WORKLOAD_DIRECTIONS[0], WORKLOAD_DIRECTIONS[-1]):
         xi = xi + [0.0] * (d - 2)
         assert cylinder_average(W, xi, 0.5, R) == _reference_cylinder_average(W, xi, 0.5, R)
 
@@ -341,6 +358,94 @@ def _chord_batches(draw):
 @settings(max_examples=200, deadline=None)
 @given(_chord_batches())
 def test_parabola_free_region_on_chords_equals_the_per_level_loop(pts):
+    assert (parabola_free_region(pts) == _reference_free_region(pts)).all()
+
+
+def test_parabola_free_region_on_the_workload_tubes_equals_the_per_level_loop():
+    """Every array that cylinder_average hands to the parabola W for the
+    lattice workload's tubes (five directions, R = 64 to 4096, r = 0.5): 3.5M
+    points in stacked chords, nearly all of them in rows that the row test
+    settles."""
+    W = make_perturbation("parabola_example", 2)
+    seen = []
+
+    def checked(x):
+        got = parabola_free_region(x)
+        assert (got == _reference_free_region(x)).all()
+        seen.append(x.shape[0])
+        return np.where(got, 0.0, 1.0)
+
+    for xi in WORKLOAD_DIRECTIONS:
+        direction = np.asarray(xi) / np.linalg.norm(xi)  # as the conditions runner passes it
+        for R in (64.0, 256.0, 1024.0, 4096.0):
+            cylinder_average(dataclasses.replace(W, evaluator=checked), direction, 0.5, R)
+    assert len(seen) == 5 * (1 + 1 + 4 + 16) and sum(seen) == 5 * 16 * (512 + 2048 + 8192 + 32768)
+
+
+def test_parabola_free_region_in_chunks_is_the_mask_of_one_pass(monkeypatch):
+    """A call of more than _CHUNK points goes in chunks, each with its own rows
+    and its own last partial row; the mask is the same."""
+    t = np.linspace(-3000.0, 3000.0, 9 * _ROW + 37)[:, None]
+    pts = np.concatenate([t * [np.cos(1.0), np.sin(1.0)], t * [0.0, 1.0] + [0.25, 0.0]])
+    want = _reference_free_region(pts)
+    assert (parabola_free_region(pts) == want).all()
+    monkeypatch.setattr(potentials, "_CHUNK", 2 * _ROW)
+    assert (parabola_free_region(pts) == want).all()
+
+
+def test_a_row_between_two_tongues_is_not_settled_free():
+    """The row's ends sit on two neighbouring level-8 tongue centers, at radius
+    2^9, and its other points lie in no tongue. Each end alone is free, so only
+    the check that both ends share one nearest center keeps the row open."""
+    pts = _polar(np.full(_ROW, 512.0), 2 * np.pi / 256 * np.linspace(1.0, 3.0, _ROW))
+    want = _reference_free_region(pts)
+    assert np.flatnonzero(want).tolist() == [0, _ROW - 1]
+    assert (parabola_free_region(pts) == want).all()
+
+
+@st.composite
+def _row_probes(draw):
+    """A full row of _ROW points whose angles or radii run in ulp steps away
+    from a tongue width, a window edge or the radius 2^k. The row starts a few
+    ulps inside or outside that boundary, or crosses it further in, so the
+    row's angle or radius bounds sit on the boundary of the per-point test.
+
+    Half of the centers are ones whose float c does not divide back to h by
+    2*pi/2^k: there an angle bound taken in units of 2*pi/2^k is a rounding
+    away from the center. Levels 17 and 18 lie above the window table."""
+    k = draw(st.integers(2, 18))
+    pow2 = 2.0**k
+    base = 2 * np.pi / pow2
+    odd = np.arange(1.0, pow2, 2.0)
+    fragile = odd[base * odd / base != odd]
+    if fragile.size and draw(st.booleans()):
+        h = fragile[draw(st.integers(0, fragile.size - 1))]
+    else:
+        h = odd[draw(st.integers(0, odd.size - 1))]
+    center = base * h
+    outward = draw(st.sampled_from([-1.0, 1.0]))
+    steps = outward * (np.arange(_ROW) - draw(st.integers(-3, 3) | st.integers(4, _ROW + 3)))
+    if draw(st.booleans()):  # away from an angle, at radii near one rho
+        rho = draw(
+            st.sampled_from([pow2, np.nextafter(pow2, np.inf)]) | st.floats(pow2, 4 * pow2)
+        )
+        width = min(4.0**-k, 4.0**-k * 2.0 ** (k / 2.0) / np.sqrt(max(rho - pow2, 0.0) + 1.0))
+        edge = center + outward * draw(st.sampled_from([width, 4.0**-k, 4.0**-k + _WINDOW_SLACK]))
+        angles = edge + steps * np.spacing(edge)
+        spread = draw(st.sampled_from([0.0, 3.0, 1e6]))
+        radii = rho + (np.arange(_ROW) % 7 - 3) * spread * np.spacing(rho)
+    else:  # away from the radius 2^k, inside or at the edge of a tongue
+        angles = center + draw(st.sampled_from([0.0, 0.5, 1.0])) * 4.0**-k
+        radii = pow2 + steps * np.spacing(pow2)
+    return _polar(radii, angles)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_row_probes(), min_size=1, max_size=6), st.integers(0, 40))
+def test_the_row_test_settles_rows_on_a_boundary_exactly(rows, tail):
+    """Rows on a boundary get the per-level loop's mask, bit for bit; the
+    margins of the row test are what keep them from being settled wrongly."""
+    pts = np.concatenate(rows + [rows[0][:tail]])
     assert (parabola_free_region(pts) == _reference_free_region(pts)).all()
 
 

@@ -26,7 +26,8 @@ per kernel gives one line per call:
   the rest of `_solve` (its bookkeeping). Each call is charged to its
   outermost part, so a value computed inside `derivatives` counts there;
 - a tube average's direction, R, the number of points its chords hand to W,
-  the median time in ms and that median per point in ns.
+  the number of W calls they take (whole chords share a call), the median
+  time in ms and that median per point in ns.
 
 No benchmark span isolates one sweep or one solve, and the
 `potentials.cylinder_average` span sums a workload's calls, so this is how
@@ -177,25 +178,27 @@ def print_solves(calls):
 
 
 def points_of(W, xi, r, R):
-    """The number of points one call hands to W's evaluator."""
-    seen = [0]
+    """(points, calls): the points one tube average hands to W's evaluator, and
+    the evaluator calls it takes to hand them."""
+    seen = []
 
     def counting(x):
-        seen[0] += x.shape[0]
+        seen.append(x.shape[0])
         return W.evaluator(x)
 
     potentials.cylinder_average(dataclasses.replace(W, evaluator=counting), xi, r, R)
-    return seen[0]
+    return sum(seen), len(seen)
 
 
 def print_tubes(calls):
-    print(f"{'call':<20} {'direction':>22} {'R':>6} {'points':>8}  median_ms  ns/point")
+    print(f"{'call':<20} {'direction':>22} {'R':>6} {'points':>8} {'calls':>5}"
+          "  median_ms  ns/point")
     for label, call in calls:
         median = median_ms(potentials.cylinder_average, lambda: call)
-        points = points_of(**call)
+        points, evaluations = points_of(**call)
         direction = "(" + ", ".join(f"{v:.4f}" for v in call["xi"]) + ")"
-        print(f"{label:<20} {direction:>22} {call['R']:>6g} {points:>8}  {median:>9.2f}"
-              f"  {1e6 * median / points:>8.1f}")
+        print(f"{label:<20} {direction:>22} {call['R']:>6g} {points:>8} {evaluations:>5}"
+              f"  {median:>9.2f}  {1e6 * median / points:>8.1f}")
 
 
 def main(argv=None) -> int:
