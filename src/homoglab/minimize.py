@@ -133,10 +133,11 @@ class _Action:
         # The constants of the derivatives: the sample weights split between an
         # interval's left and right node for the gradient, and their products
         # for the Hessian's (left, left), (right, right) and (left, right) blocks.
+        # Each set is stacked, so that one einsum contracts all of them.
         lam = midpoint_offsets(weights.shape[1])
         left, right = weights * (1 - lam), weights * lam
-        self.grad_weights = left, right
-        self.hess_weights = left * (1 - lam), right * lam, left * lam
+        self.grad_weights = np.stack([left, right])
+        self.hess_weights = np.stack([left * (1 - lam), right * lam, left * lam])
         self.kinetic2 = 2 * kinetic
         self.kin_block = self.kinetic2[:, None, None] * np.eye(terms[0].dimension)
 
@@ -157,44 +158,60 @@ class _Action:
         return out
 
     def _samples(self, x):
-        return interval_samples(x, self.weights.shape[1]) / self.eps
+        """The midpoint samples of the batch x over eps (B, N - 1, m, d); at
+        eps = 1 there is nothing to divide (x / 1.0 is x, bit for bit)."""
+        y = interval_samples(x, self.weights.shape[1])
+        return y if self.eps == 1.0 else y / self.eps
 
-    def value(self, x):
-        """Action of each path of the batch x (B, N, d).
+    def value_and_samples(self, x):
+        """(action (B,) of each path of the batch x (B, N, d), the midpoint
+        samples over eps it was evaluated at). The samples of a point the
+        line search accepts are the ones its derivatives take.
 
-        Each path's value depends on its own row alone, bit for bit, whatever
-        else is in the batch."""
+        Each path's rows, here and in the derivatives, depend on its own row
+        alone, bit for bit, whatever else is in the batch."""
         y = self._samples(x)
         diffs = x[:, 1:] - x[:, :-1]
         out = ((diffs * diffs).sum(axis=2) * self.kinetic).sum(axis=1)
         out += (self._f(y) * self.weights).sum(axis=(1, 2))
         if self.tail:
             out += self.tail * self._f(x[:, -1] / self.eps)
-        return out
+        return out, y
 
-    def derivatives(self, x):
-        """(gradient (B, N, d), diagonal blocks (B, N, d, d), and the blocks
-        coupling node i to node i + 1 (B, N - 1, d, d)) of the batch x. Like
-        value, each path's rows depend on its own row alone."""
-        eps = self.eps
-        y = self._samples(x)
-        g = self._sum(self.gradients, y) / eps
-        h = self._sum(self.hessians, y) / eps**2
-        left, right = self.grad_weights
-        left_left, right_right, left_right = self.hess_weights
+    def gradient(self, x, y):
+        """Gradient (B, N, d) of the batch x, given its samples y."""
+        g = self._sum(self.gradients, y)
+        if self.eps != 1.0:
+            g = g / self.eps
+        # One contraction for both weight sets; then, in place,
+        # grad[i] = (left[i] - kin[i]) + (right[i - 1] + kin[i - 1]).
+        left, right = np.einsum("bnsk,jns->jbnk", g, self.grad_weights)
         kin = self.kinetic2[:, None] * (x[:, 1:] - x[:, :-1])
-        grad = np.zeros_like(x)
-        grad[:, :-1] = np.einsum("bnsk,ns->bnk", g, left) - kin
-        grad[:, 1:] += np.einsum("bnsk,ns->bnk", g, right) + kin
-        diag = np.zeros(x.shape + (x.shape[2],))
-        diag[:, :-1] = np.einsum("bnskl,ns->bnkl", h, left_left) + self.kin_block
-        diag[:, 1:] += np.einsum("bnskl,ns->bnkl", h, right_right) + self.kin_block
-        off = np.einsum("bnskl,ns->bnkl", h, left_right) - self.kin_block
+        grad = np.zeros(x.shape)
+        np.subtract(left, kin, out=grad[:, :-1])
+        right += kin
+        grad[:, 1:] += right
         if self.tail:
-            end = x[:, -1] / eps
-            grad[:, -1] += self.tail / eps * self._sum(self.gradients, end)
-            diag[:, -1] += self.tail / eps**2 * self._sum(self.hessians, end)
-        return grad, diag, off
+            grad[:, -1] += self.tail / self.eps * self._sum(self.gradients, x[:, -1] / self.eps)
+        return grad
+
+    def hessian(self, x, y):
+        """Hessian of the batch x, given its samples y: (diagonal blocks (B, N,
+        d, d), blocks coupling node i to node i + 1 (B, N - 1, d, d))."""
+        h = self._sum(self.hessians, y)
+        if self.eps != 1.0:
+            h = h / self.eps**2
+        # One contraction for the three weight sets, summed in place like the gradient.
+        left_left, right_right, left_right = np.einsum("bnskl,jns->jbnkl", h, self.hess_weights)
+        diag = np.zeros(x.shape + (x.shape[2],))
+        np.add(left_left, self.kin_block, out=diag[:, :-1])
+        right_right += self.kin_block
+        diag[:, 1:] += right_right
+        off = left_right
+        off -= self.kin_block
+        if self.tail:
+            diag[:, -1] += self.tail / self.eps**2 * self._sum(self.hessians, x[:, -1] / self.eps)
+        return diag, off
 
 
 @dataclass(frozen=True)
@@ -217,6 +234,22 @@ class _Problems:
         return f"eps={float(self.eps)!r}, window {window}, a={self.a.tolist()}{ends}"
 
 
+def _band_store(diag, off):
+    """The stacked block tridiagonal matrices diag (B, n, d, d), off (B, n - 1,
+    d, d) in LAPACK's upper band storage, a Fortran-ordered (u + 1, B n d)
+    array, u = 2 d - 1: row u - (i - j) of column j holds H[i, j]. It is the
+    transpose of a C-ordered store (B, n, d, u + 1), indexed [b, node, col]."""
+    B, n, d, _ = diag.shape
+    u = 2 * d - 1
+    store = np.zeros((B, n, d, u + 1))
+    for k in range(d):
+        for col in range(d):
+            if col >= k:
+                store[:, :, col, u - (col - k)] = diag[:, :, k, col]
+            store[:, 1:, col, u - (d + col - k)] = off[:, :, k, col]
+    return store.reshape(B * n * d, u + 1).T
+
+
 def _newton_steps(diag, off, grad, problems):
     """Solve (H_b + tau_b I) p_b = -g_b for every start b; return (p (B, n, d), -g.p (B,)).
 
@@ -226,34 +259,35 @@ def _newton_steps(diag, off, grad, problems):
     tau_b is 0 for a positive definite H_b, else raised as in Nocedal & Wright's
     Algorithm 3.3, the factorization resuming at start b (its predecessors
     are already factored, in place). `problems` names them in an error.
+
+    While every diagonal entry is positive, every tau_b starts at 0: the band
+    is factored where it was built, and built again for the shifts only if a
+    start fails (its columns and those after it are then spoiled).
     """
     from scipy.linalg import lapack
 
     B, n, d = grad.shape
     size = n * d
     u = 2 * d - 1
-    # LAPACK's upper band storage, Fortran-ordered: row u - (i - j) of column j
-    # holds H[i, j]. Column j = (b, node, col) is store[b, node, col].
-    store = np.zeros((B, n, d, u + 1))
-    for k in range(d):
-        for col in range(d):
-            if col >= k:
-                store[:, :, col, u - (col - k)] = diag[:, :, k, col]
-            store[:, 1:, col, u - (d + col - k)] = off[:, :, k, col]
-    bands = store.reshape(B * size, u + 1).T
-    main = store[..., u].reshape(B, size)
-    floor = 1e-3 * np.abs(main).max(axis=1) + np.finfo(float).tiny
-    low = main.min(axis=1)
-    tau = np.where(low > 0, 0.0, floor - low)
-    store[..., u] += tau[:, None, None]
-
-    # Factored in place; a failed start's (uncoupled) columns come back from bands.
-    factor = bands.copy(order="F")
+    bands = _band_store(diag, off)
+    factor, info = None, 1  # not factored yet
+    if bands[u].min() > 0:
+        factor = bands
+        _, info = lapack.dpbtrf(factor, overwrite_ab=1)
+        if info != 0:
+            bands = _band_store(diag, off)
+    if info != 0:
+        main = bands[u].reshape(B, size)
+        floor = 1e-3 * np.abs(main).max(axis=1) + np.finfo(float).tiny
+        low = main.min(axis=1)
+        tau = np.where(low > 0, 0.0, floor - low)
+        main += tau[:, None]
+    if factor is None:
+        # Factored in place; a failed start's (uncoupled) columns come back from bands.
+        factor = bands.copy(order="F")
+        _, info = lapack.dpbtrf(factor, overwrite_ab=1)
     start = 0
-    while True:
-        _, info = lapack.dpbtrf(factor[:, start:], overwrite_ab=1)
-        if info == 0:
-            break
+    while info != 0:
         if info < 0:
             raise SolverError(f"banded Cholesky rejected argument {-info} ({problems})")
         b = (start + info - 1) // size
@@ -263,11 +297,17 @@ def _newton_steps(diag, off, grad, problems):
         bands[u, head : head + size] += bump
         factor[:, head : head + size] = bands[:, head : head + size]
         start = head
-    steps, info = lapack.dpbtrs(factor, -grad.reshape(-1))
+        _, info = lapack.dpbtrf(factor[:, start:], overwrite_ab=1)
+    steps, info = lapack.dpbtrs(factor, (-grad).reshape(-1), overwrite_b=1)
     if info != 0:
         raise SolverError(f"banded Cholesky solve failed (info {info}; {problems})")
     steps = steps.reshape(B, n, d)
     return steps, -(steps * grad).sum(axis=(1, 2))
+
+
+def _every(mask) -> bool:
+    """mask.all(), in a third of the time on a few starts."""
+    return np.count_nonzero(mask) == mask.size
 
 
 def _solve(action: _Action, starts, opt: OptimizerSpec, problems: _Problems):
@@ -277,70 +317,97 @@ def _solve(action: _Action, starts, opt: OptimizerSpec, problems: _Problems):
     Returns, per problem, the value, nodes and solver record {iterations,
     grad_norm (free nodes, final point), converged} of its lowest start.
 
-    Each sweep evaluates the derivatives of the starts whose last step was
-    accepted; their values are the ones the line search accepted, not
-    evaluated again. A start that stops without moving (no decrease found, or
-    beaten) keeps the value and gradient norm of its last evaluation, which
-    is its current point.
+    Each sweep evaluates the gradients of the starts whose last step was
+    accepted, and the Hessians of those that go on; their values, and the
+    samples the derivatives need, are the ones the line search accepted, not
+    evaluated again. A start that stops without moving (no decrease found,
+    or beaten) keeps the value and gradient norm of its last evaluation,
+    which is its current point. A mask that keeps every start is not
+    applied, and a one-round line search keeps its starts in order.
     """
     P, S, N, _ = starts.shape
     x = starts.reshape((P * S,) + starts.shape[2:]).astype(float)
     free = slice(1, N if action.last_free else N - 1)
-    values = action.value(x)
+    values, y = action.value_and_samples(x)
     if not np.all(np.isfinite(values)):
         p = int(np.flatnonzero(~np.isfinite(values))[0]) // S
         raise SolverError(f"objective not finite at a start trajectory ({problems[p]})")
     gnorm = np.empty(P * S)
-    iters = np.zeros(P * S, dtype=int)
+    stepped = [np.zeros(0, dtype=int)]  # the starts of each sweep's Newton steps
     converged = np.zeros(P * S, dtype=bool)
-    idx = np.arange(P * S)  # the starts to evaluate: those whose last step was accepted
+    # The starts to evaluate, those whose last step was accepted: their
+    # indices, values, nodes and samples.
+    idx, f, xs = np.arange(P * S), values, x
     for sweep in range(opt.max_iters + 1):
-        f = values[idx]
-        grad, diag, off = action.derivatives(x[idx])
-        grad = grad[:, free]
-        gnorm[idx] = norms = np.sqrt((grad * grad).sum(axis=(1, 2)))
-        keep = ~(converged[idx] | (norms <= _GRAD_TOL))
-        converged[idx] = ~keep
-        if sweep == opt.max_iters or not keep.any():
+        grad = action.gradient(xs, y)[:, free]
+        rows = slice(None) if idx.size == P * S else idx
+        gnorm[rows] = norms = np.sqrt((grad * grad).sum(axis=(1, 2)))
+        stop = converged[rows] | (norms <= _GRAD_TOL)
+        converged[rows] = stop
+        stopped = np.count_nonzero(stop)
+        if sweep == opt.max_iters or stopped == stop.size:
             break
+        if stopped:
+            keep = ~stop
+            idx, f, xs, y, grad = (a[keep] for a in (idx, f, xs, y, grad))
+        diag, off = action.hessian(xs, y)
         steps, dec = _newton_steps(
-            diag[keep, free], off[keep, free.start : free.stop - 1], grad[keep], problems
+            diag[:, free], off[:, free.start : free.stop - 1], grad, problems
         )
-        idx, f = idx[keep], f[keep]
-        if not np.all(np.isfinite(dec)):  # a NaN or inf gradient or Hessian ends here
+        if not np.isfinite(dec).all():  # a NaN or inf gradient or Hessian ends here
             p = int(idx[np.flatnonzero(~np.isfinite(dec))[0]]) // S
             raise SolverError(f"Newton decrement not finite ({problems[p]})")
         # A start that a converged start of its problem beats by more than ten
         # of its Newton decrements is near a worse stationary point: stop it.
-        lowest = np.where(converged, values, np.inf).reshape(P, S).min(axis=1)
-        go = f <= lowest[idx // S] + 10 * dec
-        idx, f, steps, dec = idx[go], f[go], steps[go], dec[go]
-        iters[idx] += 1
+        # Until a start converges, none is beaten (every f is finite).
+        if converged.any():
+            lowest = values.reshape(P, S).min(axis=1, initial=np.inf, where=converged.reshape(P, S))
+            go = f <= lowest[idx // S] + 10 * dec
+            if not _every(go):
+                idx, f, xs, steps, dec = (a[go] for a in (idx, f, xs, steps, dec))
+        stepped.append(idx)
         at_roundoff = dec <= _ROUNDOFF_DECREMENT * np.maximum(1.0, np.abs(f))
-        converged[idx] |= at_roundoff
+        roundoff = at_roundoff.any()
+        if roundoff:
+            converged[idx] |= at_roundoff
         # Backtracking from the full step; a roundoff-level step is tried once,
-        # needing no decrease. An accepted start moves, with the value found
-        # here, and is evaluated in the next sweep (a roundoff-level one only
-        # for its gradient norm).
+        # needing no decrease. An accepted start moves, with the value and
+        # samples found here, and is evaluated in the next sweep (a
+        # roundoff-level one only for its gradient norm).
         accepted = []
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            cand = x[idx]
-            cand[:, free] += t * steps
-            fc = action.value(cand)
-            ok = np.isfinite(fc) & (fc <= f - np.where(at_roundoff, 0.0, _ARMIJO_C * t * dec))
-            won = idx[ok]
-            x[won], values[won] = cand[ok], fc[ok]
+            cand = xs.copy()
+            cand[:, free] += steps if t == 1.0 else t * steps  # 1.0 * steps is steps
+            fc, yc = action.value_and_samples(cand)
+            armijo = _ARMIJO_C * t * dec
+            if roundoff:
+                armijo = np.where(at_roundoff, 0.0, armijo)
+            ok = np.isfinite(fc) & (fc <= f - armijo)
+            every = _every(ok)
+            won = (idx, fc, cand, yc) if every else (idx[ok], fc[ok], cand[ok], yc[ok])
+            rows = slice(None) if won[0].size == P * S else won[0]
+            values[rows], x[rows] = won[1], won[2]
             accepted.append(won)
+            if every:
+                break
             rest = ~(ok | at_roundoff)
             if not rest.any():
                 break
-            idx, f, steps, dec, at_roundoff = idx[rest], f[rest], steps[rest], dec[rest], at_roundoff[rest]
+            idx, f, xs, steps, dec, at_roundoff = (
+                a[rest] for a in (idx, f, xs, steps, dec, at_roundoff)
+            )
             t *= 0.5
-        idx = np.sort(np.concatenate(accepted))
+        if len(accepted) == 1:
+            idx, f, xs, y = accepted[0]
+        else:
+            idx, f, xs, y = (np.concatenate(parts) for parts in zip(*accepted))
+            order = np.argsort(idx)
+            idx, f, xs, y = idx[order], f[order], xs[order], y[order]
         if not idx.size:
             break
     best = np.argmin(values.reshape(P, S), axis=1) + S * np.arange(P)
+    iters = np.bincount(np.concatenate(stepped), minlength=P * S)
     stats = [
         {"iterations": int(iters[k]), "grad_norm": float(gnorm[k]), "converged": bool(converged[k])}
         for k in best
@@ -348,21 +415,14 @@ def _solve(action: _Action, starts, opt: OptimizerSpec, problems: _Problems):
     return values[best], x[best], stats
 
 
-def _fourier_bump(rng, n_free: int, dim: int, scale) -> np.ndarray:
-    """Smooth random interior displacements vanishing at both ends, one per entry
-    of scale (shape scale.shape + (n_free, dim)), each as if drawn alone."""
-    tau = np.linspace(0.0, 1.0, n_free + 2)[1:-1]
-    scale = np.asarray(scale, dtype=float)
-    out = np.zeros(scale.shape + (n_free, dim))
-    for j in range(1, 5):
-        coeff = np.multiply.outer(scale / j, rng.standard_normal(size=dim))
-        out += np.sin(j * np.pi * tau)[:, None] * coeff[..., None, :]
-    return out
-
-
 def _start_stack(times, a, b, warm, restarts, seed):
     """Starts (K, S, n, d) from a (K, d) to b (K, d): affine, the warm starts
-    (K, W, n, d) re-pinned, and seeded random perturbations of the affine one."""
+    (K, W, n, d) re-pinned, and seeded random perturbations of the affine one.
+
+    Restart k adds to the affine start's interior a smooth bump vanishing at
+    both ends: the sine modes j = 1..4, each with one normal coefficient per
+    axis from the stream seeded by (seed, k, n), times scale / j, so that each
+    pair gets the bump it gets alone."""
     n = times.size
     d = a.shape[1]
     lam = ((times - times[0]) / (times[-1] - times[0]))[None, :, None]
@@ -373,10 +433,18 @@ def _start_stack(times, a, b, warm, restarts, seed):
     starts = [affine] + [warm[:, i] for i in range(warm.shape[1])]
     # One vector norm per pair, as for a lone pair: the same bits in any dimension.
     scale = np.array([0.25 * (float(np.linalg.norm(e - s)) + 1.0) for s, e in zip(a, b)])
+    modes = np.arange(1, 5)
+    tau = np.linspace(0.0, 1.0, n)[1:-1]
+    sines = np.sin(np.multiply.outer(modes * np.pi, tau))[:, None, :, None]  # (4, 1, n - 2, 1)
+    mode_scale = (scale / modes[:, None])[:, :, None]  # (4, K, 1)
     for k in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k, n)))
+        coeff = mode_scale * rng.standard_normal(size=(4, d))[:, None, :]
+        bump = np.zeros((a.shape[0], n - 2, d))
+        for term in sines * coeff[:, :, None, :]:  # summed mode by mode, from 0
+            bump += term
         bumped = affine.copy()
-        bumped[:, 1:-1] += _fourier_bump(rng, n - 2, d, scale)
+        bumped[:, 1:-1] += bump
         starts.append(bumped)
     return np.stack(starts, axis=1)
 
@@ -671,9 +739,10 @@ def _dp_sweep(
     moves over the cone are formed at once, the value at i + k read through a
     sliding window over a +inf-padded value buffer (whose states outside the
     previous cone are +inf, so they never win), and reduced over m by one
-    `min`. Recording takes the first move whose candidate equals it, the one
-    a strict `<` scan over the moves keeps. C lives in one scratch of at most
-    M x (widest cone) floats.
+    `np.minimum.reduce` (without np.min's Python wrapper, a third of a narrow
+    step). Recording takes the first move whose candidate equals it, the one
+    a strict `<` scan over the moves keeps. C is the first columns of one
+    (M, n_x) scratch.
 
     Returns (value after the last step, a copy of the value after each step
     count in read_at (used without a target), arg): given `record`, arg[j, i]
@@ -694,7 +763,7 @@ def _dp_sweep(
     if kmax - kmin + 1 == n_moves:
         rows = slice(kmin + pad, kmax + pad + 1)
     stay = ks.index(0) if atom is not None and 0 in ks else None
-    scratch = np.empty(n_moves * n_x)
+    scratch = np.empty((n_moves, n_x))
     arg = np.empty((n_steps, n_x), np.min_scalar_type(n_moves)) if record else None
     if bound is not None:
         limit, kinetic, rate = bound
@@ -712,9 +781,9 @@ def _dp_sweep(
         if new_hi < new_lo:  # only with a target: no state can reach it any more
             return np.full(n_x, np.inf), reads, arg
         nxt = 1 - cur
-        bufs[nxt, pad + stale_lo : pad + stale_hi + 1] = np.inf
+        bufs[nxt][pad + stale_lo : pad + stale_hi + 1] = np.inf
         a, b = new_lo, new_hi + 1
-        c = scratch[: n_moves * (b - a)].reshape(n_moves, b - a)
+        c = scratch[:, : b - a]
         window = windows[cur][rows, a:b]
         if weights is None:
             np.add(stages[:, a:b], window, out=c)
@@ -723,8 +792,8 @@ def _dp_sweep(
             if stay is not None:
                 np.add(c[stay], weights[j] * atom[a:b], out=c[stay])
             np.add(c, window, out=c)
-        out = bufs[nxt, pad + a : pad + b]
-        np.min(c, axis=0, out=out)
+        out = bufs[nxt][pad + a : pad + b]
+        np.minimum.reduce(c, axis=0, out=out)
         if record:  # np.argmin along the moves would first copy C transposed
             arg[j, a:b] = np.argmax(c == out, axis=0)
         if bound is not None and left > 0 and left % _PRUNE_EVERY == 0:

@@ -587,19 +587,25 @@ def _separable(dimension, name, v, dv, d2v, v_bounds, v_lip) -> PeriodicPotentia
 
     dv and d2v are v's first and second derivatives, v_bounds = (min v, max v)
     and v_lip is v's Lipschitz constant. The gradient is dv on each axis, the
-    Hessian diag(d2v) on an identity built once, the bounds d * v_bounds and
-    the Lipschitz constant v_lip * sqrt(d).
+    Hessian diag(d2v) on an identity built once (at d = 1 d2v itself, as
+    y * 1.0 is y), the bounds d * v_bounds and the Lipschitz constant
+    v_lip * sqrt(d).
     """
     eye = np.eye(dimension)
+
+    def hessian(x):
+        h = d2v(x)[..., None]
+        return h if dimension == 1 else h * eye
+
     return PeriodicPotential(
         dimension,
-        lambda x: np.sum(v(x), axis=-1),
+        lambda x: v(x).sum(axis=-1),
         v_min=dimension * v_bounds[0],
         v_max=dimension * v_bounds[1],
         lipschitz=v_lip * np.sqrt(dimension),
         gradient=dv,
         name=name,
-        hessian=lambda x: d2v(x)[..., None] * eye,
+        hessian=hessian,
         factor=v,
     )
 

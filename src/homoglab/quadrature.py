@@ -31,7 +31,7 @@ class QuadratureSpec:
 
 def midpoint_offsets(m: int) -> np.ndarray:
     """Relative midpoint positions (s + 1/2)/m inside a unit interval."""
-    return (np.arange(m) + 0.5) / m
+    return np.arange(0.5, m) / m
 
 
 def midpoints(a: float, b: float, n: int) -> np.ndarray:

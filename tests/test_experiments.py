@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homoglab.cell
-from homoglab import experiments, minimize
+from homoglab import experiments, make_potential, minimize
 from homoglab.errors import ConfigError, InputError, InvariantError, SolverError
 from homoglab.experiments import (
     ExperimentConfig,
@@ -162,14 +162,20 @@ def test_every_benchmark_config_parses(seed):
             assert callable(getattr(experiments, runner))
 
 
-def test_the_layer_timer_captures_every_kernel_and_restores_it(monkeypatch):
-    # Loaded from its file; it prepends src/ and bench/ to sys.path, which
-    # monkeypatch restores. One capture pass, no timed replays.
+def _layer_timer(monkeypatch):
+    """tools/time_layers.py, loaded from its file; it prepends src/ and bench/
+    to sys.path, which monkeypatch restores."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     path = Path(__file__).resolve().parent.parent / "tools" / "time_layers.py"
     spec = importlib.util.spec_from_file_location("time_layers", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_the_layer_timer_captures_every_kernel_and_restores_it(monkeypatch):
+    # One capture pass, no timed replays.
+    tool = _layer_timer(monkeypatch)
     originals = (minimize._dp_sweep, minimize._solve, experiments.cylinder_average)
     calls = tool.capture(7)
     assert sorted(calls) == ["_dp_sweep", "_solve", "cylinder_average"]
@@ -177,6 +183,36 @@ def test_the_layer_timer_captures_every_kernel_and_restores_it(monkeypatch):
     labels = {label.split("/")[0] for kernel in calls.values() for label, _ in kernel}
     assert labels == {"tables", "stability", "hj", "lattice"}
     assert (minimize._dp_sweep, minimize._solve, experiments.cylinder_average) == originals
+
+
+def test_the_layer_timer_charges_each_part_of_a_solve(monkeypatch):
+    """Each part of a Newton solve gets time, one sweep per gradient: a kernel
+    method the solver no longer called would leave its time in the
+    bookkeeping. The wrappers come off the action and the module after."""
+    tool = _layer_timer(monkeypatch)
+    V, times = make_potential("sin2", 1), np.linspace(0.0, 2.0, 33)
+    a, b = np.zeros((1, 1)), np.ones((1, 1))
+    action = minimize._Action.eps_action(V, None, 0.5, times, 4)
+    starts = minimize._start_stack(times, a, b, np.zeros((1, 0, 33, 1)), 2, 0)
+    gradients = []
+    counted = _counted(minimize._Action.gradient, gradients)
+    monkeypatch.setattr(minimize._Action, "gradient", counted)
+    steps = minimize._newton_steps
+    seconds, sweeps = tool.time_solve(
+        action, starts, minimize.OptimizerSpec(), minimize._Problems(0.5, 0.0, 2.0, a, b)
+    )
+    assert sweeps == len(gradients) >= 2
+    assert all(seconds[part] > 0 for part in ("derivatives", "band solve", "line search"))
+    assert not {"gradient", "hessian", "value_and_samples"} & set(vars(action))
+    assert minimize._newton_steps is steps
+
+
+def _counted(method, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return method(*args, **kwargs)
+
+    return wrapper
 
 
 def test_config_roundtrips_through_json_file(tmp_path):

@@ -82,18 +82,39 @@ def test_bvp_warm_start_never_hurts(std_opt, quad, sin2_1d):
     assert warm_val <= cold_val + 1e-7
 
 
-def test_bvp_batch_matches_single(std_opt, quad, sin2_1d):
-    a_batch = np.array([[0.0], [0.25]])
-    values, nodes, times = minimize_bvp_batch(
-        sin2_1d, None, 0.2, 0.0, 1.0, a_batch, np.array([1.0]), 65, std_opt, quad
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    with_w=st.booleans(),
+    unit_eps=st.booleans(),
+    eps=st.floats(0.05, 0.9),
+    seed=st.integers(0, 2**16),
+)
+def test_bvp_batch_matches_single(d, with_w, unit_eps, eps, seed):
+    """A 3-problem batch gives each problem, bit for bit, the solver value,
+    certified value, nodes and solver record it gets alone. Solver values are
+    compared with solver values: minimize_bvp returns the certified one,
+    which may differ by up to 1e-10. The drawn ends spread the problems'
+    iteration counts, so the batch runs with starts converged, beaten and
+    halving their steps while others take full ones."""
+    V = make_potential("sin2", d)
+    W = make_perturbation("runge_decay", d, amplitude=1.0) if with_w else None
+    eps = 1.0 if unit_eps else eps
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-1.0, 1.0, (3, d)), rng.uniform(-1.0, 2.0, (3, d))
+    quad, opt = QuadratureSpec(), OptimizerSpec(max_iters=200, restarts=2, seed=seed)
+    values, certified, nodes, times, records = minimize._solve_pinned(
+        V, W, eps, 0.0, 1.5, a, b, 33, opt, quad, None
     )
-    assert values.shape == (2,)
-    assert nodes.shape[0] == 2 and times.size == nodes.shape[1]
-    for k in range(2):
-        _, single = minimize_bvp(
-            sin2_1d, None, 0.2, 0.0, 1.0, a_batch[k], np.array([1.0]), 65, std_opt, quad
+    assert nodes.shape == (3, times.size, d)
+    for p in range(3):
+        alone = minimize._solve_pinned(
+            V, W, eps, 0.0, 1.5, a[p : p + 1], b[p : p + 1], 33, opt, quad, None
         )
-        assert values[k] == pytest.approx(single, rel=1e-3, abs=1e-6)
+        assert values[p] == alone[0][0]
+        assert certified[p] == alone[1][0]
+        assert np.array_equal(nodes[p], alone[2][0])
+        assert records[p] == alone[4][0]
 
 
 def test_bvp_value_certified_against_action(std_opt, quad, sin2_1d):
@@ -836,45 +857,58 @@ _kernel_cases = dict(
 @settings(max_examples=40, deadline=None)
 @given(**_kernel_cases, rows=st.lists(st.booleans(), min_size=5, max_size=5))
 def test_action_rows_do_not_depend_on_the_rest_of_the_batch(d, with_w, halfline, eps, seed, rows):
-    """The value and derivatives of any sub-batch are the full batch's rows, bit
-    for bit. The solver relies on it: a start's accepted line-search value is its
-    value in the next sweep's batch, and a start that stops without moving keeps
-    the gradient norm of the batch it was last evaluated in."""
+    """The value, samples and derivatives of any sub-batch are the full batch's
+    rows, bit for bit. The solver relies on it: a start's accepted line-search
+    value and samples are its value and samples in the next sweep's batch, and
+    a start that stops without moving keeps the gradient norm of the batch it
+    was last evaluated in."""
     action = _kernel_action(d, with_w, halfline, eps)
     x = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(5, action.kinetic.size + 1, d))
     keep = np.array(rows)
-    assert np.array_equal(action.value(x[keep]), action.value(x)[keep])
-    for part, whole in zip(action.derivatives(x[keep]), action.derivatives(x)):
+    value, y = action.value_and_samples(x)
+    part_value, part_y = action.value_and_samples(x[keep])
+    assert np.array_equal(part_value, value[keep]) and np.array_equal(part_y, y[keep])
+    assert np.array_equal(action.gradient(x[keep], y[keep]), action.gradient(x, y)[keep])
+    for part, whole in zip(action.hessian(x[keep], y[keep]), action.hessian(x, y)):
         assert np.array_equal(part, whole[keep])
 
 
 @pytest.mark.parametrize("halfline", [False, True], ids=["pinned", "half-line"])
 @pytest.mark.parametrize("with_w", [False, True], ids=["V", "V+W"])
 @pytest.mark.parametrize("d", [1, 2])
-def test_one_potential_pass_per_accepted_full_step(d, with_w, halfline):
-    """Counting V's evaluator over path samples: one pass for the starts, then
-    one per line-search trial, and none inside the derivatives, the value of
-    an accepted step being the one the line search found. Started near its minimizer, where Newton
-    takes full steps, a solve makes one pass per step, not two."""
+def test_one_potential_pass_per_accepted_full_step(monkeypatch, d, with_w, halfline):
+    """Counting V's evaluator over path samples, and the sample layouts
+    (minimize.interval_samples): one of each for the starts, then one per
+    line-search trial, and none inside the derivatives, whose samples are
+    those the line search laid out for the point it accepted, with its value.
+    Started near its minimizer, where Newton takes full steps, a solve makes
+    one pass and one layout per step, not two."""
     base = make_potential("sin2", d)
-    passes, in_derivatives = [], []
+    passes, layouts, in_derivatives = [], [], []
 
     def counting(y, _evaluate=base.evaluator):
         if y.ndim == 4:  # path samples; the half-line tail evaluates the last node alone
             passes.append(bool(in_derivatives))
         return _evaluate(y)
 
+    def laying_out(nodes, m, _lay_out=minimize.interval_samples):
+        layouts.append(bool(in_derivatives))
+        return _lay_out(nodes, m)
+
+    monkeypatch.setattr(minimize, "interval_samples", laying_out)
     action = _kernel_action(d, with_w, halfline, 0.5, V=dataclasses.replace(base, evaluator=counting))
-    derivatives = action.derivatives
 
-    def tracked(*args, **kwargs):
-        in_derivatives.append(True)
-        try:
-            return derivatives(*args, **kwargs)
-        finally:
-            in_derivatives.pop()
+    def tracked(part):
+        def wrapper(*args, **kwargs):
+            in_derivatives.append(True)
+            try:
+                return part(*args, **kwargs)
+            finally:
+                in_derivatives.pop()
 
-    action.derivatives = tracked
+        return wrapper
+
+    action.gradient, action.hessian = tracked(action.gradient), tracked(action.hessian)
     N, opt = action.kinetic.size + 1, OptimizerSpec(max_iters=50, restarts=0)
     starts = _start_stack(
         np.linspace(0.0, 1.0, N), np.zeros((1, d)), np.full((1, d), 0.7), np.zeros((1, 0, N, d)), 0, 0
@@ -884,7 +918,8 @@ def test_one_potential_pass_per_accepted_full_step(d, with_w, halfline):
     near = nodes[:, None].copy()
     near[..., 1:-1, :] += 1e-3 * np.sin(np.linspace(0.0, np.pi, N))[1:-1, None]
     passes.clear()
+    layouts.clear()
     _, _, [record] = _solve(action, near, opt, problems)
     assert record["converged"] and record["iterations"] >= 1
-    assert not any(passes)
-    assert len(passes) == record["iterations"] + 1
+    assert not any(passes) and not any(layouts)
+    assert len(passes) == len(layouts) == record["iterations"] + 1

@@ -20,11 +20,12 @@ per kernel gives one line per call:
 - a DP sweep's size (states, moves, steps), which of target / weights /
   record / bound it used, and the median time in ms;
 - a Newton solve's size (nodes, dimension, problems x starts), its Newton
-  sweeps, and the median time in ms, whole and split into the action's
-  derivatives, the banded Newton solves, the line search (every action value
-  outside `derivatives`: the trial steps and the starts' first values) and
-  the rest of `_solve` (its bookkeeping). Each call is charged to its
-  outermost part, so a value computed inside `derivatives` counts there;
+  sweeps (its calls of the action's `gradient`), and the median time in ms,
+  whole and split into the action's derivatives (`gradient` and
+  `hessian`), the banded Newton solves, the line search (every call of
+  `value_and_samples`: the trial steps and the starts' first values) and
+  the rest of `_solve` (its bookkeeping), then the whole time per sweep in
+  us (total / sweeps). Each call is charged to its outermost part;
 - a tube average's direction, R, the number of points its chords hand to W,
   the number of W calls they take (whole chords share a call), the median
   time in ms and that median per point in ns.
@@ -131,8 +132,11 @@ class _Split:
         self.sweeps = 0
         self._inside = False
 
-    def timed(self, part, fn):
+    def timed(self, part, fn, sweep=False):
+        """fn, charging its time to `part`; a call of a `sweep` fn counts one sweep."""
+
         def wrapper(*args, **kwargs):
+            self.sweeps += sweep
             if self._inside:
                 return fn(*args, **kwargs)
             self._inside = True
@@ -142,7 +146,6 @@ class _Split:
             finally:
                 self.seconds[part] += time.perf_counter() - tic
                 self._inside = False
-                self.sweeps += part == "derivatives"
 
         return wrapper
 
@@ -151,8 +154,9 @@ def time_solve(action, starts, opt, problems):
     """One timed run of a captured solve: ({part: seconds, with bookkeeping}, sweeps)."""
     split = _Split()
     steps = minimize._newton_steps
-    action.derivatives = split.timed("derivatives", action.derivatives)
-    action.value = split.timed("line search", action.value)
+    action.gradient = split.timed("derivatives", action.gradient, sweep=True)
+    action.hessian = split.timed("derivatives", action.hessian)
+    action.value_and_samples = split.timed("line search", action.value_and_samples)
     minimize._newton_steps = split.timed("band solve", steps)
     try:
         tic = time.perf_counter()
@@ -160,7 +164,7 @@ def time_solve(action, starts, opt, problems):
         total = time.perf_counter() - tic
     finally:
         minimize._newton_steps = steps
-        del action.derivatives, action.value
+        del action.gradient, action.hessian, action.value_and_samples
     split.seconds["bookkeeping"] = total - sum(split.seconds.values())
     return dict(split.seconds, total=total), split.sweeps
 
@@ -168,13 +172,16 @@ def time_solve(action, starts, opt, problems):
 def print_solves(calls):
     columns = ("total",) + PARTS
     print(f"{'call':<24} {'nodes':>5} {'d':>2} {'P x S':>7} {'sweeps':>6}  "
-          + " ".join(f"{c:>11}" for c in columns) + "  (median ms)")
+          + " ".join(f"{c:>11}" for c in columns)
+          + f" {'us/sweep':>9}  (median ms; us/sweep in us)")
     for label, call in calls:
         runs = [time_solve(**call) for _ in range(REPEATS)]
         P, S, N, d = call["starts"].shape
         medians = [1e3 * statistics.median(r[0][c] for r in runs) for c in columns]
-        print(f"{label:<24} {N:>5} {d:>2} {f'{P}x{S}':>7} {runs[0][1]:>6}  "
-              + " ".join(f"{m:>11.3f}" for m in medians))
+        sweeps = runs[0][1]
+        print(f"{label:<24} {N:>5} {d:>2} {f'{P}x{S}':>7} {sweeps:>6}  "
+              + " ".join(f"{m:>11.3f}" for m in medians)
+              + f" {1e3 * medians[0] / sweeps:>9.1f}")
 
 
 def points_of(W, xi, r, R):
