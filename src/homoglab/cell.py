@@ -126,10 +126,10 @@ def solve_corrector_1d(
     return CorrectorProfile(np.array([xi]), T, profile, cell_value, meta)
 
 
-def _check_sandwich(value, xi, lo, hi, slack: float = 1e-9):
+def _check_sandwich(value, xi, lo, hi):
     kinetic = float(np.dot(xi, xi))
-    scale = max(1.0, abs(value))
-    if value < kinetic + lo - slack * scale or value > kinetic + hi + slack * scale:
+    slack = 1e-9 * max(1.0, abs(value))
+    if value < kinetic + lo - slack or value > kinetic + hi + slack:
         raise InvariantError(
             f"cell value {value} at xi={xi} escapes the sandwich "
             f"[{kinetic + lo}, {kinetic + hi}]"

@@ -535,12 +535,12 @@ class StabilityReport(Report):
                 )
 
 
-def _slack_decreasing(values, slack: float = _GAP_SLACK, floor: float = 1e-9) -> bool:
+def _slack_decreasing(values) -> bool:
     """Monotone decrease up to a multiplicative slack between consecutive rungs."""
     if len(values) < 2:
         return True
     return all(
-        b <= a * (1.0 + slack) + floor if a >= 0 else b <= a * (1.0 - slack) + floor
+        b <= a * (1.0 + _GAP_SLACK) + 1e-9 if a >= 0 else b <= a * (1.0 - _GAP_SLACK) + 1e-9
         for a, b in zip(values, values[1:])
     )
 
@@ -788,10 +788,11 @@ def run_hj_convergence(cfg: ExperimentConfig, threads: int = 1) -> Report:
 
 
 def _classify_curve(curve) -> str:
-    first, last = curve[0], curve[-1]
-    if max(abs(v) for v in curve) <= 1e-9:
+    sizes = [abs(v) for v in curve]  # by magnitude: a nonpositive W reads as its mirror
+    first, last = sizes[0], sizes[-1]
+    if max(sizes) <= 1e-9:
         return "zero"
-    if all(b < a for a, b in zip(curve, curve[1:])) and last <= 0.5 * first:
+    if all(b < a for a, b in zip(sizes, sizes[1:])) and last <= 0.5 * first:
         return "decaying"
     if last >= 0.8 * first and last > 0.05:
         return "persistent"
@@ -801,12 +802,12 @@ def _classify_curve(curve) -> str:
 def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report:
     """Tube-average decay curves and the uniform-L^p estimate for W.
 
-    Emits one row per (direction, R); classifies each direction's curve as
-    zero / decaying / persistent / inconclusive and the whole perturbation as
-    consistent with the zero-average tube condition, inconsistent, or
-    inconclusive. Directions default to the coordinate axes. Fewer than two
-    radii raise InputError: a one-point curve shows no trend. So does a W
-    with a zero atom, which no line or tube average sees.
+    Emits one row per (direction, R); classifies each direction's curve, by
+    magnitude, as zero / decaying / persistent / inconclusive and the whole
+    perturbation as consistent with the zero-average tube condition,
+    inconsistent, or inconclusive. Directions default to the coordinate
+    axes. Fewer than two radii raise InputError: a one-point curve shows no
+    trend. So does a W with a zero atom, which no line or tube average sees.
     """
     W = cfg.perturbation()
     if W is None:

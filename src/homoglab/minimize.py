@@ -671,9 +671,9 @@ def _lattice_moves(slope_set, h: float, dx: float, n_x: int):
     return ks, ks * dx / h
 
 
-def _default_slope_set(slope_bc: float, count: int = 41):
+def _default_slope_set(slope_bc: float):
     span = 4.0 * abs(slope_bc) + 2.0
-    return np.linspace(-span, span, count)
+    return np.linspace(-span, span, 41)
 
 
 def _lattice_costs(V, W, eps, states):

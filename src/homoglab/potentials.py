@@ -247,10 +247,10 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     of n points as fit in _CALL_POINTS, filled with t * axis_j + (basis @ z)_j,
     the same two roundings per element as a freshly built chord. The buffer
     is column-major, so each coordinate is one contiguous array to fill and
-    to read. W is called once per group, and each chord's own slice of the
-    values is summed and weighted in chord order, so the total is the
-    per-chord loop's float for every W whose value at a point does not depend
-    on the other points of the call.
+    to read. W is called once per group; one row sum of the (m, n) values
+    gives each chord its own pairwise sum, added in chord order, so the total
+    is the per-chord loop's float for every W whose value at a point does not
+    depend on the other points of the call.
     """
     if W.dimension < 2:
         raise InputError("cylinder_average requires dimension >= 2")
@@ -286,9 +286,8 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
             column = columns[j, : m * n_axis].reshape(m, n_axis)
             np.multiply(t, axis[j], out=column)
             column += shifts[chords, j, None]
-        vals = W.evaluator(columns[:, : m * n_axis].T)
-        for i, half_chord in enumerate(half_chords[chords]):
-            chord_sum = float(np.sum(vals[i * n_axis : (i + 1) * n_axis]))
+        chord_sums = W.evaluator(columns[:, : m * n_axis].T).reshape(m, n_axis).sum(axis=1)
+        for chord_sum, half_chord in zip(chord_sums.tolist(), half_chords[chords]):
             total += chord_sum * (2 * half_chord / n_axis) * cell
     return total / R
 
@@ -329,12 +328,10 @@ _TABLE_TOP = 16
 # Padding of each listed window (rad): far above the rounding of its ends,
 # far below the narrowest listed window, 4^-16.
 _WINDOW_SLACK = 1e-12
-# Points per chunk of `parabola_free_region`, and per block of its exact test;
-# they bound its temporaries.
+# Points per chunk of `parabola_free_region`; it bounds the temporaries of
+# all three stages.
 _CHUNK = 2**16
-_BLOCK = 4096
-# Consecutive points per row of `parabola_free_region`'s row test; a divisor
-# of _CHUNK.
+# Consecutive points per row of the row stage; a divisor of _CHUNK.
 _ROW = 256
 # Margins of the row test: absolute on gaps (rad), relative on radii and
 # widths. Both are far above the rounding of any computed angle, gap, radius
@@ -393,10 +390,12 @@ def parabola_free_region(x: np.ndarray) -> np.ndarray:
 
     The levels tested are 2..top, the last with 2^top <= max|x_0| + max|x_1|
     (a bound on every radius); a level above every radius marks nothing.
-    Points go in chunks of _CHUNK, cut into rows of _ROW consecutive points,
-    and `_settled_rows` decides whole rows from their angle and radius bounds:
-    all free, none free, or open. Only the points of open rows, and of a last
-    partial row, get the exact test of `_free_block`, in blocks of _BLOCK.
+    Each chunk of _CHUNK points passes three stages. Rows: `_settled_rows`
+    decides whole rows of _ROW consecutive points from their angle and radius
+    bounds (all free, none free, or open). Table: one `_free_block` call
+    takes the points of open rows and of a last partial row, and reads from
+    a cached sorted table of angular windows the levels whose window holds
+    each point. Per level: only those (point, level) pairs get `_in_tongue`.
     Non-finite points, and points of radius above 2^40 (where the float64
     angle test stops being exact), raise InputError.
     """
@@ -427,8 +426,8 @@ def parabola_free_region(x: np.ndarray) -> np.ndarray:
 
 
 def _free_chunk(x0, x1, top: int) -> np.ndarray:
-    """The mask for the points (x0, x1), all of radius < 2^(top+1): rows that
-    `_settled_rows` decides, and the rest by `_free_block` in blocks of _BLOCK."""
+    """The mask for the points (x0, x1), all of radius < 2^(top+1): the row
+    stage, then one `_free_block` call for every point it leaves open."""
     angle = np.arctan2(x1, x0)
     free = np.zeros(angle.shape, dtype=bool)
     open_pts = np.ones(angle.shape, dtype=bool)
@@ -437,9 +436,8 @@ def _free_chunk(x0, x1, top: int) -> np.ndarray:
         all_free, none_free = _settled_rows(angle, x0, x1, rows, top)
         free[: rows * _ROW].reshape(rows, _ROW)[all_free] = True
         open_pts[: rows * _ROW].reshape(rows, _ROW)[all_free | none_free] = False
-    todo = np.flatnonzero(open_pts)
-    for lo in range(0, todo.size, _BLOCK):
-        pt = todo[lo : lo + _BLOCK]
+    pt = np.flatnonzero(open_pts)
+    if pt.size:
         free[pt] = _free_block(angle[pt], np.hypot(x0[pt], x1[pt]), top)
     return free
 
@@ -500,32 +498,23 @@ def _settled_rows(angle, x0, x1, rows: int, top: int):
 
 
 def _free_block(angle, rho, top: int) -> np.ndarray:
-    """The mask for points of arctan2 angle `angle` and radius rho < 2^(top+1):
-    each point is tested only at the levels whose angular window holds it.
-
-    One cached sorted table lists the windows of every level 2..min(top,
-    _TABLE_TOP), each padded by a slack far above the rounding of its ends.
-    The block reads it only between the ends at its least and greatest angle:
-    lo ends lie at or below its least angle and those from hi on above its
-    greatest, so a point's count of ends at or below its angle is lo plus its
-    count in ends[lo:hi]. With hi == lo no end falls inside the range, and
-    every point has cover[lo]. The (point, level) pairs then get the exact
-    per-level test, op for op: a point in a level-k tongue lies within 4^{-k}
-    of its center, the 2*pi - offset branch never applies for k >= 2 (the
-    offset to the nearest odd multiple is at most pi/2), and a level above
-    every radius marks nothing.
+    """The table and per-level stages for points of arctan2 angle `angle` and
+    radius rho < 2^(top+1), with the windows of `_tongue_windows(min(top,
+    _TABLE_TOP))`. lo ends lie at or below the least angle and those from hi
+    on above the greatest, so a point's count of ends at or below its angle
+    is lo plus its count in ends[lo:hi] (cover[lo] for all when hi == lo). A
+    point in a level-k tongue lies within 4^{-k} of its center, so a level
+    whose padded window misses it marks nothing there; levels above
+    _TABLE_TOP test every point.
     """
     theta = angle + np.where(angle < 0, 2 * np.pi, 0.0)  # np.mod(angle, 2*pi), bit for bit
     ends, cover = _tongue_windows(min(top, _TABLE_TOP))
     lo, hi = np.searchsorted(ends, [angle.min(), angle.max()], side="right")
-    if hi == lo:
-        bits = cover[lo : lo + 1]
-    else:
-        bits = cover.take(lo + np.searchsorted(ends[lo:hi], angle, side="right"))
+    bits = cover.take(lo + np.searchsorted(ends[lo:hi], angle, side="right"))
     listed = int(np.bitwise_or.reduce(bits))  # the levels whose windows hold some point
     free = np.zeros(angle.shape, dtype=bool)
     for k in range(2, top + 1):
-        if k > _TABLE_TOP or (hi == lo and listed >> k & 1):  # unlisted, or one cover for all
+        if k > _TABLE_TOP:
             free |= _in_tongue(theta, rho, k)
         elif listed >> k & 1:
             pt = np.flatnonzero(bits & (1 << k))
@@ -535,10 +524,12 @@ def _free_block(angle, rho, top: int) -> np.ndarray:
 
 def _in_tongue(theta, rho, k: int) -> np.ndarray:
     """The level-k test: is each point, of radius rho and of angle theta (its
-    arctan2 angle, plus 2*pi where negative), inside a level-k tongue?"""
+    arctan2 angle, plus 2*pi where negative), inside a level-k tongue?
+
+    The gap to the nearest odd center is at most 2*pi/2^k <= pi/2 for k >= 2,
+    so the way round through 2*pi is never shorter and is not taken."""
     base, step, cap, c_k = _LEVEL_CONSTANTS[:, k]
     gap = _nearest_center(theta, base)[1]
-    gap = np.minimum(gap, 2 * np.pi - gap)
     return (rho >= step) & (gap <= _width(rho, step, cap, c_k))
 
 

@@ -234,8 +234,9 @@ def homogenized_action(u: Trajectory, f_table) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cap_directions(dimension: int, count: int) -> np.ndarray:
-    """Directions theta with theta_1 < -1/2 (local coordinates), midpoint grids."""
+def _cap_directions(dimension: int) -> np.ndarray:
+    """32 directions theta with theta_1 < -1/2 (local coordinates), midpoint grids."""
+    count = 32
     if dimension == 2:
         phi = midpoints(2 * np.pi / 3, 4 * np.pi / 3, count)
         return np.stack([np.cos(phi), np.sin(phi)], axis=1)
@@ -254,9 +255,9 @@ def connector_kinetic_bound(alpha: float, r: float) -> float:
     return 2 * alpha**2 / (2 * alpha - 1) * r ** ((2 * alpha - 1) / alpha)
 
 
-def _graded_side(length: float, n_cells: int = 36, ratio: float = 0.75) -> np.ndarray:
-    """Distances from a cusp: 0, then geometric growth up to `length`."""
-    steps = length * ratio ** np.arange(n_cells - 1, -1, -1)
+def _graded_side(length: float) -> np.ndarray:
+    """Distances from a cusp: 0, then 36 distances growing by 1/0.75 up to `length`."""
+    steps = length * 0.75 ** np.arange(35, -1, -1)
     out = np.concatenate(([0.0], steps))
     out[-1] = length
     return out
@@ -299,7 +300,7 @@ def build_connector(x0, y0, alpha: float, W: Perturbation) -> Trajectory:
     times = np.concatenate((t_left, [0.0], t_right[1:]))
     times = np.unique(times)
 
-    thetas = _cap_directions(d, 32)
+    thetas = _cap_directions(d)
     m = QuadratureSpec().samples_per_interval
     best = None
     for idx, theta in enumerate(thetas):

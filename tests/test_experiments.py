@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homoglab.cell
-from homoglab import experiments, make_potential, minimize
+from homoglab import experiments, make_perturbation, make_potential, minimize, potentials
 from homoglab.errors import ConfigError, InputError, InvariantError, SolverError
 from homoglab.experiments import (
     ExperimentConfig,
@@ -207,6 +207,17 @@ def test_the_layer_timer_charges_each_part_of_a_solve(monkeypatch):
     assert minimize._newton_steps is steps
 
 
+def test_the_layer_timer_counts_the_open_points_of_a_tube(monkeypatch):
+    """At R = 64 every point of a parabola tube reaches the exact pass; a W
+    other than the parabola sends none there. `_free_block` is restored."""
+    tool = _layer_timer(monkeypatch)
+    free_block = potentials._free_block
+    parabola = make_perturbation("parabola_example", 2)
+    assert tool.points_of(parabola, [np.cos(1.0), np.sin(1.0)], 0.5, 64.0) == (8192, 1, 8192)
+    assert tool.points_of(make_perturbation("constant", 2), [0.0, 1.0], 0.5, 64.0) == (8192, 1, 0)
+    assert potentials._free_block is free_block
+
+
 def _counted(method, calls):
     def wrapper(*args, **kwargs):
         calls.append(None)
@@ -227,10 +238,19 @@ def test_config_roundtrips_through_json_file(tmp_path):
 
 
 def test_classify_curve_labels():
-    assert _classify_curve([0.0, 0.0, 1e-12]) == "zero"
-    assert _classify_curve([1.0, 0.5, 0.2]) == "decaying"
-    assert _classify_curve([1.0, 0.99, 0.95]) == "persistent"
-    assert _classify_curve([1.0, 2.0, 0.1]) == "inconclusive"
+    """A curve and its mirror get one label: a nonpositive W decays or
+    persists as a nonnegative one does."""
+    cases = [
+        ([0.0, 0.0, 1e-12], "zero"),
+        ([1.0, 0.5, 0.2], "decaying"),
+        ([1.0, 0.99, 0.95], "persistent"),
+        ([1.0, 2.0, 0.1], "inconclusive"),
+        ([7.8e-3, 2.0e-3, 4.9e-4], "decaying"),  # neg_spike's line averages, mirrored
+        ([2.0, 2.0, 2.0], "persistent"),
+    ]
+    for sign in (1.0, -1.0):
+        for curve, label in cases:
+            assert _classify_curve([sign * v for v in curve]) == label, (sign, curve)
 
 
 # -- report plumbing ---------------------------------------------------------

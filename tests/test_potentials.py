@@ -393,6 +393,38 @@ def test_parabola_free_region_in_chunks_is_the_mask_of_one_pass(monkeypatch):
     assert (parabola_free_region(pts) == want).all()
 
 
+def test_each_chunk_takes_one_exact_pass(monkeypatch):
+    """The points the row test leaves open go to `_free_block` in one call per
+    chunk: one call for each R = 64 workload tube, whose 8192 points are all
+    open, and one per chunk when a smaller _CHUNK splits the same points."""
+    sizes = []
+    free_block = potentials._free_block
+
+    def counted(angle, rho, top):
+        sizes.append(angle.size)
+        return free_block(angle, rho, top)
+
+    monkeypatch.setattr(potentials, "_free_block", counted)
+    W = make_perturbation("parabola_example", 2)
+    tubes = []
+
+    def checked(x):
+        got = parabola_free_region(x)
+        assert (got == _reference_free_region(x)).all()
+        tubes.append(x.copy())
+        return np.where(got, 0.0, 1.0)
+
+    for xi in WORKLOAD_DIRECTIONS:
+        cylinder_average(dataclasses.replace(W, evaluator=checked), xi, 0.5, 64.0)
+    assert sizes == [8192] * len(WORKLOAD_DIRECTIONS)
+
+    monkeypatch.setattr(potentials, "_CHUNK", 3 * _ROW)
+    for x in tubes:
+        sizes.clear()
+        assert (parabola_free_region(x) == _reference_free_region(x)).all()
+        assert sizes == [3 * _ROW] * 10 + [2 * _ROW]
+
+
 def test_a_row_between_two_tongues_is_not_settled_free():
     """The row's ends sit on two neighbouring level-8 tongue centers, at radius
     2^9, and its other points lie in no tongue. Each end alone is free, so only

@@ -27,8 +27,10 @@ per kernel gives one line per call:
   the rest of `_solve` (its bookkeeping), then the whole time per sweep in
   us (total / sweeps). Each call is charged to its outermost part;
 - a tube average's direction, R, the number of points its chords hand to W,
-  the number of W calls they take (whole chords share a call), the median
-  time in ms and that median per point in ns.
+  the number of W calls they take (whole chords share a call), the share of
+  those points that the parabola's row test leaves open for the exact
+  `potentials._free_block` pass (0% for any other W), the median time in ms
+  and that median per point in ns.
 
 No benchmark span isolates one sweep or one solve, and the
 `potentials.cylinder_average` span sums a workload's calls, so this is how
@@ -185,27 +187,37 @@ def print_solves(calls):
 
 
 def points_of(W, xi, r, R):
-    """(points, calls): the points one tube average hands to W's evaluator, and
-    the evaluator calls it takes to hand them."""
-    seen = []
+    """(points, calls, open): the points one tube average hands to W's
+    evaluator, the evaluator calls it takes to hand them, and the points that
+    reach `potentials._free_block`."""
+    seen, reached = [], []
+    free_block = potentials._free_block
 
     def counting(x):
         seen.append(x.shape[0])
         return W.evaluator(x)
 
-    potentials.cylinder_average(dataclasses.replace(W, evaluator=counting), xi, r, R)
-    return sum(seen), len(seen)
+    def reaching(angle, rho, top):
+        reached.append(angle.size)
+        return free_block(angle, rho, top)
+
+    potentials._free_block = reaching
+    try:
+        potentials.cylinder_average(dataclasses.replace(W, evaluator=counting), xi, r, R)
+    finally:
+        potentials._free_block = free_block
+    return sum(seen), len(seen), sum(reached)
 
 
 def print_tubes(calls):
-    print(f"{'call':<20} {'direction':>22} {'R':>6} {'points':>8} {'calls':>5}"
+    print(f"{'call':<20} {'direction':>22} {'R':>6} {'points':>8} {'calls':>5} {'open':>6}"
           "  median_ms  ns/point")
     for label, call in calls:
         median = median_ms(potentials.cylinder_average, lambda: call)
-        points, evaluations = points_of(**call)
+        points, evaluations, reached = points_of(**call)
         direction = "(" + ", ".join(f"{v:.4f}" for v in call["xi"]) + ")"
         print(f"{label:<20} {direction:>22} {call['R']:>6g} {points:>8} {evaluations:>5}"
-              f"  {median:>9.2f}  {1e6 * median / points:>8.1f}")
+              f" {100 * reached / points:>5.1f}%  {median:>9.2f}  {1e6 * median / points:>8.1f}")
 
 
 def main(argv=None) -> int:
