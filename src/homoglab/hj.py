@@ -10,7 +10,7 @@ The oscillatory (eps) fields are one-dimensional. Each runs one backward
 lattice DP sweep per eps (the discrete Lax-Oleinik formula; Falcone and
 Ferretti, Semi-Lagrangian Approximation Schemes for Linear and
 Hamilton-Jacobi Equations, SIAM 2013), backtracks one argmin path per grid
-point and polishes it, next to the nearby competitors the lattice cannot
+point from the values the sweep kept and polishes it, next to the nearby competitors the lattice cannot
 rank, with the damped-Newton minimizer.
 
 All fields carry provenance (eps or "hom", discount rate, solver settings)
@@ -206,8 +206,10 @@ def solve_evolutionary_eps(
 
     One backward lattice sweep from Phi, finite only at the y of y_grid
     (minimize._lattice_seeds), gives the lattice field at every time of
-    t_grid and an argmin y and path for every x. Each time slice is then one
-    stacked minimize_bvp_batch polish: grid point x is three problems, pinned
+    t_grid, each on a lattice step, and an argmin y and path for every x,
+    backtracked from the values the sweep kept after each step. Each time
+    slice is then one stacked minimize_bvp_batch polish: grid point x is
+    three problems, pinned
     to its lattice argmin y and to that y's neighbours in y_grid, each with
     the lattice path tilted onto its y as the warm start next to the affine
     one, and takes the least; a polish at time t has 8*t/eps + 9 nodes (at
@@ -289,12 +291,13 @@ def solve_steady_eps(
 ) -> ValueField:
     """Discounted value U_eps(x) per grid point, with comparison bounds asserted.
 
-    One backward discounted lattice sweep gives the lattice value and an
-    argmin path at every grid point x and at x -/+ eps, one period of
-    V(x / eps) away. minimize_halfline polishes x's path, the other two
-    re-pinned to x (they park in the neighbouring wells, which the lattice
-    cannot rank against x's when they lie closer than its error) and the
-    constant path. The provenance records the lattice, its sup distance to
+    One backward discounted lattice sweep gives the lattice value at every
+    grid point x and at x -/+ eps, one period of V(x / eps) away, and an
+    argmin path from each, backtracked from the values the sweep kept after
+    each step (minimize._lattice_seeds). minimize_halfline polishes x's
+    path, the other two re-pinned to x (they park in the neighbouring wells,
+    which the lattice cannot rank against x's when they lie closer than its
+    error) and the constant path. The provenance records the lattice, its sup distance to
     the polished field (dp_sup_distance) and whether every polish converged
     (all_converged), the horizon T_max = 6 / lam and the path's n_nodes =
     max(65, 4 T_max / eps + 9). Needs d = 1.

@@ -14,9 +14,9 @@ Two independent routes to the same minima live here, on purpose:
   check_newton_terms turns away any other V or W, and a zero atom;
 * backward dynamic programming over a state-time lattice, an anytime upper
   bound for d = 1 that never sees the optimizer's code paths, and the only
-  solver that charges a zero atom. The same sweep, recording each state's
-  argmin move, also gives the HJ fields the lattice paths they pass to the
-  Newton polish as warm starts.
+  solver that charges a zero atom. The same sweep, keeping the value after
+  every step, also gives the HJ fields the lattice paths they pass to the
+  Newton polish as warm starts, backtracked from those values.
 
 Optimizer results carry certified-upper-bound semantics: every reported value,
 each batch winner's included, is the action of a concrete trajectory,
@@ -709,7 +709,7 @@ _PRUNE_EVERY = 8
 
 def _dp_sweep(
     value, lo, hi, moves, stages, n_steps, target=None, weights=None, atom=None,
-    read_at=(), record=False, bound=None,
+    bound=None, history=False,
 ):
     """Run n_steps backward lattice steps from `value` (finite only on states
     lo..hi; not modified).
@@ -740,37 +740,34 @@ def _dp_sweep(
     sliding window over a +inf-padded value buffer (whose states outside the
     previous cone are +inf, so they never win), and reduced over m by one
     `np.minimum.reduce` (without np.min's Python wrapper, a third of a narrow
-    step). Recording takes the first move whose candidate equals it, the one
-    a strict `<` scan over the moves keeps. C is the first columns of one
-    (M, n_x) scratch.
+    step). C is the first columns of one (M, n_x) scratch. The steps alternate
+    between two buffers, or, given `history`, each step writes a fresh row of
+    one buffer, so every step's value is kept.
 
-    Returns (value after the last step, a copy of the value after each step
-    count in read_at (used without a target), arg): given `record`, arg[j, i]
-    (n_steps, n_x; the smallest unsigned type) indexes the move state i takes
-    at step j wherever the value after step j is finite. Recording changes no
-    value.
+    Returns the value after the last step (n_x,), or, given `history`, the
+    (n_steps + 1, pad + n_x + max(0, kmax)) buffer: row j holds the value after
+    j steps, state i at column pad + i, pad = max(0, -kmin), and +inf in the
+    padding. _backtrack reads the lattice paths from it.
     """
     n_x = value.size
     stages = np.asarray(stages)
     ks = moves.tolist()  # Python ints: the window bounds are scalar arithmetic
     kmin, kmax, n_moves = ks[0], ks[-1], len(ks)
     pad = max(0, -kmin)  # state i of a value buffer sits at pad + i
-    bufs = np.full((2, pad + n_x + max(0, kmax)), np.inf)
+    bufs = np.full((n_steps + 1 if history else 2, pad + n_x + max(0, kmax)), np.inf)
     bufs[0, pad + lo : pad + hi + 1] = value[lo : hi + 1]
-    # windows[b][r, i] is buffer b's state i + r - pad: move m reads row pad + ks[m]
-    windows = [np.lib.stride_tricks.sliding_window_view(buf, n_x) for buf in bufs]
+    # windows[b, r, i] is buffer row b's state i + r - pad: move m reads r = pad + ks[m]
+    windows = np.lib.stride_tricks.sliding_window_view(bufs, n_x, axis=1)
     rows = moves + pad
     if kmax - kmin + 1 == n_moves:
         rows = slice(kmin + pad, kmax + pad + 1)
     stay = ks.index(0) if atom is not None and 0 in ks else None
     scratch = np.empty((n_moves, n_x))
-    arg = np.empty((n_steps, n_x), np.min_scalar_type(n_moves)) if record else None
     if bound is not None:
         limit, kinetic, rate = bound
         square = (np.arange(n_x, dtype=float) - target) ** 2
     cur = 0
     stale_lo, stale_hi = 0, -1  # the cone that the buffer written next holds
-    reads = []
     for j in range(n_steps):
         new_lo = max(lo - kmax, 0)
         new_hi = min(hi - kmin, n_x - 1)
@@ -779,12 +776,13 @@ def _dp_sweep(
             new_lo = max(new_lo, target + left * kmin)
             new_hi = min(new_hi, target + left * kmax)
         if new_hi < new_lo:  # only with a target: no state can reach it any more
-            return np.full(n_x, np.inf), reads, arg
-        nxt = 1 - cur
-        bufs[nxt][pad + stale_lo : pad + stale_hi + 1] = np.inf
+            return bufs if history else np.full(n_x, np.inf)
+        nxt = (j + 1) % len(bufs)
+        if not history:
+            bufs[nxt, pad + stale_lo : pad + stale_hi + 1] = np.inf
         a, b = new_lo, new_hi + 1
         c = scratch[:, : b - a]
-        window = windows[cur][rows, a:b]
+        window = windows[cur, rows, a:b]
         if weights is None:
             np.add(stages[:, a:b], window, out=c)
         else:
@@ -792,10 +790,8 @@ def _dp_sweep(
             if stay is not None:
                 np.add(c[stay], weights[j] * atom[a:b], out=c[stay])
             np.add(c, window, out=c)
-        out = bufs[nxt][pad + a : pad + b]
+        out = bufs[nxt, pad + a : pad + b]
         np.minimum.reduce(c, axis=0, out=out)
-        if record:  # np.argmin along the moves would first copy C transposed
-            arg[j, a:b] = np.argmax(c == out, axis=0)
         if bound is not None and left > 0 and left % _PRUNE_EVERY == 0:
             # Where nothing is dropped, testing the two ends is enough.
             room = limit - left * rate
@@ -810,9 +806,32 @@ def _dp_sweep(
         cur = nxt
         stale_lo, stale_hi = lo, hi
         lo, hi = new_lo, new_hi
-        if j + 1 in read_at:
-            reads.append(bufs[cur, pad : pad + n_x].copy())
-    return bufs[cur, pad : pad + n_x], reads, arg
+    return bufs if history else bufs[cur, pad : pad + n_x]
+
+
+def _backtrack(history, start, n, moves, stages, weights=None):
+    """The lattice paths (n + 1, P) that leave the states `start` (P,) at
+    history row n (see _dp_sweep; no atom) and follow the sweep's steps back to
+    row 0.
+
+    A path in state i at row r took the first move whose candidate, recomputed
+    from stages and row r - 1 with the sweep's own roundings (weights[r - 1] *
+    stage, then + the value at i + k), equals the value at i in row r: the
+    move a strict `<` scan over the moves keeps. Only the P candidates of each
+    step are recomputed. Each start must have a finite value at row n.
+    """
+    pad = max(0, -int(moves[0]))
+    reads = pad + moves[:, None]
+    path = np.empty((n + 1, start.size), dtype=int)
+    path[0] = start
+    for j in range(n):
+        at, r = path[j], n - j
+        c = stages[:, at]
+        if weights is not None:
+            c = weights[r - 1] * c
+        c += history[r - 1, reads + at]
+        path[j + 1] = at + moves[np.argmax(c == history[r, pad + at], axis=0)]
+    return path
 
 
 def dp_oracle_1d(
@@ -880,7 +899,7 @@ def dp_oracle_1d(
         size = h * float(size + np.max(np.abs(atom)))
         rate = h * float(np.min(cost + np.minimum(atom, 0.0)))
         bound = (limit + 1e-9 * (n_steps * size + 1.0), dx * dx / h, rate)
-    result = _dp_sweep(value, ib, ib, moves, stages, n_steps, ia, bound=bound)[0][ia]
+    result = _dp_sweep(value, ib, ib, moves, stages, n_steps, ia, bound=bound)[ia]
     if not np.isfinite(result):
         raise SolverError("DP could not connect the boundary states with the given slopes")
     return float(result)
@@ -936,7 +955,7 @@ def dp_oracle_halfline(
     result = _dp_sweep(
         value, 0, grid.n_x - 1, moves, (slopes * slopes)[:, None] + cost, grid.n_t - 1, ix,
         weights[::-1], atom_cost,
-    )[0][ix]
+    )[ix]
     if not np.isfinite(result):
         raise SolverError("discounted DP found no admissible path")
     return float(result)
@@ -952,6 +971,22 @@ def dp_oracle_halfline(
 # the quantized kinetic cost of a path within t/1024 of the straight one's.
 _SEED_STATES_PER_EPS = 16
 _SEED_SLOPE_STEP = 1.0 / 16.0
+# The seed sweep keeps every step's value (_dp_sweep's float64 history), in at
+# most this many bytes: 2^25 entries.
+_SEED_HISTORY_BYTES = 2**28
+
+
+def _step_count(read_at, horizon, fewest, most):
+    """The least n in fewest..most that puts every t of read_at on a step, t * n /
+    horizon within 1e-9 of an integer, or None. Counts are tested in blocks of
+    1024, so a search that finds none builds no array of the counts."""
+    t = np.asarray(read_at, dtype=float)[:, None]
+    for first in range(fewest, most + 1, 1024):
+        steps = t * np.arange(first, min(first + 1024, most + 1)) / horizon
+        hit = np.flatnonzero(np.all(np.abs(steps - np.rint(steps)) < 1e-9, axis=0))
+        if hit.size:
+            return first + int(hit[0])
+    return None
 
 
 def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
@@ -969,9 +1004,13 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     1/lam costs lam D^2 / (e - 1), more than the gain R / lam of any path
     once D > sqrt((e - 1) R) / lam, the margin around x; slopes reach sqrt(2 R).
 
-    A lattice whose move record (states x steps) may hold more than 2^28
-    entries is refused with an InputError naming eps, before any array is
-    built.
+    The sweep keeps its history (_dp_sweep), and each read-out's paths are
+    backtracked from it (_backtrack). It takes the least step count, from the
+    fewest that keep the slope step, that puts every t of read_at on a step
+    (_step_count). The history must fit in 2^28 bytes: a lattice whose fewest
+    steps do not is refused with an InputError naming eps, and read-out times
+    that no count within it puts on a step with one naming the time, both
+    before any array of the lattice's size is built.
 
     Returns ({states, steps, moves}, states, [(values at x, paths) per read-out]).
     """
@@ -989,64 +1028,75 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     else:
         margin = math.sqrt((math.e - 1.0) * spread) / lam
         origin, lo, hi = 0.0, np.min(x) - margin, np.max(x) + margin
-    # At most (hi - lo) / dx + 3 states and twice the fewest steps (below).
-    size = ((hi - lo) / dx + 3.0) * 2.0 * (horizon * _SEED_SLOPE_STEP / dx + 1.0)
-    if not size <= 2**28:
-        raise InputError(
-            f"the lattice DP seeds at eps={eps!r} may need {size:.3g} states x steps, "
-            "more than 2^28"
-        )
     first = math.floor((lo - origin) / dx)
-    states = origin + dx * np.arange(first, max(math.ceil((hi - origin) / dx), first + 1) + 1)
-    start = np.rint((np.asarray(x) - states[0]) / dx).astype(int)
-    cost, _ = _lattice_costs(V, W, eps, states)
+    last = max(math.ceil((hi - origin) / dx), first + 1)
+    n_x = last - first + 1
+    start = np.rint((np.asarray(x) - (origin + dx * first)) / dx).astype(int)
     if lam is None:
-        iy = np.rint((y - states[0]) / dx).astype(int)
-        value = np.full(states.size, np.inf)
-        value[iy] = phi
-        lo, hi = int(iy[0]), int(iy[-1])
+        iy = np.rint((y - (origin + dx * first)) / dx).astype(int)
         near = int(np.max(np.min(np.abs(start[:, None] - iy[None, :]), axis=1)))
         t0 = read_at[0]
         max_slope = math.sqrt((near * dx / t0) ** 2 + float(np.ptp(phi)) / t0 + 2.0 * spread)
     else:
-        value = cost * (np.exp(-lam * horizon) / lam)
-        lo, hi, near = 0, states.size - 1, 0
+        near = 0
         max_slope = math.sqrt(2.0 * spread)
 
-    # Up to twice the fewest steps, the first count that puts every read-out on a step.
+    def reach(n):  # the longest move at n steps; every x reaches a y by read_at[0]
+        h = horizon / n
+        return max(math.ceil(max_slope * h / dx), -(-near // max(1, round(read_at[0] / h))))
+
+    def history_bytes(n):  # moves shorter than n_x: |k| <= min(reach, n_x - 1)
+        return 8 * (n + 1) * (n_x + 2 * min(reach(n), n_x - 1))
+
     fewest = math.ceil(horizon * _SEED_SLOPE_STEP / dx)
-    n_steps = next((n for n in range(fewest, 2 * fewest + 1) if all(
-        abs(t * n / horizon - round(t * n / horizon)) < 1e-9 for t in read_at)), fewest)
+    if not history_bytes(fewest) <= _SEED_HISTORY_BYTES:
+        raise InputError(
+            f"the lattice DP seeds at eps={eps!r} may need {history_bytes(fewest):.3g} "
+            "bytes of history, more than 2^28"
+        )
+    n_steps = _step_count(read_at, horizon, fewest, _SEED_HISTORY_BYTES // (8 * n_x) - 1)
+    if n_steps is None or not history_bytes(n_steps) <= _SEED_HISTORY_BYTES:
+        t = next(t for t in read_at if _step_count([t], horizon, fewest, fewest) is None)
+        raise InputError(
+            f"the lattice DP seeds at eps={eps!r} need more than 2^28 bytes of history "
+            f"to put t={float(t)!r} on a step"
+        )
     h = horizon / n_steps
     counts = [max(1, round(t / h)) for t in read_at]
-    reach = max(math.ceil(max_slope * h / dx), -(-near // counts[0]))
-    moves, slopes = _lattice_moves(np.arange(-reach, reach + 1) * dx / h, h, dx, states.size)
+    states = origin + dx * np.arange(first, last + 1)
+    cost, _ = _lattice_costs(V, W, eps, states)
+    if lam is None:
+        value = np.full(n_x, np.inf)
+        value[iy] = phi
+        lo, hi = int(iy[0]), int(iy[-1])
+    else:
+        value = cost * (np.exp(-lam * horizon) / lam)
+        lo, hi = 0, n_x - 1
+
+    longest = reach(n_steps)
+    moves, slopes = _lattice_moves(np.arange(-longest, longest + 1) * dx / h, h, dx, n_x)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (cost[1:] + cost[:-1]))))
     # A move off the grid reads the sweep's +inf padding, so its stage is never
     # charged; a finite one keeps 0 * stage from being NaN where a weight underflows.
-    stages = np.zeros((moves.size, states.size))
+    stages = np.zeros((moves.size, n_x))
     for m, k in enumerate(moves.tolist()):
-        src = slice(max(0, -k), states.size - max(0, k))
-        stages[m, src] = (cum[max(0, k) : states.size + min(0, k)] - cum[src]) / k if k else cost
+        src = slice(max(0, -k), n_x - max(0, k))
+        stages[m, src] = (cum[max(0, k) : n_x + min(0, k)] - cum[src]) / k if k else cost
     stages += (slopes * slopes)[:, None]
     if lam is None:
         stages *= h
     weights = None
     if lam is not None:
         weights = exp_interval_weights(np.linspace(0.0, horizon, n_steps + 1), lam)[::-1]
-    _, reads, arg = _dp_sweep(
-        value, lo, hi, moves, stages, n_steps, weights=weights, read_at=counts, record=True
-    )
+    history = _dp_sweep(value, lo, hi, moves, stages, n_steps, weights=weights, history=True)
+    pad = max(0, -int(moves[0]))
     seeds = []
-    for n, read in zip(counts, reads):
-        if not np.all(np.isfinite(read[start])):
+    for n in counts:
+        read = history[n, pad + start]
+        if not np.all(np.isfinite(read)):
             raise SolverError("the lattice DP reached no y from a grid point")
-        path = np.empty((n + 1, start.size), dtype=int)
-        path[0] = start
-        for j in range(n):
-            path[j + 1] = path[j] + moves[arg[n - 1 - j, path[j]]]
-        seeds.append((read[start], path))
-    return {"states": states.size, "steps": n_steps, "moves": int(moves.size)}, states, seeds
+        seeds.append((read, _backtrack(history, start, n, moves, stages, weights)))
+    return {"states": n_x, "steps": n_steps, "moves": int(moves.size)}, states, seeds
 
 
 def _seed_nodes(states, path, times):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import homoglab.cell
-from homoglab import cli, experiments
+from homoglab import cli, experiments, minimize
 from homoglab.errors import InvariantError, SolverError
 
 
@@ -271,12 +271,42 @@ def test_a_slope_too_small_for_a_cell_window_is_a_config_error(
 )
 def test_a_tiny_eps_is_a_config_error(tmp_path, capsys, experiment, raw, message):
     """At eps = 1e-9 a stability rung would need 1.2e10 Newton nodes, and the
-    HJ field's seed lattice about 4e19 states x steps. Both are refused,
+    HJ field's seed lattice 3.1e20 bytes of history. Both are refused,
     naming eps, before any array of that size is built."""
     cfg = write_cfg(tmp_path, dict(raw, experiment=experiment, eps_ladder=[1e-9]))
     code = cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_hj_seed_lattice_over_2_28_bytes_of_history_is_a_config_error(
+    tmp_path, capsys, monkeypatch
+):
+    """At eps = 1e-3 the steady field's seed lattice has 6435 states and 6000
+    steps: 3.9e7 entries, which fit in 2^28, but 3.1e8 bytes of float64
+    history, which do not. The run exits 2 naming eps before it builds the
+    lattice's costs or sweeps."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(minimize, "_lattice_costs", unreachable)
+    monkeypatch.setattr(minimize, "_dp_sweep", unreachable)
+    raw = {
+        "experiment": "hj",
+        "potential": {"name": "zero"},
+        "lambda": 1.0,
+        "eps_ladder": [1e-3],
+        "grids": {"x": {"lo": -0.2, "hi": 0.2, "n": 3}, "xi": {"half_width": 2.0, "n": 9}},
+    }
+    cfg = write_cfg(tmp_path, raw)
+    code = cli.main(["hj", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert (
+        "the lattice DP seeds at eps=0.001 may need 3.09e+08 bytes of history, more than 2^28"
+        in capsys.readouterr().err
+    )
     assert not (tmp_path / "o").exists()
 
 

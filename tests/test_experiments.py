@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -182,7 +183,41 @@ def test_the_layer_timer_captures_every_kernel_and_restores_it(monkeypatch):
     assert all(calls.values())
     labels = {label.split("/")[0] for kernel in calls.values() for label, _ in kernel}
     assert labels == {"tables", "stability", "hj", "lattice"}
+    # The hj seed sweeps keep their history; the lattice oracle's do not.
+    assert {(label.split("/")[0], call["history"]) for label, call in calls["_dp_sweep"]} == {
+        ("hj", True), ("lattice", False)
+    }
     assert (minimize._dp_sweep, minimize._solve, experiments.cylinder_average) == originals
+
+
+def test_the_layer_timer_takes_the_least_cpu_time_of_nine_runs(monkeypatch):
+    """A time is the least process-time difference of REPEATS = 9 runs; the
+    wall clock is never read."""
+    tool = _layer_timer(monkeypatch)
+    durations = [5.0, 2.0, 3.0, 9.0, 4.0, 4.0, 6.0, 2.5, 3.0]
+    ticks = iter(np.cumsum([0.0] + [d for pair in zip(durations, [1.0] * 9) for d in pair]))
+    monkeypatch.setattr(tool, "time", types.SimpleNamespace(process_time=lambda: next(ticks)))
+    runs = []
+    assert tool.REPEATS == 9
+    assert tool.min_ms(lambda: runs.append(None), dict) == 2000.0
+    assert len(runs) == 9
+
+
+def test_the_layer_timer_prints_each_sweeps_history(monkeypatch, capsys):
+    """The DP table gives a sweep with history the MB of the buffer it
+    returns, and one without `no`."""
+    tool = _layer_timer(monkeypatch)
+    call = dict(
+        value=np.zeros(1000), lo=0, hi=999, moves=np.array([-2, 0, 3]),
+        stages=np.ones((3, 1000)), n_steps=99, target=None, weights=None, atom=None,
+        bound=None, history=True,
+    )
+    assert 1e6 * tool.history_mb(call) == minimize._dp_sweep(**call).nbytes == 804000
+    tool.print_sweeps([("a", call), ("b", dict(call, history=False))])
+    header, with_history, without = capsys.readouterr().out.splitlines()
+    assert header.split()[-5:] == ["target", "weights", "bound", "history", "ms"]
+    assert with_history.split()[-3:-1] == ["0.80", "MB"]
+    assert without.split()[-2] == "no"
 
 
 def test_the_layer_timer_charges_each_part_of_a_solve(monkeypatch):

@@ -405,7 +405,7 @@ def test_the_bounded_sweep_keeps_the_value_where_paths_tie(monkeypatch, V, W, a,
     call, value = _oracle_sweep(monkeypatch, V, W, 1.0, 0.0, 1.0, a, b, grid)
     (start, ib, _, moves, stages, n_steps, ia), kwargs = call
     assert kwargs["bound"] is not None
-    plain = _dp_sweep(start, ib, ib, moves, stages, n_steps, ia)[0][ia]
+    plain = _dp_sweep(start, ib, ib, moves, stages, n_steps, ia)[ia]
     assert repr(value) == repr(float(plain))
     straight = minimize._straight_path_cost(moves, stages, ia, ib, n_steps)
     if grid.n_t - 1 in (16, 32):
@@ -428,6 +428,15 @@ def _full_grid_sweep(value, moves, stages, n_steps, weights):
     return out
 
 
+def _record_paths(arg, start, n, moves):
+    """The paths (n + 1, P) from the states `start` at step count n through a
+    per-move record arg (see _per_move_sweep)."""
+    path = [np.asarray(start)]
+    for j in range(n - 1, -1, -1):
+        path.append(path[-1] + np.asarray(moves)[arg[j, path[-1]]])
+    return np.array(path)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     n_x=st.integers(2, 40),
@@ -439,40 +448,44 @@ def _full_grid_sweep(value, moves, stages, n_steps, weights):
 def test_dp_sweep_reads_whole_fields_and_backtracks_their_costs(
     n_x, n_steps, moves, discounted, data
 ):
-    """Read-outs equal the full-grid sweep bit for bit, recording moves changes
-    no value, and the backtracked path from every finite state, its stage costs
-    re-summed from the far end, costs exactly that state's value."""
+    """Every row of the history equals the full-grid sweep bit for bit, its
+    padding is +inf, and its last row is the plain sweep's value. The path
+    backtracked from every finite state of a row is the one the per-move
+    loop's strict `<` record gives, and its stage costs, re-summed from the
+    far end, cost exactly that state's value."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    stages = [np.where(rng.random(n_x) < 0.1, np.inf, rng.uniform(0.0, 2.0, n_x)) for _ in moves]
+    stages = np.array(
+        [np.where(rng.random(n_x) < 0.1, np.inf, rng.uniform(0.0, 2.0, n_x)) for _ in moves]
+    )
     lo = data.draw(st.integers(0, n_x - 1))
     hi = data.draw(st.integers(lo, n_x - 1))
     start = np.full(n_x, np.inf)
     start[lo : hi + 1] = rng.uniform(-1.0, 1.0, hi - lo + 1)
     weights = rng.uniform(0.1, 1.0, n_steps) if discounted else None
-    read_at = sorted(data.draw(st.sets(st.integers(1, n_steps), min_size=1)))
+    moves = np.array(moves)
 
-    want = _full_grid_sweep(start, moves, stages, n_steps, weights)
-    value, reads, arg = _dp_sweep(
-        start.copy(), lo, hi, np.array(moves), stages, n_steps, weights=weights,
-        read_at=read_at, record=True,
-    )
-    plain, plain_reads, no_arg = _dp_sweep(
-        start.copy(), lo, hi, np.array(moves), stages, n_steps, weights=weights, read_at=read_at
-    )
-    assert no_arg is None
-    assert np.array_equal(value, want[-1]) and np.array_equal(plain, want[-1])
-    for n, read, plain_read in zip(read_at, reads, plain_reads):
-        assert np.array_equal(read, want[n - 1]) and np.array_equal(plain_read, want[n - 1])
-        for i in np.flatnonzero(np.isfinite(read)):
-            path, taken = [int(i)], []
-            for j in range(n - 1, -1, -1):
-                m = int(arg[j, path[-1]])
-                taken.append((j, m, path[-1]))
-                path.append(path[-1] + moves[m])
-            total = start[path[-1]]
-            for j, m, state in reversed(taken):
-                c = stages[m][state] if weights is None else weights[j] * stages[m][state]
-                total = c + total
+    want = [start] + _full_grid_sweep(start, moves, stages, n_steps, weights)
+    history = _dp_sweep(start.copy(), lo, hi, moves, stages, n_steps, weights=weights,
+                        history=True)
+    plain = _dp_sweep(start.copy(), lo, hi, moves, stages, n_steps, weights=weights)
+    _, _, arg = _per_move_sweep(start.copy(), lo, hi, moves, list(stages), n_steps,
+                                weights=weights, record=True)
+    pad = max(0, -moves[0])
+    assert history.shape == (n_steps + 1, pad + n_x + max(0, moves[-1]))
+    assert np.all(history[:, :pad] == np.inf) and np.all(history[:, pad + n_x :] == np.inf)
+    assert np.array_equal(plain, want[-1]) and np.array_equal(history[-1, pad : pad + n_x], plain)
+    for n in range(1, n_steps + 1):
+        read = history[n, pad : pad + n_x]
+        assert np.array_equal(read, want[n])
+        finite = np.flatnonzero(np.isfinite(read))
+        path = minimize._backtrack(history, finite, n, moves, stages, weights)
+        assert np.array_equal(path, _record_paths(arg, finite, n, moves))
+        for p, i in enumerate(finite):
+            total = start[path[n, p]]
+            for j in range(n):  # sweep step j: from path[n - j - 1] to path[n - j]
+                m = np.searchsorted(moves, path[n - j, p] - path[n - j - 1, p])
+                c = stages[m, path[n - j - 1, p]]
+                total = (c if weights is None else weights[j] * c) + total
             assert total == read[i]
 
 
@@ -554,9 +567,10 @@ def test_stacked_dp_step_equals_the_per_move_loop_bitwise(
     n_x, n_steps, moves, discounted, with_atom, aimed, ties, data
 ):
     """The stacked sweep gives the per-move loop's value (at the target, given
-    one), its read-outs and, wherever a read value is finite, its moves. With
-    `ties`, every number is a multiple of 1/4, so equal candidates are common
-    and the first minimal move must win."""
+    one), and its history the loop's value after every step. Without an atom,
+    the path backtracked from every finite state of a row is the one the
+    loop's strict `<` record gives. With `ties`, every number is a multiple of
+    1/4, so equal candidates are common and the first minimal move must win."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
 
     def numbers(lo, hi, size):
@@ -572,30 +586,90 @@ def test_stacked_dp_step_equals_the_per_move_loop_bitwise(
     weights = np.maximum(numbers(0.0, 1.0, n_steps), 0.05) if discounted else None
     atom = numbers(-0.5, 0.5, n_x) if discounted and with_atom else None
     target = data.draw(st.integers(0, n_x - 1)) if aimed else None
-    read_at = sorted(data.draw(st.sets(st.integers(1, n_steps), min_size=1)))
-    kwargs = dict(target=target, weights=weights, atom=atom, read_at=read_at)
+    moves = np.array(moves)
+    kwargs = dict(target=target, weights=weights, atom=atom)
 
     want, want_reads, want_arg = _per_move_sweep(
-        start.copy(), lo, hi, np.array(moves), list(stages), n_steps, record=True, **kwargs
+        start.copy(), lo, hi, moves, list(stages), n_steps, record=True,
+        read_at=range(1, n_steps + 1), **kwargs
     )
     kept = start.copy()
-    value, reads, arg = _dp_sweep(start, lo, hi, np.array(moves), stages, n_steps,
-                                  record=True, **kwargs)
-    plain, plain_reads, _ = _dp_sweep(start, lo, hi, np.array(moves), stages, n_steps, **kwargs)
+    history = _dp_sweep(start, lo, hi, moves, stages, n_steps, history=True, **kwargs)
+    plain = _dp_sweep(start, lo, hi, moves, stages, n_steps, **kwargs)
     assert np.array_equal(start, kept)  # the sweep leaves its input alone
+    pad = max(0, -moves[0])
+    rows = history[:, pad : pad + n_x]
     if target is None:
-        assert np.array_equal(value, want) and np.array_equal(plain, want)
+        assert np.array_equal(plain, want) and np.array_equal(rows[-1], want)
     else:
-        assert np.array_equal(value[target], want[target])
         assert np.array_equal(plain[target], want[target])
-    assert len(reads) == len(plain_reads) == len(want_reads)
-    for n, read, plain_read, want_read in zip(read_at, reads, plain_reads, want_reads):
-        assert np.array_equal(read, plain_read)
-        finite = np.isfinite(read)
+        assert np.array_equal(rows[-1, target], want[target])
+    for n, want_read in zip(range(1, n_steps + 1), want_reads):
+        read = rows[n]
+        finite = np.flatnonzero(np.isfinite(read))
         if target is None:  # outside the cone, the per-move loop keeps stale values
             assert np.array_equal(read, want_read)
         assert np.array_equal(read[finite], want_read[finite])
-        assert np.array_equal(arg[n - 1][finite], want_arg[n - 1][finite])
+        if atom is None:
+            path = minimize._backtrack(history, finite, n, moves, stages, weights)
+            assert np.array_equal(path, _record_paths(want_arg, finite, n, moves))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    eps=st.sampled_from([0.2, 0.3, 0.5]),
+    perturbed=st.booleans(),
+    discounted=st.booleans(),
+    horizon=st.floats(0.5, 2.0),
+    times=st.sets(st.integers(1, 20), min_size=1, max_size=4),
+    data=st.data(),
+)
+def test_lattice_seed_paths_follow_the_per_move_record(
+    eps, perturbed, discounted, horizon, times, data
+):
+    """Each read-out of _lattice_seeds, discounted or from y and phi, gives
+    the per-move loop's values at x and the paths backtracked through its
+    strict `<` record, ties included."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    V = make_potential("sin2", 1)
+    W = make_perturbation("runge_decay", 1) if perturbed else None
+    x = np.sort(rng.uniform(-0.6, 0.6, data.draw(st.integers(1, 5))))
+    calls = []
+
+    def capturing(*args, **kwargs):
+        calls.append((args, kwargs))
+        return _dp_sweep(*args, **kwargs)
+
+    y = np.linspace(-1.0, 1.0, data.draw(st.integers(2, 9)))
+    phi = rng.integers(-4, 5, y.size) / 4  # multiples of 1/4: ties are common
+    read_at = horizon * np.array(sorted(times)) / max(times)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(minimize, "_dp_sweep", capturing)
+        if discounted:
+            _, _, seeds = _lattice_seeds(V, W, eps, x, horizon, [horizon], lam=6.0 / horizon)
+        else:
+            _, _, seeds = _lattice_seeds(V, W, eps, x, horizon, read_at, y, phi)
+    [((value, lo, hi, moves, stages, n_steps), kwargs)] = calls
+    counts = [path.shape[0] - 1 for _, path in seeds]
+    _, reads, arg = _per_move_sweep(value.copy(), lo, hi, moves, list(stages), n_steps,
+                                    weights=kwargs["weights"], read_at=counts, record=True)
+    for (values, path), n, read in zip(seeds, counts, reads):
+        assert np.array_equal(values, read[path[0]])
+        assert np.array_equal(path, _record_paths(arg, path[0], n, moves))
+
+
+def test_lattice_seeds_put_every_read_out_on_a_step(sin2_1d):
+    """No count from 6 to 12 steps puts t = 0.37 on a step; the lattice takes
+    100 steps and reads t = 0.37 after 37 of them. A time that no count within
+    2^28 bytes of history puts on a step is refused, named."""
+    x, y = np.array([-0.3, 0.1]), np.linspace(-2.0, 2.0, 41)
+    phi = 0.1 * y**2
+    info, _, seeds = _lattice_seeds(sin2_1d, None, 0.2, x, 1.0, [0.37, 1.0], y, phi)
+    assert info["steps"] == 100
+    assert [path.shape[0] - 1 for _, path in seeds] == [37, 100]
+    with pytest.raises(InputError, match=r"eps=0\.2 need more than 2\^28 bytes of history "
+                                         r"to put t=0\.3712345678901 on a step"):
+        _lattice_seeds(sin2_1d, None, 0.2, x, 1.0, [0.3712345678901, 1.0], y, phi)
 
 
 def test_discounted_lattice_seeds_survive_underflowing_weights(sin2_1d):

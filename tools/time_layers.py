@@ -14,13 +14,17 @@ workloads captures every call of three kernels:
 - `homoglab.experiments.cylinder_average`, the binding the conditions runner
   calls.
 
-Once the pass is done, each captured call is run again 5 times, and one table
-per kernel gives one line per call:
+Once the pass is done, each captured call is run again 9 times, and one table
+per kernel gives one line per call, each time the least CPU time
+(`time.process_time`) of the 9 runs: on a shared machine the least is the
+run that other processes disturbed least, and CPU time leaves out the time
+the process waited. Each line:
 
 - a DP sweep's size (states, moves, steps), which of target / weights /
-  record / bound it used, and the median time in ms;
+  bound it used, the MB of its history buffer (or no history), and the
+  time in ms;
 - a Newton solve's size (nodes, dimension, problems x starts), its Newton
-  sweeps (its calls of the action's `gradient`), and the median time in ms,
+  sweeps (its calls of the action's `gradient`), and the time in ms,
   whole and split into the action's derivatives (`gradient` and
   `hessian`), the banded Newton solves, the line search (every call of
   `value_and_samples`: the trial steps and the starts' first values) and
@@ -29,8 +33,8 @@ per kernel gives one line per call:
 - a tube average's direction, R, the number of points its chords hand to W,
   the number of W calls they take (whole chords share a call), the share of
   those points that the parabola's row test leaves open for the exact
-  `potentials._free_block` pass (0% for any other W), the median time in ms
-  and that median per point in ns.
+  `potentials._free_block` pass (0% for any other W), the time in ms and
+  that time per point in ns.
 
 No benchmark span isolates one sweep or one solve, and the
 `potentials.cylinder_average` span sums a workload's calls, so this is how
@@ -41,7 +45,6 @@ import argparse
 import dataclasses
 import inspect
 import os
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -57,7 +60,7 @@ from homoglab import experiments, minimize, potentials  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("tables", "stability", "hj", "lattice")
-REPEATS = 5
+REPEATS = 9
 # (module, name, the arguments copied when captured, as the kernel may change them)
 KERNELS = (
     (minimize, "_dp_sweep", ("value",)),
@@ -100,29 +103,40 @@ def capture(seed):
     return calls
 
 
-def median_ms(kernel, arguments):
-    """The median over REPEATS runs of kernel(**arguments()), in ms; arguments
-    is called before each run, outside the timing."""
+def min_ms(kernel, arguments):
+    """The least CPU time over REPEATS runs of kernel(**arguments()), in ms;
+    arguments is called before each run, outside the timing."""
     times = []
     for _ in range(REPEATS):
         kwargs = arguments()
-        tic = time.perf_counter()
+        tic = time.process_time()
         kernel(**kwargs)
-        times.append(time.perf_counter() - tic)
-    return 1e3 * statistics.median(times)
+        times.append(time.process_time() - tic)
+    return 1e3 * min(times)
+
+
+def history_mb(call):
+    """The MB of the history buffer a captured _dp_sweep call keeps (see its
+    docstring), or None without one."""
+    if not call["history"]:
+        return None
+    ks = call["moves"].tolist()
+    width = max(0, -ks[0]) + call["value"].size + max(0, ks[-1])
+    return 8 * (call["n_steps"] + 1) * width / 1e6
 
 
 def print_sweeps(calls):
-    names = ("target", "weights", "record", "bound")
-    print(f"{'call':<24} {'n_x':>6} {'moves':>5} {'steps':>5}  {' '.join(names)}  median_ms")
+    names = ("target", "weights", "bound")
+    print(f"{'call':<24} {'n_x':>6} {'moves':>5} {'steps':>5}  {' '.join(names)}  history"
+          "     ms")
     for label, call in calls:
-        median = median_ms(minimize._dp_sweep, lambda: dict(call, value=call["value"].copy()))
-        flags = (call["target"] is not None, call["weights"] is not None, call["record"],
-                 call["bound"] is not None)
+        ms = min_ms(minimize._dp_sweep, lambda: dict(call, value=call["value"].copy()))
+        flags = (call["target"] is not None, call["weights"] is not None, call["bound"] is not None)
+        mb = history_mb(call)
         print(
             f"{label:<24} {call['value'].size:>6} {call['moves'].size:>5} {call['n_steps']:>5}  "
             + " ".join(f"{'yes' if flag else 'no':>{len(name)}}" for flag, name in zip(flags, names))
-            + f"  {median:>9.2f}"
+            + f"  {'no' if mb is None else f'{mb:.2f} MB':>7}  {ms:>6.2f}"
         )
 
 
@@ -142,11 +156,11 @@ class _Split:
             if self._inside:
                 return fn(*args, **kwargs)
             self._inside = True
-            tic = time.perf_counter()
+            tic = time.process_time()
             try:
                 return fn(*args, **kwargs)
             finally:
-                self.seconds[part] += time.perf_counter() - tic
+                self.seconds[part] += time.process_time() - tic
                 self._inside = False
 
         return wrapper
@@ -161,9 +175,9 @@ def time_solve(action, starts, opt, problems):
     action.value_and_samples = split.timed("line search", action.value_and_samples)
     minimize._newton_steps = split.timed("band solve", steps)
     try:
-        tic = time.perf_counter()
+        tic = time.process_time()
         minimize._solve(action, starts, opt, problems)
-        total = time.perf_counter() - tic
+        total = time.process_time() - tic
     finally:
         minimize._newton_steps = steps
         del action.gradient, action.hessian, action.value_and_samples
@@ -175,15 +189,15 @@ def print_solves(calls):
     columns = ("total",) + PARTS
     print(f"{'call':<24} {'nodes':>5} {'d':>2} {'P x S':>7} {'sweeps':>6}  "
           + " ".join(f"{c:>11}" for c in columns)
-          + f" {'us/sweep':>9}  (median ms; us/sweep in us)")
+          + f" {'us/sweep':>9}  (least ms of each part; us/sweep in us)")
     for label, call in calls:
         runs = [time_solve(**call) for _ in range(REPEATS)]
         P, S, N, d = call["starts"].shape
-        medians = [1e3 * statistics.median(r[0][c] for r in runs) for c in columns]
+        least = [1e3 * min(r[0][c] for r in runs) for c in columns]
         sweeps = runs[0][1]
         print(f"{label:<24} {N:>5} {d:>2} {f'{P}x{S}':>7} {sweeps:>6}  "
-              + " ".join(f"{m:>11.3f}" for m in medians)
-              + f" {1e3 * medians[0] / sweeps:>9.1f}")
+              + " ".join(f"{m:>11.3f}" for m in least)
+              + f" {1e3 * least[0] / sweeps:>9.1f}")
 
 
 def points_of(W, xi, r, R):
@@ -211,13 +225,13 @@ def points_of(W, xi, r, R):
 
 def print_tubes(calls):
     print(f"{'call':<20} {'direction':>22} {'R':>6} {'points':>8} {'calls':>5} {'open':>6}"
-          "  median_ms  ns/point")
+          "         ms  ns/point")
     for label, call in calls:
-        median = median_ms(potentials.cylinder_average, lambda: call)
+        ms = min_ms(potentials.cylinder_average, lambda: call)
         points, evaluations, reached = points_of(**call)
         direction = "(" + ", ".join(f"{v:.4f}" for v in call["xi"]) + ")"
         print(f"{label:<20} {direction:>22} {call['R']:>6g} {points:>8} {evaluations:>5}"
-              f" {100 * reached / points:>5.1f}%  {median:>9.2f}  {1e6 * median / points:>8.1f}")
+              f" {100 * reached / points:>5.1f}%  {ms:>9.2f}  {1e6 * ms / points:>8.1f}")
 
 
 def main(argv=None) -> int:
