@@ -809,28 +809,29 @@ def _dp_sweep(
     return bufs if history else bufs[cur, pad : pad + n_x]
 
 
-def _backtrack(history, start, n, moves, stages, weights=None):
+def _backtrack(history, start, n, moves, stages, weights):
     """The lattice paths (n + 1, P) that leave the states `start` (P,) at
     history row n (see _dp_sweep; no atom) and follow the sweep's steps back to
     row 0.
 
-    A path in state i at row r took the first move whose candidate, recomputed
-    from stages and row r - 1 with the sweep's own roundings (weights[r - 1] *
-    stage, then + the value at i + k), equals the value at i in row r: the
-    move a strict `<` scan over the moves keeps. Only the P candidates of each
-    step are recomputed. Each start must have a finite value at row n.
+    A path in state i at row r takes the first least of its M candidates,
+    recomputed from stages and row r - 1 with the sweep's own roundings
+    (weights[r - 1] * stage, then + the value at i + k). They are the floats
+    the sweep reduced, so the least is the value at i in row r, and its first
+    move is the one a strict `<` scan over the moves keeps. Each start must
+    have a finite value at row n; no candidate of a finite value is NaN.
     """
-    pad = max(0, -int(moves[0]))
-    reads = pad + moves[:, None]
+    offsets = max(0, -int(moves[0])) + moves[:, None]
     path = np.empty((n + 1, start.size), dtype=int)
-    path[0] = start
+    path[0] = at = start
     for j in range(n):
-        at, r = path[j], n - j
-        c = stages[:, at]
+        r = n - j
+        c = stages.take(at, axis=1)
         if weights is not None:
-            c = weights[r - 1] * c
-        c += history[r - 1, reads + at]
-        path[j + 1] = at + moves[np.argmax(c == history[r, pad + at], axis=0)]
+            c *= weights[r - 1]
+        c += history[r - 1].take(offsets + at)
+        at = at + moves.take(c.argmin(axis=0))
+        path[j + 1] = at
     return path
 
 
@@ -1031,9 +1032,10 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     first = math.floor((lo - origin) / dx)
     last = max(math.ceil((hi - origin) / dx), first + 1)
     n_x = last - first + 1
-    start = np.rint((np.asarray(x) - (origin + dx * first)) / dx).astype(int)
+    base = origin + dx * first  # states[0], built once the guard below has passed
+    start = np.rint((np.asarray(x) - base) / dx).astype(int)
     if lam is None:
-        iy = np.rint((y - (origin + dx * first)) / dx).astype(int)
+        iy = np.rint((y - base) / dx).astype(int)
         near = int(np.max(np.min(np.abs(start[:, None] - iy[None, :]), axis=1)))
         t0 = read_at[0]
         max_slope = math.sqrt((near * dx / t0) ** 2 + float(np.ptp(phi)) / t0 + 2.0 * spread)
