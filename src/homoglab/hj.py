@@ -10,8 +10,8 @@ The oscillatory (eps) fields are one-dimensional. Each runs one backward
 lattice DP sweep per eps (the discrete Lax-Oleinik formula; Falcone and
 Ferretti, Semi-Lagrangian Approximation Schemes for Linear and
 Hamilton-Jacobi Equations, SIAM 2013), backtracks one argmin path per grid
-point from the values the sweep kept and polishes it, next to the nearby competitors the lattice cannot
-rank, with the damped-Newton minimizer.
+point from the values the sweep kept and polishes it, next to the nearby
+competitors the lattice cannot rank, with the damped-Newton minimizer.
 
 All fields carry provenance (eps or "hom", discount rate, solver settings)
 and serialize deterministically to CSV.

@@ -115,16 +115,6 @@ def min_ms(kernel, arguments):
     return 1e3 * min(times)
 
 
-def history_mb(call):
-    """The MB of the history buffer a captured _dp_sweep call keeps (see its
-    docstring), or None without one."""
-    if not call["history"]:
-        return None
-    ks = call["moves"].tolist()
-    width = max(0, -ks[0]) + call["value"].size + max(0, ks[-1])
-    return 8 * (call["n_steps"] + 1) * width / 1e6
-
-
 def print_sweeps(calls):
     names = ("target", "weights", "bound")
     print(f"{'call':<24} {'n_x':>6} {'moves':>5} {'steps':>5}  {' '.join(names)}  history"
@@ -132,11 +122,14 @@ def print_sweeps(calls):
     for label, call in calls:
         ms = min_ms(minimize._dp_sweep, lambda: dict(call, value=call["value"].copy()))
         flags = (call["target"] is not None, call["weights"] is not None, call["bound"] is not None)
-        mb = history_mb(call)
+        history = "no"
+        if call["history"]:  # the MB of the buffer the sweep returns
+            buffer = minimize._dp_sweep(**dict(call, value=call["value"].copy()))
+            history = f"{buffer.nbytes / 1e6:.2f} MB"
         print(
             f"{label:<24} {call['value'].size:>6} {call['moves'].size:>5} {call['n_steps']:>5}  "
             + " ".join(f"{'yes' if flag else 'no':>{len(name)}}" for flag, name in zip(flags, names))
-            + f"  {'no' if mb is None else f'{mb:.2f} MB':>7}  {ms:>6.2f}"
+            + f"  {history:>7}  {ms:>6.2f}"
         )
 
 
