@@ -431,9 +431,9 @@ def _full_grid_sweep(value, moves, stages, n_steps, weights):
 def _record_paths(arg, start, n, moves):
     """The paths (n + 1, P) from the states `start` at step count n through a
     per-move record arg (see _per_move_sweep)."""
-    path = [np.asarray(start)]
+    path = [start]
     for j in range(n - 1, -1, -1):
-        path.append(path[-1] + np.asarray(moves)[arg[j, path[-1]]])
+        path.append(path[-1] + moves[arg[j, path[-1]]])
     return np.array(path)
 
 
