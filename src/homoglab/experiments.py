@@ -732,10 +732,15 @@ def run_hj_convergence(cfg: ExperimentConfig, threads: int = 1) -> Report:
     homogenized field and one field per rung; verdicts ask the sup and mean
     distances to decrease along the ladder with 10% slack. Rows also carry
     each eps-field's dp_sup_distance and all_converged, and the provenance
-    each rung's dp_lattice (see solve_steady_eps).
+    each rung's dp_lattice (see solve_steady_eps). A W that Newton cannot take
+    (check_newton_terms), or no lambda nor initial datum, raises before any table.
     """
     V = cfg.potential()
     W = cfg.perturbation()
+    check_newton_terms(V, W)
+    Phi = None if cfg.lam is not None else cfg.initial_datum()
+    if cfg.lam is None and Phi is None:
+        raise InputError("hj convergence needs lambda (steady) or an initial datum (evolutionary)")
     opt = cfg.optimizer()
     x_axes = cfg.x_axes()
     f = tabulate_f_hom(V, cfg.xi_axes(), cfg.cell_optimizer())
@@ -748,11 +753,6 @@ def run_hj_convergence(cfg: ExperimentConfig, threads: int = 1) -> Report:
         ]
     else:
         mode = "evolutionary"
-        Phi = cfg.initial_datum()
-        if Phi is None:
-            raise InputError(
-                "hj convergence needs lambda (steady) or an initial datum (evolutionary)"
-            )
         t_grid = cfg.t_grid()
         y_axes = cfg.y_axes()
         u_hom = solve_evolutionary_hom(f, Phi, x_axes, t_grid, y_axes)

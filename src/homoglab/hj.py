@@ -30,6 +30,7 @@ from .minimize import (
     OptimizerSpec,
     _lattice_seeds,
     _seed_nodes,
+    check_newton_terms,
     minimize_bvp,
     minimize_bvp_batch,
     minimize_halfline,
@@ -217,8 +218,9 @@ def solve_evolutionary_eps(
     Phi(y), so the certified upper bound stands. The provenance records the
     lattice, its sup distance to the polished field (dp_sup_distance) and
     whether every polish converged (all_converged).
-    Needs d = 1.
+    Needs d = 1; check_newton_terms(V, W) runs first.
     """
+    check_newton_terms(V, W)
     x_axes, t_grid, x_mesh, y_mesh, phi_vals = _evolutionary_grids(x_grid, t_grid, y_grid, Phi, V)
     y = y_mesh[:, 0]
     lattice, states, seeds = _lattice_seeds(
@@ -300,13 +302,14 @@ def solve_steady_eps(
     error) and the constant path. The provenance records the lattice, its sup distance to
     the polished field (dp_sup_distance) and whether every polish converged
     (all_converged), the horizon T_max = 6 / lam and the path's n_nodes =
-    max(65, 4 T_max / eps + 9). Needs d = 1.
+    max(65, 4 T_max / eps + 9). Needs d = 1; check_newton_terms(V, W) runs first.
 
     The bounds inf(V+W) <= lam * U <= sup(V+W) are checked against the
     conservative enclosures v_min + inf W and v_max + sup W; a violation
     (which the exact discount weights make impossible for a correct solver
     beyond roundoff) is flagged as a solver failure.
     """
+    check_newton_terms(V, W)
     if not lam > 0:
         raise InputError("lam must be positive")
     x_axes = axes_of(x_grid, V.dimension, "x_grid")

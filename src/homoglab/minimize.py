@@ -463,8 +463,8 @@ def check_newton_terms(V: Optional[PeriodicPotential], W: Optional[Perturbation]
 
 
 def check_node_count(n_nodes, eps, t0, t1):
-    """Raise InputError, naming eps and the window [t0, t1], unless a pinned
-    path has 2 to 2^20 nodes; callers check before they build any node array."""
+    """Raise InputError, naming eps and the window [t0, t1], unless a path has
+    2 to 2^20 nodes; callers check before they build any node array."""
     if not 2 <= n_nodes <= 2**20:
         raise InputError(f"need 2 to 2^20 nodes, got {n_nodes} (eps={eps}, window [{t0}, {t1}])")
 
@@ -636,6 +636,7 @@ def minimize_halfline(
     if T_max < 5.0 / lam:
         raise InputError("T_max must be at least 5/lam")
     _check_window(0.0, T_max, eps)
+    check_node_count(n_nodes, eps, 0.0, T_max)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     times = np.linspace(0.0, T_max, n_nodes)
     weights = exp_interval_weights(sub_interval_edges(times, quad.samples_per_interval), lam)
@@ -680,7 +681,7 @@ def _lattice_costs(V, W, eps, states):
     """(V + W)(x / eps) at the states, and W's zero atom at the state 0 (None without one).
 
     Raises SolverError when a state's cost is NaN or -inf. The sweep skips
-    states whose value is still +inf or that cannot reach the read-out state;
+    states whose value is still +inf or that cannot reach the read-out span;
     that is exact only while no stage cost can turn a +inf value into NaN.
     A +inf cost stays a forbidden state.
     """
@@ -708,8 +709,8 @@ _PRUNE_EVERY = 8
 
 
 def _dp_sweep(
-    value, lo, hi, moves, stages, n_steps, target=None, weights=None, atom=None,
-    bound=None, history=False,
+    value, lo, hi, moves, stages, n_steps, span, weights=None, atom=None, bound=None,
+    history=False,
 ):
     """Run n_steps backward lattice steps from `value` (finite only on states
     lo..hi; not modified).
@@ -720,20 +721,20 @@ def _dp_sweep(
     >= 0; a zero weight needs finite stages, as 0 * inf is NaN), to be charged
     as weights[j] * stages[m] plus weights[j] * atom when staying.
 
-    Each step sweeps only its cone: the states whose value can be finite
-    (grown from lo..hi by the moves) and, given a `target` state, that can
-    still reach it in the steps left. With a target, only the returned value
-    at target is meaningful; without one every other state is +inf, as in the
-    full-grid sweep, whose results these equal bit for bit.
+    The result is read at the states `span` (first, last). Each step sweeps
+    only its cone: the states whose value can be finite (grown from lo..hi by
+    the moves) that can reach the span in at most the `left` steps still to
+    sweep, first + left min(kmin, 0) .. last + left max(kmax, 0). A cone state
+    reads only states of the cone before it, so each step's value is the
+    full-grid sweep's, span (0, n_x - 1), bit for bit on its cone and +inf off it.
 
-    A target sweep may also take a `bound` (limit, kinetic, rate), given by
-    dp_oracle_1d: with left > 0 steps still to sweep, the steps that lead from
-    target to a state i cost at least kinetic * (i - target)^2 / left +
-    left * rate, and some path costs at most limit. Every _PRUNE_EVERY steps,
-    when left is a multiple of it, the cone shrinks to its first and last
-    state whose value plus that lower bound is at most limit, and the states
-    dropped are set to +inf. No state of an optimal path can fail the test
-    (see dp_oracle_1d), so the value at target is the same float.
+    A one-state span may also take a `bound` (limit, kinetic, rate), given by
+    dp_oracle_1d: with left > 0, the steps that lead from first to a state i
+    cost at least kinetic (i - first)^2 / left + left rate, and some path
+    costs at most limit. When left is a multiple of _PRUNE_EVERY, the cone
+    shrinks to its first and last state whose value plus that lower bound is
+    at most limit; the states dropped are set to +inf. No state of an optimal
+    path fails the test (see dp_oracle_1d), so the value at first is the same float.
 
     A step is one stacked min-plus operation: the candidates C[m, i] of all
     moves over the cone are formed at once, the value at i + k read through a
@@ -753,6 +754,7 @@ def _dp_sweep(
     stages = np.asarray(stages)
     ks = moves.tolist()  # Python ints: the window bounds are scalar arithmetic
     kmin, kmax, n_moves = ks[0], ks[-1], len(ks)
+    first, last = (int(i) for i in span)
     pad = max(0, -kmin)  # state i of a value buffer sits at pad + i
     bufs = np.full((n_steps + 1 if history else 2, pad + n_x + max(0, kmax)), np.inf)
     bufs[0, pad + lo : pad + hi + 1] = value[lo : hi + 1]
@@ -765,17 +767,14 @@ def _dp_sweep(
     scratch = np.empty((n_moves, n_x))
     if bound is not None:
         limit, kinetic, rate = bound
-        square = (np.arange(n_x, dtype=float) - target) ** 2
+        square = (np.arange(n_x, dtype=float) - first) ** 2
     cur = 0
     stale_lo, stale_hi = 0, -1  # the cone that the buffer written next holds
     for j in range(n_steps):
-        new_lo = max(lo - kmax, 0)
-        new_hi = min(hi - kmin, n_x - 1)
-        if target is not None:
-            left = n_steps - 1 - j
-            new_lo = max(new_lo, target + left * kmin)
-            new_hi = min(new_hi, target + left * kmax)
-        if new_hi < new_lo:  # only with a target: no state can reach it any more
+        left = n_steps - 1 - j
+        new_lo = max(lo - kmax, 0, first + left * min(kmin, 0))
+        new_hi = min(hi - kmin, n_x - 1, last + left * max(kmax, 0))
+        if new_hi < new_lo:  # no finite value can reach the span any more
             return bufs if history else np.full(n_x, np.inf)
         nxt = (j + 1) % len(bufs)
         if not history:
@@ -900,7 +899,7 @@ def dp_oracle_1d(
         size = h * float(size + np.max(np.abs(atom)))
         rate = h * float(np.min(cost + np.minimum(atom, 0.0)))
         bound = (limit + 1e-9 * (n_steps * size + 1.0), dx * dx / h, rate)
-    result = _dp_sweep(value, ib, ib, moves, stages, n_steps, ia, bound=bound)[ia]
+    result = _dp_sweep(value, ib, ib, moves, stages, n_steps, (ia, ia), bound=bound)[ia]
     if not np.isfinite(result):
         raise SolverError("DP could not connect the boundary states with the given slopes")
     return float(result)
@@ -954,8 +953,8 @@ def dp_oracle_halfline(
     value = (cost if atom_cost is None else cost + atom_cost) * (np.exp(-lam * T_max) / lam)
     ix = int(np.argmin(np.abs(states - x0)))
     result = _dp_sweep(
-        value, 0, grid.n_x - 1, moves, (slopes * slopes)[:, None] + cost, grid.n_t - 1, ix,
-        weights[::-1], atom_cost,
+        value, 0, grid.n_x - 1, moves, (slopes * slopes)[:, None] + cost, grid.n_t - 1,
+        (ix, ix), weights[::-1], atom_cost,
     )[ix]
     if not np.isfinite(result):
         raise SolverError("discounted DP found no admissible path")
@@ -1005,7 +1004,8 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     1/lam costs lam D^2 / (e - 1), more than the gain R / lam of any path
     once D > sqrt((e - 1) R) / lam, the margin around x; slopes reach sqrt(2 R).
 
-    The sweep keeps its history (_dp_sweep), and each read-out's paths are
+    The sweep keeps its history (_dp_sweep), swept toward the span from the
+    least to the greatest state of x, and each read-out's paths are
     backtracked from it (_backtrack). It takes the least step count, from the
     fewest that keep the slope step, that puts every t of read_at on a step
     (_step_count). The history must fit in 2^28 bytes: a lattice whose fewest
@@ -1070,10 +1070,11 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     if lam is None:
         value = np.full(n_x, np.inf)
         value[iy] = phi
-        lo, hi = int(iy[0]), int(iy[-1])
+        lo, hi, weights = int(iy[0]), int(iy[-1]), None
     else:
         value = cost * (np.exp(-lam * horizon) / lam)
         lo, hi = 0, n_x - 1
+        weights = exp_interval_weights(np.linspace(0.0, horizon, n_steps + 1), lam)[::-1]
 
     longest = reach(n_steps)
     moves, slopes = _lattice_moves(np.arange(-longest, longest + 1) * dx / h, h, dx, n_x)
@@ -1087,10 +1088,8 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     stages += (slopes * slopes)[:, None]
     if lam is None:
         stages *= h
-    weights = None
-    if lam is not None:
-        weights = exp_interval_weights(np.linspace(0.0, horizon, n_steps + 1), lam)[::-1]
-    history = _dp_sweep(value, lo, hi, moves, stages, n_steps, weights=weights, history=True)
+    span = (start.min(), start.max())
+    history = _dp_sweep(value, lo, hi, moves, stages, n_steps, span, weights=weights, history=True)
     pad = max(0, -int(moves[0]))
     seeds = []
     for n in counts:

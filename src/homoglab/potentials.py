@@ -229,9 +229,10 @@ def _householder_frame(direction: np.ndarray) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v)
 
 
-# Points cylinder_average hands to W in one call: as many whole chords as fit
-# (one chord when a chord alone is longer).
-_CALL_POINTS = 2**15
+# Points per chunk of `parabola_free_region`, which bounds the temporaries of
+# its three stages, and per W call of cylinder_average: as many whole chords
+# as fit (one chord when a chord alone is longer), so such a call is one chunk.
+_CHUNK = 2**16
 
 
 def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
@@ -244,7 +245,7 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     2*c*omega_{d-1}*r^{d-1} as R grows.
 
     Chords go to W in groups: one (m * n, d) buffer holds as many whole chords
-    of n points as fit in _CALL_POINTS, filled with t * axis_j + (basis @ z)_j,
+    of n points as fit in _CHUNK, filled with t * axis_j + (basis @ z)_j,
     the same two roundings per element as a freshly built chord. The buffer
     is column-major, so each coordinate is one contiguous array to fill and
     to read. W is called once per group; one row sum of the (m, n) values
@@ -276,7 +277,7 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
 
     total = 0.0
     rel = midpoints(-1.0, 1.0, n_axis)
-    group = max(1, _CALL_POINTS // n_axis)
+    group = max(1, _CHUNK // n_axis)
     columns = np.empty((d, min(group, len(offsets)) * n_axis))
     for first in range(0, len(offsets), group):
         chords = slice(first, first + group)
@@ -328,9 +329,6 @@ _TABLE_TOP = 16
 # Padding of each listed window (rad): far above the rounding of its ends,
 # far below the narrowest listed window, 4^-16.
 _WINDOW_SLACK = 1e-12
-# Points per chunk of `parabola_free_region`; it bounds the temporaries of
-# all three stages.
-_CHUNK = 2**16
 # Consecutive points per row of the row stage; a divisor of _CHUNK.
 _ROW = 256
 # Margins of the row test: absolute on gaps (rad), relative on radii and

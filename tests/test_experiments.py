@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homoglab.cell
-from homoglab import experiments, make_perturbation, make_potential, minimize, potentials
+from homoglab import experiments, hj, make_perturbation, make_potential, minimize, potentials
 from homoglab.errors import ConfigError, InputError, InvariantError, SolverError
 from homoglab.experiments import (
     ExperimentConfig,
@@ -205,18 +205,28 @@ def test_the_layer_timer_takes_the_least_cpu_time_of_nine_runs(monkeypatch):
 
 def test_the_layer_timer_prints_each_sweeps_history(monkeypatch, capsys):
     """The DP table gives a sweep with history the MB of the buffer it
-    returns, (99 + 1) x (2 + 1000 + 3) float64, and one without `no`."""
+    returns, (99 + 1) x (2 + 1000 + 3) float64, and one without `no`. The
+    whole range visits every state of every step; the span 500..500 visits,
+    with `left` steps still to go, the states 500 - 2 left .. 500 + 3 left
+    that lie on the grid. Counting leaves minimize's `np` as it was."""
     tool = _layer_timer(monkeypatch)
     call = dict(
         value=np.zeros(1000), lo=0, hi=999, moves=np.array([-2, 0, 3]),
-        stages=np.ones((3, 1000)), n_steps=99, target=None, weights=None, atom=None,
+        stages=np.ones((3, 1000)), n_steps=99, span=(0, 999), weights=None, atom=None,
         bound=None, history=True,
     )
-    tool.print_sweeps([("a", call), ("b", dict(call, history=False))])
-    header, with_history, without = capsys.readouterr().out.splitlines()
-    assert header.split()[-5:] == ["target", "weights", "bound", "history", "ms"]
-    assert with_history.split()[-3:-1] == ["0.80", "MB"]
-    assert without.split()[-2] == "no"
+    aimed = dict(call, span=(500, 500), history=False)
+    tool.print_sweeps([("a", call), ("b", dict(call, history=False)), ("c", aimed)])
+    header, with_history, without, narrow = capsys.readouterr().out.splitlines()
+    assert header.split()[-7:] == ["steps", "span", "weights", "bound", "visited", "history", "ms"]
+    assert with_history.split()[4] == "0..999"
+    assert with_history.split()[-4:-1] == ["1.000", "0.80", "MB"]
+    assert without.split()[-3:-1] == ["1.000", "no"]
+    left = np.arange(99)
+    states = np.minimum(999, 500 + 3 * left) - np.maximum(0, 500 - 2 * left) + 1
+    assert narrow.split()[4] == "500..500"
+    assert narrow.split()[-3] == f"{states.sum() / (99 * 1000):.3f}"
+    assert minimize.np is np
 
 
 def test_the_layer_timer_charges_each_part_of_a_solve(monkeypatch):
@@ -424,6 +434,49 @@ def test_stability_rejects_a_w_without_closed_form_derivatives_before_any_solve(
     cfg = make_cfg(dimension=dimension, xi=[1.0] + [0.0] * (dimension - 1), perturbation={"name": name})
     with pytest.raises(InputError, match="closed-form gradient and Hessian"):
         run_stability_sweep(cfg)
+
+
+@pytest.mark.parametrize(
+    "mode,perturbation,match",
+    [
+        ("steady", "indicator_ball", "closed-form gradient and Hessian"),
+        ("evolutionary", "indicator_ball", "closed-form gradient and Hessian"),
+        (None, "runge_decay", "needs lambda .* or an initial datum"),
+    ],
+)
+def test_hj_refuses_before_any_table_or_lattice(monkeypatch, mode, perturbation, match):
+    """A W that Newton cannot take, or neither lambda nor an initial datum,
+    raises InputError before the f_hom table or a seed lattice is built: in
+    the runner, and in solve_steady_eps and solve_evolutionary_eps alone."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a table or a lattice was built before the config was checked")
+
+    monkeypatch.setattr(experiments, "tabulate_f_hom", unreachable)
+    monkeypatch.setattr(hj, "_lattice_seeds", unreachable)
+    raw = dict(
+        experiment="hj",
+        perturbation={"name": perturbation},
+        eps_ladder=[0.2],
+        grids={"x": {"lo": -0.2, "hi": 0.2, "n": 3}, "xi": {"half_width": 2.0, "n": 5}},
+    )
+    if mode == "steady":
+        raw["lambda"] = 1.0
+    elif mode == "evolutionary":
+        raw["initial_datum"] = {"name": "plane_wave", "params": {"p": [1.0]}}
+    cfg = make_cfg(**raw)
+    with pytest.raises(InputError, match=match):
+        run_hj_convergence(cfg)
+    if mode is None:
+        return
+    V, W, x = cfg.potential(), cfg.perturbation(), cfg.x_axes()
+    with pytest.raises(InputError, match=match):
+        if mode == "steady":
+            hj.solve_steady_eps(V, W, 0.2, 1.0, x)
+        else:
+            hj.solve_evolutionary_eps(
+                V, W, 0.2, cfg.initial_datum(), x, cfg.t_grid(), cfg.y_axes()
+            )
 
 
 def fail_at_eps(monkeypatch, name, eps, error):

@@ -167,6 +167,42 @@ def test_newton_solvers_reject_a_v_without_a_closed_form_hessian_and_a_zero_atom
             minimize_halfline(V_, W, 0.2, 1.0, a, 5.0, 33, fast_opt)
 
 
+def test_halfline_checks_its_node_count_before_building_a_node_array(monkeypatch, fast_opt):
+    """2^20 + 1 nodes are refused, naming eps and the window, as a pinned
+    solve refuses them, before the half-line solve builds its weights."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the half-line solve built its node arrays")
+
+    monkeypatch.setattr(minimize, "sub_interval_edges", unreachable)
+    monkeypatch.setattr(minimize, "exp_interval_weights", unreachable)
+    V = make_potential("sin2", 1)
+    for n_nodes in (1, 2**20 + 1):
+        with pytest.raises(InputError, match=rf"need 2 to 2\^20 nodes, got {n_nodes} "
+                                             r"\(eps=0\.2, window \[0\.0, 8\.0\]\)"):
+            minimize_halfline(V, None, 0.2, 1.0, np.zeros(1), 8.0, n_nodes, fast_opt)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["sin2", "cos_sum"]),
+    eps=st.sampled_from([0.05, 0.1, 0.2, 0.5]),
+    k=st.integers(-7, 7),
+    a=st.floats(-1.0, 1.0),
+    b=st.floats(-1.0, 1.0),
+    t=st.floats(0.3, 1.5),
+)
+def test_minimal_action_is_invariant_under_eps_lattice_shifts(std_opt, name, eps, k, a, b, t):
+    """V(x / eps) has period eps, so S(a + eps k, b + eps k) = S(a, b): the
+    starts are the shifted ones, and only rounding differs. The solves take
+    the hj node rule, 8 t / eps + 9 nodes (at least 33)."""
+    V = make_potential(name, 1)
+    n_nodes = max(33, int(8 * t / eps) + 9)
+    _, value = minimize_bvp(V, None, eps, 0.0, t, a, b, n_nodes, std_opt)
+    _, shifted = minimize_bvp(V, None, eps, 0.0, t, a + eps * k, b + eps * k, n_nodes, std_opt)
+    assert abs(shifted - value) <= 1e-12 * max(1.0, abs(value))
+
+
 def test_dp_oracle_free_particle():
     V = make_potential("zero", 1)
     dp = dp_oracle_1d(V, None, 0.1, 0.0, 1.0, 0.0, 1.0,
@@ -365,7 +401,7 @@ def test_the_dp_bound_holds_on_every_lattice_path(
         call, _ = _oracle_sweep(patch, V, W, eps, 0.0, 1.0, a, b, grid, slope_set=slope_set)
     if call is None:  # no admissible move: refused before any sweep
         return
-    (_, ib, _, moves, stages, n_steps, ia), kwargs = call
+    (_, ib, _, moves, stages, n_steps, (ia, _)), kwargs = call
     straight = minimize._straight_path_cost(moves, stages, ia, ib, n_steps)
     if kwargs["bound"] is None:
         assert straight == np.inf
@@ -403,9 +439,10 @@ def test_the_bounded_sweep_keeps_the_value_where_paths_tie(monkeypatch, V, W, a,
     V = make_potential("constant", 1, value=0.5) if V == "flat" else make_potential(V, 1)
     W = _DP_PERTURBATIONS[W] if W else None
     call, value = _oracle_sweep(monkeypatch, V, W, 1.0, 0.0, 1.0, a, b, grid)
-    (start, ib, _, moves, stages, n_steps, ia), kwargs = call
+    (start, ib, _, moves, stages, n_steps, span), kwargs = call
     assert kwargs["bound"] is not None
-    plain = _dp_sweep(start, ib, ib, moves, stages, n_steps, ia)[ia]
+    ia = span[0]
+    plain = _dp_sweep(start, ib, ib, moves, stages, n_steps, span)[ia]
     assert repr(value) == repr(float(plain))
     straight = minimize._straight_path_cost(moves, stages, ia, ib, n_steps)
     if grid.n_t - 1 in (16, 32):
@@ -465,10 +502,11 @@ def test_dp_sweep_reads_whole_fields_and_backtracks_their_costs(
     moves = np.array(moves)
 
     want = [start] + _full_grid_sweep(start, moves, stages, n_steps, weights)
-    history = _dp_sweep(start.copy(), lo, hi, moves, stages, n_steps, weights=weights,
+    whole = (0, n_x - 1)
+    history = _dp_sweep(start.copy(), lo, hi, moves, stages, n_steps, whole, weights=weights,
                         history=True)
-    plain = _dp_sweep(start.copy(), lo, hi, moves, stages, n_steps, weights=weights)
-    _, _, arg = _per_move_sweep(start.copy(), lo, hi, moves, list(stages), n_steps,
+    plain = _dp_sweep(start.copy(), lo, hi, moves, stages, n_steps, whole, weights=weights)
+    _, _, arg = _per_move_sweep(start.copy(), lo, hi, moves, list(stages), n_steps, whole,
                                 weights=weights, record=True)
     pad = max(0, -moves[0])
     assert history.shape == (n_steps + 1, pad + n_x + max(0, moves[-1]))
@@ -490,32 +528,29 @@ def test_dp_sweep_reads_whole_fields_and_backtracks_their_costs(
 
 
 def _per_move_sweep(
-    value, lo, hi, moves, stages, n_steps, target=None, weights=None, atom=None,
-    read_at=(), record=False,
+    value, lo, hi, moves, stages, n_steps, span, weights=None, atom=None, read_at=(),
+    record=False,
 ):
     """The swept-cone lattice DP one move at a time: a Python loop over the
-    moves of each step, each updating the best value by a strict `<`."""
+    moves of each step, each updating the best value by a strict `<`. A step
+    sweeps the states grown from lo..hi that can reach the span (first, last)
+    in at most the steps left; every other state is +inf."""
     n_x = value.size
     moves = moves.tolist()
     kmin, kmax = moves[0], moves[-1]
+    first, last = span
     best = np.full(n_x, np.inf)
     cand = np.empty(n_x)
     arg = np.empty((n_steps, n_x), np.min_scalar_type(len(moves))) if record else None
     reads = []
     for j in range(n_steps):
-        new_lo = max(lo - kmax, 0)
-        new_hi = min(hi - kmin, n_x - 1)
-        if target is not None:
-            left = n_steps - 1 - j
-            new_lo = max(new_lo, target + left * kmin)
-            new_hi = min(new_hi, target + left * kmax)
+        left = n_steps - 1 - j
+        new_lo = max(lo - kmax, 0, first + left * min(kmin, 0))
+        new_hi = min(hi - kmin, n_x - 1, last + left * max(kmax, 0))
         if new_hi < new_lo:
             value[:] = np.inf
             break
-        if target is None:
-            best.fill(np.inf)
-        else:
-            best[new_lo : new_hi + 1] = np.inf
+        best.fill(np.inf)
         for m, (k, stage) in enumerate(zip(moves, stages)):
             i0 = max(new_lo, lo - k)
             i1 = min(new_hi, hi - k) + 1
@@ -566,8 +601,9 @@ def _move_sets(draw):
 def test_stacked_dp_step_equals_the_per_move_loop_bitwise(
     n_x, n_steps, moves, discounted, with_atom, aimed, ties, data
 ):
-    """The stacked sweep gives the per-move loop's value (at the target, given
-    one), and its history the loop's value after every step. Without an atom,
+    """The stacked sweep gives the per-move loop's value, on a drawn span or
+    the whole range, and its history the loop's value after every step, +inf
+    outside the step's cone included. Without an atom,
     the path backtracked from every finite state of a row is the one the
     loop's strict `<` record gives. With `ties`, every number is a multiple of
     1/4, so equal candidates are common and the first minimal move must win."""
@@ -585,9 +621,10 @@ def test_stacked_dp_step_equals_the_per_move_loop_bitwise(
                                   numbers(-1.0, 1.0, hi - lo + 1))
     weights = np.maximum(numbers(0.0, 1.0, n_steps), 0.05) if discounted else None
     atom = numbers(-0.5, 0.5, n_x) if discounted and with_atom else None
-    target = data.draw(st.integers(0, n_x - 1)) if aimed else None
+    first = data.draw(st.integers(0, n_x - 1)) if aimed else 0
+    last = data.draw(st.integers(first, n_x - 1)) if aimed else n_x - 1
     moves = np.array(moves)
-    kwargs = dict(target=target, weights=weights, atom=atom)
+    kwargs = dict(span=(first, last), weights=weights, atom=atom)
 
     want, want_reads, want_arg = _per_move_sweep(
         start.copy(), lo, hi, moves, list(stages), n_steps, record=True,
@@ -599,20 +636,63 @@ def test_stacked_dp_step_equals_the_per_move_loop_bitwise(
     assert np.array_equal(start, kept)  # the sweep leaves its input alone
     pad = max(0, -moves[0])
     rows = history[:, pad : pad + n_x]
-    if target is None:
-        assert np.array_equal(plain, want) and np.array_equal(rows[-1], want)
-    else:
-        assert np.array_equal(plain[target], want[target])
-        assert np.array_equal(rows[-1, target], want[target])
+    assert np.array_equal(plain, want) and np.array_equal(rows[-1], want)
     for n, want_read in zip(range(1, n_steps + 1), want_reads):
         read = rows[n]
         finite = np.flatnonzero(np.isfinite(read))
-        if target is None:  # outside the cone, the per-move loop keeps stale values
-            assert np.array_equal(read, want_read)
-        assert np.array_equal(read[finite], want_read[finite])
+        assert np.array_equal(read, want_read)
         if atom is None:
             path = minimize._backtrack(history, finite, n, moves, stages, weights)
             assert np.array_equal(path, _record_paths(want_arg, finite, n, moves))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_x=st.integers(1, 50),
+    n_steps=st.integers(1, 14),
+    moves=_move_sets(),
+    discounted=st.booleans(),
+    with_atom=st.booleans(),
+    data=st.data(),
+)
+def test_a_span_sweep_is_the_whole_range_sweep_on_its_cone(
+    n_x, n_steps, moves, discounted, with_atom, data
+):
+    """With `left` steps still to go, a sweep toward the span (first, last)
+    keeps the states first + left min(kmin, 0) .. last + left max(kmax, 0).
+    There each row of its history equals the whole-range sweep's, span
+    (0, n_x - 1), bit for bit, and elsewhere it is +inf; its value without
+    history is its last row. Row 0 is the start value in both."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    stages = np.where(rng.random((len(moves), n_x)) < 0.1, np.inf,
+                      rng.uniform(0.0, 2.0, (len(moves), n_x)))
+    lo = data.draw(st.integers(0, n_x - 1))
+    hi = data.draw(st.integers(lo, n_x - 1))
+    start = np.full(n_x, np.inf)
+    start[lo : hi + 1] = rng.uniform(-1.0, 1.0, hi - lo + 1)
+    first = data.draw(st.integers(0, n_x - 1))
+    last = data.draw(st.integers(first, n_x - 1))
+    weights = rng.uniform(0.1, 1.0, n_steps) if discounted else None
+    atom = rng.uniform(-0.5, 0.5, n_x) if discounted and with_atom else None
+    kmin, kmax = moves[0], moves[-1]
+    moves = np.array(moves)
+
+    def sweep(span, history):
+        return _dp_sweep(start, lo, hi, moves, stages, n_steps, span, weights=weights,
+                         atom=atom, history=history)
+
+    whole, aimed = sweep((0, n_x - 1), True), sweep((first, last), True)
+    pad = max(0, -kmin)
+    assert np.all(aimed[:, :pad] == np.inf) and np.all(aimed[:, pad + n_x :] == np.inf)
+    rows, whole_rows = aimed[:, pad : pad + n_x], whole[:, pad : pad + n_x]
+    assert np.array_equal(rows[0], whole_rows[0])
+    states = np.arange(n_x)
+    for j in range(1, n_steps + 1):
+        left = n_steps - j
+        cone = (states >= first + left * min(kmin, 0)) & (states <= last + left * max(kmax, 0))
+        assert np.array_equal(rows[j, cone], whole_rows[j, cone])
+        assert np.all(rows[j, ~cone] == np.inf)
+    assert np.array_equal(sweep((first, last), False), rows[-1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -628,8 +708,8 @@ def test_lattice_seed_paths_follow_the_per_move_record(
     eps, perturbed, discounted, horizon, times, data
 ):
     """Each read-out of _lattice_seeds, discounted or from y and phi, gives
-    the per-move loop's values at x and the paths backtracked through its
-    strict `<` record, ties included."""
+    the per-move loop's values at x, swept over the whole range, and the
+    paths backtracked through its strict `<` record, ties included."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     V = make_potential("sin2", 1)
     W = make_perturbation("runge_decay", 1) if perturbed else None
@@ -649,10 +729,11 @@ def test_lattice_seed_paths_follow_the_per_move_record(
             _, _, seeds = _lattice_seeds(V, W, eps, x, horizon, [horizon], lam=6.0 / horizon)
         else:
             _, _, seeds = _lattice_seeds(V, W, eps, x, horizon, read_at, y, phi)
-    [((value, lo, hi, moves, stages, n_steps), kwargs)] = calls
+    [((value, lo, hi, moves, stages, n_steps, _), kwargs)] = calls
     counts = [path.shape[0] - 1 for _, path in seeds]
     _, reads, arg = _per_move_sweep(value.copy(), lo, hi, moves, list(stages), n_steps,
-                                    weights=kwargs["weights"], read_at=counts, record=True)
+                                    (0, value.size - 1), weights=kwargs["weights"],
+                                    read_at=counts, record=True)
     for (values, path), n, read in zip(seeds, counts, reads):
         assert np.array_equal(values, read[path[0]])
         assert np.array_equal(path, _record_paths(arg, path[0], n, moves))

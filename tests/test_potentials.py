@@ -379,7 +379,7 @@ def test_parabola_free_region_on_the_workload_tubes_equals_the_per_level_loop():
         direction = np.asarray(xi) / np.linalg.norm(xi)  # as the conditions runner passes it
         for R in (64.0, 256.0, 1024.0, 4096.0):
             cylinder_average(dataclasses.replace(W, evaluator=checked), direction, 0.5, R)
-    assert len(seen) == 5 * (1 + 1 + 4 + 16) and sum(seen) == 5 * 16 * (512 + 2048 + 8192 + 32768)
+    assert len(seen) == 5 * (1 + 1 + 2 + 8) and sum(seen) == 5 * 16 * (512 + 2048 + 8192 + 32768)
 
 
 def test_parabola_free_region_in_chunks_is_the_mask_of_one_pass(monkeypatch):

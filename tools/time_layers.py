@@ -20,9 +20,11 @@ per kernel gives one line per call, each time the least CPU time
 run that other processes disturbed least, and CPU time leaves out the time
 the process waited. Each line:
 
-- a DP sweep's size (states, moves, steps), which of target / weights /
-  bound it used, the MB of its history buffer (or no history), and the
-  time in ms;
+- a DP sweep's size (states, moves, steps), the span of states its result
+  is read at, which of weights / bound it used, `visited` (the share of its
+  steps x states that its cone kept: the states each step's min-plus
+  reduced, summed over the steps), the MB of its history buffer (or no
+  history), and the time in ms;
 - a Newton solve's size (nodes, dimension, problems x starts), its Newton
   sweeps (its calls of the action's `gradient`), and the time in ms,
   whole and split into the action's derivatives (`gradient` and
@@ -47,6 +49,7 @@ import inspect
 import os
 import sys
 import time
+import types
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,6 +59,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import numpy as np  # noqa: E402
 from homoglab import experiments, minimize, potentials  # noqa: E402
 import workloads  # noqa: E402
 
@@ -115,21 +119,49 @@ def min_ms(kernel, arguments):
     return 1e3 * min(times)
 
 
+class _CountingNumPy:
+    """NumPy as `minimize.np` during one sweep, except that np.minimum.reduce
+    adds the size of its output, one step's cone, to `states`."""
+
+    def __init__(self):
+        self.states = 0
+        self.minimum = types.SimpleNamespace(reduce=self._reduce)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _reduce(self, *args, **kwargs):
+        self.states += kwargs["out"].size
+        return np.minimum.reduce(*args, **kwargs)
+
+
+def visit(call):
+    """(the buffer one run of the captured sweep returns, the states its steps reduced)."""
+    counting = _CountingNumPy()
+    minimize.np = counting
+    try:
+        result = minimize._dp_sweep(**dict(call, value=call["value"].copy()))
+    finally:
+        minimize.np = np
+    return result, counting.states
+
+
 def print_sweeps(calls):
-    names = ("target", "weights", "bound")
-    print(f"{'call':<24} {'n_x':>6} {'moves':>5} {'steps':>5}  {' '.join(names)}  history"
-          "     ms")
+    names = ("weights", "bound")
+    print(f"{'call':<24} {'n_x':>6} {'moves':>5} {'steps':>5} {'span':>13}  {' '.join(names)}"
+          "  visited  history     ms")
     for label, call in calls:
         ms = min_ms(minimize._dp_sweep, lambda: dict(call, value=call["value"].copy()))
-        flags = (call["target"] is not None, call["weights"] is not None, call["bound"] is not None)
-        history = "no"
-        if call["history"]:  # the MB of the buffer the sweep returns
-            buffer = minimize._dp_sweep(**dict(call, value=call["value"].copy()))
-            history = f"{buffer.nbytes / 1e6:.2f} MB"
+        flags = (call["weights"] is not None, call["bound"] is not None)
+        result, states = visit(call)
+        n_x, n_steps = call["value"].size, call["n_steps"]
+        span = "..".join(str(int(i)) for i in call["span"])
+        # the MB of the buffer a sweep with history returns
+        history = f"{result.nbytes / 1e6:.2f} MB" if call["history"] else "no"
         print(
-            f"{label:<24} {call['value'].size:>6} {call['moves'].size:>5} {call['n_steps']:>5}  "
+            f"{label:<24} {n_x:>6} {call['moves'].size:>5} {n_steps:>5} {span:>13}  "
             + " ".join(f"{'yes' if flag else 'no':>{len(name)}}" for flag, name in zip(flags, names))
-            + f"  {history:>7}  {ms:>6.2f}"
+            + f"  {states / (n_steps * n_x):>7.3f}  {history:>7}  {ms:>6.2f}"
         )
 
 
