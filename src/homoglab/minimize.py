@@ -1008,10 +1008,14 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     least to the greatest state of x, and each read-out's paths are
     backtracked from it (_backtrack). It takes the least step count, from the
     fewest that keep the slope step, that puts every t of read_at on a step
-    (_step_count). The history must fit in 2^28 bytes: a lattice whose fewest
-    steps do not is refused with an InputError naming eps, and read-out times
-    that no count within it puts on a step with one naming the time, both
-    before any array of the lattice's size is built.
+    (_step_count). A count above the fewest divides dx by the whole part of
+    its slope step dx/h over 1/16 (within 1e-9), which brings the slope step
+    back below 1/8 (to 1/16 when it is a whole multiple) and keeps dx a whole
+    fraction of the least y spacing. The history must fit in 2^28 bytes: a
+    lattice whose fewest steps do not is refused with an InputError naming
+    eps, and read-out times that no count within it puts on a step, on the
+    refined lattice, with one naming the time, both before any array of the
+    lattice's size is built.
 
     Returns ({states, steps, moves}, states, [(values at x, paths) per read-out]).
     """
@@ -1029,19 +1033,21 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     else:
         margin = math.sqrt((math.e - 1.0) * spread) / lam
         origin, lo, hi = 0.0, np.min(x) - margin, np.max(x) + margin
-    first = math.floor((lo - origin) / dx)
-    last = max(math.ceil((hi - origin) / dx), first + 1)
-    n_x = last - first + 1
-    base = origin + dx * first  # states[0], built once the guard below has passed
-    start = np.rint((np.asarray(x) - base) / dx).astype(int)
-    if lam is None:
+
+    def grid(dx):  # (first, n_x, the states of x and of y, the farthest x from a y, slope bound)
+        first = math.floor((lo - origin) / dx)
+        n_x = max(math.ceil((hi - origin) / dx), first + 1) - first + 1
+        base = origin + dx * first  # states[0], built once the guards below have passed
+        start = np.rint((np.asarray(x) - base) / dx).astype(int)
+        if lam is not None:
+            return first, n_x, start, None, 0, math.sqrt(2.0 * spread)
         iy = np.rint((y - base) / dx).astype(int)
         near = int(np.max(np.min(np.abs(start[:, None] - iy[None, :]), axis=1)))
         t0 = read_at[0]
         max_slope = math.sqrt((near * dx / t0) ** 2 + float(np.ptp(phi)) / t0 + 2.0 * spread)
-    else:
-        near = 0
-        max_slope = math.sqrt(2.0 * spread)
+        return first, n_x, start, iy, near, max_slope
+
+    first, n_x, start, iy, near, max_slope = grid(dx)
 
     def reach(n):  # the longest move at n steps; every x reaches a y by read_at[0]
         h = horizon / n
@@ -1057,6 +1063,9 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
             "bytes of history, more than 2^28"
         )
     n_steps = _step_count(read_at, horizon, fewest, _SEED_HISTORY_BYTES // (8 * n_x) - 1)
+    if n_steps is not None and n_steps > fewest:  # refine dx to keep the slope step
+        dx /= max(1, math.floor(dx * n_steps / (horizon * _SEED_SLOPE_STEP) + 1e-9))
+        first, n_x, start, iy, near, max_slope = grid(dx)
     if n_steps is None or not history_bytes(n_steps) <= _SEED_HISTORY_BYTES:
         t = next(t for t in read_at if _step_count([t], horizon, fewest, fewest) is None)
         raise InputError(
@@ -1065,7 +1074,7 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
         )
     h = horizon / n_steps
     counts = [max(1, round(t / h)) for t in read_at]
-    states = origin + dx * np.arange(first, last + 1)
+    states = origin + dx * np.arange(first, first + n_x)
     cost, _ = _lattice_costs(V, W, eps, states)
     if lam is None:
         value = np.full(n_x, np.inf)

@@ -18,6 +18,7 @@ Evaluators are vectorized over points: they take arrays of shape (..., d) and
 return shape (...). For d = 1 a bare (...) array is also accepted.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, InvariantError, SolverError
 from .grid import as_points, mesh
-from .quadrature import ball_rule, midpoints
+from .quadrature import ball_rule, gauss_legendre, midpoints
 
 REGISTRY_VERSION = "1"
 
@@ -98,6 +99,9 @@ class Perturbation:
     and only the lattice DP oracles charge it, on steps that stay at 0.
     `gradient` and `hessian` are closed forms as on PeriodicPotential; a W
     without them, or with an atom, is for the DP oracles only.
+    `tube_average`, when set, is the closed form tube_average(xi, r, R) of
+    cylinder_average (xi a unit vector, 0 < r < R), which returns it in place
+    of its sampled rule; a W without it is sampled.
     """
 
     dimension: int
@@ -110,6 +114,7 @@ class Perturbation:
     zero_atom: float = 0.0
     name: str = ""
     hessian: Optional[Callable] = None
+    tube_average: Optional[Callable] = None
 
     def __post_init__(self):
         if self.sign_class not in SIGN_CLASSES:
@@ -229,19 +234,20 @@ def _householder_frame(direction: np.ndarray) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v)
 
 
-# Points per chunk of `parabola_free_region`, which bounds the temporaries of
-# its three stages, and per W call of cylinder_average: as many whole chords
-# as fit (one chord when a chord alone is longer), so such a call is one chunk.
+# Points per W call of cylinder_average's sampled rule: as many whole chords
+# as fit (one chord when a chord alone is longer).
 _CHUNK = 2**16
 
 
 def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     """(1/R) * integral of W over B_R intersected with the radius-r tube along xi.
 
-    Product midpoint quadrature: transverse cells over the (d-1)-disc of
-    radius r (16 per axis), longitudinal cells along the chord of B_R at each
-    transverse offset (_chord_cells(R) per chord). For W == c the d = 2
-    value is exact up to the O((r/R)^2) chord correction, approaching
+    A W with a closed form `tube_average` gets it, at the unit vector of xi;
+    every other W is sampled. The sampled rule is a product midpoint
+    quadrature: transverse cells over the (d-1)-disc of radius r (16 per
+    axis), longitudinal cells along the chord of B_R at each transverse
+    offset (_chord_cells(R) per chord). For W == c the d = 2 value is exact
+    up to the O((r/R)^2) chord correction, approaching
     2*c*omega_{d-1}*r^{d-1} as R grows.
 
     Chords go to W in groups: one (m * n, d) buffer holds as many whole chords
@@ -262,6 +268,8 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     if norm == 0:
         raise InputError("xi must be a nonzero direction")
     axis = direction / norm
+    if W.tube_average is not None:
+        return W.tube_average(axis, r, R)
     basis = _householder_frame(axis)[:, 1:]
 
     d = W.dimension
@@ -329,13 +337,6 @@ _TABLE_TOP = 16
 # Padding of each listed window (rad): far above the rounding of its ends,
 # far below the narrowest listed window, 4^-16.
 _WINDOW_SLACK = 1e-12
-# Consecutive points per row of the row stage; a divisor of _CHUNK.
-_ROW = 256
-# Margins of the row test: absolute on gaps (rad), relative on radii and
-# widths. Both are far above the rounding of any computed angle, gap, radius
-# or width, and far below a tongue's width at any level a radius <= 2^40 reaches.
-_GAP_MARGIN = 1e-12
-_REL_MARGIN = 1e-12
 # The largest radius the float64 tongue test is trusted at. Past about 2^44
 # the angle's ulp nears the level spacing 2*pi/2^k, and random directions start
 # to read as inside a tongue (0.3% at 2^44, 14% at 2^50; none at 2^40).
@@ -388,111 +389,32 @@ def parabola_free_region(x: np.ndarray) -> np.ndarray:
 
     The levels tested are 2..top, the last with 2^top <= max|x_0| + max|x_1|
     (a bound on every radius); a level above every radius marks nothing.
-    Each chunk of _CHUNK points passes three stages. Rows: `_settled_rows`
-    decides whole rows of _ROW consecutive points from their angle and radius
-    bounds (all free, none free, or open). Table: one `_free_block` call
-    takes the points of open rows and of a last partial row, and reads from
-    a cached sorted table of angular windows the levels whose window holds
-    each point. Per level: only those (point, level) pairs get `_in_tongue`.
+    Every point passes two stages in one `_free_block` call. Table: a cached
+    sorted table of angular windows gives the levels whose window holds each
+    point. Per level: only those (point, level) pairs get `_in_tongue`.
     Non-finite points, and points of radius above 2^40 (where the float64
     angle test stops being exact), raise InputError.
     """
     pts = np.asarray(x, dtype=float)
     flat = pts.reshape(-1, pts.shape[-1])
     x0, x1 = flat[:, 0], flat[:, 1]
-    free = np.zeros(x0.shape, dtype=bool)
     far = [float(np.max(np.abs(c))) if c.size else 0.0 for c in (x0, x1)]
     if not np.isfinite(far).all():
         bad = flat[np.argmin(np.isfinite(x0) & np.isfinite(x1))]
         raise InputError(f"parabola_free_region needs finite points; got {bad.tolist()}")
     reach = (far[0] + far[1]) * (1.0 + 2.0**-40)  # margin for the rounding of hypot
-    if reach > _MAX_RADIUS:
-        rho = np.hypot(x0, x1)
-        if rho.max() > _MAX_RADIUS:
-            bad = flat[np.argmax(rho)]
-            raise InputError(
-                f"parabola_free_region is exact only up to radius 2^40; got {bad.tolist()}"
-            )
     top = 1
     while top < _MAX_LEVEL and 2.0 ** (top + 1) <= reach:
         top += 1
-    if top >= 2:
-        for lo in range(0, x0.size, _CHUNK):
-            chunk = slice(lo, lo + _CHUNK)
-            free[chunk] = _free_chunk(x0[chunk], x1[chunk], top)
-    return free.reshape(pts.shape[:-1])
-
-
-def _free_chunk(x0, x1, top: int) -> np.ndarray:
-    """The mask for the points (x0, x1), all of radius < 2^(top+1): the row
-    stage, then one `_free_block` call for every point it leaves open."""
-    angle = np.arctan2(x1, x0)
-    free = np.zeros(angle.shape, dtype=bool)
-    open_pts = np.ones(angle.shape, dtype=bool)
-    rows = angle.size // _ROW
-    if rows:
-        all_free, none_free = _settled_rows(angle, x0, x1, rows, top)
-        free[: rows * _ROW].reshape(rows, _ROW)[all_free] = True
-        open_pts[: rows * _ROW].reshape(rows, _ROW)[all_free | none_free] = False
-    pt = np.flatnonzero(open_pts)
-    if pt.size:
-        free[pt] = _free_block(angle[pt], np.hypot(x0[pt], x1[pt]), top)
-    return free
-
-
-def _settled_rows(angle, x0, x1, rows: int, top: int):
-    """(all_free, none_free): the rows of _ROW consecutive points whose every
-    point is free, and those whose no point is, at the levels 2..top.
-
-    A row's angles [a, b] are its least and greatest theta (its arctan2
-    angle, plus 2*pi where negative), and its radii lie in [rho_lo, rho_hi]:
-    the distances from the origin to the nearest and the farthest point of
-    its bounding box, widened by _REL_MARGIN.
-
-    All free: at some level k, a and b have the same nearest center (each
-    step of `_nearest_center` is nondecreasing in theta, so every angle
-    between them has it too), rho_lo >= 2^k, and the larger of the two ends'
-    gaps, the largest gap of the row, plus _GAP_MARGIN is below the width at
-    rho_hi less _REL_MARGIN of it (`_width` decreases with the radius).
-
-    None free: at every level k, rho_hi < 2^k, or no odd h has 2*pi*h/2^k in
-    [a - w, b + w], where w is the width at rho_lo, plus _REL_MARGIN of it
-    and _GAP_MARGIN; the test is run in units of 2*pi/2^k.
-
-    A row with angles of both signs has no such [a, b], as theta wraps at
-    angle 0, and is neither.
-
-    Both tests use the steps of `_in_tongue`, and the margins cover every
-    rounding by which a bound could differ from that per-point test, so a
-    settled row gets its mask.
-    """
-    n = rows * _ROW
-    angles = angle[:n].reshape(rows, _ROW)
-    least, most = angles.min(axis=1), angles.max(axis=1)
-    wraps = (least < 0) & (most >= 0)
-    # theta is angle + 2*pi for negative angles, a nondecreasing map on each sign
-    a = (least + np.where(least < 0, 2 * np.pi, 0.0))[:, None]
-    b = (most + np.where(most < 0, 2 * np.pi, 0.0))[:, None]
-    near, distant = [], []
-    for c in (x0, x1):
-        c = c[:n].reshape(rows, _ROW)
-        lo, hi = c.min(axis=1), c.max(axis=1)
-        near.append(np.maximum(np.maximum(lo, -hi), 0.0))  # 0 when the row spans 0
-        distant.append(np.maximum(-lo, hi))
-    rho_lo = (np.hypot(*near) * (1.0 - _REL_MARGIN))[:, None]
-    rho_hi = (np.hypot(*distant) * (1.0 + _REL_MARGIN))[:, None]
-    level = _LEVEL_CONSTANTS[:, 2 : top + 1]
-    base, step = level[:2]
-
-    narrowest = _width(rho_hi, *level[1:]) * (1.0 - _REL_MARGIN)
-    widest = _width(rho_lo, *level[1:]) * (1.0 + _REL_MARGIN) + _GAP_MARGIN
-    (h_a, gap_a), (h_b, gap_b) = _nearest_center(a, base), _nearest_center(b, base)
-    all_free = (h_a == h_b) & (rho_lo >= step) & (np.maximum(gap_a, gap_b) + _GAP_MARGIN < narrowest)
-    # (h - 1)/2 of the first odd h >= (a - widest)/base and of the last <= (b + widest)/base
-    first_h = np.ceil(((a - widest) / base - 1.0) / 2.0)
-    last_h = np.floor(((b + widest) / base - 1.0) / 2.0)
-    none_free = (rho_hi < step) | (first_h > last_h)
-    return all_free.any(axis=1) & ~wraps, none_free.all(axis=1) & ~wraps
+    if top < 2:
+        return np.zeros(pts.shape[:-1], dtype=bool)
+    rho = np.hypot(x0, x1)
+    if reach > _MAX_RADIUS and rho.max() > _MAX_RADIUS:
+        bad = flat[np.argmax(rho)]
+        raise InputError(
+            f"parabola_free_region is exact only up to radius 2^40; got {bad.tolist()}"
+        )
+    return _free_block(np.arctan2(x1, x0), rho, top).reshape(pts.shape[:-1])
 
 
 def _free_block(angle, rho, top: int) -> np.ndarray:
@@ -544,8 +466,158 @@ def _width(rho, step, cap, c_k):
     return np.minimum(cap, c_k / np.sqrt(np.maximum(rho - step, 0.0) + 1.0))
 
 
+# The largest R of `_parabola_tube_average`: the rule is checked against its
+# doubled rule (1e-12 relative) up to here, and larger tubes are refused.
+_TUBE_MAX_RADIUS = 2.0**24
+# Gauss-Legendre nodes per radial panel.
+_TUBE_NODES = 12
+# A crossing of two edges is bracketed by a sign change on _CROSSING_GRID
+# equal cells of its panel, then bisected into _CROSSING_GRID parts per round:
+# _CROSSING_ROUNDS rounds in all place it within 32^-6 = 2^-30 of the panel.
+_CROSSING_GRID = 32
+_CROSSING_ROUNDS = 6
+
+
+def _parabola_tube_average(xi, r: float, R: float) -> float:
+    """The exact cylinder_average of parabola_example along the unit vector xi.
+
+    W is 1 off the tongues, and no tongue reaches below radius 4, so the part
+    of the tube inside B_rho0, rho0 = min(4, R) > r, counts whole: its area
+    is 2 (r sqrt(rho0^2 - r^2) + rho0^2 arcsin(r / rho0)). Past rho0 the tube
+    meets the circle of radius rho in two arcs of half-width alpha =
+    arcsin(r / rho) about the angles phi and phi + pi of xi. A turn by pi
+    maps the tongue set onto itself (h + 2^(k-1) is odd with h), so both arcs
+    leave the same measure 2 alpha - c(rho) uncovered, where c is the measure
+    of the union of the active tongues inside the arc (`_covered`). The
+    average is
+
+        (area(B_rho0 ∩ tube) + 2 integral_rho0^R rho (2 alpha - c(rho)) drho) / R,
+
+    by _TUBE_NODES-point Gauss-Legendre on each panel of `_tube_panels`, on
+    which the integrand is smooth. Integrating the uncovered measure, not the
+    tube's area less the covered part, keeps the digits of a decaying tube.
+    xi and -xi span the same tube; phi is taken from the one with x >= 0, so
+    both give the same float.
+
+    r >= 4, where the tube's core would meet tongues, and R above
+    _TUBE_MAX_RADIUS raise InputError before any work.
+    """
+    if not r < 4.0:
+        raise InputError(f"the parabola's exact tube average needs r < 4, got r = {r!r}")
+    if not R <= _TUBE_MAX_RADIUS:
+        raise InputError(
+            f"the parabola's exact tube average is verified up to R = 2^24, got R = {R!r}"
+        )
+    rho0 = min(4.0, R)
+    total = 2.0 * (r * math.sqrt(rho0 * rho0 - r * r) + rho0 * rho0 * math.asin(r / rho0))
+    if R > rho0:
+        x, y = (-xi[0], -xi[1]) if xi[0] < 0 else (xi[0], xi[1])  # -xi is the same tube
+        tongues = _arc_tongues(math.atan2(y, x), r, R)
+        edges = _tube_panels(tongues, r, rho0, R)
+        nodes, weights = gauss_legendre(_TUBE_NODES)
+        half = 0.5 * np.diff(edges)[:, None]
+        rho = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
+        alpha = np.arcsin(r / rho)
+        uncovered = (2.0 * alpha - _covered(rho, alpha, tongues)) * rho
+        total += 2.0 * float(np.sum(half * weights * uncovered.reshape(half.size, -1)))
+    return total / R
+
+
+def _arc_tongues(phi: float, r: float, R: float) -> np.ndarray:
+    """Rows offset, 2^k, 4^-k, c_k of the tongues that can meet the tube's arc
+    about the angle phi below radius R, each offset taken from phi.
+
+    At each level k with 2^k < R they are the odd center nearest phi and its
+    two neighbours, kept when their 4^-k window reaches the arc's widest
+    half-width, arcsin(r / 2^k), the one at the level's first radius. Every
+    other center lies 6 pi / 2^k or more from phi, beyond the arc for r < 4.
+    """
+    level = _LEVEL_CONSTANTS[:, 2:][:, _LEVEL_CONSTANTS[1, 2:] < R]
+    h = _nearest_center(phi, level[0])[0] + np.array([[-2.0], [0.0], [2.0]])
+    offset = level[0] * h - phi
+    near = np.abs(offset) <= np.arcsin(r / level[1]) + level[2]
+    return np.vstack([offset[near], np.broadcast_to(level[1:, None], (3,) + h.shape)[:, near]])
+
+
+def _tube_panels(tongues, r: float, rho0: float, R: float) -> np.ndarray:
+    """The edges rho0 < ... < R of the radial panels of `_parabola_tube_average`.
+
+    They are every power of two, where a level's tongues start; 2^(k+1) - 1
+    for each of the tongues' levels, where its width leaves its cap; radii
+    that double their distance to r up to 2 rho0, toward the branch point of
+    arcsin(r / rho) at r; and every radius where two edges cross inside the
+    arc (`_crossings`): an arc end -/+ alpha against a tongue edge offset -/+
+    width, or two tongue edges. Between them the order of every edge is
+    fixed, so c(rho) is one sum of edges. Every edge is monotone in rho, so
+    only pairs whose ranges on a panel meet each other and the arc, both
+    active there, are searched.
+    """
+    graded = r + (rho0 - r) * 2.0 ** np.arange(1, 60)
+    fixed = np.concatenate(
+        [[rho0, R], _LEVEL_CONSTANTS[1], 2.0 * tongues[1] - 1.0, graded[graded < 2 * rho0]]
+    )
+    fixed = np.unique(fixed[(fixed >= rho0) & (fixed <= R)])
+    # columns offset, sign, 2^k, 4^-k, c_k of each edge; 2^k = 0 marks the arc's ends
+    ends = [[0.0, 0.0], [-1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+    sides = np.insert(np.repeat(tongues, 2, axis=1), 1, np.tile([-1.0, 1.0], tongues.shape[1]), 0)
+    table = np.hstack([ends, sides])
+    at = _edges_at(table[:, :, None], fixed, r)
+    least, most = np.minimum(at[:, :-1], at[:, 1:]), np.maximum(at[:, :-1], at[:, 1:])
+    i, j = np.triu_indices(table.shape[1], 1)
+    lo, hi = fixed[:-1], fixed[1:]
+    bottom, top = np.maximum(least[i], least[j]), np.minimum(most[i], most[j])
+    meet = (bottom <= top) & (bottom <= at[1, :-1]) & (top >= at[0, :-1])
+    pair, panel = np.nonzero(meet & (np.maximum(table[2, i], table[2, j])[:, None] <= lo))
+    found = _crossings(table, i[pair], j[pair], lo[panel], hi[panel], r)
+    return np.unique(np.concatenate([fixed, found]))
+
+
+def _edges_at(columns, rho, r: float):
+    """The angles offset + sign * half-width of edges, given by their table
+    columns (offset, sign, 2^k, 4^-k, c_k), at the radii rho; an arc end's
+    half-width is alpha = arcsin(r / rho), a tongue's `_width`."""
+    offset, sign, step, cap, c_k = columns
+    half = np.where(step > 0, _width(rho, step, cap, c_k), np.arcsin(r / rho))
+    return offset + sign * half
+
+
+def _crossings(table, i, j, lo, hi, r: float) -> np.ndarray:
+    """The radii where edges i and j of `table` cross inside the brackets
+    [lo, hi]: each sign change of their difference on a grid of
+    _CROSSING_GRID cells of a bracket is a new bracket, _CROSSING_ROUNDS
+    times, and the last brackets' midpoints are returned."""
+    grid = np.linspace(0.0, 1.0, _CROSSING_GRID + 1)
+    pair = np.stack([i, j])[:, :, None]
+    for _ in range(_CROSSING_ROUNDS):
+        rho = lo[:, None] + (hi - lo)[:, None] * grid
+        first, second = _edges_at(table[:, pair], rho, r)
+        below = first <= second
+        b, g = np.nonzero(below[:, 1:] != below[:, :-1])
+        pair, lo, hi = pair[:, b], rho[b, g], rho[b, g + 1]
+    return 0.5 * (lo + hi)
+
+
+def _covered(rho, alpha, tongues) -> np.ndarray:
+    """c(rho): the measure of the union of the `tongues` (rows offset, 2^k,
+    4^-k, c_k) active at each radius rho inside the arc [-alpha, alpha].
+
+    Each tongue is clipped to the arc, an inactive one to nothing. Taken in
+    the order of their lower ends, each adds what it reaches past the highest
+    end before it (or -alpha): one sort and a running max.
+    """
+    offset, step, cap, c_k = tongues[:, :, None]
+    width = _width(rho, step, cap, c_k)
+    lo = np.maximum(offset - width, -alpha)
+    hi = np.where(rho >= step, np.minimum(offset + width, alpha), -alpha)
+    order = np.argsort(lo, axis=0)
+    lo, hi = np.take_along_axis(lo, order, 0), np.take_along_axis(hi, order, 0)
+    reached = np.maximum.accumulate(np.vstack([-alpha, hi]), axis=0)[:-1]
+    return np.sum(np.maximum(hi - np.maximum(lo, reached), 0.0), axis=0)
+
+
 def build_parabola_perturbation() -> Perturbation:
-    """Indicator perturbation with dyadic parabolic tongues removed (d = 2)."""
+    """Indicator perturbation with dyadic parabolic tongues removed (d = 2),
+    with its exact tube average (`_parabola_tube_average`)."""
 
     def evaluator(x):
         pts = np.asarray(x, dtype=float)
@@ -559,6 +631,7 @@ def build_parabola_perturbation() -> Perturbation:
         integrability_exponent=2.0,
         support_radius=np.inf,
         name="parabola_example",
+        tube_average=_parabola_tube_average,
     )
 
 

@@ -177,8 +177,10 @@ def test_a_single_radius_is_a_config_error(tmp_path, capsys):
 def test_a_radius_beyond_the_chord_limit_is_a_config_error(
     tmp_path, capsys, dimension, perturbation, grids
 ):
-    """R = 2^41 is finite, but its chord would need 2^44 midpoints (128 TiB);
-    the line (d = 1) and tube (d = 2) averages refuse it before allocating."""
+    """R = 2^41 is finite, but its chord would need 2^44 midpoints (128 TiB):
+    the line average (d = 1) refuses it before allocating, and the parabola's
+    exact tube average (d = 2) refuses any R past 2^24."""
+    refusal = "over the limit 2^24" if dimension == 1 else "verified up to R = 2^24"
     raw = {
         "experiment": "conditions",
         "dimension": dimension,
@@ -190,7 +192,33 @@ def test_a_radius_beyond_the_chord_limit_is_a_config_error(
     code = cli.main(["conditions", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG == 2
     err = capsys.readouterr().err
-    assert "R = 2199023255552.0" in err and "2^24" in err
+    assert "R = 2199023255552.0" in err and refusal in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "grids,refusal",
+    [
+        ({"radii": [64, 256], "tube_radius": 4.0}, "needs r < 4, got r = 4.0"),
+        ({"radii": [64, 2.0**25]}, "verified up to R = 2^24, got R = 33554432.0"),
+    ],
+)
+def test_the_parabola_refuses_a_tube_its_exact_average_does_not_cover(
+    tmp_path, capsys, grids, refusal
+):
+    """A tube radius of 4 would meet tongues inside the disc the closed form
+    counts whole; R = 2^25 lies past the radius it is verified to."""
+    raw = {
+        "experiment": "conditions",
+        "dimension": 2,
+        "potential": {"name": "zero"},
+        "perturbation": {"name": "parabola_example"},
+        "grids": dict(grids, directions=[[0.0, 1.0]]),
+    }
+    cfg = write_cfg(tmp_path, raw)
+    code = cli.main(["conditions", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert refusal in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -251,15 +251,32 @@ def test_the_layer_timer_charges_each_part_of_a_solve(monkeypatch):
     assert minimize._newton_steps is steps
 
 
-def test_the_layer_timer_counts_the_open_points_of_a_tube(monkeypatch):
-    """At R = 64 every point of a parabola tube reaches the exact pass; a W
-    other than the parabola sends none there. `_free_block` is restored."""
+def test_the_layer_timer_counts_the_open_points_of_a_tube(monkeypatch, capsys):
+    """The parabola's exact rule shows its panels and nodes, 12 per panel,
+    and no points. Sampled without its closed form, every point of a
+    parabola tube reaches the exact pass; a W other than the parabola sends
+    none there. `_free_block` and `_tube_panels` are restored."""
     tool = _layer_timer(monkeypatch)
-    free_block = potentials._free_block
+    free_block, tube_panels = potentials._free_block, potentials._tube_panels
     parabola = make_perturbation("parabola_example", 2)
-    assert tool.points_of(parabola, [np.cos(1.0), np.sin(1.0)], 0.5, 64.0) == (8192, 1, 8192)
+    sampled = dataclasses.replace(parabola, tube_average=None)
+    xi = [np.cos(1.0), np.sin(1.0)]
+    edges = tube_panels(potentials._arc_tongues(1.0, 0.5, 64.0), 0.5, 4.0, 64.0)
+    assert tool.panels_of(parabola, xi, 0.5, 64.0) == (edges.size - 1, 12 * (edges.size - 1))
+    assert tool.panels_of(parabola, xi, 0.5, 3.0) == (0, 0)
+    assert tool.points_of(sampled, xi, 0.5, 64.0) == (8192, 1, 8192)
     assert tool.points_of(make_perturbation("constant", 2), [0.0, 1.0], 0.5, 64.0) == (8192, 1, 0)
-    assert potentials._free_block is free_block
+    tool.print_tubes([("a", dict(W=parabola, xi=xi, r=0.5, R=64.0)),
+                      ("b", dict(W=sampled, xi=xi, r=0.5, R=64.0))])
+    header, exact, by_points = capsys.readouterr().out.splitlines()
+    assert header.split()[3:] == ["rule", "panels", "nodes", "points", "calls", "open", "ms",
+                                  "ns/point"]
+    assert exact.split()[4:10] == ["exact", str(edges.size - 1), str(12 * (edges.size - 1)),
+                                   "-", "-", "-"]
+    assert exact.split()[-1] == "-"
+    assert by_points.split()[4:9] == ["sampled", "-", "-", "8192", "1"]
+    assert by_points.split()[9] == "100.0%"
+    assert (potentials._free_block, potentials._tube_panels) == (free_block, tube_panels)
 
 
 def _counted(method, calls):

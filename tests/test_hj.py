@@ -196,6 +196,20 @@ def test_evolutionary_eps_reaches_y_off_the_grid_points():
     assert U.provenance["all_converged"]
 
 
+def test_a_grown_step_count_refines_the_seed_lattice():
+    """No count from 6 to 99 steps puts t = 0.37 on a step, so the seed
+    lattice takes 100. Its dx falls from 0.0125 to 0.000625, still a whole
+    fraction of the y spacing 0.1, so the slope step dx/h stays 1/16 (kept,
+    dx would make it 1.25, with 7 moves). The lattice field then lies within
+    the 6-step lattice's distance of the polished one (0.0159 at t = 1/3 and
+    1.0; 0.0376 with dx kept)."""
+    V = make_potential("sin2", 1)
+    x, y = np.linspace(-0.5, 0.5, 21), np.linspace(-2.0, 2.0, 41)
+    U = solve_evolutionary_eps(V, None, 0.2, lambda z: 0.5 * float(z @ z), x, [0.37, 1.0], y, OPT)
+    assert U.provenance["dp_lattice"] == {"states": 6402, "steps": 100, "moves": 89}
+    assert U.provenance["dp_sup_distance"] < 0.0159
+
+
 def test_free_particle_field_is_the_exact_minimum_over_y_grid():
     """With V = 0 the straight path is optimal, so the field is the closed-form
     minimum over y_grid of |x - y|^2 / t + Phi(y). The lattice's quantized

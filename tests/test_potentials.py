@@ -22,7 +22,6 @@ from homoglab import (
 )
 from homoglab.grid import mesh
 from homoglab.potentials import (
-    _ROW,
     _WINDOW_SLACK,
     PERTURBATION_BUILDERS,
     POTENTIAL_BUILDERS,
@@ -202,11 +201,13 @@ def test_cylinder_average_rejects_bad_inputs():
         cylinder_average(W1, [1.0], 0.5, 64.0)
 
 
-def _reference_cylinder_average(W, xi, r, R):
-    """cylinder_average by the plain per-chord loop, each chord's points built afresh."""
+def _reference_cylinder_average(W, xi, r, R, n_cross=16, n_axis=None):
+    """cylinder_average's sampled rule by the plain per-chord loop, each
+    chord's points built afresh; finer with more cells across (n_cross per
+    axis) or along (n_axis per chord, _chord_cells(R) by default)."""
     axis = np.asarray(xi, dtype=float) / np.linalg.norm(xi)
     basis = _householder_frame(axis)[:, 1:]
-    n_axis, n_cross = _chord_cells(R), 16
+    n_axis = n_axis or _chord_cells(R)
     offsets = mesh([midpoints(-r, r, n_cross)] * (W.dimension - 1))
     offsets = offsets[np.sum(offsets * offsets, axis=-1) < r * r]
     cell = (2 * r / n_cross) ** (W.dimension - 1)
@@ -238,11 +239,12 @@ WORKLOAD_DIRECTIONS = [
     "name, d", [("parabola_example", 2), ("runge_decay", 2), ("constant", 2), ("runge_decay", 3)]
 )
 def test_cylinder_average_is_the_per_chord_loop_bit_for_bit(name, d, R):
-    """Whole chords share a W call (up to 64 chords of 512 points at R = 64,
-    one chord of 32768 at R = 4096), yet each chord is summed alone, in its
-    own order. A 0/1 W hides the order of a sum; the continuous runge_decay,
-    whose last bits depend on it, is the case that checks it."""
-    W = make_perturbation(name, d)
+    """The sampled rule: whole chords share a W call (up to 64 chords of 512
+    points at R = 64, one chord of 32768 at R = 4096), yet each chord is
+    summed alone, in its own order. A 0/1 W hides the order of a sum; the
+    continuous runge_decay, whose last bits depend on it, is the case that
+    checks it. The parabola goes without its closed form, so it is sampled."""
+    W = dataclasses.replace(make_perturbation(name, d), tube_average=None)
     for xi in ([-1.0, 0.0], WORKLOAD_DIRECTIONS[0], WORKLOAD_DIRECTIONS[-1]):
         xi = xi + [0.0] * (d - 2)
         assert cylinder_average(W, xi, 0.5, R) == _reference_cylinder_average(W, xi, 0.5, R)
@@ -362,10 +364,9 @@ def test_parabola_free_region_on_chords_equals_the_per_level_loop(pts):
 
 
 def test_parabola_free_region_on_the_workload_tubes_equals_the_per_level_loop():
-    """Every array that cylinder_average hands to the parabola W for the
+    """Every array that the sampled rule hands to the parabola W for the
     lattice workload's tubes (five directions, R = 64 to 4096, r = 0.5): 3.5M
-    points in stacked chords, nearly all of them in rows that the row test
-    settles."""
+    points in stacked chords, in calls of up to 2^16 points."""
     W = make_perturbation("parabola_example", 2)
     seen = []
 
@@ -378,73 +379,38 @@ def test_parabola_free_region_on_the_workload_tubes_equals_the_per_level_loop():
     for xi in WORKLOAD_DIRECTIONS:
         direction = np.asarray(xi) / np.linalg.norm(xi)  # as the conditions runner passes it
         for R in (64.0, 256.0, 1024.0, 4096.0):
-            cylinder_average(dataclasses.replace(W, evaluator=checked), direction, 0.5, R)
+            sampled = dataclasses.replace(W, evaluator=checked, tube_average=None)
+            cylinder_average(sampled, direction, 0.5, R)
     assert len(seen) == 5 * (1 + 1 + 2 + 8) and sum(seen) == 5 * 16 * (512 + 2048 + 8192 + 32768)
 
 
-def test_parabola_free_region_in_chunks_is_the_mask_of_one_pass(monkeypatch):
-    """A call of more than _CHUNK points goes in chunks, each with its own rows
-    and its own last partial row; the mask is the same."""
-    t = np.linspace(-3000.0, 3000.0, 9 * _ROW + 37)[:, None]
+def test_parabola_free_region_on_long_lines_equals_the_per_level_loop():
+    """2341 points on each of two lines through the origin out to radius
+    3000, one generic and one beside a level-2 tongue's axis."""
+    t = np.linspace(-3000.0, 3000.0, 9 * 256 + 37)[:, None]
     pts = np.concatenate([t * [np.cos(1.0), np.sin(1.0)], t * [0.0, 1.0] + [0.25, 0.0]])
+    assert (parabola_free_region(pts) == _reference_free_region(pts)).all()
+
+
+def test_points_between_two_tongue_centers_are_free_only_at_the_centers():
+    """256 points at radius 2^9 from one level-8 tongue center to the next:
+    only the two end points lie in a tongue."""
+    pts = _polar(np.full(256, 512.0), 2 * np.pi / 256 * np.linspace(1.0, 3.0, 256))
     want = _reference_free_region(pts)
-    assert (parabola_free_region(pts) == want).all()
-    monkeypatch.setattr(potentials, "_CHUNK", 2 * _ROW)
-    assert (parabola_free_region(pts) == want).all()
-
-
-def test_each_chunk_takes_one_exact_pass(monkeypatch):
-    """The points the row test leaves open go to `_free_block` in one call per
-    chunk: one call for each R = 64 workload tube, whose 8192 points are all
-    open, and one per chunk when a smaller _CHUNK splits the same points."""
-    sizes = []
-    free_block = potentials._free_block
-
-    def counted(angle, rho, top):
-        sizes.append(angle.size)
-        return free_block(angle, rho, top)
-
-    monkeypatch.setattr(potentials, "_free_block", counted)
-    W = make_perturbation("parabola_example", 2)
-    tubes = []
-
-    def checked(x):
-        got = parabola_free_region(x)
-        assert (got == _reference_free_region(x)).all()
-        tubes.append(x.copy())
-        return np.where(got, 0.0, 1.0)
-
-    for xi in WORKLOAD_DIRECTIONS:
-        cylinder_average(dataclasses.replace(W, evaluator=checked), xi, 0.5, 64.0)
-    assert sizes == [8192] * len(WORKLOAD_DIRECTIONS)
-
-    monkeypatch.setattr(potentials, "_CHUNK", 3 * _ROW)
-    for x in tubes:
-        sizes.clear()
-        assert (parabola_free_region(x) == _reference_free_region(x)).all()
-        assert sizes == [3 * _ROW] * 10 + [2 * _ROW]
-
-
-def test_a_row_between_two_tongues_is_not_settled_free():
-    """The row's ends sit on two neighbouring level-8 tongue centers, at radius
-    2^9, and its other points lie in no tongue. Each end alone is free, so only
-    the check that both ends share one nearest center keeps the row open."""
-    pts = _polar(np.full(_ROW, 512.0), 2 * np.pi / 256 * np.linspace(1.0, 3.0, _ROW))
-    want = _reference_free_region(pts)
-    assert np.flatnonzero(want).tolist() == [0, _ROW - 1]
+    assert np.flatnonzero(want).tolist() == [0, 255]
     assert (parabola_free_region(pts) == want).all()
 
 
 @st.composite
-def _row_probes(draw):
-    """A full row of _ROW points whose angles or radii run in ulp steps away
-    from a tongue width, a window edge or the radius 2^k. The row starts a few
-    ulps inside or outside that boundary, or crosses it further in, so the
-    row's angle or radius bounds sit on the boundary of the per-point test.
+def _ulp_runs(draw):
+    """A run of 256 points whose angles or radii go in ulp steps away from a
+    tongue width, a window edge or the radius 2^k. The run starts a few ulps
+    inside or outside that boundary, or crosses it further in, so its least or
+    greatest angle or radius sits on the boundary of the per-point test.
 
     Half of the centers are ones whose float c does not divide back to h by
-    2*pi/2^k: there an angle bound taken in units of 2*pi/2^k is a rounding
-    away from the center. Levels 17 and 18 lie above the window table."""
+    2*pi/2^k, so the nearest-center step rounds there. Levels 17 and 18 lie
+    above the window table."""
     k = draw(st.integers(2, 18))
     pow2 = 2.0**k
     base = 2 * np.pi / pow2
@@ -456,7 +422,7 @@ def _row_probes(draw):
         h = odd[draw(st.integers(0, odd.size - 1))]
     center = base * h
     outward = draw(st.sampled_from([-1.0, 1.0]))
-    steps = outward * (np.arange(_ROW) - draw(st.integers(-3, 3) | st.integers(4, _ROW + 3)))
+    steps = outward * (np.arange(256) - draw(st.integers(-3, 3) | st.integers(4, 259)))
     if draw(st.booleans()):  # away from an angle, at radii near one rho
         rho = draw(
             st.sampled_from([pow2, np.nextafter(pow2, np.inf)]) | st.floats(pow2, 4 * pow2)
@@ -465,7 +431,7 @@ def _row_probes(draw):
         edge = center + outward * draw(st.sampled_from([width, 4.0**-k, 4.0**-k + _WINDOW_SLACK]))
         angles = edge + steps * np.spacing(edge)
         spread = draw(st.sampled_from([0.0, 3.0, 1e6]))
-        radii = rho + (np.arange(_ROW) % 7 - 3) * spread * np.spacing(rho)
+        radii = rho + (np.arange(256) % 7 - 3) * spread * np.spacing(rho)
     else:  # away from the radius 2^k, inside or at the edge of a tongue
         angles = center + draw(st.sampled_from([0.0, 0.5, 1.0])) * 4.0**-k
         radii = pow2 + steps * np.spacing(pow2)
@@ -473,11 +439,10 @@ def _row_probes(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_row_probes(), min_size=1, max_size=6), st.integers(0, 40))
-def test_the_row_test_settles_rows_on_a_boundary_exactly(rows, tail):
-    """Rows on a boundary get the per-level loop's mask, bit for bit; the
-    margins of the row test are what keep them from being settled wrongly."""
-    pts = np.concatenate(rows + [rows[0][:tail]])
+@given(st.lists(_ulp_runs(), min_size=1, max_size=6), st.integers(0, 40))
+def test_parabola_free_region_on_ulp_runs_at_a_boundary_equals_the_per_level_loop(runs, tail):
+    """Runs of points on a boundary get the per-level loop's mask, bit for bit."""
+    pts = np.concatenate(runs + [runs[0][:tail]])
     assert (parabola_free_region(pts) == _reference_free_region(pts)).all()
 
 
@@ -522,6 +487,114 @@ def test_parabola_rejects_radii_above_2_to_the_40():
         parabola_free_region(np.vstack([edge, far]))
     with pytest.raises(InputError):
         make_perturbation("parabola_example", 2).evaluator(np.array([[0.0, 2.0**41]]))
+
+
+# -- the parabola's exact tube average ----------------------------------------------------------
+
+
+def _unit(angle):
+    return [float(np.cos(angle)), float(np.sin(angle))]
+
+
+# (direction, r, R) of the tubes that the workload, the shipped config and the
+# tests average, and dyadic rays 2*pi*h/2^k at levels 2-6 up to the refusal radius.
+_TUBES = (
+    [(np.asarray(xi) / np.linalg.norm(xi), 0.5, R)
+     for xi in WORKLOAD_DIRECTIONS for R in (64.0, 256.0, 1024.0, 4096.0)]
+    + [(xi, 0.5, R) for xi in ([1.0, 0.0], [0.0, 1.0]) for R in (4.0, 16.0)]
+    + [([0.0, 1.0], 1.0, R) for R in (64.0, 256.0)]
+    + [(_unit(2 * np.pi * h / 2.0**k), 0.5, 2.0**e)
+       for k in range(2, 7) for h in (1, 2**k - 3) for e in (8, 12, 16, 20, 24)]
+)
+
+
+def test_the_exact_tube_average_agrees_with_its_doubled_rule(monkeypatch):
+    """Every tube within 1e-12 relative of 24 Gauss-Legendre nodes per panel."""
+    W = make_perturbation("parabola_example", 2)
+    values = [cylinder_average(W, xi, r, R) for xi, r, R in _TUBES]
+    monkeypatch.setattr(potentials, "_TUBE_NODES", 24)
+    for (xi, r, R), value in zip(_TUBES, values):
+        assert cylinder_average(W, xi, r, R) == pytest.approx(value, rel=1e-12, abs=0.0), (xi, r, R)
+
+
+def test_the_exact_tube_average_reproduces_the_polar_table():
+    W = make_perturbation("parabola_example", 2)
+    table = [([0.0, 1.0], 64.0, 0.16460505), ([0.0, 1.0], 4096.0, 0.00257195),
+             (_unit(np.pi / 4), 64.0, 0.98801728), (_unit(1.0), 4096.0, 1.99624349),
+             (_unit(np.pi / 4), 4096.0, 0.01874125)]
+    for xi, R, want in table:
+        assert cylinder_average(W, xi, 0.5, R) == pytest.approx(want, abs=5e-9)
+
+
+@pytest.mark.parametrize(
+    "angle", [np.pi / 2, np.pi / 4, 3 * np.pi / 8, 2 * np.pi * 5 / 32, 1.0, -2.0]
+)
+def test_the_covered_measure_is_the_free_share_of_each_arc(angle):
+    """c(rho) against the share of 4096 angle midpoints of each arc that
+    parabola_free_region marks free, at radii just below and above each 2^k,
+    at each 2^(k+1) - 1 and at every other panel edge (the crossings). On
+    2^k itself the points' rounded radii fall on either side. The midpoints
+    miss at most 1/4096 of the arc at each edge they cross."""
+    r, R = 0.5, 2.0**16
+    tongues = potentials._arc_tongues(angle, r, R)
+    edges = potentials._tube_panels(tongues, r, 4.0, R)
+    powers = 2.0 ** np.arange(2, 16)
+    radii = np.concatenate([powers * (1 - 1e-9), powers * (1 + 1e-9), 2 * powers - 1, edges])
+    radii = radii[(radii >= 4.0) & ~np.isin(radii, 2.0 ** np.arange(2, 17))]
+    alpha = np.arcsin(r / radii)
+    covered = potentials._covered(radii, alpha, tongues)
+    share = midpoints(-1.0, 1.0, 4096)
+    for rho, a, c in zip(radii, alpha, covered):
+        for center in (angle, angle + np.pi):
+            free = parabola_free_region(_polar(rho, center + a * share))
+            assert abs(2 * a * free.mean() - c) <= 2 * a * (2 * tongues.shape[1] + 1) / 4096
+    assert covered.max() > 0 or tongues.shape[1] == 0
+
+
+def test_the_sampled_rule_is_within_its_first_order_error_of_the_exact_value():
+    """The sampled rule (16 transverse cells, 4 cells per unit length) is
+    within 0.5% of the exact value on the workload tubes, and the same rule
+    with 4 and 16 times as many cells both across and along closes in on it
+    at R = 64."""
+    W = make_perturbation("parabola_example", 2)
+    sampled = dataclasses.replace(W, tube_average=None)
+    for xi in WORKLOAD_DIRECTIONS:
+        for R in (64.0, 256.0, 1024.0, 4096.0):
+            exact = cylinder_average(W, xi, 0.5, R)
+            assert cylinder_average(sampled, xi, 0.5, R) == pytest.approx(exact, rel=5e-3)
+    for xi in ([0.0, 1.0], _unit(3 * np.pi / 8)):
+        exact = cylinder_average(W, xi, 0.5, 64.0)
+        errors = [abs(_reference_cylinder_average(W, xi, 0.5, 64.0, n, 128 * m) - exact)
+                  for n, m in ((16, 4), (64, 16), (256, 64))]
+        assert errors[2] < errors[1] < errors[0] and errors[2] < 0.25 * errors[0], errors
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    angle=st.floats(-np.pi, np.pi),
+    r=st.floats(0.05, 3.95),
+    log_R=st.floats(0.0, 24.0),
+)
+def test_the_exact_tube_average_is_symmetric_and_bounded(angle, r, log_R):
+    """Mirroring (x, y) -> (x, -y) and turning xi to -xi keep the value to
+    1e-14; it lies between 0 and the whole tube's area over R."""
+    R = max(2.0**log_R, 1.01 * r)
+    W = make_perturbation("parabola_example", 2)
+    xi = np.array(_unit(angle))
+    value = cylinder_average(W, xi, r, R)
+    for other in (xi * [1.0, -1.0], -xi):
+        assert cylinder_average(W, other, r, R) == pytest.approx(value, rel=1e-14, abs=0.0)
+    whole = 2 * (r * np.sqrt(R * R - r * r) + R * R * np.arcsin(r / R)) / R
+    assert 0.0 <= value <= whole * (1 + 1e-14)
+
+
+def test_the_exact_tube_average_refuses_r_from_4_and_R_past_2_to_the_24():
+    W = make_perturbation("parabola_example", 2)
+    assert cylinder_average(W, [0.0, 1.0], 3.999, 2.0**24) > 0
+    with pytest.raises(InputError, match="needs r < 4, got r = 4.0"):
+        cylinder_average(W, [0.0, 1.0], 4.0, 64.0)
+    with pytest.raises(InputError, match=r"verified up to R = 2\^24, got R = 16777217.0"):
+        cylinder_average(W, [0.0, 1.0], 0.5, 2.0**24 + 1)
 
 
 def test_lp_unif_estimate_raises_on_nan_integral():

@@ -11,6 +11,7 @@ from homoglab.potentials import _LP_BALL
 from homoglab.quadrature import (
     ball_rule,
     exp_interval_weights,
+    gauss_legendre,
     interval_samples,
     midpoint_offsets,
     midpoints,
@@ -99,6 +100,19 @@ def test_sphere_and_ball_rules_measure_the_unit_sphere_and_ball(d, sphere, ball)
     assert float(np.sum(wts)) == pytest.approx(ball, rel=_midpoint_error(d))
     W = make_perturbation("constant", d, value=1.0)
     assert lp_unif_estimate(W, np.zeros((2, d))) == pytest.approx(ball, rel=_midpoint_error(d))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 24])
+def test_gauss_legendre_integrates_every_polynomial_of_degree_below_2n(n):
+    """Every monomial x^j, j < 2n, to 1e-14; ascending nodes, symmetric about
+    0, and read-only arrays, built once."""
+    nodes, weights = gauss_legendre(n)
+    for j in range(2 * n):
+        assert weights @ nodes**j == pytest.approx((1 + (-1) ** j) / (j + 1), abs=1e-14)
+    assert np.all(np.diff(nodes) > 0) and np.all(weights > 0)
+    np.testing.assert_allclose(nodes, -nodes[::-1], rtol=0, atol=1e-15)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    assert gauss_legendre(n)[0] is nodes
 
 
 def test_sphere_rule_and_lp_estimate_reject_dimension_four():

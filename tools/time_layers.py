@@ -32,11 +32,13 @@ the process waited. Each line:
   `value_and_samples`: the trial steps and the starts' first values) and
   the rest of `_solve` (its bookkeeping), then the whole time per sweep in
   us (total / sweeps). Each call is charged to its outermost part;
-- a tube average's direction, R, the number of points its chords hand to W,
-  the number of W calls they take (whole chords share a call), the share of
-  those points that the parabola's row test leaves open for the exact
-  `potentials._free_block` pass (0% for any other W), the time in ms and
-  that time per point in ns.
+- a tube average's direction, R, its rule and the time in ms. A W with a
+  closed form `tube_average` reads `exact`, with the parabola's radial
+  panels and Gauss-Legendre nodes. A sampled W reads `sampled`, with the
+  number of points its chords hand to W, the number of W calls they take
+  (whole chords share a call), the share of those points that reach the
+  parabola's exact `potentials._free_block` pass (0% for any other W), and
+  the time per point in ns.
 
 No benchmark span isolates one sweep or one solve, and the
 `potentials.cylinder_average` span sums a workload's calls, so this is how
@@ -226,9 +228,9 @@ def print_solves(calls):
 
 
 def points_of(W, xi, r, R):
-    """(points, calls, open): the points one tube average hands to W's
-    evaluator, the evaluator calls it takes to hand them, and the points that
-    reach `potentials._free_block`."""
+    """(points, calls, open): the points one sampled tube average hands to
+    W's evaluator, the evaluator calls it takes to hand them, and the points
+    that reach `potentials._free_block`."""
     seen, reached = [], []
     free_block = potentials._free_block
 
@@ -248,15 +250,40 @@ def points_of(W, xi, r, R):
     return sum(seen), len(seen), sum(reached)
 
 
+def panels_of(W, xi, r, R):
+    """(panels, nodes): the radial panels of one exact parabola tube average
+    (none when R <= 4) and its Gauss-Legendre nodes."""
+    panels = [0]
+    tube_panels = potentials._tube_panels
+
+    def counting(*args):
+        edges = tube_panels(*args)
+        panels[0] = edges.size - 1
+        return edges
+
+    potentials._tube_panels = counting
+    try:
+        potentials.cylinder_average(W, xi, r, R)
+    finally:
+        potentials._tube_panels = tube_panels
+    return panels[0], panels[0] * potentials._TUBE_NODES
+
+
 def print_tubes(calls):
-    print(f"{'call':<20} {'direction':>22} {'R':>6} {'points':>8} {'calls':>5} {'open':>6}"
-          "         ms  ns/point")
+    print(f"{'call':<20} {'direction':>22} {'R':>6} {'rule':>7} {'panels':>6} {'nodes':>5}"
+          f" {'points':>8} {'calls':>5} {'open':>6}         ms  ns/point")
     for label, call in calls:
         ms = min_ms(potentials.cylinder_average, lambda: call)
-        points, evaluations, reached = points_of(**call)
         direction = "(" + ", ".join(f"{v:.4f}" for v in call["xi"]) + ")"
-        print(f"{label:<20} {direction:>22} {call['R']:>6g} {points:>8} {evaluations:>5}"
-              f" {100 * reached / points:>5.1f}%  {ms:>9.2f}  {1e6 * ms / points:>8.1f}")
+        line = f"{label:<20} {direction:>22} {call['R']:>6g}"
+        if call["W"].tube_average is not None:
+            panels, nodes = panels_of(**call)
+            print(f"{line} {'exact':>7} {panels:>6} {nodes:>5} {'-':>8} {'-':>5} {'-':>6}"
+                  f"  {ms:>9.2f}  {'-':>8}")
+        else:
+            points, evaluations, reached = points_of(**call)
+            print(f"{line} {'sampled':>7} {'-':>6} {'-':>5} {points:>8} {evaluations:>5}"
+                  f" {100 * reached / points:>5.1f}%  {ms:>9.2f}  {1e6 * ms / points:>8.1f}")
 
 
 def main(argv=None) -> int:
