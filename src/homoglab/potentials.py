@@ -20,7 +20,6 @@ return shape (...). For d = 1 a bare (...) array is also accepted.
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -198,7 +197,7 @@ def eval_hamiltonian(V: PeriodicPotential, W: Optional[Perturbation], x, p):
 def _chord_cells(R: float) -> int:
     """Midpoints on a chord of length 2R: 4 per unit length, at least 64, at
     most 2^24 (R <= 2^21; a chord's 1D array of positions then holds 128 MiB,
-    and cylinder_average's (n, d) point buffer 128*d MiB)."""
+    and each of cylinder_average's (d, n) chord arrays 128*d MiB)."""
     n = max(64.0, np.ceil(8 * R))
     if not n <= 2**24:
         raise InputError(f"R = {R} needs {n:.0f} chord midpoints, over the limit 2^24 (R <= 2^21)")
@@ -234,11 +233,6 @@ def _householder_frame(direction: np.ndarray) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v)
 
 
-# Points per W call of cylinder_average's sampled rule: as many whole chords
-# as fit (one chord when a chord alone is longer).
-_CHUNK = 2**16
-
-
 def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     """(1/R) * integral of W over B_R intersected with the radius-r tube along xi.
 
@@ -250,21 +244,19 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     up to the O((r/R)^2) chord correction, approaching
     2*c*omega_{d-1}*r^{d-1} as R grows.
 
-    Chords go to W in groups: one (m * n, d) buffer holds as many whole chords
-    of n points as fit in _CHUNK, filled with t * axis_j + (basis @ z)_j,
-    the same two roundings per element as a freshly built chord. The buffer
-    is column-major, so each coordinate is one contiguous array to fill and
-    to read. W is called once per group; one row sum of the (m, n) values
-    gives each chord its own pairwise sum, added in chord order, so the total
-    is the per-chord loop's float for every W whose value at a point does not
-    depend on the other points of the call.
+    W gets one chord per call: the transpose of a column-major (d, n) array
+    of points t * axis_j + (basis @ z)_j, each coordinate one contiguous row.
+    An xi with a non-finite entry or norm raises InputError.
     """
     if W.dimension < 2:
         raise InputError("cylinder_average requires dimension >= 2")
     if not (0 < r < R):
         raise InputError("need 0 < r < R")
     direction = np.asarray(xi, dtype=float)
-    norm = np.linalg.norm(direction)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+        norm = np.linalg.norm(direction)
+    if not np.isfinite(norm):
+        raise InputError(f"xi must be finite with a finite norm; got {direction.tolist()}")
     if norm == 0:
         raise InputError("xi must be a nonzero direction")
     axis = direction / norm
@@ -279,25 +271,13 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
     offsets = mesh([midpoints(-r, r, n_cross)] * (d - 1))
     offsets = offsets[np.sum(offsets * offsets, axis=-1) < r * r]
     cell = (2 * r / n_cross) ** (d - 1)
-    # one z at a time, with the roundings of a chord built on its own
-    half_chords = np.sqrt([max(R * R - float(z @ z), 0.0) for z in offsets])
-    shifts = np.array([basis @ z for z in offsets])
 
     total = 0.0
     rel = midpoints(-1.0, 1.0, n_axis)
-    group = max(1, _CHUNK // n_axis)
-    columns = np.empty((d, min(group, len(offsets)) * n_axis))
-    for first in range(0, len(offsets), group):
-        chords = slice(first, first + group)
-        m = min(group, len(offsets) - first)
-        t = rel * half_chords[chords, None]
-        for j in range(d):
-            column = columns[j, : m * n_axis].reshape(m, n_axis)
-            np.multiply(t, axis[j], out=column)
-            column += shifts[chords, j, None]
-        chord_sums = W.evaluator(columns[:, : m * n_axis].T).reshape(m, n_axis).sum(axis=1)
-        for chord_sum, half_chord in zip(chord_sums.tolist(), half_chords[chords]):
-            total += chord_sum * (2 * half_chord / n_axis) * cell
+    for z in offsets:
+        half_chord = math.sqrt(max(R * R - float(z @ z), 0.0))
+        chord = np.multiply.outer(axis, rel * half_chord) + (basis @ z)[:, None]
+        total += float(W.evaluator(chord.T).sum()) * (2 * half_chord / n_axis) * cell
     return total / R
 
 
@@ -331,12 +311,6 @@ def lp_unif_estimate(W: Perturbation, centers) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Levels whose windows `_tongue_windows` lists (2^16 windows at most). Points
-# at radius >= 2^17 are also tested at every higher level their radius reaches.
-_TABLE_TOP = 16
-# Padding of each listed window (rad): far above the rounding of its ends,
-# far below the narrowest listed window, 4^-16.
-_WINDOW_SLACK = 1e-12
 # The largest radius the float64 tongue test is trusted at. Past about 2^44
 # the angle's ulp nears the level spacing 2*pi/2^k, and random directions start
 # to read as inside a tongue (0.3% at 2^44, 14% at 2^50; none at 2^40).
@@ -352,31 +326,6 @@ _LEVEL_CONSTANTS = np.array(
 ).T
 
 
-@lru_cache(maxsize=None)
-def _tongue_windows(top: int):
-    """(ends, cover): the angular windows of the tongue levels 2..top.
-
-    The level-k windows are [2*pi*h/2^k -/+ (4^{-k} + slack)], h odd, moved
-    into arctan2's range (-pi, pi]. `ends` holds all their ends in increasing
-    order, and cover[i] is the bitmask (bit k for level k) of the windows that
-    hold [ends[i-1], ends[i]). Windows of one level are disjoint, but those of
-    different levels overlap. Both arrays are read-only.
-    """
-    ends, steps = [], []
-    for k in range(2, top + 1):
-        centers = (2 * np.pi / 2.0**k) * np.arange(1.0, 2.0**k, 2.0)
-        centers[centers > np.pi] -= 2 * np.pi
-        half = 4.0 ** (-k) + _WINDOW_SLACK
-        ends += [centers - half, centers + half]
-        steps += [np.full(centers.size, 1 << k), np.full(centers.size, -(1 << k))]
-    ends, steps = np.concatenate(ends), np.concatenate(steps)
-    order = np.argsort(ends, kind="stable")
-    ends = ends[order]
-    cover = np.concatenate([[0], np.cumsum(steps[order])]).astype(np.int32)
-    ends.flags.writeable = cover.flags.writeable = False
-    return ends, cover
-
-
 def parabola_free_region(x: np.ndarray) -> np.ndarray:
     """Boolean mask of points inside some level-k tongue (where W vanishes).
 
@@ -384,62 +333,36 @@ def parabola_free_region(x: np.ndarray) -> np.ndarray:
     at radius rho belongs to the level-k tongue when rho >= 2^k and its
     angular offset is below min(4^{-k}, c_k/sqrt(rho - 2^k + 1)) with
     c_k = 4^{-k} 2^{k/2}, so each tongue stays inside its 4^{-k} angular
-    window while widening like sqrt(rho) in transverse size. The mask is the
-    one of testing every point at every level 2^k <= max rho, bit for bit.
+    window while widening like sqrt(rho) in transverse size.
 
-    The levels tested are 2..top, the last with 2^top <= max|x_0| + max|x_1|
-    (a bound on every radius); a level above every radius marks nothing.
-    Every point passes two stages in one `_free_block` call. Table: a cached
-    sorted table of angular windows gives the levels whose window holds each
-    point. Per level: only those (point, level) pairs get `_in_tongue`.
+    Every point gets `_in_tongue` at every level k with 2^k <= max rho; the
+    angle is computed only when max rho >= 4, as no level opens below it.
     Non-finite points, and points of radius above 2^40 (where the float64
     angle test stops being exact), raise InputError.
     """
     pts = np.asarray(x, dtype=float)
     flat = pts.reshape(-1, pts.shape[-1])
     x0, x1 = flat[:, 0], flat[:, 1]
-    far = [float(np.max(np.abs(c))) if c.size else 0.0 for c in (x0, x1)]
-    if not np.isfinite(far).all():
-        bad = flat[np.argmin(np.isfinite(x0) & np.isfinite(x1))]
+    finite = np.isfinite(x0) & np.isfinite(x1)
+    if not finite.all():
+        bad = flat[np.argmin(finite)]
         raise InputError(f"parabola_free_region needs finite points; got {bad.tolist()}")
-    reach = (far[0] + far[1]) * (1.0 + 2.0**-40)  # margin for the rounding of hypot
-    top = 1
-    while top < _MAX_LEVEL and 2.0 ** (top + 1) <= reach:
-        top += 1
-    if top < 2:
-        return np.zeros(pts.shape[:-1], dtype=bool)
     rho = np.hypot(x0, x1)
-    if reach > _MAX_RADIUS and rho.max() > _MAX_RADIUS:
+    free = np.zeros(rho.shape, dtype=bool)
+    rho_max = float(rho.max()) if rho.size else 0.0
+    if rho_max > _MAX_RADIUS:
         bad = flat[np.argmax(rho)]
         raise InputError(
             f"parabola_free_region is exact only up to radius 2^40; got {bad.tolist()}"
         )
-    return _free_block(np.arctan2(x1, x0), rho, top).reshape(pts.shape[:-1])
-
-
-def _free_block(angle, rho, top: int) -> np.ndarray:
-    """The table and per-level stages for points of arctan2 angle `angle` and
-    radius rho < 2^(top+1), with the windows of `_tongue_windows(min(top,
-    _TABLE_TOP))`. lo ends lie at or below the least angle and those from hi
-    on above the greatest, so a point's count of ends at or below its angle
-    is lo plus its count in ends[lo:hi] (cover[lo] for all when hi == lo). A
-    point in a level-k tongue lies within 4^{-k} of its center, so a level
-    whose padded window misses it marks nothing there; levels above
-    _TABLE_TOP test every point.
-    """
-    theta = angle + np.where(angle < 0, 2 * np.pi, 0.0)  # np.mod(angle, 2*pi), bit for bit
-    ends, cover = _tongue_windows(min(top, _TABLE_TOP))
-    lo, hi = np.searchsorted(ends, [angle.min(), angle.max()], side="right")
-    bits = cover.take(lo + np.searchsorted(ends[lo:hi], angle, side="right"))
-    listed = int(np.bitwise_or.reduce(bits))  # the levels whose windows hold some point
-    free = np.zeros(angle.shape, dtype=bool)
-    for k in range(2, top + 1):
-        if k > _TABLE_TOP:
+    if rho_max >= 4.0:
+        angle = np.arctan2(x1, x0)
+        theta = angle + np.where(angle < 0, 2 * np.pi, 0.0)  # np.mod(angle, 2*pi), bit for bit
+        k = 2
+        while 2.0**k <= rho_max:
             free |= _in_tongue(theta, rho, k)
-        elif listed >> k & 1:
-            pt = np.flatnonzero(bits & (1 << k))
-            free[pt[_in_tongue(theta.take(pt), rho.take(pt), k)]] = True
-    return free
+            k += 1
+    return free.reshape(pts.shape[:-1])
 
 
 def _in_tongue(theta, rho, k: int) -> np.ndarray:

@@ -22,7 +22,6 @@ from homoglab import (
 )
 from homoglab.grid import mesh
 from homoglab.potentials import (
-    _WINDOW_SLACK,
     PERTURBATION_BUILDERS,
     POTENTIAL_BUILDERS,
     _chord_cells,
@@ -199,6 +198,12 @@ def test_cylinder_average_rejects_bad_inputs():
     W1 = make_perturbation("constant", 1, value=1.0)
     with pytest.raises(InputError):
         cylinder_average(W1, [1.0], 0.5, 64.0)
+    # a non-finite entry, or a norm that overflows, is refused before the
+    # parabola's closed form or any sampling
+    for name in ("parabola_example", "runge_decay"):
+        for xi in ([np.nan, 1.0], [np.inf, 0.0], [1e308, 1e308]):
+            with pytest.raises(InputError, match="finite norm"):
+                cylinder_average(make_perturbation(name, 2), xi, 0.5, 64.0)
 
 
 def _reference_cylinder_average(W, xi, r, R, n_cross=16, n_axis=None):
@@ -239,11 +244,10 @@ WORKLOAD_DIRECTIONS = [
     "name, d", [("parabola_example", 2), ("runge_decay", 2), ("constant", 2), ("runge_decay", 3)]
 )
 def test_cylinder_average_is_the_per_chord_loop_bit_for_bit(name, d, R):
-    """The sampled rule: whole chords share a W call (up to 64 chords of 512
-    points at R = 64, one chord of 32768 at R = 4096), yet each chord is
-    summed alone, in its own order. A 0/1 W hides the order of a sum; the
-    continuous runge_decay, whose last bits depend on it, is the case that
-    checks it. The parabola goes without its closed form, so it is sampled."""
+    """The sampled rule, one W call per chord of 512 to 32768 points. A 0/1 W
+    hides the order of a sum; the continuous runge_decay, whose last bits
+    depend on it, is the case that checks it. The parabola goes without its
+    closed form, so it is sampled."""
     W = dataclasses.replace(make_perturbation(name, d), tube_average=None)
     for xi in ([-1.0, 0.0], WORKLOAD_DIRECTIONS[0], WORKLOAD_DIRECTIONS[-1]):
         xi = xi + [0.0] * (d - 2)
@@ -301,8 +305,7 @@ def _polar(rho, angle):
 @st.composite
 def _tongue_probes(draw):
     """Points at a level's tongue center, window edge or width, a few ulp either side,
-    at radii at, just below, just above and past 2^k. Levels 17 and 18 lie above
-    the window table."""
+    at radii at, just below, just above and past 2^k."""
     k = draw(st.integers(2, 18))
     h = 2 * draw(st.integers(0, 2 ** (k - 1) - 1)) + 1
     pow2 = 2.0**k
@@ -338,15 +341,15 @@ def _parabola_batches(draw):
 @st.composite
 def _chord_batches(draw):
     """Points along one chord, as cylinder_average lays them out. The chord
-    crosses radius rho at an angle a (a tongue center, a window end give or
-    take a few ulps, a generic angle, or pi), heading out from the origin,
-    across, along (0, 1), along (-1, 0) or generically. So a block's angles
+    crosses radius rho at an angle a (a tongue center, a 4^-k window end give
+    or take a few ulps, a generic angle, or pi), heading out from the origin,
+    across, along (0, 1), along (-1, 0) or generically. So a call's angles
     span one window, none, a window end, or (through the origin, or across
     the negative x axis where arctan2 jumps from pi to -pi) most of the
-    circle. Radii past 2^17 reach levels above the window table."""
+    circle."""
     k = draw(st.integers(2, 18))
     center = 2 * np.pi / 2.0**k * (2 * draw(st.integers(0, 2 ** (k - 1) - 1)) + 1)
-    half = 4.0 ** (-k) + _WINDOW_SLACK
+    half = 4.0 ** (-k)
     a = draw(st.sampled_from([center, center - half, center + half, 1.0, np.pi]))
     a += draw(st.integers(-3, 3)) * np.spacing(a)
     heading = draw(st.sampled_from([a, a + np.pi / 2, np.pi / 2, np.pi, 1.0]))
@@ -366,7 +369,7 @@ def test_parabola_free_region_on_chords_equals_the_per_level_loop(pts):
 def test_parabola_free_region_on_the_workload_tubes_equals_the_per_level_loop():
     """Every array that the sampled rule hands to the parabola W for the
     lattice workload's tubes (five directions, R = 64 to 4096, r = 0.5): 3.5M
-    points in stacked chords, in calls of up to 2^16 points."""
+    points, one call per chord."""
     W = make_perturbation("parabola_example", 2)
     seen = []
 
@@ -381,7 +384,7 @@ def test_parabola_free_region_on_the_workload_tubes_equals_the_per_level_loop():
         for R in (64.0, 256.0, 1024.0, 4096.0):
             sampled = dataclasses.replace(W, evaluator=checked, tube_average=None)
             cylinder_average(sampled, direction, 0.5, R)
-    assert len(seen) == 5 * (1 + 1 + 2 + 8) and sum(seen) == 5 * 16 * (512 + 2048 + 8192 + 32768)
+    assert len(seen) == 5 * 4 * 16 and sum(seen) == 5 * 16 * (512 + 2048 + 8192 + 32768)
 
 
 def test_parabola_free_region_on_long_lines_equals_the_per_level_loop():
@@ -404,13 +407,12 @@ def test_points_between_two_tongue_centers_are_free_only_at_the_centers():
 @st.composite
 def _ulp_runs(draw):
     """A run of 256 points whose angles or radii go in ulp steps away from a
-    tongue width, a window edge or the radius 2^k. The run starts a few ulps
+    tongue width, a 4^-k window edge or the radius 2^k. The run starts a few ulps
     inside or outside that boundary, or crosses it further in, so its least or
     greatest angle or radius sits on the boundary of the per-point test.
 
     Half of the centers are ones whose float c does not divide back to h by
-    2*pi/2^k, so the nearest-center step rounds there. Levels 17 and 18 lie
-    above the window table."""
+    2*pi/2^k, so the nearest-center step rounds there."""
     k = draw(st.integers(2, 18))
     pow2 = 2.0**k
     base = 2 * np.pi / pow2
@@ -428,7 +430,7 @@ def _ulp_runs(draw):
             st.sampled_from([pow2, np.nextafter(pow2, np.inf)]) | st.floats(pow2, 4 * pow2)
         )
         width = min(4.0**-k, 4.0**-k * 2.0 ** (k / 2.0) / np.sqrt(max(rho - pow2, 0.0) + 1.0))
-        edge = center + outward * draw(st.sampled_from([width, 4.0**-k, 4.0**-k + _WINDOW_SLACK]))
+        edge = center + outward * draw(st.sampled_from([width, 4.0**-k]))
         angles = edge + steps * np.spacing(edge)
         spread = draw(st.sampled_from([0.0, 3.0, 1e6]))
         radii = rho + (np.arange(256) % 7 - 3) * spread * np.spacing(rho)

@@ -34,11 +34,8 @@ the process waited. Each line:
   us (total / sweeps). Each call is charged to its outermost part;
 - a tube average's direction, R, its rule and the time in ms. A W with a
   closed form `tube_average` reads `exact`, with the parabola's radial
-  panels and Gauss-Legendre nodes. A sampled W reads `sampled`, with the
-  number of points its chords hand to W, the number of W calls they take
-  (whole chords share a call), the share of those points that reach the
-  parabola's exact `potentials._free_block` pass (0% for any other W), and
-  the time per point in ns.
+  panels and Gauss-Legendre nodes. A sampled W reads `sampled` (no workload
+  tube is sampled).
 
 No benchmark span isolates one sweep or one solve, and the
 `potentials.cylinder_average` span sums a workload's calls, so this is how
@@ -46,7 +43,6 @@ each of these layers is measured on its own.
 """
 
 import argparse
-import dataclasses
 import inspect
 import os
 import sys
@@ -227,29 +223,6 @@ def print_solves(calls):
               + f" {1e3 * least[0] / sweeps:>9.1f}")
 
 
-def points_of(W, xi, r, R):
-    """(points, calls, open): the points one sampled tube average hands to
-    W's evaluator, the evaluator calls it takes to hand them, and the points
-    that reach `potentials._free_block`."""
-    seen, reached = [], []
-    free_block = potentials._free_block
-
-    def counting(x):
-        seen.append(x.shape[0])
-        return W.evaluator(x)
-
-    def reaching(angle, rho, top):
-        reached.append(angle.size)
-        return free_block(angle, rho, top)
-
-    potentials._free_block = reaching
-    try:
-        potentials.cylinder_average(dataclasses.replace(W, evaluator=counting), xi, r, R)
-    finally:
-        potentials._free_block = free_block
-    return sum(seen), len(seen), sum(reached)
-
-
 def panels_of(W, xi, r, R):
     """(panels, nodes): the radial panels of one exact parabola tube average
     (none when R <= 4) and its Gauss-Legendre nodes."""
@@ -271,19 +244,16 @@ def panels_of(W, xi, r, R):
 
 def print_tubes(calls):
     print(f"{'call':<20} {'direction':>22} {'R':>6} {'rule':>7} {'panels':>6} {'nodes':>5}"
-          f" {'points':>8} {'calls':>5} {'open':>6}         ms  ns/point")
+          "         ms")
     for label, call in calls:
         ms = min_ms(potentials.cylinder_average, lambda: call)
         direction = "(" + ", ".join(f"{v:.4f}" for v in call["xi"]) + ")"
         line = f"{label:<20} {direction:>22} {call['R']:>6g}"
         if call["W"].tube_average is not None:
             panels, nodes = panels_of(**call)
-            print(f"{line} {'exact':>7} {panels:>6} {nodes:>5} {'-':>8} {'-':>5} {'-':>6}"
-                  f"  {ms:>9.2f}  {'-':>8}")
+            print(f"{line} {'exact':>7} {panels:>6} {nodes:>5}  {ms:>9.2f}")
         else:
-            points, evaluations, reached = points_of(**call)
-            print(f"{line} {'sampled':>7} {'-':>6} {'-':>5} {points:>8} {evaluations:>5}"
-                  f" {100 * reached / points:>5.1f}%  {ms:>9.2f}  {1e6 * ms / points:>8.1f}")
+            print(f"{line} {'sampled':>7} {'-':>6} {'-':>5}  {ms:>9.2f}")
 
 
 def main(argv=None) -> int:
