@@ -264,11 +264,11 @@ def test_the_layer_timer_shows_the_panels_of_a_tube(monkeypatch, capsys):
     assert tool.panels_of(parabola, xi, 0.5, 3.0) == (0, 0)
     tool.print_tubes([("a", dict(W=parabola, xi=xi, r=0.5, R=64.0)),
                       ("b", dict(W=sampled, xi=xi, r=0.5, R=64.0))])
-    header, exact, by_points = capsys.readouterr().out.splitlines()
+    header, exact, sampled_row = capsys.readouterr().out.splitlines()
     assert header.split()[3:] == ["rule", "panels", "nodes", "ms"]
     assert exact.split()[4:7] == ["exact", str(edges.size - 1), str(12 * (edges.size - 1))]
-    assert by_points.split()[4:7] == ["sampled", "-", "-"]
-    assert all(float(line.split()[-1]) > 0 for line in (exact, by_points))
+    assert sampled_row.split()[4:7] == ["sampled", "-", "-"]
+    assert all(float(line.split()[-1]) > 0 for line in (exact, sampled_row))
     assert potentials._tube_panels is tube_panels
 
 
