@@ -3,16 +3,18 @@
 The homogenized Lagrangian is computed three ways. `cell_value_1d` is the
 exact one-dimensional value from the conservation law of the cell flow.
 `solve_corrector_1d` solves the one-dimensional cell problem by Newton over
-one period; `tabulate_f_hom` uses it in d = 1, and its profile warm-starts
-the d = 1 stability runs. `f_hom_asymptotic` (and so `tabulate_f_hom` in
-d >= 2, and the stability target in every dimension) works in any
-dimension: it sums `cell_value_1d` over the axes of a potential with an
-axis factor (every registry potential but `sin2_coupled` in d >= 2), and
-otherwise takes the normalized minimum over growing windows [0, T]. A Newton value is a certified
-upper bound: it is the action of an explicit admissible periodic trajectory.
-A window value is one only when T * xi is a lattice vector, which the ladder
-arranges for every xi with q * xi integral for some q <= 16; at other slopes
-the ladder can fall below f_hom and its `monotone` diagnostic may read False.
+one period, from the affine start alone, and certifies the basin it reached
+against `cell_value_1d`; `tabulate_f_hom` uses it in d = 1, and its profile
+warm-starts the d = 1 stability runs. `f_hom_asymptotic` (and so
+`tabulate_f_hom` in d >= 2, and the stability target in every dimension)
+works in any dimension: it sums `cell_value_1d` over the axes of a
+potential with an axis factor (every registry potential but `sin2_coupled`
+in d >= 2), and otherwise takes the normalized minimum over growing windows
+[0, T]. A Newton value is a certified upper bound: it is the action of an
+explicit admissible periodic trajectory. A window value is one only when
+T * xi is a lattice vector, which the ladder arranges for every xi with
+q * xi integral for some q <= 16; at other slopes the ladder can fall below
+f_hom and its `monotone` diagnostic may read False.
 
 On top of the tables, this module builds the quasiperiodic piecewise-affine
 almost-corrector plans (ergodic shifts aligning the potential's period along
@@ -23,7 +25,7 @@ bounds for the perturbed functionals.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,6 +54,10 @@ __all__ = [
 ]
 
 _CELL_OPT = OptimizerSpec(max_iters=2000, restarts=3)
+# A d = 1 Newton cell value minus the exact one must lie in this window, times
+# max(1, |f_1|): below it one of the two is wrong, above it the lone start
+# stopped in a basin other than the minimum's.
+_EXACT_GAP_WINDOW = (-1e-12, 1e-3)
 # Midpoint-convexity defects above this send a table through its lower convex envelope.
 _CONVEXITY_TOL = 1e-6
 
@@ -96,23 +102,38 @@ def solve_corrector_1d(
     xi: float,
     opt: OptimizerSpec = _CELL_OPT,
 ) -> CorrectorProfile:
-    """One-dimensional periodic cell problem at slope xi != 0.
+    """One-dimensional periodic cell problem at a finite slope xi != 0.
 
     Minimizes |xi| * integral over [0, 1/|xi|] of |w'|^2 + V(w) over paths
     with w(0) = 0, w(1/|xi|) = sign(xi); the substitution w = v + t*xi turns
-    the corrector problem into this fixed boundary-value problem. The result
-    is sandwiched: xi^2 + v_min <= cell_value <= xi^2 + v_max, and never
-    exceeds the zero-corrector (affine path) value.
+    the corrector problem into this fixed boundary-value problem, on
+    max(65, ceil(48/|xi|) + 1) nodes (InputError above 2^20). Newton runs
+    from the affine start alone: opt's restarts and seed are not used. The
+    result is sandwiched: xi^2 + v_min <= cell_value <= xi^2 + v_max, and
+    never exceeds the zero-corrector (affine path) value. Its basin is
+    certified against the exact value f_1 = `cell_value_1d` of V: the gap
+    cell_value - f_1 must lie in [-1e-12, 1e-3] * max(1, |f_1|), else
+    InvariantError. A V with two equal wells per period, which the exact
+    value does not resolve, raises SolverError. meta holds `exact_value`
+    and `exact_gap`.
     """
     if V.dimension != 1:
         raise InputError("solve_corrector_1d requires a one-dimensional potential")
     xi = float(xi)
+    if not math.isfinite(xi):
+        raise InputError(f"xi must be finite, got {xi}")
     if xi == 0.0:
         raise InputError("xi must be nonzero; the zero-slope value is v_min")
     T = 1.0 / abs(xi)
+    if not math.isfinite(T):
+        raise InputError(f"the window T = 1/|xi| at xi={xi} is not finite")
+    if not 48.0 * T <= 2**20 - 1:
+        raise InputError(
+            f"need 2 to 2^20 nodes, got {math.ceil(48 * T) + 1} (window T = 1/|xi| at xi={xi})"
+        )
     n_nodes = max(65, int(math.ceil(48 * T)) + 1)
     target = math.copysign(1.0, xi)
-    traj, value = minimize_bvp(V, None, 1.0, 0.0, T, 0.0, target, n_nodes, opt)
+    traj, value = minimize_bvp(V, None, 1.0, 0.0, T, 0.0, target, n_nodes, replace(opt, restarts=0))
     cell_value = abs(xi) * value
 
     affine = Trajectory.affine([0.0], [target], 0.0, T, n_nodes - 1)
@@ -120,9 +141,23 @@ def solve_corrector_1d(
     if cell_value > zero_profile_value + 1e-12 * max(1.0, abs(zero_profile_value)):
         raise InvariantError(f"descent at xi={xi} returned a value above the zero-corrector bound")
     _check_sandwich(cell_value, xi, V.v_min, V.v_max)
+    exact = cell_value_1d(lambda s: V.evaluator(s[..., None]), xi)
+    gap = cell_value - exact
+    lo, hi = (bound * max(1.0, abs(exact)) for bound in _EXACT_GAP_WINDOW)
+    if not lo <= gap <= hi:
+        raise InvariantError(
+            f"Newton cell value {cell_value!r} at xi={xi} is {gap:.2e} from the exact "
+            f"value {exact!r}, outside {_EXACT_GAP_WINDOW} * max(1, |f_1|)"
+        )
 
     profile = _profile_from_path(traj.times, traj.nodes.copy(), np.array([xi]))
-    meta = {"n_nodes": n_nodes, "zero_profile_value": zero_profile_value, **traj.meta}
+    meta = {
+        "n_nodes": n_nodes,
+        "zero_profile_value": zero_profile_value,
+        "exact_value": exact,
+        "exact_gap": gap,
+        **traj.meta,
+    }
     return CorrectorProfile(np.array([xi]), T, profile, cell_value, meta)
 
 
@@ -166,9 +201,11 @@ def cell_value_1d(v, xi) -> float:
     values agree to 1e-13 relative to max(1, f_1); otherwise SolverError.
     It resolves one well per period: a second well of the same depth shows
     up as levels that disagree. A v constant at every node gives
-    min v + xi^2 exactly. NumPy only.
+    min v + xi^2 exactly. A non-finite xi raises InputError. NumPy only.
     """
     speed = abs(float(xi))
+    if not math.isfinite(speed):
+        raise InputError(f"xi must be finite, got {xi}")
     w0, low = _factor_minimum(v)
     if speed == 0.0:
         return low
@@ -418,7 +455,9 @@ def tabulate_f_hom(
     """Tabulate the homogenized Lagrangian on a symmetric slope grid.
 
     The dimension picks the method, recorded as meta["method"]: in d = 1
-    ("1d") one Newton cell problem per slope; in d >= 2 ("asymptotic")
+    ("1d") one `solve_corrector_1d` per slope, a single Newton start
+    certified against the exact value, the largest Newton - exact gap
+    recorded as meta["max_exact_gap"]; in d >= 2 ("asymptotic")
     `f_hom_asymptotic` per slope, so a potential with an axis factor gets
     exact separable values and any other the window ladder. The grid must
     contain 0 and be symmetric under sign flip per axis. The slope-0 value
@@ -431,6 +470,7 @@ def tabulate_f_hom(
     flat = mesh(axes)
     values = np.empty(flat.shape[0])
     converged = True
+    gaps = []
     for i, point in enumerate(flat):
         speed = float(np.linalg.norm(point))
         if speed == 0.0:
@@ -439,6 +479,7 @@ def tabulate_f_hom(
             prof = solve_corrector_1d(V, float(point[0]), opt)
             values[i] = prof.cell_value
             converged &= prof.meta["converged"]
+            gaps.append(prof.meta["exact_gap"])
         else:
             values[i], diagnostics = f_hom_asymptotic(V, point, opt)
             converged &= diagnostics["converged"]
@@ -450,6 +491,8 @@ def tabulate_f_hom(
         False,
         {"potential": V.name, "method": method, "converged": converged},
     )
+    if gaps:
+        table.meta["max_exact_gap"] = max(gaps)
     count, worst = table.convexity_violations(_CONVEXITY_TOL)
     table.meta["convexity_violations"] = count
     table.meta["convexity_worst"] = worst

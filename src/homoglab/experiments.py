@@ -396,7 +396,11 @@ class ExperimentConfig:
         )
 
     def cell_optimizer(self) -> OptimizerSpec:
-        """optimizer() with the cell solves' iteration cap and at least 3 restarts."""
+        """optimizer() with the cell solves' iteration cap and at least 3 restarts.
+
+        The restarts serve the d >= 2 window solves and the almost-corrector
+        block; `solve_corrector_1d` runs its affine start alone, certified
+        against the exact value."""
         s = self.data["solver"]
         return replace(
             self.optimizer(), max_iters=int(s["cell_max_iters"]), restarts=max(3, int(s["restarts"]))

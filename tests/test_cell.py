@@ -22,6 +22,7 @@ from homoglab import (
     InputError,
     InvariantError,
     OptimizerSpec,
+    PeriodicPotential,
     SolverError,
     Trajectory,
     cell_value_1d,
@@ -128,6 +129,84 @@ def test_free_potential_cell_value_is_squared_speed(cell_opt, zero_1d):
 def test_corrector_rejects_zero_slope(cell_opt, sin2_1d):
     with pytest.raises(InputError):
         solve_corrector_1d(sin2_1d, 0.0, opt=cell_opt)
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf, -1e-320, 1e-5])
+def test_corrector_refuses_a_slope_without_a_window_before_any_work(
+    cell_opt, sin2_1d, xi, monkeypatch
+):
+    """A non-finite slope, a T = 1/|xi| that overflows (-1e-320) and a window
+    of more than 2^20 nodes (1e-5: 4.8e6) are InputErrors, raised before the
+    node count is rounded or anything is solved."""
+
+    def no_solve(*args):
+        raise AssertionError("solved a refused slope")
+
+    monkeypatch.setattr(homoglab.cell, "minimize_bvp", no_solve)
+    with pytest.raises(InputError, match="finite|2\\^20 nodes"):
+        solve_corrector_1d(sin2_1d, xi, opt=cell_opt)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["zero", "constant", "sin2", "cos_sum", "sin2_coupled"]),
+    speed=st.floats(0.05, 4.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_corrector_is_one_certified_start_whatever_the_seed(name, speed, sign):
+    """The d = 1 solve runs the affine start alone: its gap to the exact value
+    lies in the certified window, and neither opt.seed nor opt.restarts moves
+    a bit of the profile or the value."""
+    V = make_potential(name, 1)
+    xi = sign * speed
+    prof = solve_corrector_1d(V, xi, OptimizerSpec(max_iters=2000, restarts=3, seed=2))
+    other = solve_corrector_1d(V, xi, OptimizerSpec(max_iters=2000, restarts=0, seed=11))
+    exact = cell_value_1d(V.factor, xi)
+    lo, hi = homoglab.cell._EXACT_GAP_WINDOW
+    assert prof.meta["exact_value"] == exact
+    assert prof.meta["exact_gap"] == prof.cell_value - exact
+    assert lo * max(1.0, abs(exact)) <= prof.meta["exact_gap"] <= hi * max(1.0, abs(exact))
+    assert other.cell_value == prof.cell_value
+    np.testing.assert_array_equal(other.profile.nodes, prof.profile.nodes)
+    np.testing.assert_array_equal(other.profile.times, prof.profile.times)
+
+
+def test_corrector_stuck_on_the_affine_path_is_an_invariant_error(cell_opt, sin2_1d, monkeypatch):
+    """At xi = 1 the affine path is 1.5 - 1.469 = 3.1e-2 above the exact
+    value, far outside the window: a solve that returns it is refused, naming
+    xi and both values, though it passes the zero-corrector and sandwich checks."""
+
+    def affine_solver(V, W, eps, t0, t1, a, b, n_nodes, opt):
+        path = Trajectory.affine([a], [b], t0, t1, n_nodes - 1)
+        return path, homoglab.cell.action_F(path, V, eps)
+
+    monkeypatch.setattr(homoglab.cell, "minimize_bvp", affine_solver)
+    exact = cell_value_1d(sin2_1d.factor, 1.0)
+    with pytest.raises(InvariantError, match=f"at xi=1.0 .* exact value {exact!r}"):
+        solve_corrector_1d(sin2_1d, 1.0, opt=cell_opt)
+
+
+def _two_wells():
+    """v(w) = sin^2(2 pi w): two equal wells per period, at 0 and 1/2."""
+    return PeriodicPotential(
+        1,
+        lambda x: np.sin(2 * np.pi * x[..., 0]) ** 2,
+        v_min=0.0,
+        v_max=1.0,
+        gradient=lambda x: 2 * np.pi * np.sin(4 * np.pi * x),
+        name="two_wells",
+        hessian=lambda x: (8 * np.pi**2 * np.cos(4 * np.pi * x))[..., None],
+    )
+
+
+def test_a_table_of_two_equal_wells_is_a_solver_error(cell_opt):
+    """The exact value resolves one well per period, so the certificate of the
+    slope 0.25 fails as a SolverError and no table is returned. The slope 0.5,
+    where the two wells' peaks are resolved, is certified."""
+    V = _two_wells()
+    assert solve_corrector_1d(V, 0.5, opt=cell_opt).meta["exact_gap"] < 1e-3
+    with pytest.raises(SolverError, match="levels differ"):
+        tabulate_f_hom(V, np.linspace(-0.5, 0.5, 5), opt=cell_opt)
 
 
 def test_sandwich_bounds_on_table(cell_opt, sin2_1d):
@@ -288,6 +367,8 @@ def test_sin2_table_converged_and_matches_conservation_oracle(sin2_1d):
     assert table.meta["converged"]
     oracle = [conserved_energy_value(v, s) if s != 0.0 else 0.0 for s in xi]
     np.testing.assert_allclose(table.values, oracle, rtol=0.0, atol=1e-4)
+    exact = np.array([cell_value_1d(sin2_1d.factor, s) for s in xi])
+    assert table.meta["max_exact_gap"] == np.max((table.values - exact)[xi != 0.0])
 
 
 # -- the exact one-dimensional cell value ---------------------------------------
@@ -365,6 +446,15 @@ def test_cell_value_1d_at_small_slopes_is_the_flat_bottom_line(name, xi):
     assert cell_value_1d(v, xi) == pytest.approx(2.0 * xi * root_mean, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])
+def test_cell_value_1d_refuses_a_non_finite_slope_before_any_work(xi):
+    def v(w):
+        raise AssertionError("evaluated v at a refused slope")
+
+    with pytest.raises(InputError, match="finite"):
+        cell_value_1d(v, xi)
+
+
 def test_cell_value_1d_raises_where_the_levels_disagree():
     # Two wells per period: the rule clusters its nodes at one of them only.
     with pytest.raises(SolverError, match="levels differ"):
@@ -395,3 +485,4 @@ def test_sin2_table_in_d2_is_the_exact_separable_sum():
     reference = one_d[:, None] + one_d[None, :]
     np.testing.assert_allclose(table.values, reference, rtol=0.0, atol=1e-10)
     assert not table.envelope_applied
+    assert "max_exact_gap" not in table.meta

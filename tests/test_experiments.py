@@ -163,6 +163,34 @@ def test_every_benchmark_config_parses(seed):
             assert callable(getattr(experiments, runner))
 
 
+def test_the_output_comparer_lists_every_changed_value(tmp_path, capsys):
+    """tools/compare_outputs.py, loaded from its file, on two hand-made trees:
+    each changed number with its signed ulps, a key on one side only, and
+    nothing for an identical file or one that is not .json or .csv."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, value, extra in ((old, 1.0, {}), (new, 1.0000000000000004, {"gap": 2e-5})):
+        (root / "a").mkdir(parents=True)
+        table = {"meta": {"method": "1d", **extra}, "values": [0.5, value, "x"]}
+        (root / "a" / "f.json").write_text(json.dumps(table))
+        (root / "rows.csv").write_text(f"xi,f\n0.5,{value!r}\n1.0,nan\n")
+        (root / "same.json").write_text("[1.0]")
+        (root / "log.txt").write_text(repr(value))
+    tool.list_changed_values(old, new)
+    assert capsys.readouterr().out.splitlines() == [
+        "a/f.json:",
+        "  meta.gap: '(absent)' -> 2e-05",
+        "  values[1]: 1.0 -> 1.0000000000000004 (+2 ulps)",
+        "rows.csv:",
+        "  row 1 f: 1.0 -> 1.0000000000000004 (+2 ulps)",
+    ]
+    assert tool.ulps(-0.0, 0.0) == 0 and tool.ulps(1.0, 0.9999999999999999) == -1
+    assert tool.ulps(-5e-324, 5e-324) == 2
+
+
 def _layer_timer(monkeypatch):
     """tools/time_layers.py, loaded from its file; it prepends src/ and bench/
     to sys.path, which monkeypatch restores."""
