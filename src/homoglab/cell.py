@@ -25,7 +25,7 @@ bounds for the perturbed functionals.
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +53,7 @@ __all__ = [
     "scaled_corrector_start",
 ]
 
-_CELL_OPT = OptimizerSpec(max_iters=2000, restarts=3)
+_CELL_OPT = OptimizerSpec(max_iters=2000)
 # A d = 1 Newton cell value minus the exact one must lie in this window, times
 # max(1, |f_1|): below it one of the two is wrong, above it the lone start
 # stopped in a basin other than the minimum's.
@@ -108,7 +108,7 @@ def solve_corrector_1d(
     with w(0) = 0, w(1/|xi|) = sign(xi); the substitution w = v + t*xi turns
     the corrector problem into this fixed boundary-value problem, on
     max(65, ceil(48/|xi|) + 1) nodes (InputError above 2^20). Newton runs
-    from the affine start alone: opt's restarts and seed are not used. The
+    from the affine start alone, as every pinned solve with no warm start. The
     result is sandwiched: xi^2 + v_min <= cell_value <= xi^2 + v_max, and
     never exceeds the zero-corrector (affine path) value. Its basin is
     certified against the exact value f_1 = `cell_value_1d` of V: the gap
@@ -133,7 +133,7 @@ def solve_corrector_1d(
         )
     n_nodes = max(65, int(math.ceil(48 * T)) + 1)
     target = math.copysign(1.0, xi)
-    traj, value = minimize_bvp(V, None, 1.0, 0.0, T, 0.0, target, n_nodes, replace(opt, restarts=0))
+    traj, value = minimize_bvp(V, None, 1.0, 0.0, T, 0.0, target, n_nodes, opt)
     cell_value = abs(xi) * value
 
     affine = Trajectory.affine([0.0], [target], 0.0, T, n_nodes - 1)
@@ -836,6 +836,9 @@ def build_recovery_trajectory(
     jumps; a short straight closing run lands exactly on xi/eps. The whole
     time axis is rescaled onto [0, 1/eps] and then mapped to macroscopic
     coordinates, so the result certifies an upper bound through its action.
+    A connector whose graded time steps vanish in those times (a jump near
+    1e-8 between nearly parallel pieces) is left out: its piece starts where
+    the path is.
     """
     if W.dimension != plan.dimension:
         raise InputError("perturbation and plan dimensions disagree")
@@ -851,64 +854,35 @@ def build_recovery_trajectory(
     t_run = min(1.0, 0.25 * t_end)
     t_core = t_end - t_run
 
-    pieces = _plan_pieces(plan, t_core)
-    times_chunks = [np.array([0.0])]
-    node_chunks = [np.zeros((1, plan.dimension))]
-    cursor = 0.0
-    pos = np.zeros(plan.dimension)
+    legs = []  # (shifted start, shifted end, duration) of each piece
     z_used = []
     w_integrals = []
-    connector_count = 0
-    connector_meta = []
-
-    for k, (t_a, t_b, slope) in enumerate(pieces):
+    for k, (t_a, t_b, slope) in enumerate(_plan_pieces(plan, t_core)):
         x_a = t_a * xi + plan.profile(np.array([t_a]))[0]
         x_b = t_b * xi + plan.profile(np.array([t_b]))[0]
-        full = slope + xi
         if k == 0 or eta_tube == 0.0:
             z_cands = np.zeros((1, plan.dimension))
         else:
-            z_cands = _tube_shift_candidates(full, eta_tube)
+            z_cands = _tube_shift_candidates(slope + xi, eta_tube)
         integrals = _piece_w_integral(x_a, x_b, t_b - t_a, z_cands, W, m)
         pick = int(np.argmin(integrals))
         z = z_cands[pick]
         z_used.append(z.tolist())
         w_integrals.append(float(integrals[pick]))
+        legs.append((x_a + z, x_b + z, t_b - t_a))
 
-        entry = x_a + z
-        gap = float(np.linalg.norm(entry - pos))
-        if gap > 1e-12:
-            conn = build_connector(pos, entry, alpha, W)
-            duration = float(conn.times[-1] - conn.times[0])
-            times_chunks.append(cursor + (conn.times[1:] - conn.times[0]))
-            node_chunks.append(conn.nodes[1:])
-            cursor += duration
-            pos = conn.nodes[-1]
-            connector_count += 1
-            connector_meta.append(
-                {"r": conn.meta["r"], "kinetic": conn.meta["kinetic_integral"]}
-            )
-        n_sub = max(2, int(math.ceil(2.0 * (t_b - t_a))))
-        frac = np.linspace(0.0, 1.0, n_sub + 1)[1:]
-        seg_nodes = entry[None, :] * (1 - frac)[:, None] + (x_b + z)[None, :] * frac[:, None]
-        times_chunks.append(cursor + (t_b - t_a) * frac)
-        node_chunks.append(seg_nodes)
-        cursor += t_b - t_a
-        pos = x_b + z
-
-    target = t_end * xi
-    n_sub = max(2, int(math.ceil(4.0 * t_run)))
-    frac = np.linspace(0.0, 1.0, n_sub + 1)[1:]
-    times_chunks.append(cursor + t_run * frac)
-    node_chunks.append(pos[None, :] * (1 - frac)[:, None] + target[None, :] * frac[:, None])
-    cursor += t_run
-
-    times = np.concatenate(times_chunks) * (t_end / cursor)
-    nodes = np.concatenate(node_chunks, axis=0)
-    macro_times = times * eps
+    skip = set()  # the pieces whose connector is left out
+    while True:
+        times, nodes, cursor, connectors = _join_legs(legs, t_run, t_end * xi, alpha, W, skip)
+        macro_times = times * (t_end / cursor) * eps
+        macro_times[0] = 0.0
+        macro_times[-1] = 1.0
+        flat = np.flatnonzero(np.diff(macro_times) <= 0) + 1
+        vanished = {k for k, lo, hi, _ in connectors if np.any((flat >= lo) & (flat <= hi))}
+        if not vanished:
+            break
+        skip |= vanished
     macro_nodes = nodes * eps
-    macro_times[0] = 0.0
-    macro_times[-1] = 1.0
     macro_nodes[0] = 0.0
     macro_nodes[-1] = xi
     return Trajectory(
@@ -920,11 +894,50 @@ def build_recovery_trajectory(
             "alpha": alpha,
             "z_shifts": z_used,
             "piece_w_integrals": w_integrals,
-            "connector_count": connector_count,
-            "connectors": connector_meta,
+            "connector_count": len(connectors),
+            "connectors": [record for *_, record in connectors],
             "raw_micro_duration": float(cursor),
         },
     )
+
+
+def _join_legs(legs, t_run, target, alpha, W, skip):
+    """(times, nodes, duration, connectors) of the raw path along `legs`, with a
+    cusp connector (piece, first and last time index, {r, kinetic}) across each
+    jump, except before a piece in `skip`, then a straight run to target."""
+    d = target.shape[0]
+    times_chunks = [np.array([0.0])]
+    node_chunks = [np.zeros((1, d))]
+    cursor, size = 0.0, 1
+    pos = np.zeros(d)
+    connectors = []
+    for k, (entry, end, duration) in enumerate(legs):
+        if float(np.linalg.norm(entry - pos)) > 1e-12:
+            if k in skip:
+                entry = pos
+            else:
+                conn = build_connector(pos, entry, alpha, W)
+                times_chunks.append(cursor + (conn.times[1:] - conn.times[0]))
+                node_chunks.append(conn.nodes[1:])
+                cursor += float(conn.times[-1] - conn.times[0])
+                pos = conn.nodes[-1]
+                record = {"r": conn.meta["r"], "kinetic": conn.meta["kinetic_integral"]}
+                connectors.append((k, size, size + conn.times.size - 2, record))
+                size += conn.times.size - 1
+        n_sub = max(2, int(math.ceil(2.0 * duration)))
+        frac = np.linspace(0.0, 1.0, n_sub + 1)[1:]
+        node_chunks.append(entry[None, :] * (1 - frac)[:, None] + end[None, :] * frac[:, None])
+        times_chunks.append(cursor + duration * frac)
+        size += n_sub
+        cursor += duration
+        pos = end
+
+    n_sub = max(2, int(math.ceil(4.0 * t_run)))
+    frac = np.linspace(0.0, 1.0, n_sub + 1)[1:]
+    times_chunks.append(cursor + t_run * frac)
+    node_chunks.append(pos[None, :] * (1 - frac)[:, None] + target[None, :] * frac[:, None])
+    cursor += t_run
+    return np.concatenate(times_chunks), np.concatenate(node_chunks, axis=0), cursor, connectors
 
 
 def scaled_corrector_start(

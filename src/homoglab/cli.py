@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="output directory (default: config output_dir, else '.')",
         )
         cmd.add_argument(
-            "--seed", type=int, default=None, help="override the config seed"
+            "--seed", type=int, default=None, help="override the config seed, a provenance label"
         )
     return parser
 

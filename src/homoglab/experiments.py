@@ -2,10 +2,12 @@
 
 Each runner takes an ExperimentConfig (one JSON document), executes its rows
 in order, and returns a Report that writes report.json, rows.csv, and any
-value-field CSVs. Outputs are bit-identical across runs with the same config
-and seed: seeding is explicit, floats are emitted via repr, JSON keys are
-sorted, and nothing records wall-clock time. Runners ignore their `threads`
-argument: a thread pool over rows measured slower than the serial loop.
+value-field CSVs. Outputs are bit-identical across runs with the same config:
+no solver draws a random number, floats are emitted via repr, JSON keys are
+sorted, and nothing records wall-clock time. The config's `seed` and
+`solver.restarts` are checked and recorded in the provenance, but no number
+depends on them. Runners ignore their `threads` argument: a thread pool over
+rows measured slower than the serial loop.
 
 Settings that no config varied are fixed in code, not read from it: the
 recovery construction and the L^p exponent here, the quadrature resolution
@@ -18,7 +20,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -246,7 +248,7 @@ class ExperimentConfig:
 
     The normalized dict is the hashing surface: two configs with the same
     normalized content produce the same config_hash and therefore the same
-    outputs for the same seed.
+    outputs; two that differ only in seed produce the same rows.
     """
 
     data: dict
@@ -388,23 +390,12 @@ class ExperimentConfig:
         return make_initial_datum(spec["name"], self.dimension, **spec["params"])
 
     def optimizer(self) -> OptimizerSpec:
-        s = self.data["solver"]
-        return OptimizerSpec(
-            max_iters=int(s["max_iters"]),
-            restarts=int(s["restarts"]),
-            seed=self.seed,
-        )
+        return OptimizerSpec(max_iters=int(self.data["solver"]["max_iters"]))
 
     def cell_optimizer(self) -> OptimizerSpec:
-        """optimizer() with the cell solves' iteration cap and at least 3 restarts.
-
-        The restarts serve the d >= 2 window solves and the almost-corrector
-        block; `solve_corrector_1d` runs its affine start alone, certified
-        against the exact value."""
-        s = self.data["solver"]
-        return replace(
-            self.optimizer(), max_iters=int(s["cell_max_iters"]), restarts=max(3, int(s["restarts"]))
-        )
+        """The optimizer of the cell solves: the d = 1 corrector, the d >= 2
+        windows and the almost-corrector block, capped at cell_max_iters."""
+        return OptimizerSpec(max_iters=int(self.data["solver"]["cell_max_iters"]))
 
     def dp_grid(self) -> DPGrid:
         g = self.data["grids"]["dp"]

@@ -18,7 +18,7 @@ and serialize deterministically to CSV.
 """
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,7 +47,7 @@ __all__ = [
     "field_distance",
 ]
 
-_HJ_OPT = OptimizerSpec(max_iters=800, restarts=2)
+_HJ_OPT = OptimizerSpec(max_iters=800)
 # The evolutionary polish tries the lattice's argmin y and its y_grid
 # neighbours: the lattice's quantized kinetic cost can rank adjacent y wrongly.
 _Y_NEIGHBOURS = np.array([0, -1, 1])
@@ -226,7 +226,6 @@ def solve_evolutionary_eps(
     lattice, states, seeds = _lattice_seeds(
         V, W, eps, x_mesh[:, 0], t_grid[-1], t_grid, y, phi_vals
     )
-    polish = replace(opt, restarts=0)
     values = np.empty((x_mesh.shape[0], t_grid.size))
     dp_distance, records = 0.0, []
     for j, (t, (dp_values, path)) in enumerate(zip(t_grid, seeds)):
@@ -239,7 +238,7 @@ def solve_evolutionary_eps(
         warm = (warm[None, :, :, 0] + tilt).reshape(-1, 1, nodes_count, 1)
         vals, _, _ = minimize_bvp_batch(
             V, W, eps, 0.0, t, y_mesh[ys.reshape(-1)], np.tile(x_mesh, (ys.shape[0], 1)),
-            nodes_count, polish, warm_starts_per_problem=warm, records=records,
+            nodes_count, opt, warm_starts_per_problem=warm, records=records,
         )
         values[:, j] = np.min(vals.reshape(ys.shape) + phi_vals[ys], axis=0)
         dp_distance = max(dp_distance, float(np.max(np.abs(values[:, j] - dp_values))))

@@ -2,8 +2,9 @@
 
 Two independent routes to the same minima live here, on purpose:
 
-* damped Newton over trajectory nodes (multi-start, deterministic seeding,
-  boundary nodes pinned exactly). Every discrete action here -- the
+* damped Newton over trajectory nodes (deterministic starts: the affine or
+  constant path and the caller's warm starts; boundary nodes pinned
+  exactly). Every discrete action here -- the
   eps-action, the general-Lagrangian window action and the discounted
   half-line action -- is one kernel with per-sample weights, whose Hessian
   is block tridiagonal. All starts of all problems of a call are stacked into
@@ -59,25 +60,21 @@ __all__ = [
 class OptimizerSpec:
     """Settings of the damped-Newton minimizer.
 
-    Each start takes at most max_iters Newton steps. It stops early, converged,
-    once its gradient norm is at most 1e-8 or its Newton decrement has
-    reached roundoff. It also stops, unconverged, when no step along the
-    Newton direction decreases the action, or when a converged start of its
-    problem is lower by more than ten times its Newton decrement. The
-    backtracking line search always tries the full step first. The pinned
-    solvers add `restarts` seeded random starts to the affine and warm ones;
-    minimize_halfline adds none.
+    Each start takes at most max_iters Newton steps. It stops early once its
+    gradient norm is at most 1e-8 or its Newton decrement has reached
+    roundoff; it has converged there only if its Hessian is positive
+    definite, and a start stopped on a saddle is unconverged. It also stops,
+    unconverged, when no step along the Newton direction decreases the
+    action, or when a converged start of its problem is lower by more than
+    ten times its Newton decrement. The backtracking line search always
+    tries the full step first. No solver draws a random start.
     """
 
     max_iters: int = 400
-    restarts: int = 2
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InputError("max_iters must be >= 1")
-        if self.restarts < 0:
-            raise InputError("restarts must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -251,14 +248,15 @@ def _band_store(diag, off):
 
 
 def _newton_steps(diag, off, grad, problems):
-    """Solve (H_b + tau_b I) p_b = -g_b for every start b; return (p (B, n, d), -g.p (B,)).
+    """Solve (H_b + tau_b I) p_b = -g_b per start b; return (p (B, n, d), -g.p (B,), tau (B,)).
 
     H_b is block tridiagonal over the free nodes: diag (B, n, d, d), off
     (B, n - 1, d, d). The B uncoupled systems form one banded matrix for one
     banded Cholesky (LAPACK dpbtrf, as in scipy.linalg.cholesky_banded).
     tau_b is 0 for a positive definite H_b, else raised as in Nocedal & Wright's
     Algorithm 3.3, the factorization resuming at start b (its predecessors
-    are already factored, in place). `problems` names them in an error.
+    are already factored, in place); so tau_b > 0 exactly where H_b does not
+    factor. `problems` names them in an error.
 
     While every diagonal entry is positive, every tau_b starts at 0: the band
     is factored where it was built, and built again for the shifts only if a
@@ -270,6 +268,7 @@ def _newton_steps(diag, off, grad, problems):
     size = n * d
     u = 2 * d - 1
     bands = _band_store(diag, off)
+    tau = np.zeros(B)
     factor, info = None, 1  # not factored yet
     if bands[u].min() > 0:
         factor = bands
@@ -302,7 +301,7 @@ def _newton_steps(diag, off, grad, problems):
     if info != 0:
         raise SolverError(f"banded Cholesky solve failed (info {info}; {problems})")
     steps = steps.reshape(B, n, d)
-    return steps, -(steps * grad).sum(axis=(1, 2))
+    return steps, -(steps * grad).sum(axis=(1, 2)), tau
 
 
 def _every(mask) -> bool:
@@ -318,12 +317,19 @@ def _solve(action: _Action, starts, opt: OptimizerSpec, problems: _Problems):
     grad_norm (free nodes, final point), converged} of its lowest start.
 
     Each sweep evaluates the gradients of the starts whose last step was
-    accepted, and the Hessians of those that go on; their values, and the
+    accepted, and the Hessians of those that go on or that the gradient test
+    stops there; their values, and the
     samples the derivatives need, are the ones the line search accepted, not
     evaluated again. A start that stops without moving (no decrease found,
     or beaten) keeps the value and gradient norm of its last evaluation,
     which is its current point. A mask that keeps every start is not
     applied, and a one-round line search keeps its starts in order.
+
+    A start stopped by the gradient or the roundoff test has converged only
+    where its free-node Hessian factors (tau = 0), read from the shift of its
+    Newton step: the roundoff test's step is the one it stops on, and a start
+    that the gradient test stops joins the band of the starts that go on, from
+    the samples its sweep holds, with a step that is not taken.
     """
     P, S, N, _ = starts.shape
     x = starts.reshape((P * S,) + starts.shape[2:]).astype(float)
@@ -334,7 +340,8 @@ def _solve(action: _Action, starts, opt: OptimizerSpec, problems: _Problems):
         raise SolverError(f"objective not finite at a start trajectory ({problems[p]})")
     gnorm = np.empty(P * S)
     stepped = [np.zeros(0, dtype=int)]  # the starts of each sweep's Newton steps
-    converged = np.zeros(P * S, dtype=bool)
+    done = np.zeros(P * S, dtype=bool)  # stopped by the gradient or roundoff test
+    converged = np.zeros(P * S, dtype=bool)  # ... where the Hessian factors
     # The starts to evaluate, those whose last step was accepted: their
     # indices, values, nodes and samples.
     idx, f, xs = np.arange(P * S), values, x
@@ -342,18 +349,26 @@ def _solve(action: _Action, starts, opt: OptimizerSpec, problems: _Problems):
         grad = action.gradient(xs, y)[:, free]
         rows = slice(None) if idx.size == P * S else idx
         gnorm[rows] = norms = np.sqrt((grad * grad).sum(axis=(1, 2)))
-        stop = converged[rows] | (norms <= _GRAD_TOL)
-        converged[rows] = stop
-        stopped = np.count_nonzero(stop)
-        if sweep == opt.max_iters or stopped == stop.size:
+        small = norms <= _GRAD_TOL
+        fresh = small & ~done[rows]  # stopped by the gradient test now
+        stop = done[rows] | small
+        done[rows] = stop
+        last = sweep == opt.max_iters or _every(stop)
+        factored = fresh if last else fresh | ~stop
+        if not factored.any():
             break
-        if stopped:
-            keep = ~stop
-            idx, f, xs, y, grad = (a[keep] for a in (idx, f, xs, y, grad))
+        if not _every(factored):
+            idx, f, xs, y, grad, fresh = (a[factored] for a in (idx, f, xs, y, grad, fresh))
         diag, off = action.hessian(xs, y)
-        steps, dec = _newton_steps(
+        steps, dec, tau = _newton_steps(
             diag[:, free], off[:, free.start : free.stop - 1], grad, problems
         )
+        if fresh.any():
+            converged[idx[fresh]] = tau[fresh] == 0
+            if last:
+                break
+            keep = ~fresh
+            idx, f, xs, steps, dec, tau = (a[keep] for a in (idx, f, xs, steps, dec, tau))
         if not np.isfinite(dec).all():  # a NaN or inf gradient or Hessian ends here
             p = int(idx[np.flatnonzero(~np.isfinite(dec))[0]]) // S
             raise SolverError(f"Newton decrement not finite ({problems[p]})")
@@ -364,12 +379,13 @@ def _solve(action: _Action, starts, opt: OptimizerSpec, problems: _Problems):
             lowest = values.reshape(P, S).min(axis=1, initial=np.inf, where=converged.reshape(P, S))
             go = f <= lowest[idx // S] + 10 * dec
             if not _every(go):
-                idx, f, xs, steps, dec = (a[go] for a in (idx, f, xs, steps, dec))
+                idx, f, xs, steps, dec, tau = (a[go] for a in (idx, f, xs, steps, dec, tau))
         stepped.append(idx)
         at_roundoff = dec <= _ROUNDOFF_DECREMENT * np.maximum(1.0, np.abs(f))
         roundoff = at_roundoff.any()
         if roundoff:
-            converged[idx] |= at_roundoff
+            done[idx] |= at_roundoff
+            converged[idx] |= at_roundoff & (tau == 0)
         # Backtracking from the full step; a roundoff-level step is tried once,
         # needing no decrease. An accepted start moves, with the value and
         # samples found here, and is evaluated in the next sweep (a
@@ -415,38 +431,15 @@ def _solve(action: _Action, starts, opt: OptimizerSpec, problems: _Problems):
     return values[best], x[best], stats
 
 
-def _start_stack(times, a, b, warm, restarts, seed):
-    """Starts (K, S, n, d) from a (K, d) to b (K, d): affine, the warm starts
-    (K, W, n, d) re-pinned, and seeded random perturbations of the affine one.
-
-    Restart k adds to the affine start's interior a smooth bump vanishing at
-    both ends: the sine modes j = 1..4, each with one normal coefficient per
-    axis from the stream seeded by (seed, k, n), times scale / j, so that each
-    pair gets the bump it gets alone."""
-    n = times.size
-    d = a.shape[1]
+def _start_stack(times, a, b, warm):
+    """Starts (K, S, n, d) from a (K, d) to b (K, d): the affine start and the
+    warm starts (K, W, n, d), re-pinned."""
     lam = ((times - times[0]) / (times[-1] - times[0]))[None, :, None]
     affine = a[:, None, :] * (1 - lam) + b[:, None, :] * lam
     warm = np.array(warm, dtype=float)
     warm[:, :, 0] = a[:, None]
     warm[:, :, -1] = b[:, None]
-    starts = [affine] + [warm[:, i] for i in range(warm.shape[1])]
-    # One vector norm per pair, as for a lone pair: the same bits in any dimension.
-    scale = np.array([0.25 * (float(np.linalg.norm(e - s)) + 1.0) for s, e in zip(a, b)])
-    modes = np.arange(1, 5)
-    tau = np.linspace(0.0, 1.0, n)[1:-1]
-    sines = np.sin(np.multiply.outer(modes * np.pi, tau))[:, None, :, None]  # (4, 1, n - 2, 1)
-    mode_scale = (scale / modes[:, None])[:, :, None]  # (4, K, 1)
-    for k in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, k, n)))
-        coeff = mode_scale * rng.standard_normal(size=(4, d))[:, None, :]
-        bump = np.zeros((a.shape[0], n - 2, d))
-        for term in sines * coeff[:, :, None, :]:  # summed mode by mode, from 0
-            bump += term
-        bumped = affine.copy()
-        bumped[:, 1:-1] += bump
-        starts.append(bumped)
-    return np.stack(starts, axis=1)
+    return np.concatenate([affine[:, None], warm], axis=1)
 
 
 def check_newton_terms(V: Optional[PeriodicPotential], W: Optional[Perturbation]):
@@ -533,9 +526,9 @@ def minimize_bvp_batch(
     """minimize_bvp for P problems on one window, u(t0) = a_batch[p] (P, d) and
     u(t1) = b (d,) or b[p] (P, d), in one stacked solve.
 
-    Each problem gets the affine start, its warm starts (trajectories,
+    Each problem gets the affine start and its warm starts (trajectories,
     resampled, or node arrays on the grid; one sequence per problem, all of
-    one length; endpoints re-pinned) and the seeded restarts. Returns
+    one length; endpoints re-pinned), and nothing else. Returns
     (values (P,), nodes (P, n_nodes, d), times), each value the solver's own
     and certified like minimize_bvp's. Given a list as `records`,
     the winners' solver records {iterations, grad_norm, converged} are
@@ -575,7 +568,7 @@ def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm):
     if len({len(w) for w in warm}) > 1:
         raise InputError("every problem must receive the same number of warm starts")
     warm = np.array(warm, dtype=float).reshape(n_problems, len(warm[0]), n_nodes, d)
-    starts = _start_stack(times, a_batch, b, warm, opt.restarts, opt.seed)
+    starts = _start_stack(times, a_batch, b, warm)
     action = _Action.eps_action(V, W, eps, times, quad.samples_per_interval)
     problems = _Problems(eps, t0, t1, a_batch, b)
     values, nodes, stats = _solve(action, starts, opt, problems)

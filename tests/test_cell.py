@@ -95,7 +95,7 @@ def conserved_energy_value(v_fn, xi):
 
 @pytest.fixture(scope="module")
 def cell_opt():
-    return OptimizerSpec(max_iters=2000, restarts=3, seed=2)
+    return OptimizerSpec(max_iters=2000)
 
 
 def test_corrector_matches_conservation_oracle(cell_opt, sin2_1d):
@@ -153,22 +153,17 @@ def test_corrector_refuses_a_slope_without_a_window_before_any_work(
     speed=st.floats(0.05, 4.0),
     sign=st.sampled_from([-1.0, 1.0]),
 )
-def test_corrector_is_one_certified_start_whatever_the_seed(name, speed, sign):
+def test_corrector_is_one_certified_start(name, speed, sign):
     """The d = 1 solve runs the affine start alone: its gap to the exact value
-    lies in the certified window, and neither opt.seed nor opt.restarts moves
-    a bit of the profile or the value."""
+    lies in the certified window, and the meta holds the exact value and gap."""
     V = make_potential(name, 1)
     xi = sign * speed
-    prof = solve_corrector_1d(V, xi, OptimizerSpec(max_iters=2000, restarts=3, seed=2))
-    other = solve_corrector_1d(V, xi, OptimizerSpec(max_iters=2000, restarts=0, seed=11))
+    prof = solve_corrector_1d(V, xi, OptimizerSpec(max_iters=2000))
     exact = cell_value_1d(V.factor, xi)
     lo, hi = homoglab.cell._EXACT_GAP_WINDOW
     assert prof.meta["exact_value"] == exact
     assert prof.meta["exact_gap"] == prof.cell_value - exact
     assert lo * max(1.0, abs(exact)) <= prof.meta["exact_gap"] <= hi * max(1.0, abs(exact))
-    assert other.cell_value == prof.cell_value
-    np.testing.assert_array_equal(other.profile.nodes, prof.profile.nodes)
-    np.testing.assert_array_equal(other.profile.times, prof.profile.times)
 
 
 def test_corrector_stuck_on_the_affine_path_is_an_invariant_error(cell_opt, sin2_1d, monkeypatch):

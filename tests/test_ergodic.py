@@ -58,7 +58,7 @@ def test_integer_slope_hits_every_integer_time():
 @pytest.fixture(scope="module")
 def plan():
     V = make_potential("sin2", 2)
-    opt = OptimizerSpec(max_iters=1200, restarts=2, seed=5)
+    opt = OptimizerSpec(max_iters=1200)
     return build_almost_corrector(
         V, np.array([1.0, np.sqrt(2.0)]), delta=0.2, horizon=400.0, opt=opt
     )

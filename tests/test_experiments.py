@@ -150,17 +150,36 @@ def test_config_hash_and_data_ignore_key_order(name, rnd):
     assert permuted.config_hash() == cfg.config_hash()
 
 
-@pytest.mark.parametrize("seed", [7, 8])
-def test_every_benchmark_config_parses(seed):
-    # Loaded from its file, read-only and without touching sys.path.
+def _bench_workloads():
+    """bench/workloads.py, loaded from its file, read-only and without touching sys.path."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_every_benchmark_config_parses(seed):
+    workloads = _bench_workloads()
     for workload in workloads.CALLS:
         for _, runner, raw in workloads.configs(workload, seed):
             ExperimentConfig.from_dict(raw)
             assert callable(getattr(experiments, runner))
+
+
+def test_the_stability_rows_do_not_depend_on_the_seed():
+    """No solver draws a random number, so the benchmark's d = 1 stability
+    ladder at seeds 1 and 2 gives the same rows and verdicts, bit for bit;
+    only the provenance's seed and config hash differ."""
+    (raw_1,) = [raw for label, _, raw in _bench_workloads().configs("stability", 1)
+                if label == "stability_1d"]
+    one = run_stability_sweep(ExperimentConfig.from_dict(raw_1))
+    two = run_stability_sweep(ExperimentConfig.from_dict(dict(raw_1, seed=2)))
+    for part in ("rows", "verdicts"):
+        dumped = [json.dumps(experiments._pyify(getattr(r, part))) for r in (one, two)]
+        assert dumped[0] == dumped[1]
+    assert (one.provenance["seed"], two.provenance["seed"]) == (1, 2)
 
 
 def test_the_output_comparer_lists_every_changed_value(tmp_path, capsys):
@@ -265,7 +284,7 @@ def test_the_layer_timer_charges_each_part_of_a_solve(monkeypatch):
     V, times = make_potential("sin2", 1), np.linspace(0.0, 2.0, 33)
     a, b = np.zeros((1, 1)), np.ones((1, 1))
     action = minimize._Action.eps_action(V, None, 0.5, times, 4)
-    starts = minimize._start_stack(times, a, b, np.zeros((1, 0, 33, 1)), 2, 0)
+    starts = minimize._start_stack(times, a, b, np.zeros((1, 0, 33, 1)))
     gradients = []
     counted = _counted(minimize._Action.gradient, gradients)
     monkeypatch.setattr(minimize._Action, "gradient", counted)

@@ -28,7 +28,7 @@ from homoglab import hj
 from homoglab.grid import mesh
 from homoglab.trajectory import action_G, discounted_action
 
-OPT = OptimizerSpec(max_iters=800, restarts=2, seed=4)
+OPT = OptimizerSpec(max_iters=800)
 QUAD = QuadratureSpec()
 
 

@@ -94,22 +94,29 @@ def test_bvp_batch_matches_single(d, with_w, unit_eps, eps, seed):
     """A 3-problem batch gives each problem, bit for bit, the solver value,
     certified value, nodes and solver record it gets alone. Solver values are
     compared with solver values: minimize_bvp returns the certified one,
-    which may differ by up to 1e-10. The drawn ends spread the problems'
-    iteration counts, so the batch runs with starts converged, beaten and
-    halving their steps while others take full ones."""
+    which may differ by up to 1e-10. The drawn ends and the two sine-bumped
+    warm starts of each problem spread the starts' iteration counts, so the
+    batch runs with starts converged, beaten and halving their steps while
+    others take full ones."""
     V = make_potential("sin2", d)
     W = make_perturbation("runge_decay", d, amplitude=1.0) if with_w else None
     eps = 1.0 if unit_eps else eps
     rng = np.random.default_rng(seed)
     a, b = rng.uniform(-1.0, 1.0, (3, d)), rng.uniform(-1.0, 2.0, (3, d))
-    quad, opt = QuadratureSpec(), OptimizerSpec(max_iters=200, restarts=2, seed=seed)
+    tau = np.linspace(0.0, 1.0, 33)
+    modes = np.arange(1, 5)
+    sines = np.sin(np.pi * modes[:, None] * tau)  # (4, 33), zero at both ends
+    affine = a[:, None] * (1 - tau[:, None]) + b[:, None] * tau[:, None]  # (3, 33, d)
+    bumps = rng.normal(size=(3, 2, 4, d)) / modes[:, None]
+    warm = affine[:, None] + np.einsum("pwjk,jn->pwnk", bumps, sines)  # (3, 2, 33, d)
+    quad, opt = QuadratureSpec(), OptimizerSpec(max_iters=200)
     values, certified, nodes, times, records = minimize._solve_pinned(
-        V, W, eps, 0.0, 1.5, a, b, 33, opt, quad, None
+        V, W, eps, 0.0, 1.5, a, b, 33, opt, quad, warm
     )
     assert nodes.shape == (3, times.size, d)
     for p in range(3):
         alone = minimize._solve_pinned(
-            V, W, eps, 0.0, 1.5, a[p : p + 1], b[p : p + 1], 33, opt, quad, None
+            V, W, eps, 0.0, 1.5, a[p : p + 1], b[p : p + 1], 33, opt, quad, warm[p : p + 1]
         )
         assert values[p] == alone[0][0]
         assert certified[p] == alone[1][0]
@@ -201,6 +208,21 @@ def test_minimal_action_is_invariant_under_eps_lattice_shifts(std_opt, name, eps
     _, value = minimize_bvp(V, None, eps, 0.0, t, a, b, n_nodes, std_opt)
     _, shifted = minimize_bvp(V, None, eps, 0.0, t, a + eps * k, b + eps * k, n_nodes, std_opt)
     assert abs(shifted - value) <= 1e-12 * max(1.0, abs(value))
+
+
+@pytest.mark.parametrize("end", [0.0, 1e-10], ids=["gradient", "roundoff"])
+def test_a_start_stopped_on_a_saddle_is_unconverged(std_opt, end):
+    """cos_sum(x / 0.05) has its maximum at 0, so the constant path at 0 is a
+    stationary point of the action with an indefinite Hessian. From a = b = 0
+    the affine start passes the gradient test at once; from a = b = 1e-10 its
+    first Newton step, on the shifted Hessian, is at roundoff. Either way the
+    solve stops on the saddle, at action 1 (the maximum over a unit window),
+    and says it has not converged."""
+    V = make_potential("cos_sum", 1)
+    u, value = minimize_bvp(V, None, 0.05, 0.0, 1.0, end, end, 169, std_opt)
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert u.meta["iterations"] <= 1
+    assert not u.meta["converged"]
 
 
 def test_dp_oracle_free_particle():
@@ -852,18 +874,19 @@ def test_stacked_newton_steps_solve_each_shifted_system(d):
     diag[[0, 2]] += 4.0 * d * np.eye(d)  # starts 0 and 2 diagonally dominant
     diag[[1, 3]] -= 4.0 * np.eye(d)  # starts 1 and 3 indefinite
     grad = rng.normal(size=(B, n, d))
-    steps, dec = _newton_steps(diag, off, grad, _Problems(1.0, 0.0, 1.0, np.zeros((B, d))))
+    steps, dec, shifts = _newton_steps(diag, off, grad, _Problems(1.0, 0.0, 1.0, np.zeros((B, d))))
     for b in range(B):
         H = _dense(diag[b], off[b])
         p, g = steps[b].reshape(-1), grad[b].reshape(-1)
         tau = -float((H @ p + g) @ p) / float(p @ p)
         np.testing.assert_allclose(H @ p + tau * p, -g, atol=1e-9)
+        assert shifts[b] == pytest.approx(tau, abs=1e-9)
         low = np.min(np.linalg.eigvalsh(H))
         assert low + tau > 0
         if b in (0, 2):
-            assert low > 0 and tau == pytest.approx(0.0, abs=1e-9)
+            assert low > 0 and tau == pytest.approx(0.0, abs=1e-9) and shifts[b] == 0.0
         else:
-            assert low < 0
+            assert low < 0 and shifts[b] > 0
         assert dec[b] == pytest.approx(-float(g @ p))
         assert dec[b] > 0
 
@@ -879,15 +902,16 @@ def test_newton_steps_double_the_shift_of_adjacent_indefinite_starts(d):
     off = np.broadcast_to(-1.5 * np.eye(d), (B, n - 1, d, d)).copy()
     off[[0, 4]] *= 0.2  # starts 0 and 4 positive definite
     grad = rng.normal(size=(B, n, d))
-    steps, dec = _newton_steps(diag, off, grad, _Problems(1.0, 0.0, 1.0, np.zeros((B, d))))
+    steps, dec, shifts = _newton_steps(diag, off, grad, _Problems(1.0, 0.0, 1.0, np.zeros((B, d))))
     floor = 1e-3 + np.finfo(float).tiny
     for b in range(B):
         H = _dense(diag[b], off[b])
         p, g = steps[b].reshape(-1), grad[b].reshape(-1)
         tau = -float((H @ p + g) @ p) / float(p @ p)
         low = np.min(np.linalg.eigvalsh(H))
+        assert shifts[b] == pytest.approx(tau, rel=1e-9, abs=1e-9)
         if b in (0, 4):
-            assert low > 0 and tau == pytest.approx(0.0, abs=1e-9)
+            assert low > 0 and tau == pytest.approx(0.0, abs=1e-9) and shifts[b] == 0.0
         else:
             assert low < 0 and tau > -low and tau >= 4 * floor
             doublings = np.log2(tau / floor)
@@ -1064,9 +1088,9 @@ def test_one_potential_pass_per_accepted_full_step(monkeypatch, d, with_w, halfl
         return wrapper
 
     action.gradient, action.hessian = tracked(action.gradient), tracked(action.hessian)
-    N, opt = action.kinetic.size + 1, OptimizerSpec(max_iters=50, restarts=0)
+    N, opt = action.kinetic.size + 1, OptimizerSpec(max_iters=50)
     starts = _start_stack(
-        np.linspace(0.0, 1.0, N), np.zeros((1, d)), np.full((1, d), 0.7), np.zeros((1, 0, N, d)), 0, 0
+        np.linspace(0.0, 1.0, N), np.zeros((1, d)), np.full((1, d), 0.7), np.zeros((1, 0, N, d))
     )
     problems = _Problems(0.5, 0.0, 1.0, np.zeros((1, d)), np.full((1, d), 0.7))
     _, nodes, _ = _solve(action, starts, opt, problems)

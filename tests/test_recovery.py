@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from homoglab import (
+    AlmostCorrectorPlan,
     InputError,
     OptimizerSpec,
+    Perturbation,
     Trajectory,
     action_F,
     action_G,
@@ -21,7 +23,7 @@ from homoglab import (
 @pytest.fixture(scope="module")
 def plan2d():
     V = make_potential("sin2", 2)
-    opt = OptimizerSpec(max_iters=1200, restarts=2, seed=5)
+    opt = OptimizerSpec(max_iters=1200)
     return build_almost_corrector(
         V, np.array([1.0, np.sqrt(2.0)]), delta=0.2, horizon=400.0, opt=opt
     )
@@ -57,8 +59,36 @@ def test_recovery_action_bounded_by_perturbed_plan(plan2d, quad):
     assert perturbed <= base * 1.25 + 0.5
 
 
+@pytest.mark.parametrize(
+    "peak_at,peak,eps", [(9.0, 2.08e-7, 0.05), (5.5, 3e-7, 0.1)], ids=["raw", "macro"]
+)
+def test_recovery_closes_a_jump_below_the_time_cursors_spacing(peak_at, peak, eps):
+    """The block profile rises by `peak` across xi = (1, 0) on [1, peak_at] and
+    falls back on [peak_at, 16], and W = exp(x_2) shifts each piece by 0.25 down
+    its own normal, so the nearly parallel pieces meet with jumps of 1e-8 to
+    2.4e-8. A connector over such a jump has graded time steps of 2e-16 to
+    1e-15. In the raw case they are below the float spacing of the time
+    cursor (1.8e-15 past 9); in the macro case they pass there (8.9e-16 at
+    5.8) and vanish only once the times are mapped onto [0, 1]. Either way
+    the piece starts where the path is instead, and the times stay strictly
+    increasing."""
+    plan = AlmostCorrectorPlan(
+        xi=[1.0, 0.0], delta=1.0, eta=0.25, l_delta=1.0, T=16.0, shifts=[0.0],
+        breakpoints=[0.0, 1.0, peak_at, 16.0],
+        slopes=[[0.0, 0.0], [0.0, peak / (peak_at - 1.0)], [0.0, -peak / (16.0 - peak_at)]],
+        profile_values=[[0.0, 0.0], [0.0, 0.0], [0.0, peak], [0.0, 0.0]],
+    )
+    W = Perturbation(2, lambda x: np.exp(x[..., 1]), "nonnegative", integrability_exponent=2.0)
+    traj = build_recovery_trajectory(plan, W, eps, eta_tube=0.25, alpha=0.75)
+    assert np.all(np.diff(traj.times) > 0)
+    assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
+    np.testing.assert_array_equal(traj.nodes[-1], plan.xi)
+    # only the jump from the first, unshifted piece gets its connector
+    assert traj.meta["connector_count"] == 1
+
+
 def test_scaled_corrector_start_shape_and_endpoints(sin2_1d):
-    opt = OptimizerSpec(max_iters=1500, restarts=2, seed=3)
+    opt = OptimizerSpec(max_iters=1500)
     prof = solve_corrector_1d(sin2_1d, 1.0, opt=opt)
     start = scaled_corrector_start(prof, 0.1, 0.0, 1.0, 0.0, 1.0, 65)
     assert isinstance(start, Trajectory)
@@ -70,7 +100,7 @@ def test_scaled_corrector_start_shape_and_endpoints(sin2_1d):
 
 def test_scaled_corrector_start_is_good_warm_start(quad, sin2_1d):
     """The rescaled cell profile lands near the homogenized action level."""
-    opt = OptimizerSpec(max_iters=1500, restarts=2, seed=3)
+    opt = OptimizerSpec(max_iters=1500)
     prof = solve_corrector_1d(sin2_1d, 1.0, opt=opt)
     eps = 0.05
     start = scaled_corrector_start(prof, eps, 0.0, 1.0, 0.0, 1.0, 129)
