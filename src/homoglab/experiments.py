@@ -652,9 +652,12 @@ def run_negative_perturbation(cfg: ExperimentConfig, threads: int = 1) -> Report
     u(0) = u(1) = 0. The predicted limit couples the kinetic term with a
     zero-set bonus of size inf W; it is computed by the same DP with the
     continuous perturbation replaced by a pure atom at 0, so both sides of
-    the comparison share one discretization. A pure-atom W (support radius 0)
-    must produce bitwise eps-independent rungs. A rung that fails raises its
-    own error, so the verdicts judge the whole ladder; `rows_failed` is 0.
+    the comparison share one discretization. The limit (at eps = 1) and the
+    rungs are one stacked dp_oracle_1d call, so one lattice sweep takes the
+    whole ladder; each value is the float its own call would give. A
+    pure-atom W (support radius 0) must produce bitwise eps-independent
+    rungs. A rung that fails raises its own error, naming its eps, so the
+    verdicts judge the whole ladder; `rows_failed` is 0.
     """
     if cfg.dimension != 1:
         raise InputError("the negative-perturbation runner is one-dimensional")
@@ -683,9 +686,10 @@ def run_negative_perturbation(cfg: ExperimentConfig, threads: int = 1) -> Report
         zero_atom=inf_w,
         name="zero_set_bonus",
     )
-    limit_value = dp_oracle_1d(V, limit_bonus, 1.0, 0.0, 1.0, 0.0, 0.0, grid)
-
-    values = [float(dp_oracle_1d(V, W, eps, 0.0, 1.0, 0.0, 0.0, grid)) for eps in cfg.eps_ladder]
+    ladder = list(cfg.eps_ladder)
+    limit_value, *values = dp_oracle_1d(
+        V, [limit_bonus] + [W] * len(ladder), [1.0] + ladder, 0.0, 1.0, 0.0, 0.0, grid
+    )
     rows = [
         {
             "eps": float(eps),

@@ -705,14 +705,22 @@ def _dp_sweep(
     value, lo, hi, moves, stages, n_steps, span, weights=None, atom=None, bound=None,
     history=False,
 ):
-    """Run n_steps backward lattice steps from `value` (finite only on states
-    lo..hi; not modified).
+    """Run n_steps backward lattice steps from `value`, for P problems at once:
+    value (P, n_x), finite only on states lo..hi, not modified; a value (n_x,)
+    is one problem, and the result then has no problem axis.
 
-    A step takes, at each state i, the best over moves k of the stage cost of
-    i plus the value at i + k. stages (M, n_x) holds move m's stage cost at
-    every state: as charged, or, given `weights` (one per step, in sweep order,
-    >= 0; a zero weight needs finite stages, as 0 * inf is NaN), to be charged
-    as weights[j] * stages[m] plus weights[j] * atom when staying.
+    A step takes, at each state i of each problem, the best over moves k of
+    the stage cost of i plus the problem's value at i + k. stages (M, n_x)
+    holds move m's stage cost at every state, shared by the problems. Or
+    stages is a function: stages(i0, i1) gives the stage costs (P, M, i1 - i0)
+    of the states i0..i1 - 1, each problem's own. The sweep then holds only
+    the block of states around its cone, and asks for one three times the
+    cone's width, centred on it, when the cone leaves the block, so it never
+    holds P tables of n_x states for a narrow cone. A stage is charged as it
+    is, or, given `weights` (one per step, in sweep order, >= 0; a zero
+    weight needs finite stages, as 0 * inf is NaN), as weights[j] * stage,
+    plus weights[j] * atom[p, i] when staying (atom (P, n_x), or (n_x,) for
+    one problem).
 
     The result is read at the states `span` (first, last). Each step sweeps
     only its cone: the states whose value can be finite (grown from lo..hi by
@@ -721,45 +729,61 @@ def _dp_sweep(
     reads only states of the cone before it, so each step's value is the
     full-grid sweep's, span (0, n_x - 1), bit for bit on its cone and +inf off it.
 
-    A one-state span may also take a `bound` (limit, kinetic, rate), given by
-    dp_oracle_1d: with left > 0, the steps that lead from first to a state i
-    cost at least kinetic (i - first)^2 / left + left rate, and some path
-    costs at most limit. When left is a multiple of _PRUNE_EVERY, the cone
-    shrinks to its first and last state whose value plus that lower bound is
-    at most limit; the states dropped are set to +inf. No state of an optimal
-    path fails the test (see dp_oracle_1d), so the value at first is the same float.
+    A one-state span may also take a `bound` (limit, kinetic, rate, names),
+    given by dp_oracle_1d, with limit and rate one per problem (+inf and 0 for
+    a problem it does not prune) and names one label per problem for errors.
+    With left > 0, the steps that lead from first to a state i cost problem p
+    at least kinetic (i - first)^2 / left + left rate[p], and some path costs
+    it at most limit[p]. When left is a multiple of _PRUNE_EVERY, the cone
+    shrinks to the first and last state that some problem keeps, a state that
+    its value plus that lower bound puts at most at its limit; the states
+    dropped are set to +inf. No state of a problem's optimal path fails its
+    test (see dp_oracle_1d), and states kept for the other problems only add
+    paths, so each problem's value at first is the float its own sweep, and
+    the full cone, give.
 
-    A step is one stacked min-plus operation: the candidates C[m, i] of all
-    moves over the cone are formed at once, the value at i + k read through a
-    sliding window over a +inf-padded value buffer (whose states outside the
-    previous cone are +inf, so they never win), and reduced over m by one
-    `np.minimum.reduce` (without np.min's Python wrapper, a third of a narrow
-    step). C is the first columns of one (M, n_x) scratch. The steps alternate
-    between two buffers, or, given `history`, each step writes a fresh row of
-    one buffer, so every step's value is kept.
+    A step is one stacked min-plus operation: the candidates C[p, m, i] of all
+    problems and moves over the cone are formed at once, the value at i + k
+    read through a sliding window over a +inf-padded value buffer (whose
+    states outside the previous cone are +inf, so they never win), and
+    reduced over m by one `np.minimum.reduce` (without np.min's Python
+    wrapper, a third of a narrow step). C is the first P M w entries of one
+    scratch, for a cone w states wide, grown to twice that when it is too
+    small, so a narrow cone touches little memory. The steps alternate between two
+    buffers, or, given `history`, each step writes a fresh row of one buffer,
+    so every step's value is kept. Each buffer's windows and value view are
+    built once, before the steps.
 
-    Returns the value after the last step (n_x,), or, given `history`, the
-    (n_steps + 1, pad + n_x + max(0, kmax)) buffer: row j holds the value after
-    j steps, state i at column pad + i, pad = max(0, -kmin), and +inf in the
-    padding. _backtrack reads the lattice paths from it.
+    Returns the values after the last step (P, n_x), or, given `history`, the
+    (n_steps + 1, P, pad + n_x + max(0, kmax)) buffer: row j holds the values
+    after j steps, state i at column pad + i, pad = max(0, -kmin), and +inf in
+    the padding. _backtrack reads the lattice paths of one problem from it.
     """
-    n_x = value.size
-    stages = np.asarray(stages)
+    single = np.ndim(value) == 1
+    value = np.atleast_2d(value)
+    n_problems, n_x = value.shape
+    if atom is not None:
+        atom = np.atleast_2d(atom)
     ks = moves.tolist()  # Python ints: the window bounds are scalar arithmetic
     kmin, kmax, n_moves = ks[0], ks[-1], len(ks)
     first, last = (int(i) for i in span)
     pad = max(0, -kmin)  # state i of a value buffer sits at pad + i
-    bufs = np.full((n_steps + 1 if history else 2, pad + n_x + max(0, kmax)), np.inf)
-    bufs[0, pad + lo : pad + hi + 1] = value[lo : hi + 1]
-    # windows[b, r, i] is buffer row b's state i + r - pad: move m reads r = pad + ks[m]
-    windows = np.lib.stride_tricks.sliding_window_view(bufs, n_x, axis=1)
+    bufs = np.full((n_steps + 1 if history else 2, n_problems, pad + n_x + max(0, kmax)), np.inf)
+    bufs[0, :, pad + lo : pad + hi + 1] = value[:, lo : hi + 1]
+    values = list(bufs[:, :, pad : pad + n_x])
+    # windows[b][p, r, i] is buffer b's state i + r - pad of problem p: move m
+    # reads r = pad + ks[m]; contiguous moves are a slice, taken here once
+    windows = np.lib.stride_tricks.sliding_window_view(bufs, n_x, axis=2)
     rows = moves + pad
     if kmax - kmin + 1 == n_moves:
-        rows = slice(kmin + pad, kmax + pad + 1)
+        windows, rows = [w[:, kmin + pad : kmax + pad + 1] for w in windows], slice(None)
     stay = ks.index(0) if atom is not None and 0 in ks else None
-    scratch = np.empty((n_moves, n_x))
+    scratch = np.empty(0)
+    # the stage block and the states it covers, block_lo..block_hi - 1
+    block, block_lo, block_hi = (None, 0, 0) if callable(stages) else (stages, 0, n_x)
     if bound is not None:
-        limit, kinetic, rate = bound
+        limit, kinetic, rate, names = bound
+        limit, rate = (np.asarray(x, dtype=float)[:, None] for x in (limit, rate))
         square = (np.arange(n_x, dtype=float) - first) ** 2
     cur = 0
     stale_lo, stale_hi = 0, -1  # the cone that the buffer written next holds
@@ -768,37 +792,48 @@ def _dp_sweep(
         new_lo = max(lo - kmax, 0, first + left * min(kmin, 0))
         new_hi = min(hi - kmin, n_x - 1, last + left * max(kmax, 0))
         if new_hi < new_lo:  # no finite value can reach the span any more
-            return bufs if history else np.full(n_x, np.inf)
+            if not history:
+                values[cur][:] = np.inf
+            break
         nxt = (j + 1) % len(bufs)
         if not history:
-            bufs[nxt, pad + stale_lo : pad + stale_hi + 1] = np.inf
+            values[nxt][:, stale_lo : stale_hi + 1] = np.inf
         a, b = new_lo, new_hi + 1
-        c = scratch[:, : b - a]
-        window = windows[cur, rows, a:b]
-        if weights is None:
-            np.add(stages[:, a:b], window, out=c)
-        else:
-            np.multiply(weights[j], stages[:, a:b], out=c)
+        size = n_problems * n_moves * (b - a)
+        if scratch.size < size:
+            scratch = np.empty(min(2 * size, n_problems * n_moves * n_x))
+        c = scratch[:size].reshape(n_problems, n_moves, b - a)
+        if a < block_lo or b > block_hi:
+            block_lo, block_hi = max(0, 2 * a - b), min(n_x, 2 * b - a)
+            block = stages(block_lo, block_hi)
+        step = block[..., a - block_lo : b - block_lo]
+        if weights is not None:
+            step = np.multiply(weights[j], step, out=c)
             if stay is not None:
-                np.add(c[stay], weights[j] * atom[a:b], out=c[stay])
-            np.add(c, window, out=c)
-        out = bufs[nxt, pad + a : pad + b]
-        np.minimum.reduce(c, axis=0, out=out)
+                np.add(c[:, stay], weights[j] * atom[:, a:b], out=c[:, stay])
+        np.add(step, windows[cur][:, rows, a:b], out=c)
+        out = values[nxt][:, a:b]
+        np.minimum.reduce(c, axis=1, out=out)
         if bound is not None and left > 0 and left % _PRUNE_EVERY == 0:
-            # Where nothing is dropped, testing the two ends is enough.
-            room = limit - left * rate
-            scale = kinetic / left
-            if not (out[0] + scale * square[a] <= room and out[-1] + scale * square[b - 1] <= room):
-                kept = np.flatnonzero(out + scale * square[a:b] <= room)
-                if kept.size == 0:  # the states of the path that gave limit pass
-                    raise InvariantError("the DP bound dropped every state of the cone")
-                out[: kept[0]] = np.inf
-                out[kept[-1] + 1 :] = np.inf
+            keep = out + (kinetic / left) * square[a:b] <= limit - left * rate
+            if not keep.all():
+                hit = keep.any(axis=1)
+                if not hit.all():  # the states of the path that gave limit pass
+                    raise InvariantError(
+                        "the DP bound dropped every state of the cone at "
+                        + names[int(np.argmin(hit))]
+                    )
+                kept = np.flatnonzero(keep.any(axis=0))
+                out[:, : kept[0]] = np.inf
+                out[:, kept[-1] + 1 :] = np.inf
                 new_lo, new_hi = a + int(kept[0]), a + int(kept[-1])
         cur = nxt
         stale_lo, stale_hi = lo, hi
         lo, hi = new_lo, new_hi
-    return bufs if history else bufs[cur, pad : pad + n_x]
+    result = bufs if history else values[cur]
+    if single:
+        result = result[:, 0] if history else result[0]
+    return result
 
 
 def _backtrack(history, start, n, moves, stages, weights):
@@ -829,86 +864,127 @@ def _backtrack(history, start, n, moves, stages, weights):
 
 def dp_oracle_1d(
     V: PeriodicPotential,
-    W: Optional[Perturbation],
-    eps: float,
+    W: Optional[Perturbation] | Sequence[Optional[Perturbation]],
+    eps: float | Sequence[float],
     t0: float,
     t1: float,
     a: float,
     b: float,
     grid: DPGrid,
     slope_set=None,
-) -> float:
-    """Exact minimum of the discrete eps-action over lattice paths.
+) -> float | list:
+    """Exact minimum of the discrete eps-action over lattice paths, for one
+    problem or a stack of them.
 
     States live on the grid, admissible moves are the lattice-realizable
     slopes derived from slope_set, and each step costs h * (slope^2 +
     (V+W)(x/eps)) at the source state. Endpoints are pinned to the nearest
     grid states. A zero_atom on W is charged exactly for steps that stay at
     the state 0 (present on the grid whenever the range is symmetric with an
-    odd state count). The stage costs are built once, one row per move, and
-    each step sweeps only the reachable cone: the states already reachable
-    from b that can still reach a in the steps left. A NaN or -inf cost
-    raises SolverError; a +inf cost forbids its state.
+    odd state count). Each step sweeps only the reachable cone: the states
+    already reachable from b that can still reach a in the steps left. A NaN
+    or -inf cost raises SolverError; a +inf cost forbids its state.
 
-    The sweep is also bound-pruned (see _dp_sweep). Its limit is the cost of
-    the straight lattice path from a to b (_straight_path_cost) plus a margin
-    of 1e-9 (n_steps * stage size + 1); without that path (a move it needs is
-    not admissible, or it crosses a +inf state) nothing is pruned. The r steps
-    from a to a state i cost at least (dx^2 / h) (i - ia)^2 / r, by Jensen on
-    the kinetic sum, plus r h min(cost, cost + atom). Along an optimal path,
-    value plus bound is at most the optimum, which is at most the straight
-    path's cost; rounding moves either side by far less than the margin. So
-    no state of an optimal path is dropped. Dropping other states can only
-    raise values, and each state of that path keeps its optimal move, so the
-    value at a is the one the full cone gives, bit for bit, ties included.
+    W and eps may each be a sequence with one entry per problem; a single W
+    or eps is shared. The P problems share V, the window, the ends, the grid
+    and the moves, so one sweep (_dp_sweep) takes them all: each step sweeps
+    the union of their cones. Each problem's cost row (n_x,) is held, and the
+    sweep asks for its stages, h (slope^2 + cost), then + h atom on the stay
+    move, only on a block of states around its cone: the floats a whole
+    (M, n_x) stage table would hold there. Returns a float, or, given a
+    sequence, a list of P floats. An error names the problem's eps and W.
+
+    The sweep is also bound-pruned, each problem by its own bound (see
+    _dp_sweep). Its limit is the cost of the straight lattice path from a to b
+    (_straight_path) plus a margin of 1e-9 (n_steps * stage size + 1); without
+    that path (a move it needs is not admissible, or it crosses a +inf state)
+    the problem is not pruned. The r steps from a to a state i cost at least
+    (dx^2 / h) (i - ia)^2 / r, by Jensen on the kinetic sum, plus
+    r h min(cost, cost + atom). Along an optimal path, value plus bound is at
+    most the optimum, which is at most the straight path's cost; rounding
+    moves either side by far less than the margin. So no state of an optimal
+    path is dropped. Dropping other states can only raise values, and keeping
+    more (for the other problems of a stack) can only lower them to the full
+    cone's; each state of that path keeps its optimal move, so each value at a
+    is the one the full cone, and the problem's own call, give, bit for bit,
+    ties included.
     """
     if not t1 > t0:
         raise InputError("need t1 > t0")
     states = grid.states()
     if not (grid.x_lo <= a <= grid.x_hi and grid.x_lo <= b <= grid.x_hi):
         raise InputError("boundary values must lie inside the DP state range")
+    stacked = isinstance(W, (list, tuple)) or np.ndim(eps) > 0
+    Ws = list(W) if isinstance(W, (list, tuple)) else [W]
+    epss = [float(e) for e in np.atleast_1d(eps)]
+    n_problems = max(len(Ws), len(epss), 1)
+    if len(Ws) not in (1, n_problems) or len(epss) not in (1, n_problems):
+        raise InputError("W and eps must each be one value or one per problem, as many of each")
+    Ws, epss = Ws * (n_problems // len(Ws)), epss * (n_problems // len(epss))
+    names = [f"eps={e!r}, W={None if w is None else w.name!r}" for w, e in zip(Ws, epss)]
     dx = states[1] - states[0]
     h = (t1 - t0) / (grid.n_t - 1)
     if slope_set is None:
         slope_set = _default_slope_set((b - a) / (t1 - t0))
     moves, slopes = _lattice_moves(slope_set, h, dx, grid.n_x)
 
-    cost, atom_cost = _lattice_costs(V, W, eps, states)
-    stages = h * ((slopes * slopes)[:, None] + cost)
-    if atom_cost is not None:
-        stages[moves == 0] += h * atom_cost
-    value = np.full(grid.n_x, np.inf)
+    costs, atoms = zip(*(_lattice_costs(V, w, e, states) for w, e in zip(Ws, epss)))
+    kinetic, stay, stacked_cost = slopes * slopes, moves == 0, np.stack(costs)[:, None, :]
+    with_atom = [p for p, atom in enumerate(atoms) if atom is not None]
+
+    def stages(i0, i1):  # h (slope^2 + cost), then + h atom on the stay move
+        block = h * (kinetic[:, None] + stacked_cost[..., i0:i1])
+        for p in with_atom:
+            block[p, stay] += h * atoms[p][i0:i1]
+        return block
+
     ib = int(np.argmin(np.abs(states - b)))
-    value[ib] = 0.0
     ia = int(np.argmin(np.abs(states - a)))
     n_steps = grid.n_t - 1
-    bound = None
-    limit = _straight_path_cost(moves, stages, ia, ib, n_steps)
-    if math.isfinite(limit):
-        atom = 0.0 if atom_cost is None else atom_cost
+    path = _straight_path(moves, ia, ib, n_steps)
+    limits, rates = np.full(n_problems, np.inf), np.zeros(n_problems)
+    for p, (cost, atom) in enumerate(zip(costs, atoms)):
+        limit = math.inf
+        if path is not None:  # the floats stages() gives, one move a step
+            m, at = path
+            stage = h * (kinetic[m] + cost[at])
+            if atom is not None:
+                stage[stay[m]] += h * atom[at[stay[m]]]
+            limit = float(np.sum(stage))
+        if not math.isfinite(limit):  # no straight path, or it crosses a +inf state
+            continue
+        atom = 0.0 if atom is None else atom
         # The stage size: no part of a stage (h slope^2, h cost, h atom) is
         # larger, so a stage whose parts cancel still has its rounding covered.
-        size = np.max(slopes * slopes) + np.max(np.abs(cost[np.isfinite(cost)]))
+        size = np.max(kinetic) + np.max(np.abs(cost[np.isfinite(cost)]))
         size = h * float(size + np.max(np.abs(atom)))
-        rate = h * float(np.min(cost + np.minimum(atom, 0.0)))
-        bound = (limit + 1e-9 * (n_steps * size + 1.0), dx * dx / h, rate)
-    result = _dp_sweep(value, ib, ib, moves, stages, n_steps, (ia, ia), bound=bound)[ia]
-    if not np.isfinite(result):
-        raise SolverError("DP could not connect the boundary states with the given slopes")
-    return float(result)
+        rates[p] = h * float(np.min(cost + np.minimum(atom, 0.0)))
+        limits[p] = limit + 1e-9 * (n_steps * size + 1.0)
+    bound = (limits, dx * dx / h, rates, names) if np.isfinite(limits).any() else None
+    value = np.full((n_problems, grid.n_x), np.inf)
+    value[:, ib] = 0.0
+    result = _dp_sweep(value, ib, ib, moves, stages, n_steps, (ia, ia), bound=bound)[:, ia]
+    failed = np.flatnonzero(~np.isfinite(result))
+    if failed.size:
+        raise SolverError(
+            f"DP could not connect the boundary states with the given slopes at {names[failed[0]]}"
+        )
+    values = [float(v) for v in result]
+    return values if stacked else values[0]
 
 
-def _straight_path_cost(moves, stages, ia, ib, n_steps) -> float:
-    """The cost of the straight lattice path from state ia to ib: after s steps
-    it is at ia + floor(s (ib - ia) / n_steps), so it takes moves q and q + 1,
-    q = floor((ib - ia) / n_steps). +inf if one of its moves is not in `moves`
-    or it crosses a +inf stage."""
+def _straight_path(moves, ia, ib, n_steps):
+    """The straight lattice path from state ia to ib, as (the index into
+    `moves` of each step's move, the state each step leaves), or None if one of
+    its moves is not in `moves`: after s steps it is at
+    ia + floor(s (ib - ia) / n_steps), so it takes moves q and q + 1,
+    q = floor((ib - ia) / n_steps)."""
     at = ia + np.arange(n_steps + 1) * (ib - ia) // n_steps
     ks = np.diff(at)
     m = np.minimum(np.searchsorted(moves, ks), moves.size - 1)
     if not np.array_equal(moves[m], ks):
-        return math.inf
-    return float(np.sum(stages[m, at[:-1]]))
+        return None
+    return m, at[:-1]
 
 
 def dp_oracle_halfline(

@@ -255,23 +255,26 @@ def test_the_layer_timer_prints_each_sweeps_history(monkeypatch, capsys):
     returns, (99 + 1) x (2 + 1000 + 3) float64, and one without `no`. The
     whole range visits every state of every step; the span 500..500 visits,
     with `left` steps still to go, the states 500 - 2 left .. 500 + 3 left
-    that lie on the grid. Counting leaves minimize's `np` as it was."""
+    that lie on the grid, of each of its problems. Counting leaves
+    minimize's `np` as it was."""
     tool = _layer_timer(monkeypatch)
     call = dict(
         value=np.zeros(1000), lo=0, hi=999, moves=np.array([-2, 0, 3]),
         stages=np.ones((3, 1000)), n_steps=99, span=(0, 999), weights=None, atom=None,
         bound=None, history=True,
     )
-    aimed = dict(call, span=(500, 500), history=False)
+    aimed = dict(call, value=np.zeros((3, 1000)), span=(500, 500), history=False)
     tool.print_sweeps([("a", call), ("b", dict(call, history=False)), ("c", aimed)])
     header, with_history, without, narrow = capsys.readouterr().out.splitlines()
-    assert header.split()[-7:] == ["steps", "span", "weights", "bound", "visited", "history", "ms"]
-    assert with_history.split()[4] == "0..999"
+    assert header.split()[2:] == [
+        "moves", "problems", "steps", "span", "weights", "bound", "visited", "history", "ms"
+    ]
+    assert with_history.split()[3:6] == ["1", "99", "0..999"]
     assert with_history.split()[-4:-1] == ["1.000", "0.80", "MB"]
     assert without.split()[-3:-1] == ["1.000", "no"]
     left = np.arange(99)
     states = np.minimum(999, 500 + 3 * left) - np.maximum(0, 500 - 2 * left) + 1
-    assert narrow.split()[4] == "500..500"
+    assert narrow.split()[3:6] == ["3", "99", "500..500"]
     assert narrow.split()[-3] == f"{states.sum() / (99 * 1000):.3f}"
     assert minimize.np is np
 
@@ -583,10 +586,34 @@ def test_negative_pure_atom_is_eps_independent():
 
 
 def test_a_failing_negative_rung_raises_its_own_error(monkeypatch):
-    # The limit value is a call at eps = 1, outside the ladder [0.2, 0.1].
-    fail_at_eps(monkeypatch, "dp_oracle_1d", 0.1, SolverError)
+    """The limit and the rungs are one stacked DP call; its stage costs are
+    built per problem, and the rung at eps = 0.1 fails there, named. The
+    limit is the problem at eps = 1, outside the ladder [0.2, 0.1]."""
+    real = minimize._lattice_costs
+
+    def lattice_costs(V, W, eps, states):
+        if eps == 0.1:
+            raise SolverError(f"synthetic failure at eps={eps}")
+        return real(V, W, eps, states)
+
+    monkeypatch.setattr(minimize, "_lattice_costs", lattice_costs)
     with pytest.raises(SolverError, match="eps=0.1"):
         run_negative_perturbation(negative_cfg())
+
+
+def test_the_negative_runner_sweeps_its_ladder_once(monkeypatch):
+    """The zero-set limit and every rung share one lattice sweep, with one
+    problem each: eps 1 for the limit, then the ladder [0.2, 0.1]."""
+    sweeps = []
+    real = minimize._dp_sweep
+
+    def sweep(value, *args, **kwargs):
+        sweeps.append(value.shape[0])
+        return real(value, *args, **kwargs)
+
+    monkeypatch.setattr(minimize, "_dp_sweep", sweep)
+    rep = run_negative_perturbation(negative_cfg())
+    assert sweeps == [3] and len(rep.rows) == 2
 
 
 def test_negative_runner_rejects_wrong_inputs():

@@ -361,8 +361,10 @@ def test_swept_cone_dp_equals_the_full_lattice_bitwise(
 
 
 def _oracle_sweep(monkeypatch, *args, **kwargs):
-    """The arguments of the one sweep dp_oracle_1d(*args, **kwargs) runs, and
-    its outcome (see _outcome); no arguments if it raised before sweeping."""
+    """The one sweep that a one-problem dp_oracle_1d(*args, **kwargs) runs, as
+    the arguments of the same sweep over its whole stage table, and its
+    outcome (see _outcome); no arguments if it raised before sweeping. The
+    bound (limit, kinetic, rate) is None where it prunes nothing."""
     calls = []
 
     def capturing(*sweep_args, **sweep_kwargs):
@@ -372,7 +374,23 @@ def _oracle_sweep(monkeypatch, *args, **kwargs):
     monkeypatch.setattr(minimize, "_dp_sweep", capturing)
     outcome = _outcome(lambda: dp_oracle_1d(*args, **kwargs))
     assert len(calls) <= 1
-    return (calls[0] if calls else None), outcome
+    if not calls:
+        return None, outcome
+    (value, lo, hi, moves, stages, n_steps, span), sweep = calls[0]
+    assert value.shape[0] == 1
+    stages = stages(0, value.shape[1])[0]
+    bound = None
+    if sweep["bound"] is not None and np.isfinite(sweep["bound"][0][0]):
+        limit, kinetic, rate, _ = sweep["bound"]
+        bound = (limit[0], kinetic, rate[0])
+    return ((value[0], lo, hi, moves, stages, n_steps, span), {"bound": bound}), outcome
+
+
+def _straight_path_cost(moves, stages, ia, ib, n_steps):
+    """The summed stages of the straight lattice path from ia to ib (see
+    minimize._straight_path), +inf without one."""
+    path = minimize._straight_path(moves, ia, ib, n_steps)
+    return np.inf if path is None else float(np.sum(stages[path]))
 
 
 def _forward_costs(moves, stages, ia, n_steps):
@@ -424,7 +442,7 @@ def test_the_dp_bound_holds_on_every_lattice_path(
     if call is None:  # no admissible move: refused before any sweep
         return
     (_, ib, _, moves, stages, n_steps, (ia, _)), kwargs = call
-    straight = minimize._straight_path_cost(moves, stages, ia, ib, n_steps)
+    straight = _straight_path_cost(moves, stages, ia, ib, n_steps)
     if kwargs["bound"] is None:
         assert straight == np.inf
         return
@@ -466,11 +484,126 @@ def test_the_bounded_sweep_keeps_the_value_where_paths_tie(monkeypatch, V, W, a,
     ia = span[0]
     plain = _dp_sweep(start, ib, ib, moves, stages, n_steps, span)[ia]
     assert repr(value) == repr(float(plain))
-    straight = minimize._straight_path_cost(moves, stages, ia, ib, n_steps)
+    straight = _straight_path_cost(moves, stages, ia, ib, n_steps)
     if grid.n_t - 1 in (16, 32):
         assert straight == value
     else:  # pairwise and step-by-step sums of -1/1280 differ in the last bits
         assert abs(straight - value) < 1e-12
+
+
+def _wall(x):
+    """+inf right of x = 2, 0 left of it."""
+    return np.where(x[..., 0] > 2.0, np.inf, 0.0)
+
+
+_WALL = Perturbation(1, _wall, sign_class="signed", sup_bound=np.inf, name="wall")
+
+
+def _stacked_outcome(solve):
+    """The solver's values as reprs, so -0.0 and every bit count, or the name
+    of the error it raised."""
+    try:
+        values = solve()
+    except (InputError, SolverError) as exc:
+        return type(exc).__name__
+    return [repr(v) for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_x=st.integers(3, 120),
+    n_t=st.integers(2, 40),
+    symmetric=st.booleans(),
+    slope_set=_slope_sets(),
+    moves=st.none() | st.tuples(st.integers(-6, 0), st.integers(0, 6)),
+    problems=st.lists(
+        st.tuples(st.sampled_from(sorted(_DP_PERTURBATIONS) + ["wall"]),
+                  st.sampled_from([0.05, 0.3, 1.0])),
+        min_size=1, max_size=5,
+    ),
+    data=st.data(),
+)
+def test_a_stacked_dp_oracle_equals_its_solo_calls_bitwise(
+    n_x, n_t, symmetric, slope_set, moves, problems, data
+):
+    """dp_oracle_1d on a stack of problems (W and eps one per problem) gives
+    each problem's solo float, bit for bit; where a solo call fails, the stack
+    raises the same type of error as the first that fails. A symmetric grid has an odd state count, so its
+    state 0 carries the atoms. Given `moves`, the slopes make every move from
+    its first to its last entry, so a straight path mostly exists and the
+    problems it does not cross a +inf state of are pruned. The `forbidden`
+    bands and the wall (+inf right of x = 2 eps: off the grid at eps 1) block
+    it for some eps, so a stack mixes pruned and unpruned problems."""
+    n_x += symmetric and n_x % 2 == 0
+    grid = DPGrid(-1.0, 1.0, n_x, n_t) if symmetric else DPGrid(-0.7, 1.3, n_x, n_t)
+    states = grid.states()
+    if moves is not None:  # the slope of move k is k dx / h, with h = 1 / (n_t - 1)
+        slope_set = np.arange(moves[0], moves[1] + 1) * (states[1] - states[0]) * (n_t - 1)
+    V = make_potential("sin2", 1)
+    Ws = [_WALL if name == "wall" else _DP_PERTURBATIONS[name] for name, _ in problems]
+    epss = [eps for _, eps in problems]
+    a, b = (float(states[data.draw(st.integers(0, n_x - 1))]) for _ in range(2))
+
+    def oracle(W, eps):
+        return dp_oracle_1d(V, W, eps, 0.0, 1.0, a, b, grid, slope_set=slope_set)
+
+    solo = [_stacked_outcome(lambda: [oracle(W, eps)]) for W, eps in zip(Ws, epss)]
+    failed = [outcome for outcome in solo if isinstance(outcome, str)]
+    want = failed[0] if failed else [value for [value] in solo]
+    assert _stacked_outcome(lambda: oracle(Ws, epss)) == want
+    if len(set(map(id, Ws))) == 1:  # one W, shared by the stack
+        assert _stacked_outcome(lambda: oracle(Ws[0], epss)) == want
+
+
+def test_a_stacked_sweep_keeps_the_cone_of_every_problem():
+    """With V = 0 and a = b = 0.5, the free particle stays put, and its bound
+    keeps only the state 0.5. A deep atom at 0 pays for the trip there and
+    back at slope 2 (cost 2, a stay of 1/2 worth -5). Stacked behind the free
+    particle, the atom problem keeps the cone that reaches 0."""
+    V, grid = make_potential("zero", 1), DPGrid(-1.0, 1.0, 81, 33)
+    atom = make_perturbation("neg_spike", 1, depth=10.0, width=0.0)
+    solo = [dp_oracle_1d(V, W, 1.0, 0.0, 1.0, 0.5, 0.5, grid) for W in (None, atom)]
+    assert solo[0] == 0.0 and solo[1] < -2.0
+    assert dp_oracle_1d(V, [None, atom], 1.0, 0.0, 1.0, 0.5, 0.5, grid) == solo
+
+
+def test_a_stacked_dp_oracle_names_the_problem_it_cannot_connect():
+    """At eps = 0.1 the wall forbids every state right of 0.2, and no slope
+    up to 2 jumps from there to b = 0.9 in one step of 1/16; at eps = 1 the
+    wall lies at 2, off the grid."""
+    V, grid = make_potential("zero", 1), DPGrid(-1.0, 1.0, 81, 17)
+    slopes = np.linspace(-2.0, 2.0, 33)
+    assert dp_oracle_1d(V, _WALL, [1.0], 0.0, 1.0, -0.5, 0.9, grid, slopes) == [
+        dp_oracle_1d(V, None, 1.0, 0.0, 1.0, -0.5, 0.9, grid, slopes)
+    ]
+    with pytest.raises(SolverError, match=r"connect .* at eps=0\.1, W='wall'"):
+        dp_oracle_1d(V, _WALL, [1.0, 0.1], 0.0, 1.0, -0.5, 0.9, grid, slopes)
+
+
+def test_a_stacked_dp_oracle_names_the_problem_its_bound_failed(monkeypatch):
+    """A bound read off a path that does not reach b (a stay at x = 0.6, one
+    that costs nothing at eps = 1) is far below the optimum, so it drops every
+    state of that problem's cone, and the error names it. At eps = 0.1 the
+    wall makes that path cost +inf, so that problem is not pruned."""
+    V, grid = make_potential("zero", 1), DPGrid(-1.0, 1.0, 81, 17)
+    states = grid.states()
+    stay_at = int(np.argmin(np.abs(states - 0.6)))
+
+    def stay(moves, ia, ib, n_steps):
+        return np.full(n_steps, np.searchsorted(moves, 0)), np.full(n_steps, stay_at)
+
+    monkeypatch.setattr(minimize, "_straight_path", stay)
+    with pytest.raises(InvariantError, match=r"dropped every state .* at eps=1\.0, W='wall'"):
+        dp_oracle_1d(V, _WALL, [0.1, 1.0], 0.0, 1.0, -0.5, 0.5, grid)
+
+
+def test_dp_oracle_stacks_take_one_or_p_of_each():
+    V, grid = make_potential("zero", 1), DPGrid(-1.0, 1.0, 81, 17)
+    atom = _DP_PERTURBATIONS["atom"]
+    with pytest.raises(InputError, match="one per problem"):
+        dp_oracle_1d(V, [None, atom], [0.1, 0.2, 0.3], 0.0, 1.0, 0.0, 0.0, grid)
+    with pytest.raises(InputError, match="one per problem"):
+        dp_oracle_1d(V, [], 0.1, 0.0, 1.0, 0.0, 0.0, grid)
 
 
 def _full_grid_sweep(value, moves, stages, n_steps, weights):

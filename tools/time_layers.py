@@ -20,11 +20,11 @@ per kernel gives one line per call, each time the least CPU time
 run that other processes disturbed least, and CPU time leaves out the time
 the process waited. Each line:
 
-- a DP sweep's size (states, moves, steps), the span of states its result
-  is read at, which of weights / bound it used, `visited` (the share of its
-  steps x states that its cone kept: the states each step's min-plus
-  reduced, summed over the steps), the MB of its history buffer (or no
-  history), and the time in ms;
+- a DP sweep's size (states, moves, problems, steps), the span of states
+  its result is read at, which of weights / bound it used, `visited` (the
+  share of its problems x steps x states that its cone kept: the states each
+  step's min-plus reduced, summed over the problems and steps), the MB of
+  its history buffer (or no history), and the time in ms;
 - a Newton solve's size (nodes, dimension, problems x starts), its Newton
   sweeps (its calls of the action's `gradient`), and the time in ms,
   whole and split into the action's derivatives (`gradient` and
@@ -146,20 +146,21 @@ def visit(call):
 
 def print_sweeps(calls):
     names = ("weights", "bound")
-    print(f"{'call':<24} {'n_x':>6} {'moves':>5} {'steps':>5} {'span':>13}  {' '.join(names)}"
+    print(f"{'call':<24} {'n_x':>6} {'moves':>5} {'problems':>8} {'steps':>5} {'span':>13}  "
+          f"{' '.join(names)}"
           "  visited  history     ms")
     for label, call in calls:
         ms = min_ms(minimize._dp_sweep, lambda: dict(call, value=call["value"].copy()))
         flags = (call["weights"] is not None, call["bound"] is not None)
         result, states = visit(call)
-        n_x, n_steps = call["value"].size, call["n_steps"]
+        (problems, n_x), n_steps = np.atleast_2d(call["value"]).shape, call["n_steps"]
         span = "..".join(str(int(i)) for i in call["span"])
         # the MB of the buffer a sweep with history returns
         history = f"{result.nbytes / 1e6:.2f} MB" if call["history"] else "no"
         print(
-            f"{label:<24} {n_x:>6} {call['moves'].size:>5} {n_steps:>5} {span:>13}  "
+            f"{label:<24} {n_x:>6} {call['moves'].size:>5} {problems:>8} {n_steps:>5} {span:>13}  "
             + " ".join(f"{'yes' if flag else 'no':>{len(name)}}" for flag, name in zip(flags, names))
-            + f"  {states / (n_steps * n_x):>7.3f}  {history:>7}  {ms:>6.2f}"
+            + f"  {states / (problems * n_steps * n_x):>7.3f}  {history:>7}  {ms:>6.2f}"
         )
 
 
