@@ -99,9 +99,9 @@ def _profile_from_path(times, nodes, xi) -> Trajectory:
 
 def solve_corrector_1d(
     V: PeriodicPotential,
-    xi: float,
+    xi,
     opt: OptimizerSpec = _CELL_OPT,
-) -> CorrectorProfile:
+) -> CorrectorProfile | list:
     """One-dimensional periodic cell problem at a finite slope xi != 0.
 
     Minimizes |xi| * integral over [0, 1/|xi|] of |w'|^2 + V(w) over paths
@@ -116,10 +116,25 @@ def solve_corrector_1d(
     InvariantError. A V with two equal wells per period, which the exact
     value does not resolve, raises SolverError. meta holds `exact_value`
     and `exact_gap`.
+
+    xi may be a sequence of slopes; then a list of profiles comes back, one
+    per slope, each the one its own call gives. Every slope is checked
+    first, then one `cell_value_1d` pass takes all their exact values, then
+    one Newton solve per slope runs in input order. The exact pass comes
+    before any Newton solve, so its SolverError comes before a Newton
+    solve's error; otherwise the first failing slope raises its own error.
     """
     if V.dimension != 1:
         raise InputError("solve_corrector_1d requires a one-dimensional potential")
-    xi = float(xi)
+    stacked = np.ndim(xi) > 0
+    windows = [_corrector_window(float(s)) for s in (xi if stacked else [xi])]
+    exact = cell_value_1d(lambda s: V.evaluator(s[..., None]), [s for s, _, _ in windows])
+    profiles = [_certified_profile(V, *window, f_1, opt) for window, f_1 in zip(windows, exact)]
+    return profiles if stacked else profiles[0]
+
+
+def _corrector_window(xi: float):
+    """(xi, T = 1/|xi|, node count) of a d = 1 cell solve, or InputError."""
     if not math.isfinite(xi):
         raise InputError(f"xi must be finite, got {xi}")
     if xi == 0.0:
@@ -131,7 +146,11 @@ def solve_corrector_1d(
         raise InputError(
             f"need 2 to 2^20 nodes, got {math.ceil(48 * T) + 1} (window T = 1/|xi| at xi={xi})"
         )
-    n_nodes = max(65, int(math.ceil(48 * T)) + 1)
+    return xi, T, max(65, int(math.ceil(48 * T)) + 1)
+
+
+def _certified_profile(V, xi, T, n_nodes, exact, opt) -> CorrectorProfile:
+    """The Newton solve of one d = 1 window and its checks, against the exact value."""
     target = math.copysign(1.0, xi)
     traj, value = minimize_bvp(V, None, 1.0, 0.0, T, 0.0, target, n_nodes, opt)
     cell_value = abs(xi) * value
@@ -141,7 +160,6 @@ def solve_corrector_1d(
     if cell_value > zero_profile_value + 1e-12 * max(1.0, abs(zero_profile_value)):
         raise InvariantError(f"descent at xi={xi} returned a value above the zero-corrector bound")
     _check_sandwich(cell_value, xi, V.v_min, V.v_max)
-    exact = cell_value_1d(lambda s: V.evaluator(s[..., None]), xi)
     gap = cell_value - exact
     lo, hi = (bound * max(1.0, abs(exact)) for bound in _EXACT_GAP_WINDOW)
     if not lo <= gap <= hi:
@@ -181,7 +199,7 @@ _CELL_TOL = 1e-13
 _E_FLOOR = 1e-300
 
 
-def cell_value_1d(v, xi) -> float:
+def cell_value_1d(v, xi) -> float | list:
     """Exact homogenized value f_1(xi) of a 1-periodic potential v (vectorized).
 
     On an optimal crossing of one period the energy E = w'^2 - v(w) is
@@ -202,28 +220,61 @@ def cell_value_1d(v, xi) -> float:
     It resolves one well per period: a second well of the same depth shows
     up as levels that disagree. A v constant at every node gives
     min v + xi^2 exactly. A non-finite xi raises InputError. NumPy only.
+
+    xi may be a sequence of slopes; then a list comes back, one float per
+    slope, each the float its own call gives. The slopes share one scan for
+    the minimum and each level's nodes and v values, a level being built
+    only while some slope still needs it; +-xi share one energy root. Each
+    slope stops at the level its own call stops at. Every slope is checked
+    first; the first slope whose own call would fail raises that error.
     """
-    speed = abs(float(xi))
-    if not math.isfinite(speed):
-        raise InputError(f"xi must be finite, got {xi}")
+    stacked = np.ndim(xi) > 0
+    slopes = list(xi) if stacked else [xi]
+    speeds = [abs(float(s)) for s in slopes]
+    for s, speed in zip(slopes, speeds):
+        if not math.isfinite(speed):
+            raise InputError(f"xi must be finite, got {s}")
     w0, low = _factor_minimum(v)
-    if speed == 0.0:
-        return low
-    previous, gap = None, math.inf
+    found = {0.0: low}  # speed -> its value, or the SolverError its root search raised
+    previous = {speed: None for speed in speeds if speed != 0.0}  # the speeds still open
+    gaps = dict.fromkeys(previous, math.inf)
     for level in _DE_LEVELS:
+        if not previous:
+            break
         nodes, weights = _period_nodes(w0, level)
         u = np.maximum(v(nodes) - low, 0.0)
         if not np.any(u):
-            return low + speed * speed
-        value = low + _energy_value(u, weights, speed)
-        if previous is not None:
-            gap = abs(value - previous)
-            if gap <= _CELL_TOL * max(1.0, abs(value)):
-                return value
-        previous = value
-    raise SolverError(
-        f"cell_value_1d at xi={xi}: the finest quadrature levels differ by {gap:.1e}"
-    )
+            found.update((speed, low + speed * speed) for speed in previous)
+            break
+        for speed, last in list(previous.items()):
+            try:
+                value = low + _energy_value(u, weights, speed)
+            except SolverError as exc:
+                found[speed] = exc
+                del previous[speed]
+                continue
+            if last is not None:
+                gaps[speed] = abs(value - last)
+                if gaps[speed] <= _CELL_TOL * max(1.0, abs(value)):
+                    found[speed] = value
+                    del previous[speed]
+                    continue
+            previous[speed] = value
+    values = []
+    for s, speed in zip(slopes, speeds):
+        value = found.get(speed)
+        if value is None:
+            raise SolverError(
+                f"cell_value_1d at xi={s}: the finest quadrature levels differ by {gaps[speed]:.1e}"
+            )
+        if isinstance(value, SolverError):
+            raise value
+        values.append(value)
+    return values if stacked else values[0]
+
+
+# The zoom offsets of _factor_minimum, in units of the window's half-width.
+_ZOOM_OFFSETS = np.linspace(-1.0, 1.0, 33)
 
 
 def _factor_minimum(v):
@@ -236,7 +287,7 @@ def _factor_minimum(v):
     w0, low = float(grid[k]), float(vals[k])
     half = 1.0 / 2048.0
     for _ in range(12):
-        cand = w0 + half * np.linspace(-1.0, 1.0, 33)
+        cand = w0 + half * _ZOOM_OFFSETS
         vals = v(cand)
         k = int(np.argmin(vals))
         if vals[k] < low:
@@ -359,7 +410,7 @@ def f_hom_asymptotic(
     if speed == 0.0:
         return V.v_min, _exact_diagnostics(V.v_min, "minimum")
     if V.factor is not None:
-        value = float(sum(cell_value_1d(V.factor, s) for s in xi))
+        value = float(sum(cell_value_1d(V.factor, xi)))
         return value, _exact_diagnostics(value, "separable")
     tau = _lattice_period(xi)
     T0 = 8.0 / speed if tau is None else tau * math.ceil(8.0 / speed / tau - 1e-9)
@@ -455,33 +506,35 @@ def tabulate_f_hom(
     """Tabulate the homogenized Lagrangian on a symmetric slope grid.
 
     The dimension picks the method, recorded as meta["method"]: in d = 1
-    ("1d") one `solve_corrector_1d` per slope, a single Newton start
-    certified against the exact value, the largest Newton - exact gap
-    recorded as meta["max_exact_gap"]; in d >= 2 ("asymptotic")
-    `f_hom_asymptotic` per slope, so a potential with an axis factor gets
-    exact separable values and any other the window ladder. The grid must
-    contain 0 and be symmetric under sign flip per axis. The slope-0 value
-    is pinned to v_min. When midpoint-convexity defects exceed 1e-6, the
-    lower convex envelope is applied and flagged. The first slope whose solve
-    fails raises its error unchanged (SolverError or InvariantError).
+    ("1d") one `solve_corrector_1d` call on the nonzero slopes in grid
+    order, a single Newton start per slope certified against the exact
+    value, the largest Newton - exact gap recorded as meta["max_exact_gap"];
+    in d >= 2 ("asymptotic") `f_hom_asymptotic` per slope, so a potential
+    with an axis factor gets exact separable values and any other the window
+    ladder. The grid must contain 0 and be symmetric under sign flip per
+    axis. The slope-0 value is pinned to v_min. When midpoint-convexity
+    defects exceed 1e-6, the lower convex envelope is applied and flagged.
+    The first slope whose solve fails raises its error unchanged
+    (SolverError or InvariantError); in d = 1 the exact values of all the
+    slopes come before any Newton solve, so a SolverError of theirs comes
+    first.
     """
     method = "1d" if V.dimension == 1 else "asymptotic"
     axes = _slope_axes(grid, V.dimension)
     flat = mesh(axes)
-    values = np.empty(flat.shape[0])
+    values = np.full(flat.shape[0], V.v_min, dtype=float)
+    moving = [i for i, point in enumerate(flat) if float(np.linalg.norm(point)) != 0.0]
     converged = True
     gaps = []
-    for i, point in enumerate(flat):
-        speed = float(np.linalg.norm(point))
-        if speed == 0.0:
-            values[i] = V.v_min
-        elif method == "1d":
-            prof = solve_corrector_1d(V, float(point[0]), opt)
+    if method == "1d":
+        profiles = solve_corrector_1d(V, [float(flat[i, 0]) for i in moving], opt)
+        for i, prof in zip(moving, profiles):
             values[i] = prof.cell_value
             converged &= prof.meta["converged"]
             gaps.append(prof.meta["exact_gap"])
-        else:
-            values[i], diagnostics = f_hom_asymptotic(V, point, opt)
+    else:
+        for i in moving:
+            values[i], diagnostics = f_hom_asymptotic(V, flat[i], opt)
             converged &= diagnostics["converged"]
 
     table = HomogenizedLagrangian(

@@ -204,6 +204,70 @@ def test_a_table_of_two_equal_wells_is_a_solver_error(cell_opt):
         tabulate_f_hom(V, np.linspace(-0.5, 0.5, 5), opt=cell_opt)
 
 
+def test_a_stacked_corrector_solve_gives_each_solo_profile(cell_opt, sin2_1d):
+    slopes = [-1.0, 0.5, 2.0, -1.0, 0.25]
+    stack = solve_corrector_1d(sin2_1d, slopes, cell_opt)
+    assert len(stack) == len(slopes)
+    for xi, prof in zip(slopes, stack):
+        solo = solve_corrector_1d(sin2_1d, xi, cell_opt)
+        assert prof.xi.tolist() == [xi] and prof.T == solo.T
+        assert prof.cell_value == solo.cell_value
+        np.testing.assert_array_equal(prof.profile.nodes, solo.profile.nodes)
+        assert prof.meta == solo.meta
+
+
+def test_a_stacked_corrector_solve_checks_every_slope_before_any_work(
+    cell_opt, sin2_1d, monkeypatch
+):
+    """The first refused slope of a stack raises before any exact value or
+    Newton solve; then the exact pass runs before any Newton solve, so a
+    slope it cannot resolve raises its SolverError first."""
+
+    def no_work(*args):
+        raise AssertionError("worked on a stack with a refused slope")
+
+    monkeypatch.setattr(homoglab.cell, "minimize_bvp", no_work)
+    monkeypatch.setattr(homoglab.cell, "cell_value_1d", no_work)
+    with pytest.raises(InputError, match="must be nonzero"):
+        solve_corrector_1d(sin2_1d, [1.0, 0.0, math.nan], cell_opt)
+    monkeypatch.setattr(homoglab.cell, "cell_value_1d", cell_value_1d)
+    with pytest.raises(SolverError, match="at xi=-0.25: .*levels differ"):
+        solve_corrector_1d(_two_wells(), [0.5, -0.25, 0.25], cell_opt)
+
+
+def test_a_1d_table_makes_one_exact_pass_and_one_newton_solve_per_slope(
+    cell_opt, sin2_1d, monkeypatch
+):
+    """One minimum scan and one stacked solve for the table's nonzero slopes
+    in grid order, then one Newton solve each; a separable d = 2 value scans
+    its factor once for both axes."""
+    calls = {"scan": [], "solve": [], "newton": []}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name].append(args)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        homoglab.cell, "_factor_minimum", counted("scan", homoglab.cell._factor_minimum)
+    )
+    monkeypatch.setattr(
+        homoglab.cell, "solve_corrector_1d", counted("solve", homoglab.cell.solve_corrector_1d)
+    )
+    monkeypatch.setattr(
+        homoglab.cell, "minimize_bvp", counted("newton", homoglab.cell.minimize_bvp)
+    )
+    axis = np.linspace(-2.0, 2.0, 9)
+    tabulate_f_hom(sin2_1d, axis, opt=cell_opt)
+    assert len(calls["scan"]) == 1
+    assert [args[1] for args in calls["solve"]] == [[-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]]
+    assert [args[4] for args in calls["newton"]] == [0.5, 2 / 3, 1.0, 2.0, 2.0, 1.0, 2 / 3, 0.5]
+    f_hom_asymptotic(make_potential("sin2", 2), np.array([1.0, 0.5]))
+    assert len(calls["scan"]) == 2
+
+
 def test_sandwich_bounds_on_table(cell_opt, sin2_1d):
     axis = np.linspace(-2.0, 2.0, 9)
     f = tabulate_f_hom(sin2_1d, axis, opt=cell_opt)
@@ -215,15 +279,17 @@ def test_sandwich_bounds_on_table(cell_opt, sin2_1d):
 
 def test_table_raises_the_first_failing_slopes_own_error(cell_opt, sin2_1d, monkeypatch):
     """No relabelling as SolverError: an invariant violation at one slope ends
-    the tabulation as an InvariantError that names the slope."""
-    real = homoglab.cell.solve_corrector_1d
+    the tabulation as an InvariantError that names the slope. The table's
+    slopes go to one stacked solve, so the violation comes from inside it:
+    the Newton solve of the window [0, 2] toward +1, which is xi = 0.5."""
+    real = homoglab.cell.minimize_bvp
 
-    def solver(V, xi, opt):
-        if xi == 0.5:
-            raise InvariantError(f"synthetic violation at xi={xi}")
-        return real(V, xi, opt)
+    def solver(V, W, eps, t0, t1, a, b, n_nodes, opt):
+        if t1 == 2.0 and b == 1.0:
+            raise InvariantError(f"synthetic violation at xi={b / t1}")
+        return real(V, W, eps, t0, t1, a, b, n_nodes, opt)
 
-    monkeypatch.setattr(homoglab.cell, "solve_corrector_1d", solver)
+    monkeypatch.setattr(homoglab.cell, "minimize_bvp", solver)
     with pytest.raises(InvariantError, match="xi=0.5"):
         tabulate_f_hom(sin2_1d, np.linspace(-1, 1, 5), opt=cell_opt)
     monkeypatch.undo()
@@ -439,6 +505,87 @@ def test_cell_value_1d_at_small_slopes_is_the_flat_bottom_line(name, xi):
     amplitude = float(v(np.array(0.5)) + v(np.array(0.0)))
     root_mean = 2.0 / math.pi * math.sqrt(amplitude)
     assert cell_value_1d(v, xi) == pytest.approx(2.0 * xi * root_mean, rel=1e-13, abs=0.0)
+
+
+def _stack_factors():
+    two_wells = _two_wells()
+    return {
+        "sin2": make_potential("sin2", 1).factor,
+        "cos_sum": make_potential("cos_sum", 1).factor,
+        "constant": lambda w: np.full(np.shape(w), 0.7),
+        "flat bottom": lambda w: np.abs(np.sin(np.pi * w)),
+        "two wells": lambda w: two_wells.evaluator(w[..., None]),
+    }
+
+
+def _with_roots(fn, *args):
+    """(fn(*args) or the SolverError it raised, the speed of each energy root it solved)."""
+    roots = []
+    energy_value = homoglab.cell._energy_value
+
+    def counting(u, weights, speed):
+        roots.append(speed)
+        return energy_value(u, weights, speed)
+
+    homoglab.cell._energy_value = counting
+    try:
+        return fn(*args), roots
+    except SolverError as exc:
+        return exc, roots
+    finally:
+        homoglab.cell._energy_value = energy_value
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_stack_factors())),
+    slopes=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]),
+            st.floats(-4.0, 4.0),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example(name="two wells", slopes=[0.5, -0.25, 1.0, 0.25, 0.1])
+@example(name="two wells", slopes=[2.0, 0.5, -2.0, 1.0])
+@example(name="sin2", slopes=[0.0, 1.0, -1.0, 1.0, 0.05, 4.0])
+def test_a_stack_of_slopes_gives_each_solo_float_bitwise(name, slopes):
+    """A stack shares the scan, the levels and the roots of +-xi, and still
+    gives each slope's own float; with a failing slope in it, the first
+    failing slope's own SolverError. Each distinct speed solves as many
+    energy roots as its own call: it stops at the level that call stops at."""
+    v = _stack_factors()[name]
+    solos = {xi: _with_roots(cell_value_1d, v, xi) for xi in slopes}
+    stack, roots = _with_roots(cell_value_1d, v, np.array(slopes))
+    by_speed = {abs(xi): solo_roots for xi, (_, solo_roots) in solos.items()}
+    assert sorted(roots) == sorted(r for solo_roots in by_speed.values() for r in solo_roots)
+    failures = [solos[xi][0] for xi in slopes if isinstance(solos[xi][0], SolverError)]
+    if failures:
+        assert type(stack) is SolverError and str(stack) == str(failures[0])
+    else:
+        solo_values = [solos[xi][0] for xi in slopes]
+        assert np.array(stack).tobytes() == np.array(solo_values).tobytes()
+        assert cell_value_1d(v, slopes) == stack
+
+
+def test_a_stack_raises_its_first_failing_slopes_error_at_whatever_level(monkeypatch):
+    """A root search that fails at the first level, for the second slope, does
+    not pre-empt the first slope, whose levels still disagree at the last."""
+    energy_value = homoglab.cell._energy_value
+
+    def failing(u, weights, speed):
+        if speed == 2.0:
+            raise SolverError(f"no period-time root found at slope {speed}")
+        return energy_value(u, weights, speed)
+
+    monkeypatch.setattr(homoglab.cell, "_energy_value", failing)
+    v = _stack_factors()["two wells"]
+    with pytest.raises(SolverError, match="at xi=0.25: the finest quadrature levels differ"):
+        cell_value_1d(v, [0.25, -2.0])
+    with pytest.raises(SolverError, match="no period-time root found at slope 2.0"):
+        cell_value_1d(v, [-2.0, 0.25])
 
 
 @pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf])

@@ -404,15 +404,16 @@ def test_a_failing_stability_rung_sets_the_exit_code(tmp_path, capsys, monkeypat
 
 
 def test_a_failing_slope_keeps_its_invariant_exit_code(tmp_path, capsys, monkeypatch):
-    """An InvariantError at one slope of an fhom table exits 4, not 3."""
-    real = homoglab.cell.solve_corrector_1d
+    """An InvariantError at one slope of an fhom table exits 4, not 3. It comes
+    from the Newton solve of the window [0, 1] toward +1, which is xi = 1.0."""
+    real = homoglab.cell.minimize_bvp
 
-    def solver(V, xi, opt):
-        if xi == 1.0:
-            raise InvariantError(f"synthetic violation at xi={xi}")
-        return real(V, xi, opt)
+    def solver(V, W, eps, t0, t1, a, b, n_nodes, opt):
+        if t1 == 1.0 and b == 1.0:
+            raise InvariantError(f"synthetic violation at xi={b / t1}")
+        return real(V, W, eps, t0, t1, a, b, n_nodes, opt)
 
-    monkeypatch.setattr(homoglab.cell, "solve_corrector_1d", solver)
+    monkeypatch.setattr(homoglab.cell, "minimize_bvp", solver)
     cfg = write_cfg(tmp_path, dict(FENCHEL_RAW, experiment="fhom"))
     assert cli.main(["fhom", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     assert "synthetic violation at xi=1.0" in capsys.readouterr().err

@@ -210,6 +210,47 @@ def test_the_output_comparer_lists_every_changed_value(tmp_path, capsys):
     assert tool.ulps(-5e-324, 5e-324) == 2
 
 
+def _workload_timer(monkeypatch):
+    """tools/time_workloads.py, loaded from its file with tools/ on sys.path,
+    which monkeypatch restores."""
+    tools = Path(__file__).resolve().parent.parent / "tools"
+    monkeypatch.setattr(sys, "path", [str(tools)] + sys.path)
+    spec = importlib.util.spec_from_file_location("time_workloads", tools / "time_workloads.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_the_workload_timer_alternates_the_sides_and_checks_their_bytes(monkeypatch, capsys):
+    """REV runs first in odd pairs and this checkout in even ones; the summary
+    counts the pairs this checkout won, and bytes that differ fail it."""
+    tool = _workload_timer(monkeypatch)
+    order = []
+    least = {"REV": iter([0.050, 0.052, 0.049]), "here": iter([0.040, 0.053, 0.041])}
+
+    def run_side(root, workload, seed, loops):
+        side = "here" if root == tool.ROOT else "REV"
+        order.append(side)
+        return {"least": next(least[side]), "digests": ["same"], "problems": []}
+
+    monkeypatch.setattr(tool, "run_side", run_side)
+    results = tool.time_pairs(Path("rev"), "tables", 0, 3, 5)
+    assert order == ["REV", "here", "here", "REV", "REV", "here"]
+    assert tool.report(results) == 0
+    out = capsys.readouterr().out
+    assert "REV   median 50.00 ms, quartiles " in out and "here  median 41.00 ms" in out
+    assert "this checkout faster in 2 of 3 pairs" in out
+    results[1][2]["digests"] = ["other"]
+    assert tool.report(results) == 1
+    assert "the loops wrote 2 different sets of bytes" in capsys.readouterr().out
+
+
+def test_the_workload_timer_runs_a_benchmark_loop_in_a_fresh_process(monkeypatch):
+    tool = _workload_timer(monkeypatch)
+    run = tool.run_side(tool.ROOT, "lattice", 7, 2)
+    assert run["least"] > 0 and len(run["digests"]) == 1 and run["problems"] == []
+
+
 def _layer_timer(monkeypatch):
     """tools/time_layers.py, loaded from its file; it prepends src/ and bench/
     to sys.path, which monkeypatch restores."""
@@ -224,9 +265,15 @@ def _layer_timer(monkeypatch):
 def test_the_layer_timer_captures_every_kernel_and_restores_it(monkeypatch):
     # One capture pass, no timed replays.
     tool = _layer_timer(monkeypatch)
-    originals = (minimize._dp_sweep, minimize._solve, experiments.cylinder_average)
+    kernels = lambda: (
+        minimize._dp_sweep,
+        minimize._solve,
+        homoglab.cell.cell_value_1d,
+        experiments.cylinder_average,
+    )
+    originals = kernels()
     calls = tool.capture(7)
-    assert sorted(calls) == ["_dp_sweep", "_solve", "cylinder_average"]
+    assert sorted(calls) == ["_dp_sweep", "_solve", "cell_value_1d", "cylinder_average"]
     assert all(calls.values())
     labels = {label.split("/")[0] for kernel in calls.values() for label, _ in kernel}
     assert labels == {"tables", "stability", "hj", "lattice"}
@@ -234,7 +281,32 @@ def test_the_layer_timer_captures_every_kernel_and_restores_it(monkeypatch):
     assert {(label.split("/")[0], call["history"]) for label, call in calls["_dp_sweep"]} == {
         ("hj", True), ("lattice", False)
     }
-    assert (minimize._dp_sweep, minimize._solve, experiments.cylinder_average) == originals
+    # Each d = 1 table reads its exact values in one pass over its 16 nonzero slopes.
+    tables = [call["xi"] for label, call in calls["cell_value_1d"] if label.startswith("tables/")]
+    assert [len(xi) for xi in tables] == [16, 16]
+    assert kernels() == originals
+
+
+def test_the_layer_timer_prints_the_levels_of_each_exact_pass(monkeypatch, capsys):
+    """The exact-pass table counts a call's slopes and its distinct nonzero
+    speeds (+-xi share one), and shows the levels it built, first..last; a
+    constant v stops at the first level. `_period_nodes` is restored."""
+    tool = _layer_timer(monkeypatch)
+    period_nodes = homoglab.cell._period_nodes
+    sin2 = make_potential("sin2", 1).factor
+    constant = lambda w: np.full(np.shape(w), 0.5)
+    built = tool.levels_of(sin2, [1.0, -1.0, 0.0, 0.5])
+    assert built == list(range(3, built[-1] + 1)) and len(built) >= 2
+    tool.print_exact([("a", dict(v=sin2, xi=[1.0, -1.0, 0.0, 0.5])),
+                      ("b", dict(v=constant, xi=2.0)),
+                      ("c", dict(v=sin2, xi=0.0))])
+    header, stacked, one, zero = capsys.readouterr().out.splitlines()
+    assert header.split()[1:] == ["slopes", "speeds", "levels", "ms"]
+    assert stacked.split()[1:4] == ["4", "2", f"3..{built[-1]}"]
+    assert one.split()[1:4] == ["1", "1", "3..3"]
+    assert zero.split()[1:4] == ["1", "0", "-"]
+    assert all(float(line.split()[-1]) > 0 for line in (stacked, one, zero))
+    assert homoglab.cell._period_nodes is period_nodes
 
 
 def test_the_layer_timer_takes_the_least_cpu_time_of_nine_runs(monkeypatch):
@@ -691,16 +763,18 @@ def test_fhom_runner_repairs_a_nonconvex_table_with_its_envelope(monkeypatch):
     """One slope's cell value sits 1e-3 high; the runner's table is the lower
     convex envelope: flagged, convex, and nowhere above the solved values.
     sin2's f_hom is nearly linear for |xi| <= 0.375, so the bump at 0.25 is
-    a midpoint defect of about 1e-3."""
+    a midpoint defect of about 1e-3. The table solves its slopes in one call."""
     real = homoglab.cell.solve_corrector_1d
     solved = {0.0: 0.0}
 
-    def bumped(V, xi, opt):
-        prof = real(V, xi, opt)
-        if xi == 0.25:
-            prof = dataclasses.replace(prof, cell_value=prof.cell_value + 1e-3)
-        solved[xi] = prof.cell_value
-        return prof
+    def bumped(V, slopes, opt):
+        profiles = real(V, slopes, opt)
+        for i, xi in enumerate(slopes):
+            if xi == 0.25:
+                bumped_value = profiles[i].cell_value + 1e-3
+                profiles[i] = dataclasses.replace(profiles[i], cell_value=bumped_value)
+            solved[xi] = profiles[i].cell_value
+        return profiles
 
     monkeypatch.setattr(homoglab.cell, "solve_corrector_1d", bumped)
     cfg = ExperimentConfig.from_dict(

@@ -1,4 +1,4 @@
-"""Time each lattice DP sweep, damped-Newton solve and tube average that the benchmark workloads run.
+"""Time each lattice DP sweep, damped-Newton solve, exact cell pass and tube average that the benchmark workloads run.
 
 Run from anywhere; the homoglab sources of the checkout that holds this
 script are the ones imported:
@@ -7,10 +7,12 @@ script are the ones imported:
 
 The workload configs are generated by bench/workloads.py at the given seed
 (read from there, never changed). One pass over the runner calls of all four
-workloads captures every call of three kernels:
+workloads captures every call of four kernels:
 
 - `homoglab.minimize._dp_sweep`, with a copy of its start value;
 - `homoglab.minimize._solve`, with its action and a copy of its starts;
+- `homoglab.cell.cell_value_1d`, the exact d = 1 cell values that every
+  d = 1 table and every separable value reads;
 - `homoglab.experiments.cylinder_average`, the binding the conditions runner
   calls.
 
@@ -32,12 +34,15 @@ the process waited. Each line:
   `value_and_samples`: the trial steps and the starts' first values) and
   the rest of `_solve` (its bookkeeping), then the whole time per sweep in
   us (total / sweeps). Each call is charged to its outermost part;
+- an exact cell pass's slope count, its distinct nonzero speeds (one
+  energy root each per level), the double-exponential levels it built
+  (first..last, each level's step 2^-level) and the time in ms;
 - a tube average's direction, R, its rule and the time in ms. A W with a
   closed form `tube_average` reads `exact`, with the parabola's radial
   panels and Gauss-Legendre nodes. A sampled W reads `sampled` (no workload
   tube is sampled).
 
-No benchmark span isolates one sweep or one solve, and the
+No benchmark span isolates one sweep, one solve or one exact pass, and the
 `potentials.cylinder_average` span sums a workload's calls, so this is how
 each of these layers is measured on its own.
 """
@@ -58,7 +63,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
-from homoglab import experiments, minimize, potentials  # noqa: E402
+from homoglab import cell, experiments, minimize, potentials  # noqa: E402
 import workloads  # noqa: E402
 
 WORKLOADS = ("tables", "stability", "hj", "lattice")
@@ -67,6 +72,7 @@ REPEATS = 9
 KERNELS = (
     (minimize, "_dp_sweep", ("value",)),
     (minimize, "_solve", ("starts",)),
+    (cell, "cell_value_1d", ()),
     (experiments, "cylinder_average", ()),
 )
 PARTS = ("derivatives", "band solve", "line search", "bookkeeping")
@@ -224,6 +230,34 @@ def print_solves(calls):
               + f" {1e3 * least[0] / sweeps:>9.1f}")
 
 
+def levels_of(v, xi):
+    """The double-exponential levels one run of a captured cell_value_1d call builds."""
+    built = []
+    period_nodes = cell._period_nodes
+
+    def counting(w0, level):
+        built.append(level)
+        return period_nodes(w0, level)
+
+    cell._period_nodes = counting
+    try:
+        cell.cell_value_1d(v, xi)
+    finally:
+        cell._period_nodes = period_nodes
+    return built
+
+
+def print_exact(calls):
+    print(f"{'call':<24} {'slopes':>6} {'speeds':>6} {'levels':>6}      ms")
+    for label, call in calls:
+        ms = min_ms(cell.cell_value_1d, lambda: call)
+        slopes = np.atleast_1d(call["xi"]).astype(float)
+        speeds = len(set(np.abs(slopes[slopes != 0.0]).tolist()))
+        built = levels_of(**call)
+        levels = f"{built[0]}..{built[-1]}" if built else "-"
+        print(f"{label:<24} {slopes.size:>6} {speeds:>6} {levels:>6}  {ms:>6.2f}")
+
+
 def panels_of(W, xi, r, R):
     """(panels, nodes): the radial panels of one exact parabola tube average
     (none when R <= 4) and its Gauss-Legendre nodes."""
@@ -264,6 +298,7 @@ def main(argv=None) -> int:
     calls = capture(args.seed)
     print_sweeps(calls["_dp_sweep"])
     print_solves(calls["_solve"])
+    print_exact(calls["cell_value_1d"])
     print_tubes(calls["cylinder_average"])
     return 0
 
