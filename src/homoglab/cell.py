@@ -224,52 +224,46 @@ def cell_value_1d(v, xi) -> float | list:
     xi may be a sequence of slopes; then a list comes back, one float per
     slope, each the float its own call gives. The slopes share one scan for
     the minimum and each level's nodes and v values, a level being built
-    only while some slope still needs it; +-xi share one energy root. Each
-    slope stops at the level its own call stops at. Every slope is checked
-    first; the first slope whose own call would fail raises that error.
+    when a slope first reaches it; +-xi share one energy root. Each slope
+    runs its own call's loop over those levels, in input order. Every slope
+    is checked first; then the first slope whose own call fails raises that
+    error.
     """
     stacked = np.ndim(xi) > 0
     slopes = list(xi) if stacked else [xi]
-    speeds = [abs(float(s)) for s in slopes]
-    for s, speed in zip(slopes, speeds):
-        if not math.isfinite(speed):
+    for s in slopes:
+        if not math.isfinite(abs(float(s))):
             raise InputError(f"xi must be finite, got {s}")
     w0, low = _factor_minimum(v)
-    found = {0.0: low}  # speed -> its value, or the SolverError its root search raised
-    previous = {speed: None for speed in speeds if speed != 0.0}  # the speeds still open
-    gaps = dict.fromkeys(previous, math.inf)
-    for level in _DE_LEVELS:
-        if not previous:
-            break
-        nodes, weights = _period_nodes(w0, level)
-        u = np.maximum(v(nodes) - low, 0.0)
-        if not np.any(u):
-            found.update((speed, low + speed * speed) for speed in previous)
-            break
-        for speed, last in list(previous.items()):
-            try:
-                value = low + _energy_value(u, weights, speed)
-            except SolverError as exc:
-                found[speed] = exc
-                del previous[speed]
-                continue
-            if last is not None:
-                gaps[speed] = abs(value - last)
-                if gaps[speed] <= _CELL_TOL * max(1.0, abs(value)):
-                    found[speed] = value
-                    del previous[speed]
-                    continue
-            previous[speed] = value
+    levels = []  # (weights, u or None where v - min v is 0 at every node), per _DE_LEVELS entry
+
+    def value_at(s, speed):
+        previous, gap = None, math.inf
+        for k, level in enumerate(_DE_LEVELS):
+            if k == len(levels):
+                nodes, weights = _period_nodes(w0, level)
+                u = np.maximum(v(nodes) - low, 0.0)
+                levels.append((weights, u if np.any(u) else None))
+            weights, u = levels[k]
+            if u is None:
+                return low + speed * speed
+            value = low + _energy_value(u, weights, speed)
+            if previous is not None:
+                gap = abs(value - previous)
+                if gap <= _CELL_TOL * max(1.0, abs(value)):
+                    return value
+            previous = value
+        raise SolverError(
+            f"cell_value_1d at xi={s}: the finest quadrature levels differ by {gap:.1e}"
+        )
+
+    known = {0.0: low}  # speed -> value
     values = []
-    for s, speed in zip(slopes, speeds):
-        value = found.get(speed)
-        if value is None:
-            raise SolverError(
-                f"cell_value_1d at xi={s}: the finest quadrature levels differ by {gaps[speed]:.1e}"
-            )
-        if isinstance(value, SolverError):
-            raise value
-        values.append(value)
+    for s in slopes:
+        speed = abs(float(s))
+        if speed not in known:
+            known[speed] = value_at(s, speed)
+        values.append(known[speed])
     return values if stacked else values[0]
 
 

@@ -554,14 +554,17 @@ def _with_roots(fn, *args):
 def test_a_stack_of_slopes_gives_each_solo_float_bitwise(name, slopes):
     """A stack shares the scan, the levels and the roots of +-xi, and still
     gives each slope's own float; with a failing slope in it, the first
-    failing slope's own SolverError. Each distinct speed solves as many
-    energy roots as its own call: it stops at the level that call stops at."""
+    failing slope's own SolverError. Each distinct speed up to the first
+    failing slope solves as many energy roots as its own call: it stops at
+    the level that call stops at."""
     v = _stack_factors()[name]
     solos = {xi: _with_roots(cell_value_1d, v, xi) for xi in slopes}
     stack, roots = _with_roots(cell_value_1d, v, np.array(slopes))
-    by_speed = {abs(xi): solo_roots for xi, (_, solo_roots) in solos.items()}
+    failing = [xi for xi in slopes if isinstance(solos[xi][0], SolverError)]
+    ran = slopes[: slopes.index(failing[0]) + 1] if failing else slopes
+    by_speed = {abs(xi): solos[xi][1] for xi in ran}
     assert sorted(roots) == sorted(r for solo_roots in by_speed.values() for r in solo_roots)
-    failures = [solos[xi][0] for xi in slopes if isinstance(solos[xi][0], SolverError)]
+    failures = [solos[xi][0] for xi in failing]
     if failures:
         assert type(stack) is SolverError and str(stack) == str(failures[0])
     else:
@@ -570,9 +573,9 @@ def test_a_stack_of_slopes_gives_each_solo_float_bitwise(name, slopes):
         assert cell_value_1d(v, slopes) == stack
 
 
-def test_a_stack_raises_its_first_failing_slopes_error_at_whatever_level(monkeypatch):
-    """A root search that fails at the first level, for the second slope, does
-    not pre-empt the first slope, whose levels still disagree at the last."""
+def test_a_stack_raises_the_error_of_its_first_failing_slope(monkeypatch):
+    """A root search that fails for the second slope does not pre-empt the
+    first slope, whose levels disagree; in the other order it comes first."""
     energy_value = homoglab.cell._energy_value
 
     def failing(u, weights, speed):

@@ -1,14 +1,14 @@
 """Time one benchmark workload's runner loop in this checkout against a git revision.
 
-    python tools/time_workloads.py REV --workload tables --pairs 10 [--loops 5] [--seed 0]
+    python tools/time_workloads.py REV --workload tables --pairs 10 [--seed 0]
 
 REV is extracted with `git archive` into a temporary directory, as
 compare_outputs.py does, so the checkout and its working tree are left alone.
 Each pair then runs one fresh process per side, REV first in odd pairs and
 this checkout first in even ones. A process sets up as a benchmark worker
 does, with its own side's bench/worker.py (BLAS pinned to one thread), and
-runs the workload's runner calls and their writes --loops times, each loop
-one benchmark iteration; it reports the least wall time of its loops.
+runs the workload's runner calls and their writes LOOPS = 5 times, each
+loop one benchmark iteration; it reports the least wall time of its loops.
 
 On a shared machine the CPU can slow down by about 1.6x for whole minutes,
 so every run of one pass can land in such a spell, and a least time alone
@@ -34,6 +34,7 @@ from pathlib import Path
 from compare_outputs import ROOT, extract
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+LOOPS = 5  # runner loops per process, the least one kept
 
 # One side's process: argv is its root, the workload, the seed and the loop count.
 LOOP = r"""
@@ -119,18 +120,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=["tables", "stability", "hj", "lattice"])
     parser.add_argument("--pairs", type=int, default=10, help="alternating pairs (default: 10)")
-    parser.add_argument("--loops", type=int, default=5,
-                        help="runner loops per process, the least one kept (default: 5)")
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default: 0)")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.loops < 1:
-        parser.error("--pairs and --loops must be at least 1")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     with tempfile.TemporaryDirectory(prefix="time_workloads_") as tmp:
         rev_root = Path(tmp) / "rev"
         extract(args.rev, rev_root)
         print(f"pair  first     REV ms    here ms  here/REV  ({args.workload}, seed {args.seed}, "
-              f"least of {args.loops} loops a process)")
-        results = time_pairs(rev_root, args.workload, args.seed, args.pairs, args.loops)
+              f"least of {LOOPS} loops a process)")
+        results = time_pairs(rev_root, args.workload, args.seed, args.pairs, LOOPS)
     return report(results)
 
 
