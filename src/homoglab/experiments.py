@@ -805,8 +805,12 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
     magnitude, as zero / decaying / persistent / inconclusive and the whole
     perturbation as consistent with the zero-average tube condition,
     inconsistent, or inconclusive. Directions default to the coordinate
-    axes. Fewer than two radii raise InputError: a one-point curve shows no
-    trend. So does a W with a zero atom, which no line or tube average sees.
+    axes; each direction's curve is one `cylinder_average` call over all the
+    radii. Fewer than two radii raise InputError: a one-point curve shows no
+    trend. So does a W with a zero atom, which no line or tube average sees,
+    and, before any tube, a direction of the wrong length, of zero norm or
+    of a non-finite norm (an entry that is not finite, or one so large that
+    the norm overflows).
     """
     W = cfg.perturbation()
     if W is None:
@@ -830,12 +834,18 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
         directions, labels = [], []
         for vec in raw_dirs:
             arr = np.asarray(vec, dtype=float)
-            if arr.shape != (cfg.dimension,) or not np.linalg.norm(arr) > 0:
+            if arr.shape != (cfg.dimension,):
                 raise InputError("each direction must be a nonzero vector of length d")
-            directions.append(arr / np.linalg.norm(arr))
+            with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+                norm = np.linalg.norm(arr)
+            if not np.isfinite(norm):
+                raise InputError(f"direction {arr.tolist()} has the non-finite norm {norm}")
+            if not norm > 0:
+                raise InputError("each direction must be a nonzero vector of length d")
+            directions.append(arr / norm)
             labels.append(";".join(repr(float(v)) for v in arr))
         curves = [
-            (label, [float(cylinder_average(W, direction, tube_r, R)) for R in radii])
+            (label, [float(v) for v in cylinder_average(W, direction, tube_r, radii)])
             for label, direction in zip(labels, directions)
         ]
 

@@ -98,9 +98,10 @@ class Perturbation:
     and only the lattice DP oracles charge it, on steps that stay at 0.
     `gradient` and `hessian` are closed forms as on PeriodicPotential; a W
     without them, or with an atom, is for the DP oracles only.
-    `tube_average`, when set, is the closed form tube_average(xi, r, R) of
-    cylinder_average (xi a unit vector, 0 < r < R), which returns it in place
-    of its sampled rule; a W without it is sampled.
+    `tube_average`, when set, is the closed form tube_average(xi, r, radii)
+    of cylinder_average: xi a unit vector and radii a sequence of floats R
+    with 0 < r < R, one float per R back in a list. cylinder_average returns
+    it in place of its sampled rule; a W without it is sampled.
     """
 
     dimension: int
@@ -233,7 +234,7 @@ def _householder_frame(direction: np.ndarray) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v)
 
 
-def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
+def cylinder_average(W: Perturbation, xi, r: float, R) -> float | list:
     """(1/R) * integral of W over B_R intersected with the radius-r tube along xi.
 
     A W with a closed form `tube_average` gets it, at the unit vector of xi;
@@ -246,12 +247,21 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
 
     W gets one chord per call: the transpose of a column-major (d, n) array
     of points t * axis_j + (basis @ z)_j, each coordinate one contiguous row.
-    An xi with a non-finite entry or norm raises InputError.
+
+    R may be a sequence of radii; then a list comes back, one float per
+    radius in input order, each the float its own call gives. The closed
+    form takes the whole ladder at once (see `_parabola_tube_average`); the
+    sampled rule runs each radius in turn. Every radius is checked first, in
+    input order, and the first R with not 0 < r < R raises InputError naming
+    r and that R; so does an xi with a non-finite entry or norm, or xi = 0.
     """
+    stacked = np.ndim(R) > 0
+    radii = [float(radius) for radius in (R if stacked else [R])]
     if W.dimension < 2:
         raise InputError("cylinder_average requires dimension >= 2")
-    if not (0 < r < R):
-        raise InputError("need 0 < r < R")
+    for radius in radii:
+        if not 0 < r < radius:
+            raise InputError(f"cylinder_average needs 0 < r < R, got r = {r!r}, R = {radius!r}")
     direction = np.asarray(xi, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing norm is refused just below
         norm = np.linalg.norm(direction)
@@ -261,11 +271,18 @@ def cylinder_average(W: Perturbation, xi, r: float, R: float) -> float:
         raise InputError("xi must be a nonzero direction")
     axis = direction / norm
     if W.tube_average is not None:
-        return W.tube_average(axis, r, R)
-    basis = _householder_frame(axis)[:, 1:]
+        values = W.tube_average(axis, r, radii)
+    else:
+        cells = [_chord_cells(radius) for radius in radii]
+        values = [_sampled_tube_average(W, axis, r, radius, n) for radius, n in zip(radii, cells)]
+    return values if stacked else values[0]
 
+
+def _sampled_tube_average(W: Perturbation, axis, r: float, R: float, n_axis: int) -> float:
+    """cylinder_average's sampled rule along the unit vector axis, with
+    n_axis = _chord_cells(R) midpoints on each chord."""
+    basis = _householder_frame(axis)[:, 1:]
     d = W.dimension
-    n_axis = _chord_cells(R)
     n_cross = 16
 
     offsets = mesh([midpoints(-r, r, n_cross)] * (d - 1))
@@ -401,8 +418,9 @@ _CROSSING_GRID = 32
 _CROSSING_ROUNDS = 6
 
 
-def _parabola_tube_average(xi, r: float, R: float) -> float:
-    """The exact cylinder_average of parabola_example along the unit vector xi.
+def _parabola_tube_average(xi, r: float, radii) -> list:
+    """The exact cylinder_average of parabola_example along the unit vector
+    xi, one float per radius R of the sequence radii, in input order.
 
     W is 1 off the tongues, and no tongue reaches below radius 4, so the part
     of the tube inside B_rho0, rho0 = min(4, R) > r, counts whole: its area
@@ -422,28 +440,46 @@ def _parabola_tube_average(xi, r: float, R: float) -> float:
     xi and -xi span the same tube; phi is taken from the one with x >= 0, so
     both give the same float.
 
-    r >= 4, where the tube's core would meet tongues, and R above
+    The tongue rows and panels are built once, at the largest radius. A
+    radius R reads the rows of its own levels, 2^k < R, which are
+    `_arc_tongues(phi, r, R)`. A power of two R (or the largest radius) is
+    an edge of those panels, and the ones up to it are its own; any other R
+    builds its own panels. Each R then runs its own `_covered` and sum, so
+    its value is the float of a call with R alone.
+
+    r >= 4, where the tube's core would meet tongues, and any R above
     _TUBE_MAX_RADIUS raise InputError before any work.
     """
     if not r < 4.0:
         raise InputError(f"the parabola's exact tube average needs r < 4, got r = {r!r}")
-    if not R <= _TUBE_MAX_RADIUS:
-        raise InputError(
-            f"the parabola's exact tube average is verified up to R = 2^24, got R = {R!r}"
-        )
-    rho0 = min(4.0, R)
-    total = 2.0 * (r * math.sqrt(rho0 * rho0 - r * r) + rho0 * rho0 * math.asin(r / rho0))
-    if R > rho0:
+    for R in radii:
+        if not R <= _TUBE_MAX_RADIUS:
+            raise InputError(
+                f"the parabola's exact tube average is verified up to R = 2^24, got R = {R!r}"
+            )
+    top = max(radii, default=0.0)
+    if top > 4.0:
         x, y = (-xi[0], -xi[1]) if xi[0] < 0 else (xi[0], xi[1])  # -xi is the same tube
-        tongues = _arc_tongues(math.atan2(y, x), r, R)
-        edges = _tube_panels(tongues, r, rho0, R)
+        tongues = _arc_tongues(math.atan2(y, x), r, top)
+        shared = _tube_panels(tongues, r, 4.0, top)
         nodes, weights = gauss_legendre(_TUBE_NODES)
-        half = 0.5 * np.diff(edges)[:, None]
-        rho = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
-        alpha = np.arcsin(r / rho)
-        uncovered = (2.0 * alpha - _covered(rho, alpha, tongues)) * rho
-        total += 2.0 * float(np.sum(half * weights * uncovered.reshape(half.size, -1)))
-    return total / R
+    values = []
+    for R in radii:
+        rho0 = min(4.0, R)
+        total = 2.0 * (r * math.sqrt(rho0 * rho0 - r * r) + rho0 * rho0 * math.asin(r / rho0))
+        if R > rho0:
+            own = tongues[:, tongues[1] < R]
+            if R == top or math.frexp(R)[0] == 0.5:  # a power of two is an edge past 4
+                edges = shared[shared <= R]
+            else:
+                edges = _tube_panels(own, r, rho0, R)
+            half = 0.5 * np.diff(edges)[:, None]
+            rho = (edges[:-1, None] + half * (1.0 + nodes)).ravel()
+            alpha = np.arcsin(r / rho)
+            uncovered = (2.0 * alpha - _covered(rho, alpha, own)) * rho
+            total += 2.0 * float(np.sum(half * weights * uncovered.reshape(half.size, -1)))
+        values.append(total / R)
+    return values
 
 
 def _arc_tongues(phi: float, r: float, R: float) -> np.ndarray:

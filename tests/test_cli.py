@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes, outputs, seed override."""
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,25 @@ def test_a_zero_or_short_direction_is_a_config_error(tmp_path, capsys, direction
     code = cli.main(["conditions", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG == 2
     assert "each direction must be a nonzero vector of length d" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_direction_whose_norm_overflows_is_a_config_error(tmp_path, capsys):
+    """[1e308, 1e308] is finite, but its norm is not: it is refused by name,
+    before any tube, and no overflow warning leaks."""
+    raw = {
+        "experiment": "conditions",
+        "dimension": 2,
+        "potential": {"name": "zero"},
+        "perturbation": {"name": "parabola_example"},
+        "grids": {"radii": [64, 256], "directions": [[0.0, 1.0], [1e308, 1e308]]},
+    }
+    cfg = write_cfg(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["conditions", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "direction [1e+308, 1e+308] has the non-finite norm inf" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

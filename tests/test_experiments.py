@@ -284,6 +284,10 @@ def test_the_layer_timer_captures_every_kernel_and_restores_it(monkeypatch):
     # Each d = 1 table reads its exact values in one pass over its 16 nonzero slopes.
     tables = [call["xi"] for label, call in calls["cell_value_1d"] if label.startswith("tables/")]
     assert [len(xi) for xi in tables] == [16, 16]
+    # Each of the 5 lattice tube directions is one call over the 4 radii.
+    assert [(label, call["R"]) for label, call in calls["cylinder_average"]] == (
+        [("lattice/conditions", [64.0, 256.0, 1024.0, 4096.0])] * 5
+    )
     assert kernels() == originals
 
 
@@ -374,23 +378,30 @@ def test_the_layer_timer_charges_each_part_of_a_solve(monkeypatch):
 
 
 def test_the_layer_timer_shows_the_panels_of_a_tube(monkeypatch, capsys):
-    """The parabola's exact rule shows its panels and nodes, 12 per panel; a
-    sampled W shows only its rule and time. `_tube_panels` is restored."""
+    """The parabola's exact rule shows the panels it builds at its largest
+    radius and how many of its other radii build their own: none for powers
+    of two, one for each other R below the largest. A sampled W shows only
+    its rule and time. `_tube_panels` is restored."""
     tool = _layer_timer(monkeypatch)
     tube_panels = potentials._tube_panels
     parabola = make_perturbation("parabola_example", 2)
     sampled = dataclasses.replace(parabola, tube_average=None)
     xi = [np.cos(1.0), np.sin(1.0)]
     edges = tube_panels(potentials._arc_tongues(1.0, 0.5, 64.0), 0.5, 4.0, 64.0)
-    assert tool.panels_of(parabola, xi, 0.5, 64.0) == (edges.size - 1, 12 * (edges.size - 1))
-    assert tool.panels_of(parabola, xi, 0.5, 3.0) == (0, 0)
-    tool.print_tubes([("a", dict(W=parabola, xi=xi, r=0.5, R=64.0)),
-                      ("b", dict(W=sampled, xi=xi, r=0.5, R=64.0))])
-    header, exact, sampled_row = capsys.readouterr().out.splitlines()
-    assert header.split()[3:] == ["rule", "panels", "nodes", "ms"]
-    assert exact.split()[4:7] == ["exact", str(edges.size - 1), str(12 * (edges.size - 1))]
-    assert sampled_row.split()[4:7] == ["sampled", "-", "-"]
-    assert all(float(line.split()[-1]) > 0 for line in (exact, sampled_row))
+    shared = edges.size - 1
+    assert tool.panels_of(parabola, xi, 0.5, 64.0) == (shared, 0)
+    assert tool.panels_of(parabola, xi, 0.5, [8.0, 3.0, 64.0, 16.0]) == (shared, 0)
+    assert tool.panels_of(parabola, xi, 0.5, [10.0, 64.0, 40.0, 3.0]) == (shared, 2)
+    assert tool.panels_of(parabola, xi, 0.5, [3.0, 2.0]) == (0, 0)
+    tool.print_tubes([("a", dict(W=parabola, xi=xi, r=0.5, R=[16.0, 40.0, 64.0])),
+                      ("b", dict(W=parabola, xi=xi, r=0.5, R=64.0)),
+                      ("c", dict(W=sampled, xi=xi, r=0.5, R=[16.0, 32.0]))])
+    header, stacked, single, sampled_row = capsys.readouterr().out.splitlines()
+    assert header.split()[1:] == ["direction", "radii", "rule", "shared", "own", "ms"]
+    assert stacked.split()[2:6] == ["16,40,64", "exact", str(shared), "1"]
+    assert single.split()[2:6] == ["64", "exact", str(shared), "0"]
+    assert sampled_row.split()[2:6] == ["16,32", "sampled", "-", "-"]
+    assert all(float(line.split()[-1]) > 0 for line in (stacked, single, sampled_row))
     assert potentials._tube_panels is tube_panels
 
 
@@ -728,6 +739,36 @@ def test_condition_diagnostics_rejects_a_zero_atom():
     )
     with pytest.raises(InputError, match="zero atom"):
         run_condition_diagnostics(cfg)
+
+
+def test_condition_diagnostics_makes_one_tube_call_per_direction(monkeypatch):
+    """Each direction's curve is one cylinder_average call over the config's
+    radii, at its unit vector, in the order of the directions."""
+    calls = []
+    average = experiments.cylinder_average
+
+    def recording(W, xi, r, R):
+        calls.append((list(xi), r, R))
+        return average(W, xi, r, R)
+
+    monkeypatch.setattr(experiments, "cylinder_average", recording)
+    cfg = ExperimentConfig.from_dict(
+        {
+            "experiment": "conditions",
+            "dimension": 2,
+            "perturbation": {"name": "parabola_example"},
+            "grids": {"radii": [8, 24, 64], "tube_radius": 0.5,
+                      "directions": [[0.0, 2.0], [3.0, 4.0]]},
+        }
+    )
+    rep = run_condition_diagnostics(cfg)
+    radii = [8.0, 24.0, 64.0]
+    assert calls == [([0.0, 1.0], 0.5, radii), ([0.6, 0.8], 0.5, radii)]
+    assert [row["R"] for row in rep.rows] == radii * 2
+    W = make_perturbation("parabola_example", 2)
+    assert [row["average"] for row in rep.rows[3:]] == [
+        potentials.cylinder_average(W, [0.6, 0.8], 0.5, R) for R in radii
+    ]
 
 
 def test_condition_diagnostics_rejects_bad_radii():

@@ -1,6 +1,7 @@
 """Registry potentials and perturbations: shapes, bounds, averages, geometry."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -597,6 +598,94 @@ def test_the_exact_tube_average_refuses_r_from_4_and_R_past_2_to_the_24():
         cylinder_average(W, [0.0, 1.0], 4.0, 64.0)
     with pytest.raises(InputError, match=r"verified up to R = 2\^24, got R = 16777217.0"):
         cylinder_average(W, [0.0, 1.0], 0.5, 2.0**24 + 1)
+
+
+def _covered_calls(monkeypatch):
+    """The (rho, tongues) of every `_covered` call from now on, in call order."""
+    calls = []
+    covered = potentials._covered
+
+    def recording(rho, alpha, tongues):
+        calls.append((rho, tongues))
+        return covered(rho, alpha, tongues)
+
+    monkeypatch.setattr(potentials, "_covered", recording)
+    return calls
+
+
+_DIRECTIONS = st.one_of(
+    st.builds(lambda k, h: 2 * np.pi * h / 2.0**k, st.integers(2, 7), st.integers(0, 127)),
+    st.floats(-np.pi, np.pi),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    angle=_DIRECTIONS,
+    r=st.floats(0.05, 3.95),
+    draws=st.lists(
+        st.one_of(st.integers(2, 24), st.floats(0.0, 24.0)).map(lambda e: 2.0**e),
+        min_size=1, max_size=6,
+    ),
+)
+def test_a_stack_of_radii_gives_each_solo_float_bitwise(angle, r, draws):
+    """A ladder of 1-6 radii (powers of two from 4 up, other reals, values of
+    4 or less, repeats) gives each radius the float of its own call, in input
+    order, for the exact rule; every radius past 4 integrates over the radii
+    and reads the tongue rows of its own call. The sampled rule does the
+    same on small radii."""
+    radii = [max(R, 1.01 * r) for R in draws]
+    W = make_perturbation("parabola_example", 2)
+    xi = _unit(angle)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _covered_calls(monkeypatch)
+        stacked = cylinder_average(W, xi, r, radii)
+        shared = list(calls)
+        solo = [cylinder_average(W, xi, r, R) for R in radii]
+    assert isinstance(stacked, list) and all(isinstance(v, float) for v in stacked)
+    assert [v.hex() for v in stacked] == [v.hex() for v in solo]
+    assert len(shared) == len(calls) - len(shared) == sum(R > 4.0 for R in radii)
+    for (rho, tongues), (own_rho, own_tongues) in zip(shared, calls[len(shared):]):
+        assert np.array_equal(rho, own_rho) and np.array_equal(tongues, own_tongues)
+    sampled = dataclasses.replace(W, tube_average=None)
+    small = [min(R, 24.0) for R in radii[:2]]
+    assert cylinder_average(sampled, xi, r, small) == [
+        cylinder_average(sampled, xi, r, R) for R in small
+    ]
+
+
+def test_a_single_radius_still_gives_a_float():
+    W = make_perturbation("parabola_example", 2)
+    value = cylinder_average(W, [0.0, 1.0], 0.5, 64.0)
+    assert type(value) is float
+    assert cylinder_average(W, [0.0, 1.0], 0.5, [64.0]) == [value]
+    assert cylinder_average(W, [0.0, 1.0], 0.5, np.array([64.0, 64.0])) == [value, value]
+
+
+@pytest.mark.parametrize(
+    "r,radii,refusal,closed_form_only",
+    [
+        (0.5, [64.0, 0.25, 2.0**25], "needs 0 < r < R, got r = 0.5, R = 0.25", False),
+        (0.0, [64.0], "needs 0 < r < R, got r = 0.0, R = 64.0", False),
+        (0.5, [64.0, 2.0**25, 3.0 * 2.0**25], "verified up to R = 2^24, got R = 33554432.0", True),
+        (4.0, [64.0, 2.0**25], "needs r < 4, got r = 4.0", True),
+    ],
+)
+def test_a_stack_raises_its_first_failing_radius_before_any_panel(
+    monkeypatch, r, radii, refusal, closed_form_only
+):
+    """Every radius is checked, in input order, before the closed form
+    builds a panel or the sampled rule reads W."""
+
+    def refused(*args):
+        raise AssertionError("work began before every radius was checked")
+
+    monkeypatch.setattr(potentials, "_tube_panels", refused)
+    W = make_perturbation("parabola_example", 2)
+    sampled = dataclasses.replace(W, evaluator=refused, tube_average=None)
+    for perturbation in [W] if closed_form_only else [W, sampled]:
+        with pytest.raises(InputError, match=re.escape(refusal)):
+            cylinder_average(perturbation, [0.0, 1.0], r, radii)
 
 
 def test_lp_unif_estimate_raises_on_nan_integral():

@@ -37,10 +37,13 @@ the process waited. Each line:
 - an exact cell pass's slope count, its distinct nonzero speeds (one
   energy root each per level), the double-exponential levels it built
   (first..last, each level's step 2^-level) and the time in ms;
-- a tube average's direction, R, its rule and the time in ms. A W with a
-  closed form `tube_average` reads `exact`, with the parabola's radial
-  panels and Gauss-Legendre nodes. A sampled W reads `sampled` (no workload
-  tube is sampled).
+- a tube average's direction, its radii (the conditions runner makes one
+  call per direction over all its radii), its rule and the time in ms. A W
+  with a closed form `tube_average` reads `exact`, with `shared`, the
+  parabola's radial panels built once at the largest radius, and `own`, the
+  number of radii that built their own panels (each R that is not a power
+  of two, below the largest). A sampled W reads `sampled` (no workload tube
+  is sampled).
 
 No benchmark span isolates one sweep, one solve or one exact pass, and the
 `potentials.cylinder_average` span sums a workload's calls, so this is how
@@ -259,14 +262,15 @@ def print_exact(calls):
 
 
 def panels_of(W, xi, r, R):
-    """(panels, nodes): the radial panels of one exact parabola tube average
-    (none when R <= 4) and its Gauss-Legendre nodes."""
-    panels = [0]
+    """(shared, own): the radial panels that one exact parabola tube average
+    builds at its largest radius (0 when every R <= 4), and how many of its
+    other radii build their own."""
+    built = []
     tube_panels = potentials._tube_panels
 
     def counting(*args):
         edges = tube_panels(*args)
-        panels[0] = edges.size - 1
+        built.append(edges.size - 1)
         return edges
 
     potentials._tube_panels = counting
@@ -274,21 +278,22 @@ def panels_of(W, xi, r, R):
         potentials.cylinder_average(W, xi, r, R)
     finally:
         potentials._tube_panels = tube_panels
-    return panels[0], panels[0] * potentials._TUBE_NODES
+    return (built[0], len(built) - 1) if built else (0, 0)
 
 
 def print_tubes(calls):
-    print(f"{'call':<20} {'direction':>22} {'R':>6} {'rule':>7} {'panels':>6} {'nodes':>5}"
+    print(f"{'call':<20} {'direction':>18} {'radii':>24} {'rule':>7} {'shared':>6} {'own':>3}"
           "         ms")
     for label, call in calls:
         ms = min_ms(potentials.cylinder_average, lambda: call)
-        direction = "(" + ", ".join(f"{v:.4f}" for v in call["xi"]) + ")"
-        line = f"{label:<20} {direction:>22} {call['R']:>6g}"
+        direction = "(" + ",".join(f"{v:.4f}" for v in call["xi"]) + ")"
+        radii = ",".join(f"{R:g}" for R in np.atleast_1d(call["R"]))
+        line = f"{label:<20} {direction:>18} {radii:>24}"
         if call["W"].tube_average is not None:
-            panels, nodes = panels_of(**call)
-            print(f"{line} {'exact':>7} {panels:>6} {nodes:>5}  {ms:>9.2f}")
+            shared, own = panels_of(**call)
+            print(f"{line} {'exact':>7} {shared:>6} {own:>3}  {ms:>9.2f}")
         else:
-            print(f"{line} {'sampled':>7} {'-':>6} {'-':>5}  {ms:>9.2f}")
+            print(f"{line} {'sampled':>7} {'-':>6} {'-':>3}  {ms:>9.2f}")
 
 
 def main(argv=None) -> int:
