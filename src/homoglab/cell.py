@@ -144,7 +144,8 @@ def _corrector_window(xi: float):
         raise InputError(f"the window T = 1/|xi| at xi={xi} is not finite")
     if not 48.0 * T <= 2**20 - 1:
         raise InputError(
-            f"need 2 to 2^20 nodes, got {math.ceil(48 * T) + 1} (window T = 1/|xi| at xi={xi})"
+            f"need 2 to 2^20 nodes, got {math.ceil(48 * T) + 1:.15g} "
+            f"(window T = 1/|xi| at xi={xi})"
         )
     return xi, T, max(65, int(math.ceil(48 * T)) + 1)
 
@@ -219,7 +220,8 @@ def cell_value_1d(v, xi) -> float | list:
     values agree to 1e-13 relative to max(1, f_1); otherwise SolverError.
     It resolves one well per period: a second well of the same depth shows
     up as levels that disagree. A v constant at every node gives
-    min v + xi^2 exactly. A non-finite xi raises InputError. NumPy only.
+    min v + xi^2 exactly. A xi not finite or not below 2^511 in size, where
+    the energy bracket overflows, raises InputError before any level. NumPy only.
 
     xi may be a sequence of slopes; then a list comes back, one float per
     slope, each the float its own call gives. The slopes share one scan for
@@ -232,8 +234,8 @@ def cell_value_1d(v, xi) -> float | list:
     stacked = np.ndim(xi) > 0
     slopes = list(xi) if stacked else [xi]
     for s in slopes:
-        if not math.isfinite(abs(float(s))):
-            raise InputError(f"xi must be finite, got {s}")
+        if not abs(float(s)) < 2.0**511:  # 4 xi^2, in the energy bracket, stays finite
+            raise InputError(f"xi must be finite and below 2^511 in size, got {s}")
     w0, low = _factor_minimum(v)
     levels = []  # (weights, u or None where v - min v is 0 at every node), per _DE_LEVELS entry
 
@@ -400,7 +402,8 @@ def f_hom_asymptotic(
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape[0] != V.dimension:
         raise InputError("xi dimension does not match the potential")
-    speed = float(np.linalg.norm(xi))
+    with np.errstate(over="ignore"):  # a huge xi has speed inf; cell_value_1d names it
+        speed = float(np.linalg.norm(xi))
     if speed == 0.0:
         return V.v_min, _exact_diagnostics(V.v_min, "minimum")
     if V.factor is not None:
@@ -517,7 +520,8 @@ def tabulate_f_hom(
     axes = _slope_axes(grid, V.dimension)
     flat = mesh(axes)
     values = np.full(flat.shape[0], V.v_min, dtype=float)
-    moving = [i for i, point in enumerate(flat) if float(np.linalg.norm(point)) != 0.0]
+    with np.errstate(over="ignore"):  # a huge slope is nonzero; its solve refuses it
+        moving = [i for i, point in enumerate(flat) if float(np.linalg.norm(point)) != 0.0]
     converged = True
     gaps = []
     if method == "1d":
@@ -818,6 +822,10 @@ def _nudge_degenerate_pieces(slopes, values, breakpoints, xi):
 # Recovery trajectories
 # ---------------------------------------------------------------------------
 
+# The tube radius of the piece shifts and the cusp exponent of the connectors.
+_ETA_TUBE = 0.25
+_CUSP_ALPHA = 0.75
+
 
 def _plan_pieces(plan: AlmostCorrectorPlan, t_end: float):
     """Affine pieces of t*xi + p(t) covering [0, t_end]: (t_a, t_b, slope_j)."""
@@ -840,21 +848,15 @@ def _plan_pieces(plan: AlmostCorrectorPlan, t_end: float):
     return [(a, b, s) for (a, b, s) in pieces if b - a > 1e-12]
 
 
-def _tube_shift_candidates(direction: np.ndarray, eta_tube: float):
-    """Transverse shifts on the 9^(d-1) disc grid, ordered |z| then lex."""
-    d = direction.shape[0]
+def _tube_offsets(d: int) -> np.ndarray:
+    """Transverse tube offsets (k, d - 1): the 9-per-axis grid on [-_ETA_TUBE,
+    _ETA_TUBE] cut to the disc, ordered |z| then lex (the grid is dyadic, so
+    |z|^2 is exact and ties compare equal). In d = 1 the only offset is empty."""
     if d == 1:
-        return np.zeros((1, 1))
-    basis = _householder_frame(direction / np.linalg.norm(direction))[:, 1:]
-    coeffs_1d = np.linspace(-eta_tube, eta_tube, 9)
-    coeffs = mesh([coeffs_1d] * (d - 1))
-    keep = np.linalg.norm(coeffs, axis=1) <= eta_tube + 1e-12
-    coeffs = np.unique(coeffs[keep], axis=0)
-    order = sorted(
-        range(coeffs.shape[0]),
-        key=lambda i: (round(float(np.sum(coeffs[i] ** 2)), 12), tuple(coeffs[i])),
-    )
-    return coeffs[order] @ basis.T
+        return np.zeros((1, 0))
+    grid = mesh([np.linspace(-_ETA_TUBE, _ETA_TUBE, 9)] * (d - 1))
+    grid = grid[np.sum(grid**2, axis=1) <= _ETA_TUBE**2]
+    return grid[np.lexsort([*grid.T[::-1], np.sum(grid**2, axis=1)])]
 
 
 def _piece_w_integral(x_a, x_b, duration, z_cands, W: Perturbation, m: int):
@@ -867,25 +869,20 @@ def _piece_w_integral(x_a, x_b, duration, z_cands, W: Perturbation, m: int):
     return np.sum(vals, axis=(1, 2)) * (duration / (n_sub * m))
 
 
-def build_recovery_trajectory(
-    plan: AlmostCorrectorPlan,
-    W: Perturbation,
-    eps: float,
-    eta_tube: float,
-    alpha: float,
-) -> Trajectory:
+def build_recovery_trajectory(plan: AlmostCorrectorPlan, W: Perturbation, eps: float) -> Trajectory:
     """Admissible competitor u on [0, 1] with u(0) = 0 and u(1) = xi exactly.
 
     The microscopic path follows the plan's affine pieces; each piece may be
-    shifted by a transverse z (|z| <= eta_tube, 9-per-axis disc grid, argmin
-    of the W line integral with lowest-|z|-then-lex tie-break; the first piece
-    stays unshifted to pin the start). Cusp connectors bridge the junction
-    jumps; a short straight closing run lands exactly on xi/eps. The whole
-    time axis is rescaled onto [0, 1/eps] and then mapped to macroscopic
-    coordinates, so the result certifies an upper bound through its action.
-    A connector whose graded time steps vanish in those times (a jump near
-    1e-8 between nearly parallel pieces) is left out: its piece starts where
-    the path is.
+    shifted by a transverse z (|z| <= _ETA_TUBE, the `_tube_offsets` table,
+    built once per path and turned into each piece's frame; argmin of the W
+    line integral with lowest-|z|-then-lex tie-break; the first piece stays
+    unshifted to pin the start). Cusp connectors of exponent _CUSP_ALPHA
+    bridge the junction jumps; a short straight closing run lands exactly on
+    xi/eps. The whole time axis is rescaled onto [0, 1/eps] and then mapped to
+    macroscopic coordinates, so the result certifies an upper bound through
+    its action. A connector whose graded time steps vanish in those times (a
+    jump near 1e-8 between nearly parallel pieces) is left out: its piece
+    starts where the path is.
     """
     if W.dimension != plan.dimension:
         raise InputError("perturbation and plan dimensions disagree")
@@ -893,10 +890,9 @@ def build_recovery_trajectory(
         raise InputError("recovery construction requires a nonnegative perturbation")
     if not eps > 0:
         raise InputError("eps must be positive")
-    if eta_tube < 0:
-        raise InputError("eta_tube must be nonnegative")
     m = QuadratureSpec().samples_per_interval
     xi = plan.xi
+    offsets = _tube_offsets(plan.dimension)
     t_end = 1.0 / eps
     t_run = min(1.0, 0.25 * t_end)
     t_core = t_end - t_run
@@ -907,10 +903,11 @@ def build_recovery_trajectory(
     for k, (t_a, t_b, slope) in enumerate(_plan_pieces(plan, t_core)):
         x_a = t_a * xi + plan.profile(np.array([t_a]))[0]
         x_b = t_b * xi + plan.profile(np.array([t_b]))[0]
-        if k == 0 or eta_tube == 0.0:
+        if k == 0:
             z_cands = np.zeros((1, plan.dimension))
         else:
-            z_cands = _tube_shift_candidates(slope + xi, eta_tube)
+            direction = slope + xi
+            z_cands = offsets @ _householder_frame(direction / np.linalg.norm(direction))[:, 1:].T
         integrals = _piece_w_integral(x_a, x_b, t_b - t_a, z_cands, W, m)
         pick = int(np.argmin(integrals))
         z = z_cands[pick]
@@ -920,7 +917,7 @@ def build_recovery_trajectory(
 
     skip = set()  # the pieces whose connector is left out
     while True:
-        times, nodes, cursor, connectors = _join_legs(legs, t_run, t_end * xi, alpha, W, skip)
+        times, nodes, cursor, connectors = _join_legs(legs, t_run, t_end * xi, W, skip)
         macro_times = times * (t_end / cursor) * eps
         macro_times[0] = 0.0
         macro_times[-1] = 1.0
@@ -937,8 +934,6 @@ def build_recovery_trajectory(
         macro_nodes,
         meta={
             "eps": eps,
-            "eta_tube": eta_tube,
-            "alpha": alpha,
             "z_shifts": z_used,
             "piece_w_integrals": w_integrals,
             "connector_count": len(connectors),
@@ -948,10 +943,11 @@ def build_recovery_trajectory(
     )
 
 
-def _join_legs(legs, t_run, target, alpha, W, skip):
+def _join_legs(legs, t_run, target, W, skip):
     """(times, nodes, duration, connectors) of the raw path along `legs`, with a
-    cusp connector (piece, first and last time index, {r, kinetic}) across each
-    jump, except before a piece in `skip`, then a straight run to target."""
+    cusp connector of exponent _CUSP_ALPHA (piece, first and last time index,
+    {r, kinetic}) across each jump, except before a piece in `skip`, then a
+    straight run to target."""
     d = target.shape[0]
     times_chunks = [np.array([0.0])]
     node_chunks = [np.zeros((1, d))]
@@ -963,7 +959,7 @@ def _join_legs(legs, t_run, target, alpha, W, skip):
             if k in skip:
                 entry = pos
             else:
-                conn = build_connector(pos, entry, alpha, W)
+                conn = build_connector(pos, entry, _CUSP_ALPHA, W)
                 times_chunks.append(cursor + (conn.times[1:] - conn.times[0]))
                 node_chunks.append(conn.nodes[1:])
                 cursor += float(conn.times[-1] - conn.times[0])
@@ -987,22 +983,18 @@ def _join_legs(legs, t_run, target, alpha, W, skip):
     return np.concatenate(times_chunks), np.concatenate(node_chunks, axis=0), cursor, connectors
 
 
-def scaled_corrector_start(
-    profile: CorrectorProfile, eps: float, t0: float, t1: float, a, b, n_nodes: int
-) -> Trajectory:
-    """Affine macro path decorated with the eps-scaled periodic corrector.
+def scaled_corrector_start(profile: CorrectorProfile, eps: float, n_nodes: int) -> Trajectory:
+    """Affine macro path from 0 to profile.xi on [0, 1], decorated with the
+    eps-scaled periodic corrector: u(t) = t * xi + eps * v((t/eps) mod T).
 
-    Warm start for perturbed minimizations: u(t) = affine(t) +
-    eps * v(((t - t0)/eps) mod T). Endpoints are pinned exactly.
+    Warm start of the d = 1 stability rungs. Its ends are pinned to exactly 0
+    and profile.xi.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    times = np.linspace(float(t0), float(t1), int(n_nodes))
-    lam = (times - times[0]) / (times[-1] - times[0])
-    nodes = a[None, :] * (1 - lam)[:, None] + b[None, :] * lam[:, None]
-    local = np.mod((times - times[0]) / eps, profile.T)
+    times = np.linspace(0.0, 1.0, int(n_nodes))
+    nodes = times[:, None] * profile.xi[None, :]
+    local = np.mod(times / eps, profile.T)
     for k in range(profile.profile.dimension):
         nodes[:, k] += eps * np.interp(local, profile.profile.times, profile.profile.nodes[:, k])
-    nodes[0] = a
-    nodes[-1] = b
+    nodes[0] = 0.0
+    nodes[-1] = profile.xi
     return Trajectory(times, nodes, meta={"eps": eps, "kind": "scaled_corrector"})

@@ -10,10 +10,11 @@ depends on them. Runners ignore their `threads` argument: a thread pool over
 rows measured slower than the serial loop.
 
 Settings that no config varied are fixed in code, not read from it: the
-recovery construction and the L^p exponent here, the quadrature resolution
-in quadrature.py, and the f_hom table method, which tabulate_f_hom picks
-from the dimension. The stability target comes from f_hom_asymptotic in
-every dimension.
+recovery construction's delta and horizon here, its tube radius and cusp
+exponent in cell.py, the L^p exponent in potentials.py, the quadrature
+resolution in quadrature.py, and the f_hom table method, which
+tabulate_f_hom picks from the dimension. The stability target comes from
+f_hom_asymptotic in every dimension.
 """
 
 import hashlib
@@ -46,7 +47,7 @@ from .hj import (
     solve_steady_hom,
 )
 from .minimize import (
-    DPGrid, OptimizerSpec, check_newton_terms, check_node_count, dp_oracle_1d, minimize_bvp
+    DPGrid, OptimizerSpec, check_newton_terms, dp_oracle_1d, eps_node_count, minimize_bvp
 )
 from .potentials import (
     LP_EXPONENT,
@@ -74,10 +75,8 @@ __all__ = [
 ]
 
 _GAP_SLACK = 0.10
-# Recovery construction of the d >= 2 stability runs (horizon: 4 / min eps).
+# The almost-corrector's delta of the d >= 2 stability runs (horizon: 4 / min eps).
 _RECOVERY_DELTA = 0.2
-_ETA_TUBE = 0.25
-_ALPHA = 0.75
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +553,7 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     which pins min_F <= min_G structurally. Verdicts: gap_G decreasing with
     10% slack, final relative gap below the configured threshold. A W that
     Newton cannot take (check_newton_terms), or an eps whose rung would need
-    more than 2^20 nodes (check_node_count), raises InputError before any
+    more than 2^20 nodes (eps_node_count), raises InputError before any
     solve or warm start is built.
     A rung that fails raises its own SolverError or InvariantError, so the
     verdicts always judge the whole ladder; `rows_failed` is always 0.
@@ -580,9 +579,7 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     opt = cfg.optimizer()
     ladder = cfg.eps_ladder
     nodes_per_period = int(cfg.data["solver"]["nodes_per_period"])
-    node_counts = [max(65, int(nodes_per_period / eps) + 9) for eps in ladder]
-    for eps, n_nodes in zip(ladder, node_counts):
-        check_node_count(n_nodes, eps, 0.0, 1.0)
+    node_counts = [eps_node_count(nodes_per_period, eps, 65, 0.0, 1.0) for eps in ladder]
     # exact: W is nonnegative and check_newton_terms has turned away any atom
     zero_w = W.upper_bound() == 0.0
 
@@ -599,9 +596,9 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     a0 = np.zeros(cfg.dimension)
     for eps, n_nodes in zip(ladder, node_counts):
         if profile is not None:
-            warm = (scaled_corrector_start(profile, eps, 0.0, 1.0, np.zeros(1), xi, n_nodes),)
+            warm = (scaled_corrector_start(profile, eps, n_nodes),)
         else:
-            warm = (build_recovery_trajectory(plan, W, eps, _ETA_TUBE, _ALPHA),)
+            warm = (build_recovery_trajectory(plan, W, eps),)
         if zero_w:
             u_f, min_f = minimize_bvp(
                 V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm

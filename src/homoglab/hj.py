@@ -31,6 +31,7 @@ from .minimize import (
     _lattice_seeds,
     _seed_nodes,
     check_newton_terms,
+    eps_node_count,
     minimize_bvp,
     minimize_bvp_batch,
     minimize_halfline,
@@ -214,7 +215,8 @@ def solve_evolutionary_eps(
     to its lattice argmin y and to that y's neighbours in y_grid, each with
     the lattice path tilted onto its y as the warm start next to the affine
     one, and takes the least; a polish at time t has 8*t/eps + 9 nodes (at
-    least 33). Every value is the action of a concrete path from a y plus
+    least 33), each count checked (eps_node_count) before the lattice is
+    built. Every value is the action of a concrete path from a y plus
     Phi(y), so the certified upper bound stands. The provenance records the
     lattice, its sup distance to the polished field (dp_sup_distance) and
     whether every polish converged (all_converged).
@@ -223,13 +225,13 @@ def solve_evolutionary_eps(
     check_newton_terms(V, W)
     x_axes, t_grid, x_mesh, y_mesh, phi_vals = _evolutionary_grids(x_grid, t_grid, y_grid, Phi, V)
     y = y_mesh[:, 0]
+    counts = [eps_node_count(8, eps, 33, 0.0, t) for t in t_grid]
     lattice, states, seeds = _lattice_seeds(
         V, W, eps, x_mesh[:, 0], t_grid[-1], t_grid, y, phi_vals
     )
     values = np.empty((x_mesh.shape[0], t_grid.size))
     dp_distance, records = 0.0, []
-    for j, (t, (dp_values, path)) in enumerate(zip(t_grid, seeds)):
-        nodes_count = max(33, int(8 * t / eps) + 9)
+    for j, (t, nodes_count, (dp_values, path)) in enumerate(zip(t_grid, counts, seeds)):
         ys = np.argmin(np.abs(y[None, :] - states[path[-1], None]), axis=1)
         ys = np.clip(ys + _Y_NEIGHBOURS[:, None], 0, y.size - 1)
         # The lattice path, tilted linearly onto each neighbour y.
@@ -273,7 +275,7 @@ def s_eps(
     on 8*t/eps + 9 nodes (at least 33)."""
     if not t > 0:
         raise InputError("t must be positive")
-    _, value = minimize_bvp(V, W, eps, 0.0, t, y, x, max(33, int(8 * t / eps) + 9), opt)
+    _, value = minimize_bvp(V, W, eps, 0.0, t, y, x, eps_node_count(8, eps, 33, 0.0, t), opt)
     return value
 
 
@@ -301,7 +303,8 @@ def solve_steady_eps(
     error) and the constant path. The provenance records the lattice, its sup distance to
     the polished field (dp_sup_distance) and whether every polish converged
     (all_converged), the horizon T_max = 6 / lam and the path's n_nodes =
-    max(65, 4 T_max / eps + 9). Needs d = 1; check_newton_terms(V, W) runs first.
+    max(65, 4 T_max / eps + 9), checked (eps_node_count) before the lattice.
+    Needs d = 1; check_newton_terms(V, W) runs first.
 
     The bounds inf(V+W) <= lam * U <= sup(V+W) are checked against the
     conservative enclosures v_min + inf W and v_max + sup W; a violation
@@ -314,7 +317,7 @@ def solve_steady_eps(
     x_axes = axes_of(x_grid, V.dimension, "x_grid")
     x_mesh = mesh(x_axes)
     horizon = 6.0 / lam
-    nodes_count = max(65, int(4 * horizon / eps) + 9)
+    nodes_count = eps_node_count(4, eps, 65, 0.0, horizon)
 
     lower, upper = potential_bounds(V, W)
 

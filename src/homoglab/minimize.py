@@ -457,9 +457,20 @@ def check_newton_terms(V: Optional[PeriodicPotential], W: Optional[Perturbation]
 
 def check_node_count(n_nodes, eps, t0, t1):
     """Raise InputError, naming eps and the window [t0, t1], unless a path has
-    2 to 2^20 nodes; callers check before they build any node array."""
+    2 to 2^20 nodes; callers check before they build any node array. The count
+    may be a float, even inf, and the message gives 15 digits at most."""
     if not 2 <= n_nodes <= 2**20:
-        raise InputError(f"need 2 to 2^20 nodes, got {n_nodes} (eps={eps}, window [{t0}, {t1}])")
+        raise InputError(
+            f"need 2 to 2^20 nodes, got {n_nodes:.15g} (eps={eps}, window [{t0}, {t1}])"
+        )
+
+
+def eps_node_count(per_unit, eps, least, t0, t1) -> int:
+    """max(least, int(per_unit * (t1 - t0) / eps) + 9) nodes for a path on [t0, t1],
+    checked (check_node_count) while a float: a tiny eps is no int() of inf."""
+    count = max(least, np.floor(per_unit * (float(t1) - float(t0)) / float(eps)) + 9)
+    check_node_count(count, eps, t0, t1)
+    return int(count)
 
 
 def _check_window(t0, t1, eps):
@@ -1084,7 +1095,8 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     lattice whose fewest steps do not is refused with an InputError naming
     eps, and read-out times that no count within it puts on a step, on the
     refined lattice, with one naming the time, both before any array of the
-    lattice's size is built.
+    lattice's size is built; a float lower bound of the first, checked before
+    the grid, refuses a lattice too large to count (its bound inf) too.
 
     Returns ({states, steps, moves}, states, [(values at x, paths) per read-out]).
     """
@@ -1094,14 +1106,23 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     spread = upper - lower
     if not math.isfinite(spread):
         raise InputError("the lattice DP seeds need V + W with finite bounds")
-    dx = eps / _SEED_STATES_PER_EPS
+    dx = float(eps) / _SEED_STATES_PER_EPS
     if lam is None:
-        if y.size > 1:  # a whole fraction of the least y spacing: each y is one state
-            dx = float(np.min(np.diff(y))) / math.ceil(float(np.min(np.diff(y))) / dx)
         origin, lo, hi = y[0], min(np.min(x), y[0]), max(np.max(x), y[-1])
     else:
         margin = math.sqrt((math.e - 1.0) * spread) / lam
         origin, lo, hi = 0.0, np.min(x) - margin, np.max(x) + margin
+
+    def refuse_past_budget(nbytes):
+        if not nbytes <= _SEED_HISTORY_BYTES:
+            raise InputError(f"the lattice DP seeds at eps={eps!r} may need {nbytes:.3g} "
+                             "bytes of history, more than 2^28")
+
+    # A float lower bound of the fewest steps' history (inf past any float), before any grid.
+    span = float(hi) - float(lo)
+    refuse_past_budget(8.0 * (float(horizon) * _SEED_SLOPE_STEP / dx) * (span / dx))
+    if lam is None and y.size > 1:  # a whole fraction of the least y spacing: each y is one state
+        dx = float(np.min(np.diff(y))) / math.ceil(float(np.min(np.diff(y))) / dx)
 
     def grid(dx):  # (first, n_x, the states of x and of y, the farthest x from a y, slope bound)
         first = math.floor((lo - origin) / dx)
@@ -1126,11 +1147,7 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
         return 8 * (n + 1) * (n_x + 2 * min(reach(n), n_x - 1))
 
     fewest = math.ceil(horizon * _SEED_SLOPE_STEP / dx)
-    if not history_bytes(fewest) <= _SEED_HISTORY_BYTES:
-        raise InputError(
-            f"the lattice DP seeds at eps={eps!r} may need {history_bytes(fewest):.3g} "
-            "bytes of history, more than 2^28"
-        )
+    refuse_past_budget(history_bytes(fewest))
     n_steps = _step_count(read_at, horizon, fewest, _SEED_HISTORY_BYTES // (8 * n_x) - 1)
     if n_steps is not None and n_steps > fewest:  # refine dx to keep the slope step
         dx /= max(1, math.floor(dx * n_steps / (horizon * _SEED_SLOPE_STEP) + 1e-9))

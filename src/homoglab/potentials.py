@@ -718,16 +718,9 @@ def _build_cos_sum_potential(d: int) -> PeriodicPotential:
 
 
 def _build_zero_perturbation(dimension: int) -> Perturbation:
-    return Perturbation(
-        dimension,
-        lambda x: np.zeros(x.shape[:-1]),
-        sign_class="nonnegative",
-        sup_bound=0.0,
-        integrability_exponent=2.0,
-        support_radius=0.0,
-        gradient=lambda x: np.zeros_like(x),
-        name="zero",
-        hessian=_zero_hessian,
+    return replace(
+        _build_constant_perturbation(dimension, 0.0),
+        name="zero", integrability_exponent=2.0, support_radius=0.0,
     )
 
 

@@ -268,7 +268,8 @@ def build_connector(x0, y0, alpha: float, W: Perturbation) -> Trajectory:
 
     The curve leaves both endpoints along cusps |s|^alpha in a direction theta
     chosen from the cap {theta_1 < -1/2} (local frame aligned with x0 - y0) by
-    discrete minimization of the W line integral over 32 cap directions; the
+    discrete minimization of the W line integral over 32 cap directions, scored
+    as one stack with one W call (the first least wins); the
     two cusp arcs meet on the mid-hyperplane. Its kinetic integral is bounded
     by connector_kinetic_bound(alpha, |x0-y0|) for every theta in the cap, with
     the piecewise-linear interpolant always at or below the analytic value.
@@ -294,45 +295,35 @@ def build_connector(x0, y0, alpha: float, W: Perturbation) -> Trajectory:
     mid = 0.5 * (x0 + y0)
     half = r ** (1.0 / alpha)
     side = _graded_side(half)
+    times = np.unique(np.concatenate((-half + side, [0.0], (half - side[::-1])[1:])))
 
-    t_left = -half + side
-    t_right = half - side[::-1]
-    times = np.concatenate((t_left, [0.0], t_right[1:]))
-    times = np.unique(times)
-
+    # Every cap direction theta (one path each), and its mirror theta_hat.
     thetas = _cap_directions(d)
+    hats = np.column_stack((-thetas[:, 0], thetas[:, 1:]))
+    t_theta = (-1.0 / (2.0 * thetas[:, 0]))[:, None, None]
+    left = (times <= 0.0)[:, None]
+    prof = np.where(left, np.abs(times + half)[:, None], np.abs(half - times)[:, None]) ** alpha
+    nodes_loc = np.where(
+        left,
+        (r / 2.0) * np.eye(d)[0] + prof * (t_theta * thetas[:, None, :]),
+        -(r / 2.0) * np.eye(d)[0] + prof * (t_theta * hats[:, None, :]),
+    )
+    paths = mid + nodes_loc @ frame.T
+    paths[:, 0] = x0
+    paths[:, -1] = y0
     m = QuadratureSpec().samples_per_interval
-    best = None
-    for idx, theta in enumerate(thetas):
-        t_theta = -1.0 / (2.0 * theta[0])
-        theta_hat = theta.copy()
-        theta_hat[0] = -theta[0]
-        nodes_loc = np.empty((times.size, d))
-        left = times <= 0.0
-        prof_l = np.abs(times[left] + half) ** alpha
-        nodes_loc[left] = (r / 2.0) * np.eye(d)[0] + prof_l[:, None] * (t_theta * theta)[None, :]
-        right = ~left
-        prof_r = np.abs(half - times[right]) ** alpha
-        nodes_loc[right] = (
-            -(r / 2.0) * np.eye(d)[0] + prof_r[:, None] * (t_theta * theta_hat)[None, :]
-        )
-        nodes = mid[None, :] + nodes_loc @ frame.T
-        nodes[0] = x0
-        nodes[-1] = y0
-        w_val = potential_term(times, nodes, W.evaluator, 1.0, m)
-        if best is None or w_val < best[0]:
-            best = (w_val, idx, nodes, theta)
-
-    w_val, idx, nodes, theta = best
+    vals = W.evaluator(interval_samples(paths, m))  # potential_term of each path, at eps = 1
+    w_vals = np.sum(np.sum(vals, axis=-1) * (np.diff(times) / m), axis=-1)
+    idx = int(np.argmin(w_vals))
     traj = Trajectory(
         times,
-        nodes,
+        paths[idx],
         meta={
             "alpha": alpha,
             "r": r,
-            "theta_local": theta.tolist(),
+            "theta_local": thetas[idx].tolist(),
             "theta_index": idx,
-            "w_integral": w_val,
+            "w_integral": float(w_vals[idx]),
             "kinetic_integral": 0.0,
             "kinetic_bound": connector_kinetic_bound(alpha, r),
         },

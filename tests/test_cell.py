@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -598,6 +599,25 @@ def test_cell_value_1d_refuses_a_non_finite_slope_before_any_work(xi):
 
     with pytest.raises(InputError, match="finite"):
         cell_value_1d(v, xi)
+
+
+def test_cell_value_1d_refuses_a_slope_whose_energy_bracket_overflows():
+    """Just below 2^511 the value is xi^2 + 1/2 to 1e-12; at 2^511, 1.3e154
+    (where xi^2 itself still fits) and 1e300 the slope is refused by name
+    before any level, and no overflow or NaN warning leaks."""
+    v = make_potential("sin2", 1).factor
+    below = math.nextafter(2.0**511, 0.0)
+    values = cell_value_1d(v, [below, -below])
+    assert values[0] == values[1] == pytest.approx(below * below + 0.5, rel=1e-12)
+    for xi in (2.0**511, -1.3e154, 1e300):
+
+        def unreachable(*args):
+            raise AssertionError("built a level for a refused slope")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homoglab.cell, "_period_nodes", unreachable)
+            with pytest.raises(InputError, match=re.escape(f"below 2^511 in size, got {xi}")):
+                cell_value_1d(v, [0.5, xi])
 
 
 def test_cell_value_1d_raises_where_the_levels_disagree():

@@ -313,18 +313,105 @@ def test_a_slope_too_small_for_a_cell_window_is_a_config_error(
                 "lambda": 1.0,
                 "grids": {"x": {"lo": -0.2, "hi": 0.2, "n": 3}, "xi": {"half_width": 2.0, "n": 9}},
             },
-            "the lattice DP seeds at eps=1e-09 may need",
+            "need 2 to 2^20 nodes, got 24000000009 (eps=1e-09, window [0.0, 6.0])",
         ),
     ],
 )
 def test_a_tiny_eps_is_a_config_error(tmp_path, capsys, experiment, raw, message):
     """At eps = 1e-9 a stability rung would need 1.2e10 Newton nodes, and the
-    HJ field's seed lattice 3.1e20 bytes of history. Both are refused,
-    naming eps, before any array of that size is built."""
+    steady HJ field's polish 2.4e10. Both are refused, naming eps, before any
+    array of that size is built: the HJ count before its seed lattice."""
     cfg = write_cfg(tmp_path, dict(raw, experiment=experiment, eps_ladder=[1e-9]))
     code = cli.main([experiment, "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+_STEADY_RAW = {
+    "experiment": "hj",
+    "potential": {"name": "sin2"},
+    "lambda": 1.0,
+    "grids": {"x": {"lo": -0.2, "hi": 0.2, "n": 3}, "xi": {"half_width": 2.0, "n": 9}},
+}
+_EVOLUTIONARY_RAW = {
+    "experiment": "hj",
+    "potential": {"name": "sin2"},
+    "initial_datum": {"name": "plane_wave"},
+    "grids": {
+        "x": {"lo": 0.3, "hi": 0.7, "n": 3},
+        "t": [0.5, 1.0],
+        "y": {"lo": -2.0, "hi": 2.0, "n": 161},
+        "xi": {"half_width": 2.0, "n": 9},
+    },
+}
+_STABILITY_RAW = {
+    "experiment": "stability",
+    "potential": {"name": "sin2"},
+    "perturbation": {"name": "runge_decay"},
+    "xi": [1.0],
+}
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        (dict(_STABILITY_RAW, eps_ladder=[1e-320]), "got inf (eps=1e-320, window [0.0, 1.0])"),
+        (dict(_STABILITY_RAW, eps_ladder=[1e-300]), "got 1.2e+301 (eps=1e-300, window [0.0, 1.0])"),
+        (dict(_STEADY_RAW, eps_ladder=[1e-320]), "got inf (eps=1e-320, window [0.0, 6.0])"),
+        (dict(_STEADY_RAW, eps_ladder=[1e-300]), "got 2.4e+301 (eps=1e-300, window [0.0, 6.0])"),
+        (
+            dict(_STEADY_RAW, eps_ladder=[0.2], **{"lambda": 1e-200}),
+            "got 1.2e+202 (eps=0.2, window [0.0, 6e+200])",
+        ),
+        (
+            dict(_EVOLUTIONARY_RAW, eps_ladder=[1e-300]),
+            "got 4e+300 (eps=1e-300, window [0.0, 0.5])",
+        ),
+        (dict(_EVOLUTIONARY_RAW, eps_ladder=[1e-320]), "got inf (eps=1e-320, window [0.0, 0.5])"),
+        (
+            dict(
+                _EVOLUTIONARY_RAW,
+                eps_ladder=[1e-5],
+                grids=dict(_EVOLUTIONARY_RAW["grids"], y={"lo": -1e300, "hi": 1e300, "n": 3}),
+            ),
+            "the lattice DP seeds at eps=1e-05 may need inf bytes of history, more than 2^28",
+        ),
+        (
+            {
+                "experiment": "fhom",
+                "potential": {"name": "sin2"},
+                "grids": {"xi": {"half_width": 1e300, "n": 3}},
+            },
+            "xi must be finite and below 2^511 in size, got -1e+300",
+        ),
+        (
+            dict(_STABILITY_RAW, xi=[1e300], eps_ladder=[0.1]),
+            "xi must be finite and below 2^511 in size, got 1e+300",
+        ),
+        (
+            dict(_STABILITY_RAW, xi=[1e-300], eps_ladder=[0.1]),
+            "need 2 to 2^20 nodes, got 4.8e+301 (window T = 1/|xi| at xi=1e-300)",
+        ),
+    ],
+    ids=[
+        "stability-eps-1e-320", "stability-eps-1e-300", "steady-eps-1e-320", "steady-eps-1e-300",
+        "steady-lambda-1e-200", "evolutionary-eps-1e-300", "evolutionary-eps-1e-320",
+        "evolutionary-y-1e300", "fhom-xi-1e300", "stability-xi-1e300", "stability-xi-1e-300",
+    ],
+)
+def test_a_count_past_any_float_is_a_config_error(tmp_path, capsys, raw, message):
+    """A tiny eps or lambda, a huge y grid or a huge slope asks for more nodes,
+    lattice bytes or energy than a float holds. Each exits 2 naming its eps or
+    xi (lambda through its window 6/lambda), with no traceback, no warning,
+    and a count printed to 15 digits at most."""
+    cfg = write_cfg(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([raw["experiment"], "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG == 2
+    assert message in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

@@ -18,6 +18,7 @@ from homoglab import (
     scaled_corrector_start,
     solve_corrector_1d,
 )
+from homoglab.cell import _plan_pieces
 
 
 @pytest.fixture(scope="module")
@@ -32,17 +33,45 @@ def plan2d():
 def test_recovery_endpoints_pinned_to_affine(plan2d):
     W = make_perturbation("runge_decay", 2, amplitude=1.0)
     for eps in (0.1, 0.05):
-        traj = build_recovery_trajectory(plan2d, W, eps, eta_tube=0.25, alpha=0.75)
+        traj = build_recovery_trajectory(plan2d, W, eps)
         xi = plan2d.xi
         np.testing.assert_allclose(traj.nodes[0], traj.times[0] * xi, atol=1e-9)
         np.testing.assert_allclose(traj.nodes[-1], traj.times[-1] * xi, atol=1e-9)
         assert traj.times[0] == 0.0
 
 
+@pytest.mark.parametrize("eps", [0.05, 0.02])
+def test_each_tube_shift_is_transverse_to_its_own_piece(plan2d, eps):
+    """Piece k >= 1 picks its shift from the offset table turned into its own
+    frame: |z| <= 1/4 and z orthogonal to the piece's velocity slope + xi."""
+    W = make_perturbation("runge_decay", 2, amplitude=1.0)
+    traj = build_recovery_trajectory(plan2d, W, eps)
+    t_end = 1.0 / eps
+    pieces = _plan_pieces(plan2d, t_end - min(1.0, 0.25 * t_end))
+    z = np.array(traj.meta["z_shifts"])
+    assert z.shape == (len(pieces), 2) and np.all(z[0] == 0.0)
+    assert np.count_nonzero(np.linalg.norm(z[1:], axis=1)) >= 2
+    for (_, _, slope), shift in zip(pieces[1:], z[1:]):
+        velocity = (slope + plan2d.xi) / np.linalg.norm(slope + plan2d.xi)
+        assert abs(float(np.dot(shift, velocity))) <= 1e-12
+        assert np.linalg.norm(shift) <= 0.25 + 1e-12
+
+
+def test_recovery_in_one_dimension_shifts_no_piece(sin2_1d):
+    plan = build_almost_corrector(
+        sin2_1d, np.array([np.sqrt(2.0)]), delta=0.2, horizon=40.0,
+        opt=OptimizerSpec(max_iters=1200),
+    )
+    traj = build_recovery_trajectory(plan, make_perturbation("runge_decay", 1), 0.1)
+    assert traj.meta["z_shifts"] == [[0.0]] * len(traj.meta["z_shifts"])
+    assert traj.meta["connector_count"] == 0
+    assert traj.times[-1] == 1.0 and traj.nodes[-1, 0] == np.sqrt(2.0)
+
+
 def test_recovery_requires_nonnegative_perturbation(plan2d):
     W = make_perturbation("constant", 2, value=-0.5)
     with pytest.raises(InputError):
-        build_recovery_trajectory(plan2d, W, 0.1, eta_tube=0.25, alpha=0.75)
+        build_recovery_trajectory(plan2d, W, 0.1)
 
 
 def test_recovery_action_bounded_by_perturbed_plan(plan2d, quad):
@@ -50,7 +79,7 @@ def test_recovery_action_bounded_by_perturbed_plan(plan2d, quad):
     V = make_potential("sin2", 2)
     W = make_perturbation("runge_decay", 2, amplitude=1.0)
     eps = 0.05
-    traj = build_recovery_trajectory(plan2d, W, eps, eta_tube=0.25, alpha=0.75)
+    traj = build_recovery_trajectory(plan2d, W, eps)
     span = float(traj.times[-1] - traj.times[0])
     perturbed = action_G(traj, V, W, eps, quad) / span
     base = plan2d.meta["cell_value_at_T"]
@@ -79,7 +108,7 @@ def test_recovery_closes_a_jump_below_the_time_cursors_spacing(peak_at, peak, ep
         profile_values=[[0.0, 0.0], [0.0, 0.0], [0.0, peak], [0.0, 0.0]],
     )
     W = Perturbation(2, lambda x: np.exp(x[..., 1]), "nonnegative", integrability_exponent=2.0)
-    traj = build_recovery_trajectory(plan, W, eps, eta_tube=0.25, alpha=0.75)
+    traj = build_recovery_trajectory(plan, W, eps)
     assert np.all(np.diff(traj.times) > 0)
     assert traj.times[0] == 0.0 and traj.times[-1] == 1.0
     np.testing.assert_array_equal(traj.nodes[-1], plan.xi)
@@ -90,7 +119,7 @@ def test_recovery_closes_a_jump_below_the_time_cursors_spacing(peak_at, peak, ep
 def test_scaled_corrector_start_shape_and_endpoints(sin2_1d):
     opt = OptimizerSpec(max_iters=1500)
     prof = solve_corrector_1d(sin2_1d, 1.0, opt=opt)
-    start = scaled_corrector_start(prof, 0.1, 0.0, 1.0, 0.0, 1.0, 65)
+    start = scaled_corrector_start(prof, 0.1, 65)
     assert isinstance(start, Trajectory)
     assert start.times.size == 65
     assert start.times[0] == 0.0 and start.times[-1] == 1.0
@@ -103,6 +132,17 @@ def test_scaled_corrector_start_is_good_warm_start(quad, sin2_1d):
     opt = OptimizerSpec(max_iters=1500)
     prof = solve_corrector_1d(sin2_1d, 1.0, opt=opt)
     eps = 0.05
-    start = scaled_corrector_start(prof, eps, 0.0, 1.0, 0.0, 1.0, 129)
+    start = scaled_corrector_start(prof, eps, 129)
     value = action_F(start, sin2_1d, eps, quad)
     assert value == pytest.approx(prof.cell_value, rel=0.08)
+
+
+def test_scaled_corrector_start_pins_its_ends_to_0_and_xi(sin2_1d):
+    """At eps = 0.03, t = 1 sits a third of a period into the profile, where
+    v is not 0; the end is still exactly xi."""
+    prof = solve_corrector_1d(sin2_1d, 0.7, opt=OptimizerSpec(max_iters=1500))
+    eps = 0.03
+    assert np.interp(np.mod(1.0 / eps, prof.T), prof.profile.times, prof.profile.nodes[:, 0]) != 0
+    start = scaled_corrector_start(prof, eps, 65)
+    assert start.nodes[0, 0] == 0.0
+    assert start.nodes[-1, 0] == prof.xi[0] == 0.7

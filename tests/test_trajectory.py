@@ -4,12 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homoglab import (
     InputError,
     InvariantError,
+    Perturbation,
     QuadratureSpec,
     Trajectory,
     action_F,
@@ -24,7 +25,10 @@ from homoglab import (
     make_potential,
     polar_bound_check,
 )
-from homoglab.trajectory import POLAR_BOUND_TOL
+from homoglab.potentials import _householder_frame
+from homoglab.trajectory import (
+    POLAR_BOUND_TOL, _cap_directions, _graded_side, potential_term
+)
 
 
 def line(t0, t1, a, b, n=33):
@@ -174,6 +178,83 @@ def test_connector_endpoints_and_kinetic_bound(rng):
             np.testing.assert_allclose(gamma.nodes[0], x0, atol=1e-12)
             np.testing.assert_allclose(gamma.nodes[-1], y0, atol=1e-12)
             assert gamma.kinetic_integral() <= connector_kinetic_bound(alpha, r) * (1 + 1e-9)
+
+
+def _connector_one_direction_at_a_time(x0, y0, alpha, W):
+    """build_connector with its cap directions scored in a loop, the first
+    strictly least W integral kept: the reference for the stacked pass."""
+    d = x0.shape[0]
+    r = float(np.linalg.norm(x0 - y0))
+    frame = _householder_frame((x0 - y0) / r)
+    mid = 0.5 * (x0 + y0)
+    half = r ** (1.0 / alpha)
+    side = _graded_side(half)
+    times = np.unique(np.concatenate((-half + side, [0.0], (half - side[::-1])[1:])))
+    m = QuadratureSpec().samples_per_interval
+    best = None
+    for idx, theta in enumerate(_cap_directions(d)):
+        t_theta = -1.0 / (2.0 * theta[0])
+        theta_hat = theta.copy()
+        theta_hat[0] = -theta[0]
+        nodes_loc = np.empty((times.size, d))
+        left = times <= 0.0
+        prof_l = np.abs(times[left] + half) ** alpha
+        nodes_loc[left] = (r / 2.0) * np.eye(d)[0] + prof_l[:, None] * (t_theta * theta)[None, :]
+        prof_r = np.abs(half - times[~left]) ** alpha
+        nodes_loc[~left] = (
+            -(r / 2.0) * np.eye(d)[0] + prof_r[:, None] * (t_theta * theta_hat)[None, :]
+        )
+        nodes = mid[None, :] + nodes_loc @ frame.T
+        nodes[0] = x0
+        nodes[-1] = y0
+        w_val = potential_term(times, nodes, W.evaluator, 1.0, m)
+        if best is None or w_val < best[0]:
+            best = (w_val, idx, nodes, theta)
+    w_val, idx, nodes, theta = best
+    traj = Trajectory(times, nodes)
+    meta = {
+        "alpha": alpha,
+        "r": r,
+        "theta_local": theta.tolist(),
+        "theta_index": idx,
+        "w_integral": w_val,
+        "kinetic_integral": traj.kinetic_integral(),
+        "kinetic_bound": connector_kinetic_bound(alpha, r),
+    }
+    return times, nodes, meta
+
+
+def _connector_w(name, d):
+    if name == "exp_x2":
+        return Perturbation(
+            d, lambda x: np.exp(x[..., 1]), "nonnegative", integrability_exponent=2.0
+        )
+    return make_perturbation(name, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    w_name=st.sampled_from(["runge_decay", "indicator_ball", "exp_x2"]),
+    scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    data=st.data(),
+)
+def test_the_stacked_connector_is_the_per_direction_loop_bit_for_bit(d, w_name, scale, data):
+    """All 32 cap directions scored as one stack give the loop's connector,
+    bit for bit: times, nodes and meta. indicator_ball ties many directions
+    at 0 (the curves miss the ball), so the first least one must win."""
+    W = _connector_w(w_name, d)
+    p_over_d = W.integrability_exponent / d
+    alpha = data.draw(st.floats(0.5, p_over_d, exclude_min=True, exclude_max=True))
+    point = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    x0 = scale * np.array(data.draw(point))
+    y0 = scale * np.array(data.draw(point))
+    assume(np.linalg.norm(x0 - y0) > 0.0)
+    times, nodes, meta = _connector_one_direction_at_a_time(x0, y0, alpha, W)
+    gamma = build_connector(x0, y0, alpha, W)
+    np.testing.assert_array_equal(gamma.times, times)
+    np.testing.assert_array_equal(gamma.nodes, nodes)
+    assert gamma.meta == meta
 
 
 def test_connector_rejects_bad_alpha():
