@@ -579,7 +579,7 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     opt = cfg.optimizer()
     ladder = cfg.eps_ladder
     nodes_per_period = int(cfg.data["solver"]["nodes_per_period"])
-    node_counts = [eps_node_count(nodes_per_period, eps, 65, 0.0, 1.0) for eps in ladder]
+    node_counts = [eps_node_count(nodes_per_period, eps, 65, 1.0) for eps in ladder]
     # exact: W is nonnegative and check_newton_terms has turned away any atom
     zero_w = W.upper_bound() == 0.0
 

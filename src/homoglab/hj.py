@@ -225,7 +225,7 @@ def solve_evolutionary_eps(
     check_newton_terms(V, W)
     x_axes, t_grid, x_mesh, y_mesh, phi_vals = _evolutionary_grids(x_grid, t_grid, y_grid, Phi, V)
     y = y_mesh[:, 0]
-    counts = [eps_node_count(8, eps, 33, 0.0, t) for t in t_grid]
+    counts = [eps_node_count(8, eps, 33, t) for t in t_grid]
     lattice, states, seeds = _lattice_seeds(
         V, W, eps, x_mesh[:, 0], t_grid[-1], t_grid, y, phi_vals
     )
@@ -275,7 +275,7 @@ def s_eps(
     on 8*t/eps + 9 nodes (at least 33)."""
     if not t > 0:
         raise InputError("t must be positive")
-    _, value = minimize_bvp(V, W, eps, 0.0, t, y, x, eps_node_count(8, eps, 33, 0.0, t), opt)
+    _, value = minimize_bvp(V, W, eps, 0.0, t, y, x, eps_node_count(8, eps, 33, t), opt)
     return value
 
 
@@ -317,7 +317,7 @@ def solve_steady_eps(
     x_axes = axes_of(x_grid, V.dimension, "x_grid")
     x_mesh = mesh(x_axes)
     horizon = 6.0 / lam
-    nodes_count = eps_node_count(4, eps, 65, 0.0, horizon)
+    nodes_count = eps_node_count(4, eps, 65, horizon)
 
     lower, upper = potential_bounds(V, W)
 

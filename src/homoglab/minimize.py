@@ -465,11 +465,11 @@ def check_node_count(n_nodes, eps, t0, t1):
         )
 
 
-def eps_node_count(per_unit, eps, least, t0, t1) -> int:
-    """max(least, int(per_unit * (t1 - t0) / eps) + 9) nodes for a path on [t0, t1],
+def eps_node_count(per_unit, eps, least, t) -> int:
+    """max(least, int(per_unit * t / eps) + 9) nodes for a path on [0, t],
     checked (check_node_count) while a float: a tiny eps is no int() of inf."""
-    count = max(least, np.floor(per_unit * (float(t1) - float(t0)) / float(eps)) + 9)
-    check_node_count(count, eps, t0, t1)
+    count = max(least, np.floor(per_unit * float(t) / float(eps)) + 9)
+    check_node_count(count, eps, 0.0, t)
     return int(count)
 
 
@@ -1095,8 +1095,8 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     lattice whose fewest steps do not is refused with an InputError naming
     eps, and read-out times that no count within it puts on a step, on the
     refined lattice, with one naming the time, both before any array of the
-    lattice's size is built; a float lower bound of the first, checked before
-    the grid, refuses a lattice too large to count (its bound inf) too.
+    lattice's size is built; a float lower bound of the first, checked at each
+    dx before the grid, refuses a lattice too large to count (its bound inf).
 
     Returns ({states, steps, moves}, states, [(values at x, paths) per read-out]).
     """
@@ -1118,11 +1118,12 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
             raise InputError(f"the lattice DP seeds at eps={eps!r} may need {nbytes:.3g} "
                              "bytes of history, more than 2^28")
 
-    # A float lower bound of the fewest steps' history (inf past any float), before any grid.
+    # A float lower bound of the fewest steps' history (inf past any float), at each dx.
     span = float(hi) - float(lo)
     refuse_past_budget(8.0 * (float(horizon) * _SEED_SLOPE_STEP / dx) * (span / dx))
     if lam is None and y.size > 1:  # a whole fraction of the least y spacing: each y is one state
         dx = float(np.min(np.diff(y))) / math.ceil(float(np.min(np.diff(y))) / dx)
+        refuse_past_budget(8.0 * (float(horizon) * _SEED_SLOPE_STEP / dx) * (span / dx))
 
     def grid(dx):  # (first, n_x, the states of x and of y, the farthest x from a y, slope bound)
         first = math.floor((lo - origin) / dx)

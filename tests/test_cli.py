@@ -378,6 +378,14 @@ _STABILITY_RAW = {
             "the lattice DP seeds at eps=1e-05 may need inf bytes of history, more than 2^28",
         ),
         (
+            dict(
+                _EVOLUTIONARY_RAW,
+                eps_ladder=[0.5],
+                grids=dict(_EVOLUTIONARY_RAW["grids"], y={"lo": 0.0, "hi": 1e-200, "n": 3}),
+            ),
+            "the lattice DP seeds at eps=0.5 may need inf bytes of history, more than 2^28",
+        ),
+        (
             {
                 "experiment": "fhom",
                 "potential": {"name": "sin2"},
@@ -397,7 +405,7 @@ _STABILITY_RAW = {
     ids=[
         "stability-eps-1e-320", "stability-eps-1e-300", "steady-eps-1e-320", "steady-eps-1e-300",
         "steady-lambda-1e-200", "evolutionary-eps-1e-300", "evolutionary-eps-1e-320",
-        "evolutionary-y-1e300", "fhom-xi-1e300", "stability-xi-1e300", "stability-xi-1e-300",
+        "evolutionary-y-1e300", "evolutionary-dy-5e-201", "fhom-xi-1e300", "stability-xi-1e300", "stability-xi-1e-300",
     ],
 )
 def test_a_count_past_any_float_is_a_config_error(tmp_path, capsys, raw, message):
