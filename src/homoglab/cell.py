@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ErgodicWindowError, InputError, InvariantError, SolverError
 from .grid import GridTable, axes_of, lower_convex_envelope, mesh
-from .minimize import OptimizerSpec, minimize_bvp, minimize_lagrangian_bvp
+from .minimize import OptimizerSpec, check_node_count, minimize_bvp, minimize_lagrangian_bvp
 from .potentials import (
     GeneralLagrangian, PeriodicPotential, Perturbation, _householder_frame, potential_bounds
 )
@@ -385,8 +385,11 @@ def f_hom_asymptotic(
 ):
     """Homogenized Lagrangian in any dimension: exact when V is separable.
 
-    Returns (value, diagnostics). xi = 0 returns v_min exactly: the optimal
-    path parks at the potential's minimum (method "minimum"). A V with an
+    Returns (value, diagnostics). xi = 0 (every component 0) returns v_min
+    exactly: the optimal path parks at the potential's minimum (method
+    "minimum"). A nonzero xi whose norm underflows to 0 is rescaled by
+    max |xi_k| to find its speed, so its windows are refused as too long
+    rather than read as slope 0. A V with an
     axis factor v (V(x) = sum_i v(x_i)) returns sum_i cell_value_1d(v, xi_i)
     (method "separable"), and nothing is solved. Any other V runs the window
     ladder T_k = 2^k * T_0, k = 0..3 (16 nodes per unit time, at least 33),
@@ -398,14 +401,22 @@ def f_hom_asymptotic(
     diagnostics hold the per-window values, the spread of the last two rungs,
     whether the ladder is monotone and whether every solve converged; an
     exact value reports itself as a one-rung ladder with spread 0.
+
+    f_hom is even, and `tabulate_f_hom` calls this at only the first of each
+    +-xi pair of its grid. A separable value is even bit for bit. Time
+    reversal maps the window at xi onto the one at -xi when T * xi is a
+    lattice vector; at other slopes the two ladders are two estimates.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape[0] != V.dimension:
         raise InputError("xi dimension does not match the potential")
+    if not np.any(xi != 0.0):
+        return V.v_min, _exact_diagnostics(V.v_min, "minimum")
     with np.errstate(over="ignore"):  # a huge xi has speed inf; cell_value_1d names it
         speed = float(np.linalg.norm(xi))
-    if speed == 0.0:
-        return V.v_min, _exact_diagnostics(V.v_min, "minimum")
+    if speed == 0.0:  # the norm of a tiny xi underflows; max |xi_k| rescales it
+        scale = float(np.max(np.abs(xi)))
+        speed = scale * float(np.linalg.norm(xi / scale))
     if V.factor is not None:
         value = float(sum(cell_value_1d(V.factor, xi)))
         return value, _exact_diagnostics(value, "separable")
@@ -417,7 +428,9 @@ def f_hom_asymptotic(
     values = []
     converged = True
     for T in T_ladder:
-        prof = solve_corrector_general(L, xi, T, max(33, int(math.ceil(16 * T)) + 1), opt)
+        count = max(33, np.ceil(16 * T) + 1)
+        check_node_count(count, 1.0, 0.0, T)  # while a float: a tiny xi's window may be inf
+        prof = solve_corrector_general(L, xi, T, int(count), opt)
         values.append(prof.cell_value)
         converged &= prof.meta["converged"]
     diagnostics = {
@@ -502,38 +515,52 @@ def tabulate_f_hom(
 ) -> HomogenizedLagrangian:
     """Tabulate the homogenized Lagrangian on a symmetric slope grid.
 
-    The dimension picks the method, recorded as meta["method"]: in d = 1
-    ("1d") one `solve_corrector_1d` call on the nonzero slopes in grid
-    order, a single Newton start per slope certified against the exact
-    value, the largest Newton - exact gap recorded as meta["max_exact_gap"];
-    in d >= 2 ("asymptotic") `f_hom_asymptotic` per slope, so a potential
-    with an axis factor gets exact separable values and any other the window
-    ladder. The grid must contain 0 and be symmetric under sign flip per
-    axis. The slope-0 value is pinned to v_min. When midpoint-convexity
-    defects exceed 1e-6, the lower convex envelope is applied and flagged.
-    The first slope whose solve fails raises its error unchanged
-    (SolverError or InvariantError); in d = 1 the exact values of all the
-    slopes come before any Newton solve, so a SolverError of theirs comes
-    first.
+    f_hom is even: reversing a cell path in time, u(t) -> u(T - t) - T xi,
+    maps the window problem at xi onto the one at -xi with the same action.
+    So a nonzero slope whose exact negative (every component negated,
+    compared with ==) comes earlier in grid order takes that slope's value
+    and is not solved; a slope whose negative is in the grid only to within
+    the 1e-12 the symmetry check allows is solved. The dimension picks the
+    method for the solved slopes, recorded as meta["method"]: in d = 1
+    ("1d") one `solve_corrector_1d` call on them in grid order, a single
+    Newton start per slope certified against the exact value, the largest
+    Newton - exact gap recorded as meta["max_exact_gap"]; in d >= 2
+    ("asymptotic") `f_hom_asymptotic` per slope, so a potential with an axis
+    factor gets exact separable values and any other the window ladder. At
+    a xi with no lattice period the reversal does not map one window onto
+    the other (T xi is no lattice vector), so the ladders at +-xi are two
+    estimates, and the table reports the first slope's at both.
+    meta["converged"] is read from the solved slopes. A slope is 0 only when
+    every component is 0; its value is pinned to v_min. The grid must
+    contain 0 and be symmetric under sign flip per axis. When
+    midpoint-convexity defects exceed 1e-6, the lower convex envelope is
+    applied and flagged. The first solved slope whose solve fails raises its
+    error unchanged (SolverError or InvariantError); in d = 1 the exact
+    values of all the solved slopes come before any Newton solve, so a
+    SolverError of theirs comes first.
     """
     method = "1d" if V.dimension == 1 else "asymptotic"
     axes = _slope_axes(grid, V.dimension)
     flat = mesh(axes)
     values = np.full(flat.shape[0], V.v_min, dtype=float)
-    with np.errstate(over="ignore"):  # a huge slope is nonzero; its solve refuses it
-        moving = [i for i, point in enumerate(flat) if float(np.linalg.norm(point)) != 0.0]
+    index = {tuple(point): i for i, point in enumerate(flat)}  # -0.0 and 0.0 are one key
+    moving = [i for i, point in enumerate(flat) if np.any(point != 0.0)]
+    mirrored = {i: index[tuple(-flat[i])] for i in moving if index.get(tuple(-flat[i]), i) < i}
+    solved = [i for i in moving if i not in mirrored]
     converged = True
     gaps = []
     if method == "1d":
-        profiles = solve_corrector_1d(V, [float(flat[i, 0]) for i in moving], opt)
-        for i, prof in zip(moving, profiles):
+        profiles = solve_corrector_1d(V, [float(flat[i, 0]) for i in solved], opt)
+        for i, prof in zip(solved, profiles):
             values[i] = prof.cell_value
             converged &= prof.meta["converged"]
             gaps.append(prof.meta["exact_gap"])
     else:
-        for i in moving:
+        for i in solved:
             values[i], diagnostics = f_hom_asymptotic(V, flat[i], opt)
             converged &= diagnostics["converged"]
+    for i, partner in mirrored.items():
+        values[i] = values[partner]
 
     table = HomogenizedLagrangian(
         axes,

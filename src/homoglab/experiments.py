@@ -93,12 +93,22 @@ def _phi_plane_wave(dimension: int, p=None) -> Callable:
 
 def _phi_abs_min(dimension: int, cap: float = 1.0) -> Callable:
     cap = float(cap)
-    return lambda y: float(min(cap, np.linalg.norm(np.asarray(y, dtype=float))))
+
+    def phi(y):
+        with np.errstate(over="ignore"):  # a huge y has norm inf, and min(cap, inf) is cap
+            return float(min(cap, np.linalg.norm(np.asarray(y, dtype=float))))
+
+    return phi
 
 
 def _phi_quadratic(dimension: int, a: float = 1.0) -> Callable:
     a = float(a)
-    return lambda y: float(a * np.dot(y, y))
+
+    def phi(y):
+        with np.errstate(over="ignore"):  # a huge y reads inf
+            return float(a * np.dot(y, y))
+
+    return phi
 
 
 INITIAL_DATUM_BUILDERS = {

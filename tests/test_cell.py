@@ -34,6 +34,7 @@ from homoglab import (
     solve_corrector_general,
     tabulate_f_hom,
 )
+from homoglab.grid import mesh
 from homoglab.potentials import potential_bounds
 
 
@@ -239,9 +240,9 @@ def test_a_stacked_corrector_solve_checks_every_slope_before_any_work(
 def test_a_1d_table_makes_one_exact_pass_and_one_newton_solve_per_slope(
     cell_opt, sin2_1d, monkeypatch
 ):
-    """One minimum scan and one stacked solve for the table's nonzero slopes
-    in grid order, then one Newton solve each; a separable d = 2 value scans
-    its factor once for both axes."""
+    """One minimum scan and one stacked solve for the first slope of each +-xi
+    pair in grid order, then one Newton solve each; the mirrored slopes are
+    not solved. A separable d = 2 value scans its factor once for both axes."""
     calls = {"scan": [], "solve": [], "newton": []}
 
     def counted(name, fn):
@@ -263,8 +264,8 @@ def test_a_1d_table_makes_one_exact_pass_and_one_newton_solve_per_slope(
     axis = np.linspace(-2.0, 2.0, 9)
     tabulate_f_hom(sin2_1d, axis, opt=cell_opt)
     assert len(calls["scan"]) == 1
-    assert [args[1] for args in calls["solve"]] == [[-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]]
-    assert [args[4] for args in calls["newton"]] == [0.5, 2 / 3, 1.0, 2.0, 2.0, 1.0, 2 / 3, 0.5]
+    assert [args[1] for args in calls["solve"]] == [[-2.0, -1.5, -1.0, -0.5]]
+    assert [args[4] for args in calls["newton"]] == [0.5, 2 / 3, 1.0, 2.0]
     f_hom_asymptotic(make_potential("sin2", 2), np.array([1.0, 0.5]))
     assert len(calls["scan"]) == 2
 
@@ -282,22 +283,145 @@ def test_table_raises_the_first_failing_slopes_own_error(cell_opt, sin2_1d, monk
     """No relabelling as SolverError: an invariant violation at one slope ends
     the tabulation as an InvariantError that names the slope. The table's
     slopes go to one stacked solve, so the violation comes from inside it:
-    the Newton solve of the window [0, 2] toward +1, which is xi = 0.5."""
+    the Newton solve of the window [0, 2] toward -1, which is xi = -0.5, the
+    solved member of its +-xi pair."""
     real = homoglab.cell.minimize_bvp
 
     def solver(V, W, eps, t0, t1, a, b, n_nodes, opt):
-        if t1 == 2.0 and b == 1.0:
+        if t1 == 2.0 and b == -1.0:
             raise InvariantError(f"synthetic violation at xi={b / t1}")
         return real(V, W, eps, t0, t1, a, b, n_nodes, opt)
 
     monkeypatch.setattr(homoglab.cell, "minimize_bvp", solver)
-    with pytest.raises(InvariantError, match="xi=0.5"):
+    with pytest.raises(InvariantError, match="xi=-0.5"):
         tabulate_f_hom(sin2_1d, np.linspace(-1, 1, 5), opt=cell_opt)
     monkeypatch.undo()
     # A declared v_min above the true one puts every cell value under the sandwich.
     liar = dataclasses.replace(sin2_1d, v_min=0.6)
     with pytest.raises(InvariantError, match="at xi=-1.0 escapes the sandwich"):
         tabulate_f_hom(liar, np.linspace(-1, 1, 5), opt=cell_opt)
+
+
+def _table_solving_every_slope(V, axes, opt):
+    """tabulate_f_hom as it was when it solved every nonzero slope, the exact
+    negative of an earlier one too: the reference its +-xi sharing must match."""
+    axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
+    flat = mesh(axes)
+    values = np.full(flat.shape[0], V.v_min, dtype=float)
+    moving = [i for i, point in enumerate(flat) if np.any(point != 0.0)]
+    meta = {"potential": V.name, "method": "1d" if V.dimension == 1 else "asymptotic"}
+    converged = True
+    if V.dimension == 1:
+        profiles = solve_corrector_1d(V, [float(flat[i, 0]) for i in moving], opt)
+        for i, prof in zip(moving, profiles):
+            values[i] = prof.cell_value
+            converged &= prof.meta["converged"]
+        meta["converged"] = converged
+        meta["max_exact_gap"] = max(prof.meta["exact_gap"] for prof in profiles)
+    else:
+        for i in moving:
+            values[i], diagnostics = f_hom_asymptotic(V, flat[i], opt)
+            converged &= diagnostics["converged"]
+        meta["converged"] = converged
+    table = HomogenizedLagrangian(
+        axes, values.reshape(tuple(ax.size for ax in axes)), V.v_min, False, meta
+    )
+    count, worst = table.convexity_violations(homoglab.cell._CONVEXITY_TOL)
+    table.meta.update(convexity_violations=count, convexity_worst=worst)
+    if count > 0:
+        table = table.with_envelope()
+        count, worst = table.convexity_violations(homoglab.cell._CONVEXITY_TOL)
+        table.meta.update(convexity_violations=count, convexity_worst=worst)
+    return table
+
+
+def _assert_same_table(table, reference):
+    assert table.to_json() == reference.to_json()
+    assert table.values.tobytes() == reference.values.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["zero", "constant", "sin2", "cos_sum", "sin2_coupled"]),
+    k=st.integers(1, 4),
+    step=st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0]), st.floats(0.1, 1.0)),
+)
+def test_a_table_shares_each_pm_xi_solve_and_keeps_every_byte(name, k, step):
+    """A d = 1 table that solves one slope of each exact +-xi pair equals, bit
+    for bit in values and meta, the table that solves them all, on the grid
+    linspace(-h, h, 2k + 1): exactly symmetric for a dyadic step, and with
+    some slopes whose exact negative is not in the grid for others."""
+    V = make_potential(name, 1)
+    axis = np.linspace(-k * step, k * step, 2 * k + 1)
+    opt = OptimizerSpec(max_iters=2000)
+    _assert_same_table(tabulate_f_hom(V, axis, opt), _table_solving_every_slope(V, [axis], opt))
+
+
+@pytest.mark.parametrize("name,n", [("sin2", 5), ("sin2_coupled", 3)])
+def test_a_d2_table_shares_each_pm_xi_solve_and_keeps_every_byte(cell_opt, name, n):
+    """In d = 2 the exact negative flips every component. sin2_coupled's
+    values at (a, b) and (-a, b) differ (the coupling vanishes on the
+    diagonal only), so a mirror that flipped one component would show."""
+    V = make_potential(name, 2)
+    axes = [np.linspace(-1.0, 1.0, n)] * 2
+    table = tabulate_f_hom(V, axes, cell_opt)
+    _assert_same_table(table, _table_solving_every_slope(V, axes, cell_opt))
+    if name == "sin2_coupled":
+        assert table.values[0, 2] - table.values[0, 0] > 0.1
+
+
+def _tilted_sin2():
+    """v(w) = sin^2(pi w) + sin(2 pi w) / 4 = 1/2 - (sqrt 5 / 4) cos(2 pi (w - w0)):
+    one well per period and an even f_hom, but v is not even about 0, so the
+    Newton solves at +-xi need not agree in their last bits."""
+    r = math.sqrt(5.0) / 4.0
+    return PeriodicPotential(
+        1,
+        lambda x: np.sin(np.pi * x[..., 0]) ** 2 + 0.25 * np.sin(2 * np.pi * x[..., 0]),
+        v_min=0.5 - r,
+        v_max=0.5 + r,
+        gradient=lambda x: np.pi * np.sin(2 * np.pi * x) + 0.5 * np.pi * np.cos(2 * np.pi * x),
+        name="tilted_sin2",
+        hessian=lambda x: (
+            2 * np.pi**2 * np.cos(2 * np.pi * x) - np.pi**2 * np.sin(2 * np.pi * x)
+        )[..., None],
+    )
+
+
+def test_a_table_of_a_v_not_even_about_0_is_exactly_even(cell_opt):
+    """Each +xi entry is its -xi entry, and within 1e-14 relative of a direct
+    solve at +xi."""
+    V = _tilted_sin2()
+    axis = np.linspace(-2.0, 2.0, 9)
+    values = tabulate_f_hom(V, axis, cell_opt).values
+    assert values.tobytes() == values[::-1].tobytes()
+    for xi, value in zip(axis[5:], values[5:]):
+        direct = solve_corrector_1d(V, float(xi), cell_opt).cell_value
+        assert abs(value - direct) <= 1e-14 * abs(direct)
+
+
+def test_a_slope_one_ulp_off_its_partners_negative_is_solved_with_it(
+    cell_opt, sin2_1d, monkeypatch
+):
+    """-1.5 moved out by one ulp still passes the 1e-12 symmetry check, but it
+    is no exact negative of 1.5: both are solved, each with its own window,
+    and the other pairs share one."""
+    windows = []
+    real = homoglab.cell.minimize_bvp
+
+    def counted(V, W, eps, t0, t1, a, b, n_nodes, opt):
+        windows.append((t1, b))
+        return real(V, W, eps, t0, t1, a, b, n_nodes, opt)
+
+    monkeypatch.setattr(homoglab.cell, "minimize_bvp", counted)
+    axis = np.linspace(-2.0, 2.0, 9)
+    axis[1] = np.nextafter(-1.5, -np.inf)
+    table = tabulate_f_hom(sin2_1d, axis, cell_opt)
+    assert windows == [(0.5, -1.0), (1.0 / -axis[1], -1.0), (1.0, -1.0), (2.0, -1.0), (2 / 3, 1.0)]
+    monkeypatch.undo()
+    assert table.values[1] == solve_corrector_1d(sin2_1d, float(axis[1]), cell_opt).cell_value
+    assert table.values[7] == solve_corrector_1d(sin2_1d, 1.5, cell_opt).cell_value
+    assert table.values[8] == table.values[0]
 
 
 def test_general_corrector_rejects_values_above_the_sandwich(cell_opt, monkeypatch):

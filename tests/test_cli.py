@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import homoglab.cell
-from homoglab import cli, experiments, minimize
+from homoglab import cell_value_1d, cli, experiments, make_potential, minimize
 from homoglab.errors import InvariantError, SolverError
 
 
@@ -298,6 +298,32 @@ def test_a_slope_too_small_for_a_cell_window_is_a_config_error(
     assert not (tmp_path / "o").exists()
 
 
+def test_a_separable_d2_table_at_slopes_whose_norm_underflows_takes_exact_values(
+    tmp_path, capsys
+):
+    """At half_width 1e-300 the norm of every nonzero slope underflows to 0,
+    yet only the slope with both components 0 reads as slope 0: the others
+    take their exact separable values, each above v_min = 0. No warning."""
+    raw = {
+        "experiment": "fhom",
+        "dimension": 2,
+        "potential": {"name": "sin2"},
+        "grids": {"xi": {"half_width": 1e-300, "n": 3}},
+    }
+    cfg = write_cfg(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["fhom", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    table = json.loads((tmp_path / "o" / "f_hom.json").read_text())
+    factor = make_potential("sin2", 2).factor
+    for a, row in zip(table["axes"][0], table["values"]):
+        for b, value in zip(table["axes"][1], row):
+            assert value == float(sum(cell_value_1d(factor, [a, b])))
+            assert (value > 0.0) == (a != 0.0 or b != 0.0)
+
+
 @pytest.mark.parametrize(
     "experiment,raw,message",
     [
@@ -353,6 +379,15 @@ _STABILITY_RAW = {
 }
 
 
+def _tiny_fhom_raw(dimension, potential, half_width):
+    return {
+        "experiment": "fhom",
+        "dimension": dimension,
+        "potential": {"name": potential},
+        "grids": {"xi": {"half_width": half_width, "n": 3}},
+    }
+
+
 @pytest.mark.parametrize(
     "raw,message",
     [
@@ -376,6 +411,18 @@ _STABILITY_RAW = {
                 grids=dict(_EVOLUTIONARY_RAW["grids"], y={"lo": -1e300, "hi": 1e300, "n": 3}),
             ),
             "the lattice DP seeds at eps=1e-05 may need inf bytes of history, more than 2^28",
+        ),
+        *(
+            (
+                dict(
+                    _EVOLUTIONARY_RAW,
+                    initial_datum={"name": datum},
+                    eps_ladder=[1e-5],
+                    grids=dict(_EVOLUTIONARY_RAW["grids"], y={"lo": -1e300, "hi": 1e300, "n": 3}),
+                ),
+                "the lattice DP seeds at eps=1e-05 may need inf bytes of history, more than 2^28",
+            )
+            for datum in ("abs_min", "quadratic")
         ),
         (
             dict(
@@ -401,18 +448,38 @@ _STABILITY_RAW = {
             dict(_STABILITY_RAW, xi=[1e-300], eps_ladder=[0.1]),
             "need 2 to 2^20 nodes, got 4.8e+301 (window T = 1/|xi| at xi=1e-300)",
         ),
+        (
+            _tiny_fhom_raw(1, "sin2", 1e-300),
+            "need 2 to 2^20 nodes, got 4.8e+301 (window T = 1/|xi| at xi=-1e-300)",
+        ),
+        (
+            _tiny_fhom_raw(1, "sin2", 5e-324),
+            "the window T = 1/|xi| at xi=-5e-324 is not finite",
+        ),
+        (
+            _tiny_fhom_raw(2, "sin2_coupled", 1e-300),
+            "need 2 to 2^20 nodes, got 9.05096679918781e+301 "
+            "(eps=1.0, window [0.0, 5.65685424949238e+300])",
+        ),
+        (
+            _tiny_fhom_raw(2, "sin2_coupled", 5e-324),
+            "need 2 to 2^20 nodes, got inf (eps=1.0, window [0.0, inf])",
+        ),
     ],
     ids=[
         "stability-eps-1e-320", "stability-eps-1e-300", "steady-eps-1e-320", "steady-eps-1e-300",
         "steady-lambda-1e-200", "evolutionary-eps-1e-300", "evolutionary-eps-1e-320",
-        "evolutionary-y-1e300", "evolutionary-dy-5e-201", "fhom-xi-1e300", "stability-xi-1e300", "stability-xi-1e-300",
+        "evolutionary-y-1e300", "evolutionary-abs-min-y-1e300", "evolutionary-quadratic-y-1e300",
+        "evolutionary-dy-5e-201", "fhom-xi-1e300", "stability-xi-1e300", "stability-xi-1e-300",
+        "fhom-xi-1e-300", "fhom-xi-5e-324", "fhom-coupled-xi-1e-300", "fhom-coupled-xi-5e-324",
     ],
 )
 def test_a_count_past_any_float_is_a_config_error(tmp_path, capsys, raw, message):
     """A tiny eps or lambda, a huge y grid or a huge slope asks for more nodes,
-    lattice bytes or energy than a float holds. Each exits 2 naming its eps or
-    xi (lambda through its window 6/lambda), with no traceback, no warning,
-    and a count printed to 15 digits at most."""
+    lattice bytes or energy than a float holds, and so does a tiny slope, one
+    whose norm underflows to 0 too: it is no slope 0. Each exits 2 naming its
+    eps or xi (lambda through its window 6/lambda), with no traceback, no
+    warning, and a count printed to 15 digits at most."""
     cfg = write_cfg(tmp_path, raw)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -520,18 +587,19 @@ def test_a_failing_stability_rung_sets_the_exit_code(tmp_path, capsys, monkeypat
 
 def test_a_failing_slope_keeps_its_invariant_exit_code(tmp_path, capsys, monkeypatch):
     """An InvariantError at one slope of an fhom table exits 4, not 3. It comes
-    from the Newton solve of the window [0, 1] toward +1, which is xi = 1.0."""
+    from the Newton solve of the window [0, 1] toward -1, which is xi = -1.0,
+    the solved member of its +-xi pair."""
     real = homoglab.cell.minimize_bvp
 
     def solver(V, W, eps, t0, t1, a, b, n_nodes, opt):
-        if t1 == 1.0 and b == 1.0:
+        if t1 == 1.0 and b == -1.0:
             raise InvariantError(f"synthetic violation at xi={b / t1}")
         return real(V, W, eps, t0, t1, a, b, n_nodes, opt)
 
     monkeypatch.setattr(homoglab.cell, "minimize_bvp", solver)
     cfg = write_cfg(tmp_path, dict(FENCHEL_RAW, experiment="fhom"))
     assert cli.main(["fhom", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
-    assert "synthetic violation at xi=1.0" in capsys.readouterr().err
+    assert "synthetic violation at xi=-1.0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -281,9 +281,11 @@ def test_the_layer_timer_captures_every_kernel_and_restores_it(monkeypatch):
     assert {(label.split("/")[0], call["history"]) for label, call in calls["_dp_sweep"]} == {
         ("hj", True), ("lattice", False)
     }
-    # Each d = 1 table reads its exact values in one pass over its 16 nonzero slopes.
+    # Each d = 1 table reads its exact values in one pass over the 8 slopes it
+    # solves, one of each +-xi pair of its 16 nonzero slopes.
     tables = [call["xi"] for label, call in calls["cell_value_1d"] if label.startswith("tables/")]
-    assert [len(xi) for xi in tables] == [16, 16]
+    assert [len(xi) for xi in tables] == [8, 8]
+    assert all(len(set(np.abs(xi).tolist())) == len(xi) for xi in tables)  # one slope per speed
     # Each of the 5 lattice tube directions is one call over the 4 radii.
     assert [(label, call["R"]) for label, call in calls["cylinder_average"]] == (
         [("lattice/conditions", [64.0, 256.0, 1024.0, 4096.0])] * 5
@@ -803,15 +805,16 @@ def test_fhom_runner_free_potential_table():
 def test_fhom_runner_repairs_a_nonconvex_table_with_its_envelope(monkeypatch):
     """One slope's cell value sits 1e-3 high; the runner's table is the lower
     convex envelope: flagged, convex, and nowhere above the solved values.
-    sin2's f_hom is nearly linear for |xi| <= 0.375, so the bump at 0.25 is
-    a midpoint defect of about 1e-3. The table solves its slopes in one call."""
+    sin2's f_hom is nearly linear for |xi| <= 0.375, so the bump at -0.25,
+    which the table mirrors to 0.25, is a midpoint defect of about 1e-3 at
+    both. The table solves its slopes <= 0 in one call."""
     real = homoglab.cell.solve_corrector_1d
     solved = {0.0: 0.0}
 
     def bumped(V, slopes, opt):
         profiles = real(V, slopes, opt)
         for i, xi in enumerate(slopes):
-            if xi == 0.25:
+            if xi == -0.25:
                 bumped_value = profiles[i].cell_value + 1e-3
                 profiles[i] = dataclasses.replace(profiles[i], cell_value=bumped_value)
             solved[xi] = profiles[i].cell_value
@@ -830,9 +833,9 @@ def test_fhom_runner_repairs_a_nonconvex_table_with_its_envelope(monkeypatch):
     assert rep.verdicts["convexity_violations"] == 0
     meta = json.loads(dict(rep.extra_files)["f_hom.json"])["meta"]
     assert meta["envelope_max_drop"] > 0
-    assert len(solved) == len(rep.rows) == 9
+    assert len(solved) == 5 and len(rep.rows) == 9
     for row in rep.rows:
-        assert row["f_hom"] <= solved[row["xi_1"]]
+        assert row["f_hom"] <= solved[-abs(row["xi_1"])]
 
 
 def test_fenchel_runner_certifies_transform():

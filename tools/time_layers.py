@@ -12,7 +12,8 @@ workloads captures every call of four kernels:
 - `homoglab.minimize._dp_sweep`, with a copy of its start value;
 - `homoglab.minimize._solve`, with its action and a copy of its starts;
 - `homoglab.cell.cell_value_1d`, the exact d = 1 cell values that every
-  d = 1 table and every separable value reads;
+  d = 1 table reads for the slopes it solves (one of each +-xi pair), and
+  every separable value;
 - `homoglab.experiments.cylinder_average`, the binding the conditions runner
   calls.
 
@@ -35,7 +36,8 @@ the process waited. Each line:
   the rest of `_solve` (its bookkeeping), then the whole time per sweep in
   us (total / sweeps). Each call is charged to its outermost part;
 - an exact cell pass's slope count, its distinct nonzero speeds (one
-  energy root each per level), the double-exponential levels it built
+  energy root each per level; a table's pass has one slope per speed, a
+  separable value's may have fewer), the double-exponential levels it built
   (first..last, each level's step 2^-level) and the time in ms;
 - a tube average's direction, its radii (the conditions runner makes one
   call per direction over all its radii), its rule and the time in ms. A W
