@@ -153,10 +153,10 @@ def _corrector_window(xi: float):
 def _certified_profile(V, xi, T, n_nodes, exact, opt) -> CorrectorProfile:
     """The Newton solve of one d = 1 window and its checks, against the exact value."""
     target = math.copysign(1.0, xi)
-    traj, value = minimize_bvp(V, None, 1.0, 0.0, T, 0.0, target, n_nodes, opt)
+    traj, value = minimize_bvp(V, None, 1.0, T, 0.0, target, n_nodes, opt)
     cell_value = abs(xi) * value
 
-    affine = Trajectory.affine([0.0], [target], 0.0, T, n_nodes - 1)
+    affine = Trajectory.affine([0.0], [target], T, n_nodes - 1)
     zero_profile_value = abs(xi) * action_F(affine, V, 1.0)
     if cell_value > zero_profile_value + 1e-12 * max(1.0, abs(zero_profile_value)):
         raise InvariantError(f"descent at xi={xi} returned a value above the zero-corrector bound")
@@ -369,9 +369,7 @@ def solve_corrector_general(
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape[0] != L.V.dimension:
         raise InputError("xi dimension does not match the Lagrangian")
-    if not T > 0:
-        raise InputError("window length T must be positive")
-    traj, total = minimize_lagrangian_bvp(L, 0.0, T, np.zeros_like(xi), T * xi, n_nodes, opt)
+    traj, total = minimize_lagrangian_bvp(L, T, np.zeros_like(xi), T * xi, n_nodes, opt)
     value = total / T
     _check_sandwich(value, xi, *potential_bounds(L.V, L.W))
     profile = _profile_from_path(traj.times, traj.nodes.copy(), xi)
@@ -429,7 +427,7 @@ def f_hom_asymptotic(
     converged = True
     for T in T_ladder:
         count = max(33, np.ceil(16 * T) + 1)
-        check_node_count(count, 1.0, 0.0, T)  # while a float: a tiny xi's window may be inf
+        check_node_count(count, 1.0, T)  # while a float: a tiny xi's window may be inf
         prof = solve_corrector_general(L, xi, T, int(count), opt)
         values.append(prof.cell_value)
         converged &= prof.meta["converged"]
@@ -520,7 +518,7 @@ def tabulate_f_hom(
     So a nonzero slope whose exact negative (every component negated,
     compared with ==) comes earlier in grid order takes that slope's value
     and is not solved; a slope whose negative is in the grid only to within
-    the 1e-12 the symmetry check allows is solved. The dimension picks the
+    the 1e-12 max|ax| the symmetry check allows is solved. The dimension picks the
     method for the solved slopes, recorded as meta["method"]: in d = 1
     ("1d") one `solve_corrector_1d` call on them in grid order, a single
     Newton start per slope certified against the exact value, the largest
@@ -583,15 +581,16 @@ def tabulate_f_hom(
 
 
 def _slope_axes(grid, dimension: int):
-    """Checked slope axes: >= 3 points, symmetric under sign flip, containing 0, uniform."""
+    """Checked slope axes: >= 3 points, containing 0, symmetric under sign flip to
+    1e-12 max|ax| and uniform to 1e-9 |first step|, so tiny slopes obey one rule."""
     axes = axes_of(grid, dimension, "grid", 3)
     for ax in axes:
         if not np.any(ax == 0.0):
             raise InputError("each axis must contain the slope 0")
-        if np.max(np.abs(ax + ax[::-1])) > 1e-12:
+        if np.max(np.abs(ax + ax[::-1])) > 1e-12 * np.max(np.abs(ax)):
             raise InputError("axes must be symmetric under sign flip")
         steps = np.diff(ax)
-        if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
+        if np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
             raise InputError("axes must be uniform for the convexity checks")
     return axes
 

@@ -610,14 +610,12 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
         else:
             warm = (build_recovery_trajectory(plan, W, eps),)
         if zero_w:
-            u_f, min_f = minimize_bvp(
-                V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm
-            )
+            u_f, min_f = minimize_bvp(V, None, eps, 1.0, a0, xi, n_nodes, opt, warm_starts=warm)
             u_g, min_g = u_f, min_f
         else:
-            u_g, min_g = minimize_bvp(V, W, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm)
+            u_g, min_g = minimize_bvp(V, W, eps, 1.0, a0, xi, n_nodes, opt, warm_starts=warm)
             u_f, min_f = minimize_bvp(
-                V, None, eps, 0.0, 1.0, a0, xi, n_nodes, opt, warm_starts=warm + (u_g,)
+                V, None, eps, 1.0, a0, xi, n_nodes, opt, warm_starts=warm + (u_g,)
             )
         rows.append(
             {
@@ -695,7 +693,7 @@ def run_negative_perturbation(cfg: ExperimentConfig, threads: int = 1) -> Report
     )
     ladder = list(cfg.eps_ladder)
     limit_value, *values = dp_oracle_1d(
-        V, [limit_bonus] + [W] * len(ladder), [1.0] + ladder, 0.0, 1.0, 0.0, 0.0, grid
+        V, [limit_bonus] + [W] * len(ladder), [1.0] + ladder, 1.0, 0.0, 0.0, grid
     )
     rows = [
         {

@@ -28,6 +28,7 @@ from .errors import InputError, InvariantError, SolverError
 from .grid import axes_of, mesh
 from .minimize import (
     OptimizerSpec,
+    _check_positive,
     _lattice_seeds,
     _seed_nodes,
     check_newton_terms,
@@ -215,8 +216,8 @@ def solve_evolutionary_eps(
     to its lattice argmin y and to that y's neighbours in y_grid, each with
     the lattice path tilted onto its y as the warm start next to the affine
     one, and takes the least; a polish at time t has 8*t/eps + 9 nodes (at
-    least 33), each count checked (eps_node_count) before the lattice is
-    built. Every value is the action of a concrete path from a y plus
+    least 33), each window and count checked (eps_node_count) before the
+    lattice is built. Every value is the action of a concrete path from a y plus
     Phi(y), so the certified upper bound stands. The provenance records the
     lattice, its sup distance to the polished field (dp_sup_distance) and
     whether every polish converged (all_converged).
@@ -239,7 +240,7 @@ def solve_evolutionary_eps(
         warm = _seed_nodes(states, path[::-1], np.linspace(0.0, t, nodes_count))
         warm = (warm[None, :, :, 0] + tilt).reshape(-1, 1, nodes_count, 1)
         vals, _, _ = minimize_bvp_batch(
-            V, W, eps, 0.0, t, y_mesh[ys.reshape(-1)], np.tile(x_mesh, (ys.shape[0], 1)),
+            V, W, eps, t, y_mesh[ys.reshape(-1)], np.tile(x_mesh, (ys.shape[0], 1)),
             nodes_count, opt, warm_starts_per_problem=warm, records=records,
         )
         values[:, j] = np.min(vals.reshape(ys.shape) + phi_vals[ys], axis=0)
@@ -272,10 +273,8 @@ def s_eps(
     opt: OptimizerSpec = _HJ_OPT,
 ) -> float:
     """Minimal action from y at time 0 to x at time t (certified upper bound),
-    on 8*t/eps + 9 nodes (at least 33)."""
-    if not t > 0:
-        raise InputError("t must be positive")
-    _, value = minimize_bvp(V, W, eps, 0.0, t, y, x, eps_node_count(8, eps, 33, t), opt)
+    on 8*t/eps + 9 nodes (at least 33); t and eps must be positive and finite."""
+    _, value = minimize_bvp(V, W, eps, t, y, x, eps_node_count(8, eps, 33, t), opt)
     return value
 
 
@@ -303,7 +302,7 @@ def solve_steady_eps(
     error) and the constant path. The provenance records the lattice, its sup distance to
     the polished field (dp_sup_distance) and whether every polish converged
     (all_converged), the horizon T_max = 6 / lam and the path's n_nodes =
-    max(65, 4 T_max / eps + 9), checked (eps_node_count) before the lattice.
+    max(65, 4 T_max / eps + 9), lam, eps and count checked before the lattice.
     Needs d = 1; check_newton_terms(V, W) runs first.
 
     The bounds inf(V+W) <= lam * U <= sup(V+W) are checked against the
@@ -312,8 +311,7 @@ def solve_steady_eps(
     beyond roundoff) is flagged as a solver failure.
     """
     check_newton_terms(V, W)
-    if not lam > 0:
-        raise InputError("lam must be positive")
+    _check_positive("lam", lam)
     x_axes = axes_of(x_grid, V.dimension, "x_grid")
     x_mesh = mesh(x_axes)
     horizon = 6.0 / lam
@@ -371,10 +369,10 @@ def solve_steady_hom(
     A path's discounted homogenized action averages table values with weights
     exp(-lam*t), and the multilinear table never dips below its smallest node,
     so min(f.values) >= f0 makes the constant path optimal (else
-    InvariantError). `opt` is accepted for call compatibility; no solver runs.
+    InvariantError). lam must be positive and finite. `opt` is accepted for
+    call compatibility; no solver runs.
     """
-    if not lam > 0:
-        raise InputError("lam must be positive")
+    _check_positive("lam", lam)
     x_axes = axes_of(x_grid, f.dimension, "x_grid")
     closed_form = f.f0 / lam
     table_min = float(np.min(f.values))

@@ -214,11 +214,10 @@ class _Action:
 @dataclass(frozen=True)
 class _Problems:
     """What names the problems of a solve in an error message: eps, the window
-    [t0, t1] and the end values a (P, d) and b (P, d), None for a free far end."""
+    [0, t] and the end values a (P, d) and b (P, d), None for a free far end."""
 
     eps: float
-    t0: float
-    t1: float
+    t: float
     a: np.ndarray
     b: Optional[np.ndarray] = None
 
@@ -227,7 +226,7 @@ class _Problems:
 
     def __str__(self):
         ends = "" if self.b is None else f", b={self.b.tolist()}"
-        window = f"[{float(self.t0)!r}, {float(self.t1)!r}]"
+        window = f"[0.0, {float(self.t)!r}]"
         return f"eps={float(self.eps)!r}, window {window}, a={self.a.tolist()}{ends}"
 
 
@@ -432,9 +431,9 @@ def _solve(action: _Action, starts, opt: OptimizerSpec, problems: _Problems):
 
 
 def _start_stack(times, a, b, warm):
-    """Starts (K, S, n, d) from a (K, d) to b (K, d): the affine start and the
-    warm starts (K, W, n, d), re-pinned."""
-    lam = ((times - times[0]) / (times[-1] - times[0]))[None, :, None]
+    """Starts (K, S, n, d) on times from 0, from a (K, d) to b (K, d): the affine
+    start and the warm starts (K, W, n, d), re-pinned."""
+    lam = (times / times[-1])[None, :, None]
     affine = a[:, None, :] * (1 - lam) + b[:, None, :] * lam
     warm = np.array(warm, dtype=float)
     warm[:, :, 0] = a[:, None]
@@ -455,29 +454,36 @@ def check_newton_terms(V: Optional[PeriodicPotential], W: Optional[Perturbation]
             raise InputError(f"{name!r} declares no closed-form gradient and Hessian" + dp)
 
 
-def check_node_count(n_nodes, eps, t0, t1):
-    """Raise InputError, naming eps and the window [t0, t1], unless a path has
+def check_node_count(n_nodes, eps, t):
+    """Raise InputError, naming eps and the window [0, t], unless a path has
     2 to 2^20 nodes; callers check before they build any node array. The count
     may be a float, even inf, and the message gives 15 digits at most."""
     if not 2 <= n_nodes <= 2**20:
         raise InputError(
-            f"need 2 to 2^20 nodes, got {n_nodes:.15g} (eps={eps}, window [{t0}, {t1}])"
+            f"need 2 to 2^20 nodes, got {n_nodes:.15g} (eps={eps}, window [0.0, {t}])"
         )
 
 
 def eps_node_count(per_unit, eps, least, t) -> int:
-    """max(least, int(per_unit * t / eps) + 9) nodes for a path on [0, t],
-    checked (check_node_count) while a float: a tiny eps is no int() of inf."""
+    """max(least, int(per_unit * t / eps) + 9) nodes for a path on [0, t], once
+    _check_window passes, checked (check_node_count) while a float: no int() of inf."""
+    _check_window(t, eps)
     count = max(least, np.floor(per_unit * float(t) / float(eps)) + 9)
-    check_node_count(count, eps, 0.0, t)
+    check_node_count(count, eps, t)
     return int(count)
 
 
-def _check_window(t0, t1, eps):
-    if not t1 > t0:
-        raise InputError("need t1 > t0")
-    if not eps > 0:
-        raise InputError("eps must be positive")
+def _check_positive(name, value):
+    """Raise InputError, naming the value, unless it is positive and finite."""
+    if not 0.0 < float(value) < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {name}={float(value)!r}")
+
+
+def _check_window(t, eps):
+    """Every solver's rule, checked before anything is built: the window [0, t]
+    (the Lagrangian does not depend on time) and eps are positive and finite."""
+    _check_positive("t", t)
+    _check_positive("eps", eps)
 
 
 def _certify(values, checks, what, problems):
@@ -493,8 +499,7 @@ def minimize_bvp(
     V: Optional[PeriodicPotential],
     W: Optional[Perturbation],
     eps: float,
-    t0: float,
-    t1: float,
+    t: float,
     a,
     b,
     n_nodes: int,
@@ -502,20 +507,21 @@ def minimize_bvp(
     quad: QuadratureSpec = QuadratureSpec(),
     warm_starts: Sequence[Trajectory] = (),
 ):
-    """Minimize the eps-action over paths with u(t0) = a, u(t1) = b pinned.
+    """Minimize the eps-action over paths on [0, t] with u(0) = a, u(t) = b pinned;
+    t and eps must be positive and finite (_check_window).
 
     Returns (trajectory, value); the value is re-evaluated through the
     trajectory module and certified against the internal objective to 1e-10.
     The trajectory's meta holds the winning start's solver record
     {iterations, grad_norm, converged}.
     """
-    return _minimize_pinned(V, W, eps, t0, t1, a, b, n_nodes, opt, quad, warm_starts)
+    return _minimize_pinned(V, W, eps, t, a, b, n_nodes, opt, quad, warm_starts)
 
 
-def _minimize_pinned(V, W, eps, t0, t1, a, b, n_nodes, opt, quad, warm_starts):
+def _minimize_pinned(V, W, eps, t, a, b, n_nodes, opt, quad, warm_starts):
     a = np.atleast_1d(np.asarray(a, dtype=float))
     _, certified, nodes, times, stats = _solve_pinned(
-        V, W, eps, t0, t1, a[None], b, n_nodes, opt, quad, [warm_starts]
+        V, W, eps, t, a[None], b, n_nodes, opt, quad, [warm_starts]
     )
     return Trajectory(times, nodes[0], meta=stats[0]), certified[0]
 
@@ -524,8 +530,7 @@ def minimize_bvp_batch(
     V: PeriodicPotential,
     W: Optional[Perturbation],
     eps: float,
-    t0: float,
-    t1: float,
+    t: float,
     a_batch: np.ndarray,
     b,
     n_nodes: int,
@@ -534,8 +539,8 @@ def minimize_bvp_batch(
     warm_starts_per_problem: Optional[Sequence] = None,
     records: Optional[list] = None,
 ):
-    """minimize_bvp for P problems on one window, u(t0) = a_batch[p] (P, d) and
-    u(t1) = b (d,) or b[p] (P, d), in one stacked solve.
+    """minimize_bvp for P problems on one window [0, t], u(0) = a_batch[p] (P, d)
+    and u(t) = b (d,) or b[p] (P, d), in one stacked solve.
 
     Each problem gets the affine start and its warm starts (trajectories,
     resampled, or node arrays on the grid; one sequence per problem, all of
@@ -547,22 +552,22 @@ def minimize_bvp_batch(
     the benchmark's tracing keep unpacking three values).
     """
     values, _, nodes, times, stats = _solve_pinned(
-        V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm_starts_per_problem
+        V, W, eps, t, a_batch, b, n_nodes, opt, quad, warm_starts_per_problem
     )
     if records is not None:
         records.extend(stats)
     return values, nodes, times
 
 
-def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm):
+def _solve_pinned(V, W, eps, t, a_batch, b, n_nodes, opt, quad, warm):
     """minimize_bvp_batch: (the solver's values, the certified ones, nodes,
     times, the winning starts' solver records). Each winner is re-evaluated
     through action_G, which must agree with the solver's value to 1e-10."""
     if V is None:
         raise InputError("a periodic potential is required (use the zero potential)")
     check_newton_terms(V, W)
-    check_node_count(n_nodes, eps, t0, t1)
-    _check_window(t0, t1, eps)
+    check_node_count(n_nodes, eps, t)
+    _check_window(t, eps)
     a_batch = np.asarray(a_batch, dtype=float)
     a_batch = a_batch.reshape(len(a_batch), -1)
     n_problems, d = a_batch.shape
@@ -570,7 +575,7 @@ def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm):
     if b.shape not in ((d,), (n_problems, d)):
         raise InputError("b must have shape (d,) or (problems, d)")
     b = np.broadcast_to(b, (n_problems, d))
-    times = np.linspace(t0, t1, n_nodes)
+    times = np.linspace(0.0, t, n_nodes)
 
     warm = [()] * n_problems if warm is None else warm
     if len(warm) != n_problems:
@@ -581,7 +586,7 @@ def _solve_pinned(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, quad, warm):
     warm = np.array(warm, dtype=float).reshape(n_problems, len(warm[0]), n_nodes, d)
     starts = _start_stack(times, a_batch, b, warm)
     action = _Action.eps_action(V, W, eps, times, quad.samples_per_interval)
-    problems = _Problems(eps, t0, t1, a_batch, b)
+    problems = _Problems(eps, t, a_batch, b)
     values, nodes, stats = _solve(action, starts, opt, problems)
     certified = [action_G(Trajectory(times, x), V, W, eps, quad) for x in nodes]
     _certify(values, certified, "trajectory action", problems)
@@ -598,19 +603,18 @@ def _warm_nodes(u, times, shape):
 
 def minimize_lagrangian_bvp(
     L: GeneralLagrangian,
-    t0: float,
-    t1: float,
+    t: float,
     a,
     b,
     n_nodes: int,
     opt: OptimizerSpec,
     quad: QuadratureSpec = QuadratureSpec(),
 ):
-    """Minimize integral of L(u, u') with pinned endpoints.
+    """Minimize integral of L(u, u') over paths on [0, t] with u(0) = a, u(t) = b.
 
     Solves, and certifies, like minimize_bvp at eps = 1 on L's V and W.
     """
-    return _minimize_pinned(L.V, L.W, 1.0, t0, t1, a, b, n_nodes, opt, quad, ())
+    return _minimize_pinned(L.V, L.W, 1.0, t, a, b, n_nodes, opt, quad, ())
 
 
 def minimize_halfline(
@@ -629,18 +633,18 @@ def minimize_halfline(
 
     The path is truncated at T_max (must be >= 5/lam so the neglected tail of
     a bounded integrand is below exp(-5)/lam of its sup) and extended by a
-    constant, whose exact tail cost is part of the objective. Starts: the
+    constant, whose exact tail cost is part of the objective. lam, T_max and
+    eps must be positive and finite. Starts: the
     constant path and the warm starts (trajectories, resampled, or node
     arrays on the grid; first node re-pinned to x0), and nothing else. The
     trajectory's meta holds the tail weight and the solver record.
     """
     check_newton_terms(V, W)
-    if not lam > 0:
-        raise InputError("lam must be positive")
+    _check_positive("lam", lam)
+    _check_window(T_max, eps)
     if T_max < 5.0 / lam:
         raise InputError("T_max must be at least 5/lam")
-    _check_window(0.0, T_max, eps)
-    check_node_count(n_nodes, eps, 0.0, T_max)
+    check_node_count(n_nodes, eps, T_max)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     times = np.linspace(0.0, T_max, n_nodes)
     weights = exp_interval_weights(sub_interval_edges(times, quad.samples_per_interval), lam)
@@ -654,7 +658,7 @@ def minimize_halfline(
         path[0] = x0
         starts.append(path)
 
-    problems = _Problems(eps, 0.0, T_max, x0[None])
+    problems = _Problems(eps, T_max, x0[None])
     values, nodes, stats = _solve(action, np.stack(starts)[None], opt, problems)
     traj = Trajectory(times, nodes[0], meta={"tail_weight": tail_w, **stats[0]})
     check = discounted_action(traj, V, W, eps, lam, quad)
@@ -877,15 +881,14 @@ def dp_oracle_1d(
     V: PeriodicPotential,
     W: Optional[Perturbation] | Sequence[Optional[Perturbation]],
     eps: float | Sequence[float],
-    t0: float,
-    t1: float,
+    t: float,
     a: float,
     b: float,
     grid: DPGrid,
     slope_set=None,
 ) -> float | list:
-    """Exact minimum of the discrete eps-action over lattice paths, for one
-    problem or a stack of them.
+    """Exact minimum of the discrete eps-action over lattice paths on [0, t], for
+    one problem or a stack of them; t and each eps must be positive and finite.
 
     States live on the grid, admissible moves are the lattice-realizable
     slopes derived from slope_set, and each step costs h * (slope^2 +
@@ -920,23 +923,23 @@ def dp_oracle_1d(
     is the one the full cone, and the problem's own call, give, bit for bit,
     ties included.
     """
-    if not t1 > t0:
-        raise InputError("need t1 > t0")
-    states = grid.states()
-    if not (grid.x_lo <= a <= grid.x_hi and grid.x_lo <= b <= grid.x_hi):
-        raise InputError("boundary values must lie inside the DP state range")
     stacked = isinstance(W, (list, tuple)) or np.ndim(eps) > 0
     Ws = list(W) if isinstance(W, (list, tuple)) else [W]
     epss = [float(e) for e in np.atleast_1d(eps)]
+    for e in epss:
+        _check_window(t, e)
+    states = grid.states()
+    if not (grid.x_lo <= a <= grid.x_hi and grid.x_lo <= b <= grid.x_hi):
+        raise InputError("boundary values must lie inside the DP state range")
     n_problems = max(len(Ws), len(epss), 1)
     if len(Ws) not in (1, n_problems) or len(epss) not in (1, n_problems):
         raise InputError("W and eps must each be one value or one per problem, as many of each")
     Ws, epss = Ws * (n_problems // len(Ws)), epss * (n_problems // len(epss))
     names = [f"eps={e!r}, W={None if w is None else w.name!r}" for w, e in zip(Ws, epss)]
     dx = states[1] - states[0]
-    h = (t1 - t0) / (grid.n_t - 1)
+    h = t / (grid.n_t - 1)
     if slope_set is None:
-        slope_set = _default_slope_set((b - a) / (t1 - t0))
+        slope_set = _default_slope_set((b - a) / t)
     moves, slopes = _lattice_moves(slope_set, h, dx, grid.n_x)
 
     costs, atoms = zip(*(_lattice_costs(V, w, e, states) for w, e in zip(Ws, epss)))
@@ -1014,10 +1017,10 @@ def dp_oracle_halfline(
     and the terminal value is the exact tail of sitting at the final state.
     Each step sweeps only the reachable cone, the states that can still reach
     x0 in the steps left. A NaN or -inf cost raises SolverError; a +inf cost
-    forbids its state.
+    forbids its state. lam, T_max and eps must be positive and finite.
     """
-    if not lam > 0:
-        raise InputError("lam must be positive")
+    _check_positive("lam", lam)
+    _check_window(T_max, eps)
     states = grid.states()
     if not grid.x_lo <= x0 <= grid.x_hi:
         raise InputError("x0 must lie inside the DP state range")

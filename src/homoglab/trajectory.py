@@ -70,12 +70,13 @@ class Trajectory:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def affine(cls, a, b, t0: float, t1: float, n_intervals: int = 1) -> "Trajectory":
+    def affine(cls, a, b, t: float, n_intervals: int = 1) -> "Trajectory":
+        """The straight path on [0, t] from a to b, on n_intervals equal intervals."""
         a = np.atleast_1d(np.asarray(a, dtype=float))
         b = np.atleast_1d(np.asarray(b, dtype=float))
         lam = np.linspace(0.0, 1.0, n_intervals + 1)[:, None]
         nodes = a[None, :] * (1 - lam) + b[None, :] * lam
-        return cls(np.linspace(t0, t1, n_intervals + 1), nodes)
+        return cls(np.linspace(0.0, t, n_intervals + 1), nodes)
 
     # -- basic geometry ------------------------------------------------------
 

@@ -124,11 +124,11 @@ def test_criterion_02_oracle_equivalence_vs_dp():
         lo, hi = min(0.0, xi), max(0.0, xi)
         for eps in (0.2, 0.1):
             dp_fine = dp_oracle_1d(
-                V, None, eps, 0.0, 1.0, 0.0, xi,
+                V, None, eps, 1.0, 0.0, xi,
                 DPGrid(lo - 0.6, hi + 0.6, 3841, 241), slope_set=slopes_fine,
             )
             dp_coarse = dp_oracle_1d(
-                V, None, eps, 0.0, 1.0, 0.0, xi,
+                V, None, eps, 1.0, 0.0, xi,
                 DPGrid(lo - 0.6, hi + 0.6, 1921, 121), slope_set=slopes_coarse,
             )
             assert abs(dp_fine - dp_coarse) / abs(dp_fine) < 1e-2, (
@@ -136,10 +136,10 @@ def test_criterion_02_oracle_equivalence_vs_dp():
             )
             n = max(65, int(12 / eps) + 9)
             _, v_coarse = minimize_bvp(
-                V, None, eps, 0.0, 1.0, np.zeros(1), np.array([xi]), n, opt, QUAD
+                V, None, eps, 1.0, np.zeros(1), np.array([xi]), n, opt, QUAD
             )
             _, v_fine = minimize_bvp(
-                V, None, eps, 0.0, 1.0, np.zeros(1), np.array([xi]), 2 * n - 1,
+                V, None, eps, 1.0, np.zeros(1), np.array([xi]), 2 * n - 1,
                 opt, QUAD,
             )
             assert v_fine <= v_coarse + 1e-6
@@ -152,7 +152,7 @@ def test_criterion_02_oracle_equivalence_vs_dp():
         T = 1.0 / xi
         n_t = max(121, int(240 * T) + 1)
         dp_cell = dp_oracle_1d(
-            V, None, 1.0, 0.0, T, 0.0, T * xi,
+            V, None, 1.0, T, 0.0, T * xi,
             DPGrid(-0.6, 1.6, 2561, n_t), slope_set=slopes_fine,
         ) / T
         rel = abs(profile.cell_value - dp_cell) / abs(dp_cell)
@@ -260,7 +260,7 @@ def test_criterion_06_negative_perturbations():
     V0 = make_potential("zero", 1)
     grid = DPGrid(-2.0, 2.0, 1601, 161)
     v_tent = dp_oracle_1d(
-        V0, tent, 0.05, 0.0, 1.0, 0.0, 0.0, grid,
+        V0, tent, 0.05, 1.0, 0.0, 0.0, grid,
         slope_set=np.linspace(-4.0, 4.0, 161),
     )
     assert abs(v_tent - (-1.0)) <= 0.05

@@ -173,8 +173,8 @@ def test_corrector_stuck_on_the_affine_path_is_an_invariant_error(cell_opt, sin2
     value, far outside the window: a solve that returns it is refused, naming
     xi and both values, though it passes the zero-corrector and sandwich checks."""
 
-    def affine_solver(V, W, eps, t0, t1, a, b, n_nodes, opt):
-        path = Trajectory.affine([a], [b], t0, t1, n_nodes - 1)
+    def affine_solver(V, W, eps, t, a, b, n_nodes, opt):
+        path = Trajectory.affine([a], [b], t, n_nodes - 1)
         return path, homoglab.cell.action_F(path, V, eps)
 
     monkeypatch.setattr(homoglab.cell, "minimize_bvp", affine_solver)
@@ -265,7 +265,7 @@ def test_a_1d_table_makes_one_exact_pass_and_one_newton_solve_per_slope(
     tabulate_f_hom(sin2_1d, axis, opt=cell_opt)
     assert len(calls["scan"]) == 1
     assert [args[1] for args in calls["solve"]] == [[-2.0, -1.5, -1.0, -0.5]]
-    assert [args[4] for args in calls["newton"]] == [0.5, 2 / 3, 1.0, 2.0]
+    assert [args[3] for args in calls["newton"]] == [0.5, 2 / 3, 1.0, 2.0]
     f_hom_asymptotic(make_potential("sin2", 2), np.array([1.0, 0.5]))
     assert len(calls["scan"]) == 2
 
@@ -287,10 +287,10 @@ def test_table_raises_the_first_failing_slopes_own_error(cell_opt, sin2_1d, monk
     solved member of its +-xi pair."""
     real = homoglab.cell.minimize_bvp
 
-    def solver(V, W, eps, t0, t1, a, b, n_nodes, opt):
-        if t1 == 2.0 and b == -1.0:
-            raise InvariantError(f"synthetic violation at xi={b / t1}")
-        return real(V, W, eps, t0, t1, a, b, n_nodes, opt)
+    def solver(V, W, eps, t, a, b, n_nodes, opt):
+        if t == 2.0 and b == -1.0:
+            raise InvariantError(f"synthetic violation at xi={b / t}")
+        return real(V, W, eps, t, a, b, n_nodes, opt)
 
     monkeypatch.setattr(homoglab.cell, "minimize_bvp", solver)
     with pytest.raises(InvariantError, match="xi=-0.5"):
@@ -409,9 +409,9 @@ def test_a_slope_one_ulp_off_its_partners_negative_is_solved_with_it(
     windows = []
     real = homoglab.cell.minimize_bvp
 
-    def counted(V, W, eps, t0, t1, a, b, n_nodes, opt):
-        windows.append((t1, b))
-        return real(V, W, eps, t0, t1, a, b, n_nodes, opt)
+    def counted(V, W, eps, t, a, b, n_nodes, opt):
+        windows.append((t, b))
+        return real(V, W, eps, t, a, b, n_nodes, opt)
 
     monkeypatch.setattr(homoglab.cell, "minimize_bvp", counted)
     axis = np.linspace(-2.0, 2.0, 9)
@@ -429,9 +429,9 @@ def test_general_corrector_rejects_values_above_the_sandwich(cell_opt, monkeypat
     W = make_perturbation("constant", 1, value=0.5)
     T = 4.0
 
-    def solver_above_the_sandwich(L, t0, t1, a, b, n_nodes, opt):
+    def solver_above_the_sandwich(L, t, a, b, n_nodes, opt):
         # |xi|^2 + sup(V + W) = 1 + 1.5; the value is 0.5 above it
-        return Trajectory.affine(a, b, t0, t1, n_nodes - 1), 3.0 * T
+        return Trajectory.affine(a, b, t, n_nodes - 1), 3.0 * T
 
     monkeypatch.setattr(homoglab.cell, "minimize_lagrangian_bvp", solver_above_the_sandwich)
     with pytest.raises(InvariantError, match="sandwich"):
@@ -450,6 +450,30 @@ def test_general_lagrangian_is_the_pair_V_W():
         GeneralLagrangian(V, make_perturbation("constant", 1, value=0.5))
     with pytest.raises(InputError):
         GeneralLagrangian(V, make_perturbation("constant", 2, value=-0.5))
+
+
+@pytest.mark.parametrize(
+    "axis, refusal",
+    [
+        ([-3e-10, -1e-10, 0.0, 1e-10, 3e-10], "uniform"),
+        ([-1e-13, 0.0, 1e-13, 2e-13], "symmetric"),
+        (np.linspace(-2.0, 2.0, 17), None),
+        (np.linspace(-0.3, 0.3, 7), None),
+        (np.linspace(-1000.3, 1000.3, 7), None),
+    ],
+)
+def test_slope_axes_hold_tiny_slopes_to_the_same_relative_rule(axis, refusal):
+    """The uniform-step test is relative to the first step and the symmetry
+    test to the largest slope, so steps of 2e-10 and 1e-10, or an axis
+    1e-13 off symmetric, are refused as they would be at any size."""
+    if refusal is None:
+        (checked,) = homoglab.cell._slope_axes(axis, 1)
+        assert np.array_equal(checked, axis)
+        return
+    with pytest.raises(InputError, match=refusal):
+        homoglab.cell._slope_axes(axis, 1)
+    with pytest.raises(InputError, match=refusal):
+        tabulate_f_hom(make_potential("sin2", 2), [np.array(axis)] * 2)
 
 
 def test_table_pins_zero_slope_to_potential_minimum(cell_opt):

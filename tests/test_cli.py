@@ -591,10 +591,10 @@ def test_a_failing_slope_keeps_its_invariant_exit_code(tmp_path, capsys, monkeyp
     the solved member of its +-xi pair."""
     real = homoglab.cell.minimize_bvp
 
-    def solver(V, W, eps, t0, t1, a, b, n_nodes, opt):
-        if t1 == 1.0 and b == -1.0:
-            raise InvariantError(f"synthetic violation at xi={b / t1}")
-        return real(V, W, eps, t0, t1, a, b, n_nodes, opt)
+    def solver(V, W, eps, t, a, b, n_nodes, opt):
+        if t == 1.0 and b == -1.0:
+            raise InvariantError(f"synthetic violation at xi={b / t}")
+        return real(V, W, eps, t, a, b, n_nodes, opt)
 
     monkeypatch.setattr(homoglab.cell, "minimize_bvp", solver)
     cfg = write_cfg(tmp_path, dict(FENCHEL_RAW, experiment="fhom"))

@@ -15,7 +15,7 @@ from homoglab import (
     ergodic_shift_finder,
     make_potential,
 )
-from homoglab.cell import _plan_pieces
+from homoglab.cell import _nudge_degenerate_pieces, _plan_pieces
 
 
 def lattice_distance(t, xi):
@@ -135,3 +135,30 @@ def test_plan_pieces_tile_the_window_past_the_last_block():
     assert starts == [0.0, 2.0, 4.0, 5.0, 7.0, 9.0]
     assert ends == starts[1:] + [12.0]
     assert [float(s[0]) for _, _, s in pieces] == [0.5, -0.5, 0.0, 0.5, -0.5, 0.0]
+
+
+def test_a_zero_velocity_piece_is_nudged_along_xi():
+    """At xi = (1, 0) a first piece of slope -xi does not move: the value at
+    its interior end moves by 2 floor width along xi / |xi|, every piece's
+    full velocity then exceeds the floor, and the end values stay."""
+    xi = np.array([1.0, 0.0])
+    floor = 1e-9 * (1.0 + 1.0)
+    breakpoints = np.array([0.0, 0.5, 1.25])
+    before = np.array([[0.0, 0.0], [-0.5, 0.0], [0.0, 0.0]])
+    slopes = np.diff(before, axis=0) / np.diff(breakpoints)[:, None]
+    assert np.array_equal(slopes[0], -xi)
+    slopes, values = _nudge_degenerate_pieces(slopes, before.copy(), breakpoints, xi)
+    assert np.all(np.linalg.norm(slopes + xi, axis=1) > floor)
+    np.testing.assert_array_equal(slopes, np.diff(values, axis=0) / np.diff(breakpoints)[:, None])
+    np.testing.assert_array_equal(values[[0, -1]], before[[0, -1]])
+    np.testing.assert_allclose(values[1] - before[1], [2 * floor * 0.5, 0.0], rtol=1e-6, atol=0)
+
+
+def test_a_lone_zero_velocity_piece_cannot_be_nudged():
+    """A block of one piece has no interior value to move."""
+    xi = np.array([1.0, 0.0])
+    breakpoints = np.array([0.0, 0.5])
+    values = np.array([[0.0, 0.0], [-0.5, 0.0]])
+    slopes = np.diff(values, axis=0) / np.diff(breakpoints)[:, None]
+    with pytest.raises(InvariantError, match="zero-velocity pieces"):
+        _nudge_degenerate_pieces(slopes, values, breakpoints, xi)

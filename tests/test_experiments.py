@@ -371,7 +371,7 @@ def test_the_layer_timer_charges_each_part_of_a_solve(monkeypatch):
     monkeypatch.setattr(minimize._Action, "gradient", counted)
     steps = minimize._newton_steps
     seconds, sweeps = tool.time_solve(
-        action, starts, minimize.OptimizerSpec(), minimize._Problems(0.5, 0.0, 2.0, a, b)
+        action, starts, minimize.OptimizerSpec(), minimize._Problems(0.5, 2.0, a, b)
     )
     assert sweeps == len(gradients) >= 2
     assert all(seconds[part] > 0 for part in ("derivatives", "band solve", "line search"))

@@ -145,10 +145,10 @@ def test_polished_values_never_exceed_their_lattice_seed_paths(monkeypatch):
     real_batch, real_halfline = hj.minimize_bvp_batch, hj.minimize_halfline
     checked = []
 
-    def batch_spy(V, W, eps, t0, t1, a_batch, b, n_nodes, opt, *, warm_starts_per_problem, **kw):
+    def batch_spy(V, W, eps, t, a_batch, b, n_nodes, opt, *, warm_starts_per_problem, **kw):
         warm = warm_starts_per_problem
         values, nodes, times = real_batch(
-            V, W, eps, t0, t1, a_batch, b, n_nodes, opt, warm_starts_per_problem=warm, **kw
+            V, W, eps, t, a_batch, b, n_nodes, opt, warm_starts_per_problem=warm, **kw
         )
         for value, a, end, (seed,) in zip(values, a_batch, b, warm):
             seed = np.array(seed)

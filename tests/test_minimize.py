@@ -1,6 +1,8 @@
 """Boundary-value minimizers against closed forms and the DP oracle."""
 
 import dataclasses
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +19,18 @@ from homoglab import (
     action_G,
     dp_oracle_1d,
     dp_oracle_halfline,
+    make_initial_datum,
     make_perturbation,
     make_potential,
     minimize_bvp,
     minimize_bvp_batch,
     minimize_halfline,
     minimize_lagrangian_bvp,
+    s_eps,
+    solve_evolutionary_eps,
+    solve_steady_eps,
+    solve_steady_hom,
+    tabulate_f_hom,
     SolverError,
 )
 from homoglab import minimize
@@ -42,7 +50,7 @@ from homoglab.quadrature import exp_interval_weights, sub_interval_edges
 
 
 def test_bvp_free_particle_is_straight_line(std_opt, quad, zero_1d):
-    u, val = minimize_bvp(zero_1d, None, 0.1, 0.0, 2.0, 0.0, 3.0, 41, std_opt, quad)
+    u, val = minimize_bvp(zero_1d, None, 0.1, 2.0, 0.0, 3.0, 41, std_opt, quad)
     assert val == pytest.approx(4.5, abs=1e-8)
     expected = np.linspace(0.0, 3.0, u.times.size)
     np.testing.assert_allclose(u.nodes[:, 0], expected, atol=1e-5)
@@ -51,22 +59,22 @@ def test_bvp_free_particle_is_straight_line(std_opt, quad, zero_1d):
 def test_bvp_constant_shift_exactness(std_opt, quad, sin2_1d):
     """Adding W = c shifts the minimum by exactly c * (t1 - t0)."""
     W = make_perturbation("constant", 1, value=0.5)
-    _, base = minimize_bvp(sin2_1d, None, 0.2, 0.0, 1.0, 0.0, 1.0, 65, std_opt, quad)
-    _, shifted = minimize_bvp(sin2_1d, W, 0.2, 0.0, 1.0, 0.0, 1.0, 65, std_opt, quad)
+    _, base = minimize_bvp(sin2_1d, None, 0.2, 1.0, 0.0, 1.0, 65, std_opt, quad)
+    _, shifted = minimize_bvp(sin2_1d, W, 0.2, 1.0, 0.0, 1.0, 65, std_opt, quad)
     assert shifted - base == pytest.approx(0.5, abs=1e-8)
 
 
 def test_bvp_agrees_with_dp_oracle(std_opt, quad, sin2_1d):
     eps, xi = 0.2, 1.0
-    _, val = minimize_bvp(sin2_1d, None, eps, 0.0, 1.0, 0.0, xi, 129, std_opt, quad)
-    dp = dp_oracle_1d(sin2_1d, None, eps, 0.0, 1.0, 0.0, xi,
+    _, val = minimize_bvp(sin2_1d, None, eps, 1.0, 0.0, xi, 129, std_opt, quad)
+    dp = dp_oracle_1d(sin2_1d, None, eps, 1.0, 0.0, xi,
                       DPGrid(-0.6, 1.6, 1921, 121), slope_set=np.linspace(-4, 4, 129))
     assert val == pytest.approx(dp, rel=0.02)
 
 
 def test_bvp_refinement_consistency(std_opt, quad, sin2_1d):
-    _, coarse = minimize_bvp(sin2_1d, None, 0.1, 0.0, 1.0, 0.0, 1.0, 65, std_opt, quad)
-    _, fine = minimize_bvp(sin2_1d, None, 0.1, 0.0, 1.0, 0.0, 1.0, 129, std_opt, quad)
+    _, coarse = minimize_bvp(sin2_1d, None, 0.1, 1.0, 0.0, 1.0, 65, std_opt, quad)
+    _, fine = minimize_bvp(sin2_1d, None, 0.1, 1.0, 0.0, 1.0, 129, std_opt, quad)
     assert fine == pytest.approx(coarse, rel=5e-3)
     # refining the node set can only improve (or match) the minimum
     assert fine <= coarse + 1e-6
@@ -75,9 +83,9 @@ def test_bvp_refinement_consistency(std_opt, quad, sin2_1d):
 def test_bvp_warm_start_never_hurts(std_opt, quad, sin2_1d):
     t = np.linspace(0.0, 1.0, 65)
     warm = Trajectory(t, (t * 1.0)[:, None])
-    _, cold_val = minimize_bvp(sin2_1d, None, 0.1, 0.0, 1.0, 0.0, 1.0, 65, std_opt, quad)
+    _, cold_val = minimize_bvp(sin2_1d, None, 0.1, 1.0, 0.0, 1.0, 65, std_opt, quad)
     _, warm_val = minimize_bvp(
-        sin2_1d, None, 0.1, 0.0, 1.0, 0.0, 1.0, 65, std_opt, quad, warm_starts=(warm,)
+        sin2_1d, None, 0.1, 1.0, 0.0, 1.0, 65, std_opt, quad, warm_starts=(warm,)
     )
     assert warm_val <= cold_val + 1e-7
 
@@ -111,12 +119,12 @@ def test_bvp_batch_matches_single(d, with_w, unit_eps, eps, seed):
     warm = affine[:, None] + np.einsum("pwjk,jn->pwnk", bumps, sines)  # (3, 2, 33, d)
     quad, opt = QuadratureSpec(), OptimizerSpec(max_iters=200)
     values, certified, nodes, times, records = minimize._solve_pinned(
-        V, W, eps, 0.0, 1.5, a, b, 33, opt, quad, warm
+        V, W, eps, 1.5, a, b, 33, opt, quad, warm
     )
     assert nodes.shape == (3, times.size, d)
     for p in range(3):
         alone = minimize._solve_pinned(
-            V, W, eps, 0.0, 1.5, a[p : p + 1], b[p : p + 1], 33, opt, quad, warm[p : p + 1]
+            V, W, eps, 1.5, a[p : p + 1], b[p : p + 1], 33, opt, quad, warm[p : p + 1]
         )
         assert values[p] == alone[0][0]
         assert certified[p] == alone[1][0]
@@ -125,15 +133,68 @@ def test_bvp_batch_matches_single(d, with_w, unit_eps, eps, seed):
 
 
 def test_bvp_value_certified_against_action(std_opt, quad, sin2_1d):
-    u, val = minimize_bvp(sin2_1d, None, 0.2, 0.0, 1.0, 0.0, 1.0, 65, std_opt, quad)
+    u, val = minimize_bvp(sin2_1d, None, 0.2, 1.0, 0.0, 1.0, 65, std_opt, quad)
     assert action_G(u, sin2_1d, None, 0.2, quad) == pytest.approx(val, abs=1e-9)
 
 
 def test_bvp_rejects_bad_window(std_opt, quad, sin2_1d):
     with pytest.raises(InputError):
-        minimize_bvp(sin2_1d, None, 0.1, 1.0, 1.0, 0.0, 1.0, 33, std_opt, quad)
+        minimize_bvp(sin2_1d, None, 0.1, 0.0, 0.0, 1.0, 33, std_opt, quad)
     with pytest.raises(InputError):
-        minimize_bvp(sin2_1d, None, -0.1, 0.0, 1.0, 0.0, 1.0, 33, std_opt, quad)
+        minimize_bvp(sin2_1d, None, -0.1, 1.0, 0.0, 1.0, 33, std_opt, quad)
+
+
+_V = make_potential("sin2", 1)
+_GRID = DPGrid(-1.0, 1.0, 81, 21)
+_X = np.linspace(-0.2, 0.2, 3)
+_FAST = OptimizerSpec(max_iters=5)
+
+
+def _evolutionary(eps):
+    phi = make_initial_datum("abs_min", 1)
+    return solve_evolutionary_eps(_V, None, eps, phi, _X, [0.5], np.linspace(-1.0, 1.0, 21), _FAST)
+
+
+@pytest.mark.parametrize(
+    "solve, shown",
+    [
+        (lambda: dp_oracle_1d(_V, None, -0.1, 1.0, 0.0, 0.5, _GRID), "eps=-0.1"),
+        (lambda: dp_oracle_1d(_V, None, np.inf, 1.0, 0.0, 0.5, _GRID), "eps=inf"),
+        (lambda: dp_oracle_1d(_V, None, 0.0, 1.0, 0.0, 0.5, _GRID), "eps=0.0"),
+        (lambda: dp_oracle_1d(_V, None, [0.1, 0.0], 1.0, 0.0, 0.5, _GRID), "eps=0.0"),
+        (lambda: dp_oracle_1d(_V, None, 0.1, np.inf, 0.0, 0.5, _GRID), "t=inf"),
+        (lambda: dp_oracle_halfline(_V, None, 0.1, 1.0, 0.0, -1.0, _GRID), "t=-1.0"),
+        (lambda: dp_oracle_halfline(_V, None, 0.1, 1.0, 0.0, 0.0, _GRID), "t=0.0"),
+        (lambda: dp_oracle_halfline(_V, None, -0.1, 1.0, 0.0, 6.0, _GRID), "eps=-0.1"),
+        (lambda: dp_oracle_halfline(_V, None, 0.1, np.inf, 0.0, 6.0, _GRID), "lam=inf"),
+        (lambda: solve_steady_eps(_V, None, -0.1, 1.0, _X, _FAST), "eps=-0.1"),
+        (lambda: solve_steady_eps(_V, None, 0.0, 1.0, _X, _FAST), "eps=0.0"),
+        (lambda: solve_steady_eps(_V, None, np.nan, 1.0, _X, _FAST), "eps=nan"),
+        (lambda: solve_steady_eps(_V, None, 0.1, np.inf, _X, _FAST), "lam=inf"),
+        (lambda: solve_steady_hom(tabulate_f_hom(_V, _X), np.inf, _X), "lam=inf"),
+        (lambda: _evolutionary(-0.1), "eps=-0.1"),
+        (lambda: _evolutionary(0.0), "eps=0.0"),
+        (lambda: minimize_bvp(_V, None, 0.1, np.inf, 0.0, 1.0, 33, _FAST), "t=inf"),
+        (lambda: minimize_halfline(_V, None, np.inf, 1.0, 0.0, 6.0, 33, _FAST), "eps=inf"),
+        (lambda: minimize_halfline(_V, None, 0.1, np.inf, 0.0, 6.0, 33, _FAST), "lam=inf"),
+        (lambda: s_eps(_V, None, 0.1, 0.0, 0.5, -1.0, _FAST), "t=-1.0"),
+    ],
+    ids=[
+        "dp-eps-negative", "dp-eps-inf", "dp-eps-0", "dp-stacked-eps-0", "dp-t-inf",
+        "halfline-dp-T-negative", "halfline-dp-T-0", "halfline-dp-eps-negative",
+        "halfline-dp-lam-inf", "steady-eps-negative", "steady-eps-0", "steady-eps-nan",
+        "steady-lam-inf", "steady-hom-lam-inf", "evolutionary-eps-negative", "evolutionary-eps-0", "bvp-t-inf",
+        "halfline-eps-inf", "halfline-lam-inf", "s-eps-t-negative",
+    ],
+)
+def test_every_solver_refuses_a_bad_window_by_value(solve, shown):
+    """A t, eps or lam that is not positive and finite is an InputError naming
+    the value, raised before anything is built: no warning, no other error
+    and no value."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=re.escape(shown)):
+            solve()
 
 
 @pytest.mark.parametrize(
@@ -153,9 +214,9 @@ def test_newton_solvers_reject_a_w_without_closed_form_derivatives(
     a, b = np.zeros(dimension), np.ones(dimension)
     match = "no closed-form gradient and Hessian.*dp_oracle_1d"
     with pytest.raises(InputError, match=match):
-        minimize_bvp(V, W, 0.2, 0.0, 1.0, a, b, 33, fast_opt)
+        minimize_bvp(V, W, 0.2, 1.0, a, b, 33, fast_opt)
     with pytest.raises(InputError, match=match):
-        minimize_bvp_batch(V, W, 0.2, 0.0, 1.0, a[None], b, 33, fast_opt)
+        minimize_bvp_batch(V, W, 0.2, 1.0, a[None], b, 33, fast_opt)
     with pytest.raises(InputError, match=match):
         minimize_halfline(V, W, 0.2, 1.0, a, 5.0, 33, fast_opt)
 
@@ -167,9 +228,9 @@ def test_newton_solvers_reject_a_v_without_a_closed_form_hessian_and_a_zero_atom
     a, b = np.zeros(1), np.ones(1)
     for V_, W, match in ((bare, None, "'sin2' declares no"), (V, atom, "zero atom")):
         with pytest.raises(InputError, match=match):
-            minimize_bvp(V_, W, 0.2, 0.0, 1.0, a, b, 33, fast_opt)
+            minimize_bvp(V_, W, 0.2, 1.0, a, b, 33, fast_opt)
         with pytest.raises(InputError, match=match):
-            minimize_bvp_batch(V_, W, 0.2, 0.0, 1.0, a[None], b, 33, fast_opt)
+            minimize_bvp_batch(V_, W, 0.2, 1.0, a[None], b, 33, fast_opt)
         with pytest.raises(InputError, match=match):
             minimize_halfline(V_, W, 0.2, 1.0, a, 5.0, 33, fast_opt)
 
@@ -205,8 +266,8 @@ def test_minimal_action_is_invariant_under_eps_lattice_shifts(std_opt, name, eps
     the hj node rule, 8 t / eps + 9 nodes (at least 33)."""
     V = make_potential(name, 1)
     n_nodes = max(33, int(8 * t / eps) + 9)
-    _, value = minimize_bvp(V, None, eps, 0.0, t, a, b, n_nodes, std_opt)
-    _, shifted = minimize_bvp(V, None, eps, 0.0, t, a + eps * k, b + eps * k, n_nodes, std_opt)
+    _, value = minimize_bvp(V, None, eps, t, a, b, n_nodes, std_opt)
+    _, shifted = minimize_bvp(V, None, eps, t, a + eps * k, b + eps * k, n_nodes, std_opt)
     assert abs(shifted - value) <= 1e-12 * max(1.0, abs(value))
 
 
@@ -219,7 +280,7 @@ def test_a_start_stopped_on_a_saddle_is_unconverged(std_opt, end):
     solve stops on the saddle, at action 1 (the maximum over a unit window),
     and says it has not converged."""
     V = make_potential("cos_sum", 1)
-    u, value = minimize_bvp(V, None, 0.05, 0.0, 1.0, end, end, 169, std_opt)
+    u, value = minimize_bvp(V, None, 0.05, 1.0, end, end, 169, std_opt)
     assert value == pytest.approx(1.0, abs=1e-12)
     assert u.meta["iterations"] <= 1
     assert not u.meta["converged"]
@@ -227,7 +288,7 @@ def test_a_start_stopped_on_a_saddle_is_unconverged(std_opt, end):
 
 def test_dp_oracle_free_particle():
     V = make_potential("zero", 1)
-    dp = dp_oracle_1d(V, None, 0.1, 0.0, 1.0, 0.0, 1.0,
+    dp = dp_oracle_1d(V, None, 0.1, 1.0, 0.0, 1.0,
                       DPGrid(-0.5, 1.5, 801, 81), slope_set=np.linspace(-4, 4, 161))
     assert dp == pytest.approx(1.0, rel=0.01)
 
@@ -237,7 +298,7 @@ def test_dp_oracle_charges_negative_atom():
     atom = make_perturbation("neg_spike", 1, depth=1.0, width=0.0)
     grid = DPGrid(-1.0, 1.0, 801, 81)
     assert 0.0 in np.abs(grid.states())
-    val = dp_oracle_1d(V, atom, 0.1, 0.0, 1.0, 0.0, 0.0, grid,
+    val = dp_oracle_1d(V, atom, 0.1, 1.0, 0.0, 0.0, grid,
                        slope_set=np.linspace(-4, 4, 161))
     # parking at the origin collects the atom for the whole window
     assert val == pytest.approx(-1.0, abs=1e-9)
@@ -350,7 +411,7 @@ def test_swept_cone_dp_equals_the_full_lattice_bitwise(
     states = grid.states()
     a, b, x0 = (float(states[data.draw(st.integers(0, n_x - 1))]) for _ in range(3))
 
-    got = _outcome(lambda: dp_oracle_1d(V, W, eps, 0.0, 1.0, a, b, grid, slope_set=slope_set))
+    got = _outcome(lambda: dp_oracle_1d(V, W, eps, 1.0, a, b, grid, slope_set=slope_set))
     want = _outcome(lambda: _naive_dp_1d(V, W, eps, a, b, grid, slope_set))
     assert got == want
     got = _outcome(
@@ -438,7 +499,7 @@ def test_the_dp_bound_holds_on_every_lattice_path(
     W = _DP_PERTURBATIONS[perturbation]
     a, b = (float(states[data.draw(st.integers(0, n_x - 1))]) for _ in range(2))
     with pytest.MonkeyPatch.context() as patch:
-        call, _ = _oracle_sweep(patch, V, W, eps, 0.0, 1.0, a, b, grid, slope_set=slope_set)
+        call, _ = _oracle_sweep(patch, V, W, eps, 1.0, a, b, grid, slope_set=slope_set)
     if call is None:  # no admissible move: refused before any sweep
         return
     (_, ib, _, moves, stages, n_steps, (ia, _)), kwargs = call
@@ -478,7 +539,7 @@ def test_the_bounded_sweep_keeps_the_value_where_paths_tie(monkeypatch, V, W, a,
     equals the optimum."""
     V = make_potential("constant", 1, value=0.5) if V == "flat" else make_potential(V, 1)
     W = _DP_PERTURBATIONS[W] if W else None
-    call, value = _oracle_sweep(monkeypatch, V, W, 1.0, 0.0, 1.0, a, b, grid)
+    call, value = _oracle_sweep(monkeypatch, V, W, 1.0, 1.0, a, b, grid)
     (start, ib, _, moves, stages, n_steps, span), kwargs = call
     assert kwargs["bound"] is not None
     ia = span[0]
@@ -545,7 +606,7 @@ def test_a_stacked_dp_oracle_equals_its_solo_calls_bitwise(
     a, b = (float(states[data.draw(st.integers(0, n_x - 1))]) for _ in range(2))
 
     def oracle(W, eps):
-        return dp_oracle_1d(V, W, eps, 0.0, 1.0, a, b, grid, slope_set=slope_set)
+        return dp_oracle_1d(V, W, eps, 1.0, a, b, grid, slope_set=slope_set)
 
     solo = [_stacked_outcome(lambda: [oracle(W, eps)]) for W, eps in zip(Ws, epss)]
     failed = [outcome for outcome in solo if isinstance(outcome, str)]
@@ -562,9 +623,9 @@ def test_a_stacked_sweep_keeps_the_cone_of_every_problem():
     particle, the atom problem keeps the cone that reaches 0."""
     V, grid = make_potential("zero", 1), DPGrid(-1.0, 1.0, 81, 33)
     atom = make_perturbation("neg_spike", 1, depth=10.0, width=0.0)
-    solo = [dp_oracle_1d(V, W, 1.0, 0.0, 1.0, 0.5, 0.5, grid) for W in (None, atom)]
+    solo = [dp_oracle_1d(V, W, 1.0, 1.0, 0.5, 0.5, grid) for W in (None, atom)]
     assert solo[0] == 0.0 and solo[1] < -2.0
-    assert dp_oracle_1d(V, [None, atom], 1.0, 0.0, 1.0, 0.5, 0.5, grid) == solo
+    assert dp_oracle_1d(V, [None, atom], 1.0, 1.0, 0.5, 0.5, grid) == solo
 
 
 def test_a_stacked_dp_oracle_names_the_problem_it_cannot_connect():
@@ -573,11 +634,11 @@ def test_a_stacked_dp_oracle_names_the_problem_it_cannot_connect():
     wall lies at 2, off the grid."""
     V, grid = make_potential("zero", 1), DPGrid(-1.0, 1.0, 81, 17)
     slopes = np.linspace(-2.0, 2.0, 33)
-    assert dp_oracle_1d(V, _WALL, [1.0], 0.0, 1.0, -0.5, 0.9, grid, slopes) == [
-        dp_oracle_1d(V, None, 1.0, 0.0, 1.0, -0.5, 0.9, grid, slopes)
+    assert dp_oracle_1d(V, _WALL, [1.0], 1.0, -0.5, 0.9, grid, slopes) == [
+        dp_oracle_1d(V, None, 1.0, 1.0, -0.5, 0.9, grid, slopes)
     ]
     with pytest.raises(SolverError, match=r"connect .* at eps=0\.1, W='wall'"):
-        dp_oracle_1d(V, _WALL, [1.0, 0.1], 0.0, 1.0, -0.5, 0.9, grid, slopes)
+        dp_oracle_1d(V, _WALL, [1.0, 0.1], 1.0, -0.5, 0.9, grid, slopes)
 
 
 def test_a_stacked_dp_oracle_names_the_problem_its_bound_failed(monkeypatch):
@@ -594,16 +655,16 @@ def test_a_stacked_dp_oracle_names_the_problem_its_bound_failed(monkeypatch):
 
     monkeypatch.setattr(minimize, "_straight_path", stay)
     with pytest.raises(InvariantError, match=r"dropped every state .* at eps=1\.0, W='wall'"):
-        dp_oracle_1d(V, _WALL, [0.1, 1.0], 0.0, 1.0, -0.5, 0.5, grid)
+        dp_oracle_1d(V, _WALL, [0.1, 1.0], 1.0, -0.5, 0.5, grid)
 
 
 def test_dp_oracle_stacks_take_one_or_p_of_each():
     V, grid = make_potential("zero", 1), DPGrid(-1.0, 1.0, 81, 17)
     atom = _DP_PERTURBATIONS["atom"]
     with pytest.raises(InputError, match="one per problem"):
-        dp_oracle_1d(V, [None, atom], [0.1, 0.2, 0.3], 0.0, 1.0, 0.0, 0.0, grid)
+        dp_oracle_1d(V, [None, atom], [0.1, 0.2, 0.3], 1.0, 0.0, 0.0, grid)
     with pytest.raises(InputError, match="one per problem"):
-        dp_oracle_1d(V, [], 0.1, 0.0, 1.0, 0.0, 0.0, grid)
+        dp_oracle_1d(V, [], 0.1, 1.0, 0.0, 0.0, grid)
 
 
 def _full_grid_sweep(value, moves, stages, n_steps, weights):
@@ -930,7 +991,7 @@ def test_dp_oracles_reject_a_nan_stage_cost():
     # the NaN state 0.25 sits far outside the cone between a = b = -1.0
     grid = DPGrid(-1.0, 1.0, 9, 3)
     with pytest.raises(SolverError, match=r"state 5 \(x = 0\.25\) is nan"):
-        dp_oracle_1d(V, W, 1.0, 0.0, 1.0, -1.0, -1.0, grid, slope_set=[0.0])
+        dp_oracle_1d(V, W, 1.0, 1.0, -1.0, -1.0, grid, slope_set=[0.0])
     with pytest.raises(SolverError, match=r"state 5 \(x = 0\.25\) is nan"):
         dp_oracle_halfline(V, W, 1.0, 1.0, -1.0, 2.0, grid, slope_set=[0.0])
 
@@ -979,7 +1040,7 @@ def test_halfline_rejects_short_horizon(std_opt, quad, sin2_1d):
 def test_general_lagrangian_bvp_matches_quadratic(std_opt, quad):
     V = make_potential("zero", 2)
     L = GeneralLagrangian(V)
-    u, val = minimize_lagrangian_bvp(L, 0.0, 1.0, np.zeros(2), np.array([1.0, 1.0]), 33, std_opt, quad)
+    u, val = minimize_lagrangian_bvp(L, 1.0, np.zeros(2), np.array([1.0, 1.0]), 33, std_opt, quad)
     assert val == pytest.approx(2.0, abs=1e-6)
     np.testing.assert_allclose(u.nodes[-1], [1.0, 1.0], atol=1e-12)
 
@@ -1007,7 +1068,7 @@ def test_stacked_newton_steps_solve_each_shifted_system(d):
     diag[[0, 2]] += 4.0 * d * np.eye(d)  # starts 0 and 2 diagonally dominant
     diag[[1, 3]] -= 4.0 * np.eye(d)  # starts 1 and 3 indefinite
     grad = rng.normal(size=(B, n, d))
-    steps, dec, shifts = _newton_steps(diag, off, grad, _Problems(1.0, 0.0, 1.0, np.zeros((B, d))))
+    steps, dec, shifts = _newton_steps(diag, off, grad, _Problems(1.0, 1.0, np.zeros((B, d))))
     for b in range(B):
         H = _dense(diag[b], off[b])
         p, g = steps[b].reshape(-1), grad[b].reshape(-1)
@@ -1035,7 +1096,7 @@ def test_newton_steps_double_the_shift_of_adjacent_indefinite_starts(d):
     off = np.broadcast_to(-1.5 * np.eye(d), (B, n - 1, d, d)).copy()
     off[[0, 4]] *= 0.2  # starts 0 and 4 positive definite
     grad = rng.normal(size=(B, n, d))
-    steps, dec, shifts = _newton_steps(diag, off, grad, _Problems(1.0, 0.0, 1.0, np.zeros((B, d))))
+    steps, dec, shifts = _newton_steps(diag, off, grad, _Problems(1.0, 1.0, np.zeros((B, d))))
     floor = 1e-3 + np.finfo(float).tiny
     for b in range(B):
         H = _dense(diag[b], off[b])
@@ -1065,13 +1126,13 @@ def test_newton_errors_name_eps_window_and_ends(fast_opt, quad):
     values, so a failing stability rung or table slope can be told from stderr."""
     V = _nan_potential(1)
     with pytest.raises(SolverError) as info:
-        minimize_bvp(V, None, 0.25, 0.0, 2.0, 0.5, 1.5, 17, fast_opt, quad)
+        minimize_bvp(V, None, 0.25, 2.0, 0.5, 1.5, 17, fast_opt, quad)
     assert "(eps=0.25, window [0.0, 2.0], a=[0.5], b=[1.5])" in str(info.value)
     # the batch names the problem of the first non-finite start
     a_batch = np.array([[-1.0], [0.0]])
     with pytest.raises(SolverError) as info:
-        minimize_bvp_batch(V, None, 0.5, 1.0, 3.0, a_batch, 2.0, 17, fast_opt, quad)
-    assert "(eps=0.5, window [1.0, 3.0], a=[-1.0], b=[2.0])" in str(info.value)
+        minimize_bvp_batch(V, None, 0.5, 2.0, a_batch, 2.0, 17, fast_opt, quad)
+    assert "(eps=0.5, window [0.0, 2.0], a=[-1.0], b=[2.0])" in str(info.value)
     with pytest.raises(SolverError) as info:
         minimize_halfline(
             V, None, 0.5, 1.0, 0.25, 6.0, 33, fast_opt, quad, warm_starts=[np.zeros((33, 1))]
@@ -1086,9 +1147,9 @@ def test_a_non_finite_newton_decrement_names_its_problem(fast_opt, quad, sin2_1d
     its problem, rather than report its starts as minima."""
     V = dataclasses.replace(sin2_1d, hessian=lambda y: np.full(y.shape + (1,), np.nan))
     with pytest.raises(SolverError, match=r"decrement not finite \(eps=0.25, window \[0.0, 2.0\]"):
-        minimize_bvp(V, None, 0.25, 0.0, 2.0, 0.5, 1.5, 17, fast_opt, quad)
+        minimize_bvp(V, None, 0.25, 2.0, 0.5, 1.5, 17, fast_opt, quad)
     with pytest.raises(SolverError, match=r"decrement not finite \(eps=0.5, .*a=\[-1.0\]"):
-        minimize_bvp_batch(V, None, 0.5, 1.0, 3.0, np.array([[-1.0], [0.0]]), 2.0, 17, fast_opt)
+        minimize_bvp_batch(V, None, 0.5, 2.0, np.array([[-1.0], [0.0]]), 2.0, 17, fast_opt)
     with pytest.raises(SolverError, match=r"decrement not finite \(eps=0.5, window \[0.0, 6.0\]"):
         minimize_halfline(
             V, None, 0.5, 1.0, 0.25, 6.0, 33, fast_opt, quad, warm_starts=[np.ones((33, 1))]
@@ -1099,17 +1160,17 @@ def test_pinned_solvers_check_warm_start_shapes(fast_opt, quad):
     V = make_potential("sin2", 1)
     match = r"warm start of shape \(5,\), expected \(33, 1\)"
     with pytest.raises(InputError, match=match):
-        minimize_bvp(V, None, 0.5, 0.0, 1.0, 0.0, 1.0, 33, fast_opt, quad, [np.zeros(5)])
+        minimize_bvp(V, None, 0.5, 1.0, 0.0, 1.0, 33, fast_opt, quad, [np.zeros(5)])
     with pytest.raises(InputError, match=match):
         minimize_bvp_batch(
-            V, None, 0.5, 0.0, 1.0, np.zeros((2, 1)), 1.0, 33, fast_opt, quad, [[np.zeros(5)]] * 2
+            V, None, 0.5, 1.0, np.zeros((2, 1)), 1.0, 33, fast_opt, quad, [[np.zeros(5)]] * 2
         )
 
 
 def test_the_batch_needs_a_potential(fast_opt, runge_1d):
     """action_G, which certifies every winner, cannot evaluate a missing V."""
     with pytest.raises(InputError, match="periodic potential is required"):
-        minimize_bvp_batch(None, runge_1d, 0.5, 0.0, 1.0, np.zeros((1, 1)), 1.0, 33, fast_opt)
+        minimize_bvp_batch(None, runge_1d, 0.5, 1.0, np.zeros((1, 1)), 1.0, 33, fast_opt)
 
 
 @pytest.mark.parametrize("kind", ["pinned", "batch", "half-line"])
@@ -1125,17 +1186,17 @@ def test_a_failed_certificate_names_its_problem(monkeypatch, fast_opt, quad, sin
         if kind == "half-line":
             minimize_halfline(sin2_1d, None, 0.5, 1.0, 0.25, 6.0, 33, fast_opt, quad)
         elif kind == "pinned":
-            minimize_bvp(sin2_1d, None, 0.5, 0.0, 6.0, 0.25, 1.0, 33, fast_opt, quad)
+            minimize_bvp(sin2_1d, None, 0.5, 6.0, 0.25, 1.0, 33, fast_opt, quad)
         else:
             a_batch = np.array([[0.0], [0.25]])
-            minimize_bvp_batch(sin2_1d, None, 0.5, 0.0, 6.0, a_batch, [[1.0], [1.5]], 33, fast_opt)
+            minimize_bvp_batch(sin2_1d, None, 0.5, 6.0, a_batch, [[1.0], [1.5]], 33, fast_opt)
     assert "disagree (eps=0.5, window [0.0, 6.0], a=[0.25]" in str(info.value)
     if kind != "half-line":
         assert str(info.value).endswith("a=[0.25], b=[1.5])" if kind == "batch" else "b=[1.0])")
 
 
 def test_newton_records_convergence_of_the_winning_start(std_opt, quad, sin2_1d, runge_1d):
-    u, _ = minimize_bvp(sin2_1d, runge_1d, 0.05, 0.0, 1.0, 0.0, 1.0, 249, std_opt, quad)
+    u, _ = minimize_bvp(sin2_1d, runge_1d, 0.05, 1.0, 0.0, 1.0, 249, std_opt, quad)
     assert u.meta["converged"]
     assert u.meta["grad_norm"] <= 1e-8
     assert 1 <= u.meta["iterations"] < 100
@@ -1225,7 +1286,7 @@ def test_one_potential_pass_per_accepted_full_step(monkeypatch, d, with_w, halfl
     starts = _start_stack(
         np.linspace(0.0, 1.0, N), np.zeros((1, d)), np.full((1, d), 0.7), np.zeros((1, 0, N, d))
     )
-    problems = _Problems(0.5, 0.0, 1.0, np.zeros((1, d)), np.full((1, d), 0.7))
+    problems = _Problems(0.5, 1.0, np.zeros((1, d)), np.full((1, d), 0.7))
     _, nodes, _ = _solve(action, starts, opt, problems)
     near = nodes[:, None].copy()
     near[..., 1:-1, :] += 1e-3 * np.sin(np.linspace(0.0, np.pi, N))[1:-1, None]

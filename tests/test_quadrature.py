@@ -151,3 +151,15 @@ def test_only_the_action_layer_takes_a_quadrature():
     for name in ACTION_LAYER:
         assert _parameters(public[name])["quad"].default == QuadratureSpec()
     assert "method" not in _parameters(homoglab.tabulate_f_hom)
+
+
+def test_every_solve_window_is_0_to_t():
+    """The Lagrangian does not depend on time, so every window is [0, t]: no
+    public callable, and not Trajectory.affine, takes a t0 or a t1."""
+    public = [getattr(homoglab, name) for name in homoglab.__all__]
+    takes = {
+        getattr(obj, "__qualname__", repr(obj))
+        for obj in public + [homoglab.Trajectory.affine]
+        if callable(obj) and {"t0", "t1"} & set(_parameters(obj))
+    }
+    assert takes == set()
