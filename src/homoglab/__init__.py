@@ -28,7 +28,6 @@ from .potentials import (
     Perturbation,
     REGISTRY_VERSION,
     cylinder_average,
-    eval_hamiltonian,
     eval_lagrangian,
     line_average,
     lp_unif_estimate,
@@ -43,7 +42,6 @@ from .trajectory import (
     build_connector,
     connector_kinetic_bound,
     discounted_action,
-    homogenized_action,
     polar_bound_check,
 )
 from .minimize import (

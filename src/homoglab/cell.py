@@ -23,7 +23,6 @@ irrational directions) and the perturbation-avoiding recovery trajectories
 bounds for the perturbed functionals.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -83,11 +82,6 @@ class CorrectorProfile:
         v = self.profile.nodes
         if np.any(v[0] != 0.0) or np.any(v[-1] != 0.0):
             raise InvariantError("corrector profile must vanish at both endpoints")
-
-    def path(self) -> Trajectory:
-        """The full minimizing path t*xi + v(t) as a trajectory."""
-        t = self.profile.times
-        return Trajectory(t, t[:, None] * self.xi[None, :] + self.profile.nodes)
 
 
 def _profile_from_path(times, nodes, xi) -> Trajectory:
@@ -493,17 +487,6 @@ class HomogenizedLagrangian(GridTable):
 
     def to_json(self) -> str:
         return super().to_json(f0=self.f0, envelope_applied=self.envelope_applied)
-
-    @classmethod
-    def from_json(cls, text: str) -> "HomogenizedLagrangian":
-        payload = json.loads(text)
-        return cls(
-            payload["axes"],
-            payload["values"],
-            payload["f0"],
-            payload["envelope_applied"],
-            payload.get("meta"),
-        )
 
 
 def tabulate_f_hom(

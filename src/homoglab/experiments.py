@@ -88,7 +88,12 @@ def _phi_plane_wave(dimension: int, p=None) -> Callable:
     vec = np.ones(dimension) if p is None else np.asarray(p, dtype=float)
     if vec.shape != (dimension,):
         raise ConfigError("plane_wave slope p must have one entry per dimension")
-    return lambda y: float(np.dot(vec, np.asarray(y, dtype=float)))
+
+    def phi(y):
+        with np.errstate(over="ignore"):  # a huge y reads +-inf
+            return float(np.dot(vec, np.asarray(y, dtype=float)))
+
+    return phi
 
 
 def _phi_abs_min(dimension: int, cap: float = 1.0) -> Callable:
@@ -414,6 +419,8 @@ class ExperimentConfig:
         """The grid `key` (lo..hi, or symmetric half_width) repeated per dimension."""
         g = self.data["grids"][key]
         lo, hi = (-g["half_width"], g["half_width"]) if "half_width" in g else (g["lo"], g["hi"])
+        if not math.isfinite(float(hi) - float(lo)):  # linspace would overflow on the span
+            raise ConfigError(f"grids.{key} spans [{lo}, {hi}], wider than a float holds")
         return (np.linspace(float(lo), float(hi), int(g["n"])),) * self.dimension
 
     def x_axes(self) -> tuple:
@@ -916,9 +923,8 @@ def run_fhom_table(cfg: ExperimentConfig, threads: int = 1) -> Report:
 def run_fenchel_tables(cfg: ExperimentConfig, threads: int = 1) -> Report:
     """Tabulate f_hom and its convex conjugate; certify the transform."""
     f = tabulate_f_hom(cfg.potential(), cfg.xi_axes(), cfg.cell_optimizer())
-    p_axes = cfg.p_axes()
-    conjugate = legendre_transform(f, p_axes)
-    gap = biconjugate_check(f, p_axes)
+    conjugate = legendre_transform(f, cfg.p_axes())
+    gap = biconjugate_check(conjugate)
     defect = conjugate.fenchel_young_defect()
     n_violations, worst_defect = conjugate.convexity_violations()
     verdicts = {

@@ -57,15 +57,16 @@ def legendre_transform(f: HomogenizedLagrangian, p_grid) -> ConjugateTable:
     return ConjugateTable(axes, values, f, {"kind": "legendre_transform"})
 
 
-def biconjugate_check(f: HomogenizedLagrangian, p_grid) -> float:
-    """max over the slope grid of |f - f**|; small gaps certify convexity.
+def biconjugate_check(conj: ConjugateTable) -> float:
+    """max over the slope grid of |f - f**| for f = conj.source; small gaps
+    certify convexity.
 
-    The double discrete transform returns the lower convex envelope of the
-    table up to grid resolution, so the gap measures how far the table is
+    Transforming conj back onto f's grid returns the lower convex envelope of
+    the table up to grid resolution, so the gap measures how far the table is
     from its own convexification. The biconjugate never exceeds the table
     (beyond roundoff); that one-sidedness is asserted here.
     """
-    conj = legendre_transform(f, p_grid)
+    f = conj.source
     scores = mesh(f.axes) @ mesh(conj.axes).T - conj.values.reshape(-1)[None, :]
     second = np.max(scores, axis=1)
     flat = f.values.reshape(-1)

@@ -167,7 +167,8 @@ def solve_evolutionary_hom(
     for j, t in enumerate(t_grid):
         for start in range(0, x_mesh.shape[0], _X_BLOCK):
             block = slice(start, start + _X_BLOCK)
-            slopes = (x_mesh[block, None] - y_mesh[None]) / t
+            with np.errstate(over="ignore"):  # a huge y gives an inf slope, outside every hull
+                slopes = (x_mesh[block, None] - y_mesh[None]) / t
             ok = np.all((slopes >= lo) & (slopes <= hi), axis=-1)  # (x, y)
             empty = np.flatnonzero(~ok.any(axis=1))
             if empty.size:

@@ -87,6 +87,10 @@ class DPGrid:
     def __post_init__(self):
         if not self.x_lo < self.x_hi:
             raise InputError("need x_lo < x_hi")
+        if not math.isfinite(float(self.x_hi) - float(self.x_lo)):  # linspace would overflow
+            raise InputError(
+                f"the DP state range [{self.x_lo}, {self.x_hi}] is wider than a float holds"
+            )
         if self.n_x < 2 or self.n_t < 2:
             raise InputError("need n_x >= 2 and n_t >= 2")
 
@@ -347,7 +351,11 @@ def _solve(action: _Action, starts, opt: OptimizerSpec, problems: _Problems):
     for sweep in range(opt.max_iters + 1):
         grad = action.gradient(xs, y)[:, free]
         rows = slice(None) if idx.size == P * S else idx
-        gnorm[rows] = norms = np.sqrt((grad * grad).sum(axis=(1, 2)))
+        with np.errstate(over="ignore"):  # a tiny window's roundoff gradient squares past a float
+            norms = np.sqrt((grad * grad).sum(axis=(1, 2)))
+        for i in np.flatnonzero(np.isinf(norms)):  # ... so its norm is taken without squaring
+            norms[i] = math.hypot(*grad[i].ravel())
+        gnorm[rows] = norms
         small = norms <= _GRAD_TOL
         fresh = small & ~done[rows]  # stopped by the gradient test now
         stop = done[rows] | small
@@ -680,6 +688,19 @@ def _lattice_moves(slope_set, h: float, dx: float, n_x: int):
     return ks, ks * dx / h
 
 
+def _squared_slopes(slopes, t):
+    """slopes * slopes, or InputError naming the window [0, t] where a square
+    passes the largest float (a tiny window's); callers check before they sweep."""
+    with np.errstate(over="ignore"):
+        kinetic = slopes * slopes
+    if not np.isfinite(kinetic).all():
+        raise InputError(
+            f"the lattice slopes on the window [0.0, {t}] reach {np.max(np.abs(slopes)):.3g}, "
+            "whose square no float holds"
+        )
+    return kinetic
+
+
 def _default_slope_set(slope_bc: float):
     span = 4.0 * abs(slope_bc) + 2.0
     return np.linspace(-span, span, 41)
@@ -941,9 +962,10 @@ def dp_oracle_1d(
     if slope_set is None:
         slope_set = _default_slope_set((b - a) / t)
     moves, slopes = _lattice_moves(slope_set, h, dx, grid.n_x)
+    kinetic = _squared_slopes(slopes, t)
 
     costs, atoms = zip(*(_lattice_costs(V, w, e, states) for w, e in zip(Ws, epss)))
-    kinetic, stay, stacked_cost = slopes * slopes, moves == 0, np.stack(costs)[:, None, :]
+    stay, stacked_cost = moves == 0, np.stack(costs)[:, None, :]
     with_atom = [p for p, atom in enumerate(atoms) if atom is not None]
 
     def stages(i0, i1):  # h (slope^2 + cost), then + h atom on the stay move
@@ -1029,6 +1051,7 @@ def dp_oracle_halfline(
     if slope_set is None:
         slope_set = _default_slope_set(0.0)
     moves, slopes = _lattice_moves(slope_set, h, dx, grid.n_x)
+    kinetic = _squared_slopes(slopes, T_max)
 
     cost, atom_cost = _lattice_costs(V, W, eps, states)
     weights = exp_interval_weights(np.linspace(0.0, T_max, grid.n_t), lam)
@@ -1036,7 +1059,7 @@ def dp_oracle_halfline(
     value = (cost if atom_cost is None else cost + atom_cost) * (np.exp(-lam * T_max) / lam)
     ix = int(np.argmin(np.abs(states - x0)))
     result = _dp_sweep(
-        value, 0, grid.n_x - 1, moves, (slopes * slopes)[:, None] + cost, grid.n_t - 1,
+        value, 0, grid.n_x - 1, moves, kinetic[:, None] + cost, grid.n_t - 1,
         (ix, ix), weights[::-1], atom_cost,
     )[ix]
     if not np.isfinite(result):
@@ -1177,6 +1200,7 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
 
     longest = reach(n_steps)
     moves, slopes = _lattice_moves(np.arange(-longest, longest + 1) * dx / h, h, dx, n_x)
+    kinetic = _squared_slopes(slopes, horizon)
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (cost[1:] + cost[:-1]))))
     # A move off the grid reads the sweep's +inf padding, so its stage is never
     # charged; a finite one keeps 0 * stage from being NaN where a weight underflows.
@@ -1184,7 +1208,7 @@ def _lattice_seeds(V, W, eps, x, horizon, read_at, y=None, phi=None, lam=None):
     for m, k in enumerate(moves.tolist()):
         src = slice(max(0, -k), n_x - max(0, k))
         stages[m, src] = (cum[max(0, k) : n_x + min(0, k)] - cum[src]) / k if k else cost
-    stages += (slopes * slopes)[:, None]
+    stages += kinetic[:, None]
     if lam is None:
         stages *= h
     span = (start.min(), start.max())

@@ -187,14 +187,6 @@ def eval_lagrangian(V: PeriodicPotential, W: Optional[Perturbation], x, xi):
     return np.sum(vel * vel, axis=-1) + eval_potential(V, W, as_points(x, V.dimension))
 
 
-def eval_hamiltonian(V: PeriodicPotential, W: Optional[Perturbation], x, p):
-    """H(x, p) = |p|^2/4 - V(x) - W(x), the convex dual of eval_lagrangian."""
-    if W is not None and W.dimension != V.dimension:
-        raise InputError("V and W dimensions disagree")
-    mom = as_points(p, V.dimension)
-    return 0.25 * np.sum(mom * mom, axis=-1) - eval_potential(V, W, as_points(x, V.dimension))
-
-
 def _chord_cells(R: float) -> int:
     """Midpoints on a chord of length 2R: 4 per unit length, at least 64, at
     most 2^24 (R <= 2^21; a chord's 1D array of positions then holds 128 MiB,

@@ -38,7 +38,6 @@ __all__ = [
     "action_F",
     "action_G",
     "discounted_action",
-    "homogenized_action",
     "build_connector",
     "connector_kinetic_bound",
     "polar_bound_check",
@@ -218,16 +217,6 @@ def discounted_action(
     end = u.nodes[-1][None, :]
     value += float(eval_potential(V, W, end / eps)[0]) * tail_weight
     return value
-
-
-def homogenized_action(u: Trajectory, f_table) -> float:
-    """Action of the effective Lagrangian: sum of f(slope) * interval width.
-
-    Piecewise-linear trajectories make this exact given the tabulated f.
-    Slopes outside the table hull raise ExtrapolationError rather than
-    clamping.
-    """
-    return float(np.sum(f_table.value(u.slopes) * u.widths))
 
 
 # ---------------------------------------------------------------------------

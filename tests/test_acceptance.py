@@ -180,7 +180,7 @@ def test_criterion_03_fenchel_transform(registry_tables_1d):
     p_dense = np.linspace(-4.0, 4.0, 16001)
     gaps = {}
     for name, table in registry_tables_1d.items():
-        gaps[name] = biconjugate_check(table, p_dense)
+        gaps[name] = biconjugate_check(legendre_transform(table, p_dense))
         assert gaps[name] < 1e-4, f"biconjugate gap {gaps[name]:.2e} for {name}"
 
     shifted = HomogenizedLagrangian((axis,), axis**2 + 0.5, f0=0.5)

@@ -400,6 +400,11 @@ def _tiny_fhom_raw(dimension, potential, half_width):
             "got 1.2e+202 (eps=0.2, window [0.0, 6e+200])",
         ),
         (
+            dict(_STEADY_RAW, eps_ladder=[0.2], **{"lambda": 1e300}),
+            "the lattice slopes on the window [0.0, 5.999999999999999e-300] reach 2.08e+297, "
+            "whose square no float holds",
+        ),
+        (
             dict(_EVOLUTIONARY_RAW, eps_ladder=[1e-300]),
             "got 4e+300 (eps=1e-300, window [0.0, 0.5])",
         ),
@@ -468,7 +473,7 @@ def _tiny_fhom_raw(dimension, potential, half_width):
     ],
     ids=[
         "stability-eps-1e-320", "stability-eps-1e-300", "steady-eps-1e-320", "steady-eps-1e-300",
-        "steady-lambda-1e-200", "evolutionary-eps-1e-300", "evolutionary-eps-1e-320",
+        "steady-lambda-1e-200", "steady-lambda-1e300", "evolutionary-eps-1e-300", "evolutionary-eps-1e-320",
         "evolutionary-y-1e300", "evolutionary-abs-min-y-1e300", "evolutionary-quadratic-y-1e300",
         "evolutionary-dy-5e-201", "fhom-xi-1e300", "stability-xi-1e300", "stability-xi-1e-300",
         "fhom-xi-1e-300", "fhom-xi-5e-324", "fhom-coupled-xi-1e-300", "fhom-coupled-xi-5e-324",
@@ -480,6 +485,65 @@ def test_a_count_past_any_float_is_a_config_error(tmp_path, capsys, raw, message
     whose norm underflows to 0 too: it is no slope 0. Each exits 2 naming its
     eps or xi (lambda through its window 6/lambda), with no traceback, no
     warning, and a count printed to 15 digits at most."""
+    cfg = write_cfg(tmp_path, raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([raw["experiment"], "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG == 2
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def _huge_y(dimension):
+    grids = dict(_EVOLUTIONARY_RAW["grids"], y={"lo": -1e308, "hi": 0.0, "n": 3})
+    if dimension == 2:
+        grids.update(x={"lo": 0.3, "hi": 0.7, "n": 2}, xi={"half_width": 2.0, "n": 5})
+    return dict(_EVOLUTIONARY_RAW, dimension=dimension, eps_ladder=[1e-5], grids=grids)
+
+
+@pytest.mark.parametrize(
+    "raw,message",
+    [
+        (
+            dict(_EVOLUTIONARY_RAW, grids=dict(
+                _EVOLUTIONARY_RAW["grids"], y={"lo": -1e308, "hi": 1e308, "n": 3}
+            )),
+            "grids.y spans [-1e+308, 1e+308], wider than a float holds",
+        ),
+        (
+            dict(_STEADY_RAW, grids=dict(_STEADY_RAW["grids"], x={"lo": -1e308, "hi": 1e308, "n": 3})),
+            "grids.x spans [-1e+308, 1e+308], wider than a float holds",
+        ),
+        (
+            _tiny_fhom_raw(1, "sin2", 1e308),
+            "grids.xi spans [-1e+308, 1e+308], wider than a float holds",
+        ),
+        (
+            dict(FENCHEL_RAW, grids=dict(FENCHEL_RAW["grids"], p={"half_width": 1e308, "n": 17})),
+            "grids.p spans [-1e+308, 1e+308], wider than a float holds",
+        ),
+        (
+            {
+                "experiment": "negative",
+                "potential": {"name": "zero"},
+                "perturbation": {"name": "neg_spike", "params": {"depth": 0.75, "width": 0.0}},
+                "grids": {"dp": {"x_lo": -1e308, "x_hi": 1e308, "n_x": 5, "n_t": 5}},
+            },
+            "the DP state range [-1e+308, 1e+308] is wider than a float holds",
+        ),
+        (_huge_y(1), "the lattice DP seeds at eps=1e-05 may need inf bytes of history"),
+        (_huge_y(2), "the lattice DP seeds of the HJ solvers need d = 1"),
+    ],
+    ids=["y-1e308", "x-1e308", "xi-half-width-1e308", "p-half-width-1e308", "dp-range-1e308",
+         "y-to-1e308-d1", "y-to-1e308-d2"],
+)
+def test_a_grid_out_to_1e308_is_a_config_error_with_no_warning(tmp_path, capsys, raw, message):
+    """A grid whose span passes the largest float is refused by name before
+    linspace overflows on it. A y grid that only reaches -1e308 gives the
+    homogenized field infinite slopes, which lie outside every hull, and
+    plane-wave data of +-inf; neither warns, and the run exits 2 with the
+    eps field's own refusal."""
     cfg = write_cfg(tmp_path, raw)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homoglab.cell
-from homoglab import experiments, hj, make_perturbation, make_potential, minimize, potentials
+from homoglab import (
+    experiments, fenchel, hj, make_perturbation, make_potential, minimize, potentials
+)
 from homoglab.errors import ConfigError, InputError, InvariantError, SolverError
 from homoglab.experiments import (
     ExperimentConfig,
@@ -27,6 +29,7 @@ from homoglab.experiments import (
     run_negative_perturbation,
     run_stability_sweep,
 )
+from homoglab.fenchel import biconjugate_check, legendre_transform
 
 FAST_SOLVER = {"max_iters": 300, "restarts": 1, "cell_max_iters": 600, "nodes_per_period": 8}
 
@@ -854,6 +857,26 @@ def test_fenchel_runner_certifies_transform():
     assert star[2.0] == pytest.approx(1.0, abs=1e-9)  # sup(p*xi - xi^2) = p^2/4
     names = {name for name, _ in rep.extra_files}
     assert names == {"f_hom.json", "f_star.json"}
+
+
+def test_fenchel_runner_transforms_its_table_once(monkeypatch):
+    """The biconjugate check reads the conjugate the runner reports, so a run
+    makes one legendre_transform, and its gap is the check's, bit for bit. A
+    p grid of 7 points resolves the table's slopes only coarsely: the gap is
+    not 0."""
+    calls = []
+
+    def spy(f, p):
+        calls.append((f, p))
+        return legendre_transform(f, p)
+
+    monkeypatch.setattr(experiments, "legendre_transform", spy)
+    monkeypatch.setattr(fenchel, "legendre_transform", spy)
+    cfg = make_cfg(grids={"xi": {"half_width": 2.0, "n": 9}, "p": {"half_width": 4.0, "n": 7}})
+    gap = run_fenchel_tables(cfg).verdicts["biconjugate_gap"]
+    assert len(calls) == 1
+    f, p = calls[0]
+    assert gap == biconjugate_check(legendre_transform(f, p)) > 0.0
 
 
 def test_hj_runner_tabulates_by_the_1d_rule(monkeypatch):

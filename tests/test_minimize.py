@@ -197,6 +197,22 @@ def test_every_solver_refuses_a_bad_window_by_value(solve, shown):
             solve()
 
 
+def test_a_tiny_window_squares_no_gradient_or_slope_past_a_float():
+    """At t = 1e-300 the Newton solve's roundoff gradient (about 1e286) and
+    the lattice's slopes (above 1e300) square past the largest float. The
+    Newton solvers take that norm without squaring it and return a certified
+    value, |b - a|^2 / t to roundoff; dp_oracle_1d refuses the window by
+    value, before its costs. No warning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = s_eps(_V, None, 0.1, 0.0, 0.5, 1e-300)
+        path, same = minimize_bvp(_V, None, 0.1, 1e-300, 0.0, 0.5, 33, OptimizerSpec())
+        with pytest.raises(InputError, match=re.escape("the window [0.0, 1e-300] reach 2e+300")):
+            dp_oracle_1d(_V, None, 0.1, 1e-300, 0.0, 0.5, _GRID)
+    assert value == same == pytest.approx(0.25 / 1e-300, rel=1e-12)
+    assert 1e280 < path.meta["grad_norm"] < np.inf
+
+
 @pytest.mark.parametrize(
     "dimension,name,params",
     [

@@ -18,9 +18,7 @@ from homoglab import (
     build_connector,
     connector_kinetic_bound,
     discounted_action,
-    eval_hamiltonian,
     eval_lagrangian,
-    homogenized_action,
     make_perturbation,
     make_potential,
     polar_bound_check,
@@ -115,15 +113,8 @@ def test_discounted_action_constant_path(quad):
 def test_eval_lagrangian_hamiltonian_duality():
     V = make_potential("sin2", 1)
     W = make_perturbation("constant", 1, value=0.25)
-    x = np.array([0.25])
-    xi = np.array([1.5])
-    p = np.array([3.0])
-    lag = eval_lagrangian(V, W, x, xi)
-    ham = eval_hamiltonian(V, W, x, p)
+    lag = eval_lagrangian(V, W, np.array([0.25]), np.array([1.5]))
     assert lag == pytest.approx(1.5**2 + 0.5 + 0.25, abs=1e-12)
-    assert ham == pytest.approx(9.0 / 4.0 - 0.5 - 0.25, abs=1e-12)
-    # Fenchel-Young with equality at p = 2 xi
-    assert lag + ham == pytest.approx(float(p @ xi), abs=1e-12)
 
 
 _ATOM = make_perturbation("neg_spike", 1, depth=0.75, width=0.0)  # W = -0.75 on {x = 0}
@@ -150,17 +141,6 @@ def test_discounted_action_charges_the_zero_atom_for_the_discounted_time_at_0(ep
     for u in (_LEAVES, _ENDS):
         with pytest.raises(InputError, match="zero atom; use dp_oracle_1d, dp_oracle_halfline"):
             discounted_action(u, V, _ATOM, eps, 1.0)
-
-
-def test_homogenized_action_of_affine_path():
-    from homoglab import OptimizerSpec, tabulate_f_hom
-
-    V = make_potential("zero", 1)
-    f = tabulate_f_hom(V, np.linspace(-2, 2, 9),
-                       opt=OptimizerSpec(max_iters=200))
-    u = line(0.0, 2.0, 0.0, 2.0)
-    # slope 1 for 2 time units at f(1)=1
-    assert homogenized_action(u, f) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_connector_endpoints_and_kinetic_bound(rng):
