@@ -28,7 +28,6 @@ from .potentials import (
     Perturbation,
     REGISTRY_VERSION,
     cylinder_average,
-    eval_lagrangian,
     line_average,
     lp_unif_estimate,
     make_perturbation,

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ErgodicWindowError, InputError, InvariantError, SolverError
-from .grid import GridTable, axes_of, lower_convex_envelope, mesh
+from .errors import ErgodicWindowError, InputError, InvariantError, SolverError, check_positive
+from .grid import GridTable, axes_of, lower_convex_envelope, mesh, unit_vector
 from .minimize import OptimizerSpec, check_node_count, minimize_bvp, minimize_lagrangian_bvp
 from .potentials import (
     GeneralLagrangian, PeriodicPotential, Perturbation, _householder_frame, potential_bounds
@@ -595,16 +595,14 @@ def ergodic_shift_finder(
 
     The window is scanned left to right at step eta/(2*|xi|); if no scanned
     point qualifies, ErgodicWindowError reports the window so the caller can
-    enlarge it (used when estimating the empirical hit spacing).
+    enlarge it (used when estimating the empirical hit spacing). xi needs a
+    nonzero finite norm (`unit_vector`); eta and window_length must be
+    positive and finite.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    speed = float(np.linalg.norm(xi))
-    if speed == 0.0:
-        raise InputError("xi must be nonzero")
-    if not eta > 0:
-        raise InputError("eta must be positive")
-    if not window_length > 0:
-        raise InputError("window_length must be positive")
+    _, speed = unit_vector(xi, "xi")
+    check_positive("eta", eta)
+    check_positive("window_length", window_length)
     step = eta / (2.0 * speed)
     n = int(math.floor(window_length / step)) + 1
     taus = window_start + step * np.arange(n)
@@ -735,14 +733,13 @@ def build_almost_corrector(
     time, at least 33), resampled to at most 32 affine pieces; shifts are
     generated up to the horizon by scanning each window [T_i + T + 1,
     T_i + T + L]. If some window has no
-    hit, the spacing estimate doubles and the construction restarts.
+    hit, the spacing estimate doubles and the construction restarts. xi needs
+    a nonzero finite norm; delta and horizon must be positive and finite.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    speed = float(np.linalg.norm(xi))
-    if speed == 0.0:
-        raise InputError("xi must be nonzero")
-    if not delta > 0:
-        raise InputError("delta must be positive")
+    unit_vector(xi, "xi")
+    check_positive("delta", delta)
+    check_positive("horizon", horizon)
     if V.lipschitz is None:
         raise InputError(f"potential {V.name!r} declares no Lipschitz constant")
     eta = min(0.25, delta / 2.0 / V.lipschitz) if V.lipschitz > 0 else 0.25
@@ -809,9 +806,8 @@ def _generate_shifts(xi, eta, T, l_delta, horizon) -> np.ndarray:
 
 def _nudge_degenerate_pieces(slopes, values, breakpoints, xi):
     """Ensure every piece has xi_j + xi != 0 by minimally moving breakpoints' values."""
-    speed = float(np.linalg.norm(xi))
+    unit, speed = unit_vector(xi, "xi")
     floor = 1e-9 * (1.0 + speed)
-    unit = xi / speed
     for _ in range(3):
         full = slopes + xi[None, :]
         bad = np.flatnonzero(np.linalg.norm(full, axis=1) <= floor)
@@ -891,14 +887,13 @@ def build_recovery_trajectory(plan: AlmostCorrectorPlan, W: Perturbation, eps: f
     macroscopic coordinates, so the result certifies an upper bound through
     its action. A connector whose graded time steps vanish in those times (a
     jump near 1e-8 between nearly parallel pieces) is left out: its piece
-    starts where the path is.
+    starts where the path is. eps must be positive and finite.
     """
     if W.dimension != plan.dimension:
         raise InputError("perturbation and plan dimensions disagree")
     if W.sign_class != "nonnegative":
         raise InputError("recovery construction requires a nonnegative perturbation")
-    if not eps > 0:
-        raise InputError("eps must be positive")
+    check_positive("eps", eps)
     m = QuadratureSpec().samples_per_interval
     xi = plan.xi
     offsets = _tube_offsets(plan.dimension)

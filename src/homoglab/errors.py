@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one rule for a
+positive scalar.
 
 The CLI maps these onto exit codes: configuration problems exit 2, solver
-failures exit 3, violated mathematical invariants exit 4.
+failures exit 3, violated mathematical invariants exit 4. Every positive
+scalar a public function takes (a scale eps, a window t, a discount lam, a
+radius) is refused by `check_positive` when it is not positive and finite,
+naming the parameter and its value.
 """
+
+import math
 
 
 class HomoglabError(Exception):
@@ -45,3 +51,10 @@ class ErgodicWindowError(SolverError):
             "no shift tau with dist(tau*xi, Z^d) < "
             f"{eta} in window [{window_start}, {window_start + window_length}]"
         )
+
+
+def check_positive(name, value):
+    """Raise InputError, naming the parameter and its value, unless the value
+    is positive and finite."""
+    if not 0.0 < float(value) < math.inf:
+        raise InputError(f"{name} must be positive and finite, got {name}={float(value)!r}")

@@ -38,7 +38,7 @@ from .cell import (
 from . import __version__ as PACKAGE_VERSION
 from .errors import ConfigError, InputError, InvariantError
 from .fenchel import biconjugate_check, legendre_transform
-from .grid import mesh
+from .grid import mesh, unit_vector
 from .hj import (
     field_distance,
     solve_evolutionary_eps,
@@ -820,9 +820,8 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
     axes; each direction's curve is one `cylinder_average` call over all the
     radii. Fewer than two radii raise InputError: a one-point curve shows no
     trend. So does a W with a zero atom, which no line or tube average sees,
-    and, before any tube, a direction of the wrong length, of zero norm or
-    of a non-finite norm (an entry that is not finite, or one so large that
-    the norm overflows).
+    and, before any tube, a direction of the wrong length or one whose norm
+    is 0 or not finite (`grid.unit_vector`).
     """
     W = cfg.perturbation()
     if W is None:
@@ -847,14 +846,11 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
         for vec in raw_dirs:
             arr = np.asarray(vec, dtype=float)
             if arr.shape != (cfg.dimension,):
-                raise InputError("each direction must be a nonzero vector of length d")
-            with np.errstate(over="ignore"):  # an overflowing norm is refused just below
-                norm = np.linalg.norm(arr)
-            if not np.isfinite(norm):
-                raise InputError(f"direction {arr.tolist()} has the non-finite norm {norm}")
-            if not norm > 0:
-                raise InputError("each direction must be a nonzero vector of length d")
-            directions.append(arr / norm)
+                raise InputError(
+                    f"direction must be a vector of length d = {cfg.dimension}, "
+                    f"got direction={arr.tolist()}"
+                )
+            directions.append(unit_vector(arr, "direction")[0])
             labels.append(";".join(repr(float(v)) for v in arr))
         curves = [
             (label, [float(v) for v in cylinder_average(W, direction, tube_r, radii)])

@@ -1,4 +1,5 @@
-"""Rectilinear grids: the axes check, the point mesh, and tables on the grid.
+"""Rectilinear grids: the axes check, the point mesh, and tables on the grid;
+and the unit vector of a direction, with its refusal.
 
 Slope tables, momentum tables and value fields all live on products of
 strictly increasing 1-D axes. This module owns how such axes are read and
@@ -21,6 +22,7 @@ __all__ = [
     "as_points",
     "axes_of",
     "mesh",
+    "unit_vector",
     "GridTable",
     "midpoint_convexity_report",
     "lower_convex_envelope",
@@ -60,6 +62,21 @@ def axes_of(grid, dimension: int, label: str = "grid", min_points: int = 1) -> t
 def mesh(axes) -> np.ndarray:
     """The grid's points, shape (n_1 * ... * n_d, d), in `ij` order; dtype kept."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def unit_vector(vec, label: str):
+    """(vec / |vec|, |vec|) of a float vector. Raises InputError, naming label
+    and the vector, when the norm is 0 (an underflowing one too) or not finite
+    (an entry that is not, or one so large that the norm overflows, which
+    leaks no warning)."""
+    arr = np.asarray(vec, dtype=float)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if not 0.0 < norm < math.inf:
+        raise InputError(
+            f"{label} must be a nonzero vector with a finite norm, got {label}={arr.tolist()}"
+        )
+    return arr / norm, norm
 
 
 class GridTable:

@@ -24,11 +24,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cell import HomogenizedLagrangian
-from .errors import InputError, InvariantError, SolverError
+from .errors import InputError, InvariantError, SolverError, check_positive
 from .grid import axes_of, mesh
 from .minimize import (
     OptimizerSpec,
-    _check_positive,
     _lattice_seeds,
     _seed_nodes,
     check_newton_terms,
@@ -158,7 +157,7 @@ def solve_evolutionary_hom(
     the tabulated hull, in one table query, so memory grows with the y grid
     but not with the x grid or the times. The others are skipped; the skipped
     fraction is reported in provenance, and an empty admissible set is an
-    error naming the first such (x, t), times before grid points.
+    InputError naming the first such (x, t), times before grid points.
     """
     x_axes, t_grid, x_mesh, y_mesh, phi_vals = _evolutionary_grids(x_grid, t_grid, y_grid, Phi, f)
     lo, hi = np.array(f.hull()).T
@@ -171,8 +170,8 @@ def solve_evolutionary_hom(
                 slopes = (x_mesh[block, None] - y_mesh[None]) / t
             ok = np.all((slopes >= lo) & (slopes <= hi), axis=-1)  # (x, y)
             empty = np.flatnonzero(~ok.any(axis=1))
-            if empty.size:
-                raise SolverError(
+            if empty.size:  # the grids, t and the hull decide it; no solver runs
+                raise InputError(
                     f"no admissible y for x={x_mesh[start + empty[0]].tolist()}, t={t}: "
                     "enlarge y_grid or the tabulated slope hull"
                 )
@@ -312,7 +311,7 @@ def solve_steady_eps(
     beyond roundoff) is flagged as a solver failure.
     """
     check_newton_terms(V, W)
-    _check_positive("lam", lam)
+    check_positive("lam", lam)
     x_axes = axes_of(x_grid, V.dimension, "x_grid")
     x_mesh = mesh(x_axes)
     horizon = 6.0 / lam
@@ -373,7 +372,7 @@ def solve_steady_hom(
     InvariantError). lam must be positive and finite. `opt` is accepted for
     call compatibility; no solver runs.
     """
-    _check_positive("lam", lam)
+    check_positive("lam", lam)
     x_axes = axes_of(x_grid, f.dimension, "x_grid")
     closed_form = f.f0 / lam
     table_min = float(np.min(f.values))

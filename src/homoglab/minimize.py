@@ -31,9 +31,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, InvariantError, SolverError
+from .errors import InputError, InvariantError, SolverError, check_positive
 from .potentials import (
-    GeneralLagrangian, PeriodicPotential, Perturbation, eval_potential, potential_bounds
+    GeneralLagrangian, PeriodicPotential, Perturbation, check_no_atom, eval_potential,
+    potential_bounds,
 )
 from .quadrature import (
     QuadratureSpec,
@@ -42,7 +43,7 @@ from .quadrature import (
     midpoint_offsets,
     sub_interval_edges,
 )
-from .trajectory import Trajectory, _check_no_atom, action_G, discounted_action
+from .trajectory import Trajectory, action_G, discounted_action
 
 __all__ = [
     "OptimizerSpec",
@@ -454,7 +455,7 @@ def check_newton_terms(V: Optional[PeriodicPotential], W: Optional[Perturbation]
     given declares a closed-form gradient and Hessian, and W has no zero atom,
     which only the DP oracles charge. The registry's indicator_ball, neg_spike
     and parabola_example perturbations fail it; they are for the DP oracles."""
-    _check_no_atom(W)
+    check_no_atom(W)
     dp = "; use the DP oracles (dp_oracle_1d, dp_oracle_halfline)"
     for obj in (V, W):
         if obj is not None and (obj.gradient is None or obj.hessian is None):
@@ -481,17 +482,11 @@ def eps_node_count(per_unit, eps, least, t) -> int:
     return int(count)
 
 
-def _check_positive(name, value):
-    """Raise InputError, naming the value, unless it is positive and finite."""
-    if not 0.0 < float(value) < math.inf:
-        raise InputError(f"{name} must be positive and finite, got {name}={float(value)!r}")
-
-
 def _check_window(t, eps):
     """Every solver's rule, checked before anything is built: the window [0, t]
     (the Lagrangian does not depend on time) and eps are positive and finite."""
-    _check_positive("t", t)
-    _check_positive("eps", eps)
+    check_positive("t", t)
+    check_positive("eps", eps)
 
 
 def _certify(values, checks, what, problems):
@@ -648,7 +643,7 @@ def minimize_halfline(
     trajectory's meta holds the tail weight and the solver record.
     """
     check_newton_terms(V, W)
-    _check_positive("lam", lam)
+    check_positive("lam", lam)
     _check_window(T_max, eps)
     if T_max < 5.0 / lam:
         raise InputError("T_max must be at least 5/lam")
@@ -1041,7 +1036,7 @@ def dp_oracle_halfline(
     x0 in the steps left. A NaN or -inf cost raises SolverError; a +inf cost
     forbids its state. lam, T_max and eps must be positive and finite.
     """
-    _check_positive("lam", lam)
+    check_positive("lam", lam)
     _check_window(T_max, eps)
     states = grid.states()
     if not grid.x_lo <= x0 <= grid.x_hi:

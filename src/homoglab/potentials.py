@@ -24,8 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, InputError, InvariantError, SolverError
-from .grid import as_points, mesh
+from .errors import ConfigError, InputError, InvariantError, SolverError, check_positive
+from .grid import as_points, mesh, unit_vector
 from .quadrature import ball_rule, gauss_legendre, midpoints
 
 REGISTRY_VERSION = "1"
@@ -67,10 +67,6 @@ class PeriodicPotential:
             raise InputError("dimension must be >= 1")
         if not self.v_min <= self.v_max:
             raise InputError("need v_min <= v_max")
-
-    def __call__(self, x):
-        pts = as_points(x, self.dimension)
-        return self.evaluator(pts)
 
     def check_periodicity(self):
         """Sample V(x + e_i) - V(x) at 100 seeded random points; raise beyond 1e-12."""
@@ -122,10 +118,6 @@ class Perturbation:
         if self.sup_bound < 0:
             raise InputError("sup_bound bounds |W| and must be >= 0")
 
-    def __call__(self, x):
-        pts = as_points(x, self.dimension)
-        return self.evaluator(pts)
-
     def upper_bound(self) -> float:
         """Pointwise upper bound for W including the atom."""
         ambient = 0.0 if self.sign_class == "nonpositive" else self.sup_bound
@@ -160,8 +152,18 @@ class GeneralLagrangian:
             )
 
     def evaluator(self, x, xi):
-        """L(x, xi), broadcasting over both slots (see eval_lagrangian)."""
-        return eval_lagrangian(self.V, self.W, x, xi)
+        """L(x, xi) = |xi|^2 + V(x) + W(x), broadcasting over both slots."""
+        vel = as_points(xi, self.V.dimension)
+        return np.sum(vel * vel, axis=-1) + eval_potential(
+            self.V, self.W, as_points(x, self.V.dimension)
+        )
+
+
+def check_no_atom(W: Optional[Perturbation]):
+    """Raise InputError when W has a zero atom: pointwise samples never see it,
+    so a path action cannot charge it and only the lattice DP oracles do."""
+    if W is not None and W.zero_atom != 0.0:
+        raise InputError("a path cannot charge a zero atom; use dp_oracle_1d, dp_oracle_halfline")
 
 
 def potential_bounds(V: PeriodicPotential, W: Optional[Perturbation]) -> tuple:
@@ -179,14 +181,6 @@ def eval_potential(V: Optional[PeriodicPotential], W: Optional[Perturbation], y)
     return V.evaluator(y) + W.evaluator(y)
 
 
-def eval_lagrangian(V: PeriodicPotential, W: Optional[Perturbation], x, xi):
-    """L(x, xi) = |xi|^2 + V(x) + W(x), broadcasting over both slots."""
-    if W is not None and W.dimension != V.dimension:
-        raise InputError("V and W dimensions disagree")
-    vel = as_points(xi, V.dimension)
-    return np.sum(vel * vel, axis=-1) + eval_potential(V, W, as_points(x, V.dimension))
-
-
 def _chord_cells(R: float) -> int:
     """Midpoints on a chord of length 2R: 4 per unit length, at least 64, at
     most 2^24 (R <= 2^21; a chord's 1D array of positions then holds 128 MiB,
@@ -198,12 +192,11 @@ def _chord_cells(R: float) -> int:
 
 
 def line_average(W: Perturbation, R: float) -> float:
-    """(1/R) * integral of W over [-R, R]; the d = 1 decay diagnostic, on
-    _chord_cells(R) midpoints."""
+    """(1/R) * integral of W over [-R, R] for R positive and finite; the d = 1
+    decay diagnostic, on _chord_cells(R) midpoints."""
     if W.dimension != 1:
         raise InputError("line_average requires a one-dimensional perturbation")
-    if not R > 0:
-        raise InputError("R must be positive")
+    check_positive("R", R)
     n = _chord_cells(R)
     pts = midpoints(-R, R, n)
     return float(np.sum(W.evaluator(pts[:, None])) * (2 * R / n) / R)
@@ -245,7 +238,7 @@ def cylinder_average(W: Perturbation, xi, r: float, R) -> float | list:
     form takes the whole ladder at once (see `_parabola_tube_average`); the
     sampled rule runs each radius in turn. Every radius is checked first, in
     input order, and the first R with not 0 < r < R raises InputError naming
-    r and that R; so does an xi with a non-finite entry or norm, or xi = 0.
+    r and that R; so does an xi whose norm is 0 or not finite (`unit_vector`).
     """
     stacked = np.ndim(R) > 0
     radii = [float(radius) for radius in (R if stacked else [R])]
@@ -254,14 +247,7 @@ def cylinder_average(W: Perturbation, xi, r: float, R) -> float | list:
     for radius in radii:
         if not 0 < r < radius:
             raise InputError(f"cylinder_average needs 0 < r < R, got r = {r!r}, R = {radius!r}")
-    direction = np.asarray(xi, dtype=float)
-    with np.errstate(over="ignore"):  # an overflowing norm is refused just below
-        norm = np.linalg.norm(direction)
-    if not np.isfinite(norm):
-        raise InputError(f"xi must be finite with a finite norm; got {direction.tolist()}")
-    if norm == 0:
-        raise InputError("xi must be a nonzero direction")
-    axis = direction / norm
+    axis, _ = unit_vector(xi, "xi")
     if W.tube_average is not None:
         values = W.tube_average(axis, r, radii)
     else:

@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_positive
+from .grid import mesh
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,9 @@ def exp_interval_weights(edges: np.ndarray, lam: float) -> np.ndarray:
     Computed as differences of the antiderivative so that the weights plus the
     tail exp(-lam*T)/lam telescope exactly to 1/lam. Discounted actions built
     from these weights therefore satisfy the comparison bounds exactly for
-    constant integrands.
+    constant integrands. lam must be positive and finite.
     """
-    if lam <= 0:
-        raise InputError("discount rate must be positive")
+    check_positive("lam", lam)
     anti = np.exp(-lam * edges) / lam
     return anti[..., :-1] - anti[..., 1:]
 
@@ -82,10 +82,9 @@ def sphere_rule(d: int, n: int):
     if d == 3:
         ph = midpoints(0.0, np.pi, n)
         th = midpoints(0.0, 2 * np.pi, 2 * n)
-        P, T = np.meshgrid(ph, th, indexing="ij")
+        P, T = mesh([ph, th]).T.copy()  # contiguous, as meshgrid gave
         pts = np.stack([np.sin(P) * np.cos(T), np.sin(P) * np.sin(T), np.cos(P)], axis=-1)
-        wts = np.sin(P) * (np.pi / n) * (2 * np.pi / (2 * n))
-        return pts.reshape(-1, 3), wts.reshape(-1)
+        return pts, np.sin(P) * (np.pi / n) * (2 * np.pi / (2 * n))
     raise InputError("the sphere rule supports dimension 1, 2 or 3")
 
 

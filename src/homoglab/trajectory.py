@@ -21,8 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError, InvariantError
-from .potentials import PeriodicPotential, Perturbation, _householder_frame, eval_potential
+from .errors import InputError, InvariantError, check_positive
+from .grid import mesh
+from .potentials import (
+    PeriodicPotential, Perturbation, _householder_frame, check_no_atom, eval_potential
+)
 from .quadrature import (
     QuadratureSpec,
     ball_rule,
@@ -143,17 +146,12 @@ def _check_dims(u: Trajectory, V, W):
             raise InputError("trajectory and potential dimensions disagree")
 
 
-def _check_no_atom(W):
-    if W is not None and W.zero_atom != 0.0:
-        raise InputError("a path cannot charge a zero atom; use dp_oracle_1d, dp_oracle_halfline")
-
-
 def action_F(
     u: Trajectory, V: PeriodicPotential, eps: float, quad: QuadratureSpec = QuadratureSpec()
 ) -> float:
-    """Unperturbed action: integral of |u'|^2 + V(u/eps) over the window."""
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    """Unperturbed action: integral of |u'|^2 + V(u/eps) over the window, for
+    eps positive and finite."""
+    check_positive("eps", eps)
     _check_dims(u, V, None)
     return u.kinetic_integral() + potential_term(
         u.times, u.nodes, V.evaluator, eps, quad.samples_per_interval
@@ -176,7 +174,7 @@ def action_G(
     if W is None:
         return value
     _check_dims(u, None, W)
-    _check_no_atom(W)
+    check_no_atom(W)
     return value + potential_term(u.times, u.nodes, W.evaluator, eps, quad.samples_per_interval)
 
 
@@ -194,14 +192,15 @@ def discounted_action(
     tail (V+W)(u(t1)/eps) * exp(-lam*t1)/lam. Discount weights are exact
     interval integrals of exp(-lam*t), so constants integrate to value/lam
     exactly and the comparison bounds hold without quadrature slack. A W with
-    a zero atom raises InputError, as in action_G.
+    a zero atom raises InputError, as in action_G; eps and lam must be
+    positive and finite.
     """
-    if eps <= 0:
-        raise InputError("eps must be positive")
+    check_positive("eps", eps)
+    check_positive("lam", lam)
     if abs(u.t0) > 1e-12:
         raise InputError("discounted actions start at t0 = 0")
     _check_dims(u, V, W)
-    _check_no_atom(W)
+    check_no_atom(W)
     m = quad.samples_per_interval
 
     weights = exp_interval_weights(sub_interval_edges(u.times, m), lam)
@@ -234,9 +233,8 @@ def _cap_directions(dimension: int) -> np.ndarray:
         n_psi = max(2, int(np.ceil(np.sqrt(count / 2))))
         n_az = max(2, int(np.ceil(count / n_psi)))
         psi, az = midpoints(0.0, np.pi / 3, n_psi), midpoints(0.0, 2 * np.pi, n_az)
-        ps, a = np.meshgrid(psi, az, indexing="ij")
-        thetas = np.stack([-np.cos(ps), np.sin(ps) * np.cos(a), np.sin(ps) * np.sin(a)], axis=-1)
-        return thetas.reshape(-1, 3)
+        ps, a = mesh([psi, az]).T.copy()  # contiguous, as meshgrid gave
+        return np.stack([-np.cos(ps), np.sin(ps) * np.cos(a), np.sin(ps) * np.sin(a)], axis=-1)
     raise InputError("connectors support dimension 2 or 3")
 
 
@@ -345,8 +343,8 @@ def polar_bound_check(W: Perturbation, alpha: float, r: float):
     contributes the alpha^{-1/p}). Both sides use quadrature.sphere_rule with
     256 (d = 2) or 64 x 128 (d = 3) cells, lhs on 512 midpoints in t and rhs
     on ball_rule's 512 radial cells.
-    Requires 1 < alpha*d < p. Raises InvariantError if lhs exceeds
-    rhs * (1 + POLAR_BOUND_TOL).
+    Requires 1 < alpha*d < p and r positive and finite. Raises InvariantError
+    if lhs exceeds rhs * (1 + POLAR_BOUND_TOL).
     """
     d = W.dimension
     p = W.integrability_exponent
@@ -354,8 +352,7 @@ def polar_bound_check(W: Perturbation, alpha: float, r: float):
         raise InputError("perturbation declares no integrability exponent")
     if not (1.0 < alpha * d < p):
         raise InputError(f"need 1 < alpha*d < p, got alpha*d={alpha * d}, p={p}")
-    if r <= 0:
-        raise InputError("r must be positive")
+    check_positive("r", r)
 
     n_sphere = 256 if d == 2 else 64
     sphere_pts, sphere_wts = sphere_rule(d, n_sphere)

@@ -409,7 +409,7 @@ def test_criterion_11_steady_hj():
     V = make_potential("sin2", 1)
     W = make_perturbation("runge_decay", 1, amplitude=1.0)
     sample = np.linspace(-30.0, 30.0, 60001).reshape(-1, 1)
-    vw = V(sample) + W(sample)
+    vw = V.evaluator(sample) + W.evaluator(sample)
     lower, upper = 0.0, float(np.max(vw))  # V, W >= 0 so inf(V+W) >= 0
     lam = cfg.lam
     for eps in cfg.eps_ladder:
@@ -434,7 +434,7 @@ def test_criterion_12_s_eps_lipschitz_in_time():
     V = make_potential("sin2", 1)
     W = make_perturbation("runge_decay", 1, amplitude=1.0)
     sample = np.linspace(-30.0, 30.0, 60001).reshape(-1, 1)
-    M = float(np.max(V(sample) + W(sample)))
+    M = float(np.max(V.evaluator(sample) + W.evaluator(sample)))
     opt = OptimizerSpec(max_iters=800)
     eps = 0.1
     times = (0.25, 0.5, 1.0, 1.5)

@@ -444,7 +444,8 @@ def test_general_lagrangian_is_the_pair_V_W():
     assert potential_bounds(L.V, L.W) == (0.0, 2.5)  # a nonnegative W is bounded below by 0
     x = np.array([[0.25, 0.5], [1.0, 0.0]])
     xi = np.array([[1.0, -2.0], [0.0, 0.5]])
-    np.testing.assert_array_equal(L.evaluator(x, xi), np.sum(xi * xi, axis=-1) + (V(x) + W(x)))
+    expected = np.sum(xi * xi, axis=-1) + (V.evaluator(x) + W.evaluator(x))
+    np.testing.assert_array_equal(L.evaluator(x, xi), expected)
     with pytest.raises(InputError):
         GeneralLagrangian(V, make_perturbation("constant", 1, value=0.5))
     with pytest.raises(InputError):

@@ -151,7 +151,9 @@ def test_a_zero_or_short_direction_is_a_config_error(tmp_path, capsys, direction
     cfg = write_cfg(tmp_path, raw)
     code = cli.main(["conditions", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG == 2
-    assert "each direction must be a nonzero vector of length d" in capsys.readouterr().err
+    reason = {2: "nonzero vector with a finite norm", 1: "vector of length d = 2"}[len(direction)]
+    err = capsys.readouterr().err
+    assert f"direction must be a {reason}, got direction={direction}" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -170,7 +172,9 @@ def test_a_direction_whose_norm_overflows_is_a_config_error(tmp_path, capsys):
         warnings.simplefilter("error")
         code = cli.main(["conditions", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG == 2
-    assert "direction [1e+308, 1e+308] has the non-finite norm inf" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    shown = "direction must be a nonzero vector with a finite norm, got direction=[1e+308, 1e+308]"
+    assert shown in err
     assert not (tmp_path / "o").exists()
 
 
@@ -584,24 +588,37 @@ def test_an_hj_seed_lattice_over_2_28_bytes_of_history_is_a_config_error(
     assert not (tmp_path / "o").exists()
 
 
-def test_unreachable_hj_grid_is_a_solver_failure(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "potential, x, t, refusal",
+    [
+        ("zero", {"lo": 50.0, "hi": 51.0, "n": 2}, [0.5, 1.0], "x=[50.0], t=0.5:"),
+        ("sin2", {"lo": 0.3, "hi": 0.7, "n": 2}, [1e-300], "x=[0.3], t=1e-300:"),
+    ],
+    ids=["far-x", "tiny-t"],
+)
+def test_unreachable_hj_grid_is_a_config_error(tmp_path, capsys, potential, x, t, refusal):
+    """No admissible y is decided by the grids, t and the hull alone, before
+    any solve: an input error naming the first (x, t), not a solver failure."""
     raw = {
         "experiment": "hj",
-        "potential": {"name": "zero"},
+        "potential": {"name": potential},
         "initial_datum": {"name": "plane_wave", "params": {"p": [1.0]}},
         "eps_ladder": [0.2],
         "grids": {
-            "x": {"lo": 50.0, "hi": 51.0, "n": 2},
-            "t": [0.5, 1.0],
+            "x": x,
+            "t": t,
             "y": {"lo": -2.0, "hi": 2.0, "n": 41},
             "xi": {"half_width": 2.0, "n": 9},
         },
         "solver": {"max_iters": 200, "restarts": 1, "cell_max_iters": 400},
     }
     cfg = write_cfg(tmp_path, raw)
-    code = cli.main(["hj", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == cli.EXIT_SOLVER == 3
-    assert "solver failure" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["hj", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert f"config error: no admissible y for {refusal}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_invariant_violation_maps_to_exit_4(tmp_path, capsys, monkeypatch):

@@ -361,7 +361,7 @@ def test_evolutionary_hom_blocks_of_x_keep_values_and_error_order(monkeypatch, x
     # x = 1 has no admissible y at t = 2 and x = 6 none at t = 1, in another block
     shifted = HomogenizedLagrangian((np.array([1.0, 3.0]),), np.array([1.0, 9.0]), 0.0)
     x = np.array([1.0, 1.5, 2.0, 2.5, 3.0, 6.0])
-    with pytest.raises(SolverError, match=r"no admissible y for x=\[6\.0\], t=1\.0:"):
+    with pytest.raises(InputError, match=r"no admissible y for x=\[6\.0\], t=1\.0:"):
         solve_evolutionary_hom(shifted, Phi, x, np.array([1.0, 2.0]), np.array([0.0]))
 
 
@@ -372,10 +372,10 @@ def test_evolutionary_hom_empty_hull_raises(free_table):
     x = np.array([0.0, 50.0])
     t = np.array([1.0, 2.0])
     y = np.linspace(-1.0, 1.0, 11)
-    with pytest.raises(SolverError, match=r"no admissible y for x=\[50\.0\], t=1\.0:"):
+    with pytest.raises(InputError, match=r"no admissible y for x=\[50\.0\], t=1\.0:"):
         solve_evolutionary_hom(free_table, Phi, x, t, y)
     # A hull [1, 3] away from 0 and y = 0 alone: x = 1 has none at t = 2 and
     # x = 6 none at t = 1, which comes first.
     shifted = HomogenizedLagrangian((np.array([1.0, 3.0]),), np.array([1.0, 9.0]), 0.0)
-    with pytest.raises(SolverError, match=r"no admissible y for x=\[6\.0\], t=1\.0:"):
+    with pytest.raises(InputError, match=r"no admissible y for x=\[6\.0\], t=1\.0:"):
         solve_evolutionary_hom(shifted, Phi, np.array([1.0, 6.0]), t, np.array([0.0]))

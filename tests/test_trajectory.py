@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homoglab import (
+    GeneralLagrangian,
     InputError,
     InvariantError,
     Perturbation,
@@ -18,7 +19,6 @@ from homoglab import (
     build_connector,
     connector_kinetic_bound,
     discounted_action,
-    eval_lagrangian,
     make_perturbation,
     make_potential,
     polar_bound_check,
@@ -113,7 +113,7 @@ def test_discounted_action_constant_path(quad):
 def test_eval_lagrangian_hamiltonian_duality():
     V = make_potential("sin2", 1)
     W = make_perturbation("constant", 1, value=0.25)
-    lag = eval_lagrangian(V, W, np.array([0.25]), np.array([1.5]))
+    lag = GeneralLagrangian(V, W).evaluator(np.array([0.25]), np.array([1.5]))
     assert lag == pytest.approx(1.5**2 + 0.5 + 0.25, abs=1e-12)
 
 
