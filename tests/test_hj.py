@@ -9,7 +9,6 @@ from homoglab import (
     InvariantError,
     OptimizerSpec,
     QuadratureSpec,
-    SolverError,
     Trajectory,
     ValueField,
     field_distance,

@@ -99,7 +99,6 @@ _DIRECTIONS = [
     ("run_condition_diagnostics", "direction", _conditions),
 ]
 _BAD_SCALARS = {"0": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf}
-# A config refuses a NaN entry itself (ConfigError), so the runner sees none.
 _BAD_DIRECTIONS = {"zero": [0.0, 0.0], "nan": [math.nan, 1.0], "overflow": [1e308, 1e308]}
 
 
@@ -111,7 +110,7 @@ def _cases():
     for entry, name, call in _DIRECTIONS:
         for label, value in _BAD_DIRECTIONS.items():
             if entry == "run_condition_diagnostics" and label == "nan":
-                continue
+                continue  # a config refuses a NaN entry itself (ConfigError)
             shown = f"{name} must be a nonzero vector with a finite norm, got {name}={value}"
             yield pytest.param(call, value, shown, id=f"{entry}-{name}-{label}")
 
