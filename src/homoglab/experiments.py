@@ -36,7 +36,7 @@ from .cell import (
     tabulate_f_hom,
 )
 from . import __version__ as PACKAGE_VERSION
-from .errors import ConfigError, InputError, InvariantError
+from .errors import ConfigError, InputError, InvariantError, check_positive
 from .fenchel import biconjugate_check, legendre_transform
 from .grid import mesh, unit_vector
 from .hj import (
@@ -832,8 +832,10 @@ def run_condition_diagnostics(cfg: ExperimentConfig, threads: int = 1) -> Report
     radii = [float(r) for r in grids["radii"]]
     if len(radii) < 2:  # no decay or persistence shows in a single value
         raise InputError("radii needs at least two values to classify a curve")
-    if any(r <= 0 for r in radii) or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise InputError("radii must be positive and strictly increasing")
+    for R in radii:
+        check_positive("R", R)
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise InputError("radii must be strictly increasing")
 
     tube_r = float(grids["tube_radius"])
     if cfg.dimension == 1:

@@ -65,10 +65,8 @@ def mesh(axes) -> np.ndarray:
 
 
 def unit_vector(vec, label: str):
-    """(vec / |vec|, |vec|) of a float vector. Raises InputError, naming label
-    and the vector, when the norm is 0 (an underflowing one too) or not finite
-    (an entry that is not, or one so large that the norm overflows, which
-    leaks no warning)."""
+    """(vec / |vec|, |vec|); InputError, naming label and vec, when the norm is 0
+    (an underflowing one too) or not finite (an overflow leaks no warning)."""
     arr = np.asarray(vec, dtype=float)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(arr))

@@ -138,8 +138,10 @@ def _evolutionary_grids(x_grid, t_grid, y_grid, Phi, source):
     x_axes = axes_of(x_grid, source.dimension, "x_grid")
     y_mesh = mesh(axes_of(y_grid, source.dimension, "y_grid"))
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
-        raise InputError("t_grid must be positive and increasing")
+    for t in t_grid.reshape(-1):
+        check_positive("t", t)
+    if t_grid.ndim != 1 or np.any(np.diff(t_grid) <= 0):
+        raise InputError("t_grid must be strictly increasing")
     return x_axes, t_grid, mesh(x_axes), y_mesh, np.asarray([float(Phi(y)) for y in y_mesh])
 
 

@@ -153,10 +153,8 @@ class GeneralLagrangian:
 
     def evaluator(self, x, xi):
         """L(x, xi) = |xi|^2 + V(x) + W(x), broadcasting over both slots."""
-        vel = as_points(xi, self.V.dimension)
-        return np.sum(vel * vel, axis=-1) + eval_potential(
-            self.V, self.W, as_points(x, self.V.dimension)
-        )
+        vel, pts = as_points(xi, self.V.dimension), as_points(x, self.V.dimension)
+        return np.sum(vel * vel, axis=-1) + eval_potential(self.V, self.W, pts)
 
 
 def check_no_atom(W: Optional[Perturbation]):

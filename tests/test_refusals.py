@@ -26,11 +26,13 @@ from homoglab import (
     ergodic_shift_finder,
     exp_interval_weights,
     line_average,
+    make_initial_datum,
     make_perturbation,
     make_potential,
     minimize_halfline,
     polar_bound_check,
     run_condition_diagnostics,
+    solve_evolutionary_hom,
     solve_steady_eps,
     solve_steady_hom,
     tabulate_f_hom,
@@ -57,13 +59,13 @@ _PLAN = AlmostCorrectorPlan(
 )
 
 
-def _conditions(direction):
+def _conditions(direction=(1.0, 0.0), radius=256.0):
     cfg = ExperimentConfig.from_dict({
         "experiment": "conditions",
         "dimension": 2,
         "potential": {"name": "zero"},
         "perturbation": {"name": "parabola_example"},
-        "grids": {"radii": [64, 256], "directions": [[0.0, 1.0], list(direction)]},
+        "grids": {"radii": [64, radius], "directions": [[0.0, 1.0], list(direction)]},
     })
     return run_condition_diagnostics(cfg)
 
@@ -86,6 +88,9 @@ _SCALARS = [
     ("build_recovery_trajectory", "eps", lambda v: build_recovery_trajectory(
         _PLAN, make_perturbation("constant", 1, value=0.5), v)),
     ("line_average", "R", lambda v: line_average(_W, v)),
+    ("run_condition_diagnostics", "R", lambda v: _conditions(radius=v)),
+    ("solve_evolutionary_hom", "t", lambda v: solve_evolutionary_hom(
+        tabulate_f_hom(_V, _X), make_initial_datum("plane_wave", 1, p=[1.0]), _X, [0.5, v], _X)),
     ("minimize_halfline", "lam",
      lambda v: minimize_halfline(_V, None, 0.1, v, 0.0, 6.0, 33, _FAST)),
     ("dp_oracle_halfline", "lam", lambda v: dp_oracle_halfline(_V, None, 0.1, v, 0.0, 6.0, _GRID)),
@@ -100,26 +105,31 @@ _DIRECTIONS = [
 ]
 _BAD_SCALARS = {"0": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf}
 _BAD_DIRECTIONS = {"zero": [0.0, 0.0], "nan": [math.nan, 1.0], "overflow": [1e308, 1e308]}
+# A config refuses a NaN or infinite entry itself (ConfigError): the runner sees none.
+_CONFIG_REFUSES = {("run_condition_diagnostics", "nan"), ("run_condition_diagnostics", "inf")}
 
 
 def _cases():
     for entry, name, call in _SCALARS:
         for label, value in _BAD_SCALARS.items():
+            if (entry, label) in _CONFIG_REFUSES:
+                continue
             shown = f"{name} must be positive and finite, got {name}={value!r}"
             yield pytest.param(call, value, shown, id=f"{entry}-{name}-{label}")
     for entry, name, call in _DIRECTIONS:
         for label, value in _BAD_DIRECTIONS.items():
-            if entry == "run_condition_diagnostics" and label == "nan":
-                continue  # a config refuses a NaN entry itself (ConfigError)
+            if (entry, label) in _CONFIG_REFUSES:
+                continue
             shown = f"{name} must be a nonzero vector with a finite norm, got {name}={value}"
             yield pytest.param(call, value, shown, id=f"{entry}-{name}-{label}")
 
 
 @pytest.mark.parametrize("call, value, shown", list(_cases()))
 def test_a_bad_scalar_or_direction_is_refused_by_name_and_value(call, value, shown):
-    """0, -1, NaN and inf for a positive scalar, and a zero, a NaN and an
-    overflowing direction, each raise InputError naming the parameter and
-    its value, before any work and with no warning."""
+    """0, -1, NaN and inf for a positive scalar (an entry of the t grid or of
+    the radii too), and a zero, a NaN and an overflowing direction, each raise
+    InputError naming the parameter and its value, before any work and with
+    no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match=re.escape(shown)):
