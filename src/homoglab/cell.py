@@ -1,20 +1,13 @@
 """Cell problems, homogenized Lagrangian tables, and recovery machinery.
 
-The homogenized Lagrangian is computed three ways. `cell_value_1d` is the
-exact one-dimensional value from the conservation law of the cell flow.
-`solve_corrector_1d` solves the one-dimensional cell problem by Newton over
-one period, from the affine start alone, and certifies the basin it reached
-against `cell_value_1d`; `tabulate_f_hom` uses it in d = 1, and its profile
-warm-starts the d = 1 stability runs. `f_hom_asymptotic` (and so
-`tabulate_f_hom` in d >= 2, and the stability target in every dimension)
-works in any dimension: it sums `cell_value_1d` over the axes of a
-potential with an axis factor (every registry potential but `sin2_coupled`
-in d >= 2), and otherwise takes the normalized minimum over growing windows
-[0, T]. A Newton value is a certified upper bound: it is the action of an
-explicit admissible periodic trajectory. A window value is one only when
-T * xi is a lattice vector, which the ladder arranges for every xi with
-q * xi integral for some q <= 16; at other slopes the ladder can fall below
-f_hom and its `monotone` diagnostic may read False.
+`cell_value_1d` is the exact one-dimensional homogenized value, from the
+conservation law of the cell flow. `solve_corrector_1d` solves the d = 1 cell
+problem by Newton over one period from the affine start alone, and certifies
+its basin against `cell_value_1d`; `tabulate_f_hom` uses it in d = 1, and its
+profile warm-starts the d = 1 stability runs. `f_hom_asymptotic` (so
+`tabulate_f_hom` in d >= 2, and the stability target) is exact in any
+dimension: the sum of `cell_value_1d` over an axis factor, which every
+registry potential has. A d >= 2 potential without one is refused by name.
 
 On top of the tables, this module builds the quasiperiodic piecewise-affine
 almost-corrector plans (ergodic shifts aligning the potential's period along
@@ -30,12 +23,12 @@ import numpy as np
 
 from .errors import ErgodicWindowError, InputError, InvariantError, SolverError, check_positive
 from .grid import GridTable, axes_of, lower_convex_envelope, mesh, unit_vector
-from .minimize import OptimizerSpec, check_node_count, minimize_bvp, minimize_lagrangian_bvp
+from .minimize import OptimizerSpec, minimize_bvp, minimize_lagrangian_bvp
 from .potentials import (
     GeneralLagrangian, PeriodicPotential, Perturbation, _householder_frame, potential_bounds
 )
 from .quadrature import QuadratureSpec
-from .trajectory import Trajectory, action_F, build_connector
+from .trajectory import Trajectory, action_F, build_connector, least_connector_jump
 
 __all__ = [
     "CorrectorProfile",
@@ -370,93 +363,28 @@ def solve_corrector_general(
     return CorrectorProfile(xi, float(T), profile, value, {"n_nodes": n_nodes, **traj.meta})
 
 
-def f_hom_asymptotic(
-    V: PeriodicPotential,
-    xi,
-    opt: OptimizerSpec = _CELL_OPT,
-):
-    """Homogenized Lagrangian in any dimension: exact when V is separable.
+def f_hom_asymptotic(V: PeriodicPotential, xi):
+    """Exact homogenized Lagrangian in any dimension: (value, method).
 
-    Returns (value, diagnostics). xi = 0 (every component 0) returns v_min
-    exactly: the optimal path parks at the potential's minimum (method
-    "minimum"). A nonzero xi whose norm underflows to 0 is rescaled by
-    max |xi_k| to find its speed, so its windows are refused as too long
-    rather than read as slope 0. A V with an
-    axis factor v (V(x) = sum_i v(x_i)) returns sum_i cell_value_1d(v, xi_i)
-    (method "separable"), and nothing is solved. Any other V runs the window
-    ladder T_k = 2^k * T_0, k = 0..3 (16 nodes per unit time, at least 33),
-    and returns the value at the largest window (method "windows"). T_0 is
-    the least multiple of the lattice period tau (the least T > 0 with
-    T * xi in Z^d) at or above 8/|xi|, so every window bounds f_hom from
-    above; a xi that no q <= 16 makes integral has no such tau, and there
-    T_0 = 8/|xi|. The
-    diagnostics hold the per-window values, the spread of the last two rungs,
-    whether the ladder is monotone and whether every solve converged; an
-    exact value reports itself as a one-rung ladder with spread 0.
-
-    f_hom is even, and `tabulate_f_hom` calls this at only the first of each
-    +-xi pair of its grid. A separable value is even bit for bit. Time
-    reversal maps the window at xi onto the one at -xi when T * xi is a
-    lattice vector; at other slopes the two ladders are two estimates.
+    xi = 0 (every component 0) gives v_min, where the optimal path parks
+    ("minimum"); a V with an axis factor v, V(x) = sum_i v(x_i), gives
+    sum_i cell_value_1d(v, xi_i) ("separable"), even bit for bit. A d = 1 V
+    is its own factor, read through its evaluator as `solve_corrector_1d`
+    reads it. Nothing is solved. A d >= 2 V with no axis factor has no f_hom
+    here with evidence: InputError naming it, before any work.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape[0] != V.dimension:
         raise InputError("xi dimension does not match the potential")
+    if V.factor is None and V.dimension > 1:
+        raise InputError(
+            f"potential {V.name!r} has no axis factor: f_hom in d >= 2 is exact only "
+            "for V(x) = sum_i v(x_i)"
+        )
     if not np.any(xi != 0.0):
-        return V.v_min, _exact_diagnostics(V.v_min, "minimum")
-    with np.errstate(over="ignore"):  # a huge xi has speed inf; cell_value_1d names it
-        speed = float(np.linalg.norm(xi))
-    if speed == 0.0:  # the norm of a tiny xi underflows; max |xi_k| rescales it
-        scale = float(np.max(np.abs(xi)))
-        speed = scale * float(np.linalg.norm(xi / scale))
-    if V.factor is not None:
-        value = float(sum(cell_value_1d(V.factor, xi)))
-        return value, _exact_diagnostics(value, "separable")
-    tau = _lattice_period(xi)
-    T0 = 8.0 / speed if tau is None else tau * math.ceil(8.0 / speed / tau - 1e-9)
-    T_ladder = [T0 * 2.0**k for k in range(4)]
-
-    L = GeneralLagrangian(V)
-    values = []
-    converged = True
-    for T in T_ladder:
-        count = max(33, np.ceil(16 * T) + 1)
-        check_node_count(count, 1.0, T)  # while a float: a tiny xi's window may be inf
-        prof = solve_corrector_general(L, xi, T, int(count), opt)
-        values.append(prof.cell_value)
-        converged &= prof.meta["converged"]
-    diagnostics = {
-        "values": values,
-        "T_ladder": T_ladder,
-        "spread": abs(values[-1] - values[-2]),
-        "monotone": all(b <= a + 1e-9 for a, b in zip(values, values[1:])),
-        "converged": converged,
-        "method": "windows",
-    }
-    return values[-1], diagnostics
-
-
-def _lattice_period(xi: np.ndarray):
-    """Least T > 0 with T * xi in Z^d, for a xi that some q <= 16 makes
-    integral to 1e-12 (T = q / gcd(q * xi) for the least such q, skipping a q
-    that rounds q * xi to zero); else None."""
-    for q in range(1, 17):
-        n = np.round(q * xi)
-        if np.any(n) and np.all(np.abs(q * xi - n) <= 1e-12):
-            return q / math.gcd(*(int(abs(k)) for k in n))
-    return None
-
-
-def _exact_diagnostics(value: float, method: str) -> dict:
-    """f_hom_asymptotic's diagnostics for a value that needed no windows."""
-    return {
-        "values": [value],
-        "T_ladder": [],
-        "spread": 0.0,
-        "monotone": True,
-        "converged": True,
-        "method": method,
-    }
+        return V.v_min, "minimum"
+    factor = V.factor or (lambda s: V.evaluator(s[..., None]))
+    return float(sum(cell_value_1d(factor, xi))), "separable"
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +396,7 @@ class HomogenizedLagrangian(GridTable):
     """Multilinear interpolation table for a homogenized Lagrangian.
 
     axes: per-dimension symmetric grids containing 0; values: table of
-    certified upper-bound cell values with the slope-0 entry pinned to v_min.
+    certified upper-bound or exact cell values, the slope-0 entry pinned to v_min.
     Queries outside the grid hull raise ExtrapolationError. A lower convex
     envelope pass is recorded in `envelope_applied`.
     """
@@ -496,29 +424,22 @@ def tabulate_f_hom(
 ) -> HomogenizedLagrangian:
     """Tabulate the homogenized Lagrangian on a symmetric slope grid.
 
-    f_hom is even: reversing a cell path in time, u(t) -> u(T - t) - T xi,
-    maps the window problem at xi onto the one at -xi with the same action.
-    So a nonzero slope whose exact negative (every component negated,
-    compared with ==) comes earlier in grid order takes that slope's value
-    and is not solved; a slope whose negative is in the grid only to within
-    the 1e-12 max|ax| the symmetry check allows is solved. The dimension picks the
-    method for the solved slopes, recorded as meta["method"]: in d = 1
-    ("1d") one `solve_corrector_1d` call on them in grid order, a single
-    Newton start per slope certified against the exact value, the largest
-    Newton - exact gap recorded as meta["max_exact_gap"]; in d >= 2
-    ("asymptotic") `f_hom_asymptotic` per slope, so a potential with an axis
-    factor gets exact separable values and any other the window ladder. At
-    a xi with no lattice period the reversal does not map one window onto
-    the other (T xi is no lattice vector), so the ladders at +-xi are two
-    estimates, and the table reports the first slope's at both.
-    meta["converged"] is read from the solved slopes. A slope is 0 only when
-    every component is 0; its value is pinned to v_min. The grid must
-    contain 0 and be symmetric under sign flip per axis. When
-    midpoint-convexity defects exceed 1e-6, the lower convex envelope is
-    applied and flagged. The first solved slope whose solve fails raises its
-    error unchanged (SolverError or InvariantError); in d = 1 the exact
-    values of all the solved slopes come before any Newton solve, so a
-    SolverError of theirs comes first.
+    f_hom is even (reversing a cell path in time maps the problem at xi onto
+    the one at -xi), so a nonzero slope whose exact negative (every component
+    negated, compared with ==) comes earlier in grid order takes that slope's
+    value; a negative within only the 1e-12 max|ax| of the symmetry check
+    does not. meta["method"] names how the other slopes get theirs: "1d", one
+    `solve_corrector_1d` call in grid order, each slope a Newton start
+    certified against the exact value, with the largest Newton - exact gap in
+    meta["max_exact_gap"]; "asymptotic" (d >= 2), `f_hom_asymptotic`'s exact
+    value per slope, which refuses a potential with no axis factor by name.
+    meta["converged"] reads the d = 1 solves (True in d >= 2). A slope is 0
+    only when every component is 0; its value is pinned to v_min. The grid
+    must contain 0 and be symmetric under sign flip per axis. Midpoint-
+    convexity defects above 1e-6 send the table through its flagged lower
+    convex envelope. The first failing slope raises its own error unchanged
+    (SolverError or InvariantError); in d = 1 every exact value comes before
+    any Newton solve, so a SolverError of theirs comes first.
     """
     method = "1d" if V.dimension == 1 else "asymptotic"
     axes = _slope_axes(grid, V.dimension)
@@ -538,8 +459,7 @@ def tabulate_f_hom(
             gaps.append(prof.meta["exact_gap"])
     else:
         for i in solved:
-            values[i], diagnostics = f_hom_asymptotic(V, flat[i], opt)
-            converged &= diagnostics["converged"]
+            values[i], _ = f_hom_asymptotic(V, flat[i])
     for i, partner in mirrored.items():
         values[i] = values[partner]
 
@@ -959,7 +879,8 @@ def _join_legs(legs, t_run, target, W, skip):
     pos = np.zeros(d)
     connectors = []
     for k, (entry, end, duration) in enumerate(legs):
-        if float(np.linalg.norm(entry - pos)) > 1e-12:
+        jump = float(np.linalg.norm(entry - pos))
+        if jump > 0.0 and jump >= least_connector_jump(pos, entry):
             if k in skip:
                 entry = pos
             else:

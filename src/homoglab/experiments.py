@@ -13,8 +13,8 @@ Settings that no config varied are fixed in code, not read from it: the
 recovery construction's delta and horizon here, its tube radius and cusp
 exponent in cell.py, the L^p exponent in potentials.py, the quadrature
 resolution in quadrature.py, and the f_hom table method, which
-tabulate_f_hom picks from the dimension. The stability target comes from
-f_hom_asymptotic in every dimension.
+tabulate_f_hom picks from the dimension. The stability target is
+f_hom_asymptotic's exact value in every dimension.
 """
 
 import hashlib
@@ -407,8 +407,8 @@ class ExperimentConfig:
         return OptimizerSpec(max_iters=int(self.data["solver"]["max_iters"]))
 
     def cell_optimizer(self) -> OptimizerSpec:
-        """The optimizer of the cell solves: the d = 1 corrector, the d >= 2
-        windows and the almost-corrector block, capped at cell_max_iters."""
+        """The optimizer of the cell solves: the d = 1 corrector and the
+        almost-corrector block, capped at cell_max_iters."""
         return OptimizerSpec(max_iters=int(self.data["solver"]["cell_max_iters"]))
 
     def dp_grid(self) -> DPGrid:
@@ -575,12 +575,9 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     A rung that fails raises its own SolverError or InvariantError, so the
     verdicts always judge the whole ladder; `rows_failed` is always 0.
 
-    The target f_hom(xi) is `f_hom_asymptotic`'s value in every dimension.
-    Provenance names the path that made it (`f_hom_method`: "separable" for
-    the exact value of a V with an axis factor, else "windows"). A window
-    target also records `f_hom_monotone`: window values bound f_hom from
-    above only when T * xi is a lattice vector, and a ladder that is not
-    monotone flags a slope where the target may sit below f_hom.
+    The target f_hom(xi) is `f_hom_asymptotic`'s exact value, and provenance
+    names its path (`f_hom_method`: "separable" or "minimum"); a d >= 2 V with
+    no axis factor has none, and raises InputError before any solve.
     """
     V = cfg.potential()
     W = cfg.perturbation()
@@ -600,7 +597,7 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     # exact: W is nonnegative and check_newton_terms has turned away any atom
     zero_w = W.upper_bound() == 0.0
 
-    target, diagnostics = f_hom_asymptotic(V, xi, opt=cfg.cell_optimizer())
+    target, method = f_hom_asymptotic(V, xi)
     if cfg.dimension == 1:
         profile = solve_corrector_1d(V, float(xi[0]), opt=cfg.cell_optimizer())
         plan = None
@@ -646,9 +643,7 @@ def run_stability_sweep(cfg: ExperimentConfig, threads: int = 1) -> StabilityRep
     prov = cfg.provenance("stability")
     prov["w_nonnegative"] = True
     prov["f_hom_target"] = float(target)
-    prov["f_hom_method"] = diagnostics["method"]
-    if diagnostics["method"] == "windows":
-        prov["f_hom_monotone"] = diagnostics["monotone"]
+    prov["f_hom_method"] = method
     return StabilityReport("stability", tuple(rows), verdicts, prov)
 
 

@@ -483,8 +483,8 @@ def eps_node_count(per_unit, eps, least, t) -> int:
 
 
 def _check_window(t, eps):
-    """Every solver's rule, checked before anything is built: the window [0, t]
-    (the Lagrangian does not depend on time) and eps are positive and finite."""
+    """Every pinned solver's rule, checked before anything is built: the window
+    [0, t] and eps are positive and finite (a half-line solver's is T_max)."""
     check_positive("t", t)
     check_positive("eps", eps)
 
@@ -644,7 +644,8 @@ def minimize_halfline(
     """
     check_newton_terms(V, W)
     check_positive("lam", lam)
-    _check_window(T_max, eps)
+    check_positive("T_max", T_max)
+    check_positive("eps", eps)
     if T_max < 5.0 / lam:
         raise InputError("T_max must be at least 5/lam")
     check_node_count(n_nodes, eps, T_max)
@@ -1037,7 +1038,8 @@ def dp_oracle_halfline(
     forbids its state. lam, T_max and eps must be positive and finite.
     """
     check_positive("lam", lam)
-    _check_window(T_max, eps)
+    check_positive("T_max", T_max)
+    check_positive("eps", eps)
     states = grid.states()
     if not grid.x_lo <= x0 <= grid.x_hi:
         raise InputError("x0 must lie inside the DP state range")

@@ -45,8 +45,8 @@ class PeriodicPotential:
     `factor`, when set, is a vectorized 1-periodic function v of one variable
     with V(x) = sum_i v(x_i). Such a V is separable, so its homogenized value
     is the sum of exact one-dimensional cell values (`cell.cell_value_1d`),
-    and `f_hom_asymptotic` returns that sum instead of solving windows. A V
-    without it goes through the windows. `gradient` and `hessian` are the
+    which `f_hom_asymptotic` returns; every registry V has one, and the f_hom
+    paths refuse a d >= 2 V without one by name. `gradient` and `hessian` are the
     closed forms of V's derivatives, shape (..., d) and (..., d, d) at points
     (..., d); the Newton minimizers need both. `lipschitz` is a Lipschitz
     constant of V, which the almost-corrector construction needs.
@@ -631,59 +631,6 @@ def _build_sin2_potential(dimension: int) -> PeriodicPotential:
     )
 
 
-_SIN2_COUPLING = 0.5
-
-
-def _build_sin2_coupled_potential(dimension: int) -> PeriodicPotential:
-    """V(x) = sum_i sin^2(pi x_i) + c * sum_i sin^2(pi (x_i - x_{i+1})), c = 1/2.
-
-    The coupling runs over neighbouring axes i = 1..d-1, so d = 1 is sin2
-    itself, renamed. For d >= 2 V is not a sum of per-axis terms: its
-    homogenized value comes from the window ladder. It is at least sin2's,
-    since V >= sin2 pointwise, with equality on the diagonal slopes
-    (a, ..., a), where the coupling vanishes. Minima on the integer lattice.
-    """
-    if dimension == 1:
-        return replace(_build_sin2_potential(1), name="sin2_coupled")
-    c = _SIN2_COUPLING
-    eye = np.eye(dimension)
-    i = np.arange(dimension - 1)
-
-    def evaluator(x):
-        diff = x[..., :-1] - x[..., 1:]
-        return np.sum(np.sin(np.pi * x) ** 2, axis=-1) + c * np.sum(
-            np.sin(np.pi * diff) ** 2, axis=-1
-        )
-
-    def gradient(x):
-        pull = c * np.pi * np.sin(2 * np.pi * (x[..., :-1] - x[..., 1:]))
-        grad = np.pi * np.sin(2 * np.pi * x)
-        grad[..., :-1] += pull
-        grad[..., 1:] -= pull
-        return grad
-
-    def hessian(x):
-        curv = 2 * c * np.pi**2 * np.cos(2 * np.pi * (x[..., :-1] - x[..., 1:]))
-        diag = 2 * np.pi**2 * np.cos(2 * np.pi * x)
-        diag[..., :-1] += curv
-        diag[..., 1:] += curv
-        hess = diag[..., None] * eye
-        hess[..., i, i + 1] = -curv
-        hess[..., i + 1, i] = -curv
-        return hess
-
-    return PeriodicPotential(
-        dimension,
-        evaluator,
-        v_min=0.0,
-        v_max=dimension + c * (dimension - 1),
-        lipschitz=np.pi * np.sqrt(dimension) * (1.0 + 2.0 * c),
-        gradient=gradient,
-        name="sin2_coupled",
-        hessian=hessian,
-    )
-
-
 def _build_cos_sum_potential(d: int) -> PeriodicPotential:
     """V(x) = 1/2 + (1/(2d)) * sum_i cos(2 pi x_i) = sum_i cos^2(pi x_i) / d, in [0, 1]."""
     return _separable(
@@ -821,7 +768,6 @@ POTENTIAL_BUILDERS = {
     "constant": _build_constant_potential,
     "sin2": _build_sin2_potential,
     "cos_sum": _build_cos_sum_potential,
-    "sin2_coupled": _build_sin2_coupled_potential,
 }
 
 PERTURBATION_BUILDERS = {

@@ -43,6 +43,7 @@ __all__ = [
     "discounted_action",
     "build_connector",
     "connector_kinetic_bound",
+    "least_connector_jump",
     "polar_bound_check",
 ]
 
@@ -251,6 +252,24 @@ def _graded_side(length: float) -> np.ndarray:
     return out
 
 
+def least_connector_jump(x0, y0) -> float:
+    """The least jump r = |x0 - y0| that `build_connector` resolves in floats.
+
+    Rounding to the float spacing u at max|x0, y0| + r moves each node
+    difference by at most sqrt(d) u, which adds at most d u^2 G / h to the
+    kinetic sum (h = r^(1/alpha) the half-duration, G the sum of 1/dt over the
+    graded times at h = 1). The exact sum is at most t^2 B, for the budget
+    B = K r^2 / h with K >= 2 and t = -1/(2 theta_1) < 1 the largest over the
+    cap; by Cauchy-Schwarz, r >= u sqrt(d G / 2) / (1 - t) keeps it within B.
+    """
+    x0, y0 = (np.atleast_1d(np.asarray(p, dtype=float)) for p in (x0, y0))
+    r = float(np.linalg.norm(x0 - y0))
+    u = np.spacing(max(np.max(np.abs(x0)), np.max(np.abs(y0))) + r)
+    reach = np.max(-0.5 / _cap_directions(x0.shape[0])[:, 0])
+    steps = 2.0 * np.sum(1.0 / np.diff(_graded_side(1.0)))  # both halves of the times
+    return float(u * np.sqrt(x0.shape[0] * steps / 2.0) / (1.0 - reach))
+
+
 def build_connector(x0, y0, alpha: float, W: Perturbation) -> Trajectory:
     """Short curve joining x0 to y0 through a low-W corridor.
 
@@ -261,7 +280,8 @@ def build_connector(x0, y0, alpha: float, W: Perturbation) -> Trajectory:
     two cusp arcs meet on the mid-hyperplane. Its kinetic integral is bounded
     by connector_kinetic_bound(alpha, |x0-y0|) for every theta in the cap, with
     the piecewise-linear interpolant always at or below the analytic value.
-    Requires 1/2 < alpha < p/d for the declared integrability exponent p.
+    Requires 1/2 < alpha < p/d for the declared integrability exponent p, and
+    a jump of at least `least_connector_jump`, else InputError naming it.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -278,6 +298,12 @@ def build_connector(x0, y0, alpha: float, W: Perturbation) -> Trajectory:
     r = float(np.linalg.norm(x0 - y0))
     if r == 0.0:
         raise InputError("endpoints coincide")
+    least = least_connector_jump(x0, y0)
+    if not r >= least:
+        raise InputError(
+            f"the jump from x0={x0.tolist()} to y0={y0.tolist()} is {r:.3e}, below the "
+            f"{least:.3e} that the connector's graded nodes resolve in floats there"
+        )
 
     frame = _householder_frame((x0 - y0) / r)
     mid = 0.5 * (x0 + y0)

@@ -150,7 +150,7 @@ def test_corrector_refuses_a_slope_without_a_window_before_any_work(
 
 @settings(max_examples=30, deadline=None)
 @given(
-    name=st.sampled_from(["zero", "constant", "sin2", "cos_sum", "sin2_coupled"]),
+    name=st.sampled_from(["zero", "constant", "sin2", "cos_sum"]),
     speed=st.floats(0.05, 4.0),
     sign=st.sampled_from([-1.0, 1.0]),
 )
@@ -319,8 +319,7 @@ def _table_solving_every_slope(V, axes, opt):
         meta["max_exact_gap"] = max(prof.meta["exact_gap"] for prof in profiles)
     else:
         for i in moving:
-            values[i], diagnostics = f_hom_asymptotic(V, flat[i], opt)
-            converged &= diagnostics["converged"]
+            values[i], _ = f_hom_asymptotic(V, flat[i])
         meta["converged"] = converged
     table = HomogenizedLagrangian(
         axes, values.reshape(tuple(ax.size for ax in axes)), V.v_min, False, meta
@@ -341,7 +340,7 @@ def _assert_same_table(table, reference):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    name=st.sampled_from(["zero", "constant", "sin2", "cos_sum", "sin2_coupled"]),
+    name=st.sampled_from(["zero", "constant", "sin2", "cos_sum"]),
     k=st.integers(1, 4),
     step=st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0]), st.floats(0.1, 1.0)),
 )
@@ -356,17 +355,29 @@ def test_a_table_shares_each_pm_xi_solve_and_keeps_every_byte(name, k, step):
     _assert_same_table(tabulate_f_hom(V, axis, opt), _table_solving_every_slope(V, [axis], opt))
 
 
-@pytest.mark.parametrize("name,n", [("sin2", 5), ("sin2_coupled", 3)])
+@pytest.mark.parametrize("name,n", [("sin2", 5), ("cos_sum", 3)])
 def test_a_d2_table_shares_each_pm_xi_solve_and_keeps_every_byte(cell_opt, name, n):
-    """In d = 2 the exact negative flips every component. sin2_coupled's
-    values at (a, b) and (-a, b) differ (the coupling vanishes on the
-    diagonal only), so a mirror that flipped one component would show."""
     V = make_potential(name, 2)
     axes = [np.linspace(-1.0, 1.0, n)] * 2
     table = tabulate_f_hom(V, axes, cell_opt)
     _assert_same_table(table, _table_solving_every_slope(V, axes, cell_opt))
-    if name == "sin2_coupled":
-        assert table.values[0, 2] - table.values[0, 0] > 0.1
+
+
+def test_a_d2_table_mirrors_the_slope_with_every_component_negated(monkeypatch):
+    """Every d >= 2 value is a separable sum, even in each component, so the
+    values cannot show which slope a mirror takes. The calls do: on a 3 x 3
+    grid only the first of each pair xi, -xi (every component negated) is
+    computed, so (1, -1) is not, though (1, 1) comes after it."""
+    real = homoglab.cell.f_hom_asymptotic
+    computed = []
+
+    def counted(V, xi):
+        computed.append(xi.tolist())
+        return real(V, xi)
+
+    monkeypatch.setattr(homoglab.cell, "f_hom_asymptotic", counted)
+    tabulate_f_hom(make_potential("sin2", 2), [np.linspace(-1.0, 1.0, 3)] * 2)
+    assert computed == [[-1.0, -1.0], [-1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]
 
 
 def _tilted_sin2():
@@ -521,58 +532,54 @@ def test_envelope_flag_and_violation_count():
 def test_asymptotic_matches_1d_for_separable_potential():
     V2 = make_potential("sin2", 2)
     xi = np.array([1.0, 0.5])
-    value, diagnostics = f_hom_asymptotic(V2, xi)
+    value, method = f_hom_asymptotic(V2, xi)
     assert value == cell_value_1d(V2.factor, 1.0) + cell_value_1d(V2.factor, 0.5)
-    assert diagnostics == {
-        "values": [value],
-        "T_ladder": [],
-        "spread": 0.0,
-        "monotone": True,
-        "converged": True,
-        "method": "separable",
-    }
+    assert method == "separable"
+    assert f_hom_asymptotic(V2, np.zeros(2)) == (V2.v_min, "minimum")
 
 
-def test_asymptotic_windows_on_the_coupled_potential(cell_opt):
-    # T * xi is a lattice vector on every rung, so each rung bounds
-    # f_hom(sin2_coupled) from above, and V >= sin2 pointwise puts that above
-    # the exact sin2 sum.
-    coupled = make_potential("sin2_coupled", 2)
-    assert coupled.factor is None
-    xi = np.array([1.0, 0.0])
-    value, diagnostics = f_hom_asymptotic(coupled, xi, opt=cell_opt)
-    assert diagnostics["method"] == "windows"
-    assert diagnostics["T_ladder"] == [8.0, 16.0, 32.0, 64.0]
-    assert diagnostics["converged"]
-    sin2_sum = conserved_energy_value(lambda w: np.sin(np.pi * w) ** 2, 1.0)
-    assert min(diagnostics["values"]) > sin2_sum
-    assert value == diagnostics["values"][-1]
+def test_asymptotic_of_a_1d_potential_without_a_factor_is_its_exact_value():
+    """A d = 1 V is its own factor: the value is cell_value_1d of its
+    evaluator, bit for bit, the exact value `solve_corrector_1d` certifies."""
+    V = _tilted_sin2()
+    assert V.factor is None
+    for xi in (-2.0, 0.25, 1.5):
+        exact = cell_value_1d(lambda s: V.evaluator(s[..., None]), xi)
+        assert f_hom_asymptotic(V, [xi]) == (exact, "separable")
+        assert solve_corrector_1d(V, xi).meta["exact_value"] == exact
 
 
-@pytest.mark.parametrize("xi,T0", [([0.5, 0.5], 12.0), ([1.0, 1.0], 6.0)])
-def test_asymptotic_windows_are_lattice_aligned_on_the_diagonal(cell_opt, xi, T0):
-    # The coupling vanishes on the diagonal, so f_hom(sin2_coupled) there is
-    # the sin2 sum; windows with T * xi off the lattice fell below it. T0 is
-    # the least multiple of the lattice period (2, then 1) at or above 8/|xi|.
-    coupled = make_potential("sin2_coupled", 2)
-    _, diagnostics = f_hom_asymptotic(coupled, np.array(xi), opt=cell_opt)
-    assert diagnostics["T_ladder"] == [T0, 2 * T0, 4 * T0, 8 * T0]
-    assert diagnostics["monotone"]
-    sin2_sum = 2 * cell_value_1d(make_potential("sin2", 1).factor, xi[0])
-    assert min(diagnostics["values"]) >= sin2_sum
+def _coupled_2d():
+    """V(x) = sin^2(pi x_1) + sin^2(pi x_2) + sin^2(pi (x_1 - x_2)) / 2: no axis factor."""
+
+    def evaluator(x):
+        coupling = np.sin(np.pi * (x[..., 0] - x[..., 1])) ** 2
+        return np.sum(np.sin(np.pi * x) ** 2, axis=-1) + 0.5 * coupling
+
+    return PeriodicPotential(2, evaluator, 0.0, 2.5, lipschitz=2 * np.pi, name="coupled")
 
 
-@pytest.mark.parametrize("xi,period", [([1e-13, 0.0], None), ([0.5, 0.0], 2.0)])
-def test_lattice_period_skips_multiples_that_round_to_zero(xi, period):
-    # Every q * (1e-13, 0) rounds to the zero vector, so no q <= 16 gives a
-    # period (the gcd of zeros divided by zero before); (0.5, 0) finds q = 2.
-    assert homoglab.cell._lattice_period(np.array(xi)) == period
+def test_a_non_separable_d2_potential_is_refused_by_name_before_any_work(monkeypatch):
+    """No path gives its f_hom with evidence (the window ladder it once took
+    stopped on a saddle above f_hom), so f_hom_asymptotic and tabulate_f_hom
+    refuse it by name, before any value, even at xi = 0."""
+
+    def no_work(*args):
+        raise AssertionError("worked on a refused potential")
+
+    monkeypatch.setattr(homoglab.cell, "cell_value_1d", no_work)
+    monkeypatch.setattr(homoglab.cell, "minimize_lagrangian_bvp", no_work)
+    V = _coupled_2d()
+    for xi in ([1.0, 2.0], [0.0, 0.0]):
+        with pytest.raises(InputError, match="potential 'coupled' has no axis factor"):
+            f_hom_asymptotic(V, xi)
+    with pytest.raises(InputError, match="potential 'coupled' has no axis factor"):
+        tabulate_f_hom(V, [np.linspace(-1.0, 1.0, 3)] * 2)
 
 
-def test_asymptotic_free_particle_exact(cell_opt):
+def test_asymptotic_free_particle_exact():
     V = make_potential("zero", 2)
-    value, _ = f_hom_asymptotic(V, np.array([1.0, 1.0]), opt=cell_opt)
-    assert value == pytest.approx(2.0, abs=1e-6)
+    assert f_hom_asymptotic(V, np.array([1.0, 1.0])) == (2.0, "separable")
 
 
 def test_sin2_table_converged_and_matches_conservation_oracle(sin2_1d):

@@ -276,29 +276,15 @@ def test_a_w_without_closed_form_derivatives_is_a_config_error(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize(
-    "dimension,potential,xi_grid,nodes",
-    [
-        (1, "sin2", {"half_width": 1e-9}, "48000000001"),
-        (2, "sin2_coupled", {"half_width": 1e-12, "n": 3}, "90509667991880"),
-    ],
-)
-def test_a_slope_too_small_for_a_cell_window_is_a_config_error(
-    tmp_path, capsys, dimension, potential, xi_grid, nodes
-):
-    """A slope of 1e-9 would need a cell window of 4.8e10 Newton nodes (384 GB);
-    in d = 2 no lattice period exists and the window is longer still. Both are
-    refused before any array is built."""
-    raw = {
-        "experiment": "fhom",
-        "dimension": dimension,
-        "potential": {"name": potential},
-        "grids": {"xi": xi_grid},
-    }
+def test_a_slope_too_small_for_a_cell_window_is_a_config_error(tmp_path, capsys):
+    """A slope of 1e-9 would need a d = 1 cell window of 4.8e10 Newton nodes
+    (384 GB); it is refused before any array is built. In d >= 2 no window is
+    solved: every value is an exact separable sum."""
+    raw = {"experiment": "fhom", "potential": {"name": "sin2"}, "grids": {"xi": {"half_width": 1e-9}}}
     cfg = write_cfg(tmp_path, raw)
     code = cli.main(["fhom", "--config", cfg, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_CONFIG == 2
-    assert f"need 2 to 2^20 nodes, got {nodes}" in capsys.readouterr().err
+    assert "need 2 to 2^20 nodes, got 48000000001" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -393,6 +379,26 @@ def _tiny_fhom_raw(dimension, potential, half_width):
 
 
 @pytest.mark.parametrize(
+    "raw",
+    [
+        _tiny_fhom_raw(2, "sin2_coupled", 1.0),
+        dict(_STABILITY_RAW, dimension=2, xi=[1.0, 2.0], potential={"name": "sin2_coupled"}),
+    ],
+    ids=["fhom", "stability"],
+)
+def test_a_config_naming_the_retired_coupled_potential_exits_2(tmp_path, capsys, raw):
+    """sin2_coupled left the registry with the window ladder that gave its
+    d = 2 f_hom, so a config naming it is refused before any solve, not run
+    to other numbers."""
+    cfg = write_cfg(tmp_path, raw)
+    code = cli.main([raw["experiment"], "--config", cfg, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG == 2
+    assert "unknown potential 'sin2_coupled'" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "raw,message",
     [
         (dict(_STABILITY_RAW, eps_ladder=[1e-320]), "got inf (eps=1e-320, window [0.0, 1.0])"),
@@ -465,22 +471,13 @@ def _tiny_fhom_raw(dimension, potential, half_width):
             _tiny_fhom_raw(1, "sin2", 5e-324),
             "the window T = 1/|xi| at xi=-5e-324 is not finite",
         ),
-        (
-            _tiny_fhom_raw(2, "sin2_coupled", 1e-300),
-            "need 2 to 2^20 nodes, got 9.05096679918781e+301 "
-            "(eps=1.0, window [0.0, 5.65685424949238e+300])",
-        ),
-        (
-            _tiny_fhom_raw(2, "sin2_coupled", 5e-324),
-            "need 2 to 2^20 nodes, got inf (eps=1.0, window [0.0, inf])",
-        ),
     ],
     ids=[
         "stability-eps-1e-320", "stability-eps-1e-300", "steady-eps-1e-320", "steady-eps-1e-300",
         "steady-lambda-1e-200", "steady-lambda-1e300", "evolutionary-eps-1e-300", "evolutionary-eps-1e-320",
         "evolutionary-y-1e300", "evolutionary-abs-min-y-1e300", "evolutionary-quadratic-y-1e300",
         "evolutionary-dy-5e-201", "fhom-xi-1e300", "stability-xi-1e300", "stability-xi-1e-300",
-        "fhom-xi-1e-300", "fhom-xi-5e-324", "fhom-coupled-xi-1e-300", "fhom-coupled-xi-5e-324",
+        "fhom-xi-1e-300", "fhom-xi-5e-324",
     ],
 )
 def test_a_count_past_any_float_is_a_config_error(tmp_path, capsys, raw, message):

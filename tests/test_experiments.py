@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import homoglab.cell
 from homoglab import (
-    experiments, fenchel, hj, make_perturbation, make_potential, minimize, potentials
+    PeriodicPotential, experiments, fenchel, hj, make_perturbation, make_potential, minimize,
+    potentials,
 )
 from homoglab.errors import ConfigError, InputError, InvariantError, SolverError
 from homoglab.experiments import (
@@ -533,29 +534,39 @@ def test_report_json_writes_booleans_as_booleans():
     assert type(payload["verdicts"]["rows_failed"]) is int
 
 
-@pytest.mark.parametrize(
-    "potential,method", [("sin2", "separable"), ("sin2_coupled", "windows")]
-)
-def test_stability_provenance_names_the_target_path_in_2d(potential, method):
+def test_stability_provenance_names_the_exact_target_path():
     """The target comes from f_hom_asymptotic in every dimension; the
-    separable sin2 is also checked in d = 1, where it is the same value."""
-    for dimension in (1, 2) if method == "separable" else (2,):
+    separable sin2 gives the same exact value in d = 1 and d = 2."""
+    for dimension in (1, 2):
         cfg = make_cfg(
             dimension=dimension,
-            potential={"name": potential},
+            potential={"name": "sin2"},
             xi=[1.0] + [0.0] * (dimension - 1),
             eps_ladder=[0.25],
             seed=3,
         )
         prov = run_stability_sweep(cfg).provenance
-        assert prov["f_hom_method"] == method
-        assert "f_hom_exact" not in prov
-        if method == "separable":
-            assert "f_hom_monotone" not in prov
-            assert prov["f_hom_target"] == pytest.approx(1.4691052398909545, abs=1e-12)
-        else:
-            assert prov["f_hom_monotone"] is True
-            assert prov["f_hom_target"] > 1.4691052398909545
+        assert prov["f_hom_method"] == "separable"
+        assert "f_hom_exact" not in prov and "f_hom_monotone" not in prov
+        assert prov["f_hom_target"] == pytest.approx(1.4691052398909545, abs=1e-12)
+
+
+def test_stability_refuses_a_non_separable_d2_potential_before_any_solve(monkeypatch):
+    """A d = 2 V without an axis factor has no exact target: the sweep exits
+    2 naming it, and never evaluates it, builds a plan or solves a rung."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("worked on a potential with no exact target")
+
+    coupled = PeriodicPotential(
+        2, unreachable, 0.0, 2.5, gradient=unreachable, hessian=unreachable, name="coupled"
+    )
+    monkeypatch.setattr(ExperimentConfig, "potential", lambda self: coupled)
+    for solver in ("solve_corrector_1d", "build_almost_corrector", "minimize_bvp"):
+        monkeypatch.setattr(experiments, solver, unreachable)
+    cfg = make_cfg(dimension=2, xi=[1.0, 2.0])
+    with pytest.raises(InputError, match="potential 'coupled' has no axis factor"):
+        run_stability_sweep(cfg)
 
 
 def test_stability_rejects_signed_and_atom_perturbations():

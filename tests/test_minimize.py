@@ -163,8 +163,8 @@ def _evolutionary(eps):
         (lambda: dp_oracle_1d(_V, None, 0.0, 1.0, 0.0, 0.5, _GRID), "eps=0.0"),
         (lambda: dp_oracle_1d(_V, None, [0.1, 0.0], 1.0, 0.0, 0.5, _GRID), "eps=0.0"),
         (lambda: dp_oracle_1d(_V, None, 0.1, np.inf, 0.0, 0.5, _GRID), "t=inf"),
-        (lambda: dp_oracle_halfline(_V, None, 0.1, 1.0, 0.0, -1.0, _GRID), "t=-1.0"),
-        (lambda: dp_oracle_halfline(_V, None, 0.1, 1.0, 0.0, 0.0, _GRID), "t=0.0"),
+        (lambda: dp_oracle_halfline(_V, None, 0.1, 1.0, 0.0, -1.0, _GRID), "T_max=-1.0"),
+        (lambda: dp_oracle_halfline(_V, None, 0.1, 1.0, 0.0, 0.0, _GRID), "T_max=0.0"),
         (lambda: dp_oracle_halfline(_V, None, -0.1, 1.0, 0.0, 6.0, _GRID), "eps=-0.1"),
         (lambda: dp_oracle_halfline(_V, None, 0.1, np.inf, 0.0, 6.0, _GRID), "lam=inf"),
         (lambda: solve_steady_eps(_V, None, -0.1, 1.0, _X, _FAST), "eps=-0.1"),
@@ -177,6 +177,7 @@ def _evolutionary(eps):
         (lambda: minimize_bvp(_V, None, 0.1, np.inf, 0.0, 1.0, 33, _FAST), "t=inf"),
         (lambda: minimize_halfline(_V, None, np.inf, 1.0, 0.0, 6.0, 33, _FAST), "eps=inf"),
         (lambda: minimize_halfline(_V, None, 0.1, np.inf, 0.0, 6.0, 33, _FAST), "lam=inf"),
+        (lambda: minimize_halfline(_V, None, 0.1, 1.0, 0.0, np.nan, 33, _FAST), "T_max=nan"),
         (lambda: s_eps(_V, None, 0.1, 0.0, 0.5, -1.0, _FAST), "t=-1.0"),
     ],
     ids=[
@@ -184,12 +185,12 @@ def _evolutionary(eps):
         "halfline-dp-T-negative", "halfline-dp-T-0", "halfline-dp-eps-negative",
         "halfline-dp-lam-inf", "steady-eps-negative", "steady-eps-0", "steady-eps-nan",
         "steady-lam-inf", "steady-hom-lam-inf", "evolutionary-eps-negative", "evolutionary-eps-0", "bvp-t-inf",
-        "halfline-eps-inf", "halfline-lam-inf", "s-eps-t-negative",
+        "halfline-eps-inf", "halfline-lam-inf", "halfline-T-nan", "s-eps-t-negative",
     ],
 )
 def test_every_solver_refuses_a_bad_window_by_value(solve, shown):
     """A t, eps or lam that is not positive and finite is an InputError naming
-    the value, raised before anything is built: no warning, no other error
+    the value (the half-line solvers' horizon by its own name, T_max), raised before anything is built: no warning, no other error
     and no value."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -31,7 +31,7 @@ from homoglab.potentials import (
 from homoglab.quadrature import midpoints
 
 SMOOTH_REGISTRY = [
-    ("potential", n) for n in ("zero", "constant", "sin2", "cos_sum", "sin2_coupled")
+    ("potential", n) for n in ("zero", "constant", "sin2", "cos_sum")
 ] + [
     ("perturbation", n) for n in ("zero", "constant", "runge_decay")
 ]
@@ -111,26 +111,11 @@ def test_sin2_values_1d():
 @pytest.mark.parametrize("name", sorted(POTENTIAL_BUILDERS))
 @pytest.mark.parametrize("dimension", [1, 2, 3])
 def test_axis_factor_sums_to_the_potential(name, dimension):
+    """Every registry potential declares the axis factor its exact f_hom needs."""
     V = make_potential(name, dimension)
-    if name == "sin2_coupled" and dimension > 1:
-        assert V.factor is None
-        return
     pts = np.random.default_rng(1).uniform(-3, 3, size=(64, dimension))
     np.testing.assert_array_equal(np.sum(V.factor(pts), axis=-1), V.evaluator(pts))
     assert dataclasses.replace(V, name="copy").factor is V.factor
-
-
-def test_sin2_coupled_values_and_bounds():
-    V = make_potential("sin2_coupled", 3)
-    x = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.25], [1.0, 2.0, -1.0]])
-    want = [0.0, 1.0 + 0.5 + 0.5 * (1.0 + 0.5), 0.0]
-    np.testing.assert_allclose(V.evaluator(x), want, atol=1e-12)
-    assert (V.v_min, V.v_max) == (0.0, 4.0)
-    one_d = make_potential("sin2_coupled", 1)
-    sin2 = make_potential("sin2", 1)
-    np.testing.assert_array_equal(one_d.evaluator(x[:, :1]), sin2.evaluator(x[:, :1]))
-    with pytest.raises(ConfigError):
-        make_potential("sin2_coupled", 2, c=0.25)
 
 
 def test_perturbation_bounds_combine_pointwise_part_and_atom():

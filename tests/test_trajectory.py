@@ -1,6 +1,7 @@
 """Trajectories, action functionals, connectors, and the polar bound."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from homoglab import (
     make_potential,
     polar_bound_check,
 )
+from homoglab.cell import _join_legs
 from homoglab.potentials import _householder_frame
 from homoglab.trajectory import (
-    POLAR_BOUND_TOL, _cap_directions, _graded_side, potential_term
+    POLAR_BOUND_TOL, _cap_directions, _graded_side, least_connector_jump, potential_term
 )
 
 
@@ -222,7 +224,9 @@ def _connector_w(name, d):
 def test_the_stacked_connector_is_the_per_direction_loop_bit_for_bit(d, w_name, scale, data):
     """All 32 cap directions scored as one stack give the loop's connector,
     bit for bit: times, nodes and meta. indicator_ball ties many directions
-    at 0 (the curves miss the ball), so the first least one must win."""
+    at 0 (the curves miss the ball), so the first least one must win. A jump
+    below `least_connector_jump` is refused by name, and the recovery path's
+    join leaves its connector out rather than call it."""
     W = _connector_w(w_name, d)
     p_over_d = W.integrability_exponent / d
     alpha = data.draw(st.floats(0.5, p_over_d, exclude_min=True, exclude_max=True))
@@ -230,11 +234,34 @@ def test_the_stacked_connector_is_the_per_direction_loop_bit_for_bit(d, w_name, 
     x0 = scale * np.array(data.draw(point))
     y0 = scale * np.array(data.draw(point))
     assume(np.linalg.norm(x0 - y0) > 0.0)
+    if not np.linalg.norm(x0 - y0) >= least_connector_jump(x0, y0):
+        with pytest.raises(InputError, match="the jump from x0=.* to y0=.* is .*, below the"):
+            build_connector(x0, y0, alpha, W)
+        legs = [(np.zeros(d), x0, 1.0), (y0, y0, 1.0)]
+        assert _join_legs(legs, 1.0, y0, W, set())[-1] == []
+        return
     times, nodes, meta = _connector_one_direction_at_a_time(x0, y0, alpha, W)
     gamma = build_connector(x0, y0, alpha, W)
     np.testing.assert_array_equal(gamma.times, times)
     np.testing.assert_array_equal(gamma.nodes, nodes)
     assert gamma.meta == meta
+
+
+@pytest.mark.parametrize("dy", [2.2e-19, 1024 * float(np.spacing(1e-3))])
+def test_a_jump_below_the_float_spacing_of_its_endpoints_is_refused_by_name(dy):
+    """2.2e-19 is one float spacing at 1e-3: the graded nodes near the cusps
+    round onto a few floats, and the kinetic check used to fail on that
+    noise. 1024 spacings passed that check, but sit below the bound that
+    guarantees it. Just above the bound the connector is built."""
+    W = make_perturbation("runge_decay", 2)
+    x0 = np.array([1e-3, 0.0])
+    y0 = np.array([1e-3, dy])
+    named = re.escape(f"x0=[0.001, 0.0] to y0=[0.001, {dy!r}] is {dy:.3e}")
+    with pytest.raises(InputError, match=named):
+        build_connector(x0, y0, 0.75, W)
+    least = least_connector_jump(x0, x0 + [0.0, 1e-14])
+    gamma = build_connector(x0, x0 + [0.0, 2.0 * least], 0.75, W)
+    assert gamma.meta["kinetic_integral"] <= gamma.meta["kinetic_bound"]
 
 
 def test_connector_rejects_bad_alpha():
