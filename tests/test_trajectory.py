@@ -252,14 +252,14 @@ def test_a_jump_below_the_float_spacing_of_its_endpoints_is_refused_by_name(dy):
     """2.2e-19 is one float spacing at 1e-3: the graded nodes near the cusps
     round onto a few floats, and the kinetic check used to fail on that
     noise. 1024 spacings passed that check, but sit below the bound that
-    guarantees it. Just above the bound the connector is built."""
+    guarantees it. At twice the bound the connector is built."""
     W = make_perturbation("runge_decay", 2)
     x0 = np.array([1e-3, 0.0])
     y0 = np.array([1e-3, dy])
     named = re.escape(f"x0=[0.001, 0.0] to y0=[0.001, {dy!r}] is {dy:.3e}")
     with pytest.raises(InputError, match=named):
         build_connector(x0, y0, 0.75, W)
-    least = least_connector_jump(x0, x0 + [0.0, 1e-14])
+    least = least_connector_jump(x0, x0)
     gamma = build_connector(x0, x0 + [0.0, 2.0 * least], 0.75, W)
     assert gamma.meta["kinetic_integral"] <= gamma.meta["kinetic_bound"]
 
