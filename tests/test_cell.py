@@ -582,6 +582,35 @@ def test_asymptotic_free_particle_exact():
     assert f_hom_asymptotic(V, np.array([1.0, 1.0])) == (2.0, "separable")
 
 
+@pytest.mark.parametrize("xi", [[0.5, 0.5], [1.0, 1.0], [1.0, 1.0, 1.0]], ids=["xi0", "xi1", "xi2"])
+def test_asymptotic_on_the_diagonal_matches_the_conservation_oracle(xi):
+    """On the diagonal each axis crosses its cell at the same speed, so the
+    separable sin2 value is d times the d = 1 value, and the scipy oracle of
+    the conservation law confirms each term."""
+    d = len(xi)
+    value, method = f_hom_asymptotic(make_potential("sin2", d), xi)
+    assert method == "separable"
+    one = f_hom_asymptotic(make_potential("sin2", 1), xi[:1])[0]
+    assert value == pytest.approx(d * one, rel=1e-15, abs=0.0)
+    oracle = conserved_energy_value(lambda w: np.sin(np.pi * w) ** 2, xi[0])
+    assert abs(value - d * oracle) <= d * 1e-10
+
+
+@pytest.mark.parametrize(
+    "xi", [[1e-13, 0.0], [0.0, 1e-300], [5e-324, 0.0]], ids=["1e-13", "1e-300", "5e-324"]
+)
+def test_asymptotic_at_a_slope_no_window_holds_is_the_flat_bottom_line(xi):
+    """A d = 1 window for these slopes needs more nodes than a float holds,
+    but a d = 2 value solves no window: it is the flat-bottom line
+    2|xi| * integral of sqrt(sin^2) = 4|xi|/pi, above v_min even at the
+    least subnormal slope, which is no slope 0."""
+    V = make_potential("sin2", 2)
+    value, method = f_hom_asymptotic(V, xi)
+    assert method == "separable"
+    assert value > V.v_min
+    assert value == pytest.approx(4.0 / np.pi * max(xi), rel=1e-12, abs=5e-324)
+
+
 def test_sin2_table_converged_and_matches_conservation_oracle(sin2_1d):
     v = lambda w: np.sin(np.pi * w) ** 2
     xi = np.linspace(-2.0, 2.0, 17)

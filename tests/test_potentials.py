@@ -118,6 +118,15 @@ def test_axis_factor_sums_to_the_potential(name, dimension):
     assert dataclasses.replace(V, name="copy").factor is V.factor
 
 
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_the_retired_coupled_potential_is_an_unknown_name(dimension):
+    """sin2_coupled left the registry in every dimension, with the d >= 2
+    window ladder that gave its f_hom; its d = 1 case is sin2."""
+    assert "sin2_coupled" not in POTENTIAL_BUILDERS
+    with pytest.raises(ConfigError, match="unknown potential 'sin2_coupled'"):
+        make_potential("sin2_coupled", dimension)
+
+
 def test_perturbation_bounds_combine_pointwise_part_and_atom():
     tent = make_perturbation("neg_spike", 1, depth=1.0, width=0.5)
     assert tent.sign_class == "nonpositive"
